@@ -382,7 +382,7 @@ mod trace_tool {
         let root = discover::workspace_root();
         let files = crate::load_sources(&root);
         let g = Graph::from_sources(&files);
-        let Some(&start) = g.find("core/src/fallback.rs", "run_planned_with").first() else {
+        let Some(&start) = g.find("core/src/fallback.rs", "run_planned_into").first() else {
             println!("root fn not found; update the trace tool");
             return;
         };

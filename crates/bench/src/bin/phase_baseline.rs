@@ -13,9 +13,8 @@
 //! near-zero promote) is the stable signal.
 
 use winrs_bench::json::{Json, SCHEMA};
-use winrs_core::fallback::run_bfc_cached;
-use winrs_core::{PlanCache, Precision, Workspace};
 use winrs_conv::ConvShape;
+use winrs_core::{ExecHandle, Precision, WorkspacePool};
 use winrs_gpu_sim::RTX_4090;
 use winrs_tensor::Tensor4;
 
@@ -72,21 +71,11 @@ fn main() {
         let dy =
             Tensor4::<f32>::random_uniform([s.n, s.oh(), s.ow(), s.oc], 43, dy_scale);
 
-        let mut cache = PlanCache::new();
-        let mut ws = Workspace::new();
+        // A private pool per case, so every case starts with a cold cache.
+        let handle = ExecHandle::new(WorkspacePool::with_slots(1), device, case.precision);
         let mut last = None;
         for _ in 0..TRIPS {
-            match run_bfc_cached(
-                &s,
-                &device,
-                case.precision,
-                &x,
-                &dy,
-                Default::default(),
-                Default::default(),
-                &mut cache,
-                &mut ws,
-            ) {
+            match handle.run(&s, &x, &dy) {
                 Ok((_dw, report)) => last = Some(report),
                 Err(err) => {
                     eprintln!("{}: dispatch failed: {err}", case.name);

@@ -8,10 +8,10 @@ use std::time::Duration;
 use winrs_bench::json::{Json, SCHEMA};
 use winrs_bench::{accuracy_sweep, throughput_dims};
 use winrs_conv::{direct, ConvShape};
-use winrs_core::fallback::{run_bfc_cached, FallbackPolicy, NumericGuard};
+use winrs_core::fallback::{FallbackPolicy, NumericGuard};
 use winrs_core::pool::{ExecHandle, PoolConfig, WorkspacePool};
 use winrs_core::tuner::{precision_tag, AlgoChoice, TuneDb, Tuner, TunerConfig, TunerDecision};
-use winrs_core::{PlanCache, Precision, WinRsPlan, Workspace, TUNE_DB_SCHEMA};
+use winrs_core::{Precision, WinRsPlan, TUNE_DB_SCHEMA};
 use winrs_gpu_sim::{DeviceSpec, A5000, L40S, RTX_3090, RTX_4090};
 use winrs_tensor::{mare, Tensor4};
 use winrs_winograd::kernels::WINRS_KERNELS;
@@ -379,18 +379,16 @@ fn cmd_profile(flags: &Flags) -> Result<String, String> {
         dy_scale,
     );
 
-    // Dispatch through the cached path, the same one `winrs-nn` training
-    // uses: trip 1 plans (cache miss), later trips are cache hits, so the
-    // last trip shows the warm steady-state cost.
-    let mut cache = PlanCache::new();
-    let mut ws = Workspace::new();
+    // Dispatch through a private pool, the same path `verify` and
+    // `winrs-nn` training take: trip 1 plans (cache miss), later trips are
+    // cache hits, so the last trip shows the warm steady-state cost.
+    let handle = ExecHandle::new(WorkspacePool::with_slots(1), device, precision)
+        .with_policy(policy)
+        .with_guard(guard);
     let mut totals_ms = Vec::with_capacity(trips);
     let mut last = None;
     for _ in 0..trips {
-        let (_dw, report) = run_bfc_cached(
-            &shape, &device, precision, &x, &dy, policy, guard, &mut cache, &mut ws,
-        )
-        .map_err(|e| e.to_string())?;
+        let (_dw, report) = handle.run(&shape, &x, &dy).map_err(|e| e.to_string())?;
         totals_ms.push(report.timing.total_s * 1e3);
         last = Some(report);
     }
@@ -875,7 +873,10 @@ fn cmd_tune(flags: &Flags) -> Result<String, String> {
     // commits the measured winner.
     const EXEC_CAP: usize = 4_000_000;
     let pool = WorkspacePool::new(PoolConfig {
-        plan_capacity: shapes.len().max(1),
+        tuner: TunerConfig {
+            capacity: shapes.len().max(1),
+            ..TunerConfig::default()
+        },
         ..PoolConfig::default()
     });
     if let Some(path) = &db_path {
@@ -1312,6 +1313,20 @@ mod tests {
             assert!(phase_ms(&out, "EWMM") >= 0.0);
             assert!(out.contains("block tasks"), "{out}");
         }
+    }
+
+    #[test]
+    fn profile_and_verify_dispatch_the_same_algorithm() {
+        // One dispatch path: on this wide, shallow f=2 shape the tuner
+        // prefers direct convolution, and `profile` must run what
+        // `verify` runs.
+        let shape = [
+            "--n", "2", "--res", "32", "--ic", "4", "--oc", "4", "--f", "2",
+        ];
+        let profile = run(&[&["profile"][..], &shape].concat()).unwrap();
+        assert!(profile.contains("algorithm    : direct"), "{profile}");
+        let verify = run(&[&["verify"][..], &shape].concat()).unwrap();
+        assert!(verify.contains("algorithm=direct"), "{verify}");
     }
 
     #[test]

@@ -26,7 +26,6 @@ pub mod gemm_bfc;
 pub mod int8;
 pub mod ndim;
 pub mod shapes;
-pub mod strided;
 pub mod winnf;
 
 pub use error::{ShapeError, ShapeViolation};

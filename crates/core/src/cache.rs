@@ -1,288 +1,14 @@
-//! A keyed plan cache for training loops.
+//! Sizing of the per-shape cache.
 //!
 //! Plan construction runs exact rational linear algebra (Cook–Toom) and the
 //! configuration algorithms — cheap, but not free, and a training loop hits
-//! the same handful of layer shapes thousands of times. `PlanCache` memoises
-//! plans by `(shape, device, precision)`; `winrs-nn`'s convolution layer and
-//! any long-running caller should go through it.
-//!
-//! # Thread safety
-//!
-//! `PlanCache` is *not* internally synchronised: lookups mutate the hit/miss
-//! counters and the LRU clock, so sharing one across threads requires the
-//! caller's own `Mutex`/`RwLock`. The cached plans themselves are returned
-//! as `Arc<WinRsPlan>` and are `Send + Sync`, so a fetched plan may be
-//! executed from any thread (and outlives eviction of its cache entry).
-//! `winrs-nn`'s `Conv2d` holds one cache per layer and takes `&mut self` on
-//! the training path, which serialises access by construction.
-
-use crate::config::Precision;
-use crate::error::WinrsError;
-use crate::plan::WinRsPlan;
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
-use std::sync::Arc;
-use winrs_conv::ConvShape;
-use winrs_gpu_sim::DeviceSpec;
-
-/// Cache key: the full problem identity.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-struct Key {
-    shape: [usize; 9],
-    device: &'static str,
-    precision: u8,
-}
-
-fn key(shape: &ConvShape, device: &DeviceSpec, precision: Precision) -> Key {
-    Key {
-        shape: [
-            shape.n, shape.ih, shape.iw, shape.ic, shape.oc, shape.fh, shape.fw, shape.ph,
-            shape.pw,
-        ],
-        device: device.name,
-        precision: match precision {
-            Precision::Fp32 => 0,
-            Precision::Fp16 => 1,
-            Precision::Bf16 => 2,
-        },
-    }
-}
-
-/// One cached plan plus the LRU bookkeeping that decides eviction order.
-struct Cached {
-    plan: Arc<WinRsPlan>,
-    last_used: u64,
-}
-
-/// Bounded memoised plan store with least-recently-used eviction.
-pub struct PlanCache {
-    plans: HashMap<Key, Cached>,
-    capacity: usize,
-    tick: u64,
-    hits: usize,
-    misses: usize,
-    evictions: usize,
-}
+//! the same handful of layer shapes thousands of times. The one per-shape
+//! cache is the tuner's per-key store ([`crate::Tuner`]): an LRU keyed by
+//! `(shape, precision, device)` whose entries hold the algorithm ranking,
+//! the committed choice and the `Arc<WinRsPlan>`. A [`crate::WorkspacePool`]
+//! owns one, sized by [`crate::TunerConfig::capacity`].
 
 /// Default capacity: comfortably above the distinct layer shapes of the
 /// networks in the evaluation (VGG-16 has 13 conv layers, the paper's
 /// ResNet variants fewer), so a normal training loop never evicts.
 pub const DEFAULT_PLAN_CACHE_CAPACITY: usize = 32;
-
-impl Default for PlanCache {
-    fn default() -> PlanCache {
-        PlanCache::new()
-    }
-}
-
-impl PlanCache {
-    /// Empty cache with [`DEFAULT_PLAN_CACHE_CAPACITY`].
-    pub fn new() -> PlanCache {
-        PlanCache::with_capacity(DEFAULT_PLAN_CACHE_CAPACITY)
-    }
-
-    /// Empty cache holding at most `capacity` plans (clamped to ≥ 1).
-    /// Inserting beyond capacity evicts the least-recently-used entry.
-    pub fn with_capacity(capacity: usize) -> PlanCache {
-        PlanCache {
-            plans: HashMap::new(),
-            capacity: capacity.max(1),
-            tick: 0,
-            hits: 0,
-            misses: 0,
-            evictions: 0,
-        }
-    }
-
-    /// Fetch or build the plan for a problem. Failed builds are *not*
-    /// cached — the caller usually reroutes a rejected problem to a
-    /// fallback algorithm, and rebuilding the error is cheap and keeps the
-    /// cache free of dead entries.
-    ///
-    /// The returned `Arc` stays valid even if the entry is later evicted.
-    pub fn get(
-        &mut self,
-        shape: &ConvShape,
-        device: &DeviceSpec,
-        precision: Precision,
-    ) -> Result<Arc<WinRsPlan>, WinrsError> {
-        self.tick += 1;
-        let now = self.tick;
-        let plan = match self.plans.entry(key(shape, device, precision)) {
-            Entry::Occupied(mut e) => {
-                self.hits += 1;
-                let cached = e.get_mut();
-                cached.last_used = now;
-                Arc::clone(&cached.plan)
-            }
-            Entry::Vacant(e) => {
-                self.misses += 1;
-                let plan = Arc::new(WinRsPlan::new(shape, device, precision)?);
-                e.insert(Cached {
-                    plan: Arc::clone(&plan),
-                    last_used: now,
-                });
-                plan
-            }
-        };
-        // Evict after the entry borrow ends. The just-inserted entry holds
-        // the maximal `last_used`, so it is never the LRU victim.
-        while self.plans.len() > self.capacity {
-            let victim = self
-                .plans
-                .iter()
-                .min_by_key(|(_, c)| c.last_used)
-                .map(|(k, _)| *k);
-            match victim {
-                Some(k) => {
-                    self.plans.remove(&k);
-                    self.evictions += 1;
-                }
-                None => break,
-            }
-        }
-        Ok(plan)
-    }
-
-    /// `(hits, misses)` counters. A re-fetch after eviction counts as a
-    /// miss again — the counters track lookup outcomes, not key history.
-    pub fn stats(&self) -> (usize, usize) {
-        (self.hits, self.misses)
-    }
-
-    /// Entries dropped by LRU eviction so far.
-    pub fn evictions(&self) -> usize {
-        self.evictions
-    }
-
-    /// Maximum number of plans held at once.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Number of distinct plans held.
-    pub fn len(&self) -> usize {
-        self.plans.len()
-    }
-
-    /// True when no plans are cached.
-    pub fn is_empty(&self) -> bool {
-        self.plans.is_empty()
-    }
-
-    /// Drop all cached plans (counters are kept).
-    pub fn clear(&mut self) {
-        self.plans.clear();
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use winrs_gpu_sim::{RTX_3090, RTX_4090};
-
-    #[test]
-    fn caches_by_shape_device_precision() {
-        let mut cache = PlanCache::new();
-        let a = ConvShape::square(2, 16, 4, 4, 3);
-        let b = ConvShape::square(2, 16, 4, 4, 5);
-
-        cache.get(&a, &RTX_4090, Precision::Fp32).unwrap();
-        cache.get(&a, &RTX_4090, Precision::Fp32).unwrap(); // hit
-        cache.get(&b, &RTX_4090, Precision::Fp32).unwrap(); // miss: different shape
-        cache.get(&a, &RTX_3090, Precision::Fp32).unwrap(); // miss: different device
-        cache.get(&a, &RTX_4090, Precision::Fp16).unwrap(); // miss: different precision
-        assert_eq!(cache.stats(), (1, 4));
-        assert_eq!(cache.len(), 4);
-        assert_eq!(cache.evictions(), 0);
-    }
-
-    #[test]
-    fn cached_plan_is_usable() {
-        let mut cache = PlanCache::new();
-        let shape = ConvShape::square(1, 12, 2, 2, 3);
-        let x = winrs_tensor::Tensor4::<f32>::random_uniform([1, 12, 12, 2], 1, 1.0);
-        let dy = winrs_tensor::Tensor4::<f32>::random_uniform([1, 12, 12, 2], 2, 1.0);
-        let first = cache
-            .get(&shape, &RTX_4090, Precision::Fp32)
-            .unwrap()
-            .execute_f32(&x, &dy)
-            .unwrap();
-        let second = cache
-            .get(&shape, &RTX_4090, Precision::Fp32)
-            .unwrap()
-            .execute_f32(&x, &dy)
-            .unwrap();
-        assert_eq!(first.as_slice(), second.as_slice());
-        assert_eq!(cache.stats(), (1, 1));
-    }
-
-    #[test]
-    fn rejected_plans_are_not_cached() {
-        // F_W = 4 has no FP16-ported kernel: every lookup is a fresh miss
-        // that reports the rejection again, and nothing is stored.
-        let mut cache = PlanCache::new();
-        let shape = ConvShape::square(1, 16, 2, 2, 4);
-        assert!(cache.get(&shape, &RTX_4090, Precision::Fp16).is_err());
-        assert!(cache.get(&shape, &RTX_4090, Precision::Fp16).is_err());
-        assert_eq!(cache.stats(), (0, 2));
-        assert!(cache.is_empty());
-    }
-
-    #[test]
-    fn clear_empties() {
-        let mut cache = PlanCache::new();
-        cache
-            .get(&ConvShape::square(1, 8, 1, 1, 2), &RTX_4090, Precision::Fp32)
-            .unwrap();
-        assert!(!cache.is_empty());
-        cache.clear();
-        assert!(cache.is_empty());
-    }
-
-    #[test]
-    fn capacity_evicts_least_recently_used() {
-        let mut cache = PlanCache::with_capacity(2);
-        let a = ConvShape::square(1, 12, 1, 1, 2);
-        let b = ConvShape::square(1, 12, 1, 1, 3);
-        let c = ConvShape::square(1, 14, 1, 1, 2);
-
-        cache.get(&a, &RTX_4090, Precision::Fp32).unwrap(); // {a}
-        cache.get(&b, &RTX_4090, Precision::Fp32).unwrap(); // {a, b}
-        cache.get(&a, &RTX_4090, Precision::Fp32).unwrap(); // hit: a freshest
-        cache.get(&c, &RTX_4090, Precision::Fp32).unwrap(); // evicts b (LRU)
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.evictions(), 1);
-
-        // a and c survive (hits); b was evicted (miss again).
-        cache.get(&a, &RTX_4090, Precision::Fp32).unwrap();
-        cache.get(&c, &RTX_4090, Precision::Fp32).unwrap();
-        let (hits_before, misses_before) = cache.stats();
-        cache.get(&b, &RTX_4090, Precision::Fp32).unwrap();
-        assert_eq!(cache.stats(), (hits_before, misses_before + 1));
-        // Counters stay coherent under eviction: every lookup was exactly
-        // one hit or one miss.
-        let (h, m) = cache.stats();
-        assert_eq!(h + m, 7);
-    }
-
-    #[test]
-    fn evicted_plan_arc_stays_usable() {
-        let mut cache = PlanCache::with_capacity(1);
-        let a = ConvShape::square(1, 12, 2, 2, 3);
-        let b = ConvShape::square(1, 12, 2, 2, 2);
-        let plan_a = cache.get(&a, &RTX_4090, Precision::Fp32).unwrap();
-        cache.get(&b, &RTX_4090, Precision::Fp32).unwrap(); // evicts a
-        assert_eq!(cache.evictions(), 1);
-        let x = winrs_tensor::Tensor4::<f32>::random_uniform([1, 12, 12, 2], 3, 1.0);
-        let dy = winrs_tensor::Tensor4::<f32>::random_uniform([1, 12, 12, 2], 4, 1.0);
-        // The caller's Arc outlives the cache entry.
-        assert!(plan_a.execute_f32(&x, &dy).is_ok());
-    }
-
-    #[test]
-    fn capacity_is_clamped_to_one() {
-        let cache = PlanCache::with_capacity(0);
-        assert_eq!(cache.capacity(), 1);
-    }
-}

@@ -26,21 +26,6 @@ pub enum Violation {
     /// The convolution shape itself is ill-formed (empty output, zero
     /// dims). No algorithm can run such a problem.
     Shape(ShapeViolation),
-    /// The problem has stride ≠ 1 along some axis; the WinRS engine (like
-    /// the paper) is stride-1 only.
-    UnsupportedStride {
-        /// Stride along height.
-        sh: usize,
-        /// Stride along width.
-        sw: usize,
-    },
-    /// The problem has dilation ≠ 1 along some axis.
-    UnsupportedDilation {
-        /// Dilation along height.
-        dh: usize,
-        /// Dilation along width.
-        dw: usize,
-    },
     /// No kernel in the inventory supports this filter width at the
     /// requested reduced precision (the paper ports six of the thirteen
     /// kernels to Tensor-Core FP16; widths whose divisors all lack ports —
@@ -120,14 +105,6 @@ impl fmt::Display for Violation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Violation::Shape(v) => write!(f, "{v}"),
-            Violation::UnsupportedStride { sh, sw } => write!(
-                f,
-                "stride ({sh}, {sw}) unsupported: the WinRS engine requires stride 1"
-            ),
-            Violation::UnsupportedDilation { dh, dw } => write!(
-                f,
-                "dilation ({dh}, {dw}) unsupported: the WinRS engine requires dilation 1"
-            ),
             Violation::NoReducedPrecisionKernel { fw, precision } => write!(
                 f,
                 "no {precision:?}-ported kernel supports filter width {fw} \
@@ -372,9 +349,12 @@ mod tests {
 
     #[test]
     fn plan_rejection_is_recoverable() {
-        let err = WinrsError::PlanRejected(vec![Violation::UnsupportedStride { sh: 2, sw: 2 }]);
+        let err = WinrsError::PlanRejected(vec![Violation::NoReducedPrecisionKernel {
+            fw: 4,
+            precision: Precision::Fp16,
+        }]);
         assert!(err.recoverable_by_fallback());
-        assert!(err.to_string().contains("stride (2, 2)"));
+        assert!(err.to_string().contains("filter width 4"));
     }
 
     #[test]

@@ -1,23 +1,24 @@
-//! Fail-safe BFC dispatch: algorithm fallback and numeric-health guards.
+//! Fail-safe BFC execution vocabulary: algorithm fallback and numeric-health
+//! guards.
 //!
 //! A training loop should never die because one layer's shape sits outside
 //! the WinRS envelope, and should never silently return NaN gradients
-//! because an FP16 tile overflowed. This module wraps plan construction
-//! and execution in a dispatcher with two degradation axes:
+//! because an FP16 tile overflowed. Dispatch itself happens in
+//! [`crate::pool::ExecHandle`]; this module holds the two degradation axes
+//! it applies and the guarded plan executor it runs:
 //!
 //! * **Algorithm fallback** ([`FallbackPolicy`]): when WinRS rejects a
 //!   plan with a recoverable [`WinrsError::PlanRejected`] (no ported
 //!   kernel for the filter width at the requested precision, partition
 //!   invariant failure), the dispatcher transparently reruns the problem
 //!   through the best-ranked substitute — and records which algorithm
-//!   actually produced `∇W`. Strided/dilated problems route straight to
-//!   the strided reference kernel the same way.
+//!   actually produced `∇W`.
 //!
-//!   This module is a thin *policy filter*: which substitute is "best"
-//!   (and the whole candidate ordering) is decided by the cost-model
-//!   autotuner in [`crate::tuner`]. `Strict` filters the ranked list down
-//!   to WinRS alone, `Auto` accepts it in full, `Force` replaces it with
-//!   one pinned entry — none of them reorder it.
+//!   The policy is a thin *filter*: which substitute is "best" (and the
+//!   whole candidate ordering) is decided by the cost-model autotuner in
+//!   [`crate::tuner`]. `Strict` filters the ranked list down to WinRS
+//!   alone, `Auto` accepts it in full, `Force` replaces it with one pinned
+//!   entry — none of them reorder it.
 //! * **Numeric guard** ([`NumericGuard`]): reduced-precision execution
 //!   runs with the engine's per-segment health counters; on overflow the
 //!   guard can warn, or re-execute *only the poisoned buckets* at FP32
@@ -25,11 +26,13 @@
 //!   first bulk segment's bucket, so promotion is bucket-granular and the
 //!   healthy buckets keep their cheap reduced-precision results.
 //!
-//! Every dispatch returns an [`ExecutionReport`] describing what happened;
+//! [`run_planned_into`] is the one guarded plan executor: the dispatcher
+//! runs every WinRS rung through it, and callers holding a hand-built plan
+//! (tests, benches) call it directly. Every dispatch returns an
+//! [`ExecutionReport`] describing what happened;
 //! [`ExecutionReport::summary_line`] is the one-line structured form the
 //! CLI prints.
 
-use crate::cache::PlanCache;
 use crate::config::Precision;
 use crate::engine::{ExecOptions, TileMode};
 use crate::error::{Violation, WinrsError};
@@ -39,9 +42,7 @@ use crate::workspace::{ExecCtx, Workspace, WorkspaceLayout};
 use std::str::FromStr;
 use std::time::Instant;
 use winrs_conv::gemm_bfc::{bfc_gemm_f32, GemmAlgo};
-use winrs_conv::strided::{bfc_strided, StridedShape};
 use winrs_conv::{direct, ConvShape};
-use winrs_gpu_sim::DeviceSpec;
 use winrs_tensor::{MemoryFootprint, Tensor4};
 
 /// Which algorithm produced the result.
@@ -55,8 +56,6 @@ pub enum Algorithm {
     FftBfc,
     /// Direct convolution — the last-resort reference.
     Direct,
-    /// Strided/dilated direct BFC (stride or dilation ≠ 1).
-    StridedDirect,
 }
 
 impl Algorithm {
@@ -67,7 +66,6 @@ impl Algorithm {
             Algorithm::GemmBfc => "gemm-bfc",
             Algorithm::FftBfc => "fft-bfc",
             Algorithm::Direct => "direct",
-            Algorithm::StridedDirect => "strided-direct",
         }
     }
 }
@@ -170,21 +168,21 @@ pub struct ExecutionReport {
     /// Phase-level timing breakdown (wall phases always measured; the
     /// FT/IT/EWMM/OT busy decomposition needs the `metrics` feature).
     pub timing: PhaseTimings,
-    /// Cumulative [`PlanCache`] hits at dispatch time (populated only by
-    /// the cached entry point [`run_bfc_cached`]).
+    /// Cumulative plan-cache hits of the pool's per-shape store at
+    /// dispatch time (see [`crate::pool::WorkspacePool::plan_stats`]).
     pub cache_hits: u64,
-    /// Cumulative [`PlanCache`] misses at dispatch time (see
+    /// Cumulative plan-cache misses at dispatch time (see
     /// [`ExecutionReport::cache_hits`]).
     pub cache_misses: u64,
     /// Snapshot of the [`crate::pool::WorkspacePool`] counters at the end
-    /// of the dispatch (populated only when execution went through a
-    /// [`crate::pool::ExecHandle`] lease).
+    /// of the dispatch (populated by [`crate::pool::ExecHandle`]; absent
+    /// from a bare [`run_planned_into`] report).
     pub pool: Option<crate::metrics::PoolStats>,
     /// What the dispatch authority *chose* to run (before any degradation):
     /// differs from `algorithm` exactly when the ladder was walked.
     pub chosen: crate::tuner::AlgoChoice,
-    /// Tuner observability (populated when dispatch went through the
-    /// cost-model autotuner, i.e. [`crate::pool::ExecHandle`]).
+    /// Tuner observability (populated when the `Auto` policy consulted
+    /// the cost-model autotuner).
     pub tuner: Option<crate::tuner::TunerStats>,
 }
 
@@ -280,239 +278,35 @@ impl ExecutionReport {
     }
 }
 
-/// Dispatch one BFC problem: try WinRS, degrade per `policy`, guard the
-/// numerics per `guard`. I/O is FP32 (the master-copy convention of
-/// mixed-precision training); `precision` selects the engine's tile mode,
-/// exactly like [`WinRsPlan::execute_fp8`] does for FP8.
-///
-/// Errors only when no algorithm can run the problem
-/// ([`WinrsError::InvalidShape`]) or when `policy` is `Strict` and WinRS
-/// rejected it.
-pub fn run_bfc(
-    conv: &ConvShape,
-    device: &DeviceSpec,
-    precision: Precision,
-    x: &Tensor4<f32>,
-    dy: &Tensor4<f32>,
-    policy: FallbackPolicy,
-    guard: NumericGuard,
-) -> Result<(Tensor4<f32>, ExecutionReport), WinrsError> {
-    let mut ws = Workspace::new();
-    run_bfc_with(conv, device, precision, x, dy, policy, guard, &mut ws)
-}
-
-/// [`run_bfc`] with a caller-owned [`Workspace`]: the arena is `ensure`d
-/// against whichever layout the dispatched algorithm needs and reused
-/// across calls, so a training loop pays the workspace allocation once.
-#[allow(clippy::too_many_arguments)]
-pub fn run_bfc_with(
-    conv: &ConvShape,
-    device: &DeviceSpec,
-    precision: Precision,
-    x: &Tensor4<f32>,
-    dy: &Tensor4<f32>,
-    policy: FallbackPolicy,
-    guard: NumericGuard,
-    ws: &mut Workspace,
-) -> Result<(Tensor4<f32>, ExecutionReport), WinrsError> {
-    // Ill-formed shapes are fatal for every algorithm: report all
-    // violations at once, before touching any tensor.
-    let shape_violations: Vec<Violation> = conv
-        .violations()
-        .into_iter()
-        .map(Violation::Shape)
-        .collect();
-    if !shape_violations.is_empty() {
-        return Err(WinrsError::InvalidShape(shape_violations));
-    }
-
-    if let FallbackPolicy::Force(alg) = policy {
-        // Forced by the caller — not a fallback, so no reason recorded.
-        let mut report = ExecutionReport::new(alg, precision, guard);
-        report.mem = substitute_footprint(alg, conv);
-        let dw = run_substitute_timed(alg, conv, x, dy, &mut report);
-        return Ok((dw, report));
-    }
-
-    let t_plan = Instant::now();
-    match WinRsPlan::new(conv, device, precision) {
-        Ok(plan) => {
-            let plan_s = t_plan.elapsed().as_secs_f64();
-            let (dw, mut report) = run_planned_with(&plan, x, dy, guard, ws)?;
-            report.timing.plan_s = plan_s;
-            report.timing.total_s += plan_s;
-            Ok((dw, report))
-        }
-        Err(err) if err.recoverable_by_fallback() && policy == FallbackPolicy::Auto => {
-            let plan_s = t_plan.elapsed().as_secs_f64();
-            let alg = best_substitute(conv, device, precision);
-            let mut report = ExecutionReport::new(alg, precision, guard);
-            report.fallback_reason = Some(err);
-            report.mem = substitute_footprint(alg, conv);
-            let dw = run_substitute_timed(alg, conv, x, dy, &mut report);
-            // The failed WinRS plan attempt is what bought the fallback.
-            report.timing.plan_s = plan_s;
-            report.timing.total_s += plan_s;
-            Ok((dw, report))
-        }
-        Err(err) => Err(err),
-    }
-}
-
-/// The best WinRS substitute for `(conv, precision)` on `device` — the
-/// head of the tuner's ranked candidate list with WinRS removed. All
-/// algorithm-ordering logic lives in [`crate::tuner`]; this module only
-/// filters that ranking per policy. Direct convolution is always ranked,
-/// so a substitute always exists.
-fn best_substitute(conv: &ConvShape, device: &DeviceSpec, precision: Precision) -> Algorithm {
-    crate::tuner::rank(conv, device, precision)
-        .into_iter()
-        .map(|c| c.algo)
-        .find(|a| *a != crate::tuner::AlgoChoice::WinRs)
-        .map(|a| a.algorithm())
-        .unwrap_or(Algorithm::Direct)
-}
-
-/// Fetch the plan from `cache` (building and memoising on miss) and
-/// dispatch exactly like [`run_bfc_with`], stamping the cache's cumulative
-/// hit/miss counters into the report. This is the training-loop entry
-/// point: after the first step of a stable shape, `plan_s` collapses to a
-/// hash lookup and [`ExecutionReport::cache_hits`] starts climbing.
-///
-/// Plan-build failures are not cached, so an out-of-envelope shape pays
-/// the (cheap) rejection each step; see [`PlanCache::get`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_bfc_cached(
-    conv: &ConvShape,
-    device: &DeviceSpec,
-    precision: Precision,
-    x: &Tensor4<f32>,
-    dy: &Tensor4<f32>,
-    policy: FallbackPolicy,
-    guard: NumericGuard,
-    cache: &mut PlanCache,
-    ws: &mut Workspace,
-) -> Result<(Tensor4<f32>, ExecutionReport), WinrsError> {
-    let stamp = |report: &mut ExecutionReport, cache: &PlanCache| {
-        let (h, m) = cache.stats();
-        report.cache_hits = h as u64;
-        report.cache_misses = m as u64;
-    };
-    let shape_violations: Vec<Violation> = conv
-        .violations()
-        .into_iter()
-        .map(Violation::Shape)
-        .collect();
-    if !shape_violations.is_empty() {
-        return Err(WinrsError::InvalidShape(shape_violations));
-    }
-
-    if let FallbackPolicy::Force(alg) = policy {
-        let mut report = ExecutionReport::new(alg, precision, guard);
-        report.mem = substitute_footprint(alg, conv);
-        let dw = run_substitute_timed(alg, conv, x, dy, &mut report);
-        stamp(&mut report, cache);
-        return Ok((dw, report));
-    }
-
-    let t_plan = Instant::now();
-    match cache.get(conv, device, precision) {
-        Ok(plan) => {
-            let plan_s = t_plan.elapsed().as_secs_f64();
-            let (dw, mut report) = run_planned_with(&plan, x, dy, guard, ws)?;
-            report.timing.plan_s = plan_s;
-            report.timing.total_s += plan_s;
-            stamp(&mut report, cache);
-            Ok((dw, report))
-        }
-        Err(err) if err.recoverable_by_fallback() && policy == FallbackPolicy::Auto => {
-            let plan_s = t_plan.elapsed().as_secs_f64();
-            let alg = best_substitute(conv, device, precision);
-            let mut report = ExecutionReport::new(alg, precision, guard);
-            report.fallback_reason = Some(err);
-            report.mem = substitute_footprint(alg, conv);
-            let dw = run_substitute_timed(alg, conv, x, dy, &mut report);
-            report.timing.plan_s = plan_s;
-            report.timing.total_s += plan_s;
-            stamp(&mut report, cache);
-            Ok((dw, report))
-        }
-        Err(err) => Err(err),
-    }
-}
-
-/// Dispatch a strided/dilated problem. Stride = dilation = 1 delegates to
-/// [`run_bfc`]; anything else runs the strided reference kernel with a
-/// report naming the envelope violation that kept WinRS out.
-pub fn run_bfc_strided(
-    shape: &StridedShape,
-    device: &DeviceSpec,
-    precision: Precision,
-    x: &Tensor4<f32>,
-    dy: &Tensor4<f32>,
-    policy: FallbackPolicy,
-    guard: NumericGuard,
-) -> Result<(Tensor4<f32>, ExecutionReport), WinrsError> {
-    let mut violations = Vec::new();
-    if shape.sh != 1 || shape.sw != 1 {
-        violations.push(Violation::UnsupportedStride {
-            sh: shape.sh,
-            sw: shape.sw,
-        });
-    }
-    if shape.dh != 1 || shape.dw != 1 {
-        violations.push(Violation::UnsupportedDilation {
-            dh: shape.dh,
-            dw: shape.dw,
-        });
-    }
-    if violations.is_empty() {
-        return run_bfc(&shape.base, device, precision, x, dy, policy, guard);
-    }
-    let err = WinrsError::PlanRejected(violations);
-    if policy == FallbackPolicy::Strict {
-        return Err(err);
-    }
-    let mut report = ExecutionReport::new(Algorithm::StridedDirect, precision, guard);
-    report.fallback_reason = Some(err);
-    report.mem = substitute_footprint(Algorithm::StridedDirect, &shape.base);
-    let t0 = Instant::now();
-    let dw = bfc_strided(shape, x, dy);
-    let elapsed = t0.elapsed().as_secs_f64();
-    report.timing.block_loop_s = elapsed;
-    report.timing.total_s = elapsed;
-    Ok((dw, report))
-}
-
-fn run_substitute(
+/// Run a substitute algorithm and report it. A substitute is one opaque
+/// kernel, so its whole runtime is charged to the block-loop phase, and
+/// its internal buffers — allocated once per call, outside any block loop
+/// — are its planned and peak workspace, with no hot-loop allocations.
+pub(crate) fn run_substitute(
     alg: Algorithm,
     conv: &ConvShape,
     x: &Tensor4<f32>,
     dy: &Tensor4<f32>,
-) -> Tensor4<f32> {
-    match alg {
+    precision: Precision,
+    guard: NumericGuard,
+) -> (Tensor4<f32>, ExecutionReport) {
+    let mut report = ExecutionReport::new(alg, precision, guard);
+    let bytes = substitute_layout(alg, conv).workspace_bytes();
+    report.mem = MemoryFootprint {
+        workspace_bytes_planned: bytes,
+        workspace_bytes_peak: bytes,
+        hot_loop_allocs: 0,
+    };
+    let t0 = Instant::now();
+    let dw = match alg {
         Algorithm::GemmBfc => bfc_gemm_f32(GemmAlgo::Algo1, conv, x, dy),
         Algorithm::FftBfc => winrs_conv::fft_bfc::bfc_fft(conv, x, dy),
         _ => direct::bfc_direct(conv, x, dy),
-    }
-}
-
-/// [`run_substitute`] plus timing: a substitute algorithm is one opaque
-/// kernel, so its whole runtime is charged to the block-loop phase — the
-/// report's timing is populated on every dispatch path, not just WinRS.
-pub(crate) fn run_substitute_timed(
-    alg: Algorithm,
-    conv: &ConvShape,
-    x: &Tensor4<f32>,
-    dy: &Tensor4<f32>,
-    report: &mut ExecutionReport,
-) -> Tensor4<f32> {
-    let t0 = Instant::now();
-    let dw = run_substitute(alg, conv, x, dy);
+    };
     let elapsed = t0.elapsed().as_secs_f64();
     report.timing.block_loop_s = elapsed;
     report.timing.total_s = elapsed;
-    dw
+    (dw, report)
 }
 
 /// Workspace layout a substitute algorithm would declare — fallbacks own
@@ -531,62 +325,13 @@ pub fn substitute_layout(alg: Algorithm, conv: &ConvShape) -> WorkspaceLayout {
         ),
         // The direct kernels stream straight from X/∇Y into ∇W.
         Algorithm::Direct => WorkspaceLayout::accounting("direct", 0),
-        Algorithm::StridedDirect => WorkspaceLayout::accounting("strided-direct", 0),
-    }
-}
-
-/// [`MemoryFootprint`] for a substitute run: the internal buffers are
-/// allocated once per call, outside any block loop, so planned = peak and
-/// `hot_loop_allocs` is zero by construction.
-pub(crate) fn substitute_footprint(alg: Algorithm, conv: &ConvShape) -> MemoryFootprint {
-    let bytes = substitute_layout(alg, conv).workspace_bytes();
-    MemoryFootprint {
-        workspace_bytes_planned: bytes,
-        workspace_bytes_peak: bytes,
-        hot_loop_allocs: 0,
     }
 }
 
 /// Execute an already-built plan with health accounting and (optionally)
-/// bucket-granular FP32 promotion. This is the guarded path [`run_bfc`]
-/// takes after planning succeeds; callers that cache plans (training
-/// loops, [`crate::cache::PlanCache`] users) can invoke it directly to
-/// keep the numeric guard without re-planning every step. Allocates a
-/// transient [`Workspace`]; pass your own via [`run_planned_with`] to
-/// amortise it.
-pub fn run_planned(
-    plan: &WinRsPlan,
-    x: &Tensor4<f32>,
-    dy: &Tensor4<f32>,
-    guard: NumericGuard,
-) -> Result<(Tensor4<f32>, ExecutionReport), WinrsError> {
-    let mut ws = Workspace::new();
-    run_planned_with(plan, x, dy, guard, &mut ws)
-}
-
-/// [`run_planned`] with a caller-owned [`Workspace`]: once `ws` is warm
-/// (grown to the plan's [`WinRsPlan::workspace_layout`] by the first
-/// call), the block loop of every subsequent call performs zero heap
-/// allocations — buckets, FT/IT/accumulator tiles and guard counters all
-/// live in the reused arena. Still allocates the returned `∇W`; use
-/// [`run_planned_into`] to reuse that too.
-pub fn run_planned_with(
-    plan: &WinRsPlan,
-    x: &Tensor4<f32>,
-    dy: &Tensor4<f32>,
-    guard: NumericGuard,
-    ws: &mut Workspace,
-) -> Result<(Tensor4<f32>, ExecutionReport), WinrsError> {
-    let conv = plan.shape();
-    let mut dw = Tensor4::<f32>::zeros([conv.oc, conv.fh, conv.fw, conv.ic]);
-    let report = run_planned_into(plan, x, dy, guard, ws, &mut dw)?;
-    Ok((dw, report))
-}
-
-/// The fully caller-buffered guarded execution: `∇W` is written into `dw`
-/// and every scratch byte comes from `ws` (grown to the plan's layout on
-/// first use). This is the steady-state training-step entry point — after
-/// the first call with a given `(plan, ws)` pair, no heap allocation
+/// bucket-granular FP32 promotion. `∇W` is written into `dw` and every
+/// scratch byte comes from `ws` (grown to the plan's layout on first use).
+/// After the first call with a given `(plan, ws)` pair no heap allocation
 /// happens inside the block loop, and the report's
 /// [`MemoryFootprint::hot_loop_allocs`] proves it.
 pub fn run_planned_into(
@@ -703,390 +448,4 @@ pub fn run_planned_into(
     };
     report.timing.total_s = t_total.elapsed().as_secs_f64();
     Ok(report)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use winrs_gpu_sim::RTX_4090;
-    use winrs_tensor::mare;
-
-    fn tensors(conv: &ConvShape, scale: f64) -> (Tensor4<f32>, Tensor4<f32>, Tensor4<f64>) {
-        let x64 = Tensor4::<f64>::random_uniform([conv.n, conv.ih, conv.iw, conv.ic], 31, 1.0);
-        let dy64 =
-            Tensor4::<f64>::random_uniform([conv.n, conv.oh(), conv.ow(), conv.oc], 32, scale);
-        let exact = direct::bfc_direct(conv, &x64, &dy64);
-        (x64.cast(), dy64.cast(), exact)
-    }
-
-    #[test]
-    fn in_envelope_fp32_runs_winrs() {
-        let conv = ConvShape::square(2, 16, 4, 4, 3);
-        let (x, dy, exact) = tensors(&conv, 1.0);
-        let (dw, report) = run_bfc(
-            &conv,
-            &RTX_4090,
-            Precision::Fp32,
-            &x,
-            &dy,
-            FallbackPolicy::Auto,
-            NumericGuard::Warn,
-        )
-        .unwrap();
-        assert_eq!(report.algorithm, Algorithm::WinRs);
-        assert!(report.fallback_reason.is_none());
-        assert!(report.z.unwrap() >= 1);
-        assert!(mare(&dw, &exact) < 1e-5);
-        let line = report.summary_line();
-        assert!(line.contains("algorithm=winrs"), "{line}");
-    }
-
-    #[test]
-    fn unported_fp16_width_falls_back_to_gemm() {
-        // F_W = 4 has no FP16-ported kernel: WinRS must reject the plan
-        // and the dispatcher must deliver via GEMM-BFC with the reason.
-        let conv = ConvShape::square(1, 16, 3, 3, 4);
-        let (x, dy, exact) = tensors(&conv, 1.0);
-        let (dw, report) = run_bfc(
-            &conv,
-            &RTX_4090,
-            Precision::Fp16,
-            &x,
-            &dy,
-            FallbackPolicy::Auto,
-            NumericGuard::Warn,
-        )
-        .unwrap();
-        assert_eq!(report.algorithm, Algorithm::GemmBfc);
-        let reason = report.fallback_reason.as_ref().unwrap();
-        assert!(matches!(
-            reason.violations()[0],
-            Violation::NoReducedPrecisionKernel { fw: 4, .. }
-        ));
-        assert!(mare(&dw, &exact) < 1e-5);
-        let line = report.summary_line();
-        assert!(line.contains("algorithm=gemm-bfc"), "{line}");
-        assert!(line.contains("filter width 4"), "{line}");
-    }
-
-    #[test]
-    fn strict_policy_propagates_rejection() {
-        let conv = ConvShape::square(1, 16, 3, 3, 4);
-        let (x, dy, _) = tensors(&conv, 1.0);
-        let err = run_bfc(
-            &conv,
-            &RTX_4090,
-            Precision::Fp16,
-            &x,
-            &dy,
-            FallbackPolicy::Strict,
-            NumericGuard::Warn,
-        )
-        .unwrap_err();
-        assert!(err.recoverable_by_fallback());
-    }
-
-    #[test]
-    fn strided_problem_runs_reference_kernel() {
-        let base = ConvShape::new(1, 12, 12, 2, 2, 3, 3, 1, 1);
-        let s = StridedShape::new(base, 2, 2, 1, 1);
-        let x = Tensor4::<f32>::random_uniform([1, 12, 12, 2], 41, 1.0);
-        let dy = Tensor4::<f32>::random_uniform([1, s.oh(), s.ow(), 2], 42, 1.0);
-        let (dw, report) = run_bfc_strided(
-            &s,
-            &RTX_4090,
-            Precision::Fp32,
-            &x,
-            &dy,
-            FallbackPolicy::Auto,
-            NumericGuard::Warn,
-        )
-        .unwrap();
-        assert_eq!(report.algorithm, Algorithm::StridedDirect);
-        assert!(matches!(
-            report.fallback_reason.as_ref().unwrap().violations()[0],
-            Violation::UnsupportedStride { sh: 2, sw: 2 }
-        ));
-        assert_eq!(dw, bfc_strided(&s, &x, &dy));
-        // Stride 1 delegates to the normal dispatcher.
-        let s1 = StridedShape::new(base, 1, 1, 1, 1);
-        let dy1 = Tensor4::<f32>::random_uniform([1, 12, 12, 2], 43, 1.0);
-        let (_, r1) = run_bfc_strided(
-            &s1,
-            &RTX_4090,
-            Precision::Fp32,
-            &x,
-            &dy1,
-            FallbackPolicy::Auto,
-            NumericGuard::Warn,
-        )
-        .unwrap();
-        assert_eq!(r1.algorithm, Algorithm::WinRs);
-    }
-
-    #[test]
-    fn invalid_shape_is_fatal_even_with_auto_fallback() {
-        let conv = ConvShape {
-            n: 0,
-            ih: 8,
-            iw: 8,
-            ic: 0,
-            oc: 2,
-            fh: 3,
-            fw: 3,
-            ph: 1,
-            pw: 1,
-        };
-        let x = Tensor4::<f32>::zeros([1, 8, 8, 1]);
-        let dy = Tensor4::<f32>::zeros([1, 8, 8, 2]);
-        let err = run_bfc(
-            &conv,
-            &RTX_4090,
-            Precision::Fp32,
-            &x,
-            &dy,
-            FallbackPolicy::Auto,
-            NumericGuard::Warn,
-        )
-        .unwrap_err();
-        assert!(matches!(&err, WinrsError::InvalidShape(v) if v.len() == 2));
-        assert!(!err.recoverable_by_fallback());
-    }
-
-    #[test]
-    fn force_direct_skips_winrs() {
-        let conv = ConvShape::square(1, 12, 2, 2, 3);
-        let (x, dy, exact) = tensors(&conv, 1.0);
-        let (dw, report) = run_bfc(
-            &conv,
-            &RTX_4090,
-            Precision::Fp32,
-            &x,
-            &dy,
-            FallbackPolicy::Force(Algorithm::Direct),
-            NumericGuard::Warn,
-        )
-        .unwrap();
-        assert_eq!(report.algorithm, Algorithm::Direct);
-        assert!(mare(&dw, &exact) < 1e-5);
-    }
-
-    #[test]
-    fn warn_guard_counts_natural_fp16_overflow() {
-        // ∇Y magnitudes near binary16's max overflow in the filter
-        // transform; Warn must count them and leave the result tainted.
-        let conv = ConvShape::square(1, 12, 2, 2, 3);
-        let x = Tensor4::<f32>::from_fn([1, 12, 12, 2], |_, _, _, _| 1.0);
-        let dy = Tensor4::<f32>::from_fn([1, 12, 12, 2], |_, _, _, _| 6.0e4);
-        let (dw, report) = run_bfc(
-            &conv,
-            &RTX_4090,
-            Precision::Fp16,
-            &x,
-            &dy,
-            FallbackPolicy::Auto,
-            NumericGuard::Warn,
-        )
-        .unwrap();
-        assert!(report.saturated > 0);
-        assert!(report.non_finite > 0);
-        assert!(report.tainted());
-        assert!(dw.as_slice().iter().any(|v| !v.is_finite()));
-    }
-
-    #[test]
-    fn promote_and_retry_repairs_natural_fp16_overflow() {
-        let conv = ConvShape::square(1, 12, 2, 2, 3);
-        let x64 = Tensor4::<f64>::random_uniform([1, 12, 12, 2], 51, 1.0);
-        let dy64 = Tensor4::<f64>::random_uniform([1, 12, 12, 2], 52, 6.0e4);
-        let exact = direct::bfc_direct(&conv, &x64, &dy64);
-        let (dw, report) = run_bfc(
-            &conv,
-            &RTX_4090,
-            Precision::Fp16,
-            &x64.cast(),
-            &dy64.cast(),
-            FallbackPolicy::Auto,
-            NumericGuard::PromoteAndRetry,
-        )
-        .unwrap();
-        assert!(report.saturated > 0, "test needs real overflow");
-        assert!(report.promoted_buckets > 0);
-        assert!(!report.tainted());
-        assert!(dw.as_slice().iter().all(|v| v.is_finite()));
-        // Promoted buckets ran at FP32 on FP32 inputs; any bucket left at
-        // FP16 stays inside the Table 4 FP16 accuracy band.
-        let m = mare(&dw, &exact);
-        assert!(m < 5e-3, "MARE {m}");
-        let line = report.summary_line();
-        assert!(line.contains("promoted="), "{line}");
-    }
-
-    fn wall_phases_consistent(r: &ExecutionReport) {
-        assert!(r.timing.is_populated(), "{:?}", r.timing);
-        assert!(r.timing.block_loop_s > 0.0, "{:?}", r.timing);
-        let named =
-            r.timing.plan_s + r.timing.block_loop_s + r.timing.promote_s + r.timing.reduce_s;
-        assert!(
-            named <= r.timing.total_s * (1.0 + 1e-9),
-            "phases {named} exceed total {}",
-            r.timing.total_s
-        );
-    }
-
-    #[test]
-    fn timing_is_populated_on_every_dispatch_path() {
-        // WinRS path.
-        let conv = ConvShape::square(2, 16, 4, 4, 3);
-        let (x, dy, _) = tensors(&conv, 1.0);
-        let (_, r) = run_bfc(
-            &conv,
-            &RTX_4090,
-            Precision::Fp32,
-            &x,
-            &dy,
-            FallbackPolicy::Auto,
-            NumericGuard::Warn,
-        )
-        .unwrap();
-        assert_eq!(r.algorithm, Algorithm::WinRs);
-        wall_phases_consistent(&r);
-        if cfg!(feature = "metrics") {
-            assert!(r.timing.blocks > 0);
-            assert!(r.timing.ewmm_s > 0.0);
-            assert!(r.timing.utilisation > 0.0 && r.timing.utilisation <= 1.0);
-        }
-        assert!(r.summary_line().contains(" total="), "{}", r.summary_line());
-
-        // GEMM fallback path (F_W = 4 has no FP16 kernel).
-        let conv4 = ConvShape::square(1, 16, 3, 3, 4);
-        let (x4, dy4, _) = tensors(&conv4, 1.0);
-        let (_, r) = run_bfc(
-            &conv4,
-            &RTX_4090,
-            Precision::Fp16,
-            &x4,
-            &dy4,
-            FallbackPolicy::Auto,
-            NumericGuard::Warn,
-        )
-        .unwrap();
-        assert_eq!(r.algorithm, Algorithm::GemmBfc);
-        wall_phases_consistent(&r);
-
-        // Forced-direct path.
-        let (_, r) = run_bfc(
-            &conv,
-            &RTX_4090,
-            Precision::Fp32,
-            &x,
-            &dy,
-            FallbackPolicy::Force(Algorithm::Direct),
-            NumericGuard::Warn,
-        )
-        .unwrap();
-        assert_eq!(r.algorithm, Algorithm::Direct);
-        wall_phases_consistent(&r);
-
-        // Strided path.
-        let base = ConvShape::new(1, 12, 12, 2, 2, 3, 3, 1, 1);
-        let s = StridedShape::new(base, 2, 2, 1, 1);
-        let xs = Tensor4::<f32>::random_uniform([1, 12, 12, 2], 61, 1.0);
-        let dys = Tensor4::<f32>::random_uniform([1, s.oh(), s.ow(), 2], 62, 1.0);
-        let (_, r) = run_bfc_strided(
-            &s,
-            &RTX_4090,
-            Precision::Fp32,
-            &xs,
-            &dys,
-            FallbackPolicy::Auto,
-            NumericGuard::Warn,
-        )
-        .unwrap();
-        assert_eq!(r.algorithm, Algorithm::StridedDirect);
-        wall_phases_consistent(&r);
-    }
-
-    #[test]
-    fn cached_dispatch_reports_hits_after_first_call() {
-        let conv = ConvShape::square(2, 16, 4, 4, 3);
-        let (x, dy, exact) = tensors(&conv, 1.0);
-        let mut cache = PlanCache::new();
-        let mut ws = Workspace::new();
-        let (dw1, r1) = run_bfc_cached(
-            &conv,
-            &RTX_4090,
-            Precision::Fp32,
-            &x,
-            &dy,
-            FallbackPolicy::Auto,
-            NumericGuard::Warn,
-            &mut cache,
-            &mut ws,
-        )
-        .unwrap();
-        assert_eq!((r1.cache_hits, r1.cache_misses), (0, 1));
-        let (dw2, r2) = run_bfc_cached(
-            &conv,
-            &RTX_4090,
-            Precision::Fp32,
-            &x,
-            &dy,
-            FallbackPolicy::Auto,
-            NumericGuard::Warn,
-            &mut cache,
-            &mut ws,
-        )
-        .unwrap();
-        assert_eq!((r2.cache_hits, r2.cache_misses), (1, 1));
-        assert_eq!(dw1, dw2);
-        assert!(mare(&dw1, &exact) < 1e-5);
-        wall_phases_consistent(&r2);
-        let line = r2.summary_line();
-        assert!(line.contains("plan_cache=1h/1m"), "{line}");
-    }
-
-    #[test]
-    fn cached_dispatch_falls_back_without_caching_rejections() {
-        let conv = ConvShape::square(1, 16, 3, 3, 4); // no FP16 kernel
-        let (x, dy, exact) = tensors(&conv, 1.0);
-        let mut cache = PlanCache::new();
-        let mut ws = Workspace::new();
-        for step in 1..=2u64 {
-            let (dw, r) = run_bfc_cached(
-                &conv,
-                &RTX_4090,
-                Precision::Fp16,
-                &x,
-                &dy,
-                FallbackPolicy::Auto,
-                NumericGuard::Warn,
-                &mut cache,
-                &mut ws,
-            )
-            .unwrap();
-            assert_eq!(r.algorithm, Algorithm::GemmBfc);
-            assert_eq!((r.cache_hits, r.cache_misses), (0, step));
-            assert!(mare(&dw, &exact) < 1e-5);
-        }
-        assert!(cache.is_empty(), "rejections must not be cached");
-    }
-
-    #[test]
-    fn policy_and_guard_parse_from_cli_strings() {
-        assert_eq!(
-            "auto".parse::<FallbackPolicy>().unwrap(),
-            FallbackPolicy::Auto
-        );
-        assert_eq!(
-            "force-gemm".parse::<FallbackPolicy>().unwrap(),
-            FallbackPolicy::Force(Algorithm::GemmBfc)
-        );
-        assert!("gibberish".parse::<FallbackPolicy>().is_err());
-        assert_eq!(
-            "promote-retry".parse::<NumericGuard>().unwrap(),
-            NumericGuard::PromoteAndRetry
-        );
-        assert!("gibberish".parse::<NumericGuard>().is_err());
-    }
 }

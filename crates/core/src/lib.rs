@@ -47,9 +47,10 @@
 //! ```
 //!
 //! Every fallible entry point returns a typed [`WinrsError`] listing the
-//! complete set of violated invariants; the [`fallback`] module wraps plan
-//! construction and execution in a dispatcher that degrades to GEMM-BFC or
-//! direct convolution when the WinRS envelope is exceeded.
+//! complete set of violated invariants. [`ExecHandle::run`] and
+//! [`ExecHandle::run_batch`] are the dispatch path: the [`tuner`] chooses
+//! the algorithm, the pool leases the workspace, and the run degrades to
+//! GEMM-BFC or direct convolution when the WinRS envelope is exceeded.
 
 pub mod cache;
 pub mod config;
@@ -75,7 +76,6 @@ pub use error::{Violation, WinrsError};
 pub use fallback::{Algorithm, ExecutionReport, FallbackPolicy, NumericGuard};
 pub use metrics::{PhaseTimings, PoolStats, TimingSink};
 pub use partition::{Partition, Segment};
-pub use cache::PlanCache;
 pub use plan::WinRsPlan;
 pub use pool::{BfcJob, ExecHandle, Lease, PoolConfig, WorkspacePool};
 pub use tuner::{

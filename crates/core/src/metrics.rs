@@ -254,7 +254,8 @@ pub struct PoolStats {
     /// Executions that dropped down the degradation ladder
     /// (WinRS → GEMM-BFC → direct); each rung taken counts once.
     pub degradations: u64,
-    /// Shared plan caches discarded after a holder panicked mid-update.
+    /// Per-shape stores (the tuner's plan cache) discarded after a holder
+    /// panicked mid-update.
     pub cache_poisonings: u64,
 }
 

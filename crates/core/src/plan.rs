@@ -276,7 +276,7 @@ impl WinRsPlan {
     /// the largest block column, and the per-segment numeric-guard
     /// counters. Computed once and cached; a caller-owned
     /// [`crate::Workspace`] `ensure`d against this layout makes every
-    /// subsequent `run_planned` call allocation-free in the block loop.
+    /// subsequent `run_planned_into` call allocation-free in the block loop.
     ///
     /// Staging is always f32 (the guard's promote path needs full
     /// precision), so the layout's byte counts use 4-byte elements even
@@ -894,8 +894,9 @@ mod tests {
             let dy = Tensor4::<f32>::random_uniform(
                 [conv.n, conv.oh(), conv.ow(), conv.oc], 18, 1.0);
             let mut ws = crate::workspace::Workspace::new();
-            let (_, report) = crate::fallback::run_planned_with(
-                &plan, &x, &dy, crate::fallback::NumericGuard::Ignore, &mut ws,
+            let mut dw = Tensor4::<f32>::zeros([conv.oc, conv.fh, conv.fw, conv.ic]);
+            let report = crate::fallback::run_planned_into(
+                &plan, &x, &dy, crate::fallback::NumericGuard::Ignore, &mut ws, &mut dw,
             ).map_err(|e| proptest::test_runner::TestCaseError::Fail(e.to_string()))?;
             proptest::prop_assert!(
                 report.mem.workspace_bytes_peak <= budget,

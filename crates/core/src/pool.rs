@@ -1,6 +1,6 @@
-//! Resilient shared execution layer: a leasing [`WorkspacePool`] with a
-//! shared [`PlanCache`], panic isolation, admission control, and per-call
-//! deadlines.
+//! Resilient shared execution layer: a leasing [`WorkspacePool`] with one
+//! shared per-shape cache, panic isolation, admission control, and per-call
+//! deadlines — and [`ExecHandle`], the one way to dispatch a BFC.
 //!
 //! The paper's tiny-workspace property — `(Z−1)·|∇W|` per problem — makes
 //! BFC state small enough to *pool*: a handful of [`Workspace`] arenas can
@@ -22,17 +22,17 @@
 //!   request waits on a condvar up to a configurable budget, then fails
 //!   with typed [`WinrsError::PoolExhausted`] backpressure instead of
 //!   queueing unboundedly.
-//! * **Slowness** — an optional per-call deadline turns an over-budget
-//!   call into [`WinrsError::DeadlineExceeded`], which the dispatcher (the
-//!   PR 1 fallback policy layer) degrades down the ladder WinRS →
-//!   GEMM-BFC → direct. Every rung is charged against the *one* budget
-//!   opened when the call entered [`ExecHandle::run`]: a rung may start
-//!   only while that window is still open, so a call can overrun its
-//!   deadline by at most the runtime of the rung in flight (there is no
-//!   mid-run cancellation) — never by rungs× the window. A budget that
-//!   expires before a substitute rung starts surfaces as
-//!   `DeadlineExceeded` naming the rung reached, so a serving caller gets
-//!   a fast typed refusal instead of a late answer.
+//! * **Slowness** — an optional deadline turns an over-budget call into
+//!   [`WinrsError::DeadlineExceeded`], which the dispatcher degrades down
+//!   the ladder WinRS → GEMM-BFC → direct. Every rung — the lease wait
+//!   included — is charged against the *one* budget opened when the call
+//!   entered [`ExecHandle::run`] (or, for a batched job, when the job was
+//!   enqueued): a rung may start only while that window is still open, so
+//!   a call can overrun its deadline by at most the runtime of the rung in
+//!   flight (there is no mid-run cancellation) — never by rungs× the
+//!   window. A budget that expires before a substitute rung starts
+//!   surfaces as `DeadlineExceeded` naming the rung reached, so a serving
+//!   caller gets a fast typed refusal instead of a late answer.
 //!
 //! Pool health (leases, waits, poisonings, rebuilds, exhaustions,
 //! degradations) is a [`PoolStats`] snapshot stamped into every
@@ -48,7 +48,6 @@
 //! no dirty re-issue, waiter wakeup) are checked exhaustively by the loom
 //! models in `tests/pool_models.rs`.
 
-use crate::cache::PlanCache;
 use crate::config::Precision;
 use crate::error::{Violation, WinrsError};
 use crate::fallback::{self, ExecutionReport, FallbackPolicy, NumericGuard};
@@ -73,11 +72,9 @@ pub struct PoolConfig {
     /// How long a lease request may wait for a slot before failing with
     /// [`WinrsError::PoolExhausted`].
     pub max_wait: Duration,
-    /// Capacity of the shared [`PlanCache`] *and* of the tuner's decision
-    /// cache — both per-shape caches scale with this one knob.
-    pub plan_capacity: usize,
-    /// Autotuner policy (explore budget, WinRS hysteresis margin). The
-    /// tuner's decision-cache capacity is overridden by `plan_capacity`.
+    /// Autotuner policy (explore budget, WinRS hysteresis margin) and the
+    /// capacity of the pool's per-shape store, which holds each key's
+    /// ranking, committed choice and plan.
     pub tuner: TunerConfig,
 }
 
@@ -89,7 +86,6 @@ impl Default for PoolConfig {
             // background verifiers without over-provisioning arenas.
             slots: 4,
             max_wait: Duration::from_millis(100),
-            plan_capacity: crate::cache::DEFAULT_PLAN_CACHE_CAPACITY,
             tuner: TunerConfig::default(),
         }
     }
@@ -121,7 +117,8 @@ struct PoolState {
 }
 
 /// A process-wide pool of reusable [`Workspace`] arenas with lease
-/// semantics, plus the shared [`PlanCache`] the leased executions use.
+/// semantics, plus the shared tuner whose per-key store caches the plans
+/// the leased executions use.
 ///
 /// [`WorkspacePool::lease`] hands out an *exclusive* workspace sized by
 /// `Workspace::ensure`; the [`Lease`] returns it on drop, rebuilding it
@@ -132,10 +129,10 @@ pub struct WorkspacePool {
     /// Signalled whenever a slot returns to `free`.
     available: Condvar,
     cfg: PoolConfig,
-    plans: Mutex<PlanCache>,
-    /// The dispatch authority: ranks WinRS against its substitutes per
-    /// shape/precision/device and caches the committed choice. Leaf lock —
-    /// never taken while holding `plans` or `state`.
+    /// The dispatch authority and the one per-shape cache: ranks WinRS
+    /// against its substitutes per shape/precision/device and keeps the
+    /// ranking, the committed choice and the plan. Never taken while
+    /// holding `state`.
     tuner: Mutex<Tuner>,
 }
 
@@ -167,11 +164,7 @@ impl WorkspacePool {
             }),
             available: Condvar::new(),
             cfg: PoolConfig { slots, ..cfg },
-            plans: Mutex::new(PlanCache::with_capacity(cfg.plan_capacity)),
-            tuner: Mutex::new(Tuner::new(TunerConfig {
-                capacity: cfg.plan_capacity,
-                ..cfg.tuner
-            })),
+            tuner: Mutex::new(Tuner::new(cfg.tuner)),
         })
     }
 
@@ -204,23 +197,6 @@ impl WorkspacePool {
         self.state.lock().unwrap_or_else(|p| p.into_inner())
     }
 
-    fn lock_plans(&self) -> crate::sync::MutexGuard<'_, PlanCache> {
-        match self.plans.lock() {
-            Ok(g) => g,
-            Err(poisoned) => {
-                // Unlike the pool counters, the LRU bookkeeping *does*
-                // have multi-step updates; a cache abandoned mid-update is
-                // discarded wholesale and rebuilt by future misses.
-                let mut g = poisoned.into_inner();
-                g.clear();
-                // Lock order: plans → state. No path takes state → plans,
-                // so holding both here cannot deadlock.
-                self.lock_state().cache_poisonings += 1;
-                g
-            }
-        }
-    }
-
     /// Snapshot the pool counters.
     pub fn stats(&self) -> PoolStats {
         let st = self.lock_state();
@@ -237,49 +213,41 @@ impl WorkspacePool {
         }
     }
 
-    /// Cumulative (hits, misses) of the shared plan cache.
+    /// Cumulative (hits, misses) of plan fetches from the per-shape store.
+    /// The first fetch of a key is its miss; a re-fetch after eviction
+    /// misses again.
     pub fn plan_stats(&self) -> (u64, u64) {
-        let (h, m) = self.lock_plans().stats();
-        (h as u64, m as u64)
+        self.lock_tuner().plan_stats()
     }
 
-    /// Fetch or build a plan through the shared [`PlanCache`].
+    /// Fetch a plan from the per-shape store. A cold key is ranked first,
+    /// which builds its plan once; a key outside the WinRS envelope
+    /// returns its rejection.
     pub fn cached_plan(
         &self,
         shape: &ConvShape,
         device: &DeviceSpec,
         precision: Precision,
     ) -> Result<Arc<WinRsPlan>, WinrsError> {
-        self.lock_plans().get(shape, device, precision)
+        self.lock_tuner().plan(shape, device, precision)
     }
 
     fn lock_tuner(&self) -> crate::sync::MutexGuard<'_, Tuner> {
-        // The tuner's worst poisoning outcome is an abandoned half-updated
-        // decision entry, which the next `decide` simply re-ranks;
-        // recovering the guard keeps dispatch alive after a panic.
-        self.tuner.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
-    /// Ask the dispatch authority which algorithm should run `conv`.
-    pub(crate) fn tuner_decide(
-        &self,
-        conv: &ConvShape,
-        device: &DeviceSpec,
-        precision: Precision,
-    ) -> TunerDecision {
-        self.lock_tuner().decide(conv, device, precision)
-    }
-
-    /// Feed a measured wall time back into an in-flight exploration.
-    pub(crate) fn tuner_observe(
-        &self,
-        conv: &ConvShape,
-        device: &DeviceSpec,
-        precision: Precision,
-        algo: AlgoChoice,
-        measured_s: f64,
-    ) {
-        self.lock_tuner().observe(conv, device, precision, algo, measured_s);
+        match self.tuner.lock() {
+            Ok(g) => g,
+            Err(poisoned) => {
+                // The store's LRU bookkeeping has multi-step updates; a
+                // store abandoned mid-update is discarded wholesale and
+                // rebuilt by future lookups (counters and the tuning
+                // database survive).
+                let mut g = poisoned.into_inner();
+                g.clear();
+                // Lock order: tuner → state. No path takes state → tuner,
+                // so holding both here cannot deadlock.
+                self.lock_state().cache_poisonings += 1;
+                g
+            }
+        }
     }
 
     /// Snapshot the tuner counters (decisions, db hits/misses, trials,
@@ -526,9 +494,10 @@ pub struct BfcJob {
     /// When the job entered the system. Queue wait is charged against the
     /// job's deadline from this instant, so time spent coalescing counts.
     pub enqueued: Instant,
-    /// Per-job admission deadline measured from [`enqueued`]: a job whose
-    /// budget has already expired when its turn comes is refused with
-    /// [`WinrsError::DeadlineExceeded`] instead of executed late.
+    /// Per-job deadline measured from [`enqueued`]: a job whose budget has
+    /// already expired when its turn comes is refused with
+    /// [`WinrsError::DeadlineExceeded`] instead of executed late, and the
+    /// rest of the budget bounds its lease wait and degradation rungs.
     ///
     /// [`enqueued`]: BfcJob::enqueued
     pub deadline: Option<Duration>,
@@ -551,30 +520,68 @@ impl BfcJob {
         self
     }
 
-    /// Typed admission check: refuse the job if its budget has already
-    /// expired (queue wait included).
-    fn admit(&self) -> Result<(), WinrsError> {
+    fn budget(&self) -> Budget {
+        Budget {
+            start: self.enqueued,
+            deadline: self.deadline,
+        }
+    }
+}
+
+/// The deadline window one job draws from: opened at `start` and shared
+/// by every rung the job visits (lease wait included).
+#[derive(Clone, Copy)]
+struct Budget {
+    start: Instant,
+    deadline: Option<Duration>,
+}
+
+impl Budget {
+    /// Fail once the window has closed. `rung` names the degradation rung
+    /// about to run (None on the primary path), surfaced on the error so
+    /// callers see how far the ladder got.
+    fn check(&self, rung: Option<&'static str>) -> Result<(), WinrsError> {
         let Some(deadline) = self.deadline else {
             return Ok(());
         };
-        let elapsed = self.enqueued.elapsed();
+        let elapsed = self.start.elapsed();
         if elapsed >= deadline {
             Err(WinrsError::DeadlineExceeded {
                 deadline_ms: deadline.as_millis() as u64,
                 elapsed_ms: elapsed.as_millis() as u64,
-                rung: None,
+                rung,
             })
         } else {
             Ok(())
         }
     }
+
+    /// The longest a lease may wait: the pool's budget, capped at what
+    /// remains of the window.
+    fn lease_wait(&self, max_wait: Duration) -> Duration {
+        match self.deadline {
+            Some(d) => max_wait.min(d.saturating_sub(self.start.elapsed())),
+            None => max_wait,
+        }
+    }
+}
+
+/// What the jobs of one dispatch share: the setup's wall time (charged to
+/// the job that fetches the plan — on a cold key the tuner's ranking built
+/// it), the WinRS plan (fetched by the first job to reach the WinRS rung)
+/// and the workspace lease (re-acquired only after a panic poisoned it).
+struct Shared {
+    setup_s: f64,
+    plan: Option<Result<Arc<WinRsPlan>, WinrsError>>,
+    lease: Option<Lease>,
 }
 
 /// A Send + Sync handle that runs planned BFC executions over pool leases
 /// with panic isolation, deadlines and the degradation ladder.
 ///
-/// Cloning is cheap (one `Arc` bump); clones share the pool and plan
-/// cache, so a serving layer can hand one handle to every worker thread.
+/// Cloning is cheap (one `Arc` bump); clones share the pool and its
+/// per-shape cache, so a serving layer can hand one handle to every worker
+/// thread.
 #[derive(Clone)]
 pub struct ExecHandle {
     pool: Arc<WorkspacePool>,
@@ -611,11 +618,12 @@ impl ExecHandle {
         self
     }
 
-    /// Set (or clear) the per-call deadline. The window opens when
-    /// [`ExecHandle::run`] is entered and is shared by *every* rung of the
-    /// degradation ladder: once it expires no further rung may start, and
-    /// the call fails with [`WinrsError::DeadlineExceeded`] naming the
-    /// rung reached.
+    /// Set (or clear) the per-call deadline of [`ExecHandle::run`]. The
+    /// window opens when `run` is entered and is shared by the lease wait
+    /// and *every* rung of the degradation ladder: once it expires no
+    /// further rung may start, and the call fails with
+    /// [`WinrsError::DeadlineExceeded`] naming the rung reached. Batched
+    /// jobs carry their own [`BfcJob::deadline`] instead.
     pub fn with_deadline(mut self, deadline: Option<Duration>) -> ExecHandle {
         self.deadline = deadline;
         self
@@ -636,14 +644,13 @@ impl ExecHandle {
         &self.pool
     }
 
-    /// Dispatch one BFC problem through a pool lease. Semantics match
-    /// [`fallback::run_bfc`] plus the resilience layer: panics surface as
+    /// Dispatch one BFC problem through a pool lease: panics surface as
     /// [`WinrsError::ExecutionPanicked`], pool pressure as
     /// [`WinrsError::PoolExhausted`], deadline expiry as
     /// [`WinrsError::DeadlineExceeded`] — and under the `Auto` policy all
     /// three degrade down the tuner's ranked ladder (WinRS → GEMM-BFC →
     /// direct) instead of surfacing. The report carries [`PoolStats`], the
-    /// shared plan cache's counters and the tuner's dispatch stats.
+    /// per-shape cache's counters and the tuner's dispatch stats.
     ///
     /// Which algorithm runs is decided by the pool's shared [`Tuner`]:
     /// under `Auto` the full ranked candidate list is in play (the tuner
@@ -658,11 +665,66 @@ impl ExecHandle {
         dy: &Tensor4<f32>,
     ) -> Result<(Tensor4<f32>, ExecutionReport), WinrsError> {
         // The deadline window opens here and is shared by every rung the
-        // call may visit — validation, planning, lease waits and every
-        // degradation all draw from this one budget.
-        let start = Instant::now();
-        // Ill-formed shapes are fatal for every rung: reject before
-        // touching the pool.
+        // call may visit — planning, the lease wait and every degradation
+        // draw from this one budget.
+        let budget = Budget {
+            start: Instant::now(),
+            deadline: self.deadline,
+        };
+        let (decision, mut shared) = self.setup(conv)?;
+        let out = self.run_job(conv, x, dy, budget, decision.as_ref(), &mut shared);
+        // Return the lease before the pool snapshot is taken.
+        drop(shared);
+        out.map(|done| self.stamp(done))
+    }
+
+    /// Dispatch a coalesced batch of same-shape jobs through *one* shared
+    /// setup: shape validation, the tuner decision, the plan fetch and the
+    /// workspace lease each happen once for the whole batch — the
+    /// serving-side analogue of Winograd's batch reuse of transformed
+    /// operands. Every job keeps its own operands, deadline and
+    /// [`ExecutionReport`], and runs the same per-job routine as
+    /// [`ExecHandle::run`], so numerics are identical to single dispatch.
+    ///
+    /// Two batch-specific notes: a job whose deadline expired while it
+    /// waited (coalescing window, queue) is refused with
+    /// [`WinrsError::DeadlineExceeded`] before any work, and the setup and
+    /// plan fetch are charged to the `plan_s` of the job that fetched the
+    /// plan. A panic poisons the shared lease exactly like the single-job
+    /// path; the batch re-leases for the remaining jobs.
+    pub fn run_batch(
+        &self,
+        conv: &ConvShape,
+        jobs: Vec<BfcJob>,
+    ) -> Vec<Result<(Tensor4<f32>, ExecutionReport), WinrsError>> {
+        let (decision, mut shared) = match self.setup(conv) {
+            Ok(setup) => setup,
+            Err(err) => return jobs.iter().map(|_| Err(err.clone())).collect(),
+        };
+        jobs.iter()
+            .map(|job| {
+                let budget = job.budget();
+                budget.check(None)?;
+                self.run_job(
+                    conv,
+                    &job.x,
+                    &job.dy,
+                    budget,
+                    decision.as_ref(),
+                    &mut shared,
+                )
+                .map(|done| self.stamp(done))
+            })
+            .collect()
+    }
+
+    /// The per-dispatch setup: reject ill-formed shapes (fatal for every
+    /// rung) before touching the pool, then ask the tuner — only `Auto`
+    /// consults it: `Strict` pins WinRS regardless of ranking and `Force`
+    /// pins its substitute, so skipping the call keeps their dispatch free
+    /// of decision and trial churn.
+    fn setup(&self, conv: &ConvShape) -> Result<(Option<TunerDecision>, Shared), WinrsError> {
+        let t_setup = Instant::now();
         let shape_violations: Vec<Violation> = conv
             .violations()
             .into_iter()
@@ -671,210 +733,67 @@ impl ExecHandle {
         if !shape_violations.is_empty() {
             return Err(WinrsError::InvalidShape(shape_violations));
         }
-
-        if let FallbackPolicy::Force(alg) = self.policy {
-            let mut report = ExecutionReport::new(alg, self.precision, self.guard);
-            report.mem = fallback::substitute_footprint(alg, conv);
-            let dw = fallback::run_substitute_timed(alg, conv, x, dy, &mut report);
-            self.stamp(&mut report);
-            return Ok((dw, report));
-        }
-
-        // Only `Auto` consults the tuner: `Strict` pins WinRS regardless
-        // of ranking, and skipping the call keeps strict-mode dispatch
-        // free of decision-cache and trial churn.
-        let decision = match self.policy {
-            FallbackPolicy::Auto => {
-                Some(self.pool.tuner_decide(conv, &self.device, self.precision))
-            }
-            _ => None,
+        let decision = (self.policy == FallbackPolicy::Auto).then(|| {
+            self.pool
+                .lock_tuner()
+                .decide(conv, &self.device, self.precision)
+        });
+        let shared = Shared {
+            setup_s: t_setup.elapsed().as_secs_f64(),
+            plan: None,
+            lease: None,
         };
+        Ok((decision, shared))
+    }
 
-        if let Some(d) = decision
-            .as_ref()
-            .filter(|d| d.chosen != AlgoChoice::WinRs)
-        {
-            return self.run_chosen_substitute(conv, x, dy, d);
+    /// One job: the Force branch, the tuner's choice, the WinRS rung and
+    /// the degrade rung. `decision` is present exactly under `Auto`.
+    fn run_job(
+        &self,
+        conv: &ConvShape,
+        x: &Tensor4<f32>,
+        dy: &Tensor4<f32>,
+        budget: Budget,
+        decision: Option<&TunerDecision>,
+        shared: &mut Shared,
+    ) -> Result<(Tensor4<f32>, ExecutionReport), WinrsError> {
+        if let FallbackPolicy::Force(alg) = self.policy {
+            // Forced by the caller — not a fallback, so no reason recorded.
+            return Ok(fallback::run_substitute(
+                alg,
+                conv,
+                x,
+                dy,
+                self.precision,
+                self.guard,
+            ));
         }
-
-        match self.try_winrs(conv, x, dy, start) {
+        if let Some(d) = decision.filter(|d| d.chosen != AlgoChoice::WinRs) {
+            return Ok(self.run_chosen_substitute(conv, x, dy, d));
+        }
+        let outcome = self.try_winrs(conv, x, dy, budget, shared);
+        // Strict: WinRS or the typed error, nothing substituted.
+        let Some(decision) = decision else {
+            return outcome;
+        };
+        match outcome {
             Ok((dw, mut report)) => {
-                if let Some(d) = &decision {
-                    report.chosen = d.chosen;
-                    report.tuner = Some(d.stats);
-                    self.pool.tuner_observe(
-                        conv,
-                        &self.device,
-                        self.precision,
-                        AlgoChoice::WinRs,
-                        report.timing.total_s,
-                    );
-                }
-                self.stamp(&mut report);
+                report.chosen = decision.chosen;
+                report.tuner = Some(decision.stats);
+                self.pool.lock_tuner().observe(
+                    conv,
+                    &self.device,
+                    self.precision,
+                    AlgoChoice::WinRs,
+                    report.timing.total_s,
+                );
                 Ok((dw, report))
             }
-            Err(err)
-                if self.policy == FallbackPolicy::Auto
-                    && (err.recoverable_by_fallback() || err.recoverable_by_degradation()) =>
-            {
-                let (dw, mut report) =
-                    self.run_degraded(conv, x, dy, err, decision.as_ref(), start)?;
-                self.stamp(&mut report);
-                Ok((dw, report))
+            Err(err) if err.recoverable_by_fallback() || err.recoverable_by_degradation() => {
+                self.run_degraded(conv, x, dy, err, decision, budget)
             }
             Err(err) => Err(err),
         }
-    }
-
-    /// Dispatch a coalesced batch of same-shape jobs through *one* shared
-    /// setup: shape validation, the tuner decision, the plan fetch and the
-    /// workspace lease each happen once for the whole batch — the
-    /// serving-side analogue of Winograd's batch reuse of transformed
-    /// operands. Every job keeps its own operands, admission deadline and
-    /// [`ExecutionReport`]; numerics are identical to dispatching each job
-    /// through [`ExecHandle::run`] (same plan, same workspace discipline).
-    ///
-    /// Per-job semantics match `run` with two batch-specific notes: a job
-    /// whose deadline expired while it waited (coalescing window, queue)
-    /// is refused with [`WinrsError::DeadlineExceeded`] before any work,
-    /// and plan-fetch time is amortised — batch reports do not carry a
-    /// per-job `plan_s`. A panic poisons the shared lease exactly like the
-    /// single-job path; the batch re-leases for the remaining jobs.
-    pub fn run_batch(
-        &self,
-        conv: &ConvShape,
-        jobs: Vec<BfcJob>,
-    ) -> Vec<Result<(Tensor4<f32>, ExecutionReport), WinrsError>> {
-        let shape_violations: Vec<Violation> = conv
-            .violations()
-            .into_iter()
-            .map(Violation::Shape)
-            .collect();
-        if !shape_violations.is_empty() {
-            return jobs
-                .iter()
-                .map(|_| Err(WinrsError::InvalidShape(shape_violations.clone())))
-                .collect();
-        }
-
-        let decision = match self.policy {
-            FallbackPolicy::Auto => {
-                Some(self.pool.tuner_decide(conv, &self.device, self.precision))
-            }
-            _ => None,
-        };
-
-        // Degrade-or-surface for one job, against *its* budget.
-        let settle = |err: WinrsError, job: &BfcJob| {
-            if self.policy == FallbackPolicy::Auto
-                && (err.recoverable_by_fallback() || err.recoverable_by_degradation())
-            {
-                let h = self.clone().with_deadline(job.deadline);
-                let (dw, mut report) =
-                    h.run_degraded(conv, &job.x, &job.dy, err, decision.as_ref(), job.enqueued)?;
-                h.stamp(&mut report);
-                Ok((dw, report))
-            } else {
-                Err(err)
-            }
-        };
-
-        // Substitute chosen (or forced) for the whole batch: no lease to
-        // amortise, but validation and the decision still happened once.
-        if let FallbackPolicy::Force(_) = self.policy {
-            return jobs
-                .into_iter()
-                .map(|job| {
-                    job.admit()?;
-                    self.run(conv, &job.x, &job.dy)
-                })
-                .collect();
-        }
-        if let Some(d) = decision
-            .as_ref()
-            .filter(|d| d.chosen != AlgoChoice::WinRs)
-        {
-            return jobs
-                .into_iter()
-                .map(|job| {
-                    job.admit()?;
-                    self.run_chosen_substitute(conv, &job.x, &job.dy, d)
-                })
-                .collect();
-        }
-
-        // The WinRS batch path: one plan, one lease, k executions.
-        let plan = match self.pool.cached_plan(conv, &self.device, self.precision) {
-            Ok(plan) => plan,
-            Err(err) => {
-                return jobs
-                    .into_iter()
-                    .map(|job| {
-                        job.admit()?;
-                        settle(err.clone(), &job)
-                    })
-                    .collect();
-            }
-        };
-
-        let mut out = Vec::with_capacity(jobs.len());
-        let mut lease: Option<Lease> = None;
-        for job in &jobs {
-            if let Err(refused) = job.admit() {
-                out.push(Err(refused));
-                continue;
-            }
-            // (Re-)acquire the shared lease: once for the batch, again
-            // only after a poisoning discarded it.
-            if lease.is_none() {
-                match self.pool.lease_for(plan.workspace_layout(), self.pool.config().max_wait) {
-                    Ok(l) => lease = Some(l),
-                    Err(err) => {
-                        out.push(settle(err, job));
-                        continue;
-                    }
-                }
-            }
-            let Some(l) = lease.as_mut() else {
-                // winrs-audit: allow(error-hygiene) — guarded by the
-                // acquisition above; structurally unreachable.
-                // winrs-audit: unwind-ok(lease was acquired on the previous branch)
-                unreachable!("lease acquired on the previous branch");
-            };
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                fallback::run_planned_with(&plan, &job.x, &job.dy, self.guard, l.workspace())
-            }));
-            match outcome {
-                Ok(Ok((dw, mut report))) => {
-                    if let Some(d) = &decision {
-                        report.chosen = d.chosen;
-                        report.tuner = Some(d.stats);
-                        self.pool.tuner_observe(
-                            conv,
-                            &self.device,
-                            self.precision,
-                            AlgoChoice::WinRs,
-                            report.timing.total_s,
-                        );
-                    }
-                    self.stamp(&mut report);
-                    out.push(Ok((dw, report)));
-                }
-                Ok(Err(err)) => out.push(settle(err, job)),
-                Err(payload) => {
-                    if let Some(mut poisoned) = lease.take() {
-                        poisoned.poison();
-                    }
-                    out.push(settle(
-                        WinrsError::ExecutionPanicked {
-                            site: panic_site(payload),
-                        },
-                        job,
-                    ));
-                }
-            }
-        }
-        out
     }
 
     /// The tuner chose a substitute over WinRS. If WinRS was *rejected*
@@ -888,59 +807,63 @@ impl ExecHandle {
         x: &Tensor4<f32>,
         dy: &Tensor4<f32>,
         decision: &TunerDecision,
-    ) -> Result<(Tensor4<f32>, ExecutionReport), WinrsError> {
-        let alg = decision.chosen.algorithm();
-        let mut report = ExecutionReport::new(alg, self.precision, self.guard);
-        report.chosen = decision.chosen;
-        report.tuner = Some(decision.stats);
-        if let Some(rejection) = decision.winrs_rejection.clone() {
+    ) -> (Tensor4<f32>, ExecutionReport) {
+        if decision.winrs_rejection.is_some() {
             self.pool.note_degradation();
-            report.fallback_reason = Some(rejection);
         }
-        report.mem = fallback::substitute_footprint(alg, conv);
-        let dw = fallback::run_substitute_timed(alg, conv, x, dy, &mut report);
-        self.pool.tuner_observe(
+        let (dw, mut report) = fallback::run_substitute(
+            decision.chosen.algorithm(),
+            conv,
+            x,
+            dy,
+            self.precision,
+            self.guard,
+        );
+        report.tuner = Some(decision.stats);
+        report.fallback_reason = decision.winrs_rejection.clone();
+        self.pool.lock_tuner().observe(
             conv,
             &self.device,
             self.precision,
             decision.chosen,
             report.timing.total_s,
         );
-        self.stamp(&mut report);
-        Ok((dw, report))
+        (dw, report)
     }
 
     /// Rung 1: the WinRS engine over a pool lease, under `catch_unwind`.
-    /// `start` is the instant the whole call entered [`ExecHandle::run`]:
-    /// the deadline budget this rung draws from is shared with every
-    /// later rung.
+    /// The plan and the lease come from `shared` when an earlier job of
+    /// the dispatch already fetched them.
     fn try_winrs(
         &self,
         conv: &ConvShape,
         x: &Tensor4<f32>,
         dy: &Tensor4<f32>,
-        start: Instant,
+        budget: Budget,
+        shared: &mut Shared,
     ) -> Result<(Tensor4<f32>, ExecutionReport), WinrsError> {
         // Standing chaos slowness lands here, ahead of the deadline check,
         // exactly like a slow dependency would.
         #[cfg(feature = "faults")]
         crate::faults::maybe_slow(crate::faults::Site::SlowBlockLoop);
-        self.check_deadline(start)?;
+        budget.check(None)?;
 
         let t_plan = Instant::now();
-        let plan = self
-            .pool
-            .cached_plan(conv, &self.device, self.precision)?;
-        let plan_s = t_plan.elapsed().as_secs_f64();
+        let plan = shared
+            .plan
+            .get_or_insert_with(|| self.pool.cached_plan(conv, &self.device, self.precision))
+            .clone()?;
+        let plan_s = t_plan.elapsed().as_secs_f64() + std::mem::take(&mut shared.setup_s);
 
-        // The lease may not wait past the deadline: admission gets the
-        // smaller of the pool's budget and what remains of the window.
-        let mut wait = self.pool.config().max_wait;
-        if let Some(d) = self.deadline {
-            wait = wait.min(d.saturating_sub(start.elapsed()));
-        }
-        let mut lease = self.pool.lease_for(plan.workspace_layout(), wait)?;
-        self.check_deadline(start)?;
+        let lease = match shared.lease.take() {
+            Some(lease) => lease,
+            None => self.pool.lease_for(
+                plan.workspace_layout(),
+                budget.lease_wait(self.pool.config().max_wait),
+            )?,
+        };
+        let lease = shared.lease.insert(lease);
+        budget.check(None)?;
 
         // The panic boundary. `AssertUnwindSafe` is sound here because
         // nothing crossing the boundary is reused on the panic path: the
@@ -948,7 +871,9 @@ impl ExecHandle {
         // and the leased workspace is poisoned (discarded + rebuilt), so
         // no broken invariant can be observed afterwards.
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            fallback::run_planned_with(&plan, x, dy, self.guard, lease.workspace())
+            let mut dw = Tensor4::<f32>::zeros([conv.oc, conv.fh, conv.fw, conv.ic]);
+            fallback::run_planned_into(&plan, x, dy, self.guard, lease.workspace(), &mut dw)
+                .map(|report| (dw, report))
         }));
         match outcome {
             Ok(Ok((dw, mut report))) => {
@@ -958,11 +883,12 @@ impl ExecHandle {
             }
             // Typed rejections leave the arena no dirtier than a normal
             // run (each execution re-zeroes the buckets it owns), so the
-            // lease returns clean.
+            // lease stays clean and shared.
             Ok(Err(err)) => Err(err),
             Err(payload) => {
-                lease.poison();
-                drop(lease);
+                if let Some(mut poisoned) = shared.lease.take() {
+                    poisoned.poison();
+                }
                 Err(WinrsError::ExecutionPanicked {
                     site: panic_site(payload),
                 })
@@ -972,83 +898,54 @@ impl ExecHandle {
 
     /// The lower rungs: WinRS started (or was chosen) but failed, so take
     /// the first rung of the tuner's ranked substitute ladder. The rung is
-    /// charged against the *shared* budget opened when the call entered
-    /// [`ExecHandle::run`] (`start`): it may begin only while that window
-    /// is still open. A budget that has already expired refuses the rung
-    /// with [`WinrsError::DeadlineExceeded`] naming it — degradation may
-    /// overrun the deadline by one rung's runtime (there is no mid-run
-    /// cancellation), never by rungs× the window.
+    /// charged against the job's *shared* budget: it may begin only while
+    /// that window is still open. A budget that has already expired
+    /// refuses the rung with [`WinrsError::DeadlineExceeded`] naming it —
+    /// degradation may overrun the deadline by one rung's runtime (there
+    /// is no mid-run cancellation), never by rungs× the window.
     fn run_degraded(
         &self,
         conv: &ConvShape,
         x: &Tensor4<f32>,
         dy: &Tensor4<f32>,
         reason: WinrsError,
-        decision: Option<&TunerDecision>,
-        start: Instant,
+        decision: &TunerDecision,
+        budget: Budget,
     ) -> Result<(Tensor4<f32>, ExecutionReport), WinrsError> {
         self.pool.note_degradation();
-        let ladder = decision
-            .map(|d| d.degradation_ladder())
-            .unwrap_or_else(|| vec![AlgoChoice::GemmBfc, AlgoChoice::Direct]);
-        let choice = ladder.first().copied().unwrap_or(AlgoChoice::Direct);
+        let choice = decision
+            .degradation_ladder()
+            .first()
+            .copied()
+            .unwrap_or(AlgoChoice::Direct);
         // Admission before work: the budget check precedes the rung's
         // standing chaos slowness, so a rung that would start late is
         // refused instead of paying its (possibly slow) execution only to
         // deliver past the deadline anyway.
-        self.check_deadline_at(start, Some(choice.name()))?;
+        budget.check(Some(choice.name()))?;
         // Standing slowness delays the surviving rung too, exactly like a
         // slow substitute kernel would.
         #[cfg(feature = "faults")]
         crate::faults::maybe_slow(crate::faults::Site::SlowBlockLoop);
-        let alg = choice.algorithm();
-        let mut report = ExecutionReport::new(alg, self.precision, self.guard);
-        if let Some(d) = decision {
-            report.chosen = d.chosen;
-            report.tuner = Some(d.stats);
-        }
+        let (dw, mut report) =
+            fallback::run_substitute(choice.algorithm(), conv, x, dy, self.precision, self.guard);
+        report.chosen = decision.chosen;
+        report.tuner = Some(decision.stats);
         // The recorded reason is the *first* cause — why WinRS did not
         // deliver; the degradations counter says how far the ladder ran.
         report.fallback_reason = Some(reason);
-        report.mem = fallback::substitute_footprint(alg, conv);
-        let dw = fallback::run_substitute_timed(alg, conv, x, dy, &mut report);
         Ok((dw, report))
     }
 
-    fn check_deadline(&self, start: Instant) -> Result<(), WinrsError> {
-        self.check_deadline_at(start, None)
-    }
-
-    /// Budget check against the shared window opened at `start`. `rung`
-    /// names the degradation rung about to run (None on the primary
-    /// path), surfaced on the error so callers see how far the ladder got.
-    fn check_deadline_at(
-        &self,
-        start: Instant,
-        rung: Option<&'static str>,
-    ) -> Result<(), WinrsError> {
-        let Some(deadline) = self.deadline else {
-            return Ok(());
-        };
-        let elapsed = start.elapsed();
-        if elapsed >= deadline {
-            Err(WinrsError::DeadlineExceeded {
-                deadline_ms: deadline.as_millis() as u64,
-                elapsed_ms: elapsed.as_millis() as u64,
-                rung,
-            })
-        } else {
-            Ok(())
-        }
-    }
-
-    /// Stamp the shared-cache counters and the pool snapshot into a
+    /// Stamp the per-shape cache's counters and the pool snapshot into a
     /// report, whatever path produced it.
-    fn stamp(&self, report: &mut ExecutionReport) {
-        let (h, m) = self.pool.plan_stats();
-        report.cache_hits = h;
-        report.cache_misses = m;
+    fn stamp(
+        &self,
+        (dw, mut report): (Tensor4<f32>, ExecutionReport),
+    ) -> (Tensor4<f32>, ExecutionReport) {
+        (report.cache_hits, report.cache_misses) = self.pool.plan_stats();
         report.pool = Some(self.pool.stats());
+        (dw, report)
     }
 }
 
@@ -1238,24 +1135,27 @@ mod tests {
     }
 
     #[test]
-    fn exec_handle_matches_direct_dispatch_bitwise() {
-        // The pool lease must not change numerics: same plan, same
-        // workspace discipline, bit-identical ∇W vs the plain dispatcher.
+    fn exec_handle_matches_run_planned_into_bitwise() {
+        // The pool lease must not change numerics: the WinRS rung runs the
+        // store's plan through the guarded executor, bit-identical to
+        // calling it directly with a private workspace.
         let conv = ConvShape::square(2, 16, 4, 4, 3);
         let x64 = Tensor4::<f64>::random_uniform([2, 16, 16, 4], 71, 1.0);
         let dy64 = Tensor4::<f64>::random_uniform([2, 16, 16, 4], 72, 1.0);
         let (x, dy): (Tensor4<f32>, Tensor4<f32>) = (x64.cast(), dy64.cast());
-        let handle = ExecHandle::new(WorkspacePool::with_slots(2), RTX_4090, Precision::Fp32);
+        let pool = WorkspacePool::with_slots(2);
+        let handle = ExecHandle::new(Arc::clone(&pool), RTX_4090, Precision::Fp32);
         let (dw, report) = handle.run(&conv, &x, &dy).unwrap();
         assert_eq!(report.algorithm, Algorithm::WinRs);
-        let (dw_ref, _) = fallback::run_bfc(
-            &conv,
-            &RTX_4090,
-            Precision::Fp32,
+        let plan = pool.cached_plan(&conv, &RTX_4090, Precision::Fp32).unwrap();
+        let mut dw_ref = Tensor4::<f32>::zeros([conv.oc, conv.fh, conv.fw, conv.ic]);
+        fallback::run_planned_into(
+            &plan,
             &x,
             &dy,
-            FallbackPolicy::Auto,
             NumericGuard::Warn,
+            &mut Workspace::new(),
+            &mut dw_ref,
         )
         .unwrap();
         assert_eq!(dw, dw_ref, "pool lease changed the numerics");
@@ -1266,6 +1166,114 @@ mod tests {
         assert_eq!((stats.leases, stats.in_use), (1, 0));
         assert_eq!((report.cache_hits, report.cache_misses), (0, 1));
         assert!(report.summary_line().contains("pool["), "{}", report.summary_line());
+    }
+
+    #[test]
+    fn substitute_dispatch_matches_the_conv_kernel_bitwise() {
+        let conv = ConvShape::square(1, 12, 2, 3, 3);
+        let x = Tensor4::<f32>::random_uniform([1, 12, 12, 2], 73, 1.0);
+        let dy = Tensor4::<f32>::random_uniform([1, 12, 12, 3], 74, 1.0);
+        let handle = ExecHandle::new(WorkspacePool::with_slots(1), RTX_4090, Precision::Fp32);
+        for (alg, reference) in [
+            (
+                Algorithm::GemmBfc,
+                winrs_conv::gemm_bfc::bfc_gemm_f32(
+                    winrs_conv::gemm_bfc::GemmAlgo::Algo1,
+                    &conv,
+                    &x,
+                    &dy,
+                ),
+            ),
+            (
+                Algorithm::FftBfc,
+                winrs_conv::fft_bfc::bfc_fft(&conv, &x, &dy),
+            ),
+            (Algorithm::Direct, direct::bfc_direct(&conv, &x, &dy)),
+        ] {
+            let (dw, report) = handle
+                .clone()
+                .with_policy(FallbackPolicy::Force(alg))
+                .run(&conv, &x, &dy)
+                .unwrap();
+            assert_eq!(report.algorithm, alg);
+            assert_eq!(
+                dw,
+                reference,
+                "{} dispatch changed the numerics",
+                alg.name()
+            );
+        }
+    }
+
+    #[test]
+    fn parsed_policies_and_guards_drive_the_handle() {
+        let conv = ConvShape::square(1, 12, 2, 2, 3);
+        let x = Tensor4::<f32>::random_uniform([1, 12, 12, 2], 75, 1.0);
+        let dy = Tensor4::<f32>::random_uniform([1, 12, 12, 2], 76, 1.0);
+        for (policy, want) in [
+            ("strict", Algorithm::WinRs),
+            ("auto", Algorithm::WinRs),
+            ("force-gemm", Algorithm::GemmBfc),
+            ("force-fft", Algorithm::FftBfc),
+            ("force-direct", Algorithm::Direct),
+        ] {
+            let handle = ExecHandle::new(WorkspacePool::with_slots(1), RTX_4090, Precision::Fp32)
+                .with_policy(policy.parse().unwrap())
+                .with_guard("promote-retry".parse().unwrap());
+            let (_, report) = handle.run(&conv, &x, &dy).unwrap();
+            assert_eq!(report.algorithm, want, "policy {policy}");
+            assert_eq!(report.guard, NumericGuard::PromoteAndRetry);
+        }
+        assert_eq!(
+            "promote".parse::<NumericGuard>(),
+            Ok(NumericGuard::PromoteAndRetry)
+        );
+        assert!("gibberish".parse::<FallbackPolicy>().is_err());
+        assert!("gibberish".parse::<NumericGuard>().is_err());
+    }
+
+    /// Binary16 overflow on real data: ∇Y magnitudes near f16's max blow up
+    /// in the filter transform.
+    fn overflowing_fp16_problem() -> (ConvShape, Tensor4<f64>, Tensor4<f64>) {
+        let conv = ConvShape::square(1, 12, 2, 2, 3);
+        let x64 = Tensor4::<f64>::random_uniform([1, 12, 12, 2], 51, 1.0);
+        let dy64 = Tensor4::<f64>::random_uniform([1, 12, 12, 2], 52, 6.0e4);
+        (conv, x64, dy64)
+    }
+
+    #[test]
+    fn warn_guard_counts_natural_fp16_overflow() {
+        let (conv, x64, dy64) = overflowing_fp16_problem();
+        let handle = ExecHandle::new(WorkspacePool::with_slots(1), RTX_4090, Precision::Fp16);
+        let (dw, report) = handle.run(&conv, &x64.cast(), &dy64.cast()).unwrap();
+        assert_eq!(report.algorithm, Algorithm::WinRs);
+        assert!(report.saturated > 0);
+        assert!(report.non_finite > 0);
+        assert!(report.tainted(), "Warn counts but does not repair");
+        assert!(dw.as_slice().iter().any(|v| !v.is_finite()));
+    }
+
+    #[test]
+    fn promote_and_retry_repairs_natural_fp16_overflow() {
+        let (conv, x64, dy64) = overflowing_fp16_problem();
+        let exact = direct::bfc_direct(&conv, &x64, &dy64);
+        let handle = ExecHandle::new(WorkspacePool::with_slots(1), RTX_4090, Precision::Fp16)
+            .with_guard(NumericGuard::PromoteAndRetry);
+        let (dw, report) = handle.run(&conv, &x64.cast(), &dy64.cast()).unwrap();
+        assert_eq!(report.algorithm, Algorithm::WinRs);
+        assert!(report.saturated > 0, "test needs real overflow");
+        assert!(report.promoted_buckets > 0);
+        assert!(!report.tainted());
+        assert!(dw.as_slice().iter().all(|v| v.is_finite()));
+        // Promoted buckets ran at FP32 on FP32 inputs; any bucket left at
+        // FP16 stays inside the Table 4 FP16 accuracy band.
+        let m = mare(&dw, &exact);
+        assert!(m < 5e-3, "MARE {m}");
+        assert!(
+            report.summary_line().contains("promoted="),
+            "{}",
+            report.summary_line()
+        );
     }
 
     #[test]
@@ -1449,23 +1457,86 @@ mod tests {
     }
 
     #[test]
-    fn pool_tuner_cache_respects_plan_capacity() {
-        // The tuner's decision cache scales with the same knob as the plan
-        // cache; three distinct shapes through a 2-deep cache must evict.
+    fn one_store_holds_choice_and_plan_at_the_tuner_capacity() {
+        // One LRU per pool: three distinct shapes through a 2-deep store
+        // evict once, and the evicted key's plan misses again.
         let pool = WorkspacePool::new(PoolConfig {
-            plan_capacity: 2,
+            tuner: TunerConfig {
+                capacity: 2,
+                ..TunerConfig::default()
+            },
             ..PoolConfig::default()
         });
         let handle = ExecHandle::new(Arc::clone(&pool), RTX_4090, Precision::Fp32);
+        let shape = |res| ConvShape::square(1, res, 2, 2, 3);
         for res in [12usize, 14, 16] {
-            let conv = ConvShape::square(1, res, 2, 2, 3);
+            let conv = shape(res);
             let x = Tensor4::<f32>::random_uniform([1, res, res, 2], 99, 1.0);
             let dy = Tensor4::<f32>::random_uniform([1, conv.oh(), conv.ow(), 2], 100, 1.0);
-            handle.run(&conv, &x, &dy).unwrap();
+            let (_, report) = handle.run(&conv, &x, &dy).unwrap();
+            assert_eq!(report.algorithm, Algorithm::WinRs);
         }
         let c = pool.tuner_counters();
         assert_eq!(c.decisions, 3);
-        assert_eq!(c.evictions, 1, "3 shapes through a 2-deep decision cache");
+        assert_eq!(c.evictions, 1, "3 shapes through a 2-deep store");
+        assert_eq!(pool.plan_stats(), (0, 3));
+        // The survivors hit; the evicted key is ranked and planned afresh.
+        pool.cached_plan(&shape(16), &RTX_4090, Precision::Fp32)
+            .unwrap();
+        assert_eq!(pool.plan_stats(), (1, 3));
+        pool.cached_plan(&shape(12), &RTX_4090, Precision::Fp32)
+            .unwrap();
+        assert_eq!(pool.plan_stats(), (1, 4));
+        assert_eq!(pool.tuner_counters().evictions, 2);
+    }
+
+    #[test]
+    fn poisoned_store_is_cleared_and_counted() {
+        let pool = WorkspacePool::with_slots(1);
+        let conv = ConvShape::square(1, 12, 2, 2, 3);
+        let first = pool.cached_plan(&conv, &RTX_4090, Precision::Fp32).unwrap();
+        assert!(std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            pool.with_tuner(|_| {
+                // winrs-audit: allow(error-hygiene) — deliberate test panic.
+                panic!("holder dies with the store lock held")
+            })
+        }))
+        .is_err());
+        let again = pool.cached_plan(&conv, &RTX_4090, Precision::Fp32).unwrap();
+        assert!(
+            !Arc::ptr_eq(&first, &again),
+            "the poisoned store was rebuilt"
+        );
+        assert_eq!(pool.plan_stats(), (0, 2), "the cleared key misses again");
+        assert!(pool.stats().cache_poisonings >= 1);
+    }
+
+    #[test]
+    fn run_batch_lease_wait_honours_the_job_deadline() {
+        // Regression: batched jobs leased with the pool's full `max_wait`
+        // whatever their deadline, so a 20 ms job waited 2 s for a slot.
+        let pool = WorkspacePool::new(PoolConfig {
+            slots: 1,
+            max_wait: Duration::from_secs(2),
+            ..PoolConfig::default()
+        });
+        let _held = pool.lease(&small_layout()).unwrap();
+        let conv = ConvShape::square(1, 16, 2, 2, 3);
+        let job = BfcJob::new(
+            Tensor4::<f32>::random_uniform([1, 16, 16, 2], 212, 1.0),
+            Tensor4::<f32>::random_uniform([1, 16, 16, 2], 213, 1.0),
+        )
+        .with_deadline(Some(Duration::from_millis(20)));
+        let handle = ExecHandle::new(Arc::clone(&pool), RTX_4090, Precision::Fp32);
+        let t0 = Instant::now();
+        let result = handle.run_batch(&conv, vec![job]).pop().unwrap();
+        let elapsed = t0.elapsed();
+        assert!(
+            matches!(result, Err(WinrsError::DeadlineExceeded { .. })),
+            "{:?}",
+            result.map(|(_, r)| r.algorithm)
+        );
+        assert!(elapsed < Duration::from_millis(500), "waited {elapsed:?}");
     }
 
     #[test]

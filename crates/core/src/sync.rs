@@ -5,11 +5,9 @@
 //! (`tests/loom_models.rs`, `tests/pool_models.rs`) exhaustively explores
 //! the interleavings of [`crate::metrics::TimingSink`],
 //! [`crate::workspace::ScratchPool`], and the leasing
-//! [`crate::pool::WorkspacePool`] through exactly the code paths
-//! production uses. Only modules with real
-//! concurrent state go through this shim; single-threaded state such as
-//! [`crate::cache::PlanCache`] (externally synchronised, `&mut self` API)
-//! is modeled by wrapping it in a `loom` mutex inside the test itself.
+//! [`crate::pool::WorkspacePool`] (with the per-shape store behind its
+//! tuner lock) through exactly the code paths production uses. Only
+//! modules with real concurrent state go through this shim.
 
 #[cfg(loom)]
 pub(crate) use loom::sync::{atomic, Condvar, Mutex, MutexGuard};

@@ -24,10 +24,15 @@
 //!    AVX-512 one (the widths' timings differ even though their ∇W bits
 //!    don't).
 //!
-//! The policy layer ([`crate::fallback`]) is deliberately *not* in this
-//! module: Strict/Auto/Force filter the ranked list but never reorder it,
-//! and the degradation ladder in [`crate::pool`] walks the same ranking
-//! restricted to the substitutes that are safe under resource pressure.
+//! The tuner's per-key entries are also the pool's one per-shape cache:
+//! ranking a key builds its [`WinRsPlan`], and the entry keeps that plan
+//! next to the ranking and the committed choice, so a cold key is planned
+//! once and [`crate::WorkspacePool::cached_plan`] hands out the same `Arc`.
+//!
+//! The policy layer ([`crate::pool::ExecHandle`]) is deliberately *not* in
+//! this module: Strict/Auto/Force filter the ranked list but never reorder
+//! it, and the degradation ladder walks the same ranking restricted to the
+//! substitutes that are safe under resource pressure.
 //!
 //! The database format is a single JSON document (via [`winrs_json`]) and
 //! every load failure is a typed, non-fatal [`TuneDbWarning`]: a missing
@@ -38,9 +43,10 @@ use crate::cache::DEFAULT_PLAN_CACHE_CAPACITY;
 use crate::config::Precision;
 use crate::error::WinrsError;
 use crate::plan::WinRsPlan;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use winrs_conv::{fft_bfc, ConvShape};
 use winrs_gpu_sim::{
     estimate_pipeline_time, DeviceSpec, KernelProfile, Precision as SimPrecision,
@@ -76,8 +82,7 @@ pub fn device_key(device: &DeviceSpec) -> String {
 /// A backward-filter algorithm the tuner can dispatch to.
 ///
 /// This is the *planning* vocabulary; the execution vocabulary is
-/// [`crate::fallback::Algorithm`] (which additionally has `StridedDirect`,
-/// a shape-driven rewrite rather than a tunable choice).
+/// [`crate::fallback::Algorithm`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum AlgoChoice {
     /// The paper's fused segmented Winograd kernel ([`WinRsPlan`]).
@@ -124,16 +129,13 @@ impl AlgoChoice {
         }
     }
 
-    /// Map an execution-layer algorithm back onto the tuning vocabulary
-    /// (`StridedDirect` is a direct-family rewrite).
+    /// Map an execution-layer algorithm back onto the tuning vocabulary.
     pub fn from_algorithm(a: crate::fallback::Algorithm) -> AlgoChoice {
         match a {
             crate::fallback::Algorithm::WinRs => AlgoChoice::WinRs,
             crate::fallback::Algorithm::GemmBfc => AlgoChoice::GemmBfc,
             crate::fallback::Algorithm::FftBfc => AlgoChoice::FftBfc,
-            crate::fallback::Algorithm::Direct | crate::fallback::Algorithm::StridedDirect => {
-                AlgoChoice::Direct
-            }
+            crate::fallback::Algorithm::Direct => AlgoChoice::Direct,
         }
     }
 }
@@ -225,21 +227,20 @@ fn substitute_profiles(
 
 /// Rank every supported candidate for `(conv, precision)` on `device` by
 /// modelled execution time, ascending. WinRS appears iff [`WinRsPlan::new`]
-/// succeeds; the second element carries its rejection otherwise. The list
+/// succeeds; the second element is that plan, or its rejection. The list
 /// is never empty: direct convolution is always supported.
-pub fn rank_with_rejection(
+fn rank_with_plan(
     conv: &ConvShape,
     device: &DeviceSpec,
     precision: Precision,
-) -> (Vec<RankedCandidate>, Option<WinrsError>) {
+) -> (Vec<RankedCandidate>, Result<Arc<WinRsPlan>, WinrsError>) {
     let mut out = Vec::with_capacity(AlgoChoice::ALL.len());
-    let mut rejection = None;
-    match WinRsPlan::new(conv, device, precision) {
-        Ok(plan) => out.push(RankedCandidate {
+    let winrs = WinRsPlan::new(conv, device, precision).map(Arc::new);
+    if let Ok(plan) = &winrs {
+        out.push(RankedCandidate {
             algo: AlgoChoice::WinRs,
             predicted_s: estimate_pipeline_time(&plan.kernel_profiles(), device),
-        }),
-        Err(err) => rejection = Some(err),
+        });
     }
     for algo in [AlgoChoice::GemmBfc, AlgoChoice::FftBfc, AlgoChoice::Direct] {
         if let Some(profiles) = substitute_profiles(algo, conv, precision) {
@@ -254,12 +255,13 @@ pub fn rank_with_rejection(
             .partial_cmp(&b.predicted_s)
             .unwrap_or(std::cmp::Ordering::Equal)
     });
-    (out, rejection)
+    (out, winrs)
 }
 
-/// [`rank_with_rejection`] without the rejection detail.
+/// Every supported candidate for `(conv, precision)` on `device`, ranked by
+/// modelled execution time, ascending (see [`Tuner::decide`]).
 pub fn rank(conv: &ConvShape, device: &DeviceSpec, precision: Precision) -> Vec<RankedCandidate> {
-    rank_with_rejection(conv, device, precision).0
+    rank_with_plan(conv, device, precision).0
 }
 
 // ---------------------------------------------------------------------------
@@ -350,7 +352,7 @@ pub struct TunedEntry {
     pub trials: u32,
 }
 
-/// Shape portion of a database key (mirrors [`crate::PlanCache`]'s key).
+/// Shape portion of a database key.
 type ShapeKey = [usize; 9];
 
 fn shape_key(conv: &ConvShape) -> ShapeKey {
@@ -642,15 +644,15 @@ impl TuneDb {
 }
 
 // ---------------------------------------------------------------------------
-// The tuner: decision cache + explore-then-commit + database
+// The tuner: per-key store + explore-then-commit + database
 // ---------------------------------------------------------------------------
 
 /// Tuner policy knobs.
 #[derive(Clone, Copy, Debug)]
 pub struct TunerConfig {
-    /// Decision-cache capacity (keys held in memory). The pool wires this
-    /// to [`crate::PoolConfig`]'s `plan_capacity`, so both caches scale
-    /// with the one knob.
+    /// Capacity of the per-key store: how many keys keep their ranking,
+    /// committed choice and WinRS plan in memory before the least recently
+    /// used one is evicted.
     pub capacity: usize,
     /// Explore budget: the first `explore_trials` *warm* runs of a key may
     /// trial the model's runner-up before the measured winner is
@@ -733,7 +735,7 @@ pub struct TunerCounters {
     pub trials: u64,
     /// Explore phases concluded with a committed winner.
     pub commits: u64,
-    /// Decision-cache LRU evictions.
+    /// Per-key store LRU evictions.
     pub evictions: u64,
 }
 
@@ -783,13 +785,22 @@ impl TunerDecision {
     }
 }
 
-/// Decision key: shape + precision + device identity. `DeviceSpec::name`
-/// is `'static`, mirroring [`crate::PlanCache`]'s key.
+/// Store key: shape + precision + device identity (`DeviceSpec::name` is
+/// `'static`).
 type DecisionKey = (ShapeKey, u8, &'static str);
 
+fn decision_key(conv: &ConvShape, device: &DeviceSpec, precision: Precision) -> DecisionKey {
+    (shape_key(conv), precision_code(precision), device.name)
+}
+
+/// One key's entry in the per-key store.
 struct DecisionState {
     ranked: Vec<RankedCandidate>,
-    winrs_rejection: Option<WinrsError>,
+    /// The plan the ranking built, or why WinRS cannot run the key.
+    winrs: Result<Arc<WinRsPlan>, WinrsError>,
+    /// Whether [`Tuner::plan`] has handed the plan out yet: the first
+    /// fetch counts as the plan-cache miss, later ones as hits.
+    plan_fetched: bool,
     committed: Option<AlgoChoice>,
     source: ChoiceSource,
     committed_measured: Option<f64>,
@@ -808,8 +819,17 @@ struct DecisionState {
 /// it in a `Mutex`); the tuner itself is plain single-threaded state.
 pub struct Tuner {
     cfg: TunerConfig,
-    decisions: HashMap<DecisionKey, DecisionState>,
+    /// The per-key store: at most `cfg.capacity` entries, oldest first,
+    /// evicting the least recently used. At this size a linear scan costs
+    /// no more than hashing, and dropping the store frees its plans oldest
+    /// first: freed in a hash map's random order, the newest plans' small
+    /// chunks stayed cached at the top of the allocator's heap and kept a
+    /// dropped pool's memory resident (up to 19 MiB on the benchmark's
+    /// `fig10_fp32` workload).
+    decisions: Vec<(DecisionKey, DecisionState)>,
     tick: u64,
+    /// Plan fetches through [`Tuner::plan`]: (hits, misses).
+    plan_stats: (u64, u64),
     db: TuneDb,
     db_path: Option<PathBuf>,
     warning: Option<TuneDbWarning>,
@@ -828,8 +848,9 @@ impl Tuner {
                 capacity: cfg.capacity.max(1),
                 ..cfg
             },
-            decisions: HashMap::new(),
+            decisions: Vec::new(),
             tick: 0,
+            plan_stats: (0, 0),
             db: TuneDb::new(),
             db_path: None,
             warning: None,
@@ -938,136 +959,170 @@ impl Tuner {
         device: &DeviceSpec,
         precision: Precision,
     ) -> TunerDecision {
-        self.tick += 1;
         self.counters.decisions += 1;
-        let key: DecisionKey = (shape_key(conv), precision_code(precision), device.name);
-
-        if !self.decisions.contains_key(&key) {
-            let (ranked, winrs_rejection) = rank_with_rejection(conv, device, precision);
-            let db_entry = self
-                .db
-                .get(&device_key(device), conv, precision)
-                .copied()
-                // A stored winner the current ranking does not even list
-                // (e.g. a stale FFT entry for a now-FP16 key) is ignored.
-                .filter(|e| ranked.iter().any(|c| c.algo == e.algo));
-            let state = match db_entry {
-                Some(entry) => {
-                    self.counters.db_hits += 1;
-                    DecisionState {
-                        ranked,
-                        winrs_rejection,
-                        committed: Some(entry.algo),
-                        source: ChoiceSource::Database,
-                        committed_measured: entry.measured_s,
-                        sums: Vec::new(),
-                        runs: 0,
-                        trials: 0,
-                        last_used: self.tick,
-                    }
-                }
-                None => {
-                    self.counters.db_misses += 1;
-                    DecisionState {
-                        ranked,
-                        winrs_rejection,
-                        committed: None,
-                        source: ChoiceSource::Model,
-                        committed_measured: None,
-                        sums: Vec::new(),
-                        runs: 0,
-                        trials: 0,
-                        last_used: self.tick,
-                    }
-                }
-            };
-            self.decisions.insert(key, state);
-            self.evict_to_capacity(key);
-        }
-
         let explore = self.cfg.explore_trials;
         let margin = self.cfg.margin;
+        let st = self.entry(conv, device, precision);
 
         // Explore budget exhausted without enough observations (the caller
         // never fed measurements back)? Commit from whatever we have.
-        let stale_exploration = self
-            .decisions
-            .get(&key)
-            .is_some_and(|st| st.committed.is_none() && explore > 0 && st.runs > explore);
+        let stale_exploration = st.committed.is_none() && explore > 0 && st.runs > explore;
         if stale_exploration {
-            if let Some(st) = self.decisions.get_mut(&key) {
-                Self::commit_state(st);
-            }
-            self.counters.commits += 1;
-            let fp = device_key(device);
-            self.store_commit(&fp, conv, precision, &key);
+            Self::commit_state(st);
         }
 
-        let tick = self.tick;
+        let model_best = Self::model_choice(&st.ranked, margin);
         let mut counted_trial = false;
-        let decision = match self.decisions.get_mut(&key) {
-            Some(st) => {
-                st.last_used = tick;
-                let model_best = Self::model_choice(&st.ranked, margin);
-                let (chosen, source) = match st.committed {
-                    Some(c) => (c, st.source),
-                    None if explore > 0 && st.ranked.len() > 1 => {
-                        // Run 0 measures the model's pick; warm runs 1..=K
-                        // measure the runner-up.
-                        let c = if st.runs == 0 {
-                            model_best
-                        } else {
-                            st.ranked
-                                .iter()
-                                .map(|r| r.algo)
-                                .find(|a| *a != model_best)
-                                .unwrap_or(model_best)
-                        };
-                        st.trials += 1;
-                        counted_trial = true;
-                        (c, ChoiceSource::Trial)
-                    }
-                    None => (model_best, ChoiceSource::Model),
+        let (chosen, source) = match st.committed {
+            Some(c) => (c, st.source),
+            None if explore > 0 && st.ranked.len() > 1 => {
+                // Run 0 measures the model's pick; warm runs 1..=K measure
+                // the runner-up.
+                let c = if st.runs == 0 {
+                    model_best
+                } else {
+                    st.ranked
+                        .iter()
+                        .map(|r| r.algo)
+                        .find(|a| *a != model_best)
+                        .unwrap_or(model_best)
                 };
-                st.runs += 1;
-                let predicted_s = st
-                    .ranked
-                    .iter()
-                    .find(|c| c.algo == chosen)
-                    .map(|c| c.predicted_s)
-                    .unwrap_or(0.0);
-                TunerDecision {
-                    chosen,
-                    ranked: st.ranked.clone(),
-                    winrs_rejection: st.winrs_rejection.clone(),
-                    stats: TunerStats {
-                        source,
-                        predicted_s,
-                        measured_s: st.committed_measured,
-                        db_hit: st.source == ChoiceSource::Database,
-                        trials: st.trials,
-                    },
-                }
+                st.trials += 1;
+                counted_trial = true;
+                (c, ChoiceSource::Trial)
             }
-            // Unreachable (the key was just inserted), but library code
-            // never panics: fall back to the guaranteed substitute.
-            None => TunerDecision {
-                chosen: AlgoChoice::Direct,
-                ranked: Vec::new(),
-                winrs_rejection: None,
-                stats: TunerStats {
-                    source: ChoiceSource::Model,
-                    predicted_s: 0.0,
-                    measured_s: None,
-                    db_hit: false,
-                    trials: 0,
-                },
+            None => (model_best, ChoiceSource::Model),
+        };
+        st.runs += 1;
+        let predicted_s = st
+            .ranked
+            .iter()
+            .find(|c| c.algo == chosen)
+            .map(|c| c.predicted_s)
+            .unwrap_or(0.0);
+        let decision = TunerDecision {
+            chosen,
+            ranked: st.ranked.clone(),
+            winrs_rejection: st.winrs.as_ref().err().cloned(),
+            stats: TunerStats {
+                source,
+                predicted_s,
+                measured_s: st.committed_measured,
+                db_hit: st.source == ChoiceSource::Database,
+                trials: st.trials,
             },
         };
+        if stale_exploration {
+            self.counters.commits += 1;
+            self.store_commit(conv, device, precision);
+        }
         if counted_trial {
             self.counters.trials += 1;
         }
         decision
+    }
+
+    /// Fetch the WinRS plan for `(conv, precision)` on `device` from the
+    /// per-key store. A cold key is ranked first, which builds the plan, so
+    /// every key is planned once. The first fetch of an entry counts as a
+    /// plan-cache miss and later fetches as hits; a key outside the WinRS
+    /// envelope returns its rejection. The `Arc` stays valid after the
+    /// entry is evicted.
+    pub(crate) fn plan(
+        &mut self,
+        conv: &ConvShape,
+        device: &DeviceSpec,
+        precision: Precision,
+    ) -> Result<Arc<WinRsPlan>, WinrsError> {
+        let st = self.entry(conv, device, precision);
+        let hit = std::mem::replace(&mut st.plan_fetched, true);
+        let plan = st.winrs.clone();
+        if hit {
+            self.plan_stats.0 += 1;
+        } else {
+            self.plan_stats.1 += 1;
+        }
+        plan
+    }
+
+    /// Cumulative `(hits, misses)` of [`Tuner::plan`]. A re-fetch after
+    /// eviction counts as a miss again.
+    pub(crate) fn plan_stats(&self) -> (u64, u64) {
+        self.plan_stats
+    }
+
+    /// Drop every in-memory entry (counters and the database are kept).
+    pub(crate) fn clear(&mut self) {
+        self.decisions.clear();
+    }
+
+    /// The store entry for a key, touched as most recently used. A cold
+    /// key is ranked (building its plan) and seeded from the database;
+    /// the least recently used entry is evicted first when the store is
+    /// full, so the new entry is never the victim.
+    fn entry(
+        &mut self,
+        conv: &ConvShape,
+        device: &DeviceSpec,
+        precision: Precision,
+    ) -> &mut DecisionState {
+        self.tick += 1;
+        let key = decision_key(conv, device, precision);
+        let i = match self.decisions.iter().position(|(k, _)| *k == key) {
+            Some(i) => i,
+            None => {
+                while self.decisions.len() >= self.cfg.capacity {
+                    let victim =
+                        (0..self.decisions.len()).min_by_key(|&i| self.decisions[i].1.last_used);
+                    let Some(victim) = victim else { break };
+                    self.decisions.remove(victim);
+                    self.counters.evictions += 1;
+                }
+                let (ranked, winrs) = rank_with_plan(conv, device, precision);
+                let db_entry = self
+                    .db
+                    .get(&device_key(device), conv, precision)
+                    .copied()
+                    // A stored winner the current ranking does not even list
+                    // (e.g. a stale FFT entry for a now-FP16 key) is ignored.
+                    .filter(|e| ranked.iter().any(|c| c.algo == e.algo));
+                match db_entry {
+                    Some(_) => self.counters.db_hits += 1,
+                    None => self.counters.db_misses += 1,
+                }
+                self.decisions.push((
+                    key,
+                    DecisionState {
+                        ranked,
+                        winrs,
+                        plan_fetched: false,
+                        committed: db_entry.map(|e| e.algo),
+                        source: if db_entry.is_some() {
+                            ChoiceSource::Database
+                        } else {
+                            ChoiceSource::Model
+                        },
+                        committed_measured: db_entry.and_then(|e| e.measured_s),
+                        sums: Vec::new(),
+                        runs: 0,
+                        trials: 0,
+                        last_used: self.tick,
+                    },
+                ));
+                self.decisions.len() - 1
+            }
+        };
+        let st = &mut self.decisions[i].1;
+        st.last_used = self.tick;
+        st
+    }
+
+    /// The store entry for a key, if resident.
+    fn get_mut(&mut self, key: DecisionKey) -> Option<&mut DecisionState> {
+        self.decisions
+            .iter_mut()
+            .find(|(k, _)| *k == key)
+            .map(|(_, st)| st)
     }
 
     /// Feed a measured wall time back for the execution that
@@ -1084,9 +1139,8 @@ impl Tuner {
         if self.cfg.explore_trials == 0 || !measured_s.is_finite() || measured_s <= 0.0 {
             return;
         }
-        let key: DecisionKey = (shape_key(conv), precision_code(precision), device.name);
         let explore = self.cfg.explore_trials;
-        let Some(st) = self.decisions.get_mut(&key) else {
+        let Some(st) = self.get_mut(decision_key(conv, device, precision)) else {
             return;
         };
         if st.committed.is_some() {
@@ -1103,8 +1157,7 @@ impl Tuner {
         if st.runs > explore && st.sums.len() >= 2 {
             Self::commit_state(st);
             self.counters.commits += 1;
-            let fp = device_key(device);
-            self.store_commit(&fp, conv, precision, &key);
+            self.store_commit(conv, device, precision);
         }
     }
 
@@ -1146,14 +1199,8 @@ impl Tuner {
 
     /// Write the freshly committed state through to the database (and
     /// disk, when a path is attached).
-    fn store_commit(
-        &mut self,
-        fingerprint: &str,
-        conv: &ConvShape,
-        precision: Precision,
-        key: &DecisionKey,
-    ) {
-        let Some(st) = self.decisions.get(key) else {
+    fn store_commit(&mut self, conv: &ConvShape, device: &DeviceSpec, precision: Precision) {
+        let Some(st) = self.get_mut(decision_key(conv, device, precision)) else {
             return;
         };
         let Some(algo) = st.committed else { return };
@@ -1169,26 +1216,11 @@ impl Tuner {
             measured_s: st.committed_measured,
             trials: st.trials,
         };
-        self.db.insert(fingerprint, conv, precision, entry);
+        self.db.insert(&device_key(device), conv, precision, entry);
         if self.db_path.is_some() {
             // A failed save is a standing warning, not an error: the
             // in-memory decision is still committed and dispatch continues.
             let _ = self.save();
-        }
-    }
-
-    /// Evict least-recently-used decisions above capacity, sparing `keep`.
-    fn evict_to_capacity(&mut self, keep: DecisionKey) {
-        while self.decisions.len() > self.cfg.capacity {
-            let victim = self
-                .decisions
-                .iter()
-                .filter(|(k, _)| **k != keep)
-                .min_by_key(|(_, st)| st.last_used)
-                .map(|(k, _)| *k);
-            let Some(victim) = victim else { break };
-            self.decisions.remove(&victim);
-            self.counters.evictions += 1;
         }
     }
 }
@@ -1245,9 +1277,9 @@ mod tests {
     fn winrs_support_comes_from_the_planner() {
         // f=2 has no FP16 kernel: WinRS must be absent with the rejection
         // attached, and the list still non-empty.
-        let (ranked, rejection) = rank_with_rejection(&gemm_leaning(), &RTX_4090, Precision::Fp16);
+        let (ranked, winrs) = rank_with_plan(&gemm_leaning(), &RTX_4090, Precision::Fp16);
         assert!(ranked.iter().all(|c| c.algo != AlgoChoice::WinRs));
-        assert!(rejection.is_some());
+        assert!(winrs.is_err());
         assert!(!ranked.is_empty());
         // FFT is FP32-only.
         assert!(ranked.iter().all(|c| c.algo != AlgoChoice::FftBfc));
@@ -1283,6 +1315,46 @@ mod tests {
         }
         assert_eq!(t.counters().evictions, 2);
         assert_eq!(t.counters().decisions, 4);
+    }
+
+    #[test]
+    fn store_keys_plans_by_shape_device_precision_with_lru_eviction() {
+        use winrs_gpu_sim::RTX_3090;
+        let t = Tuner::new(TunerConfig {
+            capacity: 0,
+            ..TunerConfig::default()
+        });
+        assert_eq!(t.config().capacity, 1, "capacity is clamped to one");
+
+        let mut t = Tuner::new(TunerConfig::default());
+        let (a, b) = (small(), ConvShape::square(2, 16, 4, 4, 5));
+        t.plan(&a, &RTX_4090, Precision::Fp32).unwrap();
+        t.plan(&a, &RTX_4090, Precision::Fp32).unwrap(); // hit
+        t.plan(&b, &RTX_4090, Precision::Fp32).unwrap(); // other shape
+        t.plan(&a, &RTX_3090, Precision::Fp32).unwrap(); // other device
+        t.plan(&a, &RTX_4090, Precision::Fp16).unwrap(); // other precision
+        assert_eq!(t.plan_stats(), (1, 4));
+
+        let mut t = Tuner::new(TunerConfig {
+            capacity: 2,
+            ..TunerConfig::default()
+        });
+        let c = ConvShape::square(1, 14, 1, 1, 2);
+        let plan_a = t.plan(&a, &RTX_4090, Precision::Fp32).unwrap();
+        t.plan(&b, &RTX_4090, Precision::Fp32).unwrap();
+        t.decide(&a, &RTX_4090, Precision::Fp32); // any lookup refreshes a
+        t.plan(&c, &RTX_4090, Precision::Fp32).unwrap(); // evicts b
+        assert_eq!(t.counters().evictions, 1);
+        t.plan(&a, &RTX_4090, Precision::Fp32).unwrap();
+        t.plan(&c, &RTX_4090, Precision::Fp32).unwrap();
+        assert_eq!(t.plan_stats(), (2, 3), "a and c stayed resident");
+        t.plan(&b, &RTX_4090, Precision::Fp32).unwrap(); // evicts a
+        assert_eq!(t.plan_stats(), (2, 4), "the evicted key misses again");
+        assert_eq!(t.counters().evictions, 2);
+        // A fetched plan outlives its entry.
+        let x = winrs_tensor::Tensor4::<f32>::random_uniform([2, 16, 16, 4], 3, 1.0);
+        let dy = winrs_tensor::Tensor4::<f32>::random_uniform([2, 16, 16, 4], 4, 1.0);
+        assert!(plan_a.execute_f32(&x, &dy).is_ok());
     }
 
     #[test]

@@ -389,15 +389,14 @@ pub struct ExecCtx<'w> {
 }
 
 /// A reusable execution arena: one f32 buffer plus guard counters, grown
-/// to a plan's [`WorkspaceLayout`] once and reused across `run_planned`
-/// calls without further heap traffic.
+/// to a plan's [`WorkspaceLayout`] once and reused across
+/// [`crate::fallback::run_planned_into`] calls without further heap
+/// traffic.
 ///
-/// Ownership contract: the *caller* owns the `Workspace` and may share it
-/// across plans and training steps (it grows monotonically to the largest
-/// layout seen); each execution borrows it exclusively through
-/// [`Workspace::ctx`]. The dispatcher entry points
-/// ([`crate::fallback::run_planned`], [`crate::fallback::run_bfc`])
-/// allocate a transient one when the caller doesn't pass any.
+/// Ownership contract: the *owner* — a [`crate::WorkspacePool`] slot, or
+/// the caller of `run_planned_into` — may share it across plans and
+/// training steps (it grows monotonically to the largest layout seen);
+/// each execution borrows it exclusively through [`Workspace::ctx`].
 #[derive(Debug, Default)]
 pub struct Workspace {
     arena: Vec<f32>,

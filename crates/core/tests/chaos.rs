@@ -15,17 +15,21 @@
 //!
 //! The injection registry is process-global, so everything here (and any
 //! test that merely runs concurrently with it) holds
-//! [`winrs_core::faults::serial_guard`].
+//! [`winrs_core::faults::serial_guard`]. This binary runs as its own
+//! process, which is why every test that arms the injector lives here —
+//! the injector's own included — rather than among the library's unit
+//! tests, where engine tests would poll the armed hooks unguarded.
 
 #![cfg(feature = "faults")]
 
 use std::sync::Arc;
 use std::time::Duration;
 use winrs_conv::{direct, ConvShape};
+use winrs_core::engine::TileMode;
 use winrs_core::fallback::{self, Algorithm, FallbackPolicy, NumericGuard};
 use winrs_core::faults::{self, Site};
-use winrs_core::pool::{ExecHandle, PoolConfig, WorkspacePool};
-use winrs_core::{Precision, WinrsError};
+use winrs_core::pool::{BfcJob, ExecHandle, PoolConfig, WorkspacePool};
+use winrs_core::{Precision, WinrsError, Workspace};
 use winrs_gpu_sim::RTX_4090;
 use winrs_tensor::{mare, Tensor4};
 
@@ -380,15 +384,18 @@ fn concurrent_promote_and_retry_shares_the_pool_coherently() {
             .collect()
     });
 
-    // Single-threaded reference for the guard counters.
-    let (dw_ref, report_ref) = fallback::run_bfc(
-        &conv,
-        &RTX_4090,
-        Precision::Fp16,
+    // Single-threaded reference: the guarded executor on the same plan.
+    let plan = pool
+        .cached_plan(&conv, &RTX_4090, Precision::Fp16)
+        .expect("in-envelope");
+    let mut dw_ref = Tensor4::<f32>::zeros([conv.oc, conv.fh, conv.fw, conv.ic]);
+    let report_ref = fallback::run_planned_into(
+        &plan,
         &x,
         &dy,
-        FallbackPolicy::Auto,
         NumericGuard::PromoteAndRetry,
+        &mut Workspace::new(),
+        &mut dw_ref,
     )
     .expect("reference");
     assert!(report_ref.promoted_buckets > 0, "problem must actually overflow");
@@ -408,4 +415,151 @@ fn concurrent_promote_and_retry_shares_the_pool_coherently() {
     assert_eq!(st.leases, THREADS as u64, "{st}");
     assert_eq!(st.poisonings, 0, "{st}");
     assert_pool_clean(&pool);
+}
+
+/// A hot-loop panic inside a coalesced batch: the first job's panic
+/// poisons the shared lease once and that job degrades to GEMM-BFC; the
+/// remaining jobs re-lease and deliver WinRS bit-identical to clean
+/// single runs, and the pool ends clean.
+#[test]
+fn panic_in_a_batch_poisons_the_shared_lease_once() {
+    let _g = faults::serial_guard();
+    let (conv, _, _, _) = problem();
+    let operands: Vec<(Tensor4<f32>, Tensor4<f32>)> = (0..3u64)
+        .map(|i| {
+            (
+                Tensor4::random_uniform([conv.n, conv.ih, conv.iw, conv.ic], 1100 + i, 1.0),
+                Tensor4::random_uniform([conv.n, conv.oh(), conv.ow(), conv.oc], 1200 + i, 1.0),
+            )
+        })
+        .collect();
+    let clean = WorkspacePool::with_slots(1);
+    let singles: Vec<Tensor4<f32>> = operands
+        .iter()
+        .map(|(x, dy)| handle(&clean).run(&conv, x, dy).expect("clean run").0)
+        .collect();
+    let (x0, dy0) = &operands[0];
+    let (gemm0, _) = handle(&clean)
+        .with_policy(FallbackPolicy::Force(Algorithm::GemmBfc))
+        .run(&conv, x0, dy0)
+        .expect("clean reference");
+
+    // The site is a standing condition; disarm it from the panic hook so
+    // exactly the job in flight panics. Every worker that already polled
+    // the armed site panics inside that same job, so one lease is poisoned.
+    std::panic::set_hook(Box::new(|_| {
+        faults::disarm_sites();
+    }));
+    faults::arm_sites([Site::HotLoopPanic]);
+    let pool = WorkspacePool::with_slots(1);
+    let jobs = operands
+        .iter()
+        .map(|(x, dy)| BfcJob::new(x.clone(), dy.clone()))
+        .collect();
+    let results = handle(&pool).run_batch(&conv, jobs);
+    let _ = std::panic::take_hook();
+    assert_eq!(end_campaign(), vec![Site::HotLoopPanic]);
+
+    let mut results = results.into_iter();
+    let (dw, report) = results
+        .next()
+        .expect("three results")
+        .expect("Auto contains the panic");
+    assert_eq!(report.algorithm, Algorithm::GemmBfc);
+    assert!(
+        matches!(
+            report.fallback_reason,
+            Some(WinrsError::ExecutionPanicked { .. })
+        ),
+        "{:?}",
+        report.fallback_reason
+    );
+    assert_eq!(dw, gemm0, "degraded ∇W differs from clean GEMM-BFC");
+    for (result, reference) in results.zip(&singles[1..]) {
+        let (dw, report) = result.expect("later jobs run clean");
+        assert_eq!(report.algorithm, Algorithm::WinRs);
+        assert_eq!(
+            &dw, reference,
+            "re-leased job diverged from its clean single run"
+        );
+    }
+    let st = pool.stats();
+    assert_eq!(
+        (st.poisonings, st.rebuilds, st.degradations),
+        (1, 1, 1),
+        "{st}"
+    );
+    assert_eq!(
+        st.leases, 2,
+        "one lease poisoned, one re-lease for the rest: {st}"
+    );
+    assert_pool_clean(&pool);
+}
+
+#[test]
+fn injector_fires_once_per_armed_segment() {
+    let _g = faults::serial_guard();
+    faults::arm([0, 2]);
+    let mut tile = vec![1.0f32; 4];
+    faults::maybe_inject(0, TileMode::Fp16, &mut tile);
+    assert_eq!(tile[0], 1.0e30);
+    tile[0] = 1.0;
+    // Second poll of the same segment: no further fault.
+    faults::maybe_inject(0, TileMode::Fp16, &mut tile);
+    assert_eq!(tile[0], 1.0);
+    // Unarmed segment: untouched.
+    faults::maybe_inject(1, TileMode::Fp16, &mut tile);
+    assert_eq!(tile[0], 1.0);
+    assert_eq!(faults::fired(), vec![0]);
+    assert_eq!(faults::disarm(), vec![0]);
+}
+
+#[test]
+fn injector_skips_fp32() {
+    let _g = faults::serial_guard();
+    faults::arm([0]);
+    let mut tile = vec![1.0f32; 4];
+    faults::maybe_inject(0, TileMode::Fp32, &mut tile);
+    assert_eq!(tile[0], 1.0, "FP32 has no rounding step to corrupt");
+    assert!(faults::fired().is_empty());
+    faults::disarm();
+}
+
+#[test]
+fn sites_stay_armed_and_record_first_firing() {
+    let _g = faults::serial_guard();
+    faults::arm_sites([Site::PoolSlotExhausted]);
+    assert!(faults::fire_if_armed(Site::PoolSlotExhausted));
+    assert!(
+        faults::fire_if_armed(Site::PoolSlotExhausted),
+        "sites are persistent"
+    );
+    assert!(!faults::fire_if_armed(Site::AllocBudget));
+    assert_eq!(faults::fired_sites(), vec![Site::PoolSlotExhausted]);
+    assert_eq!(faults::disarm_sites(), vec![Site::PoolSlotExhausted]);
+    assert!(!faults::fire_if_armed(Site::PoolSlotExhausted), "disarmed");
+}
+
+#[test]
+fn maybe_panic_raises_only_when_armed() {
+    let _g = faults::serial_guard();
+    faults::disarm_sites();
+    faults::maybe_panic(Site::HotLoopPanic); // disarmed: no panic
+    faults::arm_sites([Site::HotLoopPanic]);
+    let r = std::panic::catch_unwind(|| faults::maybe_panic(Site::HotLoopPanic));
+    assert!(r.is_err(), "armed site must panic");
+    assert_eq!(faults::disarm_sites(), vec![Site::HotLoopPanic]);
+}
+
+#[test]
+fn campaign_arm_disarm_round_trips() {
+    let _g = faults::serial_guard();
+    // Seed 3 maps to a campaign; whatever it is, arming then disarming
+    // must leave the injector inert.
+    let c = faults::campaign(3);
+    c.arm();
+    let (_sites, _segs) = c.disarm();
+    assert!(!faults::fire_if_armed(Site::HotLoopPanic));
+    assert!(!faults::fire_if_armed(Site::PoolSlotExhausted));
+    assert!(faults::fired().is_empty());
 }

@@ -13,15 +13,15 @@
 //! `winrs-core`'s `crate::sync` shim swaps `std::sync` for the model
 //! checker, so [`winrs_core::TimingSink`] and
 //! [`winrs_core::ScratchPool`] are explored through exactly the code
-//! production runs. [`winrs_core::PlanCache`] is externally synchronised
-//! by design (`&mut self` API), so its model wraps it in a `loom` mutex
-//! the way `winrs-nn`'s `Conv2d` wraps it in a real one.
+//! production runs. The per-shape store sits behind the
+//! [`winrs_core::WorkspacePool`]'s tuner lock, so its model drives the
+//! pool's public lookups and the shim's `loom` mutex does the rest.
 
 #![cfg(loom)]
 
-use loom::sync::{Arc, Mutex};
+use loom::sync::Arc;
 use winrs_core::workspace::ScratchPool;
-use winrs_core::{PlanCache, Precision, TimingSink};
+use winrs_core::{PoolConfig, Precision, TimingSink, TunerConfig, WorkspacePool};
 use winrs_gpu_sim::RTX_4090;
 
 use winrs_conv::ConvShape;
@@ -114,15 +114,21 @@ fn scratch_pool_overflow_is_counted_exactly_once() {
     });
 }
 
-/// PlanCache LRU hit/miss/eviction counters under concurrent lookups
-/// through a shared mutex (capacity 1 forces evictions): in every
+/// The per-shape store's LRU hit/miss/eviction counters under concurrent
+/// plan lookups through the pool (capacity 1 forces evictions): in every
 /// interleaving, `hits + misses` equals the number of lookups, every miss
-/// either evicted something or grew the cache (`misses == evictions +
+/// either evicted something or grew the store (`misses == evictions +
 /// len`), and an evicted entry's `Arc` stays usable.
 #[test]
-fn plan_cache_counters_stay_consistent_under_interleaving() {
+fn plan_store_counters_stay_consistent_under_interleaving() {
     loom::model(|| {
-        let cache = Arc::new(Mutex::new(PlanCache::with_capacity(1)));
+        let pool = WorkspacePool::new(PoolConfig {
+            tuner: TunerConfig {
+                capacity: 1,
+                ..TunerConfig::default()
+            },
+            ..PoolConfig::default()
+        });
         let shapes = [
             ConvShape::square(1, 8, 1, 1, 2),
             ConvShape::square(1, 8, 1, 1, 3),
@@ -130,32 +136,36 @@ fn plan_cache_counters_stay_consistent_under_interleaving() {
         let handles: Vec<_> = shapes
             .into_iter()
             .map(|shape| {
-                let cache = Arc::clone(&cache);
+                let pool = std::sync::Arc::clone(&pool);
                 loom::thread::spawn(move || {
+                    let mut last = None;
                     for _ in 0..2 {
-                        let plan = cache
-                            .lock()
-                            .unwrap()
-                            .get(&shape, &RTX_4090, Precision::Fp32)
+                        let plan = pool
+                            .cached_plan(&shape, &RTX_4090, Precision::Fp32)
                             .expect("tiny fp32 plan always builds");
                         // The Arc outlives any eviction by the other thread.
                         assert!(plan.shape().fw >= 2);
+                        last = Some(plan);
                     }
+                    last.expect("two lookups ran")
                 })
             })
             .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        let cache = cache.lock().unwrap();
-        let (hits, misses) = cache.stats();
+        let last: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+        let (hits, misses) = pool.plan_stats();
         assert_eq!(hits + misses, 4, "every lookup is a hit or a miss");
+        // A resident plan is shared by the store and its thread's last
+        // lookup; an evicted one only by the thread.
+        let len = last
+            .iter()
+            .filter(|plan| std::sync::Arc::strong_count(plan) == 2)
+            .count() as u64;
         assert_eq!(
             misses,
-            cache.evictions() + cache.len(),
+            pool.tuner_counters().evictions + len,
             "every miss inserted: still resident or since evicted"
         );
-        assert!(cache.len() <= cache.capacity());
+        assert!(len <= 1, "capacity 1");
     });
 }
 

@@ -36,7 +36,7 @@ use loom::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use winrs_core::pool::{PoolConfig, WorkspacePool};
-use winrs_core::WorkspaceLayout;
+use winrs_core::{TunerConfig, WorkspaceLayout};
 
 fn model_pool() -> Arc<WorkspacePool> {
     WorkspacePool::new(PoolConfig {
@@ -44,7 +44,10 @@ fn model_pool() -> Arc<WorkspacePool> {
         // In-model waits never time out (wall time is not explorable);
         // the bound only has to be non-zero so the wait path is taken.
         max_wait: Duration::from_secs(3600),
-        plan_capacity: 1,
+        tuner: TunerConfig {
+            capacity: 1,
+            ..TunerConfig::default()
+        },
         ..PoolConfig::default()
     })
 }

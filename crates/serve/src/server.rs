@@ -142,7 +142,6 @@ fn algo_code(a: Algorithm) -> u8 {
         Algorithm::GemmBfc => 1,
         Algorithm::FftBfc => 2,
         Algorithm::Direct => 3,
-        Algorithm::StridedDirect => 4,
     }
 }
 

@@ -34,7 +34,7 @@
 #      drift checks, with clickable file:line:col diagnostics; the same
 #      findings are archived as SARIF for review tooling — DESIGN.md §10
 #   9. loom concurrency models: exhaustive interleaving checks of
-#      TimingSink / ScratchPool / PlanCache / the leasing WorkspacePool
+#      TimingSink / ScratchPool / the per-shape plan store / the leasing WorkspacePool
 #      and the serve dispatcher's coalescing queue under `--cfg loom`,
 #      built in a separate target dir so the cfg flag doesn't thrash the
 #      cache
@@ -191,7 +191,7 @@ grep -q 'sarif-2.1.0.json' target/audit.sarif
 grep -q '"version":"2.1.0"' target/audit.sarif
 grep -q '"name":"winrs-audit"' target/audit.sarif
 
-echo "==> loom concurrency models (TimingSink / ScratchPool / PlanCache / WorkspacePool / serve DispatchQueue)"
+echo "==> loom concurrency models (TimingSink / ScratchPool / plan store / WorkspacePool / serve DispatchQueue)"
 # Separate target dir: --cfg loom changes every crate's fingerprint, and
 # sharing target/ would force a full rebuild of the normal profile next run.
 RUSTFLAGS="--cfg loom" CARGO_TARGET_DIR=target/loom \

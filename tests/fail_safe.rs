@@ -1,5 +1,5 @@
-//! Fail-safe acceptance tests (the robustness contract of the fallback
-//! dispatcher):
+//! Fail-safe acceptance tests (the robustness contract of the dispatcher,
+//! `ExecHandle`, and of the guarded plan executor it runs):
 //!
 //! 1. A problem outside the WinRS envelope completes through the GEMM-BFC
 //!    fallback, with a report naming exactly why WinRS did not run.
@@ -15,11 +15,18 @@
 //! test that arms it holds `faults::serial_guard()`.
 
 use winrs::conv::{direct, ConvShape};
-use winrs::core::fallback::{run_bfc, run_planned, Algorithm, FallbackPolicy, NumericGuard};
+use winrs::core::fallback::{run_planned_into, Algorithm, NumericGuard};
 use winrs::core::faults;
-use winrs::core::{Precision, Violation, WinRsPlan, WinrsError};
+use winrs::core::{
+    ExecHandle, Precision, Violation, WinRsPlan, WinrsError, Workspace, WorkspacePool,
+};
 use winrs::gpu::RTX_4090;
 use winrs::tensor::{mare, Tensor4};
+
+/// A private single-slot pool under the default `Auto` policy.
+fn handle(precision: Precision, guard: NumericGuard) -> ExecHandle {
+    ExecHandle::new(WorkspacePool::with_slots(1), RTX_4090, precision).with_guard(guard)
+}
 
 /// Benign random problem: FP32 inputs plus the f64 direct-convolution
 /// reference. Magnitudes ~1, so FP16 never overflows *naturally* — any
@@ -40,16 +47,9 @@ fn unsupported_shape_completes_via_gemm_fallback() {
     let (x, dy, exact) = problem(&conv, 11);
     assert!(WinRsPlan::new(&conv, &RTX_4090, Precision::Fp16).is_err());
 
-    let (dw, report) = run_bfc(
-        &conv,
-        &RTX_4090,
-        Precision::Fp16,
-        &x,
-        &dy,
-        FallbackPolicy::Auto,
-        NumericGuard::Warn,
-    )
-    .expect("auto fallback must deliver");
+    let (dw, report) = handle(Precision::Fp16, NumericGuard::Warn)
+        .run(&conv, &x, &dy)
+        .expect("auto fallback must deliver");
     assert_eq!(report.algorithm, Algorithm::GemmBfc);
     let reason = report.fallback_reason.as_ref().expect("reason recorded");
     assert!(matches!(
@@ -71,16 +71,9 @@ fn injected_overflow_everywhere_promote_retry_restores_fp32_accuracy() {
     // Poison every segment: PromoteAndRetry must re-run every bucket at
     // FP32, so the result carries no FP16 rounding at all.
     faults::arm(0..num_segments);
-    let (dw, report) = run_bfc(
-        &conv,
-        &RTX_4090,
-        Precision::Fp16,
-        &x,
-        &dy,
-        FallbackPolicy::Auto,
-        NumericGuard::PromoteAndRetry,
-    )
-    .expect("guarded WinRS run");
+    let (dw, report) = handle(Precision::Fp16, NumericGuard::PromoteAndRetry)
+        .run(&conv, &x, &dy)
+        .expect("guarded WinRS run");
     let fired = faults::disarm();
 
     assert_eq!(fired.len(), num_segments, "every armed segment must fire");
@@ -102,15 +95,23 @@ fn single_injected_fault_promotes_only_the_poisoned_bucket() {
     let conv = ConvShape::square(2, 16, 4, 4, 3);
     let (x, dy, exact) = problem(&conv, 31);
     // CPU-testable shapes auto-plan to Z = 1 (channels already saturate the
-    // modelled GPU), so force a segmented plan and use the cached-plan
-    // entry point `run_planned` — exactly what a training loop would do.
+    // modelled GPU), so force a segmented plan and run it through the
+    // guarded executor the dispatcher itself uses.
     let plan = WinRsPlan::with_z_hat(&conv, &RTX_4090, Precision::Fp16, 6).expect("in-envelope");
     let segments = &plan.partition().segments;
     assert!(plan.z() > 1, "test needs a multi-bucket plan, got Z = 1");
 
     faults::arm([0usize]);
-    let (dw, report) =
-        run_planned(&plan, &x, &dy, NumericGuard::PromoteAndRetry).expect("guarded WinRS run");
+    let mut dw = Tensor4::<f32>::zeros([conv.oc, conv.fh, conv.fw, conv.ic]);
+    let report = run_planned_into(
+        &plan,
+        &x,
+        &dy,
+        NumericGuard::PromoteAndRetry,
+        &mut Workspace::new(),
+        &mut dw,
+    )
+    .expect("guarded WinRS run");
     let fired = faults::disarm();
 
     assert_eq!(fired, vec![0], "exactly the armed segment fires");
@@ -145,16 +146,9 @@ fn warn_guard_reports_injected_fault_without_repair() {
     let (x, dy, _) = problem(&conv, 41);
 
     faults::arm([0usize]);
-    let (dw, report) = run_bfc(
-        &conv,
-        &RTX_4090,
-        Precision::Fp16,
-        &x,
-        &dy,
-        FallbackPolicy::Auto,
-        NumericGuard::Warn,
-    )
-    .expect("guarded WinRS run");
+    let (dw, report) = handle(Precision::Fp16, NumericGuard::Warn)
+        .run(&conv, &x, &dy)
+        .expect("guarded WinRS run");
     faults::disarm();
 
     assert!(report.saturated > 0);
@@ -182,16 +176,9 @@ fn invalid_shape_is_a_typed_error_listing_every_violation() {
     };
     let x = Tensor4::<f32>::zeros([1, 8, 8, 1]);
     let dy = Tensor4::<f32>::zeros([1, 8, 8, 2]);
-    let err = run_bfc(
-        &conv,
-        &RTX_4090,
-        Precision::Fp32,
-        &x,
-        &dy,
-        FallbackPolicy::Auto,
-        NumericGuard::Warn,
-    )
-    .unwrap_err();
+    let err = handle(Precision::Fp32, NumericGuard::Warn)
+        .run(&conv, &x, &dy)
+        .unwrap_err();
     assert!(matches!(err, WinrsError::InvalidShape(_)));
     assert!(!err.recoverable_by_fallback());
     assert_eq!(err.violations().len(), 3, "{err}");

@@ -116,7 +116,8 @@ fn measured_workspace_peak_is_exactly_z_minus_1_gradw() {
     // §4: "the workspace of WinRS is (Z−1)·|∇W|". Not just the planned
     // figure — the *measured* peak of a real execution must land on the
     // formula exactly, and on the layout the plan publishes.
-    use winrs::core::fallback::{run_planned, NumericGuard};
+    use winrs::core::fallback::{run_planned_into, NumericGuard};
+    use winrs::core::Workspace;
     use winrs::tensor::Tensor4;
     for &(res, f, z_hat) in &[(16usize, 3usize, 4usize), (20, 2, 3), (18, 5, 2)] {
         let conv = ConvShape::square(1, res, 2, 2, f);
@@ -125,7 +126,16 @@ fn measured_workspace_peak_is_exactly_z_minus_1_gradw() {
         assert!(plan.z() > 1, "res={res} f={f}: want a segmented plan");
         let x = Tensor4::<f32>::random_uniform([conv.n, conv.ih, conv.iw, conv.ic], 51, 1.0);
         let dy = Tensor4::<f32>::random_uniform([conv.n, conv.oh(), conv.ow(), conv.oc], 52, 1.0);
-        let (_, report) = run_planned(&plan, &x, &dy, NumericGuard::Ignore).unwrap();
+        let mut dw = Tensor4::<f32>::zeros([conv.oc, conv.fh, conv.fw, conv.ic]);
+        let report = run_planned_into(
+            &plan,
+            &x,
+            &dy,
+            NumericGuard::Ignore,
+            &mut Workspace::new(),
+            &mut dw,
+        )
+        .unwrap();
         let dw_bytes = conv.dw_elems() * 4;
         assert_eq!(
             report.mem.workspace_bytes_peak,

@@ -10,18 +10,18 @@
 //! 3. A torn (half-written) tuning database — injected by the chaos
 //!    harness's `tune-db-torn` site — surfaces as a typed warning and
 //!    dispatch continues from the cost model alone; it never panics.
-//! 4. The fallback layer is a pure Strict/Auto/Force policy filter: the
-//!    substitute it runs under `Auto` is the tuner's best-ranked
-//!    non-WinRS candidate, not a hardcoded choice.
+//! 4. There is one dispatch path: `ExecHandle::run` and
+//!    `ExecHandle::run_batch` run the algorithm the tuner chose — on a
+//!    shape where the model prefers a substitute, and when WinRS is
+//!    rejected (then the tuner's best-ranked non-WinRS candidate).
 //!
 //! The fault injector's state is process-global, so the test that arms it
 //! holds `faults::serial_guard()`.
 
 use winrs::conv::ConvShape;
-use winrs::core::fallback::{run_bfc, FallbackPolicy, NumericGuard};
 use winrs::core::faults;
 use winrs::core::tuner::{self, device_key, AlgoChoice, TuneDbWarning, TunedEntry, Tuner, TunerConfig};
-use winrs::core::Precision;
+use winrs::core::{BfcJob, ExecHandle, Precision, WorkspacePool};
 use winrs::gpu::{RTX_3090, RTX_4090};
 use winrs::tensor::Tensor4;
 use winrs_bench::throughput_dims;
@@ -263,37 +263,49 @@ fn empty_tune_db_warns_once_and_is_repaired_by_next_save() {
 }
 
 #[test]
-fn fallback_layer_is_a_policy_filter_not_an_orderer() {
-    // Source-level: the Auto path derives its substitute from the tuner's
-    // ranked candidate list — fallback.rs holds no ordering of its own.
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/crates/core/src/fallback.rs");
-    let text = std::fs::read_to_string(path).expect("fallback.rs readable");
-    assert!(
-        text.contains("crate::tuner::rank"),
-        "fallback.rs must delegate candidate ordering to the tuner"
-    );
+fn run_and_run_batch_choose_the_same_algorithm() {
+    for (conv, precision) in [
+        // The tuner prefers direct convolution on this wide, shallow f=2
+        // shape although WinRS is viable.
+        (ConvShape::square(2, 32, 4, 4, 2), Precision::Fp32),
+        // F_W = 4 has no FP16 kernel: WinRS is rejected.
+        (ConvShape::square(1, 16, 3, 3, 4), Precision::Fp16),
+    ] {
+        let chosen = Tuner::new(TunerConfig::default())
+            .decide(&conv, &RTX_4090, precision)
+            .chosen;
+        assert_ne!(chosen, AlgoChoice::WinRs, "{conv:?} {precision:?}");
+        let best_sub = tuner::rank(&conv, &RTX_4090, precision)
+            .into_iter()
+            .map(|c| c.algo)
+            .find(|a| *a != AlgoChoice::WinRs)
+            .expect("a substitute always ranks");
+        assert_eq!(
+            chosen, best_sub,
+            "the substitute is the tuner's best-ranked one"
+        );
 
-    // Behavioural: when WinRS is rejected (no FP16 kernel for F_W = 4),
-    // the substitute that actually runs is the tuner's best-ranked
-    // non-WinRS candidate.
-    let conv = ConvShape::square(1, 16, 3, 3, 4);
-    let best_sub = tuner::rank(&conv, &RTX_4090, Precision::Fp16)
-        .into_iter()
-        .map(|c| c.algo)
-        .find(|a| *a != AlgoChoice::WinRs)
-        .expect("a substitute always ranks");
-    let x = Tensor4::<f32>::random_uniform([conv.n, conv.ih, conv.iw, conv.ic], 31, 1.0);
-    let dy = Tensor4::<f32>::random_uniform([conv.n, conv.oh(), conv.ow(), conv.oc], 32, 0.01);
-    let (_, report) = run_bfc(
-        &conv,
-        &RTX_4090,
-        Precision::Fp16,
-        &x,
-        &dy,
-        FallbackPolicy::Auto,
-        NumericGuard::Warn,
-    )
-    .expect("auto delivers");
-    assert_eq!(report.algorithm, best_sub.algorithm());
-    assert_eq!(report.chosen, AlgoChoice::from_algorithm(report.algorithm));
+        let x = Tensor4::<f32>::random_uniform([conv.n, conv.ih, conv.iw, conv.ic], 31, 1.0);
+        let dy = Tensor4::<f32>::random_uniform([conv.n, conv.oh(), conv.ow(), conv.oc], 32, 0.01);
+        let handle = |pool| ExecHandle::new(pool, RTX_4090, precision);
+        let (dw, single) = handle(WorkspacePool::with_slots(1))
+            .run(&conv, &x, &dy)
+            .expect("run delivers");
+        let (dw_batch, batched) = handle(WorkspacePool::with_slots(1))
+            .run_batch(&conv, vec![BfcJob::new(x.clone(), dy.clone())])
+            .pop()
+            .expect("one result per job")
+            .expect("run_batch delivers");
+        assert_eq!(
+            single.algorithm,
+            chosen.algorithm(),
+            "{conv:?} {precision:?}"
+        );
+        assert_eq!(
+            batched.algorithm, single.algorithm,
+            "{conv:?} {precision:?}"
+        );
+        assert_eq!(batched.chosen, single.chosen);
+        assert_eq!(dw_batch, dw, "same algorithm, same bits");
+    }
 }
