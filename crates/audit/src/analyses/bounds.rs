@@ -21,6 +21,12 @@
 //!   contract `len` promises the callee stays inside whatever slice
 //!   length it receives. No contract → finding.
 //!
+//! A call to a *formula fn* — a non-test fn whose whole body is one
+//! arithmetic expression over its parameters and upper-case constants —
+//! resolves to that body with the caller's arguments substituted, so a
+//! region size can be spelled once in a function and still bound the
+//! region it sizes.
+//!
 //! Obligations are proven over polynomials in nonnegative symbolic
 //! atoms. Facts come from `let x = A.min(B);` bindings (upper bounds on
 //! `x`, including derived `x ≤ y` between two min-bindings), `for i in
@@ -28,7 +34,8 @@
 //! guards (all lexically scoped by brace depth), and file-wide
 //! `// BOUNDS: assume x >= c` lower bounds. The prover rewrites lower
 //! bounds exactly, then searches a bounded substitution tree replacing a
-//! variable of a negative monomial with one of its upper bounds.
+//! variable of a negative monomial — or of every negative monomial that
+//! holds it — with one of its upper bounds.
 //!
 //! Anything unresolvable — an extent or index the expression grammar
 //! cannot parse, an unknown method on a tracked buffer — is a finding
@@ -36,7 +43,7 @@
 //! `let mut` scalars are never aliased (mutation would make the
 //! substitution unsound); they stay opaque atoms.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::lex::SourceFile;
 use crate::lints::{push, Finding};
@@ -50,7 +57,7 @@ use crate::parse;
 type Mono = BTreeMap<String, u32>;
 
 /// Sparse polynomial with integer coefficients.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Poly(BTreeMap<Mono, i64>);
 
 impl Poly {
@@ -131,11 +138,27 @@ impl Poly {
 /// bounds, by replacing one variable of a negative monomial with one of
 /// its upper bounds (sound: atoms are nonnegative, so `m ≤ (m/v)·ub`
 /// and the negative coefficient flips the inequality the right way).
+///
+/// The search deepens one step at a time, so a short proof is found
+/// before any branch is explored to the full depth.
 fn prove_nonneg(d: &Poly, ubs: &BTreeMap<String, Vec<Poly>>, depth: usize) -> bool {
+    let mut failed = BTreeSet::new();
+    (0..=depth).any(|limit| prove_memo(d, ubs, limit, &mut failed))
+}
+
+/// [`prove_nonneg`] to exactly `depth`, remembering the
+/// `(polynomial, depth)` states that already failed: substitutions
+/// commute, so the same state is reached along many orders.
+fn prove_memo(
+    d: &Poly,
+    ubs: &BTreeMap<String, Vec<Poly>>,
+    depth: usize,
+    failed: &mut BTreeSet<(Poly, usize)>,
+) -> bool {
     if d.all_nonneg() {
         return true;
     }
-    if depth == 0 {
+    if depth == 0 || failed.contains(&(d.clone(), depth)) {
         return false;
     }
     // Branch over every negative non-constant monomial (a negative
@@ -147,29 +170,52 @@ fn prove_nonneg(d: &Poly, ubs: &BTreeMap<String, Vec<Poly>>, depth: usize) -> bo
         .filter(|(m, c)| **c < 0 && !m.is_empty())
         .map(|(m, c)| (m.clone(), *c))
         .collect();
-    for (mono, coeff) in negs {
+    // `coeff·m` with one factor `var` replaced by `ub`.
+    let step = |mono: &Mono, coeff: i64, var: &str, ub: &Poly| {
+        let mut rest = mono.clone();
+        if let Some(p) = rest.get_mut(var) {
+            if *p == 1 {
+                rest.remove(var);
+            } else {
+                *p -= 1;
+            }
+        }
+        let old = Poly(BTreeMap::from([(mono.clone(), coeff)]));
+        let new = Poly(BTreeMap::from([(rest, 1)])).mul(ub).scale(coeff);
+        new.sub(&old)
+    };
+    // Whole-variable moves first: one bound substituted into every
+    // negative monomial holding the variable at once (a sum of sound
+    // single-monomial steps), so lowering one counter through several
+    // monomials costs one level of the search, not one per monomial.
+    let vars: BTreeSet<&String> = negs.iter().flat_map(|(m, _)| m.keys()).collect();
+    for var in vars {
+        let holders = negs.iter().filter(|(m, _)| m.contains_key(var)).count();
+        let Some(bounds) = ubs.get(var).filter(|_| holders > 1) else {
+            continue;
+        };
+        for ub in bounds {
+            let d2 = negs
+                .iter()
+                .filter(|(m, _)| m.contains_key(var))
+                .fold(d.clone(), |acc, (m, c)| acc.add(&step(m, *c, var, ub)));
+            if prove_memo(&d2, ubs, depth - 1, failed) {
+                return true;
+            }
+        }
+    }
+    for (mono, coeff) in &negs {
         for var in mono.keys() {
             let Some(bounds) = ubs.get(var) else { continue };
-            // m / v
-            let mut rest = mono.clone();
-            if let Some(p) = rest.get_mut(var) {
-                if *p == 1 {
-                    rest.remove(var);
-                } else {
-                    *p -= 1;
-                }
-            }
-            let rest_poly = Poly(BTreeMap::from([(rest, 1)]));
             for ub in bounds {
-                let old = Poly(BTreeMap::from([(mono.clone(), coeff)]));
-                let new = rest_poly.mul(ub).scale(coeff);
-                let d2 = d.sub(&old).add(&new);
-                if prove_nonneg(&d2, ubs, depth - 1) {
+                let d2 = d.add(&step(mono, *coeff, var, ub));
+                if prove_memo(&d2, ubs, depth - 1, failed) {
                     return true;
                 }
             }
         }
     }
+    failed.insert((d.clone(), depth));
     false
 }
 
@@ -293,7 +339,7 @@ fn parse_factor(
 }
 
 // ---------------------------------------------------------------------------
-// Contracts
+// Contracts and formula fns
 // ---------------------------------------------------------------------------
 
 /// One function's bounds contracts.
@@ -307,6 +353,9 @@ pub struct FnContract {
 
 /// All `// BOUNDS(param): expr` contracts in the workspace, by fn name.
 pub type Contracts = BTreeMap<String, FnContract>;
+
+/// Formula fns by name: parameter names and the body expression.
+pub type Formulas = BTreeMap<String, (Vec<String>, String)>;
 
 /// Split `text` on top-level commas (tracking `()`, `[]`, `<>` nesting).
 fn split_args(text: &str) -> Vec<String> {
@@ -333,13 +382,21 @@ fn split_args(text: &str) -> Vec<String> {
 }
 
 /// Extract the parameter names of a fn whose signature starts on
-/// `sig_line` (joining lines until the parameter list closes).
+/// `sig_line` (joining lines until the parameter list closes). The list
+/// opens at the first `(` after the `fn` keyword, past any `pub(crate)`.
 fn fn_params(file: &SourceFile, sig_line: usize) -> Vec<String> {
     let mut text = String::new();
     let mut depth = 0i32;
     let mut started = false;
+    let mut skip = file
+        .lines
+        .get(sig_line)
+        .and_then(|l| l.code.find("fn "))
+        .unwrap_or(0);
     'outer: for l in file.lines.iter().skip(sig_line) {
-        for ch in l.code.chars() {
+        let code = &l.code[skip.min(l.code.len())..];
+        skip = 0;
+        for ch in code.chars() {
             if !started {
                 if ch == '(' {
                     started = true;
@@ -376,14 +433,34 @@ fn fn_params(file: &SourceFile, sig_line: usize) -> Vec<String> {
         .collect()
 }
 
-/// Collect contracts from every file: `// BOUNDS(param): expr` comment
-/// lines in the contiguous comment/attribute block above a fn.
-pub fn collect_contracts(files: &[SourceFile]) -> Contracts {
+/// Collect, in one pass over every file's fns, the contracts — `//
+/// BOUNDS(param): expr` comment lines in the contiguous comment/attribute
+/// block above a fn — and the formula fns. A formula name that is also
+/// defined with a different body, formula or not, is ambiguous — a call
+/// could bind to either — and resolves to nothing.
+pub fn collect_decls(files: &[SourceFile]) -> (Contracts, Formulas) {
     let mut out = Contracts::new();
+    let mut formulas = Formulas::new();
+    let mut ambiguous = BTreeSet::new();
     for file in files {
         for item in parse::functions(file) {
             if item.in_test {
                 continue;
+            }
+            if item.body.is_some() {
+                match formula_of(file, &item) {
+                    Some((params, body)) => match formulas.get(&item.name) {
+                        Some((_, prev)) if *prev != body => {
+                            ambiguous.insert(item.name.clone());
+                        }
+                        _ => {
+                            formulas.insert(item.name.clone(), (params, body));
+                        }
+                    },
+                    None => {
+                        ambiguous.insert(item.name.clone());
+                    }
+                }
             }
             let mut decls: Vec<(String, String)> = Vec::new();
             let mut k = item.sig_line;
@@ -413,6 +490,111 @@ pub fn collect_contracts(files: &[SourceFile]) -> Contracts {
             }
         }
     }
+    formulas.retain(|name, _| !ambiguous.contains(name));
+    (out, formulas)
+}
+
+/// `item`'s parameters and body when it is a *formula fn*: its whole
+/// body is one arithmetic expression over its parameters and upper-case
+/// constants (so at most a few lines long).
+fn formula_of(file: &SourceFile, item: &parse::FnItem) -> Option<(Vec<String>, String)> {
+    let (start, end) = item.body?;
+    if end > start + 3 {
+        return None;
+    }
+    let text: String = file.lines[start..=end]
+        .iter()
+        .map(|l| format!("{} ", l.code))
+        .collect();
+    let (open, close) = (text.find('{')?, text.rfind('}')?);
+    let body = text.get(open + 1..close)?.trim();
+    let params = fn_params(file, item.sig_line);
+    let is_const = |a: &str| {
+        a.chars()
+            .all(|c| c.is_ascii_uppercase() || c.is_ascii_digit() || c == '_')
+    };
+    let mut atoms_ok = |atom: &str| {
+        (params.iter().any(|p| p == atom) || is_const(atom)).then(|| Poly::atom(atom))
+    };
+    parse_expr(body, &mut atoms_ok)?;
+    Some((params, body.to_string()))
+}
+
+// ---------------------------------------------------------------------------
+// Formula-fn expansion
+// ---------------------------------------------------------------------------
+
+/// Inline every formula-fn call in `text` — `f(a, b)` becomes
+/// `(body[p₀ := (a), p₁ := (b)])`, arguments expanded first — so the
+/// arithmetic grammar sees through it. Method calls and paths
+/// (`x.f(`, `m::f(`) are left alone.
+fn expand_formulas(text: &str, formulas: &Formulas, depth: usize) -> String {
+    if formulas.is_empty() || depth == 0 {
+        return text.to_string();
+    }
+    let ident = |c: char| c.is_ascii_alphanumeric() || c == '_';
+    let mut out = String::with_capacity(text.len());
+    let mut rest = text;
+    while let Some(ch) = rest.chars().next() {
+        let boundary = !out.ends_with(|p: char| ident(p) || p == '.' || p == ':');
+        if !(ident(ch) && boundary) {
+            out.push(ch);
+            rest = &rest[ch.len_utf8()..];
+            continue;
+        }
+        let len = rest.find(|c: char| !ident(c)).unwrap_or(rest.len());
+        let (name, after) = rest.split_at(len);
+        let call = formulas.get(name).and_then(|(params, body)| {
+            let (inner, close) = balanced(after, 0, '(', ')').filter(|_| after.starts_with('('))?;
+            let args = split_args(&inner);
+            (args.len() == params.len()).then(|| {
+                let args: Vec<String> = args
+                    .iter()
+                    .map(|a| expand_formulas(a, formulas, depth - 1))
+                    .collect();
+                (substitute(body, params, &args), close)
+            })
+        });
+        match call {
+            Some((expanded, close)) => {
+                out.push('(');
+                out.push_str(&expanded);
+                out.push(')');
+                rest = &after[close + 1..];
+            }
+            None => {
+                out.push_str(name);
+                rest = after;
+            }
+        }
+    }
+    out
+}
+
+/// `body` with each free occurrence of `params[j]` replaced by
+/// `(args[j])`.
+fn substitute(body: &str, params: &[String], args: &[String]) -> String {
+    let ident = |c: char| c.is_ascii_alphanumeric() || c == '_';
+    let mut out = String::with_capacity(body.len());
+    let mut rest = body;
+    while let Some(ch) = rest.chars().next() {
+        if !ident(ch) || out.ends_with(|p: char| ident(p) || p == '.') {
+            out.push(ch);
+            rest = &rest[ch.len_utf8()..];
+            continue;
+        }
+        let len = rest.find(|c: char| !ident(c)).unwrap_or(rest.len());
+        let (name, after) = rest.split_at(len);
+        match params.iter().position(|p| p == name) {
+            Some(j) => {
+                out.push('(');
+                out.push_str(&args[j]);
+                out.push(')');
+            }
+            None => out.push_str(name),
+        }
+        rest = after;
+    }
     out
 }
 
@@ -430,6 +612,8 @@ struct Env {
     ubs: Vec<(usize, String, Poly)>,
     /// File-wide `BOUNDS: assume atom >= c` lower bounds.
     lbs: BTreeMap<String, i64>,
+    /// Workspace formula fns, inlined before parsing.
+    formulas: Formulas,
 }
 
 impl Env {
@@ -451,7 +635,8 @@ impl Env {
     }
 
     fn parse(&self, text: &str) -> Option<Poly> {
-        parse_expr(text, &mut |name| Some(self.resolve(name)))
+        let text = expand_formulas(text, &self.formulas, 4);
+        parse_expr(&text, &mut |name| Some(self.resolve(name)))
     }
 
     fn extent(&self, name: &str) -> Option<&Poly> {
@@ -1156,7 +1341,7 @@ fn collect_assumes(file: &SourceFile) -> BTreeMap<String, i64> {
 /// Run the analysis: contracts come from every file; obligations are
 /// checked in files marked `#![doc = "audit: bounds"]`.
 pub fn run(files: &[SourceFile]) -> Vec<Finding> {
-    let contracts = collect_contracts(files);
+    let (contracts, formulas) = collect_decls(files);
     let mut findings = Vec::new();
     for file in files {
         if !file.has_doc_marker("bounds") {
@@ -1177,6 +1362,7 @@ pub fn run(files: &[SourceFile]) -> Vec<Finding> {
                 file,
                 env: Env {
                     lbs: lbs.clone(),
+                    formulas: formulas.clone(),
                     ..Env::default()
                 },
                 contracts: &contracts,
@@ -1303,11 +1489,62 @@ mod tests {
     #[test]
     fn justifications_and_unresolvables() {
         let f = check(
-            "fn g(x: usize) -> usize { x }\nfn f(scratch: &Pool, n: usize) {\n    scratch.with_slot(n, |buf| {\n        buf[..g(n)].fill(0.0);\n        // clamp above: BOUNDS: g is the identity here\n        buf[..g(n)].fill(0.0);\n    });\n}\n",
+            "fn g(x: usize) -> usize { x.saturating_sub(1) }\nfn f(scratch: &Pool, n: usize) {\n    scratch.with_slot(n, |buf| {\n        buf[..g(n)].fill(0.0);\n        // clamp above: BOUNDS: g(n) never exceeds n\n        buf[..g(n)].fill(0.0);\n    });\n}\n",
         );
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].line, 5);
         assert!(f[0].msg.contains("unresolvable range bound"));
+    }
+
+    #[test]
+    fn formula_fn_calls_resolve_to_their_body() {
+        // The extent is spelled once, in `need`; the split points are
+        // proven against its inlined body. `opaque` is no formula (its
+        // body calls a method), so its extent stays unresolvable.
+        let f = check(
+            "const K: usize = 8;\n\
+             fn need(a: usize, n: usize) -> usize {\n    a * (K * n + n)\n}\n\
+             fn opaque(n: usize) -> usize {\n    n.max(1)\n}\n\
+             fn f(scratch: &Pool, a: usize, n: usize) {\n    \
+                 scratch.with_slot(need(a, n + 1), |buf| {\n        \
+                     let (stage, acc) = buf.split_at_mut(K * a * (n + 1));\n        \
+                     acc[..a * (n + 1)].fill(0.0);\n        \
+                     acc[..a * (n + 2)].fill(0.0);\n    \
+                 });\n    \
+                 scratch.with_slot(opaque(n), |buf| {\n    \
+                 });\n\
+             }\n",
+        );
+        assert_eq!(f.len(), 2, "{f:?}");
+        assert_eq!(f[0].line, 13, "only the over-long acc use fails: {f:?}");
+        assert!(f[1].msg.contains("unresolvable scratch extent"), "{f:?}");
+    }
+
+    #[test]
+    fn staged_slot_slices_prove_and_overruns_do_not() {
+        // The engine's stage: slot `s < k ≤ K` of `w`-wide tiles, with the
+        // `a ≥ 1` rewrite splitting every monomial in two, so the bound on
+        // `s` and then on `k` must each land in two monomials at once.
+        let body = |hi: &str| {
+            format!(
+                "// BOUNDS: assume a >= 1\n\
+                 const K: usize = 8;\n\
+                 fn f(scratch: &Pool, a: usize, w: usize, n: usize, s0: usize) {{\n    \
+                     scratch.with_slot(K * a * w, |stage| {{\n        \
+                         let k = K.min(n - s0);\n        \
+                         for s in 0..k {{\n            \
+                             let t = &mut stage[s * a * w..{hi}];\n        \
+                         }}\n        \
+                         let all = &stage[..k * a * w];\n    \
+                     }});\n\
+                 }}\n"
+            )
+        };
+        let ok = check(&body("(s + 1) * a * w"));
+        assert!(ok.is_empty(), "{ok:?}");
+        let over = check(&body("(s + 2) * a * w"));
+        assert_eq!(over.len(), 1, "{over:?}");
+        assert_eq!(over[0].line, 8, "the slot slice, not the flush slice");
     }
 
     #[test]

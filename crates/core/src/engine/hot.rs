@@ -29,6 +29,23 @@ use winrs_winograd::cook_toom::TransformReal;
 /// paths widen reduced-precision channel runs into.
 pub(super) const MAX_BLOCK: usize = 128;
 
+/// Main-loop iterations whose transformed tiles are staged before one
+/// [`micro::rank_k_batch`] flush folds them into the accumulator. The
+/// accumulator is the block's large tile (α·B_N·B_M: 128 KiB at α = 16
+/// with the FP32 block (64, 32)), so each flush streams it once for
+/// `STAGE` steps instead of once per step; the staged ĝ/d̂ tiles of one
+/// flush at that geometry are 8·16·(64 + 32)·4 B = 48 KiB, one L1d.
+pub(super) const STAGE: usize = 8;
+
+/// Scratch f32 elements one block task carves from its pool slot for
+/// blocks of `bn` output × `bm` input channels: [`STAGE`] ĝ tiles (α·bn
+/// each), [`STAGE`] d̂ tiles (α·bm each), the α·bn·bm accumulator and the
+/// output transform's bm row buffer. The one formula both the block loop
+/// and the slot provisioning (`engine::scratch_slot_elems`) use.
+pub(super) fn block_scratch_elems(alpha: usize, bn: usize, bm: usize) -> usize {
+    alpha * (STAGE * (bn + bm) + bn * bm) + bm
+}
+
 /// Raw-pointer view of the bucket region for a pass's block groups. Each
 /// `(bucket, oc-tile, filter-row)` task owns every index whose bucket
 /// offset, `oc` and `f_h` match its coordinates — distinct buckets occupy
@@ -71,6 +88,7 @@ impl<T> BucketWriter<T> {
 /// Re-round a transformed FP32 tile to the reduced format's grid, counting
 /// values that were finite before rounding but not after (format
 /// overflow). `Fp32` is the identity and never saturates.
+// BOUNDS(buf): len
 #[inline]
 fn round_tile(buf: &mut [f32], mode: TileMode) -> u64 {
     let mut saturated = 0u64;
@@ -169,58 +187,74 @@ pub(super) fn run_block_tile<T: Scalar>(
     let (mut ft_ns, mut it_ns, mut ewmm_ns, mut ot_ns) = (0u64, 0u64, 0u64, 0u64);
 
     let (i_lo, i_hi) = clip_rows(seg.h0, seg.h1, fh, conv.ph, conv.ih);
+    // Main-loop iterations over (∇Y row i, unit u, batch b), b fastest:
+    // the step order every accumulator element sums its products in.
+    let steps = (i_hi - i_lo) * seg.units * conv.n;
 
-    // The block's "SMEM": ĝ, d̂, accumulator and OT row-buffer tiles
-    // carved from the pool slot this worker is pinned to. Slots arrive
-    // dirty — ĝ/d̂ are fully overwritten by the tile loaders, the
-    // accumulator region in use is zero-filled per filter tile below and
-    // the row buffer per row, so nothing stale is ever read.
+    // The block's "SMEM": the ĝ/d̂ stage, accumulator and OT row-buffer
+    // tiles carved from the pool slot this worker is pinned to. Slots
+    // arrive dirty — staged ĝ/d̂ tiles are fully overwritten by the tile
+    // loaders before a flush reads them, the accumulator region in use is
+    // zero-filled per filter tile below and the row buffer per row, so
+    // nothing stale is ever read.
     // BOUNDS: assume t.alpha >= 1
     // (every transform has α = n + r − 1 ≥ 1; the bounds pass needs the
     // lower bound to close the accumulator-plane indexing proof.)
-    scratch.with_slot_at(slot, alpha * (bn_cur + bm_c + bn_cur * bm_c) + bm_c, |buf| {
-        let (ghat, rest) = buf.split_at_mut(alpha * bn_cur);
-        let (dhat, rest) = rest.split_at_mut(alpha * bm_c);
+    scratch.with_slot_at(slot, block_scratch_elems(alpha, bn_cur, bm_c), |buf| {
+        let (gstage, rest) = buf.split_at_mut(STAGE * alpha * bn_cur);
+        let (dstage, rest) = rest.split_at_mut(STAGE * alpha * bm_c);
         let (acc, orow_buf) = rest.split_at_mut(alpha * bn_cur * bm_c);
 
         let mut ic0 = 0;
         while ic0 < conv.ic {
             let bm_cur = bm.min(conv.ic - ic0);
+            // The d̂ stage at this ic tile's width: slot `s` holds
+            // α·bm_cur elements, packed as `rank_k_batch` reads them.
+            let dstage = &mut dstage[..STAGE * alpha * bm_cur];
             for ftw in 0..fw_tiles {
                 let fw0 = ftw * n_out;
                 acc[..alpha * bn_cur * bm_cur].fill(0.0);
 
-                for i in i_lo..i_hi {
-                    let x_row = (fh + i) as isize - conv.ph as isize;
-                    for u in 0..seg.units {
+                let mut step0 = 0;
+                while step0 < steps {
+                    // Stage up to STAGE consecutive steps' transformed
+                    // tiles, slot `s` holding step `step0 + s`.
+                    let k = STAGE.min(steps - step0);
+                    let mut lap = Lap::start(timing.is_some());
+                    for s in 0..k {
+                        let step = step0 + s;
+                        let b = step % conv.n;
+                        let u = step / conv.n % seg.units;
+                        let i = i_lo + step / (conv.n * seg.units);
+                        let x_row = (fh + i) as isize - conv.ph as isize;
                         let col0 = seg.w0 + u * r;
                         let x_col0 = (fw0 + col0) as isize - conv.pw as isize;
-                        for b in 0..conv.n {
-                            let mut lap = Lap::start(timing.is_some());
-                            // Filter transform: ghat[β][oc] = Σ_t G[β][t]·∇Y.
-                            load_filter_tile(dy, t, b, i, col0, oc0, bn_cur, ghat);
-                            #[cfg(feature = "faults")]
-                            crate::faults::maybe_inject(seg_idx, mode, ghat);
-                            #[cfg(feature = "faults")]
-                            crate::faults::maybe_panic(crate::faults::Site::HotLoopPanic);
-                            saturated += round_tile(&mut ghat[..alpha * bn_cur], mode);
-                            lap.lap(&mut ft_ns);
-                            // Input transform: dhat[β][ic] = Σ_s Dᵀ[β][s]·X.
-                            load_input_tile(x, t, b, x_row, x_col0, ic0, bm_cur, dhat);
-                            saturated += round_tile(&mut dhat[..alpha * bm_cur], mode);
-                            lap.lap(&mut it_ns);
-                            // α-batched outer-product accumulation through
-                            // the shared register-blocked micro-kernel —
-                            // all α planes in one dispatched call.
-                            micro::rank1_batch(
-                                &mut acc[..alpha * bn_cur * bm_cur],
-                                &ghat[..alpha * bn_cur],
-                                &dhat[..alpha * bm_cur],
-                                alpha,
-                            );
-                            lap.lap(&mut ewmm_ns);
-                        }
+                        // Filter transform: ghat[β][oc] = Σ_t G[β][t]·∇Y.
+                        let ghat = &mut gstage[s * alpha * bn_cur..(s + 1) * alpha * bn_cur];
+                        load_filter_tile(dy, t, b, i, col0, oc0, bn_cur, ghat);
+                        #[cfg(feature = "faults")]
+                        crate::faults::maybe_inject(seg_idx, mode, ghat);
+                        #[cfg(feature = "faults")]
+                        crate::faults::maybe_panic(crate::faults::Site::HotLoopPanic);
+                        saturated += round_tile(ghat, mode);
+                        lap.lap(&mut ft_ns);
+                        // Input transform: dhat[β][ic] = Σ_s Dᵀ[β][s]·X.
+                        let dhat = &mut dstage[s * alpha * bm_cur..(s + 1) * alpha * bm_cur];
+                        load_input_tile(x, t, b, x_row, x_col0, ic0, bm_cur, dhat);
+                        saturated += round_tile(dhat, mode);
+                        lap.lap(&mut it_ns);
                     }
+                    // α-batched outer products of all k staged steps in
+                    // one register-tiled pass over the accumulator.
+                    micro::rank_k_batch(
+                        &mut acc[..alpha * bn_cur * bm_cur],
+                        &gstage[..k * alpha * bn_cur],
+                        &dstage[..k * alpha * bm_cur],
+                        alpha,
+                        k,
+                    );
+                    lap.lap(&mut ewmm_ns);
+                    step0 += k;
                 }
 
                 // Output transform Aᵀ and bucket accumulation (the

@@ -47,7 +47,7 @@ use crate::error::{Violation, WinrsError};
 use crate::metrics::TimingSink;
 use crate::partition::{Partition, Segment};
 use crate::workspace::ScratchPool;
-use hot::{run_block_tile, BucketWriter};
+use hot::{block_scratch_elems, run_block_tile, BucketWriter};
 use std::sync::atomic::{AtomicU64, Ordering};
 use winrs_gemm::micro::{self, SimdWidth};
 use winrs_conv::ConvShape;
@@ -207,16 +207,14 @@ pub fn cache_block(mode: TileMode, alpha: usize) -> (usize, usize) {
     }
 }
 
-/// Scratch f32 elements one block task of `kernel` needs: the `ĝ`
-/// (α·B_N), `d̂` (α·B_M) and accumulator (α·B_N·B_M) tiles plus the output
-/// transform's row buffer (B_M), with the block dims clamped to the
-/// problem's channel counts.
+/// Scratch f32 elements one block task of `kernel` needs: the staged `ĝ`
+/// (`STAGE`·α·B_N) and `d̂` (`STAGE`·α·B_M) tiles, the accumulator
+/// (α·B_N·B_M) and the output transform's row buffer (B_M), with the
+/// block dims clamped to the problem's channel counts.
 pub fn scratch_slot_elems(conv: &ConvShape, kernel: KernelId, mode: TileMode) -> usize {
     let alpha = kernel.alpha();
     let (bn, bm) = cache_block(mode, alpha);
-    let bn_c = bn.min(conv.oc);
-    let bm_c = bm.min(conv.ic);
-    alpha * (bn_c + bm_c + bn_c * bm_c) + bm_c
+    block_scratch_elems(alpha, bn.min(conv.oc), bm.min(conv.ic))
 }
 
 /// Largest block-column scratch requirement over every segment of
@@ -741,6 +739,56 @@ mod tests {
         } else {
             assert_eq!(sink.blocks(), 0, "metrics off: sink must stay silent");
         }
+    }
+
+    /// The block loop's scratch request and the plan's slot size come from
+    /// one formula; were they to diverge, `ScratchPool::with_slot_at` would
+    /// silently heap-allocate every block. Every kernel α at both
+    /// precisions, with channel counts below, at and past each cache block.
+    #[test]
+    fn plan_runs_never_overflow_their_scratch_slot() {
+        use crate::fallback::{run_planned_into, NumericGuard};
+        use crate::{WinRsPlan, Workspace};
+        use std::collections::BTreeSet;
+        use winrs_gpu_sim::RTX_4090;
+
+        // (filter size, map size) picks the kernel pair; see the α sets
+        // asserted below.
+        let cases = [
+            (2usize, 6usize, Precision::Fp32), // Ω2(1,2) + Ω4(2,3)
+            (3, 12, Precision::Fp32),          // Ω8(3,6)
+            (5, 12, Precision::Fp32),          // Ω16(5,12)
+            (3, 8, Precision::Fp16),           // Ω8(3,6) + Ω4(3,2)
+            (9, 13, Precision::Fp16),          // Ω16(9,8)
+        ];
+        let chans = [1usize, 5, 37, 70, 130];
+        let (mut fp32_alphas, mut fp16_alphas) = (BTreeSet::new(), BTreeSet::new());
+        for (f, res, precision) in cases {
+            for (ci, &ic) in chans.iter().enumerate() {
+                let oc = chans[(ci + 2) % chans.len()];
+                let conv = ConvShape::new(1, res, res, ic, oc, f, f, f / 2, f / 2);
+                let plan = WinRsPlan::new(&conv, &RTX_4090, precision).expect("in-envelope shape");
+                let seen = match precision {
+                    Precision::Fp32 => &mut fp32_alphas,
+                    _ => &mut fp16_alphas,
+                };
+                seen.extend(plan.partition().segments.iter().map(|s| s.kernel.alpha()));
+                let x = Tensor4::<f32>::random_uniform([1, res, res, ic], 31, 1.0);
+                let dy = Tensor4::<f32>::random_uniform([1, conv.oh(), conv.ow(), oc], 32, 1.0);
+                let mut dw = Tensor4::<f32>::zeros([oc, f, f, ic]);
+                let mut ws = Workspace::new();
+                let report =
+                    run_planned_into(&plan, &x, &dy, NumericGuard::Ignore, &mut ws, &mut dw)
+                        .expect("valid arguments");
+                assert_eq!(
+                    report.mem.hot_loop_allocs, 0,
+                    "{precision:?} f={f} ic={ic} oc={oc}: scratch slot overflowed"
+                );
+            }
+        }
+        assert_eq!(fp32_alphas, BTreeSet::from([2, 4, 8, 16]));
+        // No FP16 port of the α = 2 kernel exists.
+        assert_eq!(fp16_alphas, BTreeSet::from([4, 8, 16]));
     }
 
     #[test]

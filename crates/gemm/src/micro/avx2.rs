@@ -74,63 +74,158 @@ pub unsafe fn gather_axpy(dst: &mut [f32], coeffs: &[f32], src: &[f32], sstride:
     }
 }
 
-/// α-batched rank-1 accumulation (see the safe wrapper).
+/// Staged α-batched EWMM (see the safe wrapper `super::rank_k_batch`):
+/// each β plane is walked in `R × 16`-lane register tiles (`R ≤ MR`, two
+/// 256-bit vectors per row); a column whose lanes do not fill whole
+/// vectors runs under `maskload`/`maskstore` masks.
 ///
 /// # Safety
-/// Caller must have verified `avx2` and `fma` at runtime.
+/// Caller must have verified `avx2` and `fma` at runtime, and
+/// `acc ≥ α·bn·bm`, `g ≥ k·α·bn`, `d ≥ k·α·bm` elements.
 #[target_feature(enable = "avx2", enable = "fma")]
-pub unsafe fn rank1_batch(
+pub unsafe fn rank_k_batch(
     acc: &mut [f32],
     g: &[f32],
     d: &[f32],
     alpha: usize,
+    k: usize,
     bn: usize,
     bm: usize,
 ) {
+    let steps = Steps {
+        g: alpha * bn,
+        d: alpha * bm,
+        k,
+        ldc: bm,
+    };
     for beta in 0..alpha {
-        rank1(
-            acc.get_unchecked_mut(beta * bn * bm..(beta + 1) * bn * bm),
-            g.get_unchecked(beta * bn..(beta + 1) * bn),
-            d.get_unchecked(beta * bm..(beta + 1) * bm),
-        );
+        let plane = acc.as_mut_ptr().add(beta * bn * bm);
+        let (gb, db) = (g.as_ptr().add(beta * bn), d.as_ptr().add(beta * bm));
+        let mut j = 0;
+        while j < bm {
+            let left = bm - j;
+            let at = (plane.add(j), gb, db.add(j));
+            let full = lane_mask(LANES);
+            if left >= 2 * LANES {
+                column::<2, false>(at, bn, steps, [full; 2]);
+            } else if left > LANES {
+                column::<2, true>(at, bn, steps, [full, lane_mask(left - LANES)]);
+            } else if left == LANES {
+                column::<1, false>(at, bn, steps, [full]);
+            } else {
+                column::<1, true>(at, bn, steps, [lane_mask(left)]);
+            }
+            j += left.min(2 * LANES);
+        }
     }
 }
 
-/// Two-row register blocking: each `d̂` vector is loaded once and used
-/// against a pair of `ĝ` broadcasts.
+/// Step strides of one `rank_k_batch` call (this body's and the AVX-512
+/// one's): consecutive steps' `ĝ` and `d̂` rows sit `g` and `d` elements
+/// apart, there are `k` of them, and accumulator rows sit `ldc` elements
+/// apart.
+#[derive(Clone, Copy)]
+pub(super) struct Steps {
+    pub(super) g: usize,
+    pub(super) d: usize,
+    pub(super) k: usize,
+    pub(super) ldc: usize,
+}
+
+/// `maskload`/`maskstore` mask of the low `n` of 8 lanes.
+#[inline]
+#[target_feature(enable = "avx2", enable = "fma")]
+fn lane_mask(n: usize) -> __m256i {
+    let live = _mm256_set1_epi32(n.min(LANES) as i32);
+    _mm256_cmpgt_epi32(live, _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7))
+}
+
+/// Every row of one `8·V`-lane column of a plane: full `MR`-row tiles,
+/// then the 1–3 row tail.
 ///
 /// # Safety
-/// Caller must have verified `avx2` and `fma` at runtime.
+/// As [`tile`], for `rows` rows from `at`.
+#[inline]
 #[target_feature(enable = "avx2", enable = "fma")]
-pub unsafe fn rank1(acc: &mut [f32], g: &[f32], d: &[f32]) {
-    let bm = d.len();
-    let ap = acc.as_mut_ptr();
-    let dp = d.as_ptr();
+unsafe fn column<const V: usize, const MASKED: bool>(
+    at: (*mut f32, *const f32, *const f32),
+    rows: usize,
+    steps: Steps,
+    masks: [__m256i; V],
+) {
+    let (c, g, d) = at;
     let mut oi = 0;
-    while oi + 2 <= g.len() {
-        let g0 = _mm256_set1_ps(*g.get_unchecked(oi));
-        let g1 = _mm256_set1_ps(*g.get_unchecked(oi + 1));
-        let r0 = ap.add(oi * bm);
-        let r1 = ap.add((oi + 1) * bm);
-        let mut j = 0;
-        while j + LANES <= bm {
-            let dv = _mm256_loadu_ps(dp.add(j));
-            let s0 = _mm256_add_ps(_mm256_loadu_ps(r0.add(j)), _mm256_mul_ps(g0, dv));
-            let s1 = _mm256_add_ps(_mm256_loadu_ps(r1.add(j)), _mm256_mul_ps(g1, dv));
-            _mm256_storeu_ps(r0.add(j), s0);
-            _mm256_storeu_ps(r1.add(j), s1);
-            j += LANES;
-        }
-        while j < bm {
-            let dv = *dp.add(j);
-            *r0.add(j) += *g.get_unchecked(oi) * dv;
-            *r1.add(j) += *g.get_unchecked(oi + 1) * dv;
-            j += 1;
-        }
-        oi += 2;
+    while oi + MR <= rows {
+        tile::<MR, V, MASKED>((c.add(oi * steps.ldc), g.add(oi), d), steps, masks);
+        oi += MR;
     }
-    if oi < g.len() {
-        axpy(&mut acc[oi * bm..(oi + 1) * bm], *g.get_unchecked(oi), d);
+    let tail = (c.add(oi * steps.ldc), g.add(oi), d);
+    match rows - oi {
+        3 => tile::<3, V, MASKED>(tail, steps, masks),
+        2 => tile::<2, V, MASKED>(tail, steps, masks),
+        1 => tile::<1, V, MASKED>(tail, steps, masks),
+        _ => {}
+    }
+}
+
+/// One `R × 8·V` tile: load the accumulator rows once, fold every step's
+/// `ĝ` broadcast × `d̂` vector in with mul + add in step order, store once.
+/// With `MASKED`, lanes outside `masks` are neither read nor written;
+/// without it every lane is live and plain loads/stores run.
+///
+/// # Safety
+/// `avx2` verified at runtime; `at = (c, g, d)` points at the tile's
+/// accumulator origin (rows `steps.ldc` apart), its first `ĝ` row entry
+/// and its first `d̂` lane, and every live element of `R` accumulator
+/// rows, `R` `ĝ` entries and `8·V` `d̂` lanes is in bounds for all
+/// `steps.k` steps.
+#[inline]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn tile<const R: usize, const V: usize, const MASKED: bool>(
+    at: (*mut f32, *const f32, *const f32),
+    steps: Steps,
+    masks: [__m256i; V],
+) {
+    let (c, g, d) = at;
+    let ldc = steps.ldc;
+    let mut t = [[_mm256_setzero_ps(); V]; R];
+    for (r, row) in t.iter_mut().enumerate() {
+        for (v, lane) in row.iter_mut().enumerate() {
+            let p = c.add(r * ldc + v * LANES);
+            *lane = if MASKED {
+                _mm256_maskload_ps(p, masks[v])
+            } else {
+                _mm256_loadu_ps(p)
+            };
+        }
+    }
+    for s in 0..steps.k {
+        let (gs, ds) = (g.add(s * steps.g), d.add(s * steps.d));
+        let mut dv = [_mm256_setzero_ps(); V];
+        for (v, lane) in dv.iter_mut().enumerate() {
+            let p = ds.add(v * LANES);
+            *lane = if MASKED {
+                _mm256_maskload_ps(p, masks[v])
+            } else {
+                _mm256_loadu_ps(p)
+            };
+        }
+        for (r, row) in t.iter_mut().enumerate() {
+            let gv = _mm256_set1_ps(*gs.add(r));
+            for (lane, &dl) in row.iter_mut().zip(&dv) {
+                *lane = _mm256_add_ps(*lane, _mm256_mul_ps(gv, dl));
+            }
+        }
+    }
+    for (r, row) in t.iter().enumerate() {
+        for (v, &lane) in row.iter().enumerate() {
+            let p = c.add(r * ldc + v * LANES);
+            if MASKED {
+                _mm256_maskstore_ps(p, masks[v], lane);
+            } else {
+                _mm256_storeu_ps(p, lane);
+            }
+        }
     }
 }
 

@@ -9,7 +9,8 @@
 //! full set.
 #![doc = "audit: no-alloc"]
 
-use super::NR;
+use super::avx2::Steps;
+use super::{MR, NR};
 use std::arch::x86_64::*;
 
 /// f32 lanes per 512-bit register.
@@ -96,73 +97,129 @@ pub unsafe fn gather_axpy(dst: &mut [f32], coeffs: &[f32], src: &[f32], sstride:
     }
 }
 
-/// α-batched rank-1 accumulation (see the safe wrapper).
+/// Staged α-batched EWMM (see the safe wrapper `super::rank_k_batch`):
+/// each β plane is walked in `R × 32`-lane register tiles (`R ≤ MR`, two
+/// 512-bit vectors per row); a lane tail narrower than a vector runs the
+/// same tile under a load/store mask, so no element leaves the vector
+/// path.
 ///
 /// # Safety
-/// Caller must have verified `avx512f`, `avx2` and `fma` at runtime.
+/// Caller must have verified `avx512f`, `avx2` and `fma` at runtime, and
+/// `acc ≥ α·bn·bm`, `g ≥ k·α·bn`, `d ≥ k·α·bm` elements.
 #[target_feature(enable = "avx512f", enable = "avx2", enable = "fma")]
-pub unsafe fn rank1_batch(
+pub unsafe fn rank_k_batch(
     acc: &mut [f32],
     g: &[f32],
     d: &[f32],
     alpha: usize,
+    k: usize,
     bn: usize,
     bm: usize,
 ) {
+    let steps = Steps {
+        g: alpha * bn,
+        d: alpha * bm,
+        k,
+        ldc: bm,
+    };
     for beta in 0..alpha {
-        rank1(
-            acc.get_unchecked_mut(beta * bn * bm..(beta + 1) * bn * bm),
-            g.get_unchecked(beta * bn..(beta + 1) * bn),
-            d.get_unchecked(beta * bm..(beta + 1) * bm),
-        );
+        let plane = acc.as_mut_ptr().add(beta * bn * bm);
+        let (gb, db) = (g.as_ptr().add(beta * bn), d.as_ptr().add(beta * bm));
+        let mut j = 0;
+        while j < bm {
+            let left = bm - j;
+            let at = (plane.add(j), gb, db.add(j));
+            if left > LANES16 {
+                let masks = [lane_mask(LANES16), lane_mask(left - LANES16)];
+                column::<2>(at, bn, steps, masks);
+            } else {
+                column::<1>(at, bn, steps, [lane_mask(left)]);
+            }
+            j += left.min(2 * LANES16);
+        }
     }
 }
 
-/// Two-row register blocking over 512-bit vectors: each `d̂` vector is
-/// loaded once and used against a pair of `ĝ` broadcasts.
+/// Mask of the low `n` of 16 lanes (`n ≥ 16` → all of them).
+#[inline]
+fn lane_mask(n: usize) -> __mmask16 {
+    if n >= LANES16 {
+        0xFFFF
+    } else {
+        (1u16 << n) - 1
+    }
+}
+
+/// Every row of one `16·V`-lane column of a plane: full `MR`-row tiles,
+/// then the 1–3 row tail.
 ///
 /// # Safety
-/// Caller must have verified `avx512f`, `avx2` and `fma` at runtime.
+/// As [`tile`], for `rows` rows from `at`.
+#[inline]
 #[target_feature(enable = "avx512f", enable = "avx2", enable = "fma")]
-pub unsafe fn rank1(acc: &mut [f32], g: &[f32], d: &[f32]) {
-    let bm = d.len();
-    let ap = acc.as_mut_ptr();
-    let dp = d.as_ptr();
+unsafe fn column<const V: usize>(
+    at: (*mut f32, *const f32, *const f32),
+    rows: usize,
+    steps: Steps,
+    masks: [__mmask16; V],
+) {
+    let (c, g, d) = at;
     let mut oi = 0;
-    while oi + 2 <= g.len() {
-        let g0 = _mm512_set1_ps(*g.get_unchecked(oi));
-        let g1 = _mm512_set1_ps(*g.get_unchecked(oi + 1));
-        let r0 = ap.add(oi * bm);
-        let r1 = ap.add((oi + 1) * bm);
-        let mut j = 0;
-        while j + LANES16 <= bm {
-            let dv = _mm512_loadu_ps(dp.add(j));
-            let s0 = _mm512_add_ps(_mm512_loadu_ps(r0.add(j)), _mm512_mul_ps(g0, dv));
-            let s1 = _mm512_add_ps(_mm512_loadu_ps(r1.add(j)), _mm512_mul_ps(g1, dv));
-            _mm512_storeu_ps(r0.add(j), s0);
-            _mm512_storeu_ps(r1.add(j), s1);
-            j += LANES16;
-        }
-        if j + LANES8 <= bm {
-            let g0v = _mm256_set1_ps(*g.get_unchecked(oi));
-            let g1v = _mm256_set1_ps(*g.get_unchecked(oi + 1));
-            let dv = _mm256_loadu_ps(dp.add(j));
-            let s0 = _mm256_add_ps(_mm256_loadu_ps(r0.add(j)), _mm256_mul_ps(g0v, dv));
-            let s1 = _mm256_add_ps(_mm256_loadu_ps(r1.add(j)), _mm256_mul_ps(g1v, dv));
-            _mm256_storeu_ps(r0.add(j), s0);
-            _mm256_storeu_ps(r1.add(j), s1);
-            j += LANES8;
-        }
-        while j < bm {
-            let dv = *dp.add(j);
-            *r0.add(j) += *g.get_unchecked(oi) * dv;
-            *r1.add(j) += *g.get_unchecked(oi + 1) * dv;
-            j += 1;
-        }
-        oi += 2;
+    while oi + MR <= rows {
+        tile::<MR, V>((c.add(oi * steps.ldc), g.add(oi), d), steps, masks);
+        oi += MR;
     }
-    if oi < g.len() {
-        axpy(&mut acc[oi * bm..(oi + 1) * bm], *g.get_unchecked(oi), d);
+    let tail = (c.add(oi * steps.ldc), g.add(oi), d);
+    match rows - oi {
+        3 => tile::<3, V>(tail, steps, masks),
+        2 => tile::<2, V>(tail, steps, masks),
+        1 => tile::<1, V>(tail, steps, masks),
+        _ => {}
+    }
+}
+
+/// One `R × 16·V` tile: load the accumulator rows once, fold every step's
+/// `ĝ` broadcast × `d̂` vector in with mul + add in step order, store once.
+/// Lanes outside `masks` are neither read nor written.
+///
+/// # Safety
+/// `avx512f` verified at runtime; `at = (c, g, d)` points at the tile's
+/// accumulator origin (rows `steps.ldc` apart), its first `ĝ` row entry
+/// and its first `d̂` lane, and every masked-in element of `R`
+/// accumulator rows, `R` `ĝ` entries and `16·V` `d̂` lanes is in bounds
+/// for all `steps.k` steps.
+#[inline]
+#[target_feature(enable = "avx512f", enable = "avx2", enable = "fma")]
+unsafe fn tile<const R: usize, const V: usize>(
+    at: (*mut f32, *const f32, *const f32),
+    steps: Steps,
+    masks: [__mmask16; V],
+) {
+    let (c, g, d) = at;
+    let ldc = steps.ldc;
+    let mut t = [[_mm512_setzero_ps(); V]; R];
+    for (r, row) in t.iter_mut().enumerate() {
+        for (v, lane) in row.iter_mut().enumerate() {
+            *lane = _mm512_maskz_loadu_ps(masks[v], c.add(r * ldc + v * LANES16));
+        }
+    }
+    for s in 0..steps.k {
+        let (gs, ds) = (g.add(s * steps.g), d.add(s * steps.d));
+        let mut dv = [_mm512_setzero_ps(); V];
+        for (v, lane) in dv.iter_mut().enumerate() {
+            *lane = _mm512_maskz_loadu_ps(masks[v], ds.add(v * LANES16));
+        }
+        for (r, row) in t.iter_mut().enumerate() {
+            let gv = _mm512_set1_ps(*gs.add(r));
+            for (lane, &dl) in row.iter_mut().zip(&dv) {
+                *lane = _mm512_add_ps(*lane, _mm512_mul_ps(gv, dl));
+            }
+        }
+    }
+    for (r, row) in t.iter().enumerate() {
+        for (v, &lane) in row.iter().enumerate() {
+            _mm512_mask_storeu_ps(c.add(r * ldc + v * LANES16), masks[v], lane);
+        }
     }
 }
 

@@ -330,30 +330,6 @@ pub fn add_assign(dst: &mut [f32], x: &[f32]) {
     add_assign_scalar(dst, &x[..n]);
 }
 
-/// Rank-1 accumulation `acc[oi][..] += g[oi] · d[..]` — the α-batched EWMM
-/// outer product for one β. `acc` is row-major `g.len() × d.len()`.
-#[inline]
-pub fn rank1_accumulate(acc: &mut [f32], g: &[f32], d: &[f32]) {
-    let bm = d.len();
-    debug_assert!(acc.len() >= g.len() * bm, "rank1: acc too short");
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    match active_width() {
-        // SAFETY: avx512f+avx2+fma verified at runtime (`avx512_ready`).
-        SimdWidth::Avx512 => return unsafe { avx512::rank1(acc, g, d) },
-        // SAFETY: avx2+fma verified at runtime (`avx2_ready`).
-        SimdWidth::Avx2 => return unsafe { avx2::rank1(acc, g, d) },
-        _ => {}
-    }
-    #[cfg(all(feature = "simd", target_arch = "aarch64"))]
-    if active_width() == SimdWidth::Neon {
-        // SAFETY: neon verified at runtime (`neon_ready`).
-        return unsafe { neon::rank1(acc, g, d) };
-    }
-    for (oi, &gv) in g.iter().enumerate() {
-        axpy_scalar(&mut acc[oi * bm..(oi + 1) * bm], gv, d);
-    }
-}
-
 /// Batched transform AXPY: `dst` is `k` consecutive chunks of width
 /// `src.len()`, and chunk `j` accumulates `coeffs[j·cstride] · src`. One
 /// call covers a whole transform column — the β loop lives inside the
@@ -461,59 +437,100 @@ fn gather_axpy_w<const W: usize>(dst: &mut [f32], coeffs: &[f32], src: &[f32], s
     }
 }
 
-/// α-batched EWMM: for every β, `acc[β] += ĝ[β] ⊗ d̂[β]` where `acc` holds
-/// α row-major `bn × bm` planes, `g` α rows of `bn` and `d` α rows of `bm`.
-/// The whole per-tile outer-product batch is one call — dispatch checked
-/// once, bodies inlined.
+/// Staged α-batched EWMM: `k` successive outer-product steps folded into
+/// one pass over the accumulator. `acc` holds α row-major `bn × bm`
+/// planes; `g` is `k × α × bn` and `d` is `k × α × bm` (step-major, the
+/// layout the engine's tile loaders write), and for every β and step `s`
+/// in order, `acc[β] += ĝ[s][β] ⊗ d̂[s][β]`.
+///
+/// Every body walks each plane in register tiles (4 rows × 32 lanes on
+/// AVX-512, 4 × 16 on AVX2, 4 × [`LANES`] in the portable body): a tile
+/// is loaded once, takes all `k` steps as mul + add in step order, and is
+/// stored once. Each element therefore sees exactly the operation
+/// sequence of `k` separate `k = 1` calls — same bits, at `1/k` of the
+/// accumulator traffic.
 #[inline]
-pub fn rank1_batch(acc: &mut [f32], g: &[f32], d: &[f32], alpha: usize) {
-    debug_assert!(alpha > 0 && g.len().is_multiple_of(alpha) && d.len().is_multiple_of(alpha));
-    let bn = g.len() / alpha;
-    let bm = d.len() / alpha;
-    debug_assert!(acc.len() >= alpha * bn * bm, "rank1_batch: acc too short");
+pub fn rank_k_batch(acc: &mut [f32], g: &[f32], d: &[f32], alpha: usize, k: usize) {
+    let steps = alpha * k;
+    if steps == 0 {
+        return;
+    }
+    debug_assert!(g.len().is_multiple_of(steps) && d.len().is_multiple_of(steps));
+    let bn = g.len() / steps;
+    let bm = d.len() / steps;
+    assert!(acc.len() >= alpha * bn * bm, "rank_k_batch: acc too short");
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
     match active_width() {
-        // SAFETY: avx512f+avx2+fma verified at runtime (`avx512_ready`).
-        SimdWidth::Avx512 => return unsafe { avx512::rank1_batch(acc, g, d, alpha, bn, bm) },
-        // SAFETY: avx2+fma verified at runtime (`avx2_ready`).
-        SimdWidth::Avx2 => return unsafe { avx2::rank1_batch(acc, g, d, alpha, bn, bm) },
+        // SAFETY: avx512f+avx2+fma verified at runtime (`avx512_ready`);
+        // the slice lengths the body reads and writes are checked above.
+        SimdWidth::Avx512 => return unsafe { avx512::rank_k_batch(acc, g, d, alpha, k, bn, bm) },
+        // SAFETY: avx2+fma verified at runtime (`avx2_ready`); slice
+        // lengths checked above.
+        SimdWidth::Avx2 => return unsafe { avx2::rank_k_batch(acc, g, d, alpha, k, bn, bm) },
         _ => {}
     }
-    #[cfg(all(feature = "simd", target_arch = "aarch64"))]
-    if active_width() == SimdWidth::Neon {
-        // SAFETY: neon verified at runtime (`neon_ready`).
-        return unsafe { neon::rank1_batch(acc, g, d, alpha, bn, bm) };
-    }
-    match bm {
-        2 => rank1_batch_w::<2>(acc, g, d, alpha, bn),
-        4 => rank1_batch_w::<4>(acc, g, d, alpha, bn),
-        8 => rank1_batch_w::<8>(acc, g, d, alpha, bn),
-        16 => rank1_batch_w::<16>(acc, g, d, alpha, bn),
-        _ => {
-            for beta in 0..alpha {
-                let plane = &mut acc[beta * bn * bm..(beta + 1) * bn * bm];
-                let grow = &g[beta * bn..(beta + 1) * bn];
-                let drow = &d[beta * bm..(beta + 1) * bm];
-                for (oi, &gv) in grow.iter().enumerate() {
-                    axpy_scalar(&mut plane[oi * bm..(oi + 1) * bm], gv, drow);
+    rank_k_portable(acc, g, d, alpha, k, bn, bm);
+}
+
+/// One-step [`rank_k_batch`]: for every β, `acc[β] += ĝ[β] ⊗ d̂[β]`, with
+/// `g` α rows of `bn` and `d` α rows of `bm`.
+#[inline]
+pub fn rank1_batch(acc: &mut [f32], g: &[f32], d: &[f32], alpha: usize) {
+    rank_k_batch(acc, g, d, alpha, 1);
+}
+
+/// Portable body of [`rank_k_batch`] — the scalar member, and the NEON
+/// member's too. Full `MR × LANES` tiles run as fixed arrays LLVM keeps in
+/// vector registers; the row tail (`bn % MR`) and lane tail (`bm % LANES`)
+/// run element by element, each element still loaded and stored once.
+#[inline]
+fn rank_k_portable(
+    acc: &mut [f32],
+    g: &[f32],
+    d: &[f32],
+    alpha: usize,
+    k: usize,
+    bn: usize,
+    bm: usize,
+) {
+    let (gstep, dstep) = (alpha * bn, alpha * bm);
+    let (bn_full, bm_full) = (bn - bn % MR, bm - bm % LANES);
+    for beta in 0..alpha {
+        let plane = &mut acc[beta * bn * bm..(beta + 1) * bn * bm];
+        let (g0, d0) = (beta * bn, beta * bm);
+        for oi in (0..bn_full).step_by(MR) {
+            for j in (0..bm_full).step_by(LANES) {
+                let mut tile = [[0.0f32; LANES]; MR];
+                for (r, row) in tile.iter_mut().enumerate() {
+                    let at = (oi + r) * bm + j;
+                    row.copy_from_slice(&plane[at..at + LANES]);
+                }
+                for s in 0..k {
+                    let gs = &g[s * gstep + g0 + oi..s * gstep + g0 + oi + MR];
+                    let ds = &d[s * dstep + d0 + j..s * dstep + d0 + j + LANES];
+                    let Ok(dv) = <&[f32; LANES]>::try_from(ds) else {
+                        return; // unreachable: the slice is LANES long
+                    };
+                    for (row, &gv) in tile.iter_mut().zip(gs) {
+                        for l in 0..LANES {
+                            row[l] += gv * dv[l];
+                        }
+                    }
+                }
+                for (r, row) in tile.iter().enumerate() {
+                    let at = (oi + r) * bm + j;
+                    plane[at..at + LANES].copy_from_slice(row);
                 }
             }
         }
-    }
-}
-
-/// Const-width (`bm`) body of [`rank1_batch`]'s scalar path.
-#[inline]
-fn rank1_batch_w<const W: usize>(acc: &mut [f32], g: &[f32], d: &[f32], alpha: usize, bn: usize) {
-    for beta in 0..alpha {
-        let grow = &g[beta * bn..(beta + 1) * bn];
-        let plane = &mut acc[beta * bn * W..(beta + 1) * bn * W];
-        let Ok(drow) = <&[f32; W]>::try_from(&d[beta * W..(beta + 1) * W]) else {
-            return; // unreachable: slice length is W by construction
-        };
-        for (row, &gv) in plane.chunks_exact_mut(W).zip(grow) {
-            for l in 0..W {
-                row[l] += gv * drow[l];
+        for oi in 0..bn {
+            let j0 = if oi < bn_full { bm_full } else { 0 };
+            for j in j0..bm {
+                let mut v = plane[oi * bm + j];
+                for s in 0..k {
+                    v += g[s * gstep + g0 + oi] * d[s * dstep + d0 + j];
+                }
+                plane[oi * bm + j] = v;
             }
         }
     }
@@ -717,6 +734,68 @@ mod tests {
         }
     }
 
+    /// The EWMM reference every width is held to: step by step, plane by
+    /// plane, `acc += g·d` one element at a time (`g` is `k × α × bn`,
+    /// `d` is `k × α × bm`).
+    fn naive_rank_k(
+        acc: &mut [f32],
+        g: &[f32],
+        d: &[f32],
+        alpha: usize,
+        k: usize,
+        bn: usize,
+        bm: usize,
+    ) {
+        for s in 0..k {
+            for beta in 0..alpha {
+                for oi in 0..bn {
+                    for j in 0..bm {
+                        let (gi, di) = ((s * alpha + beta) * bn + oi, (s * alpha + beta) * bm + j);
+                        acc[(beta * bn + oi) * bm + j] += g[gi] * d[di];
+                    }
+                }
+            }
+        }
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn rank_k_batch_matches_naive_steps_bitwise_every_width() {
+        let _g = DISPATCH_LOCK.lock().unwrap();
+        // Row tails (bn % 4) and lane tails (bm around 8-, 16- and 32-lane
+        // tiles) at every step count the engine's stage can flush.
+        for k in [1usize, 2, 3, 8] {
+            for alpha in [1usize, 4, 16] {
+                for bn in [1usize, 3, 4, 6, 64] {
+                    for bm in [1usize, 5, 8, 15, 16, 17, 32, 37] {
+                        let seed = (k * 1000 + alpha * 100 + bn * 10 + bm) as u32;
+                        let g = pseudo(seed, k * alpha * bn);
+                        let d = pseudo(seed + 1, k * alpha * bm);
+                        // A sentinel tail past the planes catches stray
+                        // (e.g. mis-masked) stores.
+                        let base = pseudo(seed + 2, alpha * bn * bm + 16);
+                        let mut want = base.clone();
+                        naive_rank_k(&mut want, &g, &d, alpha, k, bn, bm);
+                        for w in available() {
+                            force_width(Some(w)).unwrap();
+                            let mut got = base.clone();
+                            rank_k_batch(&mut got, &g, &d, alpha, k);
+                            assert_eq!(
+                                bits(&got),
+                                bits(&want),
+                                "k={k} alpha={alpha} bn={bn} bm={bm} width={w}"
+                            );
+                        }
+                        force_width(None).unwrap();
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn rank1_all_widths_are_bit_identical() {
         let _g = DISPATCH_LOCK.lock().unwrap();
@@ -724,28 +803,15 @@ mod tests {
             let g = pseudo(77, bn);
             let d = pseudo(78, bm);
             let base = pseudo(79, bn * bm);
-            force_width(Some(SimdWidth::Scalar)).unwrap();
-            let mut scalar = base.clone();
-            rank1_accumulate(&mut scalar, &g, &d);
+            let mut want = base.clone();
+            naive_rank_k(&mut want, &g, &d, 1, 1, bn, bm);
             for w in available() {
                 force_width(Some(w)).unwrap();
                 let mut got = base.clone();
-                rank1_accumulate(&mut got, &g, &d);
-                assert_eq!(
-                    scalar.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    "bn={bn} bm={bm} width={w}"
-                );
+                rank1_batch(&mut got, &g, &d, 1);
+                assert_eq!(bits(&got), bits(&want), "bn={bn} bm={bm} width={w}");
             }
             force_width(None).unwrap();
-            // And the scalar member matches the naive outer product.
-            let mut want = base.clone();
-            for oi in 0..bn {
-                for ii in 0..bm {
-                    want[oi * bm + ii] += g[oi] * d[ii];
-                }
-            }
-            assert_eq!(scalar, want);
         }
     }
 
@@ -775,19 +841,13 @@ mod tests {
                 }
                 assert_eq!(got, want, "expand_axpy width={w}");
 
-                // rank1_batch == per-β rank1_accumulate.
+                // rank1_batch == the naive one-step outer products.
                 let base = pseudo(26, alpha * bn * bm);
                 let mut got = base.clone();
                 rank1_batch(&mut got, &g, &d, alpha);
                 let mut want = base.clone();
-                for beta in 0..alpha {
-                    rank1_accumulate(
-                        &mut want[beta * bn * bm..(beta + 1) * bn * bm],
-                        &g[beta * bn..(beta + 1) * bn],
-                        &d[beta * bm..(beta + 1) * bm],
-                    );
-                }
-                assert_eq!(got, want, "rank1_batch width={w}");
+                naive_rank_k(&mut want, &g, &d, alpha, 1, bn, bm);
+                assert_eq!(bits(&got), bits(&want), "rank1_batch width={w}");
 
                 // gather_axpy == per-plane axpy over a strided source.
                 let src2 = pseudo(27, alpha * bn * bm);

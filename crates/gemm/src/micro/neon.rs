@@ -76,66 +76,6 @@ pub unsafe fn gather_axpy(dst: &mut [f32], coeffs: &[f32], src: &[f32], sstride:
     }
 }
 
-/// α-batched rank-1 accumulation (see the safe wrapper).
-///
-/// # Safety
-/// Caller must have verified `neon` at runtime.
-#[target_feature(enable = "neon")]
-pub unsafe fn rank1_batch(
-    acc: &mut [f32],
-    g: &[f32],
-    d: &[f32],
-    alpha: usize,
-    bn: usize,
-    bm: usize,
-) {
-    for beta in 0..alpha {
-        rank1(
-            acc.get_unchecked_mut(beta * bn * bm..(beta + 1) * bn * bm),
-            g.get_unchecked(beta * bn..(beta + 1) * bn),
-            d.get_unchecked(beta * bm..(beta + 1) * bm),
-        );
-    }
-}
-
-/// Two-row register blocking: each `d̂` vector is loaded once and used
-/// against a pair of `ĝ` broadcasts.
-///
-/// # Safety
-/// Caller must have verified `neon` at runtime.
-#[target_feature(enable = "neon")]
-pub unsafe fn rank1(acc: &mut [f32], g: &[f32], d: &[f32]) {
-    let bm = d.len();
-    let ap = acc.as_mut_ptr();
-    let dp = d.as_ptr();
-    let mut oi = 0;
-    while oi + 2 <= g.len() {
-        let g0 = vdupq_n_f32(*g.get_unchecked(oi));
-        let g1 = vdupq_n_f32(*g.get_unchecked(oi + 1));
-        let r0 = ap.add(oi * bm);
-        let r1 = ap.add((oi + 1) * bm);
-        let mut j = 0;
-        while j + LANES4 <= bm {
-            let dv = vld1q_f32(dp.add(j));
-            let s0 = vaddq_f32(vld1q_f32(r0.add(j)), vmulq_f32(g0, dv));
-            let s1 = vaddq_f32(vld1q_f32(r1.add(j)), vmulq_f32(g1, dv));
-            vst1q_f32(r0.add(j), s0);
-            vst1q_f32(r1.add(j), s1);
-            j += LANES4;
-        }
-        while j < bm {
-            let dv = *dp.add(j);
-            *r0.add(j) += *g.get_unchecked(oi) * dv;
-            *r1.add(j) += *g.get_unchecked(oi + 1) * dv;
-            j += 1;
-        }
-        oi += 2;
-    }
-    if oi < g.len() {
-        axpy(&mut acc[oi * bm..(oi + 1) * bm], *g.get_unchecked(oi), d);
-    }
-}
-
 /// `MR × NR` GEMM register tile: NR = 8 columns is two 128-bit registers
 /// per accumulator row; per rank-1 step a B row is loaded once and
 /// combined with four A broadcasts via separate mul + add.

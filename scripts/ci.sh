@@ -10,7 +10,10 @@
 #      over every width available on the host, and a compile-only
 #      aarch64 (NEON) cross-check when that stdlib is installed
 #   3. clippy with warnings promoted to errors — including the
-#      `unwrap_used = "deny"` fail-safe lint on library crates
+#      `unwrap_used = "deny"` fail-safe lint on library crates — then the
+#      benchmark package (`perfbench/`, its own Cargo workspace) built and
+#      tested against the library crates it calls, so an API change that
+#      breaks it fails here instead of at benchmark time
 #   4. workspace-accounting smoke test: the CLI's layout breakdown must
 #      match the paper formula and a guarded execution must report a
 #      zero-allocation hot loop
@@ -96,6 +99,9 @@ fi
 
 echo "==> cargo clippy (all targets, -D warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> benchmark package builds and passes its tests (perfbench/)"
+cargo test --release --offline --features simd --manifest-path perfbench/Cargo.toml
 
 echo "==> workspace accounting smoke (reference shape 32x56x56, 16->16, f=3)"
 WINRS=target/release/winrs

@@ -230,7 +230,8 @@ fn run_buckets(conv: &ConvShape, z_hat: usize, mode: TileMode, seed: u64) -> Vec
 /// dispatch and *every* other width available on the host (AVX2, AVX-512,
 /// NEON, plus auto) — across tile modes and across shapes that hit the
 /// border fast-path splits (odd O_W phantom padding, no padding, large
-/// filters).
+/// filters) and channel counts wide enough to run the EWMM's full 16- and
+/// 32-lane register tiles, their row tails and their lane tails.
 #[test]
 fn engine_gradients_bit_identical_across_every_width() {
     let _g = dispatch_guard();
@@ -239,6 +240,9 @@ fn engine_gradients_bit_identical_across_every_width() {
         ConvShape::new(1, 11, 11, 2, 2, 5, 5, 2, 2), // odd O_W: phantom column
         ConvShape::new(2, 13, 17, 3, 2, 2, 2, 0, 0), // no padding
         ConvShape::new(1, 18, 18, 2, 2, 9, 9, 4, 4), // large filter
+        ConvShape::new(1, 14, 14, 37, 70, 3, 3, 1, 1), // lane + row tails, 2 ic tiles
+        ConvShape::new(2, 12, 12, 64, 64, 5, 5, 2, 2), // full 64 × 32 blocks
+        ConvShape::new(1, 10, 10, 64, 64, 3, 3, 1, 1), // FP16/BF16 64 × 64 blocks
     ];
     let widths = pinnable_widths();
     for (si, conv) in shapes.iter().enumerate() {
