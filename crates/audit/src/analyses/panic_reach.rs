@@ -24,9 +24,10 @@
 //! through scratch regions are proven in-bounds by the workspace-bounds
 //! analysis (`analyses::bounds`), which is a stronger guarantee than an
 //! inventory row. Calls through closure values (the plan `Box<dyn Fn>`s
-//! executed *inside* the quarantine, `rayon` scope bodies) are invisible
-//! to the graph — the quarantine encloses exactly those, which is why
-//! the extents are anchored at the `catch_unwind` call sites themselves.
+//! executed *inside* the quarantine, `sched::run_tasks` task bodies) are
+//! invisible to the graph — the quarantine encloses exactly those, which
+//! is why the extents are anchored at the `catch_unwind` call sites
+//! themselves.
 //!
 //! The per-file tallies are written to `docs/panic_inventory.md` and
 //! drift-checked, so a new panic site on the execution surface shows up

@@ -21,8 +21,8 @@
 //! `lock()` inside `faults.rs` still resolves to the same-file helper.
 //!
 //! What the graph cannot see — calls through closures and function
-//! values (`rayon::scope` bodies, stored `Box<dyn Fn>` plans) — the
-//! analyses document as may-miss and fence with their own invariants.
+//! values (`sched::run_tasks` task bodies, stored `Box<dyn Fn>` plans) —
+//! the analyses document as may-miss and fence with their own invariants.
 
 use std::collections::{BTreeSet, HashMap, VecDeque};
 

@@ -43,8 +43,8 @@ fn bench_fused_execute(c: &mut Criterion) {
     g.finish();
 }
 
-/// Segmentation ablation on the CPU substrate: more segments = more rayon
-/// parallelism here, mirroring (qualitatively) the SM-utilisation effect
+/// Segmentation ablation on the CPU substrate: more segments = more
+/// scheduler tasks here, mirroring (qualitatively) the SM-utilisation effect
 /// the partitioning buys on a GPU.
 fn bench_segmentation_scaling(c: &mut Criterion) {
     let shape = ConvShape::square(2, 48, 8, 8, 3);

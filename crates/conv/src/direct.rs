@@ -3,12 +3,12 @@
 //! These are the semantic definitions of FC, BDC and BFC (paper §2.2) and
 //! the ground-truth oracles of every test and accuracy experiment. The f64
 //! instantiation of [`bfc_direct`] is the reference all MAREs are measured
-//! against (§6.3). Loops are ordered for clarity, not speed; rayon
-//! parallelism over the outermost axis keeps the test suite quick without
-//! changing summation order within one output element.
+//! against (§6.3). Loops are ordered for clarity, not speed; running the
+//! outermost axis as `winrs_gemm::sched` tasks keeps the test suite quick
+//! without changing summation order within one output element.
 
 use crate::ConvShape;
-use rayon::prelude::*;
+use winrs_gemm::sched;
 use winrs_tensor::{Scalar, Tensor4};
 
 /// Forward convolution: `Y[n,oh,ow,oc] = Σ_{fh,fw,ic}
@@ -20,28 +20,26 @@ pub fn fc_direct<T: Scalar>(shape: &ConvShape, x: &Tensor4<T>, w: &Tensor4<T>) -
     let mut y = Tensor4::zeros([shape.n, oh, ow, shape.oc]);
     let oc_stride = shape.oc;
     let per_n = oh * ow * oc_stride;
-    y.as_mut_slice()
-        .par_chunks_mut(per_n)
-        .enumerate()
-        .for_each(|(n, yn)| {
-            for i in 0..oh {
-                for j in 0..ow {
-                    for c_out in 0..shape.oc {
-                        let mut acc = T::ZERO;
-                        for a in 0..shape.fh {
-                            for b in 0..shape.fw {
-                                let xi = (i + a) as isize - shape.ph as isize;
-                                let xj = (j + b) as isize - shape.pw as isize;
-                                for c_in in 0..shape.ic {
-                                    acc += x.get_padded(n, xi, xj, c_in) * w[(c_out, a, b, c_in)];
-                                }
+    let chunks = y.as_mut_slice().chunks_mut(per_n).enumerate().collect();
+    sched::run_tasks(chunks, sched::workers(), |_, (n, yn)| {
+        for i in 0..oh {
+            for j in 0..ow {
+                for c_out in 0..shape.oc {
+                    let mut acc = T::ZERO;
+                    for a in 0..shape.fh {
+                        for b in 0..shape.fw {
+                            let xi = (i + a) as isize - shape.ph as isize;
+                            let xj = (j + b) as isize - shape.pw as isize;
+                            for c_in in 0..shape.ic {
+                                acc += x.get_padded(n, xi, xj, c_in) * w[(c_out, a, b, c_in)];
                             }
                         }
-                        yn[(i * ow + j) * oc_stride + c_out] = acc;
                     }
+                    yn[(i * ow + j) * oc_stride + c_out] = acc;
                 }
             }
-        });
+        }
+    });
     y
 }
 
@@ -53,28 +51,26 @@ pub fn bdc_direct<T: Scalar>(shape: &ConvShape, dy: &Tensor4<T>, w: &Tensor4<T>)
     assert_eq!(w.dims(), [shape.oc, shape.fh, shape.fw, shape.ic]);
     let mut dx = Tensor4::zeros([shape.n, shape.ih, shape.iw, shape.ic]);
     let per_n = shape.ih * shape.iw * shape.ic;
-    dx.as_mut_slice()
-        .par_chunks_mut(per_n)
-        .enumerate()
-        .for_each(|(n, dxn)| {
-            for i in 0..shape.ih {
-                for j in 0..shape.iw {
-                    for c_in in 0..shape.ic {
-                        let mut acc = T::ZERO;
-                        for a in 0..shape.fh {
-                            for b in 0..shape.fw {
-                                let yi = i as isize + shape.ph as isize - a as isize;
-                                let yj = j as isize + shape.pw as isize - b as isize;
-                                for c_out in 0..shape.oc {
-                                    acc += dy.get_padded(n, yi, yj, c_out) * w[(c_out, a, b, c_in)];
-                                }
+    let chunks = dx.as_mut_slice().chunks_mut(per_n).enumerate().collect();
+    sched::run_tasks(chunks, sched::workers(), |_, (n, dxn)| {
+        for i in 0..shape.ih {
+            for j in 0..shape.iw {
+                for c_in in 0..shape.ic {
+                    let mut acc = T::ZERO;
+                    for a in 0..shape.fh {
+                        for b in 0..shape.fw {
+                            let yi = i as isize + shape.ph as isize - a as isize;
+                            let yj = j as isize + shape.pw as isize - b as isize;
+                            for c_out in 0..shape.oc {
+                                acc += dy.get_padded(n, yi, yj, c_out) * w[(c_out, a, b, c_in)];
                             }
                         }
-                        dxn[(i * shape.iw + j) * shape.ic + c_in] = acc;
                     }
+                    dxn[(i * shape.iw + j) * shape.ic + c_in] = acc;
                 }
             }
-        });
+        }
+    });
     dx
 }
 
@@ -87,28 +83,26 @@ pub fn bfc_direct<T: Scalar>(shape: &ConvShape, x: &Tensor4<T>, dy: &Tensor4<T>)
     assert_eq!(dy.dims(), [shape.n, oh, ow, shape.oc]);
     let mut dw = Tensor4::zeros([shape.oc, shape.fh, shape.fw, shape.ic]);
     let per_oc = shape.fh * shape.fw * shape.ic;
-    dw.as_mut_slice()
-        .par_chunks_mut(per_oc)
-        .enumerate()
-        .for_each(|(c_out, dwo)| {
-            for a in 0..shape.fh {
-                for b in 0..shape.fw {
-                    for c_in in 0..shape.ic {
-                        let mut acc = T::ZERO;
-                        for n in 0..shape.n {
-                            for i in 0..oh {
-                                for j in 0..ow {
-                                    let xi = (a + i) as isize - shape.ph as isize;
-                                    let xj = (b + j) as isize - shape.pw as isize;
-                                    acc += x.get_padded(n, xi, xj, c_in) * dy[(n, i, j, c_out)];
-                                }
+    let chunks = dw.as_mut_slice().chunks_mut(per_oc).enumerate().collect();
+    sched::run_tasks(chunks, sched::workers(), |_, (c_out, dwo)| {
+        for a in 0..shape.fh {
+            for b in 0..shape.fw {
+                for c_in in 0..shape.ic {
+                    let mut acc = T::ZERO;
+                    for n in 0..shape.n {
+                        for i in 0..oh {
+                            for j in 0..ow {
+                                let xi = (a + i) as isize - shape.ph as isize;
+                                let xj = (b + j) as isize - shape.pw as isize;
+                                acc += x.get_padded(n, xi, xj, c_in) * dy[(n, i, j, c_out)];
                             }
                         }
-                        dwo[(a * shape.fw + b) * shape.ic + c_in] = acc;
                     }
+                    dwo[(a * shape.fw + b) * shape.ic + c_in] = acc;
                 }
             }
-        });
+        }
+    });
     dw
 }
 

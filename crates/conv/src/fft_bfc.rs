@@ -20,8 +20,8 @@
 //! I/O type); the result is rounded to the caller's precision at the end.
 
 use crate::ConvShape;
-use rayon::prelude::*;
 use winrs_fft::{fft_pow2, ifft_pow2, next_pow2, Complex};
+use winrs_gemm::sched;
 use winrs_tensor::{Scalar, Tensor4};
 
 /// FFT plan dimensions for one shape: padded spatial size and the
@@ -104,67 +104,61 @@ pub fn bfc_fft<T: Scalar>(shape: &ConvShape, x: &Tensor4<T>, dy: &Tensor4<T>) ->
     let m = mh * mw;
 
     // Stage 1: spectra of padded inputs, one per (n, ic).
-    let x_spec: Vec<Vec<Complex>> = (0..shape.n * shape.ic)
-        .into_par_iter()
-        .map(|idx| {
-            let (n, c_in) = (idx / shape.ic, idx % shape.ic);
-            let mut buf = vec![Complex::ZERO; m];
-            for i in 0..shape.ih {
-                for j in 0..shape.iw {
-                    buf[(i + shape.ph) * mw + (j + shape.pw)] =
-                        Complex::real(x[(n, i, j, c_in)].to_f64());
-                }
+    let mut x_spec: Vec<Vec<Complex>> = vec![Vec::new(); shape.n * shape.ic];
+    let slots = x_spec.iter_mut().enumerate().collect();
+    sched::run_tasks(slots, sched::workers(), |_, (idx, buf)| {
+        let (n, c_in) = (idx / shape.ic, idx % shape.ic);
+        *buf = vec![Complex::ZERO; m];
+        for i in 0..shape.ih {
+            for j in 0..shape.iw {
+                buf[(i + shape.ph) * mw + (j + shape.pw)] =
+                    Complex::real(x[(n, i, j, c_in)].to_f64());
             }
-            fft2(&mut buf, mh, mw, false);
-            buf
-        })
-        .collect();
+        }
+        fft2(buf, mh, mw, false);
+    });
 
     // Stage 2: spectra of reversed output gradients, one per (n, oc)
     // (reversal turns the circular convolution into a correlation).
-    let dy_spec: Vec<Vec<Complex>> = (0..shape.n * shape.oc)
-        .into_par_iter()
-        .map(|idx| {
-            let (n, c_out) = (idx / shape.oc, idx % shape.oc);
-            let mut buf = vec![Complex::ZERO; m];
-            for i in 0..oh {
-                for j in 0..ow {
-                    buf[(oh - 1 - i) * mw + (ow - 1 - j)] =
-                        Complex::real(dy[(n, i, j, c_out)].to_f64());
-                }
+    let mut dy_spec: Vec<Vec<Complex>> = vec![Vec::new(); shape.n * shape.oc];
+    let slots = dy_spec.iter_mut().enumerate().collect();
+    sched::run_tasks(slots, sched::workers(), |_, (idx, buf)| {
+        let (n, c_out) = (idx / shape.oc, idx % shape.oc);
+        *buf = vec![Complex::ZERO; m];
+        for i in 0..oh {
+            for j in 0..ow {
+                buf[(oh - 1 - i) * mw + (ow - 1 - j)] =
+                    Complex::real(dy[(n, i, j, c_out)].to_f64());
             }
-            fft2(&mut buf, mh, mw, false);
-            buf
-        })
-        .collect();
+        }
+        fft2(buf, mh, mw, false);
+    });
 
     // Stages 3 + 4: per (oc, ic), batch-accumulate products and invert.
     let mut dw = Tensor4::<T>::zeros([shape.oc, shape.fh, shape.fw, shape.ic]);
     let per_oc = shape.fh * shape.fw * shape.ic;
-    dw.as_mut_slice()
-        .par_chunks_mut(per_oc)
-        .enumerate()
-        .for_each(|(c_out, dwo)| {
-            let mut acc = vec![Complex::ZERO; m];
-            for c_in in 0..shape.ic {
-                acc.fill(Complex::ZERO);
-                for n in 0..shape.n {
-                    let xs = &x_spec[n * shape.ic + c_in];
-                    let ys = &dy_spec[n * shape.oc + c_out];
-                    for k in 0..m {
-                        acc[k] += xs[k] * ys[k];
-                    }
-                }
-                fft2(&mut acc, mh, mw, true);
-                // Valid region of the correlation starts at (oh−1, ow−1).
-                for a in 0..shape.fh {
-                    for b in 0..shape.fw {
-                        let v = acc[(oh - 1 + a) * mw + (ow - 1 + b)].re;
-                        dwo[(a * shape.fw + b) * shape.ic + c_in] = T::from_f64(v);
-                    }
+    let chunks = dw.as_mut_slice().chunks_mut(per_oc).enumerate().collect();
+    sched::run_tasks(chunks, sched::workers(), |_, (c_out, dwo)| {
+        let mut acc = vec![Complex::ZERO; m];
+        for c_in in 0..shape.ic {
+            acc.fill(Complex::ZERO);
+            for n in 0..shape.n {
+                let xs = &x_spec[n * shape.ic + c_in];
+                let ys = &dy_spec[n * shape.oc + c_out];
+                for k in 0..m {
+                    acc[k] += xs[k] * ys[k];
                 }
             }
-        });
+            fft2(&mut acc, mh, mw, true);
+            // Valid region of the correlation starts at (oh−1, ow−1).
+            for a in 0..shape.fh {
+                for b in 0..shape.fw {
+                    let v = acc[(oh - 1 + a) * mw + (ow - 1 + b)].re;
+                    dwo[(a * shape.fw + b) * shape.ic + c_in] = T::from_f64(v);
+                }
+            }
+        }
+    });
     dw
 }
 

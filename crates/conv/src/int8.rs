@@ -12,7 +12,7 @@
 //! mode cannot occur).
 
 use crate::ConvShape;
-use rayon::prelude::*;
+use winrs_gemm::sched;
 use winrs_tensor::Tensor4;
 
 /// A quantised tensor: `i8` payload plus the dequantisation scale.
@@ -63,33 +63,29 @@ pub fn bfc_int8(shape: &ConvShape, x: &QuantTensor, dy: &QuantTensor) -> Tensor4
 
     let mut dw = Tensor4::<f32>::zeros([shape.oc, shape.fh, shape.fw, shape.ic]);
     let per_oc = shape.fh * shape.fw * shape.ic;
-    dw.as_mut_slice()
-        .par_chunks_mut(per_oc)
-        .enumerate()
-        .for_each(|(oc, dwo)| {
-            for a in 0..shape.fh {
-                for b in 0..shape.fw {
-                    for ic in 0..shape.ic {
-                        // i32 accumulation is exact up to ~2^31/127² ≈ 1.3e5
-                        // MACs; widen to i64 for safety at any size.
-                        let mut acc: i64 = 0;
-                        for n in 0..shape.n {
-                            for i in 0..oh {
-                                let xr = (a + i) as isize - shape.ph as isize;
-                                for j in 0..ow {
-                                    let xc = (b + j) as isize - shape.pw as isize;
-                                    let dyv = dy.data
-                                        [((n * oh + i) * ow + j) * shape.oc + oc]
-                                        as i32;
-                                    acc += (xi(n, xr, xc, ic) * dyv) as i64;
-                                }
+    let chunks = dw.as_mut_slice().chunks_mut(per_oc).enumerate().collect();
+    sched::run_tasks(chunks, sched::workers(), |_, (oc, dwo)| {
+        for a in 0..shape.fh {
+            for b in 0..shape.fw {
+                for ic in 0..shape.ic {
+                    // i32 accumulation is exact up to ~2^31/127² ≈ 1.3e5
+                    // MACs; widen to i64 for safety at any size.
+                    let mut acc: i64 = 0;
+                    for n in 0..shape.n {
+                        for i in 0..oh {
+                            let xr = (a + i) as isize - shape.ph as isize;
+                            for j in 0..ow {
+                                let xc = (b + j) as isize - shape.pw as isize;
+                                let dyv = dy.data[((n * oh + i) * ow + j) * shape.oc + oc] as i32;
+                                acc += (xi(n, xr, xc, ic) * dyv) as i64;
                             }
                         }
-                        dwo[(a * shape.fw + b) * shape.ic + ic] = acc as f32 * dequant;
                     }
+                    dwo[(a * shape.fw + b) * shape.ic + ic] = acc as f32 * dequant;
                 }
             }
-        });
+        }
+    });
     dw
 }
 

@@ -10,7 +10,7 @@
 //! `X ∈ ℝ^{N×I_D×I_H×I_W×I_C}`, `∇Y ∈ ℝ^{N×O_D×O_H×O_W×O_C}`,
 //! `∇W ∈ ℝ^{O_C×F_D×F_H×F_W×I_C}`.
 
-use rayon::prelude::*;
+use winrs_gemm::sched;
 use winrs_tensor::{Scalar, TensorN};
 
 /// Shape of a 3D convolutional layer, stride 1.
@@ -110,36 +110,34 @@ pub fn bfc3d_direct<T: Scalar>(
     let (od, oh, ow) = (shape.od(), shape.oh(), shape.ow());
     let mut dw = TensorN::<T>::zeros(&shape.dw_dims());
     let per_oc = shape.fd * shape.fh * shape.fw * shape.ic;
-    dw.as_mut_slice()
-        .par_chunks_mut(per_oc)
-        .enumerate()
-        .for_each(|(c_out, dwo)| {
-            for a in 0..shape.fd {
-                for b in 0..shape.fh {
-                    for c in 0..shape.fw {
-                        for c_in in 0..shape.ic {
-                            let mut acc = T::ZERO;
-                            for n in 0..shape.n {
-                                for zd in 0..od {
-                                    for i in 0..oh {
-                                        for j in 0..ow {
-                                            let xs = [
-                                                (a + zd) as isize - shape.pd as isize,
-                                                (b + i) as isize - shape.ph as isize,
-                                                (c + j) as isize - shape.pw as isize,
-                                            ];
-                                            acc += x.get_padded(n, &xs, c_in)
-                                                * dy.get(&[n, zd, i, j, c_out]);
-                                        }
+    let chunks = dw.as_mut_slice().chunks_mut(per_oc).enumerate().collect();
+    sched::run_tasks(chunks, sched::workers(), |_, (c_out, dwo)| {
+        for a in 0..shape.fd {
+            for b in 0..shape.fh {
+                for c in 0..shape.fw {
+                    for c_in in 0..shape.ic {
+                        let mut acc = T::ZERO;
+                        for n in 0..shape.n {
+                            for zd in 0..od {
+                                for i in 0..oh {
+                                    for j in 0..ow {
+                                        let xs = [
+                                            (a + zd) as isize - shape.pd as isize,
+                                            (b + i) as isize - shape.ph as isize,
+                                            (c + j) as isize - shape.pw as isize,
+                                        ];
+                                        acc += x.get_padded(n, &xs, c_in)
+                                            * dy.get(&[n, zd, i, j, c_out]);
                                     }
                                 }
                             }
-                            dwo[((a * shape.fh + b) * shape.fw + c) * shape.ic + c_in] = acc;
                         }
+                        dwo[((a * shape.fh + b) * shape.fw + c) * shape.ic + c_in] = acc;
                     }
                 }
             }
-        });
+        }
+    });
     dw
 }
 

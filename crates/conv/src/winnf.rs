@@ -23,7 +23,7 @@
 //! 4. **OT**: apply `G₀ᵀ…G₁` per `(oc, ic)` pair → `∇W`.
 
 use crate::ConvShape;
-use rayon::prelude::*;
+use winrs_gemm::sched;
 use winrs_tensor::{Scalar, Tensor4};
 use winrs_winograd::cook_toom::Transform;
 
@@ -157,32 +157,31 @@ pub fn bfc_winnf<T: Scalar>(shape: &ConvShape, x: &Tensor4<T>, dy: &Tensor4<T>) 
     // Stage 1: IT. Layout xhat[pos][t·I_C + ic] for the stage-3 GEMMs.
     let mut xhat = vec![T::ZERO; a2 * nt * shape.ic];
     {
-        let results: Vec<(usize, Vec<T>)> = (0..nt)
-            .into_par_iter()
-            .map(|t| {
-                let n = t / tiles;
-                let (ti, tj) = ((t % tiles) / tw, (t % tiles) % tw);
-                let mut patch = vec![T::ZERO; a2];
-                let mut out = vec![T::ZERO; a2];
-                let mut tmp = vec![T::ZERO; a2];
-                let mut local = vec![T::ZERO; a2 * shape.ic];
-                for c_in in 0..shape.ic {
-                    for u in 0..a {
-                        for v in 0..a {
-                            let xi = (ti * m + u) as isize - shape.ph as isize;
-                            let xj = (tj * m + v) as isize - shape.pw as isize;
-                            patch[u * a + v] = x.get_padded(n, xi, xj, c_in);
-                        }
-                    }
-                    plan.input_transform(&patch, &mut out, &mut tmp);
-                    for pos in 0..a2 {
-                        local[pos * shape.ic + c_in] = out[pos];
+        let mut results: Vec<Vec<T>> = vec![Vec::new(); nt];
+        let slots = results.iter_mut().enumerate().collect();
+        sched::run_tasks(slots, sched::workers(), |_, (t, slot)| {
+            let n = t / tiles;
+            let (ti, tj) = ((t % tiles) / tw, (t % tiles) % tw);
+            let mut patch = vec![T::ZERO; a2];
+            let mut out = vec![T::ZERO; a2];
+            let mut tmp = vec![T::ZERO; a2];
+            let mut local = vec![T::ZERO; a2 * shape.ic];
+            for c_in in 0..shape.ic {
+                for u in 0..a {
+                    for v in 0..a {
+                        let xi = (ti * m + u) as isize - shape.ph as isize;
+                        let xj = (tj * m + v) as isize - shape.pw as isize;
+                        patch[u * a + v] = x.get_padded(n, xi, xj, c_in);
                     }
                 }
-                (t, local)
-            })
-            .collect();
-        for (t, local) in results {
+                plan.input_transform(&patch, &mut out, &mut tmp);
+                for pos in 0..a2 {
+                    local[pos * shape.ic + c_in] = out[pos];
+                }
+            }
+            *slot = local;
+        });
+        for (t, local) in results.into_iter().enumerate() {
             for pos in 0..a2 {
                 let dst = pos * nt * shape.ic + t * shape.ic;
                 xhat[dst..dst + shape.ic]
@@ -195,36 +194,35 @@ pub fn bfc_winnf<T: Scalar>(shape: &ConvShape, x: &Tensor4<T>, dy: &Tensor4<T>) 
     let mut yhat = vec![T::ZERO; a2 * nt * shape.oc];
     {
         let (oh, ow) = (shape.oh(), shape.ow());
-        let results: Vec<(usize, Vec<T>)> = (0..nt)
-            .into_par_iter()
-            .map(|t| {
-                let n = t / tiles;
-                let (ti, tj) = ((t % tiles) / tw, (t % tiles) % tw);
-                let mut tile = vec![T::ZERO; m * m];
-                let mut out = vec![T::ZERO; a2];
-                let mut tmp = vec![T::ZERO; a * m];
-                let mut local = vec![T::ZERO; a2 * shape.oc];
-                for c_out in 0..shape.oc {
-                    for u in 0..m {
-                        for v in 0..m {
-                            let yi = ti * m + u;
-                            let yj = tj * m + v;
-                            tile[u * m + v] = if yi < oh && yj < ow {
-                                dy[(n, yi, yj, c_out)]
-                            } else {
-                                T::ZERO // partial edge tile
-                            };
-                        }
-                    }
-                    plan.grad_transform(&tile, &mut out, &mut tmp);
-                    for pos in 0..a2 {
-                        local[pos * shape.oc + c_out] = out[pos];
+        let mut results: Vec<Vec<T>> = vec![Vec::new(); nt];
+        let slots = results.iter_mut().enumerate().collect();
+        sched::run_tasks(slots, sched::workers(), |_, (t, slot)| {
+            let n = t / tiles;
+            let (ti, tj) = ((t % tiles) / tw, (t % tiles) % tw);
+            let mut tile = vec![T::ZERO; m * m];
+            let mut out = vec![T::ZERO; a2];
+            let mut tmp = vec![T::ZERO; a * m];
+            let mut local = vec![T::ZERO; a2 * shape.oc];
+            for c_out in 0..shape.oc {
+                for u in 0..m {
+                    for v in 0..m {
+                        let yi = ti * m + u;
+                        let yj = tj * m + v;
+                        tile[u * m + v] = if yi < oh && yj < ow {
+                            dy[(n, yi, yj, c_out)]
+                        } else {
+                            T::ZERO // partial edge tile
+                        };
                     }
                 }
-                (t, local)
-            })
-            .collect();
-        for (t, local) in results {
+                plan.grad_transform(&tile, &mut out, &mut tmp);
+                for pos in 0..a2 {
+                    local[pos * shape.oc + c_out] = out[pos];
+                }
+            }
+            *slot = local;
+        });
+        for (t, local) in results.into_iter().enumerate() {
             for pos in 0..a2 {
                 let dst = pos * nt * shape.oc + t * shape.oc;
                 yhat[dst..dst + shape.oc]
@@ -235,45 +233,42 @@ pub fn bfc_winnf<T: Scalar>(shape: &ConvShape, x: &Tensor4<T>, dy: &Tensor4<T>) 
 
     // Stage 3: α² batched GEMMs, M[pos] (I_C×O_C) = X̂[pos]ᵀ · Ŷ[pos].
     let mut prod = vec![T::ZERO; a2 * shape.ic * shape.oc];
-    prod.par_chunks_mut(shape.ic * shape.oc)
-        .enumerate()
-        .for_each(|(pos, mpos)| {
-            let xs = &xhat[pos * nt * shape.ic..(pos + 1) * nt * shape.ic];
-            let ys = &yhat[pos * nt * shape.oc..(pos + 1) * nt * shape.oc];
-            for t in 0..nt {
-                let xrow = &xs[t * shape.ic..(t + 1) * shape.ic];
-                let yrow = &ys[t * shape.oc..(t + 1) * shape.oc];
-                for (ci, &xv) in xrow.iter().enumerate() {
-                    let dst = &mut mpos[ci * shape.oc..(ci + 1) * shape.oc];
-                    for (co, &yv) in yrow.iter().enumerate() {
-                        dst[co] += xv * yv;
-                    }
+    let chunks = prod.chunks_mut(shape.ic * shape.oc).enumerate().collect();
+    sched::run_tasks(chunks, sched::workers(), |_, (pos, mpos)| {
+        let xs = &xhat[pos * nt * shape.ic..(pos + 1) * nt * shape.ic];
+        let ys = &yhat[pos * nt * shape.oc..(pos + 1) * nt * shape.oc];
+        for t in 0..nt {
+            let xrow = &xs[t * shape.ic..(t + 1) * shape.ic];
+            let yrow = &ys[t * shape.oc..(t + 1) * shape.oc];
+            for (ci, &xv) in xrow.iter().enumerate() {
+                let dst = &mut mpos[ci * shape.oc..(ci + 1) * shape.oc];
+                for (co, &yv) in yrow.iter().enumerate() {
+                    dst[co] += xv * yv;
                 }
             }
-        });
+        }
+    });
 
     // Stage 4: OT per (oc, ic).
     let mut dw = Tensor4::<T>::zeros([shape.oc, shape.fh, shape.fw, shape.ic]);
     let per_oc = shape.fh * shape.fw * shape.ic;
-    dw.as_mut_slice()
-        .par_chunks_mut(per_oc)
-        .enumerate()
-        .for_each(|(c_out, dwo)| {
-            let mut v = vec![T::ZERO; a2];
-            let mut out = vec![T::ZERO; r * r];
-            let mut tmp = vec![T::ZERO; r * a];
-            for c_in in 0..shape.ic {
-                for pos in 0..a2 {
-                    v[pos] = prod[pos * shape.ic * shape.oc + c_in * shape.oc + c_out];
-                }
-                plan.output_transform(&v, &mut out, &mut tmp);
-                for fa in 0..r {
-                    for fb in 0..r {
-                        dwo[(fa * shape.fw + fb) * shape.ic + c_in] = out[fa * r + fb];
-                    }
+    let chunks = dw.as_mut_slice().chunks_mut(per_oc).enumerate().collect();
+    sched::run_tasks(chunks, sched::workers(), |_, (c_out, dwo)| {
+        let mut v = vec![T::ZERO; a2];
+        let mut out = vec![T::ZERO; r * r];
+        let mut tmp = vec![T::ZERO; r * a];
+        for c_in in 0..shape.ic {
+            for pos in 0..a2 {
+                v[pos] = prod[pos * shape.ic * shape.oc + c_in * shape.oc + c_out];
+            }
+            plan.output_transform(&v, &mut out, &mut tmp);
+            for fa in 0..r {
+                for fb in 0..r {
+                    dwo[(fa * shape.fw + fb) * shape.ic + c_in] = out[fa * r + fb];
                 }
             }
-        });
+        }
+    });
     dw
 }
 

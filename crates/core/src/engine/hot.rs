@@ -3,7 +3,7 @@
 //! The fused block loop — the engine's hot path.
 //!
 //! Everything here runs once per `(oc-tile, filter-row)` task per block
-//! column, inside the rayon fan-out: the tile loaders, the `Aᵀ` output
+//! column, inside a [`super::sched`] task: the tile loaders, the `Aᵀ` output
 //! transform, the disjoint-row bucket writer and the per-block lap timer.
 //! The module is annotated `audit: no-alloc`, so `cargo xtask audit`
 //! statically rejects any allocating construct in non-test code — the

@@ -38,10 +38,10 @@
 
 mod clip;
 mod hot;
-pub mod sched;
 
 pub use clip::{clip_rows, clip_savings_fraction, clipped_rows_total};
 pub use hot::{load_filter_tile, load_input_tile};
+pub use winrs_gemm::sched;
 
 use crate::error::{Violation, WinrsError};
 use crate::metrics::TimingSink;
@@ -101,7 +101,7 @@ impl HealthSink {
     pub fn record(&self, seg: usize, saturated: u64, non_finite: u64) {
         if saturated > 0 {
             // ORDERING: independent event counter — readers only consume
-            // totals after the rayon scope joins (a happens-before edge).
+            // totals after the scheduler scope joins (a happens-before edge).
             self.counters[seg][0].fetch_add(saturated, Ordering::Relaxed);
         }
         if non_finite > 0 {
@@ -192,9 +192,9 @@ pub struct ExecOptions<'a, 'p> {
     /// into the sink once per column — same discipline as `health`.
     pub timing: Option<&'a TimingSink>,
     /// Worker threads for the block-group scheduler (see [`sched`]). When
-    /// `None`, one worker per hardware thread
-    /// ([`crate::workspace::default_scratch_slots`]). `Some(1)` runs the
-    /// whole pass on the calling thread with no queues at all.
+    /// `None`, one worker per hardware thread ([`sched::workers`]).
+    /// `Some(1)` runs the whole pass on the calling thread with no queues
+    /// at all.
     pub workers: Option<usize>,
 }
 
@@ -242,9 +242,7 @@ pub fn scratch_slots_for(conv: &ConvShape, partition: &Partition, mode: TileMode
             .sum()
     };
     let max_tasks = tasks_in_pass(0).max(tasks_in_pass(1));
-    crate::workspace::default_scratch_slots()
-        .min(max_tasks)
-        .max(1)
+    sched::workers().min(max_tasks).max(1)
 }
 
 /// Execute all segments, accumulating each segment's result into its
@@ -280,6 +278,29 @@ pub fn execute_segments<T: Scalar, S: TransformSource>(
     )
 }
 
+/// One [`Violation::TensorDimsMismatch`] per operand whose dims disagree
+/// with `conv` (`x` first, then `dy`); empty when both fit. The engine and
+/// `ExecHandle`'s per-job routine both check operands here, so every
+/// dispatch rung refuses a mis-shaped operand the same way.
+pub(crate) fn operand_violations<T: Scalar>(
+    conv: &ConvShape,
+    x: &Tensor4<T>,
+    dy: &Tensor4<T>,
+) -> Vec<Violation> {
+    [
+        ("x", [conv.n, conv.ih, conv.iw, conv.ic], x.dims()),
+        ("dy", [conv.n, conv.oh(), conv.ow(), conv.oc], dy.dims()),
+    ]
+    .into_iter()
+    .filter(|(_, expected, got)| expected != got)
+    .map(|(tensor, expected, got)| Violation::TensorDimsMismatch {
+        tensor,
+        expected,
+        got,
+    })
+    .collect()
+}
+
 /// [`execute_segments`] with explicit [`ExecOptions`] (bucket filtering
 /// for partial re-execution, numeric-health accounting).
 #[allow(clippy::too_many_arguments)]
@@ -301,22 +322,7 @@ pub fn execute_segments_with<T: Scalar, S: TransformSource>(
             got: buckets.len(),
         });
     }
-    let want_x = [conv.n, conv.ih, conv.iw, conv.ic];
-    if x.dims() != want_x {
-        violations.push(Violation::TensorDimsMismatch {
-            tensor: "x",
-            expected: want_x,
-            got: x.dims(),
-        });
-    }
-    let want_dy = [conv.n, conv.oh(), conv.ow(), conv.oc];
-    if dy.dims() != want_dy {
-        violations.push(Violation::TensorDimsMismatch {
-            tensor: "dy",
-            expected: want_dy,
-            got: dy.dims(),
-        });
-    }
+    violations.extend(operand_violations(conv, x, dy));
     if let Err(v) = apply_forced_width() {
         violations.push(v);
     }
@@ -434,10 +440,7 @@ fn run_passes<T: Scalar, S: TransformSource>(
 ) {
     let dw_elems = conv.dw_elems();
     let enabled = |bucket: usize| opts.bucket_filter.is_none_or(|f| f[bucket]);
-    let workers = opts
-        .workers
-        .unwrap_or_else(crate::workspace::default_scratch_slots)
-        .max(1);
+    let workers = opts.workers.unwrap_or_else(sched::workers).max(1);
     for pass in 0..=1u8 {
         // Bucket -> owning segment for this pass, precomputed at partition
         // build so the steady-state loop allocates nothing beyond the task

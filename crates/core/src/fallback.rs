@@ -425,7 +425,7 @@ pub fn run_planned_into(
         report.timing.reduce_s = t_reduce.elapsed().as_secs_f64();
         report
             .timing
-            .absorb_sink(&sink, crate::workspace::default_scratch_slots());
+            .absorb_sink(&sink, crate::engine::sched::workers());
         hot_loop_allocs = scratch.hot_loop_allocs();
     }
     // Measured high-water mark: every overflow bucket with an owner is

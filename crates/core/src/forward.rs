@@ -18,9 +18,9 @@
 //! BDC is expressed as an FC with the 180°-rotated, channel-transposed
 //! filter and complementary padding — the standard adjoint identity.
 
-use crate::workspace::{default_scratch_slots, ScratchPool, WorkspaceLayout};
-use rayon::prelude::*;
+use crate::workspace::{ScratchPool, WorkspaceLayout};
 use winrs_conv::ConvShape;
+use winrs_gemm::sched;
 use winrs_tensor::Tensor4;
 use winrs_winograd::cook_toom::{Transform, TransformReal};
 use winrs_winograd::kernels::WINRS_KERNELS;
@@ -48,14 +48,14 @@ fn forward_kernel(fw: usize) -> TransformReal {
 /// (`O_C · α`).
 pub fn fc_scratch_layout(shape: &ConvShape) -> WorkspaceLayout {
     let t = forward_kernel(shape.fw);
-    WorkspaceLayout::scratch_only(t.alpha * (1 + shape.oc), default_scratch_slots())
+    WorkspaceLayout::scratch_only(t.alpha * (1 + shape.oc), sched::workers())
 }
 
 /// Scratch layout for [`bdc_winograd_with`] on `shape`: the adjoint FC has
 /// `I_C` output channels, so its accumulator is `I_C · α`.
 pub fn bdc_scratch_layout(shape: &ConvShape) -> WorkspaceLayout {
     let t = forward_kernel(shape.fw);
-    WorkspaceLayout::scratch_only(t.alpha * (1 + shape.ic), default_scratch_slots())
+    WorkspaceLayout::scratch_only(t.alpha * (1 + shape.ic), sched::workers())
 }
 
 /// Forward convolution `Y = X ⊛ W` with fused 1D Winograd along rows.
@@ -107,74 +107,71 @@ pub fn fc_winograd_with(
 
     let mut y = Tensor4::<f32>::zeros([shape.n, oh, ow, shape.oc]);
     let row_elems = ow * shape.oc;
-    y.as_mut_slice()
-        .par_chunks_mut(row_elems)
-        .enumerate()
-        .for_each(|(row_idx, yrow)| {
-            let (b, i) = (row_idx / oh, row_idx % oh);
-            scratch.with_slot(alpha * (1 + shape.oc), |buf| {
-                let (dhat, acc) = buf.split_at_mut(alpha);
-                let full_tiles = ow / n_t;
-                for tile in 0..full_tiles {
-                    let j0 = tile * n_t;
-                    acc.fill(0.0);
+    let chunks = y.as_mut_slice().chunks_mut(row_elems).enumerate().collect();
+    sched::run_tasks(chunks, sched::workers(), |worker, (row_idx, yrow)| {
+        let (b, i) = (row_idx / oh, row_idx % oh);
+        scratch.with_slot_at(worker, alpha * (1 + shape.oc), |buf| {
+            let (dhat, acc) = buf.split_at_mut(alpha);
+            let full_tiles = ow / n_t;
+            for tile in 0..full_tiles {
+                let j0 = tile * n_t;
+                acc.fill(0.0);
+                for a in 0..shape.fh {
+                    let xi = (i + a) as isize - shape.ph as isize;
+                    for ic in 0..shape.ic {
+                        // IT on the fly.
+                        for (beta, d) in dhat.iter_mut().enumerate() {
+                            let mut s = 0.0f32;
+                            for k in 0..alpha {
+                                let xj = (j0 + k) as isize - shape.pw as isize;
+                                let v = x.get_padded(b, xi, xj, ic);
+                                if v != 0.0 {
+                                    s += t.dt_f32[beta * alpha + k] * v;
+                                }
+                            }
+                            *d = s;
+                        }
+                        // EWM accumulate over (f_h, ic) per output channel.
+                        for oc in 0..shape.oc {
+                            let g = &ghat[((oc * shape.fh + a) * shape.ic + ic) * alpha..][..alpha];
+                            let dst = &mut acc[oc * alpha..(oc + 1) * alpha];
+                            for beta in 0..alpha {
+                                dst[beta] += g[beta] * dhat[beta];
+                            }
+                        }
+                    }
+                }
+                // OT per (tile, oc).
+                for oc in 0..shape.oc {
+                    let src = &acc[oc * alpha..(oc + 1) * alpha];
+                    for d in 0..n_t {
+                        let s: f32 = t.at_f32[d * alpha..(d + 1) * alpha]
+                            .iter()
+                            .zip(src)
+                            .map(|(a, v)| a * v)
+                            .sum();
+                        yrow[(j0 + d) * shape.oc + oc] = s;
+                    }
+                }
+            }
+            // Residual output columns: direct.
+            for j in full_tiles * n_t..ow {
+                for oc in 0..shape.oc {
+                    let mut s = 0.0f32;
                     for a in 0..shape.fh {
                         let xi = (i + a) as isize - shape.ph as isize;
-                        for ic in 0..shape.ic {
-                            // IT on the fly.
-                            for (beta, d) in dhat.iter_mut().enumerate() {
-                                let mut s = 0.0f32;
-                                for k in 0..alpha {
-                                    let xj = (j0 + k) as isize - shape.pw as isize;
-                                    let v = x.get_padded(b, xi, xj, ic);
-                                    if v != 0.0 {
-                                        s += t.dt_f32[beta * alpha + k] * v;
-                                    }
-                                }
-                                *d = s;
-                            }
-                            // EWM accumulate over (f_h, ic) per output channel.
-                            for oc in 0..shape.oc {
-                                let g =
-                                    &ghat[((oc * shape.fh + a) * shape.ic + ic) * alpha..][..alpha];
-                                let dst = &mut acc[oc * alpha..(oc + 1) * alpha];
-                                for beta in 0..alpha {
-                                    dst[beta] += g[beta] * dhat[beta];
-                                }
+                        for bb in 0..shape.fw {
+                            let xj = (j + bb) as isize - shape.pw as isize;
+                            for ic in 0..shape.ic {
+                                s += x.get_padded(b, xi, xj, ic) * w[(oc, a, bb, ic)];
                             }
                         }
                     }
-                    // OT per (tile, oc).
-                    for oc in 0..shape.oc {
-                        let src = &acc[oc * alpha..(oc + 1) * alpha];
-                        for d in 0..n_t {
-                            let s: f32 = t.at_f32[d * alpha..(d + 1) * alpha]
-                                .iter()
-                                .zip(src)
-                                .map(|(a, v)| a * v)
-                                .sum();
-                            yrow[(j0 + d) * shape.oc + oc] = s;
-                        }
-                    }
+                    yrow[j * shape.oc + oc] = s;
                 }
-                // Residual output columns: direct.
-                for j in full_tiles * n_t..ow {
-                    for oc in 0..shape.oc {
-                        let mut s = 0.0f32;
-                        for a in 0..shape.fh {
-                            let xi = (i + a) as isize - shape.ph as isize;
-                            for bb in 0..shape.fw {
-                                let xj = (j + bb) as isize - shape.pw as isize;
-                                for ic in 0..shape.ic {
-                                    s += x.get_padded(b, xi, xj, ic) * w[(oc, a, bb, ic)];
-                                }
-                            }
-                        }
-                        yrow[j * shape.oc + oc] = s;
-                    }
-                }
-            });
+            }
         });
+    });
     y
 }
 

@@ -64,7 +64,7 @@ impl TimingSink {
     /// column's wall time (covers the four phases plus loop overhead).
     pub fn record_block(&self, ft_ns: u64, it_ns: u64, ewmm_ns: u64, ot_ns: u64, total_ns: u64) {
         // ORDERING: per-column flush of independent counters; readers only
-        // consume the sink after the rayon scope joins (a happens-before
+        // consume the sink after the scheduler scope joins (a happens-before
         // edge the join provides), so Relaxed RMWs are sufficient and the
         // checked-model in tests/loom_models.rs verifies totals anyway.
         self.ft_ns.fetch_add(ft_ns, Ordering::Relaxed);

@@ -16,10 +16,10 @@
 use crate::config::pair::{select_pair, KernelPair};
 use crate::config::Precision;
 use crate::engine::clip_rows;
-use crate::workspace::{default_scratch_slots, ScratchPool, WorkspaceLayout};
-use rayon::prelude::*;
+use crate::workspace::{ScratchPool, WorkspaceLayout};
 use std::collections::HashMap;
 use winrs_conv::ndim::Conv3dShape;
+use winrs_gemm::sched;
 use winrs_tensor::TensorN;
 use winrs_winograd::cook_toom::{Transform, TransformReal};
 
@@ -33,7 +33,7 @@ pub fn bfc3d_scratch_layout(shape: &Conv3dShape) -> WorkspaceLayout {
         .map(|k| k.alpha())
         .max()
         .unwrap_or(0);
-    WorkspaceLayout::scratch_only(3 * max_alpha, default_scratch_slots())
+    WorkspaceLayout::scratch_only(3 * max_alpha, sched::workers())
 }
 
 /// 3D WinRS BFC in FP32. Segmentation is left at Z = 1 (the extension
@@ -89,26 +89,24 @@ pub fn bfc3d_winrs_with(
 
     let mut dw = TensorN::<f32>::zeros(&shape.dw_dims());
     let per_oc = shape.fd * shape.fh * shape.fw * shape.ic;
-    dw.as_mut_slice()
-        .par_chunks_mut(per_oc)
-        .enumerate()
-        .for_each(|(c_out, dwo)| {
-            scratch.with_slot(3 * max_alpha, |buf| {
-                compute_oc_slice(
-                    shape,
-                    x,
-                    dy,
-                    &transforms,
-                    &kernel_units,
-                    c_out,
-                    od,
-                    oh,
-                    dwo,
-                    buf,
-                    max_alpha,
-                );
-            });
+    let chunks = dw.as_mut_slice().chunks_mut(per_oc).enumerate().collect();
+    sched::run_tasks(chunks, sched::workers(), |worker, (c_out, dwo)| {
+        scratch.with_slot_at(worker, 3 * max_alpha, |buf| {
+            compute_oc_slice(
+                shape,
+                x,
+                dy,
+                &transforms,
+                &kernel_units,
+                c_out,
+                od,
+                oh,
+                dwo,
+                buf,
+                max_alpha,
+            );
         });
+    });
     dw
 }
 

@@ -10,14 +10,15 @@
 //! pools:
 //!
 //! * **Panics** — [`ExecHandle::run`] executes the planned BFC under
-//!   `catch_unwind`. A panic inside the fused block loop (the vendored
-//!   rayon substrate resumes worker panics on the caller) becomes a typed
-//!   [`WinrsError::ExecutionPanicked`]; the half-written `∇W` is dropped
-//!   during unwind and the leased workspace is **poisoned**: discarded and
-//!   rebuilt fresh before the slot is leasable again, so no later caller
-//!   can observe a partial write. Lease return is panic-driven too —
-//!   [`Lease`]'s `Drop` detects unwinding and self-poisons, so even a
-//!   panic *between* lease and execution cannot leak a dirty arena.
+//!   `catch_unwind`. A panic inside the fused block loop (the scheduler,
+//!   `winrs_gemm::sched::run_tasks`, resumes worker panics on the caller)
+//!   becomes a typed [`WinrsError::ExecutionPanicked`]; the half-written
+//!   `∇W` is dropped during unwind and the leased workspace is
+//!   **poisoned**: discarded and rebuilt fresh before the slot is leasable
+//!   again, so no later caller can observe a partial write. Lease return
+//!   is panic-driven too — [`Lease`]'s `Drop` detects unwinding and
+//!   self-poisons, so even a panic *between* lease and execution cannot
+//!   leak a dirty arena.
 //! * **Exhaustion** — the pool holds a fixed number of slots. A lease
 //!   request waits on a condvar up to a configurable budget, then fails
 //!   with typed [`WinrsError::PoolExhausted`] backpressure instead of
@@ -49,6 +50,7 @@
 //! models in `tests/pool_models.rs`.
 
 use crate::config::Precision;
+use crate::engine::operand_violations;
 use crate::error::{Violation, WinrsError};
 use crate::fallback::{self, ExecutionReport, FallbackPolicy, NumericGuard};
 use crate::metrics::PoolStats;
@@ -746,8 +748,10 @@ impl ExecHandle {
         Ok((decision, shared))
     }
 
-    /// One job: the Force branch, the tuner's choice, the WinRS rung and
-    /// the degrade rung. `decision` is present exactly under `Auto`.
+    /// One job: the operand check, the Force branch, the tuner's choice,
+    /// the WinRS rung and the degrade rung. `decision` is present exactly
+    /// under `Auto`. Mis-shaped operands are refused before any rung runs,
+    /// so no policy leases, degrades or computes on them.
     fn run_job(
         &self,
         conv: &ConvShape,
@@ -757,6 +761,10 @@ impl ExecHandle {
         decision: Option<&TunerDecision>,
         shared: &mut Shared,
     ) -> Result<(Tensor4<f32>, ExecutionReport), WinrsError> {
+        let violations = operand_violations(conv, x, dy);
+        if !violations.is_empty() {
+            return Err(WinrsError::ExecutionRejected(violations));
+        }
         if let FallbackPolicy::Force(alg) = self.policy {
             // Forced by the caller — not a fallback, so no reason recorded.
             return Ok(fallback::run_substitute(

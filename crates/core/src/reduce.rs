@@ -6,27 +6,25 @@
 //! what keeps WinRS accurate at large accumulation lengths where Cu-Algo1
 //! and Cu-WinNF degrade (Figure 12).
 
-use rayon::prelude::*;
+use winrs_gemm::sched;
 use winrs_tensor::{Kahan, Scalar, Tensor4};
 
 /// Sum `z` buckets (each `out.len()` elements, concatenated) into `out`.
 pub fn reduce_buckets<T: Scalar>(buckets: &[T], z: usize, out: &mut Tensor4<T>) {
     let dw = out.len();
     assert_eq!(buckets.len(), z * dw, "bucket count mismatch");
-    out.as_mut_slice()
-        .par_chunks_mut(4096)
-        .enumerate()
-        .for_each(|(chunk_idx, chunk)| {
-            let base = chunk_idx * 4096;
-            for (off, dst) in chunk.iter_mut().enumerate() {
-                let idx = base + off;
-                let mut acc = Kahan::new();
-                for zi in 0..z {
-                    acc.add(buckets[zi * dw + idx].to_f32());
-                }
-                *dst = T::from_f32(acc.value());
+    let chunks = out.as_mut_slice().chunks_mut(4096).enumerate().collect();
+    sched::run_tasks(chunks, sched::workers(), |_, (chunk_idx, chunk)| {
+        let base = chunk_idx * 4096;
+        for (off, dst) in chunk.iter_mut().enumerate() {
+            let idx = base + off;
+            let mut acc = Kahan::new();
+            for zi in 0..z {
+                acc.add(buckets[zi * dw + idx].to_f32());
             }
-        });
+            *dst = T::from_f32(acc.value());
+        }
+    });
 }
 
 #[cfg(test)]

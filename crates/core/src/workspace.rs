@@ -32,7 +32,7 @@
 
 use crate::engine::HealthSink;
 use crate::error::{Violation, WinrsError};
-use crate::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::sync::Mutex;
 
 /// Slot alignment quantum in f32 elements: 16 f32s = one 64-byte cache
@@ -238,23 +238,15 @@ impl WorkspaceLayout {
     }
 }
 
-/// Default scratch-slot count: one per hardware thread (the vendored rayon
-/// substrate never runs more chunks than this per parallel level; extra
-/// contenders block briefly on a slot mutex, which is exactly the
-/// behaviour of oversubscribed SMEM on a GPU).
-pub fn default_scratch_slots() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-}
-
 /// A pool of fixed-size scratch slots carved from the arena.
 ///
 /// Tasks borrow a slot for the duration of one block column via
-/// [`ScratchPool::with_slot`]; acquisition is round-robin over slot
-/// mutexes, so with `slots ≥` concurrent tasks it is contention-free. Slot
-/// contents are handed out *dirty* — callers must initialise what they
-/// read (the engine's tile loaders already overwrite/zero-fill).
+/// [`ScratchPool::with_slot_at`], keyed by their scheduler worker index,
+/// so with `slots ≥` workers it is contention-free; a smaller pool makes
+/// extra workers block briefly on a slot mutex, which is exactly the
+/// behaviour of oversubscribed SMEM on a GPU. Slot contents are handed
+/// out *dirty* — callers must initialise what they read (the engine's
+/// tile loaders already overwrite/zero-fill).
 ///
 /// A request larger than the slot size falls back to a counted heap
 /// allocation; that counter is the `hot_loop_allocs` metric reported by
@@ -263,7 +255,6 @@ pub fn default_scratch_slots() -> usize {
 pub struct ScratchPool<'a> {
     slots: Vec<Mutex<&'a mut [f32]>>,
     slot_elems: usize,
-    next: AtomicUsize,
     overflow_allocs: AtomicU64,
 }
 
@@ -307,7 +298,6 @@ impl<'a> ScratchPool<'a> {
         ScratchPool {
             slots,
             slot_elems,
-            next: AtomicUsize::new(0),
             overflow_allocs: AtomicU64::new(0),
         }
     }
@@ -323,37 +313,11 @@ impl<'a> ScratchPool<'a> {
     }
 
     /// Run `f` with a scratch buffer of `need` f32s (dirty — initialise
-    /// before reading). Allocation-free whenever `need ≤ slot_elems`;
-    /// otherwise falls back to a counted heap allocation.
-    pub fn with_slot<R>(&self, need: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
-        if need <= self.slot_elems && !self.slots.is_empty() {
-            // ORDERING: round-robin ticket only — any distribution of
-            // tickets is correct because the Mutex below provides the
-            // exclusion; Relaxed is sufficient (checked in loom_models.rs).
-            let idx = self.next.fetch_add(1, Ordering::Relaxed) % self.slots.len();
-            let mut guard = match self.slots[idx].lock() {
-                Ok(g) => g,
-                // A poisoning panic elsewhere doesn't invalidate f32
-                // scratch (callers initialise before reading).
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            f(&mut guard[..need])
-        } else {
-            // ORDERING: diagnostic counter, read after the run completes.
-            self.overflow_allocs.fetch_add(1, Ordering::Relaxed);
-            let mut buf = vec![0.0f32; need];
-            f(&mut buf)
-        }
-    }
-
-    /// [`ScratchPool::with_slot`] with a caller-pinned slot: the task runs
-    /// in slot `idx % slots` instead of drawing a round-robin ticket. The
-    /// work-stealing scheduler pins each worker to one slot this way, so a
-    /// worker's ĝ/d̂/accumulator tiles stay in the same cache-resident
-    /// lines across every block group it runs (round-robin would migrate
-    /// the worker to a cold slot on every block). Falls back to a counted
-    /// heap allocation exactly like `with_slot` when `need` overflows the
-    /// slot size.
+    /// before reading) from slot `idx % slots`. Callers pass their
+    /// scheduler worker index, so a worker's ĝ/d̂/accumulator tiles stay in
+    /// the same cache-resident lines across every task it runs.
+    /// Allocation-free whenever `need ≤ slot_elems`; otherwise falls back
+    /// to a counted heap allocation.
     pub fn with_slot_at<R>(&self, idx: usize, need: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
         if need <= self.slot_elems && !self.slots.is_empty() {
             let mut guard = match self.slots[idx % self.slots.len()].lock() {
@@ -575,7 +539,7 @@ mod tests {
         let mut region = vec![0.0f32; ScratchPool::region_elems(8, 4)];
         let pool = ScratchPool::new(&mut region, 8);
         assert_eq!(pool.slots(), 4);
-        let total: f32 = pool.with_slot(8, |buf| {
+        let total: f32 = pool.with_slot_at(0, 8, |buf| {
             buf.fill(1.0);
             buf.iter().sum()
         });
@@ -588,8 +552,8 @@ mod tests {
         let mut region = vec![0.0f32; ScratchPool::region_elems(20, 3)];
         let pool = ScratchPool::new(&mut region, 20);
         assert_eq!(pool.slots(), 3);
-        for _ in 0..3 {
-            pool.with_slot(20, |buf| {
+        for idx in 0..3 {
+            pool.with_slot_at(idx, 20, |buf| {
                 assert_eq!(buf.as_ptr() as usize % 64, 0, "slot start not 64B-aligned");
             });
         }
@@ -600,14 +564,14 @@ mod tests {
     fn oversized_request_falls_back_and_is_counted() {
         let mut region = vec![0.0f32; 16];
         let pool = ScratchPool::new(&mut region, 8);
-        let len = pool.with_slot(100, |buf| buf.len());
+        let len = pool.with_slot_at(0, 100, |buf| buf.len());
         assert_eq!(len, 100);
         assert_eq!(pool.hot_loop_allocs(), 1);
     }
 
     #[test]
     fn scratch_pool_is_safe_under_parallel_contention() {
-        // 2 slots for 8 threads.
+        // 2 slots for 8 threads: four workers share each slot's mutex.
         let mut region = vec![0.0f32; ScratchPool::region_elems(2, 2)];
         let pool = ScratchPool::new(&mut region, 2);
         assert_eq!(pool.slots(), 2);
@@ -616,7 +580,7 @@ mod tests {
                 let pool = &pool;
                 s.spawn(move || {
                     for _ in 0..100 {
-                        pool.with_slot(2, |buf| {
+                        pool.with_slot_at(t, 2, |buf| {
                             buf.fill(t as f32);
                             assert_eq!(buf[0], buf[1]);
                         });

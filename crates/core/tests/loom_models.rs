@@ -13,7 +13,9 @@
 //! `winrs-core`'s `crate::sync` shim swaps `std::sync` for the model
 //! checker, so [`winrs_core::TimingSink`] and
 //! [`winrs_core::ScratchPool`] are explored through exactly the code
-//! production runs. The per-shape store sits behind the
+//! production runs; `winrs-gemm`'s scheduler imports loom's `Mutex` under
+//! the same cfg, so its `StealQueues` handoff is modelled as well. The
+//! per-shape store sits behind the
 //! [`winrs_core::WorkspacePool`]'s tuner lock, so its model drives the
 //! pool's public lookups and the shim's `loom` mutex does the rest.
 
@@ -56,11 +58,12 @@ fn timing_sink_flush_is_lossless_under_interleaving() {
     });
 }
 
-/// ScratchPool round-robin slot handout: two concurrent `with_slot`
-/// callers may race the round-robin ticket onto the same slot — the inner
-/// mutex must still give each exclusive use (no observed interference
-/// while holding the slot), and no caller may fall onto the counted heap
-/// path when its request fits a slot.
+/// ScratchPool slot exclusivity: two concurrent `with_slot_at` callers
+/// pinned to the same slot (two workers sharing a slot when the pool has
+/// fewer slots than workers) — the slot mutex must still give each
+/// exclusive use (no observed interference while holding the slot), and
+/// no caller may fall onto the counted heap path when its request fits a
+/// slot.
 #[test]
 fn scratch_pool_slots_are_exclusive_under_interleaving() {
     const SLOT_ELEMS: usize = 4;
@@ -75,7 +78,7 @@ fn scratch_pool_slots_are_exclusive_under_interleaving() {
             .map(|tag| {
                 let pool = Arc::clone(&pool);
                 loom::thread::spawn(move || {
-                    pool.with_slot(SLOT_ELEMS, |buf| {
+                    pool.with_slot_at(0, SLOT_ELEMS, |buf| {
                         assert_eq!(buf.len(), SLOT_ELEMS);
                         buf.fill(tag as f32);
                         // Exclusive use: nobody scribbles while we hold it.
@@ -102,11 +105,11 @@ fn scratch_pool_overflow_is_counted_exactly_once() {
         let pool = Arc::new(ScratchPool::new(arena, SLOT_ELEMS));
         let big = {
             let pool = Arc::clone(&pool);
-            loom::thread::spawn(move || pool.with_slot(SLOT_ELEMS * 2, |buf| buf.len()))
+            loom::thread::spawn(move || pool.with_slot_at(0, SLOT_ELEMS * 2, |buf| buf.len()))
         };
         let fit = {
             let pool = Arc::clone(&pool);
-            loom::thread::spawn(move || pool.with_slot(SLOT_ELEMS, |buf| buf.len()))
+            loom::thread::spawn(move || pool.with_slot_at(0, SLOT_ELEMS, |buf| buf.len()))
         };
         assert_eq!(big.join().unwrap(), SLOT_ELEMS * 2);
         assert_eq!(fit.join().unwrap(), SLOT_ELEMS);
@@ -169,7 +172,7 @@ fn plan_store_counters_stay_consistent_under_interleaving() {
     });
 }
 
-/// Work-stealing deque handoff (PR 9): two workers drain a `StealQueues`
+/// Work-stealing deque handoff: two workers drain a `StealQueues`
 /// concurrently — worker 1's queue is empty so every task it gets is a
 /// steal from worker 0's tail. In every interleaving, each task is popped
 /// exactly once (no double-pop) and no task is lost: the union of both

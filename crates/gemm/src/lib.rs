@@ -1,14 +1,16 @@
 #![warn(missing_docs)]
 // Unit tests assert on known-good values; unwrap is fine there.
 #![cfg_attr(test, allow(clippy::unwrap_used))]
-//! Blocked, cache-aware, rayon-parallel GEMM.
+//! Blocked, cache-aware GEMM, the shared SIMD micro-kernels ([`micro`])
+//! and the work-stealing scheduler ([`sched`]) that every parallel loop of
+//! the workspace runs on.
 //!
 //! Substrate for the `Cu-GEMM` baseline family (`winrs-conv::gemm_bfc`) and
 //! for the batched element-wise-multiplication stage of the non-fused
 //! Winograd baseline. Three entry points:
 //!
 //! * [`gemm_f32`] — single-precision, register-blocked micro-kernel with
-//!   L2-sized macro tiles, parallelised over row panels with rayon (the
+//!   L2-sized macro tiles, parallelised over row panels on [`sched`] (the
 //!   CUDA-core analogue).
 //! * [`gemm_mixed_f16`] — binary16 inputs, f32 accumulation, binary16
 //!   store: the Tensor-Core `mma` contract.
@@ -20,9 +22,9 @@
 //! lowering produces.
 
 pub mod micro;
+pub mod sched;
 
 use micro::{micro_kernel_4x8, micro_kernel_4xn, MR, NR};
-use rayon::prelude::*;
 use winrs_fp16::f16;
 use winrs_tensor::Scalar;
 
@@ -60,7 +62,7 @@ pub fn gemm_generic<T: Scalar>(
 
 /// Parallel blocked f32 GEMM: `C = alpha·A·B + beta·C`.
 ///
-/// Row panels of `MC` rows are distributed over the rayon pool; within a
+/// Row panels of `MC` rows are distributed over [`sched`]'s workers; within a
 /// panel the kernel walks `KC`-deep strips and updates `MR × NR` register
 /// tiles, which keeps the hot loop in registers and `A`/`B` strips in L1/L2
 /// — the CPU shape of the paper's cache-blocked SM kernels.
@@ -91,28 +93,27 @@ pub fn gemm_f32(
         }
     }
 
-    c.par_chunks_mut(MC * n)
-        .enumerate()
-        .for_each(|(panel, c_panel)| {
-            let i0 = panel * MC;
-            let mc = MC.min(m - i0);
-            let mut kb = 0;
-            while kb < k {
-                let kc = KC.min(k - kb);
-                panel_kernel(
-                    mc,
-                    n,
-                    kc,
-                    alpha,
-                    &a[i0 * k + kb..],
-                    k,
-                    &b[kb * n..],
-                    n,
-                    c_panel,
-                );
-                kb += kc;
-            }
-        });
+    let panels = c.chunks_mut(MC * n).enumerate().collect();
+    sched::run_tasks(panels, sched::workers(), |_, (panel, c_panel)| {
+        let i0 = panel * MC;
+        let mc = MC.min(m - i0);
+        let mut kb = 0;
+        while kb < k {
+            let kc = KC.min(k - kb);
+            panel_kernel(
+                mc,
+                n,
+                kc,
+                alpha,
+                &a[i0 * k + kb..],
+                k,
+                &b[kb * n..],
+                n,
+                c_panel,
+            );
+            kb += kc;
+        }
+    });
 }
 
 /// One `mc × n` panel update: `C += alpha · A[mc × kc] · B[kc × n]`.
@@ -193,7 +194,8 @@ pub fn gemm_mixed_f16(
     assert_eq!(a.len(), m * k, "A size");
     assert_eq!(b.len(), k * n, "B size");
     assert_eq!(c.len(), m * n, "C size");
-    c.par_chunks_mut(n).enumerate().for_each(|(i, crow)| {
+    let rows = c.chunks_mut(n).enumerate().collect();
+    sched::run_tasks(rows, sched::workers(), |_, (i, crow)| {
         for (j, cj) in crow.iter_mut().enumerate() {
             let mut acc = 0.0f32;
             for p in 0..k {

@@ -1,36 +1,54 @@
-//! Locality-aware work-stealing scheduler for the engine's block groups.
+//! Locality-aware work-stealing scheduler: the one thread pool of the
+//! workspace. Every parallel loop — the WinRS engine's block groups, the
+//! reduce, the baselines (direct, GEMM, FFT, WinNF, int8, 3-D) and the
+//! forward and 3-D WinRS paths — runs its tasks through [`run_tasks`],
+//! sized by [`workers`].
 //!
-//! The flat rayon fan-out this replaces handed every `(oc-tile ×
-//! filter-row)` task to a global pool, so consecutive tasks of one bucket
-//! — which share a `ScratchPool` slot's ĝ/d̂/accumulator tiles and write
-//! neighbouring bucket rows — could land on different cores and evict
-//! each other's L2 lines. Here the task list is cut into **contiguous
-//! chunks, one deque per worker**: worker `w` owns a consecutive run of
-//! block groups, pops from its own deque's *front* (preserving the
-//! locality order the planner emitted) and, only when dry, steals
+//! Handing every task to a flat global fan-out would let consecutive
+//! engine tasks of one bucket — which share a scratch slot's
+//! ĝ/d̂/accumulator tiles and write neighbouring bucket rows — land on
+//! different cores and evict each other's L2 lines. Here the task list is
+//! cut into **contiguous chunks, one deque per worker**: worker `w` owns a
+//! consecutive run of tasks, pops from its own deque's *front* (preserving
+//! the locality order the caller emitted) and, only when dry, steals
 //! **half of a victim's remainder from the tail** — the far, coldest end
 //! of the victim's run — so both threads keep working on disjoint,
 //! still-contiguous stretches.
 //!
 //! Determinism contract: the scheduler decides only *which worker* runs a
-//! task and *when*, never what the task writes. Every block group writes
-//! bucket rows owned by its `(bucket, oc-tile, filter-row)` coordinates —
-//! disjoint from every other group by construction (see
-//! `hot::BucketWriter`) — and the per-element arithmetic inside a task is
-//! schedule-independent, so `∇W` is bitwise identical for every worker
-//! count and every steal order. `tests/engine_sched.rs` asserts this
-//! across worker counts and repeated runs; the loom model in
+//! task and *when*, never what the task writes. Every caller hands each
+//! task a disjoint output (an engine block group's bucket rows, one `∇W`
+//! output channel, one GEMM row panel, one spectrum slot) and the
+//! per-element arithmetic inside a task is schedule-independent, so
+//! results are bitwise identical for every worker count and every steal
+//! order. `tests/engine_sched.rs` asserts this for the engine across
+//! worker counts and repeated runs; the loom model in
 //! `crates/core/tests/loom_models.rs` checks the deque handoff itself
 //! (no double-pop, no lost task).
 //!
-//! The queues go through [`crate::sync::Mutex`] so the loom leg can
-//! exhaustively model the handoff with the exact production code. A
-//! mutex-per-deque is not a throughput concern at this granularity:
-//! one block group amortises thousands of micro-kernel calls per lock
-//! acquisition.
+//! A panicking task reaches the caller of [`run_tasks`]: the scoped
+//! threads are joined and the panic resumes on the calling thread, which
+//! is what `ExecHandle`'s `catch_unwind` quarantine relies on.
+//!
+//! The queues go through loom's `Mutex` under `--cfg loom`, so the loom
+//! leg exhaustively models the handoff with the exact production code. A
+//! mutex-per-deque is not a throughput concern at this granularity: every
+//! task (a block group, an output channel, a row panel, a transformed
+//! tile) amortises many multiply-adds per lock acquisition, and one
+//! worker runs its list inline with no queues at all.
 
-use crate::sync::{Mutex, MutexGuard};
+#[cfg(loom)]
+use loom::sync::{Mutex, MutexGuard};
 use std::collections::VecDeque;
+#[cfg(not(loom))]
+use std::sync::{Mutex, MutexGuard};
+
+/// Default worker count of every parallel loop: one per hardware thread.
+pub fn workers() -> usize {
+    std::thread::available_parallelism()
+        .map(std::num::NonZeroUsize::get)
+        .unwrap_or(1)
+}
 
 /// Per-worker deques over a deterministically distributed task list.
 pub struct StealQueues<T> {
@@ -198,6 +216,38 @@ mod tests {
                         1,
                         "task {i} of {n} ran != once at {workers} workers"
                     );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_task_panic_reaches_the_caller() {
+        const N: usize = 16;
+        for workers in [1usize, 2, 4] {
+            // First task of the calling thread's range, then of the last
+            // spawned worker's range (the split is ⌈N/workers⌉ per worker).
+            for bad in [0, (workers - 1) * N.div_ceil(workers)] {
+                let hits: Vec<AtomicUsize> = (0..N).map(|_| AtomicUsize::new(0)).collect();
+                let caught = std::panic::catch_unwind(|| {
+                    run_tasks((0..N).collect(), workers, |_w, i: usize| {
+                        assert_ne!(i, bad, "injected task panic");
+                        // ORDERING: per-task counters read after the join.
+                        hits[i].fetch_add(1, Ordering::Relaxed);
+                    });
+                });
+                assert!(
+                    caught.is_err(),
+                    "panic in task {bad} at {workers} workers was lost"
+                );
+                if workers >= 2 {
+                    for (i, h) in hits.iter().enumerate().filter(|&(i, _)| i != bad) {
+                        assert_eq!(
+                            h.load(Ordering::Relaxed),
+                            1,
+                            "task {i} ran != once after task {bad} panicked at {workers} workers"
+                        );
+                    }
                 }
             }
         }

@@ -131,7 +131,7 @@ fn every_violation_reported_at_once() {
 #[test]
 fn plan_reuse_is_deterministic() {
     // Two executions of the same plan on the same data must agree bit-for-
-    // bit (rayon order does not affect per-element summation order).
+    // bit (scheduler order does not affect per-element summation order).
     let shape = ConvShape::square(2, 16, 4, 4, 3);
     let plan = WinRsPlan::new(&shape, &RTX_4090, Precision::Fp32).unwrap();
     let x = Tensor4::<f32>::random_uniform([2, 16, 16, 4], 90, 1.0);

@@ -14,11 +14,12 @@
 //! package's dev-dependency feature; its state is process-global, so every
 //! test that arms it holds `faults::serial_guard()`.
 
+use std::sync::Arc;
 use winrs::conv::{direct, ConvShape};
-use winrs::core::fallback::{run_planned_into, Algorithm, NumericGuard};
+use winrs::core::fallback::{run_planned_into, Algorithm, FallbackPolicy, NumericGuard};
 use winrs::core::faults;
 use winrs::core::{
-    ExecHandle, Precision, Violation, WinRsPlan, WinrsError, Workspace, WorkspacePool,
+    BfcJob, ExecHandle, Precision, Violation, WinRsPlan, WinrsError, Workspace, WorkspacePool,
 };
 use winrs::gpu::RTX_4090;
 use winrs::tensor::{mare, Tensor4};
@@ -198,4 +199,77 @@ fn mismatched_tensors_are_typed_errors_not_panics() {
     let err = plan.execute_f32(&x, &dy).unwrap_err();
     assert!(matches!(err, WinrsError::ExecutionRejected(_)));
     assert_eq!(err.violations().len(), 2, "{err}");
+}
+
+/// Every dispatch rung refuses mis-shaped operands the same way: one
+/// `ExecutionRejected` naming each bad tensor, before any lease or
+/// degradation. The substitute rungs (direct, GEMM-BFC, FFT) run outside
+/// the WinRS engine, so without the per-job check they would panic or
+/// compute a ∇W from the wrong tensor.
+#[test]
+fn mis_shaped_operands_are_refused_on_every_rung() {
+    use Algorithm::{Direct, FftBfc, GemmBfc};
+    use FallbackPolicy::{Auto, Force, Strict};
+    let to_direct = ConvShape::square(2, 32, 4, 4, 2);
+    let to_gemm = ConvShape::square(1, 16, 3, 3, 4);
+    let (fp32, fp16) = (Precision::Fp32, Precision::Fp16);
+    // (label, shape, precision, policy, where Auto routes well-shaped
+    // operands — checked first so the case keeps covering that rung).
+    let cases = [
+        ("auto->direct", to_direct, fp32, Auto, Some(Direct)),
+        ("auto->gemm", to_gemm, fp16, Auto, Some(GemmBfc)),
+        ("strict", to_direct, fp32, Strict, None),
+        ("force-fft", to_direct, fp32, Force(FftBfc), None),
+        ("force-direct", to_direct, fp32, Force(Direct), None),
+        ("force-gemm", to_direct, fp32, Force(GemmBfc), None),
+    ];
+    for (label, conv, precision, policy, auto_route) in cases {
+        let handle = |pool: &Arc<WorkspacePool>| {
+            ExecHandle::new(Arc::clone(pool), RTX_4090, precision).with_policy(policy)
+        };
+        if let Some(want) = auto_route {
+            let (x, dy, _) = problem(&conv, 7);
+            let (_, report) = handle(&WorkspacePool::with_slots(1))
+                .run(&conv, &x, &dy)
+                .expect("well-shaped operands run");
+            assert_eq!(report.algorithm, want, "{label}: Auto routes elsewhere now");
+        }
+        let good_x = [conv.n, conv.ih, conv.iw, conv.ic];
+        let good_dy = [conv.n, conv.oh(), conv.ow(), conv.oc];
+        let bad_x = [conv.n, conv.ih, conv.iw, conv.ic + 1];
+        let bad_dy = [conv.n, conv.oh(), conv.ow(), conv.oc + 1];
+        for (x_dims, dy_dims, want) in [
+            (bad_x, good_dy, vec!["x"]),
+            (good_x, bad_dy, vec!["dy"]),
+            (bad_x, bad_dy, vec!["x", "dy"]),
+        ] {
+            let x = Tensor4::<f32>::random_uniform(x_dims, 1, 1.0);
+            let dy = Tensor4::<f32>::random_uniform(dy_dims, 2, 1.0);
+            let pool = WorkspacePool::with_slots(1);
+            let h = handle(&pool);
+            let single = h.run(&conv, &x, &dy).map(|_| ());
+            let mut batch = h.run_batch(&conv, vec![BfcJob::new(x, dy)]);
+            assert_eq!(batch.len(), 1);
+            let batched = batch.remove(0).map(|_| ());
+            for (path, result) in [("run", single), ("run_batch", batched)] {
+                let Err(WinrsError::ExecutionRejected(violations)) = result else {
+                    panic!("{label}/{path} {want:?}: expected ExecutionRejected, got {result:?}");
+                };
+                let named: Vec<&str> = violations
+                    .iter()
+                    .map(|v| match v {
+                        Violation::TensorDimsMismatch { tensor, .. } => *tensor,
+                        other => panic!("{label}/{path}: unexpected violation {other:?}"),
+                    })
+                    .collect();
+                assert_eq!(named, want, "{label}/{path}");
+            }
+            let st = pool.stats();
+            assert_eq!(
+                (st.leases, st.degradations),
+                (0, 0),
+                "{label} {want:?}: {st}"
+            );
+        }
+    }
 }

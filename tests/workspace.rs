@@ -3,9 +3,10 @@
 //! `run_planned_into` performs zero heap allocations *inside the block
 //! loop*.
 //!
-//! The vendored rayon shim makes a handful of bookkeeping allocations per
-//! `par_*` call (it collects items eagerly), so "zero" cannot mean "zero
-//! for the whole call". What it does mean, and what this test pins down:
+//! The scheduler makes a handful of bookkeeping allocations per
+//! `run_tasks` call (the caller collects its task list eagerly), so "zero"
+//! cannot mean "zero for the whole call". What it does mean, and what this
+//! test pins down:
 //!
 //! 1. the steady-state per-call allocation count is a constant — repeated
 //!    warm calls allocate exactly the same amount;
@@ -82,10 +83,10 @@ fn warm_call(
 
 #[test]
 fn warm_run_planned_block_loop_allocates_nothing() {
-    // Small single-tile shapes: every `par_*` call in the engine sees one
-    // chunk and takes the shim's inline path, so no worker threads (and
-    // their stacks) muddy the counts. Ẑ = 1 keeps the bucket region at
-    // |∇W| and the whole arena under a page.
+    // Small single-tile shapes: every `run_tasks` call in the engine and the
+    // reduce sees one task and takes the scheduler's inline path, so no
+    // worker threads (and their stacks) muddy the counts. Ẑ = 1 keeps the
+    // bucket region at |∇W| and the whole arena under a page.
     let setup = |n: usize| {
         let conv = ConvShape::new(n, 12, 12, 4, 4, 3, 3, 1, 1);
         let plan =
