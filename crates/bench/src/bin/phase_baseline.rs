@@ -85,6 +85,7 @@ fn main() {
         }
         let Some(report) = last else { continue };
         let t = &report.timing;
+        let pool = report.pool.unwrap_or_default();
         println!(
             "{:<22} {:<9} {:>9.3} {:>9.3} {:>9.3} {:>9.3} {:>9.3} {:>4}h/{}m",
             case.name,
@@ -94,8 +95,8 @@ fn main() {
             t.block_loop_s * 1e3,
             t.ewmm_s * 1e3,
             t.reduce_s * 1e3,
-            report.cache_hits,
-            report.cache_misses
+            pool.plan_hits,
+            pool.plan_misses
         );
 
         rows.push(Json::obj(vec![
@@ -126,8 +127,8 @@ fn main() {
             ("blocks", Json::Int(t.blocks as i64)),
             ("workers", Json::Int(t.workers as i64)),
             ("utilisation", Json::Num(t.utilisation)),
-            ("cache_hits", Json::Int(report.cache_hits as i64)),
-            ("cache_misses", Json::Int(report.cache_misses as i64)),
+            ("cache_hits", Json::Int(pool.plan_hits as i64)),
+            ("cache_misses", Json::Int(pool.plan_misses as i64)),
         ]));
     }
 
@@ -136,7 +137,6 @@ fn main() {
             ("schema", Json::str(SCHEMA)),
             ("benchmark", Json::str("phase_baseline")),
             ("device", Json::str(device.name)),
-            ("metrics_compiled", Json::Bool(cfg!(feature = "metrics"))),
             ("results", Json::Arr(rows)),
         ]);
         let dir = std::path::Path::new("bench_results");

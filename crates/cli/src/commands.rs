@@ -8,9 +8,9 @@ use std::time::Duration;
 use winrs_bench::json::{Json, SCHEMA};
 use winrs_bench::{accuracy_sweep, throughput_dims};
 use winrs_conv::{direct, ConvShape};
-use winrs_core::fallback::{FallbackPolicy, NumericGuard};
+use winrs_core::fallback::{Algorithm, FallbackPolicy, NumericGuard};
 use winrs_core::pool::{ExecHandle, PoolConfig, WorkspacePool};
-use winrs_core::tuner::{precision_tag, AlgoChoice, TuneDb, Tuner, TunerConfig, TunerDecision};
+use winrs_core::tuner::{TuneDb, Tuner, TunerConfig, TunerDecision};
 use winrs_core::{Precision, WinRsPlan, TUNE_DB_SCHEMA};
 use winrs_gpu_sim::{DeviceSpec, A5000, L40S, RTX_3090, RTX_4090};
 use winrs_tensor::{mare, Tensor4};
@@ -27,7 +27,7 @@ commands:
            (dispatched through a leasing workspace pool with panic
            isolation; pool counters are printed with the report)
            --n N --res R --ic C --oc C --f F [--pad P] [--fp16|--bf16] [--seed S]
-           [--fallback-policy strict|auto|force-gemm|force-direct]
+           [--fallback-policy strict|auto|force-winrs|force-gemm|force-fft|force-direct]
            [--numeric-guard ignore|warn|promote-retry]
            [--pool-slots K] [--deadline-ms MS]  (0 = no deadline)
            [--fault-seed N]  (arm the seeded chaos campaign N, print the
@@ -39,7 +39,7 @@ commands:
            --n N --res R --ic C --oc C --f F [--pad P] [--device NAME]
            [--fp16|--bf16] [--trips T] [--seed S]
            [--compare BASELINE.json]  (diff vs a winrs-bench-v1 phase file)
-           [--fallback-policy strict|auto|force-gemm|force-direct]
+           [--fallback-policy strict|auto|force-winrs|force-gemm|force-fft|force-direct]
            [--numeric-guard ignore|warn|promote-retry]
   workspace  print the execution arena layout next to the paper's
              (Z-1)*|gradW| workspace formula
@@ -414,10 +414,11 @@ fn cmd_profile(flags: &Flags) -> Result<String, String> {
             .collect::<Vec<_>>()
             .join(", ")
     );
+    let pool = report.pool.unwrap_or_default();
     let _ = writeln!(
         out,
         "plan-cache   : {} hits / {} misses",
-        report.cache_hits, report.cache_misses
+        pool.plan_hits, pool.plan_misses
     );
 
     let _ = writeln!(out, "\nwall-clock phases (last trip)");
@@ -477,8 +478,8 @@ fn cmd_profile(flags: &Flags) -> Result<String, String> {
     } else {
         let _ = writeln!(
             out,
-            "\nno per-block phase data (substitute algorithm, or the `metrics` \
-             feature is compiled out); whole runtime charged to block-loop"
+            "\nno per-block phase data (substitute algorithm); whole runtime \
+             charged to block-loop"
         );
     }
 
@@ -521,7 +522,7 @@ fn write_comparison(
             ))
         }
     }
-    let precision_name = format!("{precision:?}");
+    let precision_key = format!("{precision:?}");
     let field = |r: &Json, key: &str| r.get(key).and_then(Json::as_f64);
     let dim = |r: &Json, key: &str| {
         r.get("shape")
@@ -535,7 +536,7 @@ fn write_comparison(
             && dim(r, "ic") == Some(shape.ic as f64)
             && dim(r, "oc") == Some(shape.oc as f64)
             && dim(r, "f") == Some(shape.fh as f64)
-            && r.get("precision").and_then(Json::as_str) == Some(&precision_name)
+            && r.get("precision").and_then(Json::as_str) == Some(&precision_key)
     });
     let Some(base) = base else {
         let _ = writeln!(
@@ -733,10 +734,10 @@ fn tune_row(out: &mut String, label: &str, d: &TunerDecision) {
         out,
         "{:<22} {:>10} {:>10} {:>10} {:>10}  {:<8} {}",
         label,
-        cell(AlgoChoice::WinRs),
-        cell(AlgoChoice::GemmBfc),
-        cell(AlgoChoice::FftBfc),
-        cell(AlgoChoice::Direct),
+        cell(Algorithm::WinRs),
+        cell(Algorithm::GemmBfc),
+        cell(Algorithm::FftBfc),
+        cell(Algorithm::Direct),
         d.chosen.name(),
         d.stats.source.name(),
     );
@@ -757,12 +758,12 @@ fn inspect_tune_db(path: &std::path::Path) -> Result<String, String> {
         "{:<30} {:<5} {:<9} {:>12} {:>11} {:>6}  device",
         "[n ih iw ic oc fh fw ph pw]", "prec", "algo", "predicted ms", "measured ms", "trials"
     );
-    for (fp, shape, tag, e) in db.iter() {
+    for (fp, shape, precision, e) in db.iter() {
         let _ = writeln!(
             out,
             "{:<30} {:<5} {:<9} {:>12.4} {:>11} {:>6}  {}",
             format!("{shape:?}"),
-            tag,
+            precision.name(),
             e.algo.name(),
             e.predicted_s * 1e3,
             e.measured_s
@@ -814,7 +815,7 @@ fn cmd_tune(flags: &Flags) -> Result<String, String> {
         "device key  : {}",
         winrs_core::device_key(&device)
     );
-    let _ = writeln!(out, "precision   : {}", precision_tag(precision));
+    let _ = writeln!(out, "precision   : {}", precision.name());
     let _ = writeln!(out, "schema      : {TUNE_DB_SCHEMA}");
     let header = format!(
         "{:<22} {:>10} {:>10} {:>10} {:>10}  {:<8} {}",
@@ -875,7 +876,7 @@ fn cmd_tune(flags: &Flags) -> Result<String, String> {
     let pool = WorkspacePool::new(PoolConfig {
         tuner: TunerConfig {
             capacity: shapes.len().max(1),
-            ..TunerConfig::default()
+            explore_trials: measure as u32,
         },
         ..PoolConfig::default()
     });
@@ -884,7 +885,6 @@ fn cmd_tune(flags: &Flags) -> Result<String, String> {
             let _ = writeln!(out, "warning     : {w}");
         }
     }
-    pool.set_explore_trials(measure as u32);
     let handle = ExecHandle::new(Arc::clone(&pool), device, precision);
     let _ = writeln!(out, "\n{header}");
     let mut skipped: Vec<String> = Vec::new();
@@ -1308,11 +1308,9 @@ mod tests {
             (sum - total).abs() <= 0.1 * total + 0.01,
             "phases {sum} ms vs total {total} ms\n{out}"
         );
-        if cfg!(feature = "metrics") {
-            assert!(out.contains("Figure 6 decomposition"), "{out}");
-            assert!(phase_ms(&out, "EWMM") >= 0.0);
-            assert!(out.contains("block tasks"), "{out}");
-        }
+        assert!(out.contains("Figure 6 decomposition"), "{out}");
+        assert!(phase_ms(&out, "EWMM") >= 0.0);
+        assert!(out.contains("block tasks"), "{out}");
     }
 
     #[test]
@@ -1368,9 +1366,7 @@ mod tests {
         assert!(out.contains("(case unit-case)"), "{out}");
         assert!(out.contains("speedup"), "{out}");
         assert!(out.contains("block-loop"), "{out}");
-        if cfg!(feature = "metrics") {
-            assert!(out.contains("FT+IT+EWMM busy:"), "{out}");
-        }
+        assert!(out.contains("FT+IT+EWMM busy:"), "{out}");
     }
 
     #[test]

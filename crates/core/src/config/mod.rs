@@ -5,8 +5,9 @@ pub mod pair;
 pub mod segment_count;
 pub mod segment_shape;
 
-/// Arithmetic precision of a WinRS execution.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// Arithmetic precision of a WinRS execution. Declaration order is the
+/// order of the persisted tuning database's entries.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Precision {
     /// FP32 on CUDA cores: all 13 kernels available.
     Fp32,
@@ -17,4 +18,24 @@ pub enum Precision {
     /// Same kernel set and cache blocks as FP16; bfloat16 shares the f32
     /// exponent range, so the α = 16 scaling matrices are unnecessary.
     Bf16,
+}
+
+impl Precision {
+    /// Every precision, in declaration order.
+    pub const ALL: [Precision; 3] = [Precision::Fp32, Precision::Fp16, Precision::Bf16];
+
+    /// Stable lowercase name (CLI flags, the serve protocol, the tuning
+    /// database).
+    pub fn name(&self) -> &'static str {
+        match self {
+            Precision::Fp32 => "fp32",
+            Precision::Fp16 => "fp16",
+            Precision::Bf16 => "bf16",
+        }
+    }
+
+    /// Inverse of [`Precision::name`].
+    pub fn parse(s: &str) -> Option<Precision> {
+        Precision::ALL.into_iter().find(|p| p.name() == s)
+    }
 }

@@ -121,8 +121,8 @@ fn round_tile(buf: &mut [f32], mode: TileMode) -> u64 {
 
 /// A lap timer for phase attribution inside the block loop: each `lap`
 /// charges the time since the previous mark to one phase counter and
-/// re-marks. Disabled (`None` inside) it compiles to nothing — the
-/// `metrics`-off path constructs it with `on = false` everywhere.
+/// re-marks. Disabled (`None` inside) it reads no clock — an untimed run
+/// constructs it with `on = false` everywhere.
 struct Lap(Option<Instant>);
 
 impl Lap {
@@ -176,13 +176,6 @@ pub(super) fn run_block_tile<T: Scalar>(
     let mut saturated = 0u64;
     let mut non_finite = 0u64;
     let bm_c = bm.min(conv.ic);
-    // `cfg!` folds this to `None` when the feature is off, so every timing
-    // branch below is dead code the optimiser removes.
-    let timing = if cfg!(feature = "metrics") {
-        timing
-    } else {
-        None
-    };
     let block_start = timing.map(|_| Instant::now());
     let (mut ft_ns, mut it_ns, mut ewmm_ns, mut ot_ns) = (0u64, 0u64, 0u64, 0u64);
 

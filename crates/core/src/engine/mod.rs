@@ -187,9 +187,9 @@ pub struct ExecOptions<'a, 'p> {
     /// allocating; when `None` the engine provisions a transient pool of
     /// its own, so the block loop never `vec!`s per block either way.
     pub scratch: Option<&'a ScratchPool<'p>>,
-    /// When set (and the `metrics` feature is compiled in), block columns
-    /// time their FT/IT/EWMM/OT phases with local counters and flush them
-    /// into the sink once per column — same discipline as `health`.
+    /// When set, block columns time their FT/IT/EWMM/OT phases with local
+    /// counters and flush them into the sink once per column — same
+    /// discipline as `health`. `None` turns per-block timing off.
     pub timing: Option<&'a TimingSink>,
     /// Worker threads for the block-group scheduler (see [`sched`]). When
     /// `None`, one worker per hardware thread ([`sched::workers`]).
@@ -721,27 +721,25 @@ mod tests {
             },
         )
         .expect("valid arguments");
-        if cfg!(feature = "metrics") {
-            let expected: usize = partition
-                .segments
-                .iter()
-                .map(|s| {
-                    conv.oc.div_ceil(cache_block(TileMode::Fp32, s.kernel.alpha()).0) * conv.fh
-                })
-                .sum();
-            assert_eq!(sink.blocks() as usize, expected);
-            assert!(sink.ft_ns() > 0, "FT untimed");
-            assert!(sink.it_ns() > 0, "IT untimed");
-            assert!(sink.ewmm_ns() > 0, "EWMM untimed");
-            assert!(sink.ot_ns() > 0, "OT untimed");
-            assert!(sink.max_ns() >= sink.min_ns());
-            // Each column's wall time covers its four phases, so the busy
-            // total must dominate the phase sum.
-            let phases = sink.ft_ns() + sink.it_ns() + sink.ewmm_ns() + sink.ot_ns();
-            assert!(sink.busy_ns() >= phases, "{} < {phases}", sink.busy_ns());
-        } else {
-            assert_eq!(sink.blocks(), 0, "metrics off: sink must stay silent");
-        }
+        let expected: usize = partition
+            .segments
+            .iter()
+            .map(|s| {
+                conv.oc
+                    .div_ceil(cache_block(TileMode::Fp32, s.kernel.alpha()).0)
+                    * conv.fh
+            })
+            .sum();
+        assert_eq!(sink.blocks() as usize, expected);
+        assert!(sink.ft_ns() > 0, "FT untimed");
+        assert!(sink.it_ns() > 0, "IT untimed");
+        assert!(sink.ewmm_ns() > 0, "EWMM untimed");
+        assert!(sink.ot_ns() > 0, "OT untimed");
+        assert!(sink.max_ns() >= sink.min_ns());
+        // Each column's wall time covers its four phases, so the busy
+        // total must dominate the phase sum.
+        let phases = sink.ft_ns() + sink.it_ns() + sink.ewmm_ns() + sink.ot_ns();
+        assert!(sink.busy_ns() >= phases, "{} < {phases}", sink.busy_ns());
     }
 
     /// The block loop's scratch request and the plan's slot size come from

@@ -39,14 +39,16 @@ use crate::error::{Violation, WinrsError};
 use crate::metrics::{PhaseTimings, TimingSink};
 use crate::plan::WinRsPlan;
 use crate::workspace::{ExecCtx, Workspace, WorkspaceLayout};
+use std::fmt;
 use std::str::FromStr;
 use std::time::Instant;
 use winrs_conv::gemm_bfc::{bfc_gemm_f32, GemmAlgo};
 use winrs_conv::{direct, ConvShape};
 use winrs_tensor::{MemoryFootprint, Tensor4};
 
-/// Which algorithm produced the result.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// A backward-filter algorithm: what the tuner ranks and chooses, what a
+/// `Force` policy pins, and what produced a report's `∇W`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Algorithm {
     /// The WinRS segmented Winograd engine.
     WinRs,
@@ -59,7 +61,15 @@ pub enum Algorithm {
 }
 
 impl Algorithm {
-    /// Short stable name for reports.
+    /// Every algorithm, in display order.
+    pub const ALL: [Algorithm; 4] = [
+        Algorithm::WinRs,
+        Algorithm::GemmBfc,
+        Algorithm::FftBfc,
+        Algorithm::Direct,
+    ];
+
+    /// Stable lowercase name (reports, the tuning database, CLI tables).
     pub fn name(&self) -> &'static str {
         match self {
             Algorithm::WinRs => "winrs",
@@ -67,6 +77,23 @@ impl Algorithm {
             Algorithm::FftBfc => "fft-bfc",
             Algorithm::Direct => "direct",
         }
+    }
+
+    /// Inverse of [`Algorithm::name`].
+    pub fn parse(s: &str) -> Option<Algorithm> {
+        Algorithm::ALL.into_iter().find(|a| a.name() == s)
+    }
+
+    /// Identity. Held only for `perfbench`, whose call sites still convert
+    /// from the former planning vocabulary; no workspace crate uses it.
+    pub fn algorithm(&self) -> Algorithm {
+        *self
+    }
+}
+
+impl fmt::Display for Algorithm {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
     }
 }
 
@@ -78,25 +105,49 @@ pub enum FallbackPolicy {
     /// Fall back to GEMM-BFC on any recoverable rejection (default).
     #[default]
     Auto,
-    /// Skip WinRS entirely and run the named algorithm (debugging /
-    /// baseline measurement).
+    /// Run the named algorithm without consulting the tuner (debugging /
+    /// baseline measurement). `Force(WinRs)` takes the WinRS rung exactly
+    /// like `Strict`.
     Force(Algorithm),
+}
+
+impl FallbackPolicy {
+    /// Every policy, in display order.
+    pub const ALL: [FallbackPolicy; 6] = [
+        FallbackPolicy::Strict,
+        FallbackPolicy::Auto,
+        FallbackPolicy::Force(Algorithm::WinRs),
+        FallbackPolicy::Force(Algorithm::GemmBfc),
+        FallbackPolicy::Force(Algorithm::FftBfc),
+        FallbackPolicy::Force(Algorithm::Direct),
+    ];
+
+    /// Stable name, as the CLI flag and the serve protocol spell it.
+    pub fn name(&self) -> &'static str {
+        match self {
+            FallbackPolicy::Strict => "strict",
+            FallbackPolicy::Auto => "auto",
+            FallbackPolicy::Force(Algorithm::WinRs) => "force-winrs",
+            FallbackPolicy::Force(Algorithm::GemmBfc) => "force-gemm",
+            FallbackPolicy::Force(Algorithm::FftBfc) => "force-fft",
+            FallbackPolicy::Force(Algorithm::Direct) => "force-direct",
+        }
+    }
 }
 
 impl FromStr for FallbackPolicy {
     type Err = String;
     fn from_str(s: &str) -> Result<FallbackPolicy, String> {
-        match s {
-            "strict" => Ok(FallbackPolicy::Strict),
-            "auto" => Ok(FallbackPolicy::Auto),
-            "force-gemm" => Ok(FallbackPolicy::Force(Algorithm::GemmBfc)),
-            "force-fft" => Ok(FallbackPolicy::Force(Algorithm::FftBfc)),
-            "force-direct" => Ok(FallbackPolicy::Force(Algorithm::Direct)),
-            other => Err(format!(
-                "unknown fallback policy `{other}` (expected strict | auto | \
-                 force-gemm | force-fft | force-direct)"
-            )),
-        }
+        FallbackPolicy::ALL
+            .into_iter()
+            .find(|p| p.name() == s)
+            .ok_or_else(|| {
+                let names: Vec<&str> = FallbackPolicy::ALL.iter().map(|p| p.name()).collect();
+                format!(
+                    "unknown fallback policy `{s}` (expected {})",
+                    names.join(" | ")
+                )
+            })
     }
 }
 
@@ -165,22 +216,17 @@ pub struct ExecutionReport {
     pub promoted_segments: Vec<usize>,
     /// Buckets re-executed at FP32.
     pub promoted_buckets: usize,
-    /// Phase-level timing breakdown (wall phases always measured; the
-    /// FT/IT/EWMM/OT busy decomposition needs the `metrics` feature).
+    /// Phase-level timing breakdown: the wall phases, plus the FT/IT/EWMM/OT
+    /// busy decomposition when the WinRS engine ran.
     pub timing: PhaseTimings,
-    /// Cumulative plan-cache hits of the pool's per-shape store at
-    /// dispatch time (see [`crate::pool::WorkspacePool::plan_stats`]).
-    pub cache_hits: u64,
-    /// Cumulative plan-cache misses at dispatch time (see
-    /// [`ExecutionReport::cache_hits`]).
-    pub cache_misses: u64,
-    /// Snapshot of the [`crate::pool::WorkspacePool`] counters at the end
-    /// of the dispatch (populated by [`crate::pool::ExecHandle`]; absent
-    /// from a bare [`run_planned_into`] report).
+    /// Snapshot of the [`crate::pool::WorkspacePool`] counters, plan-cache
+    /// hits and misses included, at the end of the dispatch (populated by
+    /// [`crate::pool::ExecHandle`]; absent from a bare [`run_planned_into`]
+    /// report).
     pub pool: Option<crate::metrics::PoolStats>,
     /// What the dispatch authority *chose* to run (before any degradation):
     /// differs from `algorithm` exactly when the ladder was walked.
-    pub chosen: crate::tuner::AlgoChoice,
+    pub chosen: Algorithm,
     /// Tuner observability (populated when the `Auto` policy consulted
     /// the cost-model autotuner).
     pub tuner: Option<crate::tuner::TunerStats>,
@@ -204,10 +250,8 @@ impl ExecutionReport {
             promoted_segments: Vec::new(),
             promoted_buckets: 0,
             timing: PhaseTimings::default(),
-            cache_hits: 0,
-            cache_misses: 0,
             pool: None,
-            chosen: crate::tuner::AlgoChoice::from_algorithm(algorithm),
+            chosen: algorithm,
             tuner: None,
         }
     }
@@ -245,12 +289,6 @@ impl ExecutionReport {
         }
         if self.timing.is_populated() {
             s.push_str(&format!(" total={:.3}ms", self.timing.total_s * 1e3));
-        }
-        if self.cache_hits + self.cache_misses > 0 {
-            s.push_str(&format!(
-                " plan_cache={}h/{}m",
-                self.cache_hits, self.cache_misses
-            ));
         }
         if let Some(pool) = &self.pool {
             s.push_str(&format!(" pool[{pool}]"));
@@ -301,7 +339,9 @@ pub(crate) fn run_substitute(
     let dw = match alg {
         Algorithm::GemmBfc => bfc_gemm_f32(GemmAlgo::Algo1, conv, x, dy),
         Algorithm::FftBfc => winrs_conv::fft_bfc::bfc_fft(conv, x, dy),
-        _ => direct::bfc_direct(conv, x, dy),
+        // WinRS is never a substitute: the dispatcher runs it on its own
+        // rung, so only direct convolution reaches this arm.
+        Algorithm::WinRs | Algorithm::Direct => direct::bfc_direct(conv, x, dy),
     };
     let elapsed = t0.elapsed().as_secs_f64();
     report.timing.block_loop_s = elapsed;
@@ -374,8 +414,6 @@ pub fn run_planned_into(
             // FP32 can't saturate and `Ignore` asked for no accounting, so
             // skip the counter traffic on those paths.
             health: (guard != NumericGuard::Ignore && mode != TileMode::Fp32).then_some(health),
-            // The engine ignores the sink when the `metrics` feature is
-            // compiled out, so passing it is free there.
             timing: Some(&sink),
             ..Default::default()
         };
@@ -448,4 +486,36 @@ pub fn run_planned_into(
     };
     report.timing.total_s = t_total.elapsed().as_secs_f64();
     Ok(report)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Each dispatch enum has one spelling: `parse(name(v)) == v` for every
+    /// value (so no two values share a name).
+    #[test]
+    fn every_name_parses_back_to_its_value() {
+        for a in Algorithm::ALL {
+            assert_eq!(Algorithm::parse(a.name()), Some(a));
+            assert_eq!(a.to_string(), a.name());
+        }
+        for p in Precision::ALL {
+            assert_eq!(Precision::parse(p.name()), Some(p));
+        }
+        for p in FallbackPolicy::ALL {
+            assert_eq!(p.name().parse::<FallbackPolicy>(), Ok(p));
+        }
+        for g in [
+            NumericGuard::Ignore,
+            NumericGuard::Warn,
+            NumericGuard::PromoteAndRetry,
+        ] {
+            assert_eq!(g.name().parse::<NumericGuard>(), Ok(g));
+        }
+        assert_eq!(Algorithm::parse("gemm"), None);
+        assert_eq!(Precision::parse("fp64"), None);
+        let err = "force-gemm-bfc".parse::<FallbackPolicy>().unwrap_err();
+        assert!(err.contains("force-winrs"), "{err}");
+    }
 }

@@ -51,6 +51,14 @@
 //! [`ExecHandle::run_batch`] are the dispatch path: the [`tuner`] chooses
 //! the algorithm, the pool leases the workspace, and the run degrades to
 //! GEMM-BFC or direct convolution when the WinRS envelope is exceeded.
+//!
+//! One vocabulary serves choosing, forcing and reporting: the tuner ranks
+//! and persists the same [`Algorithm`] that [`FallbackPolicy::Force`] pins
+//! and [`ExecutionReport::algorithm`] names, and [`Algorithm`],
+//! [`Precision`], [`FallbackPolicy`] and [`NumericGuard`] each have one
+//! `name()` and one parse. Every dispatch returns one
+//! [`ExecutionReport`], whose [`PoolStats`] snapshot carries the pool's
+//! lease and plan-cache counters.
 
 pub mod cache;
 pub mod config;
@@ -79,9 +87,14 @@ pub use partition::{Partition, Segment};
 pub use plan::WinRsPlan;
 pub use pool::{BfcJob, ExecHandle, Lease, PoolConfig, WorkspacePool};
 pub use tuner::{
-    device_key, AlgoChoice, ChoiceSource, RankedCandidate, TuneDb, TuneDbWarning, TunedEntry,
-    Tuner, TunerConfig, TunerCounters, TunerDecision, TunerStats, TUNE_DB_SCHEMA,
+    device_key, ChoiceSource, RankedCandidate, TuneDb, TuneDbWarning, TunedEntry, Tuner,
+    TunerConfig, TunerCounters, TunerDecision, TunerStats, TUNE_DB_SCHEMA,
 };
+
+/// The former name of [`Algorithm`], from when the tuner's planning
+/// vocabulary was a separate enum. Held only so `perfbench` keeps
+/// compiling; no workspace crate uses it.
+pub type AlgoChoice = Algorithm;
 pub use workspace::{ExecCtx, Region, RegionKind, ScratchPool, Workspace, WorkspaceLayout};
 
 /// Deliberately-undersized bucket-buffer length shared by the numeric

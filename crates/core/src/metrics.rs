@@ -19,11 +19,10 @@
 //!   decomposition, and derived figures (per-block mean, worker
 //!   utilisation).
 //!
-//! The fine-grained per-block instrumentation is gated on the `metrics`
-//! cargo feature (on by default). With the feature disabled the engine's
-//! timing branches fold away at compile time (`cfg!` constant
-//! propagation) and only the dispatcher's handful of per-call clock reads
-//! remain.
+//! The fine-grained per-block instrumentation runs only when the caller
+//! passes a sink (`ExecOptions::timing`); with `None` the engine reads no
+//! per-block clocks and only the dispatcher's handful of per-call clock
+//! reads remain.
 //!
 //! Wall time and busy time answer different questions: the wall phases sum
 //! to the report's total (that invariant is what `winrs profile` checks),
@@ -229,8 +228,9 @@ impl PhaseTimings {
 
 /// Snapshot of [`crate::pool::WorkspacePool`] counters, stamped into every
 /// [`crate::ExecutionReport`] produced through a pool lease — the pool's
-/// health flows through the same observability path as [`PhaseTimings`],
-/// so the CLI and serving layers read one report, not two telemetry APIs.
+/// health and its per-shape plan cache flow through the same observability
+/// path as [`PhaseTimings`], so the CLI and serving layers read one report,
+/// not two telemetry APIs.
 ///
 /// Counter invariants the chaos suite asserts after every campaign:
 /// `in_use == 0` (no leaked lease) and `poisonings == rebuilds` (every
@@ -257,6 +257,11 @@ pub struct PoolStats {
     /// Per-shape stores (the tuner's plan cache) discarded after a holder
     /// panicked mid-update.
     pub cache_poisonings: u64,
+    /// Plan fetches the per-shape store served from a resident entry.
+    pub plan_hits: u64,
+    /// Plan fetches that found no fetched entry: a key's first fetch, and
+    /// its first fetch again after eviction.
+    pub plan_misses: u64,
 }
 
 impl std::fmt::Display for PoolStats {
@@ -264,7 +269,7 @@ impl std::fmt::Display for PoolStats {
         write!(
             f,
             "slots={}/{} leases={} waits={} poisonings={} rebuilds={} \
-             exhausted={} degradations={}",
+             exhausted={} degradations={} plan_cache={}h/{}m",
             self.in_use,
             self.slots,
             self.leases,
@@ -272,7 +277,9 @@ impl std::fmt::Display for PoolStats {
             self.poisonings,
             self.rebuilds,
             self.exhausted,
-            self.degradations
+            self.degradations,
+            self.plan_hits,
+            self.plan_misses
         )
     }
 }
@@ -293,12 +300,15 @@ mod tests {
             exhausted: 3,
             degradations: 4,
             cache_poisonings: 0,
+            plan_hits: 5,
+            plan_misses: 2,
         };
         let line = s.to_string();
         assert!(!line.contains('\n'));
         assert!(line.contains("slots=1/4"), "{line}");
         assert!(line.contains("poisonings=1"), "{line}");
         assert!(line.contains("degradations=4"), "{line}");
+        assert!(line.contains("plan_cache=5h/2m"), "{line}");
     }
 
     #[test]

@@ -136,32 +136,6 @@ impl WinRsPlan {
         }
     }
 
-    /// Configure by *searching* over segment counts with the cost model
-    /// instead of trusting Algorithm 1's closed form: builds candidate
-    /// plans at Ẑ ∈ {1, 2, 4, …, Z_max} plus Algorithm 1's own choice and
-    /// keeps the one with the lowest modelled time. More expensive to
-    /// construct (one cost evaluation per candidate — still microseconds)
-    /// but never worse than `new` under the model; useful when a layer
-    /// shape sits far from the calibration sweep.
-    pub fn autotuned(
-        conv: &ConvShape,
-        device: &DeviceSpec,
-        precision: Precision,
-    ) -> Result<WinRsPlan, WinrsError> {
-        let auto = Self::build(conv, device, precision, None)?;
-        let z_max = auto.count.z_max;
-        let mut best = auto;
-        let mut z = 1usize;
-        while z <= z_max {
-            let cand = Self::build(conv, device, precision, Some(z))?;
-            if cand.estimated_time() < best.estimated_time() {
-                best = cand;
-            }
-            z *= 2;
-        }
-        Ok(best)
-    }
-
     fn build(
         conv: &ConvShape,
         device: &DeviceSpec,
@@ -461,22 +435,6 @@ impl WinRsPlan {
         reduce_buckets(buckets, self.z(), dw);
     }
 
-    /// Number of block columns (`oc`-tile tasks) one full execution at the
-    /// plan's tile mode runs through the engine — the unit the profiler's
-    /// per-block statistics ([`crate::PhaseTimings::blocks`]) count.
-    pub fn block_columns(&self) -> usize {
-        let mode = self.tile_mode();
-        self.partition
-            .segments
-            .iter()
-            .map(|s| {
-                self.conv
-                    .oc
-                    .div_ceil(crate::engine::cache_block(mode, s.kernel.alpha()).0)
-            })
-            .sum()
-    }
-
     /// EWM multiply–accumulate count actually executed (after Winograd
     /// reduction, height clipping, and boundary/phantom redundancy).
     pub fn ewm_macs(&self) -> u64 {
@@ -711,35 +669,6 @@ mod tests {
         assert!(m8 < 0.2, "fp8 MARE {m8}");
         assert!(m8 > 5.0 * m16, "fp8 {m8} should be coarser than fp16 {m16}");
         assert!(dw8.as_slice().iter().all(|v| v.is_finite()));
-    }
-
-    #[test]
-    fn autotuned_never_worse_than_algorithm1() {
-        for &(res, c, f) in &[
-            (224usize, 64usize, 3usize),
-            (56, 256, 5),
-            (28, 512, 3),
-            (17, 96, 2),
-        ] {
-            let conv = ConvShape::square(32, res, c, c, f);
-            let auto = WinRsPlan::new(&conv, &RTX_4090, Precision::Fp32).unwrap();
-            let tuned = WinRsPlan::autotuned(&conv, &RTX_4090, Precision::Fp32).unwrap();
-            assert!(
-                tuned.estimated_time() <= auto.estimated_time() * (1.0 + 1e-12),
-                "res={res} c={c} f={f}: tuned {} vs auto {}",
-                tuned.estimated_time(),
-                auto.estimated_time()
-            );
-        }
-    }
-
-    #[test]
-    fn autotuned_executes_correctly() {
-        let conv = ConvShape::square(2, 16, 4, 4, 3);
-        let (x, dy, exact) = tensors(&conv, 1.0);
-        let plan = WinRsPlan::autotuned(&conv, &RTX_4090, Precision::Fp32).unwrap();
-        let dw = plan.execute_f32(&x.cast(), &dy.cast()).unwrap();
-        assert!(mare(&dw, &exact) < 1e-5);
     }
 
     #[test]

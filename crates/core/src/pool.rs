@@ -52,13 +52,11 @@
 use crate::config::Precision;
 use crate::engine::operand_violations;
 use crate::error::{Violation, WinrsError};
-use crate::fallback::{self, ExecutionReport, FallbackPolicy, NumericGuard};
+use crate::fallback::{self, Algorithm, ExecutionReport, FallbackPolicy, NumericGuard};
 use crate::metrics::PoolStats;
 use crate::plan::WinRsPlan;
 use crate::sync::{Condvar, Mutex};
-use crate::tuner::{
-    AlgoChoice, TuneDbWarning, Tuner, TunerConfig, TunerCounters, TunerDecision,
-};
+use crate::tuner::{TuneDbWarning, Tuner, TunerConfig, TunerCounters, TunerDecision};
 use crate::workspace::{Workspace, WorkspaceLayout};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -74,9 +72,9 @@ pub struct PoolConfig {
     /// How long a lease request may wait for a slot before failing with
     /// [`WinrsError::PoolExhausted`].
     pub max_wait: Duration,
-    /// Autotuner policy (explore budget, WinRS hysteresis margin) and the
-    /// capacity of the pool's per-shape store, which holds each key's
-    /// ranking, committed choice and plan.
+    /// Autotuner policy (the explore budget) and the capacity of the pool's
+    /// per-shape store, which holds each key's ranking, committed choice
+    /// and plan.
     pub tuner: TunerConfig,
 }
 
@@ -199,8 +197,11 @@ impl WorkspacePool {
         self.state.lock().unwrap_or_else(|p| p.into_inner())
     }
 
-    /// Snapshot the pool counters.
+    /// Snapshot the pool counters, plan-cache hits and misses included.
+    /// The tuner is read and released before the state lock is taken, so
+    /// the tuner → state lock order holds.
     pub fn stats(&self) -> PoolStats {
+        let (plan_hits, plan_misses) = self.plan_stats();
         let st = self.lock_state();
         PoolStats {
             slots: self.cfg.slots,
@@ -212,6 +213,8 @@ impl WorkspacePool {
             exhausted: st.exhausted,
             degradations: st.degradations,
             cache_poisonings: st.cache_poisonings,
+            plan_hits,
+            plan_misses,
         }
     }
 
@@ -258,12 +261,6 @@ impl WorkspacePool {
         self.lock_tuner().counters()
     }
 
-    /// The last non-fatal tuning-database warning, if any (corrupted or
-    /// torn db files degrade to pure model dispatch instead of failing).
-    pub fn tuner_warning(&self) -> Option<TuneDbWarning> {
-        self.lock_tuner().warning().cloned()
-    }
-
     /// The tuner's standing database warning, delivered at most once per
     /// occurrence (see [`Tuner::warning_once`]) — what per-request pollers
     /// (the serve layer) use so one bad file logs one line.
@@ -281,12 +278,6 @@ impl WorkspacePool {
     /// Persist committed decisions to the attached tuning database.
     pub fn save_tune_db(&self) -> Result<(), TuneDbWarning> {
         self.lock_tuner().save()
-    }
-
-    /// Set the explore budget for future cold decisions (see
-    /// [`crate::TunerConfig::explore_trials`]).
-    pub fn set_explore_trials(&self, trials: u32) {
-        self.lock_tuner().set_explore_trials(trials);
     }
 
     /// Run `f` with exclusive access to the pool's tuner — the escape
@@ -631,16 +622,6 @@ impl ExecHandle {
         self
     }
 
-    /// Set the explore budget: the first `trials` *warm* runs of a cold
-    /// shape may trial the cost model's runner-up before the measured
-    /// winner is committed (see [`crate::TunerConfig::explore_trials`]).
-    /// This configures the *shared* tuner on this handle's pool, so it
-    /// affects every handle over the same pool.
-    pub fn with_exploration(self, trials: u32) -> ExecHandle {
-        self.pool.set_explore_trials(trials);
-        self
-    }
-
     /// The pool this handle leases from.
     pub fn pool(&self) -> &Arc<WorkspacePool> {
         &self.pool
@@ -651,15 +632,16 @@ impl ExecHandle {
     /// [`WinrsError::PoolExhausted`], deadline expiry as
     /// [`WinrsError::DeadlineExceeded`] — and under the `Auto` policy all
     /// three degrade down the tuner's ranked ladder (WinRS → GEMM-BFC →
-    /// direct) instead of surfacing. The report carries [`PoolStats`], the
-    /// per-shape cache's counters and the tuner's dispatch stats.
+    /// direct) instead of surfacing. The report carries [`PoolStats`] (the
+    /// per-shape cache's counters included) and the tuner's dispatch stats.
     ///
     /// Which algorithm runs is decided by the pool's shared [`Tuner`]:
     /// under `Auto` the full ranked candidate list is in play (the tuner
     /// may pick a substitute outright when the cost model, the tuning
     /// database or a committed measurement says WinRS is slower); `Strict`
     /// filters the list down to WinRS alone; `Force` replaces it with one
-    /// pinned entry. The policy layer never reorders candidates.
+    /// pinned entry (`Force(WinRs)` runs exactly like `Strict`). The policy
+    /// layer never reorders candidates.
     pub fn run(
         &self,
         conv: &ConvShape,
@@ -722,9 +704,9 @@ impl ExecHandle {
 
     /// The per-dispatch setup: reject ill-formed shapes (fatal for every
     /// rung) before touching the pool, then ask the tuner — only `Auto`
-    /// consults it: `Strict` pins WinRS regardless of ranking and `Force`
-    /// pins its substitute, so skipping the call keeps their dispatch free
-    /// of decision and trial churn.
+    /// consults it: `Strict` and `Force(WinRs)` pin WinRS regardless of
+    /// ranking and `Force` pins its substitute otherwise, so skipping the
+    /// call keeps their dispatch free of decision and trial churn.
     fn setup(&self, conv: &ConvShape) -> Result<(Option<TunerDecision>, Shared), WinrsError> {
         let t_setup = Instant::now();
         let shape_violations: Vec<Violation> = conv
@@ -765,8 +747,13 @@ impl ExecHandle {
         if !violations.is_empty() {
             return Err(WinrsError::ExecutionRejected(violations));
         }
-        if let FallbackPolicy::Force(alg) = self.policy {
-            // Forced by the caller — not a fallback, so no reason recorded.
+        // Forced by the caller — not a fallback, so no reason recorded.
+        // `Force(WinRs)` is not a substitute: it takes the WinRS rung below
+        // with no tuner decision, exactly like `Strict`.
+        if let FallbackPolicy::Force(
+            alg @ (Algorithm::GemmBfc | Algorithm::FftBfc | Algorithm::Direct),
+        ) = self.policy
+        {
             return Ok(fallback::run_substitute(
                 alg,
                 conv,
@@ -776,11 +763,12 @@ impl ExecHandle {
                 self.guard,
             ));
         }
-        if let Some(d) = decision.filter(|d| d.chosen != AlgoChoice::WinRs) {
+        if let Some(d) = decision.filter(|d| d.chosen != Algorithm::WinRs) {
             return Ok(self.run_chosen_substitute(conv, x, dy, d));
         }
         let outcome = self.try_winrs(conv, x, dy, budget, shared);
-        // Strict: WinRS or the typed error, nothing substituted.
+        // Strict and Force(WinRs): WinRS or the typed error, nothing
+        // substituted.
         let Some(decision) = decision else {
             return outcome;
         };
@@ -792,7 +780,7 @@ impl ExecHandle {
                     conv,
                     &self.device,
                     self.precision,
-                    AlgoChoice::WinRs,
+                    Algorithm::WinRs,
                     report.timing.total_s,
                 );
                 Ok((dw, report))
@@ -819,14 +807,8 @@ impl ExecHandle {
         if decision.winrs_rejection.is_some() {
             self.pool.note_degradation();
         }
-        let (dw, mut report) = fallback::run_substitute(
-            decision.chosen.algorithm(),
-            conv,
-            x,
-            dy,
-            self.precision,
-            self.guard,
-        );
+        let (dw, mut report) =
+            fallback::run_substitute(decision.chosen, conv, x, dy, self.precision, self.guard);
         report.tuner = Some(decision.stats);
         report.fallback_reason = decision.winrs_rejection.clone();
         self.pool.lock_tuner().observe(
@@ -925,7 +907,7 @@ impl ExecHandle {
             .degradation_ladder()
             .first()
             .copied()
-            .unwrap_or(AlgoChoice::Direct);
+            .unwrap_or(Algorithm::Direct);
         // Admission before work: the budget check precedes the rung's
         // standing chaos slowness, so a rung that would start late is
         // refused instead of paying its (possibly slow) execution only to
@@ -936,7 +918,7 @@ impl ExecHandle {
         #[cfg(feature = "faults")]
         crate::faults::maybe_slow(crate::faults::Site::SlowBlockLoop);
         let (dw, mut report) =
-            fallback::run_substitute(choice.algorithm(), conv, x, dy, self.precision, self.guard);
+            fallback::run_substitute(choice, conv, x, dy, self.precision, self.guard);
         report.chosen = decision.chosen;
         report.tuner = Some(decision.stats);
         // The recorded reason is the *first* cause — why WinRS did not
@@ -945,13 +927,12 @@ impl ExecHandle {
         Ok((dw, report))
     }
 
-    /// Stamp the per-shape cache's counters and the pool snapshot into a
-    /// report, whatever path produced it.
+    /// Stamp the pool snapshot (the per-shape cache's counters included)
+    /// into a report, whatever path produced it.
     fn stamp(
         &self,
         (dw, mut report): (Tensor4<f32>, ExecutionReport),
     ) -> (Tensor4<f32>, ExecutionReport) {
-        (report.cache_hits, report.cache_misses) = self.pool.plan_stats();
         report.pool = Some(self.pool.stats());
         (dw, report)
     }
@@ -971,7 +952,6 @@ fn panic_site(payload: Box<dyn std::any::Any + Send>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fallback::Algorithm;
     use crate::tuner::ChoiceSource;
     use winrs_conv::direct;
     use winrs_gpu_sim::RTX_4090;
@@ -1172,7 +1152,7 @@ mod tests {
         // The report carries the pool snapshot and shared-cache counters.
         let stats = report.pool.unwrap();
         assert_eq!((stats.leases, stats.in_use), (1, 0));
-        assert_eq!((report.cache_hits, report.cache_misses), (0, 1));
+        assert_eq!((stats.plan_hits, stats.plan_misses), (0, 1));
         assert!(report.summary_line().contains("pool["), "{}", report.summary_line());
     }
 
@@ -1221,6 +1201,7 @@ mod tests {
         for (policy, want) in [
             ("strict", Algorithm::WinRs),
             ("auto", Algorithm::WinRs),
+            ("force-winrs", Algorithm::WinRs),
             ("force-gemm", Algorithm::GemmBfc),
             ("force-fft", Algorithm::FftBfc),
             ("force-direct", Algorithm::Direct),
@@ -1305,7 +1286,8 @@ mod tests {
             grows_after_warmup,
             "warm path must not grow the pooled arena"
         );
-        assert_eq!((r2.cache_hits, r2.cache_misses), (1, 1));
+        let pool = r2.pool.unwrap();
+        assert_eq!((pool.plan_hits, pool.plan_misses), (1, 1));
     }
 
     #[test]
@@ -1447,7 +1429,7 @@ mod tests {
         let handle = ExecHandle::new(WorkspacePool::with_slots(1), RTX_4090, Precision::Fp32);
         let (dw, report) = handle.run(&conv, &x, &dy).unwrap();
         assert_eq!(report.algorithm, Algorithm::Direct);
-        assert_eq!(report.chosen, AlgoChoice::Direct);
+        assert_eq!(report.chosen, Algorithm::Direct);
         assert!(report.fallback_reason.is_none(), "a choice is not a fallback");
         assert_eq!(report.pool.as_ref().unwrap().degradations, 0);
         let stats = report.tuner.unwrap();
@@ -1559,10 +1541,17 @@ mod tests {
         let dy = Tensor4::<f32>::random_uniform([1, conv.oh(), conv.ow(), conv.oc], 102, 1.0);
 
         // Cold process: explore, commit the measured winner, persist.
-        let pool = WorkspacePool::with_slots(1);
+        let exploring = PoolConfig {
+            slots: 1,
+            tuner: TunerConfig {
+                explore_trials: 1,
+                ..TunerConfig::default()
+            },
+            ..PoolConfig::default()
+        };
+        let pool = WorkspacePool::new(exploring);
         assert!(pool.attach_tune_db(&path).is_none());
-        let handle = ExecHandle::new(Arc::clone(&pool), RTX_4090, Precision::Fp32)
-            .with_exploration(1);
+        let handle = ExecHandle::new(Arc::clone(&pool), RTX_4090, Precision::Fp32);
         for _ in 0..3 {
             handle.run(&conv, &x, &dy).unwrap();
         }
@@ -1576,9 +1565,8 @@ mod tests {
 
         // Warm process: the decision comes from the database — zero trial
         // measurements ever, even with the explore budget still set.
-        let pool2 = WorkspacePool::with_slots(1);
+        let pool2 = WorkspacePool::new(exploring);
         assert!(pool2.attach_tune_db(&path).is_none());
-        pool2.set_explore_trials(1);
         let handle2 = ExecHandle::new(Arc::clone(&pool2), RTX_4090, Precision::Fp32);
         for _ in 0..3 {
             let (_, report) = handle2.run(&conv, &x, &dy).unwrap();

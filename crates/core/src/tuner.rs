@@ -42,6 +42,7 @@
 use crate::cache::DEFAULT_PLAN_CACHE_CAPACITY;
 use crate::config::Precision;
 use crate::error::WinrsError;
+use crate::fallback::Algorithm;
 use crate::plan::WinRsPlan;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -79,78 +80,11 @@ pub fn device_key(device: &DeviceSpec) -> String {
 // Candidate algorithms and cost-model ranking
 // ---------------------------------------------------------------------------
 
-/// A backward-filter algorithm the tuner can dispatch to.
-///
-/// This is the *planning* vocabulary; the execution vocabulary is
-/// [`crate::fallback::Algorithm`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum AlgoChoice {
-    /// The paper's fused segmented Winograd kernel ([`WinRsPlan`]).
-    WinRs,
-    /// Implicit-im2col GEMM lowering (cuDNN Algo1 analogue).
-    GemmBfc,
-    /// FFT-domain backward filter (cuDNN FFT analogue; FP32 only).
-    FftBfc,
-    /// Naive direct accumulation — always available, never fast.
-    Direct,
-}
-
-impl AlgoChoice {
-    /// Every candidate, in display order.
-    pub const ALL: [AlgoChoice; 4] = [
-        AlgoChoice::WinRs,
-        AlgoChoice::GemmBfc,
-        AlgoChoice::FftBfc,
-        AlgoChoice::Direct,
-    ];
-
-    /// Stable lowercase name (used in the database and CLI tables).
-    pub fn name(&self) -> &'static str {
-        match self {
-            AlgoChoice::WinRs => "winrs",
-            AlgoChoice::GemmBfc => "gemm-bfc",
-            AlgoChoice::FftBfc => "fft-bfc",
-            AlgoChoice::Direct => "direct",
-        }
-    }
-
-    /// Inverse of [`AlgoChoice::name`].
-    pub fn parse(s: &str) -> Option<AlgoChoice> {
-        AlgoChoice::ALL.into_iter().find(|a| a.name() == s)
-    }
-
-    /// The execution-layer algorithm this choice dispatches to.
-    pub fn algorithm(&self) -> crate::fallback::Algorithm {
-        match self {
-            AlgoChoice::WinRs => crate::fallback::Algorithm::WinRs,
-            AlgoChoice::GemmBfc => crate::fallback::Algorithm::GemmBfc,
-            AlgoChoice::FftBfc => crate::fallback::Algorithm::FftBfc,
-            AlgoChoice::Direct => crate::fallback::Algorithm::Direct,
-        }
-    }
-
-    /// Map an execution-layer algorithm back onto the tuning vocabulary.
-    pub fn from_algorithm(a: crate::fallback::Algorithm) -> AlgoChoice {
-        match a {
-            crate::fallback::Algorithm::WinRs => AlgoChoice::WinRs,
-            crate::fallback::Algorithm::GemmBfc => AlgoChoice::GemmBfc,
-            crate::fallback::Algorithm::FftBfc => AlgoChoice::FftBfc,
-            crate::fallback::Algorithm::Direct => AlgoChoice::Direct,
-        }
-    }
-}
-
-impl fmt::Display for AlgoChoice {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
 /// One candidate with its modelled execution time, as produced by [`rank`].
 #[derive(Clone, Copy, Debug)]
 pub struct RankedCandidate {
     /// The algorithm.
-    pub algo: AlgoChoice,
+    pub algo: Algorithm,
     /// Modelled execution time on the ranking device, seconds.
     pub predicted_s: f64,
 }
@@ -177,7 +111,7 @@ fn elem_bytes(precision: Precision) -> u64 {
 /// quality. Returns `None` when the candidate has no kernel for the
 /// requested precision (FFT is FP32-only).
 fn substitute_profiles(
-    algo: AlgoChoice,
+    algo: Algorithm,
     conv: &ConvShape,
     precision: Precision,
 ) -> Option<Vec<KernelProfile>> {
@@ -185,8 +119,8 @@ fn substitute_profiles(
     let eb = elem_bytes(precision);
     let io = (conv.x_elems() + conv.dy_elems() + conv.dw_elems()) as u64 * eb;
     match algo {
-        AlgoChoice::WinRs => None, // ranked through the real plan, not here
-        AlgoChoice::GemmBfc => Some(vec![KernelProfile {
+        Algorithm::WinRs => None, // ranked through the real plan, not here
+        Algorithm::GemmBfc => Some(vec![KernelProfile {
             flops: conv.bfc_flops(),
             // Implicit im2col: the lowering panel lives on-chip, but X is
             // read once more for the duplication.
@@ -198,7 +132,7 @@ fn substitute_profiles(
             pipe_efficiency: 0.90,
             precision: prec,
         }]),
-        AlgoChoice::FftBfc => {
+        Algorithm::FftBfc => {
             if precision != Precision::Fp32 {
                 return None;
             }
@@ -214,7 +148,7 @@ fn substitute_profiles(
         // Direct accumulation has no reduced-precision kernel: it is the
         // guaranteed-delivery substitute and always runs (and is modelled)
         // on the FP32 CUDA-core path, whatever precision was requested.
-        AlgoChoice::Direct => Some(vec![KernelProfile {
+        Algorithm::Direct => Some(vec![KernelProfile {
             flops: conv.bfc_flops(),
             io_bytes: io,
             intermediate_bytes: 0,
@@ -234,15 +168,15 @@ fn rank_with_plan(
     device: &DeviceSpec,
     precision: Precision,
 ) -> (Vec<RankedCandidate>, Result<Arc<WinRsPlan>, WinrsError>) {
-    let mut out = Vec::with_capacity(AlgoChoice::ALL.len());
+    let mut out = Vec::with_capacity(Algorithm::ALL.len());
     let winrs = WinRsPlan::new(conv, device, precision).map(Arc::new);
     if let Ok(plan) = &winrs {
         out.push(RankedCandidate {
-            algo: AlgoChoice::WinRs,
+            algo: Algorithm::WinRs,
             predicted_s: estimate_pipeline_time(&plan.kernel_profiles(), device),
         });
     }
-    for algo in [AlgoChoice::GemmBfc, AlgoChoice::FftBfc, AlgoChoice::Direct] {
+    for algo in [Algorithm::GemmBfc, Algorithm::FftBfc, Algorithm::Direct] {
         if let Some(profiles) = substitute_profiles(algo, conv, precision) {
             out.push(RankedCandidate {
                 algo,
@@ -342,7 +276,7 @@ impl fmt::Display for TuneDbWarning {
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TunedEntry {
     /// The winning algorithm.
-    pub algo: AlgoChoice,
+    pub algo: Algorithm,
     /// Modelled time of the winner when the decision was made, seconds.
     pub predicted_s: f64,
     /// Mean measured time that committed the winner (absent for decisions
@@ -361,38 +295,12 @@ fn shape_key(conv: &ConvShape) -> ShapeKey {
     ]
 }
 
-fn precision_code(precision: Precision) -> u8 {
-    match precision {
-        Precision::Fp32 => 0,
-        Precision::Fp16 => 1,
-        Precision::Bf16 => 2,
-    }
-}
-
-/// Stable lowercase precision tag used in the database document.
-pub fn precision_tag(precision: Precision) -> &'static str {
-    match precision {
-        Precision::Fp32 => "fp32",
-        Precision::Fp16 => "fp16",
-        Precision::Bf16 => "bf16",
-    }
-}
-
-fn precision_from_tag(tag: &str) -> Option<Precision> {
-    match tag {
-        "fp32" => Some(Precision::Fp32),
-        "fp16" => Some(Precision::Fp16),
-        "bf16" => Some(Precision::Bf16),
-        _ => None,
-    }
-}
-
 /// The persistent winner table: `(device fingerprint, shape, precision) →`
 /// [`TunedEntry`]. Kept in sorted order so the rendered document is
 /// deterministic (stable diffs, reproducible CI artifacts).
 #[derive(Default, Clone, Debug)]
 pub struct TuneDb {
-    entries: BTreeMap<(String, ShapeKey, u8), TunedEntry>,
+    entries: BTreeMap<(String, ShapeKey, Precision), TunedEntry>,
 }
 
 impl TuneDb {
@@ -418,11 +326,8 @@ impl TuneDb {
         conv: &ConvShape,
         precision: Precision,
     ) -> Option<&TunedEntry> {
-        self.entries.get(&(
-            fingerprint.to_string(),
-            shape_key(conv),
-            precision_code(precision),
-        ))
+        self.entries
+            .get(&(fingerprint.to_string(), shape_key(conv), precision))
     }
 
     /// Store (or replace) the decision for one key.
@@ -433,28 +338,17 @@ impl TuneDb {
         precision: Precision,
         entry: TunedEntry,
     ) {
-        self.entries.insert(
-            (
-                fingerprint.to_string(),
-                shape_key(conv),
-                precision_code(precision),
-            ),
-            entry,
-        );
+        self.entries
+            .insert((fingerprint.to_string(), shape_key(conv), precision), entry);
     }
 
-    /// Iterate all entries as `(fingerprint, shape key, precision tag,
-    /// entry)` in the document's deterministic (sorted) order. The shape
-    /// key is `[n, ih, iw, ic, oc, fh, fw, ph, pw]`.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, [usize; 9], &'static str, &TunedEntry)> {
-        self.entries.iter().map(|((fp, shape, prec), entry)| {
-            let tag = match prec {
-                0 => "fp32",
-                1 => "fp16",
-                _ => "bf16",
-            };
-            (fp.as_str(), *shape, tag, entry)
-        })
+    /// Iterate all entries as `(fingerprint, shape key, precision, entry)`
+    /// in the document's deterministic (sorted) order. The shape key is
+    /// `[n, ih, iw, ic, oc, fh, fw, ph, pw]`.
+    pub fn iter(&self) -> impl Iterator<Item = (&str, [usize; 9], Precision, &TunedEntry)> {
+        self.entries
+            .iter()
+            .map(|((fp, shape, prec), entry)| (fp.as_str(), *shape, *prec, entry))
     }
 
     /// Render the database as a [`TUNE_DB_SCHEMA`] JSON document.
@@ -467,14 +361,7 @@ impl TuneDb {
                     "shape",
                     Json::Arr(shape.iter().map(|&d| Json::Int(d as i64)).collect()),
                 ),
-                (
-                    "precision",
-                    Json::str(match prec {
-                        0 => "fp32",
-                        1 => "fp16",
-                        _ => "bf16",
-                    }),
-                ),
+                ("precision", Json::str(prec.name())),
                 ("algo", Json::str(entry.algo.name())),
                 ("predicted_s", Json::Num(entry.predicted_s)),
                 (
@@ -558,12 +445,12 @@ impl TuneDb {
                 let prec = e
                     .get("precision")
                     .and_then(Json::as_str)
-                    .and_then(precision_from_tag)
+                    .and_then(Precision::parse)
                     .ok_or_else(|| malformed("bad `precision` tag"))?;
                 let algo = e
                     .get("algo")
                     .and_then(Json::as_str)
-                    .and_then(AlgoChoice::parse)
+                    .and_then(Algorithm::parse)
                     .ok_or_else(|| malformed("unknown `algo`"))?;
                 let predicted_s = e
                     .get("predicted_s")
@@ -578,7 +465,7 @@ impl TuneDb {
                 };
                 let trials = e.get("trials").and_then(Json::as_f64).unwrap_or(0.0) as u32;
                 db.entries.insert(
-                    (fp.to_string(), shape, precision_code(prec)),
+                    (fp.to_string(), shape, prec),
                     TunedEntry {
                         algo,
                         predicted_s,
@@ -659,10 +546,6 @@ pub struct TunerConfig {
     /// committed. `0` (default) disables measurement — dispatch is pure
     /// cost model (or database) and fully deterministic.
     pub explore_trials: u32,
-    /// Hysteresis in favour of WinRS: an alternative must beat the WinRS
-    /// prediction by more than this fraction to be chosen. `0.0` is pure
-    /// argmin.
-    pub margin: f64,
 }
 
 impl Default for TunerConfig {
@@ -670,7 +553,6 @@ impl Default for TunerConfig {
         TunerConfig {
             capacity: DEFAULT_PLAN_CACHE_CAPACITY,
             explore_trials: 0,
-            margin: 0.0,
         }
     }
 }
@@ -743,7 +625,7 @@ pub struct TunerCounters {
 #[derive(Clone, Debug)]
 pub struct TunerDecision {
     /// The algorithm to run now.
-    pub chosen: AlgoChoice,
+    pub chosen: Algorithm,
     /// The full cost-model ranking (ascending time) — the degradation
     /// ladder and the policy filter both derive from this list.
     pub ranked: Vec<RankedCandidate>,
@@ -755,7 +637,7 @@ pub struct TunerDecision {
 
 impl TunerDecision {
     /// Modelled time of `algo` in this ranking, if present.
-    pub fn predicted_for(&self, algo: AlgoChoice) -> Option<f64> {
+    pub fn predicted_for(&self, algo: Algorithm) -> Option<f64> {
         self.ranked
             .iter()
             .find(|c| c.algo == algo)
@@ -767,19 +649,19 @@ impl TunerDecision {
     /// opposite of what a degraded execution wants); direct convolution is
     /// always present and always last, so the ladder cannot be empty and
     /// delivery is guaranteed.
-    pub fn degradation_ladder(&self) -> Vec<AlgoChoice> {
-        let mut ladder: Vec<AlgoChoice> = self
+    pub fn degradation_ladder(&self) -> Vec<Algorithm> {
+        let mut ladder: Vec<Algorithm> = self
             .ranked
             .iter()
             .map(|c| c.algo)
-            .filter(|a| matches!(a, AlgoChoice::GemmBfc | AlgoChoice::Direct))
+            .filter(|a| matches!(a, Algorithm::GemmBfc | Algorithm::Direct))
             .collect();
         // Rank order already puts the faster substitute first; make the
         // guaranteed rung terminal even if the model ranked it faster.
-        if let Some(pos) = ladder.iter().position(|a| *a == AlgoChoice::Direct) {
+        if let Some(pos) = ladder.iter().position(|a| *a == Algorithm::Direct) {
             ladder.truncate(pos + 1);
         } else {
-            ladder.push(AlgoChoice::Direct);
+            ladder.push(Algorithm::Direct);
         }
         ladder
     }
@@ -787,10 +669,10 @@ impl TunerDecision {
 
 /// Store key: shape + precision + device identity (`DeviceSpec::name` is
 /// `'static`).
-type DecisionKey = (ShapeKey, u8, &'static str);
+type DecisionKey = (ShapeKey, Precision, &'static str);
 
 fn decision_key(conv: &ConvShape, device: &DeviceSpec, precision: Precision) -> DecisionKey {
-    (shape_key(conv), precision_code(precision), device.name)
+    (shape_key(conv), precision, device.name)
 }
 
 /// One key's entry in the per-key store.
@@ -801,11 +683,11 @@ struct DecisionState {
     /// Whether [`Tuner::plan`] has handed the plan out yet: the first
     /// fetch counts as the plan-cache miss, later ones as hits.
     plan_fetched: bool,
-    committed: Option<AlgoChoice>,
+    committed: Option<Algorithm>,
     source: ChoiceSource,
     committed_measured: Option<f64>,
     /// Measurement accumulator: `(algo, sum of seconds, count)`.
-    sums: Vec<(AlgoChoice, f64, u32)>,
+    sums: Vec<(Algorithm, f64, u32)>,
     /// Decisions handed out for this key (run 0 is the cold run).
     runs: u32,
     /// Measured trial runs taken for this key.
@@ -925,11 +807,6 @@ impl Tuner {
         self.cfg
     }
 
-    /// Replace the explore budget (affects keys decided from now on).
-    pub fn set_explore_trials(&mut self, trials: u32) {
-        self.cfg.explore_trials = trials;
-    }
-
     /// Persist the database to the attached path (no-op without one).
     pub fn save(&mut self) -> Result<(), TuneDbWarning> {
         let Some(path) = self.db_path.clone() else {
@@ -961,7 +838,6 @@ impl Tuner {
     ) -> TunerDecision {
         self.counters.decisions += 1;
         let explore = self.cfg.explore_trials;
-        let margin = self.cfg.margin;
         let st = self.entry(conv, device, precision);
 
         // Explore budget exhausted without enough observations (the caller
@@ -971,7 +847,7 @@ impl Tuner {
             Self::commit_state(st);
         }
 
-        let model_best = Self::model_choice(&st.ranked, margin);
+        let model_best = Self::model_choice(&st.ranked);
         let mut counted_trial = false;
         let (chosen, source) = match st.committed {
             Some(c) => (c, st.source),
@@ -1133,7 +1009,7 @@ impl Tuner {
         conv: &ConvShape,
         device: &DeviceSpec,
         precision: Precision,
-        algo: AlgoChoice,
+        algo: Algorithm,
         measured_s: f64,
     ) {
         if self.cfg.explore_trials == 0 || !measured_s.is_finite() || measured_s <= 0.0 {
@@ -1161,19 +1037,9 @@ impl Tuner {
         }
     }
 
-    /// Model argmin with the WinRS hysteresis margin applied.
-    fn model_choice(ranked: &[RankedCandidate], margin: f64) -> AlgoChoice {
-        let Some(best) = ranked.first() else {
-            return AlgoChoice::Direct;
-        };
-        if best.algo != AlgoChoice::WinRs && margin > 0.0 {
-            if let Some(w) = ranked.iter().find(|c| c.algo == AlgoChoice::WinRs) {
-                if w.predicted_s <= best.predicted_s * (1.0 + margin) {
-                    return AlgoChoice::WinRs;
-                }
-            }
-        }
-        best.algo
+    /// Model argmin: the head of the ranking, else direct convolution.
+    fn model_choice(ranked: &[RankedCandidate]) -> Algorithm {
+        ranked.first().map_or(Algorithm::Direct, |best| best.algo)
     }
 
     /// Commit the measured winner (or the model choice when measurements
@@ -1190,7 +1056,7 @@ impl Tuner {
                 st.committed_measured = Some(mean);
             }
             None => {
-                st.committed = Some(Self::model_choice(&st.ranked, 0.0));
+                st.committed = Some(Self::model_choice(&st.ranked));
                 st.committed_measured = None;
             }
         }
@@ -1278,17 +1144,17 @@ mod tests {
         // f=2 has no FP16 kernel: WinRS must be absent with the rejection
         // attached, and the list still non-empty.
         let (ranked, winrs) = rank_with_plan(&gemm_leaning(), &RTX_4090, Precision::Fp16);
-        assert!(ranked.iter().all(|c| c.algo != AlgoChoice::WinRs));
+        assert!(ranked.iter().all(|c| c.algo != Algorithm::WinRs));
         assert!(winrs.is_err());
         assert!(!ranked.is_empty());
         // FFT is FP32-only.
-        assert!(ranked.iter().all(|c| c.algo != AlgoChoice::FftBfc));
+        assert!(ranked.iter().all(|c| c.algo != Algorithm::FftBfc));
     }
 
     #[test]
     fn winrs_dominates_the_paper_shape() {
         let ranked = rank(&small(), &RTX_4090, Precision::Fp32);
-        assert_eq!(ranked[0].algo, AlgoChoice::WinRs);
+        assert_eq!(ranked[0].algo, Algorithm::WinRs);
     }
 
     #[test]
@@ -1296,11 +1162,11 @@ mod tests {
         let mut t = Tuner::new(TunerConfig::default());
         let d = t.decide(&small(), &RTX_4090, Precision::Fp32);
         let ladder = d.degradation_ladder();
-        assert_eq!(*ladder.last().expect("non-empty"), AlgoChoice::Direct);
-        assert!(ladder.iter().all(|a| *a != AlgoChoice::FftBfc));
-        assert!(ladder.iter().all(|a| *a != AlgoChoice::WinRs));
+        assert_eq!(*ladder.last().expect("non-empty"), Algorithm::Direct);
+        assert!(ladder.iter().all(|a| *a != Algorithm::FftBfc));
+        assert!(ladder.iter().all(|a| *a != Algorithm::WinRs));
         // GEMM outranks direct on this shape, so it is the first rung.
-        assert_eq!(ladder, vec![AlgoChoice::GemmBfc, AlgoChoice::Direct]);
+        assert_eq!(ladder, vec![Algorithm::GemmBfc, Algorithm::Direct]);
     }
 
     #[test]
@@ -1366,13 +1232,13 @@ mod tests {
         let conv = small();
         // Cold run: model pick (WinRS here).
         let d0 = t.decide(&conv, &RTX_4090, Precision::Fp32);
-        assert_eq!(d0.chosen, AlgoChoice::WinRs);
+        assert_eq!(d0.chosen, Algorithm::WinRs);
         assert_eq!(d0.stats.source, ChoiceSource::Trial);
         // Feed measurements that contradict the model: WinRS slow, the
         // runner-up fast.
         t.observe(&conv, &RTX_4090, Precision::Fp32, d0.chosen, 5.0);
         let d1 = t.decide(&conv, &RTX_4090, Precision::Fp32);
-        assert_ne!(d1.chosen, AlgoChoice::WinRs, "warm run trials runner-up");
+        assert_ne!(d1.chosen, Algorithm::WinRs, "warm run trials runner-up");
         t.observe(&conv, &RTX_4090, Precision::Fp32, d1.chosen, 1.0);
         let d2 = t.decide(&conv, &RTX_4090, Precision::Fp32);
         t.observe(&conv, &RTX_4090, Precision::Fp32, d2.chosen, 1.0);
@@ -1390,7 +1256,7 @@ mod tests {
             Some(d1.chosen)
         );
         // Further observes are ignored.
-        t.observe(&conv, &RTX_4090, Precision::Fp32, AlgoChoice::Direct, 0.001);
+        t.observe(&conv, &RTX_4090, Precision::Fp32, Algorithm::Direct, 0.001);
         let d4 = t.decide(&conv, &RTX_4090, Precision::Fp32);
         assert_eq!(d4.chosen, d1.chosen);
     }
@@ -1401,10 +1267,10 @@ mod tests {
         let conv = small();
         for _ in 0..5 {
             let d = t.decide(&conv, &RTX_4090, Precision::Fp32);
-            assert_eq!(d.chosen, AlgoChoice::WinRs);
+            assert_eq!(d.chosen, Algorithm::WinRs);
             assert_eq!(d.stats.source, ChoiceSource::Model);
             // Measurements are ignored without an explore budget.
-            t.observe(&conv, &RTX_4090, Precision::Fp32, AlgoChoice::Direct, 1e-9);
+            t.observe(&conv, &RTX_4090, Precision::Fp32, Algorithm::Direct, 1e-9);
         }
         assert_eq!(t.counters().trials, 0);
         assert_eq!(t.counters().commits, 0);
@@ -1419,7 +1285,7 @@ mod tests {
             &small(),
             Precision::Fp32,
             TunedEntry {
-                algo: AlgoChoice::WinRs,
+                algo: Algorithm::WinRs,
                 predicted_s: 1.25e-4,
                 measured_s: Some(2.0e-4),
                 trials: 3,
@@ -1430,7 +1296,7 @@ mod tests {
             &gemm_leaning(),
             Precision::Fp16,
             TunedEntry {
-                algo: AlgoChoice::GemmBfc,
+                algo: Algorithm::GemmBfc,
                 predicted_s: 3.0e-5,
                 measured_s: None,
                 trials: 0,
@@ -1441,12 +1307,54 @@ mod tests {
         let back = TuneDb::parse(&doc, "mem").unwrap();
         assert_eq!(back.len(), 2);
         let e = back.get(&fp, &small(), Precision::Fp32).unwrap();
-        assert_eq!(e.algo, AlgoChoice::WinRs);
+        assert_eq!(e.algo, Algorithm::WinRs);
         assert_eq!(e.measured_s, Some(2.0e-4));
         assert_eq!(e.trials, 3);
         let e = back.get(&fp, &gemm_leaning(), Precision::Fp16).unwrap();
-        assert_eq!(e.algo, AlgoChoice::GemmBfc);
+        assert_eq!(e.algo, Algorithm::GemmBfc);
         assert_eq!(e.measured_s, None);
+    }
+
+    /// The rendered `winrs-tune-v1` document is persisted state: entries at
+    /// every precision on two devices must render these bytes exactly, so
+    /// the table's key order (fp32 < fp16 < bf16) can never reorder a file
+    /// already on disk.
+    #[test]
+    fn document_bytes_are_stable_across_precisions_and_devices() {
+        let e = |algo, predicted_s, measured_s, trials| TunedEntry {
+            algo,
+            predicted_s,
+            measured_s,
+            trials,
+        };
+        let (a, b) = (small(), gemm_leaning());
+        let (dev_a, dev_b) = ("dev-a|host-simd:avx512", "dev-b|host-simd:avx2");
+        let mut db = TuneDb::new();
+        use Algorithm::{Direct, FftBfc, GemmBfc, WinRs};
+        use Precision::{Bf16, Fp16, Fp32};
+        // Inserted out of order: the document comes out sorted.
+        for (fp, conv, precision, entry) in [
+            (dev_b, &b, Bf16, e(GemmBfc, 3.0e-5, None, 0)),
+            (dev_b, &a, Fp32, e(FftBfc, 2.5e-4, Some(2.75e-4), 2)),
+            (dev_a, &a, Fp16, e(WinRs, 1.25e-4, Some(2.0e-4), 3)),
+            (dev_a, &a, Bf16, e(Direct, 0.5, None, 0)),
+            (dev_a, &a, Fp32, e(WinRs, 1.0e-4, None, 0)),
+            (dev_b, &b, Fp16, e(Direct, 7.0e-3, Some(6.5e-3), 1)),
+        ] {
+            db.insert(fp, conv, precision, entry);
+        }
+        let golden = concat!(
+            r#"{"schema":"winrs-tune-v1","devices":[{"fingerprint":"dev-a|host-simd:avx512","entries":[{"shape":[2,16,16,4,4,3,3,1,1],"precision":"fp32","algo":"winrs","predicted_s":0.0001,"measured_s":null,"trials":0},"#,
+            r#"{"shape":[2,16,16,4,4,3,3,1,1],"precision":"fp16","algo":"winrs","predicted_s":0.000125,"measured_s":0.0002,"trials":3},"#,
+            r#"{"shape":[2,16,16,4,4,3,3,1,1],"precision":"bf16","algo":"direct","predicted_s":0.5,"measured_s":null,"trials":0}]},"#,
+            r#"{"fingerprint":"dev-b|host-simd:avx2","entries":[{"shape":[2,16,16,4,4,3,3,1,1],"precision":"fp32","algo":"fft-bfc","predicted_s":0.00025,"measured_s":0.000275,"trials":2},"#,
+            r#"{"shape":[2,32,32,4,4,2,2,1,1],"precision":"fp16","algo":"direct","predicted_s":0.007,"measured_s":0.0065,"trials":1},"#,
+            r#"{"shape":[2,32,32,4,4,2,2,1,1],"precision":"bf16","algo":"gemm-bfc","predicted_s":0.00003,"measured_s":null,"trials":0}]}]}"#,
+            "\n",
+        );
+        assert_eq!(db.to_document(), golden);
+        let reparsed = TuneDb::parse(golden, "golden").unwrap();
+        assert_eq!(reparsed.to_document(), golden);
     }
 
     #[test]
@@ -1459,7 +1367,7 @@ mod tests {
                 &small(),
                 Precision::Fp32,
                 TunedEntry {
-                    algo: AlgoChoice::WinRs,
+                    algo: Algorithm::WinRs,
                     predicted_s: 1.0e-4,
                     measured_s: None,
                     trials: 0,
@@ -1504,7 +1412,7 @@ mod tests {
             &conv,
             Precision::Fp32,
             TunedEntry {
-                algo: AlgoChoice::GemmBfc,
+                algo: Algorithm::GemmBfc,
                 predicted_s: 1.0e-4,
                 measured_s: Some(9.0e-5),
                 trials: 3,
@@ -1512,27 +1420,12 @@ mod tests {
         );
         for _ in 0..4 {
             let d = t.decide(&conv, &RTX_4090, Precision::Fp32);
-            assert_eq!(d.chosen, AlgoChoice::GemmBfc);
+            assert_eq!(d.chosen, Algorithm::GemmBfc);
             assert_eq!(d.stats.source, ChoiceSource::Database);
             assert!(d.stats.db_hit);
             t.observe(&conv, &RTX_4090, Precision::Fp32, d.chosen, 1.0);
         }
         assert_eq!(t.counters().trials, 0, "warm db: zero trial measurements");
         assert_eq!(t.counters().db_hits, 1);
-    }
-
-    #[test]
-    fn margin_hysteresis_prefers_winrs_near_ties() {
-        // With an enormous margin every shape where WinRS is *supported*
-        // resolves to WinRS, however the model ranks it.
-        let mut t = Tuner::new(TunerConfig {
-            margin: 1e6,
-            ..TunerConfig::default()
-        });
-        let d = t.decide(&gemm_leaning(), &RTX_4090, Precision::Fp32);
-        assert_eq!(d.chosen, AlgoChoice::WinRs);
-        // Margin cannot resurrect an unsupported WinRS.
-        let d = t.decide(&gemm_leaning(), &RTX_4090, Precision::Fp16);
-        assert_ne!(d.chosen, AlgoChoice::WinRs);
     }
 }

@@ -24,7 +24,7 @@
 //! |---|---|
 //! | `POST /v1/bfc` | Submit a job; blocks until the gradient (or typed error) is ready. |
 //! | `GET /healthz` | Liveness probe. |
-//! | `GET /v1/stats` | Service, pool, plan-cache and tuner counters. |
+//! | `GET /v1/stats` | Service, pool (plan cache included) and tuner counters. |
 //!
 //! # Quick start
 //!
@@ -53,7 +53,7 @@ pub(crate) mod sync;
 pub use client::{Client, Reply};
 pub use loadgen::{run as run_loadgen, LoadgenConfig, LoadgenReport};
 pub use protocol::{
-    error_json, error_status, gradient_digest, job_response_json, precision_name, report_json,
+    error_json, error_status, gradient_digest, job_response_json, pool_json, report_json,
     GradientMode, JobRequest,
 };
 pub use queue::{AdmitError, DispatchQueue};

@@ -18,7 +18,7 @@ use std::str::FromStr;
 use std::time::Duration;
 
 use winrs_conv::ConvShape;
-use winrs_core::{ExecutionReport, FallbackPolicy, NumericGuard, Precision, WinrsError};
+use winrs_core::{ExecutionReport, FallbackPolicy, NumericGuard, PoolStats, Precision, WinrsError};
 use winrs_json::Json;
 use winrs_tensor::Tensor4;
 
@@ -92,14 +92,11 @@ impl JobRequest {
         .map_err(|e| format!("invalid shape: {e}"))?;
 
         let precision = match doc.get("precision").and_then(Json::as_str) {
-            None | Some("fp32") => Precision::Fp32,
-            Some("fp16") => Precision::Fp16,
-            Some("bf16") => Precision::Bf16,
-            Some(other) => {
-                return Err(format!(
-                    "unknown precision `{other}` (expected fp32 | fp16 | bf16)"
-                ))
-            }
+            None => Precision::Fp32,
+            Some(s) => Precision::parse(s).ok_or_else(|| {
+                let names: Vec<&str> = Precision::ALL.iter().map(|p| p.name()).collect();
+                format!("unknown precision `{s}` (expected {})", names.join(" | "))
+            })?,
         };
         let policy = match doc.get("policy").and_then(Json::as_str) {
             None => FallbackPolicy::default(),
@@ -179,8 +176,8 @@ impl JobRequest {
                     ("pw", Json::Int(s.pw as i64)),
                 ]),
             ),
-            ("precision", Json::str(precision_name(self.precision))),
-            ("policy", Json::str(&policy_name(self.policy))),
+            ("precision", Json::str(self.precision.name())),
+            ("policy", Json::str(self.policy.name())),
             ("guard", Json::str(self.guard.name())),
             ("x_seed", Json::Int(self.x_seed as i64)),
             ("dy_seed", Json::Int(self.dy_seed as i64)),
@@ -208,33 +205,6 @@ impl JobRequest {
         let dy =
             Tensor4::<f32>::random_uniform([s.n, s.oh(), s.ow(), s.oc], self.dy_seed, self.scale);
         (x, dy)
-    }
-}
-
-/// Stable lowercase name of a precision (mirrors the CLI flag values).
-pub fn precision_name(p: Precision) -> &'static str {
-    match p {
-        Precision::Fp32 => "fp32",
-        Precision::Fp16 => "fp16",
-        Precision::Bf16 => "bf16",
-    }
-}
-
-/// Stable name of a fallback policy (inverse of its `FromStr`).
-pub fn policy_name(p: FallbackPolicy) -> String {
-    match p {
-        FallbackPolicy::Strict => "strict".to_string(),
-        FallbackPolicy::Auto => "auto".to_string(),
-        FallbackPolicy::Force(a) => format!("force-{}", short_algo(a.name())),
-    }
-}
-
-fn short_algo(name: &str) -> &str {
-    // FromStr spells the force targets without the `-bfc` suffix.
-    match name {
-        "gemm-bfc" => "gemm",
-        "fft-bfc" => "fft",
-        other => other,
     }
 }
 
@@ -289,10 +259,7 @@ pub fn report_json(report: &ExecutionReport) -> Json {
     let mut fields = vec![
         ("algorithm", Json::str(report.algorithm.name())),
         ("chosen", Json::str(report.chosen.name())),
-        (
-            "precision",
-            Json::str(precision_name(report.requested_precision)),
-        ),
+        ("precision", Json::str(report.requested_precision.name())),
         ("guard", Json::str(report.guard.name())),
         (
             "fallback_reason",
@@ -323,22 +290,10 @@ pub fn report_json(report: &ExecutionReport) -> Json {
                 ("reduce_s", Json::Num(report.timing.reduce_s)),
             ]),
         ),
-        ("cache_hits", Json::Int(report.cache_hits as i64)),
-        ("cache_misses", Json::Int(report.cache_misses as i64)),
         ("summary", Json::str(&report.summary_line())),
     ];
     if let Some(pool) = &report.pool {
-        fields.push((
-            "pool",
-            Json::obj(vec![
-                ("slots", Json::Int(pool.slots as i64)),
-                ("in_use", Json::Int(pool.in_use as i64)),
-                ("leases", Json::Int(pool.leases as i64)),
-                ("waits", Json::Int(pool.waits as i64)),
-                ("exhausted", Json::Int(pool.exhausted as i64)),
-                ("degradations", Json::Int(pool.degradations as i64)),
-            ]),
-        ));
+        fields.push(("pool", pool_json(pool)));
     }
     if let Some(t) = &report.tuner {
         fields.push((
@@ -359,6 +314,25 @@ pub fn report_json(report: &ExecutionReport) -> Json {
         ));
     }
     Json::obj(fields)
+}
+
+/// Every [`PoolStats`] counter as one object: the `pool` of a job report
+/// and of `GET /v1/stats`.
+pub fn pool_json(pool: &PoolStats) -> Json {
+    let n = |v: u64| Json::Int(v as i64);
+    Json::obj(vec![
+        ("slots", n(pool.slots as u64)),
+        ("in_use", n(pool.in_use as u64)),
+        ("leases", n(pool.leases)),
+        ("waits", n(pool.waits)),
+        ("poisonings", n(pool.poisonings)),
+        ("rebuilds", n(pool.rebuilds)),
+        ("exhausted", n(pool.exhausted)),
+        ("degradations", n(pool.degradations)),
+        ("cache_poisonings", n(pool.cache_poisonings)),
+        ("plan_hits", n(pool.plan_hits)),
+        ("plan_misses", n(pool.plan_misses)),
+    ])
 }
 
 /// An error body: `{"ok": false, "error": "...", "kind": "..."}`.
@@ -420,21 +394,27 @@ mod tests {
 
     #[test]
     fn request_round_trips_through_its_own_json() {
-        let mut req = JobRequest::from_json(&fig10_body()).unwrap();
-        req.precision = Precision::Fp16;
-        req.guard = NumericGuard::PromoteAndRetry;
-        req.policy = FallbackPolicy::Force(winrs_core::Algorithm::GemmBfc);
-        req.gradient = GradientMode::Full;
-        req.x_seed = 77;
-        let doc = Json::parse(&req.to_json().to_document()).unwrap();
-        let back = JobRequest::from_json(&doc).unwrap();
-        assert_eq!(back.shape, req.shape);
-        assert_eq!(back.precision, req.precision);
-        assert_eq!(back.guard, req.guard);
-        assert_eq!(back.policy, req.policy);
-        assert_eq!(back.gradient, req.gradient);
-        assert_eq!(back.x_seed, 77);
-        assert_eq!(back.deadline, req.deadline);
+        // Every policy × precision, `force-winrs` included: a client's
+        // body must parse back on the server.
+        for policy in FallbackPolicy::ALL {
+            for precision in Precision::ALL {
+                let mut req = JobRequest::from_json(&fig10_body()).unwrap();
+                req.precision = precision;
+                req.guard = NumericGuard::PromoteAndRetry;
+                req.policy = policy;
+                req.gradient = GradientMode::Full;
+                req.x_seed = 77;
+                let doc = Json::parse(&req.to_json().to_document()).unwrap();
+                let back = JobRequest::from_json(&doc).unwrap();
+                assert_eq!(back.shape, req.shape);
+                assert_eq!(back.precision, precision);
+                assert_eq!(back.guard, req.guard);
+                assert_eq!(back.policy, policy);
+                assert_eq!(back.gradient, req.gradient);
+                assert_eq!(back.x_seed, 77);
+                assert_eq!(back.deadline, req.deadline);
+            }
+        }
     }
 
     #[test]

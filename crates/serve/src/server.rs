@@ -34,15 +34,15 @@ use std::time::Duration;
 
 use winrs_conv::ConvShape;
 use winrs_core::{
-    Algorithm, BfcJob, ExecHandle, ExecutionReport, FallbackPolicy, NumericGuard, PoolConfig,
-    Precision, WinrsError, WorkspacePool,
+    BfcJob, ExecHandle, ExecutionReport, FallbackPolicy, NumericGuard, PoolConfig, Precision,
+    WinrsError, WorkspacePool,
 };
 use winrs_gpu_sim::{DeviceSpec, RTX_4090};
 use winrs_json::Json;
 use winrs_tensor::Tensor4;
 
 use crate::http::{read_request, ReadOutcome, Request, Response, READ_TIMEOUT};
-use crate::protocol::{error_json, error_status, job_response_json, JobRequest};
+use crate::protocol::{error_json, error_status, job_response_json, pool_json, JobRequest};
 use crate::queue::{AdmitError, DispatchQueue};
 
 /// Server configuration.
@@ -134,36 +134,15 @@ impl ServerStats {
 /// Coalescing identity: shape dims plus the dispatch configuration.
 /// Operand seeds and deadlines are deliberately *not* part of the key —
 /// they are per-job payload inside a batch.
-type JobKey = ([usize; 9], u8, u8, u8);
-
-fn algo_code(a: Algorithm) -> u8 {
-    match a {
-        Algorithm::WinRs => 0,
-        Algorithm::GemmBfc => 1,
-        Algorithm::FftBfc => 2,
-        Algorithm::Direct => 3,
-    }
-}
+type JobKey = ([usize; 9], Precision, FallbackPolicy, NumericGuard);
 
 fn job_key(req: &JobRequest) -> JobKey {
     let s = &req.shape;
     (
         [s.n, s.ih, s.iw, s.ic, s.oc, s.fh, s.fw, s.ph, s.pw],
-        match req.precision {
-            Precision::Fp32 => 0,
-            Precision::Fp16 => 1,
-            Precision::Bf16 => 2,
-        },
-        match req.policy {
-            FallbackPolicy::Strict => 0,
-            FallbackPolicy::Auto => 1,
-            FallbackPolicy::Force(a) => 10 + algo_code(a),
-        },
-        match req.guard {
-            NumericGuard::Ignore => 0,
-            NumericGuard::Warn => 1,
-            NumericGuard::PromoteAndRetry => 2,
-        },
+        req.precision,
+        req.policy,
+        req.guard,
     )
 }
 
@@ -255,7 +234,7 @@ impl Server {
         &self.shared.pool
     }
 
-    /// The `/v1/stats` document (server + pool + plan cache + tuner).
+    /// The `/v1/stats` document (server, pool with its plan cache, tuner).
     pub fn stats_json(&self) -> Json {
         stats_json(&self.shared)
     }
@@ -528,31 +507,10 @@ fn execute_batch(sh: &Shared, batch: Vec<Pending>) {
 }
 
 fn stats_json(sh: &Shared) -> Json {
-    let st = sh.pool.stats();
-    let (hits, misses) = sh.pool.plan_stats();
     let tc = sh.pool.tuner_counters();
     Json::obj(vec![
         ("server", sh.stats.to_json()),
-        (
-            "pool",
-            Json::obj(vec![
-                ("slots", Json::Int(st.slots as i64)),
-                ("in_use", Json::Int(st.in_use as i64)),
-                ("leases", Json::Int(st.leases as i64)),
-                ("waits", Json::Int(st.waits as i64)),
-                ("poisonings", Json::Int(st.poisonings as i64)),
-                ("rebuilds", Json::Int(st.rebuilds as i64)),
-                ("exhausted", Json::Int(st.exhausted as i64)),
-                ("degradations", Json::Int(st.degradations as i64)),
-            ]),
-        ),
-        (
-            "plan_cache",
-            Json::obj(vec![
-                ("hits", Json::Int(hits as i64)),
-                ("misses", Json::Int(misses as i64)),
-            ]),
-        ),
+        ("pool", pool_json(&sh.pool.stats())),
         (
             "tuner",
             Json::obj(vec![

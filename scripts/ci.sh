@@ -5,7 +5,8 @@
 #
 #   1. release build of every workspace target
 #   2. full test suite (unit + integration + property + doc tests), the
-#      no-default / explicit-SIMD feature legs, the width + scheduler
+#      no-optional-feature leg (core and gemm without `faults` or `simd`:
+#      the portable kernels only), the explicit-SIMD leg, the width + scheduler
 #      bit-identity acceptance tests, a WINRS_FORCE_WIDTH matrix replay
 #      over every width available on the host, and a compile-only
 #      aarch64 (NEON) cross-check when that stdlib is installed
@@ -43,8 +44,9 @@
 #      cache
 #  10. seeded chaos campaigns: deterministic fault injection (hot-loop
 #      panic, slot exhaustion, allocation-budget refusal, deadline-blowing
-#      slowness) against the resilient pool layer, on every feature leg,
-#      plus a `winrs verify --fault-seed` replay smoke — DESIGN.md §11
+#      slowness) against the resilient pool layer, on two chaos legs
+#      (`faults` alone and `faults,simd`), plus a `winrs verify
+#      --fault-seed` replay smoke — DESIGN.md §11
 #      (the torn tuning-db site is exercised by tests/tuner_dispatch.rs
 #      in step 2)
 #  11. sanitizer jobs (gated): Miri smoke on the pure-arithmetic crates
@@ -228,10 +230,10 @@ RUSTFLAGS="--cfg loom" CARGO_TARGET_DIR=target/loom \
 
 echo "==> seeded chaos campaigns (panic / exhaustion / alloc-budget / deadline)"
 # Fixed seeds inside the suite make every failure replayable from one u64.
-# The resilience contract must hold on every feature leg: default, no
-# default features, and SIMD dispatch.
+# The resilience contract must hold with portable and with SIMD dispatch.
+# (winrs-core has no default features, so `faults` alone is also the
+# no-default-features build.)
 cargo test -q -p winrs-core --features faults --test chaos
-cargo test -q -p winrs-core --no-default-features --features faults --test chaos
 cargo test -q -p winrs-core --features faults,simd --test chaos
 # CLI replay smoke: campaign seed 6 injects a hot-loop panic; the verify
 # must contain it (typed degradation, poison+rebuild) and stay green.

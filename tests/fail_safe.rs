@@ -208,7 +208,7 @@ fn mismatched_tensors_are_typed_errors_not_panics() {
 /// compute a ∇W from the wrong tensor.
 #[test]
 fn mis_shaped_operands_are_refused_on_every_rung() {
-    use Algorithm::{Direct, FftBfc, GemmBfc};
+    use Algorithm::{Direct, FftBfc, GemmBfc, WinRs};
     use FallbackPolicy::{Auto, Force, Strict};
     let to_direct = ConvShape::square(2, 32, 4, 4, 2);
     let to_gemm = ConvShape::square(1, 16, 3, 3, 4);
@@ -222,6 +222,7 @@ fn mis_shaped_operands_are_refused_on_every_rung() {
         ("force-fft", to_direct, fp32, Force(FftBfc), None),
         ("force-direct", to_direct, fp32, Force(Direct), None),
         ("force-gemm", to_direct, fp32, Force(GemmBfc), None),
+        ("force-winrs", to_direct, fp32, Force(WinRs), None),
     ];
     for (label, conv, precision, policy, auto_route) in cases {
         let handle = |pool: &Arc<WorkspacePool>| {
@@ -271,5 +272,40 @@ fn mis_shaped_operands_are_refused_on_every_rung() {
                 "{label} {want:?}: {st}"
             );
         }
+    }
+}
+
+#[test]
+fn force_winrs_runs_the_winrs_rung_like_strict() {
+    // `Force(WinRs)` pins the WinRS engine: the same rung as `Strict`, so
+    // the same Z and the same ∇W bits, through single and batched dispatch.
+    let conv = ConvShape::square(2, 16, 8, 8, 3);
+    let (x, dy, _) = problem(&conv, 91);
+    let pinned = |policy| handle(Precision::Fp32, NumericGuard::Warn).with_policy(policy);
+    let (strict_dw, strict) = pinned(FallbackPolicy::Strict)
+        .run(&conv, &x, &dy)
+        .expect("strict WinRS run");
+    assert_eq!(strict.algorithm, Algorithm::WinRs);
+    assert!(strict.z.is_some());
+
+    let forced = pinned(FallbackPolicy::Force(Algorithm::WinRs));
+    let single = forced.run(&conv, &x, &dy).expect("forced WinRS run");
+    let batched = forced
+        .run_batch(&conv, vec![BfcJob::new(x.clone(), dy.clone())])
+        .pop()
+        .expect("one job in, one result out")
+        .expect("forced WinRS batch");
+    for (dw, report) in [single, batched] {
+        assert_eq!(report.algorithm, Algorithm::WinRs);
+        assert_eq!(report.chosen, Algorithm::WinRs);
+        assert_eq!(report.z, strict.z, "the WinRS rung reports its Z");
+        assert!(report.tuner.is_none(), "a pinned policy consults no tuner");
+        assert!(
+            dw.as_slice()
+                .iter()
+                .zip(strict_dw.as_slice())
+                .all(|(a, b)| a.to_bits() == b.to_bits()),
+            "Force(WinRs) must produce Strict's ∇W bit for bit"
+        );
     }
 }

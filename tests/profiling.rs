@@ -49,7 +49,7 @@ fn winrs_path_reports_full_phase_breakdown() {
     assert_eq!(report.algorithm, Algorithm::WinRs);
     assert_wall_phases_account_for_total(&report);
     let t = &report.timing;
-    // Default build carries the `metrics` feature: per-block phase data.
+    // The WinRS rung always passes a timing sink: per-block phase data.
     assert!(t.blocks > 0, "engine should count block columns");
     assert!(t.ewmm_s > 0.0 && t.ft_s > 0.0 && t.it_s > 0.0 && t.ot_s > 0.0);
     assert!(t.busy_s >= t.ft_s + t.it_s + t.ewmm_s + t.ot_s);
@@ -108,7 +108,8 @@ fn cached_dispatch_reports_timing_and_counters_each_call() {
         let (_dw, report) = handle.run(&shape, &x, &dy).expect("dispatch");
         assert_eq!(report.algorithm, Algorithm::WinRs);
         assert_wall_phases_account_for_total(&report);
-        assert_eq!((report.cache_hits, report.cache_misses), (call, 1));
+        let pool = report.pool.expect("pool snapshot");
+        assert_eq!((pool.plan_hits, pool.plan_misses), (call, 1));
     }
     // Warm calls skip planning entirely; the cache makes plan_s ≈ 0 worth
     // asserting structurally via the counters above rather than by time.

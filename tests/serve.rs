@@ -263,20 +263,27 @@ fn health_and_stats_endpoints_expose_pool_and_tuner_counters() {
 
     let stats = client.get("/v1/stats").expect("transport");
     assert_eq!(stats.status, 200);
-    for key in ["server", "pool", "plan_cache", "tuner"] {
+    for key in ["server", "pool", "tuner"] {
         assert!(
             stats.body.get(key).is_some(),
             "missing `{key}` in {}",
             stats.body.to_document()
         );
     }
-    let leases = stats
-        .body
-        .get("pool")
-        .and_then(|p| p.get("leases"))
-        .and_then(|l| l.as_f64())
-        .expect("lease counter");
-    assert!(leases >= 1.0, "the job above must have leased a workspace");
+    let pool_counter = |key: &str| {
+        stats
+            .body
+            .get("pool")
+            .and_then(|p| p.get(key))
+            .and_then(|v| v.as_f64())
+            .unwrap_or_else(|| panic!("pool counter `{key}`"))
+    };
+    assert!(
+        pool_counter("leases") >= 1.0,
+        "the job above must have leased a workspace"
+    );
+    // The plan cache's counters live inside the pool object.
+    assert_eq!(pool_counter("plan_misses"), 1.0, "one key, planned once");
 
     let method = client.get("/v1/bfc").expect("transport");
     assert_eq!(method.status, 405);

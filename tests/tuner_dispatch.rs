@@ -20,8 +20,8 @@
 
 use winrs::conv::ConvShape;
 use winrs::core::faults;
-use winrs::core::tuner::{self, device_key, AlgoChoice, TuneDbWarning, TunedEntry, Tuner, TunerConfig};
-use winrs::core::{BfcJob, ExecHandle, Precision, WorkspacePool};
+use winrs::core::tuner::{self, device_key, TuneDbWarning, TunedEntry, Tuner, TunerConfig};
+use winrs::core::{Algorithm, BfcJob, ExecHandle, Precision, WorkspacePool};
 use winrs::gpu::{RTX_3090, RTX_4090};
 use winrs::tensor::Tensor4;
 use winrs_bench::throughput_dims;
@@ -98,7 +98,7 @@ fn tuner_dispatch_never_loses_to_always_winrs_on_fig10() {
         let d = t.decide(&shape, &RTX_4090, Precision::Fp32);
         let chosen_s = d.predicted_for(d.chosen).expect("chosen is ranked");
         let winrs_s = d
-            .predicted_for(AlgoChoice::WinRs)
+            .predicted_for(Algorithm::WinRs)
             .expect("WinRS viable on every fig10 fp32 shape");
         assert!(
             chosen_s <= 1.02 * winrs_s,
@@ -110,10 +110,10 @@ fn tuner_dispatch_never_loses_to_always_winrs_on_fig10() {
     // wide-but-shallow f=2 shape from the accuracy sweep.
     let anchor = ConvShape::square(2, 32, 4, 4, 2);
     let d = t.decide(&anchor, &RTX_4090, Precision::Fp32);
-    assert_ne!(d.chosen, AlgoChoice::WinRs, "model must prefer a substitute");
+    assert_ne!(d.chosen, Algorithm::WinRs, "model must prefer a substitute");
     assert!(d.winrs_rejection.is_none(), "WinRS stays viable — pure choice");
     let chosen_s = d.predicted_for(d.chosen).expect("ranked");
-    let winrs_s = d.predicted_for(AlgoChoice::WinRs).expect("ranked");
+    let winrs_s = d.predicted_for(Algorithm::WinRs).expect("ranked");
     assert!(
         chosen_s < winrs_s,
         "substitute {} ({chosen_s} s) must beat WinRS ({winrs_s} s)",
@@ -274,11 +274,11 @@ fn run_and_run_batch_choose_the_same_algorithm() {
         let chosen = Tuner::new(TunerConfig::default())
             .decide(&conv, &RTX_4090, precision)
             .chosen;
-        assert_ne!(chosen, AlgoChoice::WinRs, "{conv:?} {precision:?}");
+        assert_ne!(chosen, Algorithm::WinRs, "{conv:?} {precision:?}");
         let best_sub = tuner::rank(&conv, &RTX_4090, precision)
             .into_iter()
             .map(|c| c.algo)
-            .find(|a| *a != AlgoChoice::WinRs)
+            .find(|a| *a != Algorithm::WinRs)
             .expect("a substitute always ranks");
         assert_eq!(
             chosen, best_sub,
