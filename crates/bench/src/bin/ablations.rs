@@ -2,15 +2,18 @@
 //!
 //! 1. hybrid-pair split vs single zero-padded kernel (FLOP overhead);
 //! 2. segment-count sweep around Algorithm 1's choice (modelled time +
-//!    workspace);
+//!    workspace, and host time on a CPU-sized shape);
 //! 3. even/odd transform symmetry (multiplication counts, all kernels);
 //! 4. Kahan vs naive binary16 reduction (real accuracy);
 //! 5. height-axis padding clip (predicted vs measured savings).
 
+use std::time::Instant;
+
 use winrs_bench::Table;
 use winrs_conv::{direct, ConvShape};
 use winrs_core::engine::{clip_savings_fraction, clipped_rows_total};
-use winrs_core::{Precision, WinRsPlan};
+use winrs_core::fallback::run_planned_into;
+use winrs_core::{NumericGuard, Precision, WinRsPlan, Workspace};
 use winrs_gpu_sim::RTX_4090;
 use winrs_tensor::{mare, Tensor4};
 use winrs_winograd::kernels::WINRS_KERNELS;
@@ -54,31 +57,78 @@ fn ablation_pair_split() {
 }
 
 fn ablation_z_sweep() {
-    println!("== Ablation 2: segment-count sweep (VGG16 conv2, RTX 4090) ==\n");
-    let shape = ConvShape::vgg16_conv2(32);
-    let auto = WinRsPlan::new(&shape, &RTX_4090, Precision::Fp32).expect("benchmark shape is inside the WinRS envelope");
-    let mut t = Table::new(&["requested Z", "actual Z", "modelled time (ms)", "workspace (MB)"]);
+    println!("== Ablation 2: segment-count sweep ==\n");
+    println!("VGG16 conv2 on the RTX 4090 model:\n");
+    z_sweep(
+        &ConvShape::vgg16_conv2(32),
+        &[1, 2, 4, 8, 16, 32, 48, 64, 128, 256],
+        None,
+    );
+    // The modelled shape is far too large to execute here; a CPU-sized
+    // shape adds the time each Z actually takes on this host.
+    let shape = ConvShape::square(2, 48, 8, 8, 3);
+    let x = Tensor4::<f32>::random_uniform([2, 48, 48, 8], 3, 1.0);
+    let dy = Tensor4::<f32>::random_uniform([2, 48, 48, 8], 4, 1.0);
+    println!("2x48x48, 8 -> 8 channels, f = 3, host time measured on this CPU:\n");
+    z_sweep(&shape, &[1, 2, 4, 8, 16], Some((&x, &dy)));
+}
+
+/// Warm runs timed per host-measured row; the row reports their median.
+const HOST_RUNS: usize = 31;
+
+/// One row per requested Z: the plan's actual Z, modelled time and
+/// workspace. With operands, a last column holds the median wall time of
+/// warm `run_planned_into` calls over one reused workspace.
+fn z_sweep(shape: &ConvShape, zs: &[usize], host: Option<(&Tensor4<f32>, &Tensor4<f32>)>) {
+    let auto = WinRsPlan::new(shape, &RTX_4090, Precision::Fp32)
+        .expect("benchmark shape is inside the WinRS envelope");
+    let mut header = vec![
+        "requested Z",
+        "actual Z",
+        "modelled time (us)",
+        "workspace (KB)",
+    ];
+    if host.is_some() {
+        header.push("host time (us)");
+    }
+    let mut t = Table::new(&header);
+    let mut ws = Workspace::new();
+    let mut dw = Tensor4::<f32>::zeros([shape.oc, shape.fh, shape.fw, shape.ic]);
     let mut best = (0usize, f64::INFINITY);
-    for z in [1usize, 2, 4, 8, 16, 32, 48, 64, 128, 256] {
-        let plan = WinRsPlan::with_z_hat(&shape, &RTX_4090, Precision::Fp32, z).expect("benchmark shape is inside the WinRS envelope");
+    for &z in zs {
+        let plan = WinRsPlan::with_z_hat(shape, &RTX_4090, Precision::Fp32, z)
+            .expect("benchmark shape is inside the WinRS envelope");
         let time = plan.estimated_time();
         if time < best.1 {
             best = (plan.z(), time);
         }
-        t.row(vec![
+        let mut row = vec![
             z.to_string(),
             plan.z().to_string(),
-            format!("{:.3}", time * 1e3),
-            format!("{:.1}", plan.workspace_bytes() as f64 / 1e6),
-        ]);
+            format!("{:.1}", time * 1e6),
+            format!("{:.1}", plan.workspace_bytes() as f64 / 1e3),
+        ];
+        if let Some((x, dy)) = host {
+            let mut run = || {
+                let start = Instant::now();
+                run_planned_into(&plan, x, dy, NumericGuard::Ignore, &mut ws, &mut dw)
+                    .expect("FP32 plan accepts FP32 tensors");
+                start.elapsed().as_secs_f64()
+            };
+            run(); // grows the workspace to this plan's layout
+            let mut secs: Vec<f64> = (0..HOST_RUNS).map(|_| run()).collect();
+            secs.sort_by(f64::total_cmp);
+            row.push(format!("{:.1}", secs[HOST_RUNS / 2] * 1e6));
+        }
+        t.row(row);
     }
     t.print();
     println!(
-        "\nAlgorithm 1 chose Z = {} ({:.3} ms); sweep minimum at Z = {} ({:.3} ms).\n",
+        "\nAlgorithm 1 chose Z = {} ({:.1} us modelled); modelled minimum at Z = {} ({:.1} us).\n",
         auto.z(),
-        auto.estimated_time() * 1e3,
+        auto.estimated_time() * 1e6,
         best.0,
-        best.1 * 1e3
+        best.1 * 1e6
     );
 }
 

@@ -23,7 +23,6 @@ pub mod direct;
 pub mod error;
 pub mod fft_bfc;
 pub mod gemm_bfc;
-pub mod int8;
 pub mod ndim;
 pub mod shapes;
 pub mod winnf;

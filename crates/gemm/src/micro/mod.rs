@@ -10,9 +10,9 @@
 //! * an explicit 16-lane AVX-512 body ([`SimdWidth::Avx512`]);
 //! * an explicit 4-lane NEON body on aarch64 ([`SimdWidth::Neon`]).
 //!
-//! The explicit bodies need the `simd` cargo feature and are selected by
-//! runtime feature detection, probed once and cached (see
-//! [`active_width`]).
+//! Every build compiles the explicit bodies of its target architecture;
+//! runtime feature detection, probed once and cached, selects among them
+//! (see [`active_width`]).
 //!
 //! Bit-identity is a hard contract, not an accident: every explicit body
 //! uses separate vector multiply + add instead of a fused multiply-add
@@ -36,11 +36,11 @@
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 mod avx2;
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 mod avx512;
-#[cfg(all(feature = "simd", target_arch = "aarch64"))]
+#[cfg(target_arch = "aarch64")]
 mod neon;
 
 /// Vector width of the scalar bodies' unrolled loops: 8 f32 lanes = one
@@ -137,8 +137,8 @@ impl std::fmt::Display for SimdWidth {
 }
 
 /// A width that cannot be pinned on this host: either its bodies are not
-/// compiled in (`simd` feature off, wrong architecture) or the CPU lacks
-/// the features they need.
+/// compiled in (another architecture's member) or the CPU lacks the
+/// features they need.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct UnsupportedWidth {
     /// The width the caller asked to pin.
@@ -211,12 +211,6 @@ pub fn force_scalar(on: bool) {
     let _ = force_width(pin);
 }
 
-/// True when an explicit SIMD body (any width) will be used.
-#[inline]
-pub fn simd_active() -> bool {
-    active_width() != SimdWidth::Scalar
-}
-
 /// The width kernels dispatch on right now: the pinned width if any,
 /// otherwise the best detected one.
 #[inline]
@@ -242,7 +236,7 @@ pub fn detected_width() -> SimdWidth {
     })
 }
 
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 fn avx2_ready() -> bool {
     static READY: OnceLock<bool> = OnceLock::new();
     *READY.get_or_init(|| {
@@ -253,31 +247,31 @@ fn avx2_ready() -> bool {
 /// The AVX-512 bodies need `avx512f` for the 16-lane ops *and* the AVX2
 /// pair: the 4×8 GEMM tile is one 256-bit row (no 512-bit shape exists
 /// for it), so its body and the row epilogues run AVX2 instructions.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 fn avx512_ready() -> bool {
     static READY: OnceLock<bool> = OnceLock::new();
     *READY.get_or_init(|| std::arch::is_x86_feature_detected!("avx512f") && avx2_ready())
 }
 
-#[cfg(all(feature = "simd", target_arch = "aarch64"))]
+#[cfg(target_arch = "aarch64")]
 fn neon_ready() -> bool {
     static READY: OnceLock<bool> = OnceLock::new();
     *READY.get_or_init(|| std::arch::is_aarch64_feature_detected!("neon"))
 }
 
-#[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
+#[cfg(not(target_arch = "x86_64"))]
 #[inline(always)]
 fn avx2_ready() -> bool {
     false
 }
 
-#[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
+#[cfg(not(target_arch = "x86_64"))]
 #[inline(always)]
 fn avx512_ready() -> bool {
     false
 }
 
-#[cfg(not(all(feature = "simd", target_arch = "aarch64")))]
+#[cfg(not(target_arch = "aarch64"))]
 #[inline(always)]
 fn neon_ready() -> bool {
     false
@@ -291,7 +285,7 @@ fn neon_ready() -> bool {
 pub fn axpy(dst: &mut [f32], a: f32, x: &[f32]) {
     let n = dst.len();
     debug_assert!(x.len() >= n, "axpy: x shorter than dst");
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     match active_width() {
         // SAFETY: avx512f+avx2+fma verified at runtime (`avx512_ready`)
         // before Avx512 can be detected or pinned.
@@ -300,7 +294,7 @@ pub fn axpy(dst: &mut [f32], a: f32, x: &[f32]) {
         SimdWidth::Avx2 => return unsafe { avx2::axpy(dst, a, &x[..n]) },
         _ => {}
     }
-    #[cfg(all(feature = "simd", target_arch = "aarch64"))]
+    #[cfg(target_arch = "aarch64")]
     if active_width() == SimdWidth::Neon {
         // SAFETY: neon verified at runtime (`neon_ready`).
         return unsafe { neon::axpy(dst, a, &x[..n]) };
@@ -314,7 +308,7 @@ pub fn axpy(dst: &mut [f32], a: f32, x: &[f32]) {
 pub fn add_assign(dst: &mut [f32], x: &[f32]) {
     let n = dst.len();
     debug_assert!(x.len() >= n, "add_assign: x shorter than dst");
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     match active_width() {
         // SAFETY: avx512f+avx2+fma verified at runtime (`avx512_ready`).
         SimdWidth::Avx512 => return unsafe { avx512::add_assign(dst, &x[..n]) },
@@ -322,7 +316,7 @@ pub fn add_assign(dst: &mut [f32], x: &[f32]) {
         SimdWidth::Avx2 => return unsafe { avx2::add_assign(dst, &x[..n]) },
         _ => {}
     }
-    #[cfg(all(feature = "simd", target_arch = "aarch64"))]
+    #[cfg(target_arch = "aarch64")]
     if active_width() == SimdWidth::Neon {
         // SAFETY: neon verified at runtime (`neon_ready`).
         return unsafe { neon::add_assign(dst, &x[..n]) };
@@ -341,7 +335,7 @@ pub fn expand_axpy(dst: &mut [f32], coeffs: &[f32], cstride: usize, src: &[f32])
     debug_assert!(w > 0 && dst.len().is_multiple_of(w), "expand_axpy: ragged dst");
     let k = dst.len() / w;
     debug_assert!(coeffs.len() > (k - 1) * cstride, "expand_axpy: coeffs short");
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     match active_width() {
         // SAFETY: avx512f+avx2+fma verified at runtime (`avx512_ready`).
         SimdWidth::Avx512 => return unsafe { avx512::expand_axpy(dst, coeffs, cstride, src) },
@@ -349,7 +343,7 @@ pub fn expand_axpy(dst: &mut [f32], coeffs: &[f32], cstride: usize, src: &[f32])
         SimdWidth::Avx2 => return unsafe { avx2::expand_axpy(dst, coeffs, cstride, src) },
         _ => {}
     }
-    #[cfg(all(feature = "simd", target_arch = "aarch64"))]
+    #[cfg(target_arch = "aarch64")]
     if active_width() == SimdWidth::Neon {
         // SAFETY: neon verified at runtime (`neon_ready`).
         return unsafe { neon::expand_axpy(dst, coeffs, cstride, src) };
@@ -397,7 +391,7 @@ pub fn gather_axpy(dst: &mut [f32], coeffs: &[f32], src: &[f32], sstride: usize)
         coeffs.is_empty() || src.len() >= (coeffs.len() - 1) * sstride + w,
         "gather_axpy: src short"
     );
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     match active_width() {
         // SAFETY: avx512f+avx2+fma verified at runtime (`avx512_ready`).
         SimdWidth::Avx512 => return unsafe { avx512::gather_axpy(dst, coeffs, src, sstride) },
@@ -405,7 +399,7 @@ pub fn gather_axpy(dst: &mut [f32], coeffs: &[f32], src: &[f32], sstride: usize)
         SimdWidth::Avx2 => return unsafe { avx2::gather_axpy(dst, coeffs, src, sstride) },
         _ => {}
     }
-    #[cfg(all(feature = "simd", target_arch = "aarch64"))]
+    #[cfg(target_arch = "aarch64")]
     if active_width() == SimdWidth::Neon {
         // SAFETY: neon verified at runtime (`neon_ready`).
         return unsafe { neon::gather_axpy(dst, coeffs, src, sstride) };
@@ -459,7 +453,7 @@ pub fn rank_k_batch(acc: &mut [f32], g: &[f32], d: &[f32], alpha: usize, k: usiz
     let bn = g.len() / steps;
     let bm = d.len() / steps;
     assert!(acc.len() >= alpha * bn * bm, "rank_k_batch: acc too short");
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     match active_width() {
         // SAFETY: avx512f+avx2+fma verified at runtime (`avx512_ready`);
         // the slice lengths the body reads and writes are checked above.
@@ -575,7 +569,7 @@ pub fn micro_kernel_4x8(
     c: &mut [f32],
     ldc: usize,
 ) {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     match active_width() {
         SimdWidth::Avx512 => {
             // SAFETY: avx512f+avx2+fma verified at runtime (`avx512_ready`).
@@ -587,7 +581,7 @@ pub fn micro_kernel_4x8(
         }
         _ => {}
     }
-    #[cfg(all(feature = "simd", target_arch = "aarch64"))]
+    #[cfg(target_arch = "aarch64")]
     if active_width() == SimdWidth::Neon {
         // SAFETY: neon verified at runtime (`neon_ready`).
         return unsafe { neon::micro_kernel_4x8(kc, alpha, a, lda, b, ldb, c, ldc) };
@@ -628,7 +622,7 @@ pub fn micro_kernel_4xn(
     ldc: usize,
 ) {
     debug_assert!(nr > 0 && nr < NR);
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     match active_width() {
         SimdWidth::Avx512 => {
             // SAFETY: avx512f+avx2+fma verified at runtime (`avx512_ready`).
@@ -640,7 +634,7 @@ pub fn micro_kernel_4xn(
         }
         _ => {}
     }
-    #[cfg(all(feature = "simd", target_arch = "aarch64"))]
+    #[cfg(target_arch = "aarch64")]
     if active_width() == SimdWidth::Neon {
         // SAFETY: neon verified at runtime (`neon_ready`).
         return unsafe { neon::micro_kernel_4xn(kc, alpha, a, lda, b, ldb, nr, c, ldc) };
@@ -977,15 +971,10 @@ mod tests {
         let _g = DISPATCH_LOCK.lock().unwrap();
         force_scalar(true);
         assert_eq!(forced_width(), Some(SimdWidth::Scalar));
-        assert!(!simd_active(), "force_scalar must pin the scalar bodies");
-        assert_eq!(active_width(), SimdWidth::Scalar);
+        assert_eq!(active_width(), SimdWidth::Scalar, "force_scalar must pin the scalar bodies");
         force_scalar(false);
         assert_eq!(forced_width(), None);
         assert_eq!(active_width(), detected_width());
-        if !cfg!(feature = "simd") {
-            assert!(!simd_active(), "simd off: explicit bodies must not run");
-            assert_eq!(detected_width(), SimdWidth::Scalar);
-        }
     }
 
     #[test]

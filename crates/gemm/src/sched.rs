@@ -1,6 +1,6 @@
 //! Locality-aware work-stealing scheduler: the one thread pool of the
 //! workspace. Every parallel loop — the WinRS engine's block groups, the
-//! reduce, the baselines (direct, GEMM, FFT, WinNF, int8, 3-D) and the
+//! reduce, the baselines (direct, GEMM, FFT, WinNF, 3-D) and the
 //! forward and 3-D WinRS paths — runs its tasks through [`run_tasks`],
 //! sized by [`workers`].
 //!

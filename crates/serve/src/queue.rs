@@ -8,7 +8,10 @@
 //! Extracting it behind the [`crate::sync`] shim lets the loom leg
 //! (`tests/loom_dispatch.rs`) exhaustively model the exact production
 //! handoff: no admitted job is lost, no wakeup miss can strand the
-//! dispatcher, and a `max_jobs` budget drains to termination.
+//! dispatcher, and a `max_jobs` budget drains to termination. The queue
+//! also counts admitted jobs out once their responses are written
+//! ([`DispatchQueue::settle`]), so teardown can wait for every response
+//! ([`DispatchQueue::wait_settled`]).
 //!
 //! One deliberate strengthening over the inlined version: the shutdown
 //! flag lives *inside* the mutex-protected state, not in a separate
@@ -48,6 +51,8 @@ pub enum AdmitError {
 struct Inner<K, T> {
     pending: VecDeque<(K, T)>,
     admitted: u64,
+    /// Admitted jobs counted out by [`DispatchQueue::settle`].
+    settled: u64,
     shutdown: bool,
 }
 
@@ -69,6 +74,7 @@ impl<K: PartialEq + Copy, T> DispatchQueue<K, T> {
             inner: Mutex::new(Inner {
                 pending: VecDeque::new(),
                 admitted: 0,
+                settled: 0,
                 shutdown: false,
             }),
             work: Condvar::new(),
@@ -123,6 +129,29 @@ impl<K: PartialEq + Copy, T> DispatchQueue<K, T> {
     /// Jobs admitted so far (monotone; includes already-collected jobs).
     pub fn admitted(&self) -> u64 {
         self.lock_inner().admitted
+    }
+
+    /// Count one admitted job out: its response has been written, or the
+    /// write failed. [`DispatchQueue::wait_settled`] waits for these.
+    pub fn settle(&self) {
+        self.lock_inner().settled += 1;
+        self.work.notify_all();
+    }
+
+    /// Block until every admitted job has been counted out by
+    /// [`DispatchQueue::settle`], or until `bound` has passed. Returns
+    /// whether every admitted job settled.
+    pub fn wait_settled(&self, bound: Duration) -> bool {
+        let deadline = Instant::now() + bound;
+        let mut q = self.lock_inner();
+        while q.settled < q.admitted {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return false;
+            }
+            q = self.wait_inner(q, left);
+        }
+        true
     }
 
     /// Request shutdown. Pending jobs still drain: [`DispatchQueue::collect`]
@@ -228,6 +257,27 @@ mod tests {
         assert_eq!(q.collect(NOW), Some(vec![10]));
         assert_eq!(q.collect(NOW), Some(vec![20]));
         assert_eq!(q.collect(NOW), None);
+    }
+
+    #[test]
+    fn wait_settled_counts_admitted_jobs_out() {
+        let q: Arc<DispatchQueue<u8, u32>> = Arc::new(DispatchQueue::new(8, None));
+        assert!(q.wait_settled(NOW), "nothing admitted, nothing owed");
+        assert_eq!(q.admit(1, 10), Ok(()));
+        assert_eq!(q.admit(1, 11), Ok(()));
+        assert_eq!(q.collect(NOW), Some(vec![10, 11]));
+        q.settle();
+        // One response is still owed: the wait gives up at its bound.
+        assert!(!q.wait_settled(Duration::from_millis(20)));
+        let writer = {
+            let q = Arc::clone(&q);
+            thread::spawn(move || {
+                thread::sleep(Duration::from_millis(20));
+                q.settle();
+            })
+        };
+        assert!(q.wait_settled(Duration::from_secs(10)));
+        let _ = writer.join();
     }
 
     #[test]

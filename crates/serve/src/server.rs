@@ -18,12 +18,19 @@
 //!    typed error) is sent back to its parked connection handler, which
 //!    renders the HTTP response. Deadline overruns surface as 504 with
 //!    the rung that was refused; pool exhaustion as a retryable 429.
+//!    Once the response is written (or its write failed) the handler
+//!    counts the job out of the queue ([`DispatchQueue::settle`]).
 //!
 //! Batches execute sequentially on the dispatcher — parallelism lives
 //! *inside* the engine's block loop, and serial dispatch is exactly what
 //! makes arrival bursts coalesce. With `max_jobs` set the server drains
 //! that many jobs and then shuts itself down cleanly (the CI smoke test
-//! and the e2e suite rely on this for leak-free teardown).
+//! and the e2e suite rely on this for leak-free teardown). Connection
+//! handlers are detached threads, so [`Server::join`] and
+//! [`Server::shutdown`] also wait, for at most `REPLY_DRAIN`, until
+//! every admitted job is counted out: a process that exits after `join`
+//! has sent every response. Idle keep-alive connections are not waited
+//! for.
 
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -44,6 +51,11 @@ use winrs_tensor::Tensor4;
 use crate::http::{read_request, ReadOutcome, Request, Response, READ_TIMEOUT};
 use crate::protocol::{error_json, error_status, job_response_json, pool_json, JobRequest};
 use crate::queue::{AdmitError, DispatchQueue};
+
+/// How long [`Server::join`] and [`Server::shutdown`] wait for handlers to
+/// write the responses of admitted jobs, so a client that stops reading
+/// cannot hold shutdown.
+const REPLY_DRAIN: Duration = Duration::from_secs(5);
 
 /// Server configuration.
 #[derive(Clone, Debug)]
@@ -239,14 +251,16 @@ impl Server {
         stats_json(&self.shared)
     }
 
-    /// Stop accepting, drain queued jobs, and join both service threads.
+    /// Stop accepting, drain queued jobs, join both service threads and
+    /// wait for every admitted job's response (bounded by `REPLY_DRAIN`).
     pub fn shutdown(&mut self) {
         trigger_shutdown(&self.shared);
         self.join_threads();
     }
 
     /// Block until the server stops on its own — i.e. until the
-    /// `max_jobs` budget drains. Without a budget this blocks
+    /// `max_jobs` budget drains and every admitted job's response is
+    /// written (bounded by `REPLY_DRAIN`). Without a budget this blocks
     /// indefinitely: prefer [`Server::shutdown`] then.
     pub fn join(&mut self) {
         self.join_threads();
@@ -258,6 +272,11 @@ impl Server {
         }
         if let Some(h) = self.dispatcher.take() {
             let _ = h.join();
+        }
+        // The dispatcher exits only after the queue is shut and drained,
+        // so no job can be admitted any more: the count is final.
+        if !self.shared.queue.wait_settled(REPLY_DRAIN) {
+            eprintln!("winrs-serve: stopped with responses unwritten after {REPLY_DRAIN:?}");
         }
     }
 }
@@ -328,22 +347,30 @@ fn handle_connection(stream: TcpStream, sh: &Shared) {
             }
         };
         let close = req.wants_close();
-        let resp = route(&req, sh);
-        if resp.write_to(&mut stream, close).is_err() || close {
+        let (resp, admitted) = route(&req, sh);
+        let written = resp.write_to(&mut stream, close);
+        if admitted {
+            // Counted out only now, so `join` cannot return before this
+            // response is written or its write has failed.
+            sh.queue.settle();
+        }
+        if written.is_err() || close {
             break;
         }
     }
 }
 
-fn route(req: &Request, sh: &Shared) -> Response {
+/// The response, and whether it answers an admitted job (which the
+/// caller must count out with [`DispatchQueue::settle`] once written).
+fn route(req: &Request, sh: &Shared) -> (Response, bool) {
     // ORDERING: standalone monotone counter.
     sh.stats.requests.fetch_add(1, Ordering::Relaxed);
-    match (req.method.as_str(), req.path.as_str()) {
+    let resp = match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/healthz") => {
             Response::json(200, Json::obj(vec![("ok", Json::Bool(true))]).to_document())
         }
         ("GET", "/v1/stats") => Response::json(200, stats_json(sh).to_document()),
-        ("POST", "/v1/bfc") => submit_job(req, sh),
+        ("POST", "/v1/bfc") => return submit_job(req, sh),
         (_, "/healthz") | (_, "/v1/stats") | (_, "/v1/bfc") => Response::json(
             405,
             error_json(
@@ -356,14 +383,17 @@ fn route(req: &Request, sh: &Shared) -> Response {
             404,
             error_json("not-found", &format!("no route for {}", req.path)).to_document(),
         ),
-    }
+    };
+    (resp, false)
 }
 
-fn submit_job(req: &Request, sh: &Shared) -> Response {
+/// Admit and await one job; the flag is whether it was admitted.
+fn submit_job(req: &Request, sh: &Shared) -> (Response, bool) {
     let parse_reject = |kind: &str, msg: &str| {
         // ORDERING: standalone monotone counter.
         sh.stats.parse_errors.fetch_add(1, Ordering::Relaxed);
-        Response::json(400, error_json(kind, msg).to_document())
+        let body = error_json(kind, msg);
+        (Response::json(400, body.to_document()), false)
     };
     let body = match std::str::from_utf8(&req.body) {
         Ok(b) => b,
@@ -394,40 +424,32 @@ fn submit_job(req: &Request, sh: &Shared) -> Response {
     match sh.queue.admit(job_key(&job), pending) {
         Ok(()) => {}
         Err(AdmitError::ShuttingDown) => {
-            return Response::json(
-                503,
-                error_json("shutting-down", "server stopped before the job ran").to_document(),
-            );
+            let body = error_json("shutting-down", "server stopped before the job ran");
+            return (Response::json(503, body.to_document()), false);
         }
         Err(AdmitError::BudgetExhausted) => {
             // ORDERING: standalone monotone counter.
             sh.stats.rejected_budget.fetch_add(1, Ordering::Relaxed);
             let max = sh.cfg.max_jobs.unwrap_or(0);
-            return Response::json(
-                503,
-                error_json(
-                    "budget-exhausted",
-                    &format!("server is closing after its {max}-job budget"),
-                )
-                .to_document(),
+            let body = error_json(
+                "budget-exhausted",
+                &format!("server is closing after its {max}-job budget"),
             );
+            return (Response::json(503, body.to_document()), false);
         }
         Err(AdmitError::QueueFull) => {
             // ORDERING: standalone monotone counter.
             sh.stats.rejected_queue_full.fetch_add(1, Ordering::Relaxed);
-            return Response::json(
-                429,
-                error_json(
-                    "queue-full",
-                    &format!("job queue at capacity ({})", sh.cfg.queue_cap),
-                )
-                .to_document(),
-            )
-            .with_header("Retry-After", "1");
+            let body = error_json(
+                "queue-full",
+                &format!("job queue at capacity ({})", sh.cfg.queue_cap),
+            );
+            let resp = Response::json(429, body.to_document()).with_header("Retry-After", "1");
+            return (resp, false);
         }
     }
 
-    match rx.recv() {
+    let resp = match rx.recv() {
         Ok(Ok((dw, report))) => Response::json(
             200,
             job_response_json(&report, &dw, job.gradient).to_document(),
@@ -444,7 +466,8 @@ fn submit_job(req: &Request, sh: &Shared) -> Response {
             503,
             error_json("shutting-down", "server stopped before the job ran").to_document(),
         ),
-    }
+    };
+    (resp, true)
 }
 
 fn dispatch_loop(sh: &Shared) {

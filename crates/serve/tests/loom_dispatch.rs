@@ -12,7 +12,7 @@
 //! `std::sync` for the model checker, so [`winrs_serve::DispatchQueue`]
 //! is explored through exactly the code production runs.
 //!
-//! The models pin the three properties the coalescing dispatcher needs:
+//! The models pin the four properties the coalescing dispatcher needs:
 //!
 //! * **No lost jobs** — every successfully admitted job comes out of
 //!   exactly one collected batch, across every producer/consumer
@@ -25,11 +25,15 @@
 //! * **Budget drain terminates** — with `max_jobs` set, admissions beyond
 //!   the budget are refused and the dispatcher reaches `None` once the
 //!   budget has drained.
+//! * **Teardown waits for every response** — `wait_settled`, which
+//!   `Server::join` calls, returns once every admitted job is counted out
+//!   and never strands its waiter.
 
 #![cfg(loom)]
 
 use std::time::Duration;
 
+use loom::sync::atomic::{AtomicBool, Ordering};
 use loom::sync::Arc;
 use loom::thread;
 use winrs_serve::{AdmitError, DispatchQueue};
@@ -133,5 +137,33 @@ fn budget_drain_terminates() {
         assert_eq!(batch.len(), 1);
         q.shutdown();
         assert_eq!(q.collect(Duration::ZERO), None, "budget drained: dispatcher exits");
+    });
+}
+
+/// Teardown: `Server::join` waits in `wait_settled` while the handler of
+/// the last of two drained jobs counts it out after writing. Every
+/// interleaving must wake the waiter once both are counted out — loom
+/// never times a wait out, so a missed notification is a reported
+/// deadlock — and one settled job of two must not end the wait.
+#[test]
+fn settled_wait_wakes_once_every_admitted_job_is_counted_out() {
+    loom::model(|| {
+        let q: Arc<DispatchQueue<u8, u32>> = Arc::new(DispatchQueue::new(2, Some(2)));
+        assert_eq!(q.admit(0, 1), Ok(()));
+        assert_eq!(q.admit(0, 2), Ok(()));
+        assert_eq!(q.collect(Duration::ZERO), Some(vec![1, 2]));
+        q.shutdown();
+        q.settle(); // the first job's handler has written
+        let written = Arc::new(AtomicBool::new(false));
+        let second = {
+            let (q, written) = (Arc::clone(&q), Arc::clone(&written));
+            thread::spawn(move || {
+                written.store(true, Ordering::SeqCst);
+                q.settle();
+            })
+        };
+        assert!(q.wait_settled(Duration::from_secs(60)));
+        assert!(written.load(Ordering::SeqCst), "wait ended before the last write");
+        second.join().unwrap();
     });
 }

@@ -126,36 +126,6 @@ impl SymmetryPlan {
         }
         count
     }
-
-    /// Apply the filter transform using the paired path, in f64, validating
-    /// the symmetry at runtime via the generated matrices. Used by the
-    /// ablation bench; the hot kernels bake the same structure into their
-    /// materialised matrices.
-    pub fn filter_transform_paired(&self, t: &Transform, w: &[f64], out: &mut [f64]) {
-        assert_eq!(w.len(), t.r);
-        assert_eq!(out.len(), t.alpha);
-        let g = t.g.to_f64();
-        let r = t.r;
-        for &(ip, im) in &self.pairs {
-            let row = &g[ip * r..(ip + 1) * r];
-            let mut even = 0.0;
-            let mut odd = 0.0;
-            for (j, &wj) in w.iter().enumerate() {
-                let m = row[j] * wj;
-                if j % 2 == 0 {
-                    even += m;
-                } else {
-                    odd += m;
-                }
-            }
-            out[ip] = even + odd;
-            out[im] = even - odd;
-        }
-        for &i in &self.singles {
-            let row = &g[i * r..(i + 1) * r];
-            out[i] = row.iter().zip(w).map(|(a, b)| a * b).sum();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -194,20 +164,6 @@ mod tests {
             (paired as f64) < 0.66 * naive as f64,
             "paired {paired} vs naive {naive}"
         );
-    }
-
-    #[test]
-    fn paired_transform_is_numerically_identical() {
-        let t = Transform::generate(4, 5);
-        let plan = SymmetryPlan::analyze(&t);
-        let real = t.to_real();
-        let w: Vec<f64> = (0..t.r).map(|k| 0.17 * k as f64 - 0.3).collect();
-        let mut paired = vec![0.0; t.alpha];
-        plan.filter_transform_paired(&t, &w, &mut paired);
-        for (i, &p) in paired.iter().enumerate() {
-            let direct: f64 = (0..t.r).map(|k| real.g_f64[i * t.r + k] * w[k]).sum();
-            assert!((p - direct).abs() < 1e-12, "row {i}: {p} vs {direct}");
-        }
     }
 
     #[test]

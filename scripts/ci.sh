@@ -4,12 +4,13 @@
 # touches the network or a registry.
 #
 #   1. release build of every workspace target
-#   2. full test suite (unit + integration + property + doc tests), the
-#      no-optional-feature leg (core and gemm without `faults` or `simd`:
-#      the portable kernels only), the explicit-SIMD leg, the width + scheduler
-#      bit-identity acceptance tests, a WINRS_FORCE_WIDTH matrix replay
-#      over every width available on the host, and a compile-only
-#      aarch64 (NEON) cross-check when that stdlib is installed
+#   2. full test suite (unit + integration + property + doc tests; every
+#      build compiles the whole SIMD width family, so the width and
+#      scheduler bit-identity suites run at every width the host has), the
+#      no-default-feature leg (core and gemm without `faults`), a
+#      WINRS_FORCE_WIDTH matrix replay over every width available on the
+#      host, and a compile-only aarch64 (NEON) cross-check when that
+#      stdlib is installed
 #   3. clippy with warnings promoted to errors — including the
 #      `unwrap_used = "deny"` fail-safe lint on library crates — then the
 #      benchmark package (`perfbench/`, its own Cargo workspace) built and
@@ -45,8 +46,8 @@
 #  10. seeded chaos campaigns: deterministic fault injection (hot-loop
 #      panic, slot exhaustion, allocation-budget refusal, deadline-blowing
 #      slowness) against the resilient pool layer, on two chaos legs
-#      (`faults` alone and `faults,simd`), plus a `winrs verify
-#      --fault-seed` replay smoke — DESIGN.md §11
+#      (`faults` at the detected width and at WINRS_FORCE_WIDTH=scalar),
+#      plus a `winrs verify --fault-seed` replay smoke — DESIGN.md §11
 #      (the torn tuning-db site is exercised by tests/tuner_dispatch.rs
 #      in step 2)
 #  11. sanitizer jobs (gated): Miri smoke on the pure-arithmetic crates
@@ -62,29 +63,20 @@ cargo build --release --workspace
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
-echo "==> feature matrix: engine + gemm without default features"
+echo "==> feature matrix: engine + gemm without default features (no faults)"
 cargo test -q -p winrs-core -p winrs-gemm --no-default-features
-
-echo "==> feature matrix: engine + gemm with explicit SIMD micro-kernels"
-cargo test -q -p winrs-core -p winrs-gemm --features winrs-core/simd,winrs-gemm/simd
-
-echo "==> scalar/SIMD bit-identity acceptance test (root package, --features simd)"
-cargo test -q --test engine_simd --features simd
-
-echo "==> scheduler determinism acceptance test (workers 1/2/8, repeated runs)"
-cargo test -q --test engine_sched --features simd
 
 echo "==> forced-width matrix (WINRS_FORCE_WIDTH over every available width)"
 # `winrs simd` reports per-width availability on this host; replay the
 # scheduler determinism suite under each pin. The env override re-applies
 # on every engine entry, so the whole suite runs at exactly that width.
-AVAILABLE_WIDTHS=$(cargo run -q -p winrs-cli --features simd -- simd | awk '$3 == "yes" { print $1 }')
+AVAILABLE_WIDTHS=$(cargo run -q -p winrs-cli -- simd | awk '$3 == "yes" { print $1 }')
 for W in $AVAILABLE_WIDTHS; do
   echo "    width: $W"
-  WINRS_FORCE_WIDTH=$W cargo test -q --test engine_sched --features simd
+  WINRS_FORCE_WIDTH=$W cargo test -q --test engine_sched
 done
 # An unknown token must be a typed hard error, never a silent fallback.
-if WINRS_FORCE_WIDTH=avx1024 cargo run -q -p winrs-cli --features simd -- \
+if WINRS_FORCE_WIDTH=avx1024 cargo run -q -p winrs-cli -- \
      verify --n 1 --res 8 --ic 2 --oc 2 --f 3 >/dev/null 2>&1; then
   echo "forced-width matrix: junk WINRS_FORCE_WIDTH was silently accepted"; exit 1
 fi
@@ -94,7 +86,7 @@ echo "==> aarch64 cross-check (compile-only: NEON member of the width family)"
 AARCH64_LIBDIR=$(rustc --print target-libdir --target aarch64-unknown-linux-gnu 2>/dev/null || true)
 if [ -n "$AARCH64_LIBDIR" ] && [ -d "$AARCH64_LIBDIR" ]; then
   CARGO_TARGET_DIR=target/aarch64 cargo check -q -p winrs-gemm -p winrs-core \
-    --features winrs-gemm/simd,winrs-core/simd --target aarch64-unknown-linux-gnu
+    --target aarch64-unknown-linux-gnu
 else
   echo "    aarch64-unknown-linux-gnu stdlib not installed; skipping cross-check"
 fi
@@ -230,11 +222,12 @@ RUSTFLAGS="--cfg loom" CARGO_TARGET_DIR=target/loom \
 
 echo "==> seeded chaos campaigns (panic / exhaustion / alloc-budget / deadline)"
 # Fixed seeds inside the suite make every failure replayable from one u64.
-# The resilience contract must hold with portable and with SIMD dispatch.
-# (winrs-core has no default features, so `faults` alone is also the
-# no-default-features build.)
+# The resilience contract must hold with SIMD and with portable dispatch:
+# the first leg runs at the detected width, the second pins the scalar
+# bodies. (winrs-core has no default features, so `faults` alone is also
+# the no-default-features build.)
 cargo test -q -p winrs-core --features faults --test chaos
-cargo test -q -p winrs-core --features faults,simd --test chaos
+WINRS_FORCE_WIDTH=scalar cargo test -q -p winrs-core --features faults --test chaos
 # CLI replay smoke: campaign seed 6 injects a hot-loop panic; the verify
 # must contain it (typed degradation, poison+rebuild) and stay green.
 "$WINRS" verify --n 1 --res 16 --ic 4 --oc 4 --f 3 --fault-seed 6 2>/dev/null \

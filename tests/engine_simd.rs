@@ -318,3 +318,30 @@ fn fault_injection_counts_identical_scalar_vs_auto_dispatch() {
     assert_eq!(sat_scalar, sat_auto, "saturation counts diverge");
     assert_eq!(nonfin_scalar, nonfin_auto, "non-finite counts diverge");
 }
+
+/// Every build compiles the explicit bodies of its architecture, so a
+/// width is available exactly when the CPU reports its features — the
+/// suites above then cover the whole family under a plain `cargo test`.
+#[test]
+fn default_build_carries_every_width_the_cpu_supports() {
+    use micro::SimdWidth;
+    #[cfg(target_arch = "x86_64")]
+    {
+        let avx2 = std::arch::is_x86_feature_detected!("avx2")
+            && std::arch::is_x86_feature_detected!("fma");
+        let avx512 = avx2 && std::arch::is_x86_feature_detected!("avx512f");
+        assert_eq!(SimdWidth::Avx2.is_available(), avx2, "avx2 + fma detected");
+        assert_eq!(
+            SimdWidth::Avx512.is_available(),
+            avx512,
+            "avx512f + avx2 + fma detected"
+        );
+        assert!(!SimdWidth::Neon.is_available());
+    }
+    #[cfg(target_arch = "aarch64")]
+    {
+        let neon = std::arch::is_aarch64_feature_detected!("neon");
+        assert_eq!(SimdWidth::Neon.is_available(), neon, "neon detected");
+        assert!(!SimdWidth::Avx2.is_available() && !SimdWidth::Avx512.is_available());
+    }
+}

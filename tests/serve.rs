@@ -6,6 +6,8 @@
 //! pool (`slots > 0`) so tests neither collide on a port nor share tuner
 //! and plan-cache counters through the process-global pool.
 
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
@@ -319,4 +321,58 @@ fn max_jobs_budget_drains_then_the_server_stops_cleanly() {
 
     // The listener is gone; a new job cannot be submitted.
     assert!(Client::new(&addr).post_job(&job(fig10_shape(), 99)).is_err());
+}
+
+/// Teardown race: connection handlers are detached threads, so `join`
+/// must not return until every admitted job's response is written —
+/// otherwise a process that exits after `join` (as `winrs serve
+/// --max-jobs` does) drops responses. Each round posts a budget's worth
+/// of jobs on raw streams and joins before reading anything; every stream
+/// must then yield its complete 200 within a short read timeout.
+#[test]
+fn join_returns_only_after_every_admitted_response_is_written() {
+    const JOBS: u64 = 3;
+    for round in 0..20 {
+        let mut server = Server::spawn(ServeConfig {
+            addr: "127.0.0.1:0".to_string(),
+            window: Duration::from_millis(1),
+            queue_cap: 16,
+            max_jobs: Some(JOBS),
+            slots: 1,
+            device: RTX_4090,
+        })
+        .expect("bind ephemeral port");
+        let streams: Vec<TcpStream> = (0..JOBS)
+            .map(|i| {
+                let body = job(fig10_shape(), round * JOBS + i).to_json().to_document();
+                let mut s = TcpStream::connect(server.addr()).expect("connect");
+                write!(
+                    s,
+                    "POST /v1/bfc HTTP/1.1\r\nHost: test\r\nContent-Type: application/json\r\n\
+                     Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
+                    body.len()
+                )
+                .expect("send request");
+                s
+            })
+            .collect();
+        server.join();
+        for (i, mut s) in streams.into_iter().enumerate() {
+            s.set_read_timeout(Some(Duration::from_secs(2)))
+                .expect("set read timeout");
+            let mut resp = String::new();
+            s.read_to_string(&mut resp)
+                .unwrap_or_else(|e| panic!("round {round} job {i}: {e}"));
+            assert!(
+                resp.starts_with("HTTP/1.1 200"),
+                "round {round} job {i}: {resp:?}"
+            );
+            // `Connection: close` ends the body at EOF; a complete one parses.
+            let body = resp.split_once("\r\n\r\n").map_or("", |(_, b)| b);
+            assert!(
+                winrs::json::Json::parse(body).is_ok(),
+                "round {round} job {i}: truncated body {body:?}"
+            );
+        }
+    }
 }
