@@ -463,14 +463,14 @@ fn cmd_profile(flags: &Flags) -> Result<String, String> {
         }
         let _ = writeln!(
             out,
-            "  {} block tasks on {} workers, utilisation {:.0}%",
+            "  {} block tasks (one per segment and oc-tile) on {} workers, utilisation {:.0}%",
             t.blocks,
             t.workers,
             100.0 * t.utilisation
         );
         let _ = writeln!(
             out,
-            "  per-block wall min/mean/max: {:.1} / {:.1} / {:.1} us",
+            "  per-task wall min/mean/max: {:.1} / {:.1} / {:.1} us",
             t.block_min_s * 1e6,
             t.block_mean_s * 1e6,
             t.block_max_s * 1e6

@@ -2,18 +2,26 @@
 #![doc = "audit: bounds"]
 //! The fused block loop — the engine's hot path.
 //!
-//! Everything here runs once per `(oc-tile, filter-row)` task per block
-//! column, inside a [`super::sched`] task: the tile loaders, the `Aᵀ` output
-//! transform, the disjoint-row bucket writer and the per-block lap timer.
-//! The module is annotated `audit: no-alloc`, so `cargo xtask audit`
-//! statically rejects any allocating construct in non-test code — the
-//! static half of the counting-allocator contract in
-//! `tests/workspace.rs::steady_state_loop_does_not_allocate`. All scratch
-//! comes in from the [`ScratchPool`]; all output goes out through rows of
-//! a caller-provided bucket.
+//! Everything here runs inside one [`super::sched`] task: a [`BlockGroup`]
+//! (one oc-tile of one segment, every filter row), its panel fills, the
+//! tile loaders, the EWMM calls, the `Aᵀ` output transform, the
+//! disjoint-row bucket writer and the per-task lap timer. The module is
+//! annotated `audit: no-alloc`, so `cargo xtask audit` statically rejects
+//! any allocating construct in non-test code — the static half of the
+//! counting-allocator contract in
+//! `tests/workspace.rs::warm_run_planned_block_loop_allocates_nothing`.
+//! All scratch comes in from the [`ScratchPool`]; all output goes out
+//! through rows of a caller-provided bucket.
+//!
+//! A task transforms each ĝ tile once and each d̂ tile once per
+//! `(ic-tile, fw-tile)`: the transformed tiles live in panels in the
+//! worker's scratch slot and every filter row reads its steps as one
+//! contiguous slice of both. A task whose panels would exceed
+//! [`PANEL_CAP_BYTES`] runs the same loop over [`STAGE`]-step windows and
+//! recomputes every window.
 
 use super::clip::clip_rows;
-use super::{HealthSink, TileMode};
+use super::{cache_block, HealthSink, TileMode};
 use crate::metrics::TimingSink;
 use crate::partition::Segment;
 use crate::workspace::ScratchPool;
@@ -29,28 +37,133 @@ use winrs_winograd::cook_toom::TransformReal;
 /// paths widen reduced-precision channel runs into.
 pub(super) const MAX_BLOCK: usize = 128;
 
-/// Main-loop iterations whose transformed tiles are staged before one
-/// [`micro::rank_k_batch`] flush folds them into the accumulator. The
-/// accumulator is the block's large tile (α·B_N·B_M: 128 KiB at α = 16
-/// with the FP32 block (64, 32)), so each flush streams it once for
-/// `STAGE` steps instead of once per step; the staged ĝ/d̂ tiles of one
-/// flush at that geometry are 8·16·(64 + 32)·4 B = 48 KiB, one L1d.
+/// Steps per window when a task's panels pass the cap, and per
+/// [`micro::rank_k_batch`] call either way: each call streams the
+/// accumulator once for `STAGE` steps. At α = 16 with the FP32 block (64, 32) one window's ĝ/d̂ tiles
+/// are 8·16·(64 + 32)·4 B = 48 KiB, one L1d.
 pub(super) const STAGE: usize = 8;
 
-/// Scratch f32 elements one block task carves from its pool slot for
-/// blocks of `bn` output × `bm` input channels: [`STAGE`] ĝ tiles (α·bn
-/// each), [`STAGE`] d̂ tiles (α·bm each), the α·bn·bm accumulator and the
-/// output transform's bm row buffer. The one formula both the block loop
-/// and the slot provisioning (`engine::scratch_slot_elems`) use.
-pub(super) fn block_scratch_elems(alpha: usize, bn: usize, bm: usize) -> usize {
-    alpha * (STAGE * (bn + bm) + bn * bm) + bm
+/// Largest ĝ + d̂ panel pair one task keeps in its scratch slot (2 MiB).
+/// A task re-reads its panels for every `(ic-tile, fw-tile, filter row)`,
+/// so they should stay in the core's L2 next to the accumulator. On a
+/// 2 MiB-per-core L2 the fig10 keys whose panels take 1.31–1.65 MiB ran
+/// 1.3–1.8× faster at f = 3 with panels than windowed (DESIGN §9.5).
+/// Past the cap a task windows instead — the per-step cost of
+/// recomputing every tile, never more — so scratch per worker is bounded
+/// independently of N·H·W.
+pub(super) const PANEL_CAP_BYTES: usize = 2 << 20;
+
+/// Scratch f32 elements one group task carves from its pool slot, for
+/// blocks of `bn` output × `bm` input channels of a kernel with `α`
+/// points and `n` outputs: the α·bn·bm accumulator, ĝ/d̂ panels of
+/// `gs`/`ds` steps (α·bn and α·bm elements each) and the `n` output rows
+/// of the buffered output transform. The one formula both the block loop
+/// and the slot provisioning ([`BlockGroup::scratch_elems`]) use.
+pub(super) fn group_scratch_elems(
+    alpha: usize,
+    n: usize,
+    bn: usize,
+    bm: usize,
+    gs: usize,
+    ds: usize,
+) -> usize {
+    alpha * (bn * bm + gs * bn + ds * bm) + n * bm
+}
+
+/// One scheduler task: every filter row of one oc-tile of one segment.
+/// `(base, oc0)` is the deterministic owner coordinate: the task owns the
+/// contiguous bucket region of its oc-tile (every `(oc, f_h, f_w, ic)`
+/// with `oc ∈ oc0..oc0 + bn_cur`), which keeps [`BucketWriter`] rows
+/// disjoint across tasks no matter which worker runs the group.
+pub(super) struct BlockGroup {
+    pub(super) seg_idx: usize,
+    /// Element offset of the owning bucket in the bucket region.
+    pub(super) base: usize,
+    pub(super) oc0: usize,
+    pub(super) bn_cur: usize,
+    /// The kernel's input-channel block `B_M`.
+    pub(super) bm: usize,
+    /// ∇Y rows `g_lo..g_lo + g_rows` the filter rows read: the union of
+    /// their clip ranges (contiguous — consecutive filter rows shift it by
+    /// at most one row).
+    g_lo: usize,
+    g_rows: usize,
+    /// X rows `x_lo..x_lo + x_rows` those steps read
+    /// (`x_row = f_h + i − p_H`).
+    x_lo: usize,
+    x_rows: usize,
+    /// Whether the ĝ/d̂ panels fit [`PANEL_CAP_BYTES`]; otherwise the
+    /// task windows.
+    pub(super) panels: bool,
+}
+
+impl BlockGroup {
+    /// The group of oc-tile `oc0` of `seg`, with its row hulls and panel
+    /// decision.
+    pub(super) fn new(
+        conv: &ConvShape,
+        seg: &Segment,
+        seg_idx: usize,
+        mode: TileMode,
+        base: usize,
+        oc0: usize,
+    ) -> BlockGroup {
+        let alpha = seg.kernel.alpha();
+        let (bn, bm) = cache_block(mode, alpha);
+        let bn_cur = bn.min(conv.oc - oc0);
+        let (mut g_lo, mut g_hi, mut x_lo, mut x_hi) = (usize::MAX, 0, usize::MAX, 0);
+        for fh in 0..conv.fh {
+            let (lo, hi) = clip_rows(seg.h0, seg.h1, fh, conv.ph, conv.ih);
+            if lo < hi {
+                g_lo = g_lo.min(lo);
+                g_hi = g_hi.max(hi);
+                x_lo = x_lo.min(fh + lo - conv.ph);
+                x_hi = x_hi.max(fh + hi - conv.ph);
+            }
+        }
+        if g_lo > g_hi {
+            // Every filter row clipped away: nothing to read.
+            (g_lo, g_hi, x_lo, x_hi) = (0, 0, 0, 0);
+        }
+        let (g_rows, x_rows) = (g_hi - g_lo, x_hi - x_lo);
+        let per_row = seg.units * conv.n;
+        let panel_elems = alpha * per_row * (g_rows * bn_cur + x_rows * bm.min(conv.ic));
+        BlockGroup {
+            seg_idx,
+            base,
+            oc0,
+            bn_cur,
+            bm,
+            g_lo,
+            g_rows,
+            x_lo,
+            x_rows,
+            panels: panel_elems * std::mem::size_of::<f32>() <= PANEL_CAP_BYTES,
+        }
+    }
+
+    /// Heights in steps of the task's ĝ and d̂ buffers, at `per_row`
+    /// steps per ∇Y row: the whole panels, or [`STAGE`]-step windows.
+    fn buffer_steps(&self, per_row: usize) -> (usize, usize) {
+        if self.panels {
+            (self.g_rows * per_row, self.x_rows * per_row)
+        } else {
+            (STAGE, STAGE)
+        }
+    }
+
+    /// Scratch f32 elements this task draws from its slot.
+    pub(super) fn scratch_elems(&self, conv: &ConvShape, seg: &Segment) -> usize {
+        let (g_steps, d_steps) = self.buffer_steps(seg.units * conv.n);
+        let (alpha, n, bm_c) = (seg.kernel.alpha(), seg.kernel.n, self.bm.min(conv.ic));
+        group_scratch_elems(alpha, n, self.bn_cur, bm_c, g_steps, d_steps)
+    }
 }
 
 /// Raw-pointer view of the bucket region for a pass's block groups. Each
-/// `(bucket, oc-tile, filter-row)` task owns every index whose bucket
-/// offset, `oc` and `f_h` match its coordinates — distinct buckets occupy
-/// disjoint `base` ranges and tasks within a bucket differ in oc-tile or
-/// filter row — so the row ranges handed out by [`BucketWriter::row_mut`]
+/// task owns the bucket region of its `(bucket, oc-tile)` — distinct
+/// buckets occupy disjoint `base` ranges and tasks within a bucket differ
+/// in oc-tile — so the row ranges handed out by [`BucketWriter::row_mut`]
 /// are disjoint across concurrently running tasks *regardless of which
 /// worker the steal scheduler hands a task to*. That disjointness is the
 /// safety argument for the `Sync` impl.
@@ -141,165 +254,304 @@ impl Lap {
     }
 }
 
-/// Process every `(ic-tile, filter-width-tile)` block of one
-/// `(oc-tile, filter-row)` task of one segment. Writes go through `out`
-/// — a view of the whole bucket region, with this task's bucket starting
-/// at element `base` — into the rows this task owns (see
-/// [`BucketWriter`]). `slot` pins all scratch draws to one pool slot (the
-/// scheduler passes its worker index, keeping each worker's tiles
-/// cache-resident across block groups). Health counts and phase timings
-/// accumulate in locals and flush into their sinks once at the end.
+/// The operands every step of one task reads: the tensors, the segment
+/// and its transform, the tile mode and the task's oc-tile.
+struct Operands<'a, T> {
+    conv: &'a ConvShape,
+    seg: &'a Segment,
+    #[cfg_attr(not(feature = "faults"), allow(dead_code))]
+    seg_idx: usize,
+    t: &'a TransformReal,
+    x: &'a Tensor4<T>,
+    dy: &'a Tensor4<T>,
+    mode: TileMode,
+    oc0: usize,
+    bn_cur: usize,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// ĝ and d̂ tiles the fills on this thread have transformed, so tests
+    /// can count transforms per task (single-worker runs stay on the
+    /// calling thread).
+    pub(super) static TRANSFORMED: std::cell::Cell<(u64, u64)> =
+        const { std::cell::Cell::new((0, 0)) };
+}
+
+/// Transform main-loop steps `s0..s0 + k` of the task's filter tiles into
+/// `dst`, step-major (α·bn_cur elements per step), counting ∇Y rows from
+/// `i0`: step `s` is `(i0 + s / (units·N), u, b)` with `u = s / N mod
+/// units` and `b = s mod N` fastest. Returns the saturations of the
+/// re-rounding.
+// BOUNDS(dst): k * ops.t.alpha * ops.bn_cur
+fn fill_filter<T: Scalar>(
+    ops: &Operands<'_, T>,
+    dst: &mut [f32],
+    i0: usize,
+    s0: usize,
+    k: usize,
+) -> u64 {
+    let (n, units) = (ops.conv.n, ops.seg.units);
+    let ag = ops.t.alpha * ops.bn_cur;
+    let mut saturated = 0u64;
+    for s in 0..k {
+        let step = s0 + s;
+        let (b, u, i) = (step % n, step / n % units, i0 + step / (n * units));
+        let col0 = ops.seg.w0 + u * ops.t.r;
+        // Filter transform: ghat[β][oc] = Σ_t G[β][t]·∇Y.
+        let ghat = &mut dst[s * ag..(s + 1) * ag];
+        load_filter_tile(ops.dy, ops.t, b, i, col0, ops.oc0, ops.bn_cur, ghat);
+        #[cfg(feature = "faults")]
+        crate::faults::maybe_inject(ops.seg_idx, ops.mode, ghat);
+        #[cfg(feature = "faults")]
+        crate::faults::maybe_panic(crate::faults::Site::HotLoopPanic);
+        saturated += round_tile(ghat, ops.mode);
+    }
+    #[cfg(test)]
+    TRANSFORMED.with(|c| c.set((c.get().0 + k as u64, c.get().1)));
+    saturated
+}
+
+/// Transform steps `s0..s0 + k` of the input tiles of input channels
+/// `ic0..ic0 + bm_cur` at filter-width tile `fw0` into `dst` (α·bm_cur
+/// elements per step), counting X rows from `x0` — the step decode of
+/// [`fill_filter`].
+// BOUNDS(dst): k * ops.t.alpha * bm_cur
 #[allow(clippy::too_many_arguments)]
-pub(super) fn run_block_tile<T: Scalar>(
+fn fill_input<T: Scalar>(
+    ops: &Operands<'_, T>,
+    dst: &mut [f32],
+    x0: usize,
+    s0: usize,
+    k: usize,
+    fw0: usize,
+    ic0: usize,
+    bm_cur: usize,
+) -> u64 {
+    let (n, units) = (ops.conv.n, ops.seg.units);
+    let ad = ops.t.alpha * bm_cur;
+    let mut saturated = 0u64;
+    for s in 0..k {
+        let step = s0 + s;
+        let (b, u) = (step % n, step / n % units);
+        let x_row = (x0 + step / (n * units)) as isize;
+        let x_col0 = (fw0 + ops.seg.w0 + u * ops.t.r) as isize - ops.conv.pw as isize;
+        // Input transform: dhat[β][ic] = Σ_s Dᵀ[β][s]·X.
+        let dhat = &mut dst[s * ad..(s + 1) * ad];
+        load_input_tile(ops.x, ops.t, b, x_row, x_col0, ic0, bm_cur, dhat);
+        saturated += round_tile(dhat, ops.mode);
+    }
+    #[cfg(test)]
+    TRANSFORMED.with(|c| c.set((c.get().0, c.get().1 + k as u64)));
+    saturated
+}
+
+/// Output transform `Aᵀ` of one filter row's accumulator into the bucket
+/// rows `(oc0 + oi, f_h, fw0 + d, ic0..ic0 + bm_cur)`, added onto them
+/// (the residual pass adds onto the bulk pass's bucket). `dst0` is the
+/// bucket index of `(oc0, f_h, fw0, ic0)`. Each output element is summed
+/// in registers by [`micro::gather_axpy_rows`], straight into the bucket
+/// for f32 buckets; with `count` (a health sink is attached) or a
+/// reduced-precision bucket the rows go through `orows` first. Returns
+/// the non-finite outputs counted (0 without `count`).
+// BOUNDS(acc): len
+// BOUNDS(orows): ops.t.n * bm_cur
+fn output_tile<T: Scalar>(
+    ops: &Operands<'_, T>,
+    acc: &[f32],
+    orows: &mut [f32],
+    out: &BucketWriter<T>,
+    dst0: usize,
+    bm_cur: usize,
+    count: bool,
+) -> u64 {
+    let (alpha, n, conv, bn_cur) = (ops.t.alpha, ops.t.n, ops.conv, ops.bn_cur);
+    let at = &ops.t.at_f32[..n * alpha];
+    let oc_stride = conv.fh * conv.fw * conv.ic;
+    let direct = !count && T::as_f32s(&[]).is_some();
+    let rows = &mut orows[..n * bm_cur];
+    let mut non_finite = 0u64;
+    for oi in 0..bn_cur {
+        // Accumulator plane β of output channel oi sits at
+        // `β·bn·bm + oi·bm`.
+        let src = &acc[oi * bm_cur..];
+        let dst = dst0 + oi * oc_stride;
+        if direct {
+            // SAFETY: this task owns its oc-tile's whole bucket region
+            // (offset `base`); the n rows `ic` apart stay inside the
+            // `(oc0 + oi, f_h)` row of F_W·I_C elements.
+            let span = unsafe { out.row_mut(dst, (n - 1) * conv.ic + bm_cur) };
+            if let Some(o) = T::as_f32s_mut(span) {
+                micro::gather_axpy_rows(o, conv.ic, at, alpha, src, bn_cur * bm_cur, bm_cur);
+            }
+            continue;
+        }
+        rows.fill(0.0);
+        micro::gather_axpy_rows(rows, bm_cur, at, alpha, src, bn_cur * bm_cur, bm_cur);
+        if count {
+            non_finite += rows.iter().map(|y| u64::from(!y.is_finite())).sum::<u64>();
+        }
+        for d in 0..n {
+            let row = &rows[d * bm_cur..(d + 1) * bm_cur];
+            // SAFETY: as above — one row of this task's own region.
+            let out_row = unsafe { out.row_mut(dst + d * conv.ic, bm_cur) };
+            match T::as_f32s_mut(out_row) {
+                Some(o) => micro::add_assign(o, row),
+                None => {
+                    for (o, &y) in out_row.iter_mut().zip(row.iter()) {
+                        *o += T::from_f32(y);
+                    }
+                }
+            }
+        }
+    }
+    non_finite
+}
+
+/// Run one [`BlockGroup`]: every `(ic-tile, fw-tile, filter row)` block of
+/// one oc-tile of one segment. Writes go through `out` — a view of the
+/// whole bucket region — into the region this task owns (see
+/// [`BucketWriter`]). `slot` pins all scratch draws to one pool slot (the
+/// scheduler passes its worker index, keeping each worker's panels
+/// cache-resident across tasks). Health counts and phase timings
+/// accumulate in locals and flush into their sinks once at the end.
+///
+/// Every accumulator element sums its products in the `(i, u, b)` step
+/// order, `b` fastest, whichever path runs: a filter row's steps are one
+/// contiguous slice of both panels (or consecutive windows), and
+/// [`micro::rank_k_batch`] gives the same bits for any split of them.
+#[allow(clippy::too_many_arguments)]
+pub(super) fn run_group<T: Scalar>(
     conv: &ConvShape,
     seg: &Segment,
-    seg_idx: usize,
     t: &TransformReal,
     x: &Tensor4<T>,
     dy: &Tensor4<T>,
     mode: TileMode,
-    base: usize,
-    oc0: usize,
-    bn_cur: usize,
-    bm: usize,
-    fh: usize,
+    grp: &BlockGroup,
     slot: usize,
     out: &BucketWriter<T>,
     health: Option<&HealthSink>,
     timing: Option<&TimingSink>,
     scratch: &ScratchPool<'_>,
 ) {
-    let alpha = t.alpha;
-    let (n_out, r) = (t.n, t.r);
-    debug_assert_eq!(seg.kernel.r, r);
+    debug_assert_eq!(seg.kernel.r, t.r);
+    let ops = Operands {
+        conv,
+        seg,
+        seg_idx: grp.seg_idx,
+        t,
+        x,
+        dy,
+        mode,
+        oc0: grp.oc0,
+        bn_cur: grp.bn_cur,
+    };
+    // Sizes spelled through `ops`, the names the fills' and the output
+    // transform's bounds contracts use.
+    let alpha = ops.t.alpha;
+    let n_out = ops.t.n;
+    let bn_cur = ops.bn_cur;
+    let bm = grp.bm;
+    let bm_c = bm.min(conv.ic);
     let fw_tiles = conv.fw / n_out;
+    let count = health.is_some();
     let mut saturated = 0u64;
     let mut non_finite = 0u64;
-    let bm_c = bm.min(conv.ic);
-    let block_start = timing.map(|_| Instant::now());
+    let task_start = timing.map(|_| Instant::now());
     let (mut ft_ns, mut it_ns, mut ewmm_ns, mut ot_ns) = (0u64, 0u64, 0u64, 0u64);
+    // Main-loop steps per ∇Y row: (unit u, batch b), b fastest.
+    let per_row = seg.units * conv.n;
+    let (g_lo, x_lo) = (grp.g_lo, grp.x_lo);
+    // Bucket index of (oc0, f_h, fw0, ic0).
+    let bucket_index = |fh: usize, fw0: usize, ic0: usize| {
+        grp.base + ((grp.oc0 * conv.fh + fh) * conv.fw + fw0) * conv.ic + ic0
+    };
 
-    let (i_lo, i_hi) = clip_rows(seg.h0, seg.h1, fh, conv.ph, conv.ih);
-    // Main-loop iterations over (∇Y row i, unit u, batch b), b fastest:
-    // the step order every accumulator element sums its products in.
-    let steps = (i_hi - i_lo) * seg.units * conv.n;
-
-    // The block's "SMEM": the ĝ/d̂ stage, accumulator and OT row-buffer
-    // tiles carved from the pool slot this worker is pinned to. Slots
-    // arrive dirty — staged ĝ/d̂ tiles are fully overwritten by the tile
-    // loaders before a flush reads them, the accumulator region in use is
-    // zero-filled per filter tile below and the row buffer per row, so
-    // nothing stale is ever read.
-    // BOUNDS: assume t.alpha >= 1
+    // The task's "SMEM", carved from the pool slot this worker is pinned
+    // to: the accumulator, the ĝ/d̂ buffers — whole panels, or
+    // STAGE-step windows when the panels would pass the cap — and the
+    // output rows. Slots arrive dirty — the buffers are fully written by
+    // the fills before any read, the accumulator region in use is
+    // zero-filled per filter row and the output rows per use, so nothing
+    // stale is read.
+    // BOUNDS: assume ops.t.alpha >= 1
     // (every transform has α = n + r − 1 ≥ 1; the bounds pass needs the
     // lower bound to close the accumulator-plane indexing proof.)
-    scratch.with_slot_at(slot, block_scratch_elems(alpha, bn_cur, bm_c), |buf| {
-        let (gstage, rest) = buf.split_at_mut(STAGE * alpha * bn_cur);
-        let (dstage, rest) = rest.split_at_mut(STAGE * alpha * bm_c);
-        let (acc, orow_buf) = rest.split_at_mut(alpha * bn_cur * bm_c);
-
+    let (g_steps, d_steps) = grp.buffer_steps(per_row);
+    let need = group_scratch_elems(alpha, n_out, bn_cur, bm_c, g_steps, d_steps);
+    scratch.with_slot_at(slot, need, |buf| {
+        let (acc, rest) = buf.split_at_mut(alpha * bn_cur * bm_c);
+        let (gbuf, rest) = rest.split_at_mut(g_steps * alpha * bn_cur);
+        let (dbuf, orows) = rest.split_at_mut(d_steps * alpha * bm_c);
+        let mut lap = Lap::start(timing.is_some());
+        if grp.panels {
+            saturated += fill_filter(&ops, gbuf, g_lo, 0, g_steps);
+            lap.lap(&mut ft_ns);
+        }
         let mut ic0 = 0;
         while ic0 < conv.ic {
             let bm_cur = bm.min(conv.ic - ic0);
-            // The d̂ stage at this ic tile's width: slot `s` holds
-            // α·bm_cur elements, packed as `rank_k_batch` reads them.
-            let dstage = &mut dstage[..STAGE * alpha * bm_cur];
+            // The d̂ buffer at this ic tile's width.
+            let dbuf = &mut dbuf[..d_steps * alpha * bm_cur];
+            let acc = &mut acc[..alpha * bn_cur * bm_cur];
             for ftw in 0..fw_tiles {
                 let fw0 = ftw * n_out;
-                acc[..alpha * bn_cur * bm_cur].fill(0.0);
-
-                let mut step0 = 0;
-                while step0 < steps {
-                    // Stage up to STAGE consecutive steps' transformed
-                    // tiles, slot `s` holding step `step0 + s`.
-                    let k = STAGE.min(steps - step0);
-                    let mut lap = Lap::start(timing.is_some());
-                    for s in 0..k {
-                        let step = step0 + s;
-                        let b = step % conv.n;
-                        let u = step / conv.n % seg.units;
-                        let i = i_lo + step / (conv.n * seg.units);
-                        let x_row = (fh + i) as isize - conv.ph as isize;
-                        let col0 = seg.w0 + u * r;
-                        let x_col0 = (fw0 + col0) as isize - conv.pw as isize;
-                        // Filter transform: ghat[β][oc] = Σ_t G[β][t]·∇Y.
-                        let ghat = &mut gstage[s * alpha * bn_cur..(s + 1) * alpha * bn_cur];
-                        load_filter_tile(dy, t, b, i, col0, oc0, bn_cur, ghat);
-                        #[cfg(feature = "faults")]
-                        crate::faults::maybe_inject(seg_idx, mode, ghat);
-                        #[cfg(feature = "faults")]
-                        crate::faults::maybe_panic(crate::faults::Site::HotLoopPanic);
-                        saturated += round_tile(ghat, mode);
-                        lap.lap(&mut ft_ns);
-                        // Input transform: dhat[β][ic] = Σ_s Dᵀ[β][s]·X.
-                        let dhat = &mut dstage[s * alpha * bm_cur..(s + 1) * alpha * bm_cur];
-                        load_input_tile(x, t, b, x_row, x_col0, ic0, bm_cur, dhat);
-                        saturated += round_tile(dhat, mode);
-                        lap.lap(&mut it_ns);
-                    }
-                    // α-batched outer products of all k staged steps in
-                    // one register-tiled pass over the accumulator.
-                    micro::rank_k_batch(
-                        &mut acc[..alpha * bn_cur * bm_cur],
-                        &gstage[..k * alpha * bn_cur],
-                        &dstage[..k * alpha * bm_cur],
-                        alpha,
-                        k,
-                    );
-                    lap.lap(&mut ewmm_ns);
-                    step0 += k;
+                if grp.panels {
+                    saturated += fill_input(&ops, dbuf, x_lo, 0, d_steps, fw0, ic0, bm_cur);
+                    lap.lap(&mut it_ns);
                 }
-
-                // Output transform Aᵀ and bucket accumulation (the
-                // residual pass adds onto the bulk pass's bucket): vector
-                // accumulation over β into a row buffer, one finite-check
-                // reduction per row, one contiguous row add.
-                let mut lap = Lap::start(timing.is_some());
-                for oi in 0..bn_cur {
-                    for d in 0..n_out {
-                        let orow = &mut orow_buf[..bm_cur];
-                        orow.fill(0.0);
-                        // Fold all α accumulator planes into the row buffer
-                        // with one batched call (plane stride bn·bm).
-                        micro::gather_axpy(
-                            orow,
-                            &t.at_f32[d * alpha..(d + 1) * alpha],
-                            &acc[oi * bm_cur..],
-                            bn_cur * bm_cur,
-                        );
-                        non_finite += orow
-                            .iter()
-                            .map(|y| u64::from(!y.is_finite()))
-                            .sum::<u64>();
-                        let fw = fw0 + d;
-                        let dst = base
-                            + (((oc0 + oi) * conv.fh + fh) * conv.fw + fw) * conv.ic
-                            + ic0;
-                        // SAFETY: this task owns every (oc ∈ tile, f_h = fh)
-                        // row of its own bucket (offset `base`); ranges are
-                        // disjoint across concurrent tasks and buckets.
-                        let out_row = unsafe { out.row_mut(dst, bm_cur) };
-                        match T::as_f32s_mut(out_row) {
-                            Some(o) => micro::add_assign(o, orow),
-                            None => {
-                                for (o, &y) in out_row.iter_mut().zip(orow.iter()) {
-                                    *o += T::from_f32(y);
-                                }
-                            }
+                for fh in 0..conv.fh {
+                    let (lo, hi) = clip_rows(seg.h0, seg.h1, fh, conv.ph, conv.ih);
+                    if lo >= hi {
+                        continue; // fully clipped row: adds nothing
+                    }
+                    // This row's steps read ∇Y rows from `lo` and X rows
+                    // from `x0`.
+                    let k = (hi - lo) * per_row;
+                    let x0 = fh + lo - conv.ph;
+                    acc.fill(0.0);
+                    let mut s0 = 0;
+                    while s0 < k {
+                        let kc = STAGE.min(k - s0);
+                        // Where the chunk's tiles sit: at their panel
+                        // offsets, or at the start of the windows.
+                        let (gb, db) = if grp.panels {
+                            ((lo - g_lo) * per_row + s0, (x0 - x_lo) * per_row + s0)
+                        } else {
+                            (0, 0)
+                        };
+                        // BOUNDS: gb + kc ≤ g_steps — a panel holds every
+                        // step of the rows' hull (`BlockGroup::new`), a
+                        // window STAGE ≥ kc steps from its start.
+                        let gc = &mut gbuf[gb * alpha * bn_cur..(gb + kc) * alpha * bn_cur];
+                        // BOUNDS: db + kc ≤ d_steps, as for `gc`.
+                        let dc = &mut dbuf[db * alpha * bm_cur..(db + kc) * alpha * bm_cur];
+                        if !grp.panels {
+                            // Recompute this window's tiles; the time since
+                            // the last lap is the previous chunk's fold.
+                            lap.lap(&mut ewmm_ns);
+                            saturated += fill_filter(&ops, gc, lo, s0, kc);
+                            lap.lap(&mut ft_ns);
+                            saturated += fill_input(&ops, dc, x0, s0, kc, fw0, ic0, bm_cur);
+                            lap.lap(&mut it_ns);
                         }
+                        micro::rank_k_batch(acc, gc, dc, alpha, kc);
+                        s0 += kc;
                     }
+                    lap.lap(&mut ewmm_ns);
+                    let dst0 = bucket_index(fh, fw0, ic0);
+                    non_finite += output_tile(&ops, acc, orows, out, dst0, bm_cur, count);
+                    lap.lap(&mut ot_ns);
                 }
-                lap.lap(&mut ot_ns);
             }
             ic0 += bm_cur;
         }
     });
-    #[cfg(not(feature = "faults"))]
-    let _ = seg_idx;
     if let Some(sink) = health {
-        sink.record(seg_idx, saturated, non_finite);
+        sink.record(grp.seg_idx, saturated, non_finite);
     }
-    if let (Some(sink), Some(start)) = (timing, block_start) {
+    if let (Some(sink), Some(start)) = (timing, task_start) {
         let total_ns = start.elapsed().as_nanos() as u64;
         sink.record_block(ft_ns, it_ns, ewmm_ns, ot_ns, total_ns);
     }

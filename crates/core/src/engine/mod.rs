@@ -10,8 +10,14 @@
 //! loop. The output transform `Aᵀ` runs once per block at the end, and the
 //! result is written to the segment's `∇Ŵ` bucket.
 //!
-//! On this CPU substrate a "block" is a scheduler task (see [`sched`]) and `v` lives in the
-//! task's stack/heap instead of registers+SMEM, but the numerics — what is
+//! On this CPU substrate one scheduler task (see [`sched`]) runs every
+//! block of one `(segment, oc-tile)` pair — all its ic-tiles, filter-width
+//! tiles and filter rows — and `v` lives in the worker's scratch slot
+//! instead of registers+SMEM. The GPU must transform each block's tiles
+//! again, because SMEM belongs to one block; the task keeps its
+//! transformed ĝ tiles (and, per `(ic-tile, fw-tile)`, its d̂ tiles) in
+//! panels in that slot and computes each once, for every filter row and
+//! channel tile that reads it (see `hot`). The numerics — what is
 //! computed, in which precision, in which order — follow Algorithm 3
 //! exactly, including:
 //!
@@ -47,7 +53,7 @@ use crate::error::{Violation, WinrsError};
 use crate::metrics::TimingSink;
 use crate::partition::{Partition, Segment};
 use crate::workspace::ScratchPool;
-use hot::{block_scratch_elems, run_block_tile, BucketWriter};
+use hot::{run_group, BlockGroup, BucketWriter};
 use std::sync::atomic::{AtomicU64, Ordering};
 use winrs_gemm::micro::{self, SimdWidth};
 use winrs_conv::ConvShape;
@@ -82,6 +88,14 @@ pub enum TileMode {
 /// runs. Index 0 counts *saturations* (a finite FP32 value that became
 /// non-finite when re-rounded to the reduced format); index 1 counts
 /// *non-finite outputs* (NaN/Inf reaching the output transform).
+///
+/// Saturations are counted per transformed element once per panel fill:
+/// a block task transforms each ĝ tile once and each d̂ tile once per
+/// `(ic-tile, fw-tile)`, then reads them for every filter row, so an
+/// overflowing element counts once however many rows reuse it. (Only a
+/// task that windows, past the panel cap, recomputes — and recounts — a
+/// tile per filter row.) Either count being non-zero poisons the segment
+/// all the same.
 #[derive(Debug)]
 pub struct HealthSink {
     counters: Vec<[AtomicU64; 2]>,
@@ -97,7 +111,7 @@ impl HealthSink {
         }
     }
 
-    /// Add a block column's local counts to segment `seg`'s totals.
+    /// Add a block task's local counts to segment `seg`'s totals.
     pub fn record(&self, seg: usize, saturated: u64, non_finite: u64) {
         if saturated > 0 {
             // ORDERING: independent event counter — readers only consume
@@ -182,14 +196,14 @@ pub struct ExecOptions<'a, 'p> {
     /// When set, the engine flushes per-segment saturation / non-finite
     /// counts into the sink (sized `partition.segments.len()`).
     pub health: Option<&'a HealthSink>,
-    /// When set, block columns draw their FT/IT/accumulator tiles from
+    /// When set, block tasks draw their panels and accumulator from
     /// this pool (carved from a [`crate::Workspace`] arena) instead of
     /// allocating; when `None` the engine provisions a transient pool of
     /// its own, so the block loop never `vec!`s per block either way.
     pub scratch: Option<&'a ScratchPool<'p>>,
-    /// When set, block columns time their FT/IT/EWMM/OT phases with local
-    /// counters and flush them into the sink once per column — same
-    /// discipline as `health`. `None` turns per-block timing off.
+    /// When set, block tasks time their FT/IT/EWMM/OT phases with local
+    /// counters and flush them into the sink once per task — same
+    /// discipline as `health`. `None` turns per-task timing off.
     pub timing: Option<&'a TimingSink>,
     /// Worker threads for the block-group scheduler (see [`sched`]). When
     /// `None`, one worker per hardware thread ([`sched::workers`]).
@@ -207,38 +221,30 @@ pub fn cache_block(mode: TileMode, alpha: usize) -> (usize, usize) {
     }
 }
 
-/// Scratch f32 elements one block task of `kernel` needs: the staged `ĝ`
-/// (`STAGE`·α·B_N) and `d̂` (`STAGE`·α·B_M) tiles, the accumulator
-/// (α·B_N·B_M) and the output transform's row buffer (B_M), with the
-/// block dims clamped to the problem's channel counts.
-pub fn scratch_slot_elems(conv: &ConvShape, kernel: KernelId, mode: TileMode) -> usize {
-    let alpha = kernel.alpha();
-    let (bn, bm) = cache_block(mode, alpha);
-    block_scratch_elems(alpha, bn.min(conv.oc), bm.min(conv.ic))
-}
-
-/// Largest block-column scratch requirement over every segment of
-/// `partition` — the slot size a [`crate::WorkspaceLayout`] must provision
-/// so no block ever overflows its slot.
+/// Largest scratch requirement over every block group of `partition` —
+/// the slot size a [`crate::WorkspaceLayout`] must provision so no task
+/// ever overflows its slot. Each group needs its accumulator, output rows
+/// and either its full ĝ/d̂ panels or [`hot::STAGE`]-step windows, so the
+/// slot never exceeds the accumulator plus `PANEL_CAP_BYTES` of panels,
+/// whatever N·H·W is.
 pub fn scratch_slot_elems_for(conv: &ConvShape, partition: &Partition, mode: TileMode) -> usize {
-    partition
-        .segments
-        .iter()
-        .map(|s| scratch_slot_elems(conv, s.kernel, mode))
+    (0..=1u8)
+        .flat_map(|pass| block_groups(conv, partition, mode, pass, |_| true))
+        .map(|g| g.scratch_elems(conv, &partition.segments[g.seg_idx]))
         .max()
         .unwrap_or(0)
 }
 
 /// Scratch slots worth provisioning: one per hardware thread, capped at
-/// the largest number of `(oc-tile × filter-row)` tasks any launch pass
-/// can run at once.
+/// the largest number of block groups (one per segment and oc-tile) any
+/// launch pass can run at once.
 pub fn scratch_slots_for(conv: &ConvShape, partition: &Partition, mode: TileMode) -> usize {
     let tasks_in_pass = |pass: u8| -> usize {
         partition
             .segments
             .iter()
             .filter(|s| s.pass == pass)
-            .map(|s| conv.oc.div_ceil(cache_block(mode, s.kernel.alpha()).0) * conv.fh)
+            .map(|s| conv.oc.div_ceil(cache_block(mode, s.kernel.alpha()).0))
             .sum()
     };
     let max_tasks = tasks_in_pass(0).max(tasks_in_pass(1));
@@ -394,38 +400,51 @@ pub fn request_width(token: &str) -> Result<SimdWidth, Violation> {
     }
 }
 
-/// Target resident footprint of one scheduler task: its worker's scratch
-/// slot plus the bucket rows the task's filter-row span writes should stay
-/// L2-resident (1 MiB — conservative for current server cores, close for
-/// client cores). Groups are sized from this; see [`sched`] for why the
-/// grouping matters.
-const L2_TARGET_BYTES: usize = 1 << 20;
-
-/// One scheduler task: filter rows `fh0..fh1` of one oc-tile of one
-/// bucket. The triple `(base, oc0, fh-range)` is the deterministic owner
-/// coordinate that keeps `BucketWriter` rows disjoint across tasks no
-/// matter which worker steals the group.
-struct BlockGroup {
-    seg_idx: usize,
-    /// Element offset of the owning bucket in the bucket region.
-    base: usize,
-    oc0: usize,
-    bn_cur: usize,
-    bm: usize,
-    fh0: usize,
-    fh1: usize,
+/// One launch pass's scheduler tasks in their deterministic order —
+/// bucket-major, then oc-tile: one [`BlockGroup`] per oc-tile of every
+/// segment of `pass` whose bucket `enabled` keeps. A group runs every
+/// filter row, so each ĝ tile is transformed once per (segment, oc-tile).
+fn block_groups(
+    conv: &ConvShape,
+    partition: &Partition,
+    mode: TileMode,
+    pass: u8,
+    enabled: impl Fn(usize) -> bool,
+) -> Vec<BlockGroup> {
+    let dw_elems = conv.dw_elems();
+    let mut groups = Vec::new();
+    // Bucket -> owning segment for this pass, precomputed at partition
+    // build.
+    for (z, owner) in partition.bucket_owners(pass).iter().copied().enumerate() {
+        let Some(seg_idx) = owner else { continue };
+        let segment: &Segment = &partition.segments[seg_idx];
+        if !enabled(segment.bucket) {
+            continue;
+        }
+        let bn = cache_block(mode, segment.kernel.alpha()).0;
+        for oc0 in (0..conv.oc).step_by(bn) {
+            groups.push(BlockGroup::new(
+                conv,
+                segment,
+                seg_idx,
+                mode,
+                z * dw_elems,
+                oc0,
+            ));
+        }
+    }
+    groups
 }
 
 /// The two sequential launch passes over an argument-validated, zeroed
 /// bucket buffer, drawing all block scratch from `scratch`.
 ///
-/// Each pass builds a deterministic list of [`BlockGroup`]s —
-/// bucket-major, then oc-tile, then filter-row span, with spans sized by
-/// the [`L2_TARGET_BYTES`] rule — and hands it to the work-stealing
-/// scheduler ([`sched::run_tasks`]). Workers keep their groups' scratch
-/// in a pinned [`ScratchPool`] slot (`with_slot_at(worker, ..)`), and
-/// every group writes disjoint bucket rows, so `∇W` is bitwise identical
-/// for every worker count and steal order.
+/// Each pass builds its deterministic list of [`BlockGroup`]s and hands it
+/// to the work-stealing scheduler ([`sched::run_tasks`]). Workers keep
+/// their groups' panels in a pinned [`ScratchPool`] slot
+/// (`with_slot_at(worker, ..)`), and every group writes its own disjoint
+/// bucket region, so `∇W` is bitwise identical for every worker count and
+/// steal order.
 #[allow(clippy::too_many_arguments)]
 fn run_passes<T: Scalar, S: TransformSource>(
     conv: &ConvShape,
@@ -438,75 +457,28 @@ fn run_passes<T: Scalar, S: TransformSource>(
     opts: ExecOptions<'_, '_>,
     scratch: &ScratchPool<'_>,
 ) {
-    let dw_elems = conv.dw_elems();
     let enabled = |bucket: usize| opts.bucket_filter.is_none_or(|f| f[bucket]);
     let workers = opts.workers.unwrap_or_else(sched::workers).max(1);
     for pass in 0..=1u8 {
-        // Bucket -> owning segment for this pass, precomputed at partition
-        // build so the steady-state loop allocates nothing beyond the task
-        // list itself.
-        let owners = partition.bucket_owners(pass);
-        let mut groups: Vec<BlockGroup> = Vec::new();
-        for (z, owner) in owners.iter().copied().enumerate() {
-            let Some(seg_idx) = owner else { continue };
-            let segment: &Segment = &partition.segments[seg_idx];
-            if !enabled(segment.bucket) {
-                continue;
-            }
-            let (bn, bm) = cache_block(mode, segment.kernel.alpha());
-            let slot_bytes =
-                scratch_slot_elems(conv, segment.kernel, mode) * std::mem::size_of::<f32>();
-            let tiles = conv.oc.div_ceil(bn);
-            for tile_idx in 0..tiles {
-                let oc0 = tile_idx * bn;
-                let bn_cur = bn.min(conv.oc - oc0);
-                // L2 sizing rule: one filter row of this tile touches
-                // `bn_cur · F_W · I_C` bucket elements; group as many rows
-                // as fit next to the scratch slot, at least one.
-                let row_bytes = bn_cur * conv.fw * conv.ic * std::mem::size_of::<T>();
-                let budget = L2_TARGET_BYTES.saturating_sub(slot_bytes);
-                let rows = (budget / row_bytes.max(1)).clamp(1, conv.fh);
-                let mut fh0 = 0;
-                while fh0 < conv.fh {
-                    let fh1 = (fh0 + rows).min(conv.fh);
-                    groups.push(BlockGroup {
-                        seg_idx,
-                        base: z * dw_elems,
-                        oc0,
-                        bn_cur,
-                        bm,
-                        fh0,
-                        fh1,
-                    });
-                    fh0 = fh1;
-                }
-            }
-        }
+        let groups = block_groups(conv, partition, mode, pass, enabled);
         let writer = BucketWriter::new(buckets);
         sched::run_tasks(groups, workers, |worker, grp: BlockGroup| {
             let segment = &partition.segments[grp.seg_idx];
             let t = transforms.transform(segment.kernel);
-            for fh in grp.fh0..grp.fh1 {
-                run_block_tile(
-                    conv,
-                    segment,
-                    grp.seg_idx,
-                    t,
-                    x,
-                    dy,
-                    mode,
-                    grp.base,
-                    grp.oc0,
-                    grp.bn_cur,
-                    grp.bm,
-                    fh,
-                    worker,
-                    &writer,
-                    opts.health,
-                    opts.timing,
-                    scratch,
-                );
-            }
+            run_group(
+                conv,
+                segment,
+                t,
+                x,
+                dy,
+                mode,
+                &grp,
+                worker,
+                &writer,
+                opts.health,
+                opts.timing,
+                scratch,
+            );
         });
     }
 }
@@ -721,13 +693,14 @@ mod tests {
             },
         )
         .expect("valid arguments");
+        // One timed block per scheduler task: a group covers every filter
+        // row of one oc-tile of one segment.
         let expected: usize = partition
             .segments
             .iter()
             .map(|s| {
                 conv.oc
                     .div_ceil(cache_block(TileMode::Fp32, s.kernel.alpha()).0)
-                    * conv.fh
             })
             .sum();
         assert_eq!(sink.blocks() as usize, expected);
@@ -736,8 +709,8 @@ mod tests {
         assert!(sink.ewmm_ns() > 0, "EWMM untimed");
         assert!(sink.ot_ns() > 0, "OT untimed");
         assert!(sink.max_ns() >= sink.min_ns());
-        // Each column's wall time covers its four phases, so the busy
-        // total must dominate the phase sum.
+        // Each task's wall time covers its four phases, so the busy total
+        // must dominate the phase sum.
         let phases = sink.ft_ns() + sink.it_ns() + sink.ewmm_ns() + sink.ot_ns();
         assert!(sink.busy_ns() >= phases, "{} < {phases}", sink.busy_ns());
     }
@@ -790,6 +763,110 @@ mod tests {
         assert_eq!(fp32_alphas, BTreeSet::from([2, 4, 8, 16]));
         // No FP16 port of the α = 2 kernel exists.
         assert_eq!(fp16_alphas, BTreeSet::from([4, 8, 16]));
+    }
+
+    /// With panels, a task transforms each ĝ tile it needs exactly once
+    /// and each d̂ tile once per (ic-tile, fw-tile): the counts equal the
+    /// distinct ∇Y rows and X rows the segment's filter rows read (from
+    /// `clip_rows` directly), times the steps per row. Two ic tiles, two
+    /// oc tiles and three filter-width tiles at f = 9.
+    #[test]
+    fn panels_transform_each_tile_once_per_task() {
+        use std::collections::BTreeSet;
+        let conv = ConvShape::new(2, 14, 14, 37, 70, 9, 9, 4, 4);
+        let (partition, src) = setup(&conv, 2);
+        let x = Tensor4::<f32>::random_uniform([2, 14, 14, 37], 3, 1.0);
+        let dy = Tensor4::<f32>::random_uniform([2, conv.oh(), conv.ow(), 70], 4, 1.0);
+        let mut buckets = vec![0.0f32; partition.z() * conv.dw_elems()];
+        hot::TRANSFORMED.with(|c| c.set((0, 0)));
+        execute_segments_with(
+            &conv,
+            &partition,
+            &src,
+            &x,
+            &dy,
+            TileMode::Fp32,
+            &mut buckets,
+            ExecOptions {
+                workers: Some(1),
+                ..Default::default()
+            },
+        )
+        .expect("valid arguments");
+        let (mut want_g, mut want_d) = (0u64, 0u64);
+        for seg in &partition.segments {
+            let (bn, bm) = cache_block(TileMode::Fp32, seg.kernel.alpha());
+            let (mut g_rows, mut x_rows) = (BTreeSet::new(), BTreeSet::new());
+            for fh in 0..conv.fh {
+                let (lo, hi) = clip_rows(seg.h0, seg.h1, fh, conv.ph, conv.ih);
+                g_rows.extend(lo..hi);
+                x_rows.extend((lo..hi).map(|i| fh + i - conv.ph));
+            }
+            let per_row = (seg.units * conv.n) as u64;
+            let oc_tiles = conv.oc.div_ceil(bn) as u64;
+            let inner = (conv.ic.div_ceil(bm) * (conv.fw / seg.kernel.n)) as u64;
+            want_g += oc_tiles * g_rows.len() as u64 * per_row;
+            want_d += oc_tiles * inner * x_rows.len() as u64 * per_row;
+        }
+        assert!(partition.segments.len() >= 2 && want_g > 0);
+        assert_eq!(hot::TRANSFORMED.with(|c| c.get()), (want_g, want_d));
+    }
+
+    /// Small shapes keep full panels; a segment whose panels pass the cap
+    /// windows, and its slot stays at the windowed size.
+    #[test]
+    fn groups_window_only_past_the_panel_cap() {
+        let small = ConvShape::new(2, 16, 16, 4, 6, 3, 3, 1, 1);
+        let (partition, _) = setup(&small, 4);
+        for pass in 0..=1u8 {
+            assert!(
+                block_groups(&small, &partition, TileMode::Fp32, pass, |_| true)
+                    .iter()
+                    .all(|g| g.panels)
+            );
+        }
+        // One 64-row segment of 10 images: 3 MiB of panels at α = 8.
+        let big = ConvShape::new(10, 64, 64, 8, 8, 3, 3, 1, 1);
+        let (partition, _) = setup(&big, 1);
+        let bulk = block_groups(&big, &partition, TileMode::Fp32, 0, |_| true);
+        assert!(!bulk.is_empty() && bulk.iter().all(|g| !g.panels));
+        for g in &bulk {
+            let slot = g.scratch_elems(&big, &partition.segments[g.seg_idx]);
+            assert!(slot * 4 < hot::PANEL_CAP_BYTES / 8, "windowed slot {slot}");
+        }
+    }
+
+    /// Scratch per worker is independent of N·H·W: on N = 32 paper-sweep
+    /// shapes (FP32 and FP16, Z from Algorithm 1) the slot never exceeds
+    /// the largest accumulator and output rows plus the panel cap.
+    #[test]
+    fn paper_sweep_slot_stays_within_the_panel_cap() {
+        use crate::WinRsPlan;
+        use winrs_gpu_sim::RTX_4090;
+        let fixed_max = [TileMode::Fp32, TileMode::Fp16]
+            .iter()
+            .flat_map(|&m| [2usize, 4, 8, 16].map(|a| (m, a)))
+            .map(|(m, a)| {
+                let (bn, bm) = cache_block(m, a);
+                a * bn * bm + a * bm
+            })
+            .max()
+            .unwrap_or(0);
+        let cap_elems = hot::PANEL_CAP_BYTES / std::mem::size_of::<f32>();
+        for (res, c, f, precision) in [
+            (224usize, 64usize, 3usize, Precision::Fp32),
+            (56, 256, 5, Precision::Fp32),
+            (112, 128, 9, Precision::Fp16),
+            (28, 512, 7, Precision::Fp16),
+        ] {
+            let conv = ConvShape::square(32, res, c, c, f);
+            let plan = WinRsPlan::new(&conv, &RTX_4090, precision).expect("in-envelope shape");
+            let slot = scratch_slot_elems_for(&conv, plan.partition(), plan.tile_mode());
+            assert!(
+                slot <= fixed_max + cap_elems,
+                "32×{res}²×{c} f={f} {precision:?}: slot {slot} > {fixed_max} + {cap_elems}"
+            );
+        }
     }
 
     #[test]

@@ -207,7 +207,10 @@ pub struct ExecutionReport {
     /// `(Z−1)·|∇W|` f32-staging figure; fallbacks: their own internal
     /// buffers), the measured peak, and hot-loop allocation escapes.
     pub mem: MemoryFootprint,
-    /// Reduced-precision saturation events counted by the engine.
+    /// Reduced-precision saturation events counted by the engine: one per
+    /// transformed element that overflowed when re-rounded, counted once
+    /// per panel fill (a tile each block task transforms once and reads
+    /// for many filter rows counts once), not once per use.
     pub saturated: u64,
     /// Non-finite values counted at the output transform.
     pub non_finite: u64,

@@ -8,9 +8,10 @@
 //! dispatcher uses to reproduce that accounting on the CPU substrate:
 //!
 //! * [`TimingSink`] — an atomic accumulator the engine flushes once per
-//!   block column (mirroring [`crate::engine::HealthSink`]'s flush
+//!   block task — one scheduler task, every filter row of one oc-tile of
+//!   one segment — (mirroring [`crate::engine::HealthSink`]'s flush
 //!   discipline), collecting per-phase *busy* nanoseconds summed across
-//!   worker threads plus per-block min/max/total wall time. It performs no
+//!   worker threads plus per-task min/max/total wall time. It performs no
 //!   heap allocation, so the zero-`hot_loop_allocs` contract holds while
 //!   profiling.
 //! * [`PhaseTimings`] — the plain-data summary attached to every
@@ -35,9 +36,9 @@ use crate::sync::atomic::{AtomicU64, Ordering};
 /// Atomic per-phase accumulator filled in by the engine while it runs.
 ///
 /// One sink covers one execution (all segments, both launch passes). The
-/// engine times the four kernel phases inside each block column with local
-/// counters and flushes them here once per column, so the atomic traffic
-/// is negligible next to the column's arithmetic.
+/// engine times the four kernel phases inside each block task with local
+/// counters and flushes them here once per task, so the atomic traffic is
+/// negligible next to the task's arithmetic.
 #[derive(Debug, Default)]
 pub struct TimingSink {
     ft_ns: AtomicU64,
@@ -59,10 +60,10 @@ impl TimingSink {
         }
     }
 
-    /// Flush one block column's local phase counters. `total_ns` is the
-    /// column's wall time (covers the four phases plus loop overhead).
+    /// Flush one block task's local phase counters. `total_ns` is the
+    /// task's wall time (covers the four phases plus loop overhead).
     pub fn record_block(&self, ft_ns: u64, it_ns: u64, ewmm_ns: u64, ot_ns: u64, total_ns: u64) {
-        // ORDERING: per-column flush of independent counters; readers only
+        // ORDERING: per-task flush of independent counters; readers only
         // consume the sink after the scheduler scope joins (a happens-before
         // edge the join provides), so Relaxed RMWs are sufficient and the
         // checked-model in tests/loom_models.rs verifies totals anyway.
@@ -110,18 +111,18 @@ impl TimingSink {
         self.ot_ns.load(Ordering::Relaxed) // ORDERING: post-join read
     }
 
-    /// Total block-column busy nanoseconds (wall time per column, summed
-    /// across columns and threads).
+    /// Total block-task busy nanoseconds (wall time per task, summed
+    /// across tasks and threads).
     pub fn busy_ns(&self) -> u64 {
         self.busy_ns.load(Ordering::Relaxed) // ORDERING: post-join read
     }
 
-    /// Block columns recorded.
+    /// Block tasks recorded.
     pub fn blocks(&self) -> u64 {
         self.blocks.load(Ordering::Relaxed) // ORDERING: post-join read
     }
 
-    /// Fastest block column in nanoseconds (0 when no block ran).
+    /// Fastest block task in nanoseconds (0 when no task ran).
     pub fn min_ns(&self) -> u64 {
         let v = self.min_ns.load(Ordering::Relaxed); // ORDERING: post-join read
         if v == u64::MAX {
@@ -131,7 +132,7 @@ impl TimingSink {
         }
     }
 
-    /// Slowest block column in nanoseconds.
+    /// Slowest block task in nanoseconds.
     pub fn max_ns(&self) -> u64 {
         self.max_ns.load(Ordering::Relaxed) // ORDERING: post-join read
     }
@@ -168,21 +169,21 @@ pub struct PhaseTimings {
     pub ewmm_s: f64,
     /// Output-transform busy time summed across worker threads.
     pub ot_s: f64,
-    /// Total block-column busy time summed across worker threads.
+    /// Total block-task busy time summed across worker threads.
     pub busy_s: f64,
-    /// Block columns executed.
+    /// Block tasks executed (one per segment and oc-tile).
     pub blocks: u64,
-    /// Fastest block column (wall seconds).
+    /// Fastest block task (wall seconds).
     pub block_min_s: f64,
-    /// Mean block column (wall seconds).
+    /// Mean block task (wall seconds).
     pub block_mean_s: f64,
-    /// Slowest block column (wall seconds).
+    /// Slowest block task (wall seconds).
     pub block_max_s: f64,
     /// Worker threads available to the block loop.
     pub workers: usize,
     /// Fraction of `workers × block_loop_s` actually spent busy, in
     /// `[0, 1]`. Low utilisation means the launch passes had too few block
-    /// columns to fill the machine — the CPU analogue of the paper's
+    /// tasks to fill the machine — the CPU analogue of the paper's
     /// SM-occupancy argument for segmentation.
     pub utilisation: f64,
 }

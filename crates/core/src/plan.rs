@@ -247,7 +247,7 @@ impl WinRsPlan {
     /// through the FP32-staged dispatcher path ([`crate::fallback`]): the
     /// `∇W`-aliasing bucket 0, the `(Z−1)·|∇W|` overflow buckets (the
     /// paper's workspace), per-thread FT/IT/accumulator tiles sized for
-    /// the largest block column, and the per-segment numeric-guard
+    /// the largest block task, and the per-segment numeric-guard
     /// counters. Computed once and cached; a caller-owned
     /// [`crate::Workspace`] `ensure`d against this layout makes every
     /// subsequent `run_planned_into` call allocation-free in the block loop.

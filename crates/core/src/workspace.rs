@@ -240,7 +240,7 @@ impl WorkspaceLayout {
 
 /// A pool of fixed-size scratch slots carved from the arena.
 ///
-/// Tasks borrow a slot for the duration of one block column via
+/// Tasks borrow a slot for the duration of one block task via
 /// [`ScratchPool::with_slot_at`], keyed by their scheduler worker index,
 /// so with `slots ≥` workers it is contention-free; a smaller pool makes
 /// extra workers block briefly on a slot mutex, which is exactly the

@@ -74,6 +74,142 @@ pub unsafe fn gather_axpy(dst: &mut [f32], coeffs: &[f32], src: &[f32], sstride:
     }
 }
 
+/// Multi-row reduction AXPY (see the safe wrapper
+/// `super::gather_axpy_rows`) for α ∈ {2, 4, 8, 16}: columns of two
+/// 8-lane vectors (one for α = 16, whose 16 source vectors fill the
+/// register file), a ragged column under `maskload`/`maskstore`; a
+/// column's α source vectors are loaded once for every row.
+///
+/// # Safety
+/// Caller must have verified `avx2` and `fma` at runtime, and
+/// `dst ≥ (n−1)·dstride + w`, `src ≥ (α−1)·sstride + w` elements with
+/// `n = coeffs.len() / α`.
+#[target_feature(enable = "avx2", enable = "fma")]
+pub unsafe fn gather_axpy_rows(
+    dst: &mut [f32],
+    dstride: usize,
+    coeffs: &[f32],
+    alpha: usize,
+    src: &[f32],
+    sstride: usize,
+    w: usize,
+) {
+    let (dp, sp, cp) = (dst.as_mut_ptr(), src.as_ptr(), coeffs.as_ptr());
+    let geom = RowGeom {
+        dstride,
+        sstride,
+        n: coeffs.len() / alpha,
+    };
+    let full = lane_mask(LANES);
+    let mut j = 0;
+    while j < w {
+        let left = w - j;
+        let at = (dp.add(j), cp, sp.add(j));
+        if alpha == 16 || left < 2 * LANES {
+            let masks = [lane_mask(left)];
+            match (alpha, left < LANES) {
+                (2, false) => rows_chunk::<2, 1, false>(at, geom, masks),
+                (4, false) => rows_chunk::<4, 1, false>(at, geom, masks),
+                (8, false) => rows_chunk::<8, 1, false>(at, geom, masks),
+                (16, false) => rows_chunk::<16, 1, false>(at, geom, masks),
+                (2, true) => rows_chunk::<2, 1, true>(at, geom, masks),
+                (4, true) => rows_chunk::<4, 1, true>(at, geom, masks),
+                (8, true) => rows_chunk::<8, 1, true>(at, geom, masks),
+                (16, true) => rows_chunk::<16, 1, true>(at, geom, masks),
+                _ => {} // unreachable: the wrapper sends other α to the portable body
+            }
+            j += left.min(LANES);
+        } else {
+            match alpha {
+                2 => rows_chunk::<2, 2, false>(at, geom, [full; 2]),
+                4 => rows_chunk::<4, 2, false>(at, geom, [full; 2]),
+                8 => rows_chunk::<8, 2, false>(at, geom, [full; 2]),
+                _ => {} // unreachable: as above
+            }
+            j += 2 * LANES;
+        }
+    }
+}
+
+/// Strides of one [`gather_axpy_rows`] call (this body's and the AVX-512
+/// one's): output rows sit `dstride` apart, source planes `sstride`
+/// apart, and there are `n` rows.
+#[derive(Clone, Copy)]
+pub(super) struct RowGeom {
+    pub(super) dstride: usize,
+    pub(super) sstride: usize,
+    pub(super) n: usize,
+}
+
+/// Load 8 lanes at `p` — only the lanes in `mask` when `MASKED`.
+///
+/// # Safety
+/// `avx2` verified at runtime; every live lane at `p` is in bounds.
+#[inline]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn load8<const MASKED: bool>(p: *const f32, mask: __m256i) -> __m256 {
+    if MASKED {
+        _mm256_maskload_ps(p, mask)
+    } else {
+        _mm256_loadu_ps(p)
+    }
+}
+
+/// `dst[l] += y[l]` for the 8 lanes at `p` (only those in `mask` when
+/// `MASKED`).
+///
+/// # Safety
+/// `avx2` verified at runtime; every live lane at `p` is in bounds.
+#[inline]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn add_store8<const MASKED: bool>(p: *mut f32, mask: __m256i, y: __m256) {
+    let sum = _mm256_add_ps(load8::<MASKED>(p, mask), y);
+    if MASKED {
+        _mm256_maskstore_ps(p, mask, sum);
+    } else {
+        _mm256_storeu_ps(p, sum);
+    }
+}
+
+/// One `8·V`-lane column of [`gather_axpy_rows`] at a compile-time α:
+/// load the α source vectors once, then fold them into every row with
+/// mul + add in β order, each sum starting at +0.0.
+///
+/// # Safety
+/// `avx2` verified at runtime; `at = (dst, coeffs, src)` points at the
+/// column's first lane of output row 0, the `n × A` coefficients and the
+/// column's first lane of source plane 0, and every live lane of `n`
+/// output rows and `A` planes is in bounds.
+#[inline]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn rows_chunk<const A: usize, const V: usize, const MASKED: bool>(
+    at: (*mut f32, *const f32, *const f32),
+    geom: RowGeom,
+    masks: [__m256i; V],
+) {
+    let (dst, coeffs, src) = at;
+    let mut planes = [[_mm256_setzero_ps(); V]; A];
+    for (b, p) in planes.iter_mut().enumerate() {
+        for (v, lane) in p.iter_mut().enumerate() {
+            *lane = load8::<MASKED>(src.add(b * geom.sstride + v * LANES), masks[v]);
+        }
+    }
+    for d in 0..geom.n {
+        let c = coeffs.add(d * A);
+        let mut y = [_mm256_setzero_ps(); V];
+        for (b, p) in planes.iter().enumerate() {
+            let cb = _mm256_set1_ps(*c.add(b));
+            for (yl, &pl) in y.iter_mut().zip(p) {
+                *yl = _mm256_add_ps(*yl, _mm256_mul_ps(cb, pl));
+            }
+        }
+        let o = dst.add(d * geom.dstride);
+        for (v, &yl) in y.iter().enumerate() {
+            add_store8::<MASKED>(o.add(v * LANES), masks[v], yl);
+        }
+    }
+}
+
 /// Staged α-batched EWMM (see the safe wrapper `super::rank_k_batch`):
 /// each β plane is walked in `R × 16`-lane register tiles (`R ≤ MR`, two
 /// 256-bit vectors per row); a column whose lanes do not fill whole

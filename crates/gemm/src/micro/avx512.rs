@@ -9,7 +9,7 @@
 //! full set.
 #![doc = "audit: no-alloc"]
 
-use super::avx2::Steps;
+use super::avx2::{RowGeom, Steps};
 use super::{MR, NR};
 use std::arch::x86_64::*;
 
@@ -94,6 +94,100 @@ pub unsafe fn gather_axpy(dst: &mut [f32], coeffs: &[f32], src: &[f32], sstride:
     let w = dst.len();
     for (j, &c) in coeffs.iter().enumerate() {
         axpy(dst, c, src.get_unchecked(j * sstride..j * sstride + w));
+    }
+}
+
+/// Multi-row reduction AXPY (see the safe wrapper
+/// `super::gather_axpy_rows`) for α ∈ {2, 4, 8, 16}: columns of two
+/// 16-lane vectors, a lane tail under a load/store mask; a column's α
+/// source vectors are loaded once for every row.
+///
+/// # Safety
+/// Caller must have verified `avx512f`, `avx2` and `fma` at runtime, and
+/// `dst ≥ (n−1)·dstride + w`, `src ≥ (α−1)·sstride + w` elements with
+/// `n = coeffs.len() / α`.
+#[target_feature(enable = "avx512f", enable = "avx2", enable = "fma")]
+pub unsafe fn gather_axpy_rows(
+    dst: &mut [f32],
+    dstride: usize,
+    coeffs: &[f32],
+    alpha: usize,
+    src: &[f32],
+    sstride: usize,
+    w: usize,
+) {
+    let (dp, sp, cp) = (dst.as_mut_ptr(), src.as_ptr(), coeffs.as_ptr());
+    let geom = RowGeom {
+        dstride,
+        sstride,
+        n: coeffs.len() / alpha,
+    };
+    let mut j = 0;
+    while j < w {
+        let left = w - j;
+        let at = (dp.add(j), cp, sp.add(j));
+        if left > LANES16 {
+            let masks = [lane_mask(LANES16), lane_mask(left - LANES16)];
+            match alpha {
+                2 => rows_chunk::<2, 2>(at, geom, masks),
+                4 => rows_chunk::<4, 2>(at, geom, masks),
+                8 => rows_chunk::<8, 2>(at, geom, masks),
+                16 => rows_chunk::<16, 2>(at, geom, masks),
+                _ => {} // unreachable: the wrapper sends other α to the portable body
+            }
+        } else {
+            let masks = [lane_mask(left)];
+            match alpha {
+                2 => rows_chunk::<2, 1>(at, geom, masks),
+                4 => rows_chunk::<4, 1>(at, geom, masks),
+                8 => rows_chunk::<8, 1>(at, geom, masks),
+                16 => rows_chunk::<16, 1>(at, geom, masks),
+                _ => {} // unreachable: as above
+            }
+        }
+        j += left.min(2 * LANES16);
+    }
+}
+
+/// One `16·V`-lane column of [`gather_axpy_rows`] at a compile-time α:
+/// load the α source vectors once, then fold them into every row with
+/// mul + add in β order, each sum starting at +0.0. Lanes outside `masks`
+/// are neither read nor written.
+///
+/// # Safety
+/// `avx512f` verified at runtime; `at = (dst, coeffs, src)` points at the
+/// column's first lane of output row 0, the `n × A` coefficients and the
+/// column's first lane of source plane 0, and every masked-in lane of `n`
+/// output rows and `A` planes is in bounds.
+#[inline]
+#[target_feature(enable = "avx512f", enable = "avx2", enable = "fma")]
+unsafe fn rows_chunk<const A: usize, const V: usize>(
+    at: (*mut f32, *const f32, *const f32),
+    geom: RowGeom,
+    masks: [__mmask16; V],
+) {
+    let (dst, coeffs, src) = at;
+    let mut planes = [[_mm512_setzero_ps(); V]; A];
+    for (b, p) in planes.iter_mut().enumerate() {
+        for (v, lane) in p.iter_mut().enumerate() {
+            *lane = _mm512_maskz_loadu_ps(masks[v], src.add(b * geom.sstride + v * LANES16));
+        }
+    }
+    for d in 0..geom.n {
+        let c = coeffs.add(d * A);
+        let mut y = [_mm512_setzero_ps(); V];
+        for (b, p) in planes.iter().enumerate() {
+            let cb = _mm512_set1_ps(*c.add(b));
+            for (yl, &pl) in y.iter_mut().zip(p) {
+                *yl = _mm512_add_ps(*yl, _mm512_mul_ps(cb, pl));
+            }
+        }
+        let o = dst.add(d * geom.dstride);
+        for (v, &yl) in y.iter().enumerate() {
+            let ov = o.add(v * LANES16);
+            let sum = _mm512_add_ps(_mm512_maskz_loadu_ps(masks[v], ov), yl);
+            _mm512_mask_storeu_ps(ov, masks[v], sum);
+        }
     }
 }
 

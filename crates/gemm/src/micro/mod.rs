@@ -431,6 +431,119 @@ fn gather_axpy_w<const W: usize>(dst: &mut [f32], coeffs: &[f32], src: &[f32], s
     }
 }
 
+/// Multi-row reduction AXPY (the engine's output transform `Aᵀ`): for
+/// each of the `n = coeffs.len() / alpha` rows `d`,
+/// `dst[d·dstride + j] += Σ_β coeffs[d·α + β] · src[β·sstride + j]` for
+/// `j < w`. Each row's sum starts at `+0.0` and adds the β terms in order
+/// with mul + add, so every element computes exactly what [`gather_axpy`]
+/// into a zeroed row followed by [`add_assign`] computes — the bodies
+/// just keep the sum in a register instead of storing it α times, and
+/// load each lane chunk of the α source planes once for all `n` rows.
+/// The explicit bodies cover the engine's α ∈ {2, 4, 8, 16}; any other α
+/// runs the portable loop at every width.
+// BOUNDS(dst): len
+#[inline]
+pub fn gather_axpy_rows(
+    dst: &mut [f32],
+    dstride: usize,
+    coeffs: &[f32],
+    alpha: usize,
+    src: &[f32],
+    sstride: usize,
+    w: usize,
+) {
+    if alpha == 0 || w == 0 || coeffs.len() < alpha {
+        return;
+    }
+    let n = coeffs.len() / alpha;
+    assert!(
+        dst.len() >= (n - 1) * dstride + w && src.len() >= (alpha - 1) * sstride + w,
+        "gather_axpy_rows: dst or src too short"
+    );
+    #[cfg(target_arch = "x86_64")]
+    match active_width() {
+        SimdWidth::Avx512 if matches!(alpha, 2 | 4 | 8 | 16) => {
+            // SAFETY: avx512f+avx2+fma verified at runtime
+            // (`avx512_ready`); the extents the body touches are asserted
+            // above.
+            return unsafe {
+                avx512::gather_axpy_rows(dst, dstride, coeffs, alpha, src, sstride, w)
+            };
+        }
+        SimdWidth::Avx2 if matches!(alpha, 2 | 4 | 8 | 16) => {
+            // SAFETY: avx2+fma verified at runtime (`avx2_ready`); extents
+            // asserted above.
+            return unsafe { avx2::gather_axpy_rows(dst, dstride, coeffs, alpha, src, sstride, w) };
+        }
+        _ => {}
+    }
+    match alpha {
+        2 => gather_rows_portable::<2>(dst, dstride, coeffs, src, sstride, w),
+        4 => gather_rows_portable::<4>(dst, dstride, coeffs, src, sstride, w),
+        8 => gather_rows_portable::<8>(dst, dstride, coeffs, src, sstride, w),
+        16 => gather_rows_portable::<16>(dst, dstride, coeffs, src, sstride, w),
+        _ => gather_rows_scalar(dst, dstride, coeffs, alpha, src, sstride, 0..w),
+    }
+}
+
+/// Portable body of [`gather_axpy_rows`] at a compile-time α — the scalar
+/// member, and the NEON member's too. Each `LANES`-wide chunk of the α
+/// planes is copied into a fixed array once and folded into every row;
+/// the lane tail runs element by element in the same β order.
+#[inline]
+fn gather_rows_portable<const A: usize>(
+    dst: &mut [f32],
+    dstride: usize,
+    coeffs: &[f32],
+    src: &[f32],
+    sstride: usize,
+    w: usize,
+) {
+    let w_full = w - w % LANES;
+    for j in (0..w_full).step_by(LANES) {
+        let mut planes = [[0.0f32; LANES]; A];
+        for (b, p) in planes.iter_mut().enumerate() {
+            p.copy_from_slice(&src[b * sstride + j..b * sstride + j + LANES]);
+        }
+        for (d, c) in coeffs.chunks_exact(A).enumerate() {
+            let mut y = [0.0f32; LANES];
+            for (p, &cb) in planes.iter().zip(c) {
+                for l in 0..LANES {
+                    y[l] += cb * p[l];
+                }
+            }
+            let out = &mut dst[d * dstride + j..d * dstride + j + LANES];
+            for (o, v) in out.iter_mut().zip(y) {
+                *o += v;
+            }
+        }
+    }
+    gather_rows_scalar(dst, dstride, coeffs, A, src, sstride, w_full..w);
+}
+
+/// [`gather_axpy_rows`] element by element over `lanes`: the portable
+/// body's lane tail, and every lane for an α off the engine's set.
+#[inline]
+fn gather_rows_scalar(
+    dst: &mut [f32],
+    dstride: usize,
+    coeffs: &[f32],
+    alpha: usize,
+    src: &[f32],
+    sstride: usize,
+    lanes: std::ops::Range<usize>,
+) {
+    for j in lanes {
+        for (d, c) in coeffs.chunks_exact(alpha).enumerate() {
+            let mut y = 0.0f32;
+            for (b, &cb) in c.iter().enumerate() {
+                y += cb * src[b * sstride + j];
+            }
+            dst[d * dstride + j] += y;
+        }
+    }
+}
+
 /// Staged α-batched EWMM: `k` successive outer-product steps folded into
 /// one pass over the accumulator. `acc` holds α row-major `bn × bm`
 /// planes; `g` is `k × α × bn` and `d` is `k × α × bm` (step-major, the
@@ -443,6 +556,9 @@ fn gather_axpy_w<const W: usize>(dst: &mut [f32], coeffs: &[f32], src: &[f32], s
 /// stored once. Each element therefore sees exactly the operation
 /// sequence of `k` separate `k = 1` calls — same bits, at `1/k` of the
 /// accumulator traffic.
+// BOUNDS(acc): len
+// BOUNDS(g): len
+// BOUNDS(d): len
 #[inline]
 pub fn rank_k_batch(acc: &mut [f32], g: &[f32], d: &[f32], alpha: usize, k: usize) {
     let steps = alpha * k;
@@ -855,6 +971,45 @@ mod tests {
                 assert_eq!(got, want, "gather_axpy width={w}");
             }
             force_width(None).unwrap();
+        }
+    }
+
+    /// The OT kernel against its definition: `gather_axpy` into a zeroed
+    /// row, then `add_assign` onto the output row — every α (the engine's
+    /// four plus odd ones off the compile-time bodies), n = 1..9 rows,
+    /// lane tails around 8 and 16, every width. Gaps between output rows
+    /// and past the last one hold sentinels that must survive.
+    #[test]
+    fn gather_axpy_rows_matches_gather_axpy_into_zeroed_rows_every_width() {
+        let _g = DISPATCH_LOCK.lock().unwrap();
+        for alpha in [1usize, 2, 3, 4, 8, 16] {
+            for n in 1..=9usize {
+                for w in [1usize, 5, 8, 15, 16, 17, 31, 32, 33, 37] {
+                    let (dstride, sstride) = (w + 3, 2 * w + 1);
+                    let seed = (alpha * 1000 + n * 100 + w) as u32;
+                    let coeffs = pseudo(seed, n * alpha);
+                    let src = pseudo(seed + 1, (alpha - 1) * sstride + w);
+                    let base = pseudo(seed + 2, n * dstride + 16);
+                    force_width(Some(SimdWidth::Scalar)).unwrap();
+                    let mut want = base.clone();
+                    for d in 0..n {
+                        let mut row = vec![0.0f32; w];
+                        gather_axpy(&mut row, &coeffs[d * alpha..(d + 1) * alpha], &src, sstride);
+                        add_assign(&mut want[d * dstride..d * dstride + w], &row);
+                    }
+                    for width in available() {
+                        force_width(Some(width)).unwrap();
+                        let mut got = base.clone();
+                        gather_axpy_rows(&mut got, dstride, &coeffs, alpha, &src, sstride, w);
+                        assert_eq!(
+                            bits(&got),
+                            bits(&want),
+                            "alpha={alpha} n={n} w={w} width={width}"
+                        );
+                    }
+                    force_width(None).unwrap();
+                }
+            }
         }
     }
 

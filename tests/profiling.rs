@@ -50,7 +50,7 @@ fn winrs_path_reports_full_phase_breakdown() {
     assert_wall_phases_account_for_total(&report);
     let t = &report.timing;
     // The WinRS rung always passes a timing sink: per-block phase data.
-    assert!(t.blocks > 0, "engine should count block columns");
+    assert!(t.blocks > 0, "engine should count block tasks");
     assert!(t.ewmm_s > 0.0 && t.ft_s > 0.0 && t.it_s > 0.0 && t.ot_s > 0.0);
     assert!(t.busy_s >= t.ft_s + t.it_s + t.ewmm_s + t.ot_s);
     assert!(t.utilisation > 0.0 && t.utilisation <= 1.0);
