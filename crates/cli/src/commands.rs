@@ -47,7 +47,9 @@ commands:
   kernels  list the 13-kernel inventory
   devices  list the modelled GPUs
   simd     report the micro-kernel width family: per-width availability on
-           this host, the detected (widest) width, and any active pin
+           this host (avx2 needs the avx2, fma and f16c CPU features;
+           avx512 needs avx512f on top), the detected (widest) width, and
+           any active pin
   tune     rank WinRS against GEMM-BFC / FFT-BFC / direct with the cost
            model, print the decision table, and persist winners to a
            winrs-tune-v1 tuning database

@@ -27,7 +27,7 @@ use crate::partition::Segment;
 use crate::workspace::ScratchPool;
 use std::time::Instant;
 use winrs_conv::ConvShape;
-use winrs_fp16::{bf16, e4m3, f16};
+use winrs_fp16::{bf16, e4m3};
 use winrs_gemm::micro;
 use winrs_tensor::{Scalar, Tensor4};
 use winrs_winograd::cook_toom::TransformReal;
@@ -200,20 +200,16 @@ impl<T> BucketWriter<T> {
 
 /// Re-round a transformed FP32 tile to the reduced format's grid, counting
 /// values that were finite before rounding but not after (format
-/// overflow). `Fp32` is the identity and never saturates.
+/// overflow). `Fp32` is the identity and never saturates; FP16 runs the
+/// width-dispatched [`micro::round_f16`] (one hardware conversion pair
+/// per vector); BF16 and FP8 keep the scalar loop.
 // BOUNDS(buf): len
 #[inline]
 fn round_tile(buf: &mut [f32], mode: TileMode) -> u64 {
     let mut saturated = 0u64;
     match mode {
         TileMode::Fp32 => {}
-        TileMode::Fp16 => {
-            for v in buf.iter_mut() {
-                let r = f16::from_f32(*v).to_f32();
-                saturated += u64::from(v.is_finite() && !r.is_finite());
-                *v = r;
-            }
-        }
+        TileMode::Fp16 => saturated = micro::round_f16(buf),
         TileMode::Bf16 => {
             for v in buf.iter_mut() {
                 let r = bf16::from_f32(*v).to_f32();
@@ -350,10 +346,11 @@ fn fill_input<T: Scalar>(
 /// rows `(oc0 + oi, f_h, fw0 + d, ic0..ic0 + bm_cur)`, added onto them
 /// (the residual pass adds onto the bulk pass's bucket). `dst0` is the
 /// bucket index of `(oc0, f_h, fw0, ic0)`. Each output element is summed
-/// in registers by [`micro::gather_axpy_rows`], straight into the bucket
-/// for f32 buckets; with `count` (a health sink is attached) or a
-/// reduced-precision bucket the rows go through `orows` first. Returns
-/// the non-finite outputs counted (0 without `count`).
+/// in registers by [`micro::gather_axpy_rows`], straight into an f32
+/// bucket; a reduced-precision bucket takes the rows through `orows` and
+/// rounds each onto the bucket. With `count` (a health sink is attached)
+/// the kernel also counts the non-finite sums in registers; returns that
+/// count (0 without `count`).
 // BOUNDS(acc): len
 // BOUNDS(orows): ops.t.n * bm_cur
 fn output_tile<T: Scalar>(
@@ -367,41 +364,27 @@ fn output_tile<T: Scalar>(
 ) -> u64 {
     let (alpha, n, conv, bn_cur) = (ops.t.alpha, ops.t.n, ops.conv, ops.bn_cur);
     let at = &ops.t.at_f32[..n * alpha];
-    let oc_stride = conv.fh * conv.fw * conv.ic;
-    let direct = !count && T::as_f32s(&[]).is_some();
+    let (oc_stride, sstride) = (conv.fh * conv.fw * conv.ic, bn_cur * bm_cur);
     let rows = &mut orows[..n * bm_cur];
     let mut non_finite = 0u64;
     for oi in 0..bn_cur {
         // Accumulator plane β of output channel oi sits at
         // `β·bn·bm + oi·bm`.
         let src = &acc[oi * bm_cur..];
-        let dst = dst0 + oi * oc_stride;
-        if direct {
-            // SAFETY: this task owns its oc-tile's whole bucket region
-            // (offset `base`); the n rows `ic` apart stay inside the
-            // `(oc0 + oi, f_h)` row of F_W·I_C elements.
-            let span = unsafe { out.row_mut(dst, (n - 1) * conv.ic + bm_cur) };
-            if let Some(o) = T::as_f32s_mut(span) {
-                micro::gather_axpy_rows(o, conv.ic, at, alpha, src, bn_cur * bm_cur, bm_cur);
-            }
+        // SAFETY: this task owns its oc-tile's whole bucket region
+        // (offset `base`); the n rows `ic` apart stay inside the
+        // `(oc0 + oi, f_h)` row of F_W·I_C elements.
+        let span = unsafe { out.row_mut(dst0 + oi * oc_stride, (n - 1) * conv.ic + bm_cur) };
+        if let Some(o) = T::as_f32s_mut(&mut *span) {
+            non_finite +=
+                micro::gather_axpy_rows(o, conv.ic, at, alpha, src, sstride, bm_cur, count);
             continue;
         }
         rows.fill(0.0);
-        micro::gather_axpy_rows(rows, bm_cur, at, alpha, src, bn_cur * bm_cur, bm_cur);
-        if count {
-            non_finite += rows.iter().map(|y| u64::from(!y.is_finite())).sum::<u64>();
-        }
-        for d in 0..n {
-            let row = &rows[d * bm_cur..(d + 1) * bm_cur];
-            // SAFETY: as above — one row of this task's own region.
-            let out_row = unsafe { out.row_mut(dst + d * conv.ic, bm_cur) };
-            match T::as_f32s_mut(out_row) {
-                Some(o) => micro::add_assign(o, row),
-                None => {
-                    for (o, &y) in out_row.iter_mut().zip(row.iter()) {
-                        *o += T::from_f32(y);
-                    }
-                }
+        non_finite += micro::gather_axpy_rows(rows, bm_cur, at, alpha, src, sstride, bm_cur, count);
+        for (d, row) in rows.chunks_exact(bm_cur).enumerate() {
+            for (o, &y) in span[d * conv.ic..].iter_mut().zip(row) {
+                *o += T::from_f32(y);
             }
         }
     }

@@ -29,25 +29,6 @@ pub unsafe fn axpy(dst: &mut [f32], a: f32, x: &[f32]) {
     }
 }
 
-/// # Safety
-/// Caller must have verified `avx2` and `fma` at runtime.
-#[target_feature(enable = "avx2", enable = "fma")]
-pub unsafe fn add_assign(dst: &mut [f32], x: &[f32]) {
-    let n = dst.len();
-    let dp = dst.as_mut_ptr();
-    let xp = x.as_ptr();
-    let mut i = 0;
-    while i + LANES <= n {
-        let sum = _mm256_add_ps(_mm256_loadu_ps(dp.add(i)), _mm256_loadu_ps(xp.add(i)));
-        _mm256_storeu_ps(dp.add(i), sum);
-        i += LANES;
-    }
-    while i < n {
-        *dp.add(i) += *xp.add(i);
-        i += 1;
-    }
-}
-
 /// Batched transform AXPY (see the safe wrapper): the β loop runs
 /// inside the `target_feature` body so the per-chunk `axpy` calls
 /// inline here instead of going through dispatch again.
@@ -78,14 +59,15 @@ pub unsafe fn gather_axpy(dst: &mut [f32], coeffs: &[f32], src: &[f32], sstride:
 /// `super::gather_axpy_rows`) for α ∈ {2, 4, 8, 16}: columns of two
 /// 8-lane vectors (one for α = 16, whose 16 source vectors fill the
 /// register file), a ragged column under `maskload`/`maskstore`; a
-/// column's α source vectors are loaded once for every row.
+/// column's α source vectors are loaded once for every row. With `COUNT`
+/// it returns the non-finite row sums, otherwise 0.
 ///
 /// # Safety
 /// Caller must have verified `avx2` and `fma` at runtime, and
 /// `dst ≥ (n−1)·dstride + w`, `src ≥ (α−1)·sstride + w` elements with
 /// `n = coeffs.len() / α`.
 #[target_feature(enable = "avx2", enable = "fma")]
-pub unsafe fn gather_axpy_rows(
+pub unsafe fn gather_axpy_rows<const COUNT: bool>(
     dst: &mut [f32],
     dstride: usize,
     coeffs: &[f32],
@@ -93,7 +75,7 @@ pub unsafe fn gather_axpy_rows(
     src: &[f32],
     sstride: usize,
     w: usize,
-) {
+) -> u64 {
     let (dp, sp, cp) = (dst.as_mut_ptr(), src.as_ptr(), coeffs.as_ptr());
     let geom = RowGeom {
         dstride,
@@ -101,34 +83,36 @@ pub unsafe fn gather_axpy_rows(
         n: coeffs.len() / alpha,
     };
     let full = lane_mask(LANES);
+    let mut non_finite = 0u64;
     let mut j = 0;
     while j < w {
         let left = w - j;
         let at = (dp.add(j), cp, sp.add(j));
-        if alpha == 16 || left < 2 * LANES {
+        non_finite += if alpha == 16 || left < 2 * LANES {
             let masks = [lane_mask(left)];
-            match (alpha, left < LANES) {
-                (2, false) => rows_chunk::<2, 1, false>(at, geom, masks),
-                (4, false) => rows_chunk::<4, 1, false>(at, geom, masks),
-                (8, false) => rows_chunk::<8, 1, false>(at, geom, masks),
-                (16, false) => rows_chunk::<16, 1, false>(at, geom, masks),
-                (2, true) => rows_chunk::<2, 1, true>(at, geom, masks),
-                (4, true) => rows_chunk::<4, 1, true>(at, geom, masks),
-                (8, true) => rows_chunk::<8, 1, true>(at, geom, masks),
-                (16, true) => rows_chunk::<16, 1, true>(at, geom, masks),
-                _ => {} // unreachable: the wrapper sends other α to the portable body
-            }
             j += left.min(LANES);
-        } else {
-            match alpha {
-                2 => rows_chunk::<2, 2, false>(at, geom, [full; 2]),
-                4 => rows_chunk::<4, 2, false>(at, geom, [full; 2]),
-                8 => rows_chunk::<8, 2, false>(at, geom, [full; 2]),
-                _ => {} // unreachable: as above
+            match (alpha, left < LANES) {
+                (2, false) => rows_chunk::<2, 1, false, COUNT>(at, geom, masks),
+                (4, false) => rows_chunk::<4, 1, false, COUNT>(at, geom, masks),
+                (8, false) => rows_chunk::<8, 1, false, COUNT>(at, geom, masks),
+                (16, false) => rows_chunk::<16, 1, false, COUNT>(at, geom, masks),
+                (2, true) => rows_chunk::<2, 1, true, COUNT>(at, geom, masks),
+                (4, true) => rows_chunk::<4, 1, true, COUNT>(at, geom, masks),
+                (8, true) => rows_chunk::<8, 1, true, COUNT>(at, geom, masks),
+                (16, true) => rows_chunk::<16, 1, true, COUNT>(at, geom, masks),
+                _ => 0, // unreachable: the wrapper sends other α to the portable body
             }
+        } else {
             j += 2 * LANES;
-        }
+            match alpha {
+                2 => rows_chunk::<2, 2, false, COUNT>(at, geom, [full; 2]),
+                4 => rows_chunk::<4, 2, false, COUNT>(at, geom, [full; 2]),
+                8 => rows_chunk::<8, 2, false, COUNT>(at, geom, [full; 2]),
+                _ => 0, // unreachable: as above
+            }
+        };
     }
+    non_finite
 }
 
 /// Strides of one [`gather_axpy_rows`] call (this body's and the AVX-512
@@ -173,7 +157,9 @@ unsafe fn add_store8<const MASKED: bool>(p: *mut f32, mask: __m256i, y: __m256) 
 
 /// One `8·V`-lane column of [`gather_axpy_rows`] at a compile-time α:
 /// load the α source vectors once, then fold them into every row with
-/// mul + add in β order, each sum starting at +0.0.
+/// mul + add in β order, each sum starting at +0.0; with `COUNT`, count
+/// the live lanes whose sum is not finite (`|y| < ∞` fails for ±∞ and
+/// NaN) before adding them on.
 ///
 /// # Safety
 /// `avx2` verified at runtime; `at = (dst, coeffs, src)` points at the
@@ -182,12 +168,14 @@ unsafe fn add_store8<const MASKED: bool>(p: *mut f32, mask: __m256i, y: __m256) 
 /// output rows and `A` planes is in bounds.
 #[inline]
 #[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn rows_chunk<const A: usize, const V: usize, const MASKED: bool>(
+unsafe fn rows_chunk<const A: usize, const V: usize, const MASKED: bool, const COUNT: bool>(
     at: (*mut f32, *const f32, *const f32),
     geom: RowGeom,
     masks: [__m256i; V],
-) {
+) -> u64 {
     let (dst, coeffs, src) = at;
+    let inf = _mm256_set1_ps(f32::INFINITY);
+    let mut non_finite = 0u32;
     let mut planes = [[_mm256_setzero_ps(); V]; A];
     for (b, p) in planes.iter_mut().enumerate() {
         for (v, lane) in p.iter_mut().enumerate() {
@@ -205,9 +193,58 @@ unsafe fn rows_chunk<const A: usize, const V: usize, const MASKED: bool>(
         }
         let o = dst.add(d * geom.dstride);
         for (v, &yl) in y.iter().enumerate() {
+            if COUNT {
+                let live = _mm256_movemask_ps(_mm256_castsi256_ps(masks[v]));
+                non_finite += (live & !finite_lanes(yl, inf)).count_ones();
+            }
             add_store8::<MASKED>(o.add(v * LANES), masks[v], yl);
         }
     }
+    u64::from(non_finite)
+}
+
+/// Bit `l` set when lane `l` of `v` is finite (`|v| < ∞`, false for ±∞
+/// and NaN); `inf` is `+∞` in every lane.
+#[inline]
+#[target_feature(enable = "avx2", enable = "fma")]
+fn finite_lanes(v: __m256, inf: __m256) -> i32 {
+    let abs = _mm256_andnot_ps(_mm256_set1_ps(-0.0), v);
+    _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_LT_OQ>(abs, inf))
+}
+
+/// Binary16 round trip (see the safe wrapper `super::round_f16`): F16C's
+/// `vcvtps2ph` (round to nearest even from the immediate 0) and
+/// `vcvtph2ps`, 8 lanes at a time, the tail under `maskload`/`maskstore`.
+/// A lane saturates when it was finite before the round trip and is not
+/// after it.
+///
+/// # Safety
+/// Caller must have verified `avx2`, `fma` and `f16c` at runtime.
+#[target_feature(enable = "avx2", enable = "fma", enable = "f16c")]
+pub unsafe fn round_f16(buf: &mut [f32]) -> u64 {
+    let (n, p) = (buf.len(), buf.as_mut_ptr());
+    let inf = _mm256_set1_ps(f32::INFINITY);
+    let mut saturated = 0u64;
+    let mut i = 0;
+    while i < n {
+        let (at, mask) = (p.add(i), lane_mask(n - i));
+        let whole = n - i >= LANES;
+        let v = if whole {
+            _mm256_loadu_ps(at)
+        } else {
+            _mm256_maskload_ps(at, mask)
+        };
+        let r = _mm256_cvtph_ps(_mm256_cvtps_ph::<_MM_FROUND_TO_NEAREST_INT>(v));
+        if whole {
+            _mm256_storeu_ps(at, r);
+        } else {
+            _mm256_maskstore_ps(at, mask, r);
+        }
+        let live = _mm256_movemask_ps(_mm256_castsi256_ps(mask));
+        saturated += u64::from((live & finite_lanes(v, inf) & !finite_lanes(r, inf)).count_ones());
+        i += LANES;
+    }
+    saturated
 }
 
 /// Staged α-batched EWMM (see the safe wrapper `super::rank_k_batch`):

@@ -48,30 +48,6 @@ pub unsafe fn axpy(dst: &mut [f32], a: f32, x: &[f32]) {
     }
 }
 
-/// # Safety
-/// Caller must have verified `avx512f`, `avx2` and `fma` at runtime.
-#[target_feature(enable = "avx512f", enable = "avx2", enable = "fma")]
-pub unsafe fn add_assign(dst: &mut [f32], x: &[f32]) {
-    let n = dst.len();
-    let dp = dst.as_mut_ptr();
-    let xp = x.as_ptr();
-    let mut i = 0;
-    while i + LANES16 <= n {
-        let sum = _mm512_add_ps(_mm512_loadu_ps(dp.add(i)), _mm512_loadu_ps(xp.add(i)));
-        _mm512_storeu_ps(dp.add(i), sum);
-        i += LANES16;
-    }
-    if i + LANES8 <= n {
-        let sum = _mm256_add_ps(_mm256_loadu_ps(dp.add(i)), _mm256_loadu_ps(xp.add(i)));
-        _mm256_storeu_ps(dp.add(i), sum);
-        i += LANES8;
-    }
-    while i < n {
-        *dp.add(i) += *xp.add(i);
-        i += 1;
-    }
-}
-
 /// Batched transform AXPY (see the safe wrapper): the β loop runs inside
 /// the `target_feature` body so the per-chunk `axpy` calls inline here.
 ///
@@ -100,14 +76,15 @@ pub unsafe fn gather_axpy(dst: &mut [f32], coeffs: &[f32], src: &[f32], sstride:
 /// Multi-row reduction AXPY (see the safe wrapper
 /// `super::gather_axpy_rows`) for α ∈ {2, 4, 8, 16}: columns of two
 /// 16-lane vectors, a lane tail under a load/store mask; a column's α
-/// source vectors are loaded once for every row.
+/// source vectors are loaded once for every row. With `COUNT` it returns
+/// the non-finite row sums, otherwise 0.
 ///
 /// # Safety
 /// Caller must have verified `avx512f`, `avx2` and `fma` at runtime, and
 /// `dst ≥ (n−1)·dstride + w`, `src ≥ (α−1)·sstride + w` elements with
 /// `n = coeffs.len() / α`.
 #[target_feature(enable = "avx512f", enable = "avx2", enable = "fma")]
-pub unsafe fn gather_axpy_rows(
+pub unsafe fn gather_axpy_rows<const COUNT: bool>(
     dst: &mut [f32],
     dstride: usize,
     coeffs: &[f32],
@@ -115,44 +92,48 @@ pub unsafe fn gather_axpy_rows(
     src: &[f32],
     sstride: usize,
     w: usize,
-) {
+) -> u64 {
     let (dp, sp, cp) = (dst.as_mut_ptr(), src.as_ptr(), coeffs.as_ptr());
     let geom = RowGeom {
         dstride,
         sstride,
         n: coeffs.len() / alpha,
     };
+    let mut non_finite = 0u64;
     let mut j = 0;
     while j < w {
         let left = w - j;
         let at = (dp.add(j), cp, sp.add(j));
-        if left > LANES16 {
+        non_finite += if left > LANES16 {
             let masks = [lane_mask(LANES16), lane_mask(left - LANES16)];
             match alpha {
-                2 => rows_chunk::<2, 2>(at, geom, masks),
-                4 => rows_chunk::<4, 2>(at, geom, masks),
-                8 => rows_chunk::<8, 2>(at, geom, masks),
-                16 => rows_chunk::<16, 2>(at, geom, masks),
-                _ => {} // unreachable: the wrapper sends other α to the portable body
+                2 => rows_chunk::<2, 2, COUNT>(at, geom, masks),
+                4 => rows_chunk::<4, 2, COUNT>(at, geom, masks),
+                8 => rows_chunk::<8, 2, COUNT>(at, geom, masks),
+                16 => rows_chunk::<16, 2, COUNT>(at, geom, masks),
+                _ => 0, // unreachable: the wrapper sends other α to the portable body
             }
         } else {
             let masks = [lane_mask(left)];
             match alpha {
-                2 => rows_chunk::<2, 1>(at, geom, masks),
-                4 => rows_chunk::<4, 1>(at, geom, masks),
-                8 => rows_chunk::<8, 1>(at, geom, masks),
-                16 => rows_chunk::<16, 1>(at, geom, masks),
-                _ => {} // unreachable: as above
+                2 => rows_chunk::<2, 1, COUNT>(at, geom, masks),
+                4 => rows_chunk::<4, 1, COUNT>(at, geom, masks),
+                8 => rows_chunk::<8, 1, COUNT>(at, geom, masks),
+                16 => rows_chunk::<16, 1, COUNT>(at, geom, masks),
+                _ => 0, // unreachable: as above
             }
-        }
+        };
         j += left.min(2 * LANES16);
     }
+    non_finite
 }
 
 /// One `16·V`-lane column of [`gather_axpy_rows`] at a compile-time α:
 /// load the α source vectors once, then fold them into every row with
-/// mul + add in β order, each sum starting at +0.0. Lanes outside `masks`
-/// are neither read nor written.
+/// mul + add in β order, each sum starting at +0.0; with `COUNT`, count
+/// the sums that are not finite (`|y| < ∞` fails for ±∞ and NaN) before
+/// adding them on. Lanes outside `masks` are neither read, written nor
+/// counted.
 ///
 /// # Safety
 /// `avx512f` verified at runtime; `at = (dst, coeffs, src)` points at the
@@ -161,12 +142,14 @@ pub unsafe fn gather_axpy_rows(
 /// output rows and `A` planes is in bounds.
 #[inline]
 #[target_feature(enable = "avx512f", enable = "avx2", enable = "fma")]
-unsafe fn rows_chunk<const A: usize, const V: usize>(
+unsafe fn rows_chunk<const A: usize, const V: usize, const COUNT: bool>(
     at: (*mut f32, *const f32, *const f32),
     geom: RowGeom,
     masks: [__mmask16; V],
-) {
+) -> u64 {
     let (dst, coeffs, src) = at;
+    let inf = _mm512_set1_ps(f32::INFINITY);
+    let mut non_finite = 0u32;
     let mut planes = [[_mm512_setzero_ps(); V]; A];
     for (b, p) in planes.iter_mut().enumerate() {
         for (v, lane) in p.iter_mut().enumerate() {
@@ -184,11 +167,43 @@ unsafe fn rows_chunk<const A: usize, const V: usize>(
         }
         let o = dst.add(d * geom.dstride);
         for (v, &yl) in y.iter().enumerate() {
+            if COUNT {
+                let finite = _mm512_cmp_ps_mask::<_CMP_LT_OQ>(_mm512_abs_ps(yl), inf);
+                non_finite += (masks[v] & !finite).count_ones();
+            }
             let ov = o.add(v * LANES16);
             let sum = _mm512_add_ps(_mm512_maskz_loadu_ps(masks[v], ov), yl);
             _mm512_mask_storeu_ps(ov, masks[v], sum);
         }
     }
+    u64::from(non_finite)
+}
+
+/// Binary16 round trip (see the safe wrapper `super::round_f16`): 16
+/// lanes per `vcvtps2ph` + `vcvtph2ps`, rounding to nearest even from the
+/// immediate, the lane tail under a load/store mask. A lane saturates
+/// when `|v| < ∞` held before the round trip and fails after it.
+///
+/// # Safety
+/// Caller must have verified `avx512f`, `avx2` and `fma` at runtime.
+#[target_feature(enable = "avx512f", enable = "avx2", enable = "fma")]
+pub unsafe fn round_f16(buf: &mut [f32]) -> u64 {
+    let (n, p) = (buf.len(), buf.as_mut_ptr());
+    let inf = _mm512_set1_ps(f32::INFINITY);
+    let mut saturated = 0u64;
+    let mut i = 0;
+    while i < n {
+        let mask = lane_mask(n - i);
+        let v = _mm512_maskz_loadu_ps(mask, p.add(i));
+        let half = _mm512_cvtps_ph::<{ _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC }>(v);
+        let r = _mm512_cvtph_ps(half);
+        let was = _mm512_cmp_ps_mask::<_CMP_LT_OQ>(_mm512_abs_ps(v), inf);
+        let now = _mm512_cmp_ps_mask::<_CMP_LT_OQ>(_mm512_abs_ps(r), inf);
+        saturated += u64::from((mask & was & !now).count_ones());
+        _mm512_mask_storeu_ps(p.add(i), mask, r);
+        i += LANES16;
+    }
+    saturated
 }
 
 /// Staged α-batched EWMM (see the safe wrapper `super::rank_k_batch`):

@@ -35,6 +35,7 @@
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
+use winrs_fp16::f16;
 
 #[cfg(target_arch = "x86_64")]
 mod avx2;
@@ -66,7 +67,8 @@ pub const FORCE_WIDTH_ENV: &str = "WINRS_FORCE_WIDTH";
 pub enum SimdWidth {
     /// Auto-vectorised scalar bodies — always available.
     Scalar = 0,
-    /// Explicit 8-lane AVX2 bodies (x86-64, `avx2` + `fma` detected).
+    /// Explicit 8-lane AVX2 bodies (x86-64, `avx2` + `fma` + `f16c`
+    /// detected; F16C's `vcvtps2ph`/`vcvtph2ps` pair re-rounds FP16 tiles).
     Avx2 = 1,
     /// Explicit 16-lane AVX-512 bodies (x86-64, `avx512f` on top of the
     /// AVX2 pair — the 4×8 GEMM tile and row epilogues reuse 256-bit ops).
@@ -236,16 +238,20 @@ pub fn detected_width() -> SimdWidth {
     })
 }
 
+/// The AVX2 bodies need `avx2` + `fma` for the arithmetic and `f16c` for
+/// the binary16 round trip ([`round_f16`]). Every AVX2 CPU has F16C.
 #[cfg(target_arch = "x86_64")]
 fn avx2_ready() -> bool {
     static READY: OnceLock<bool> = OnceLock::new();
     *READY.get_or_init(|| {
-        std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
+        std::arch::is_x86_feature_detected!("avx2")
+            && std::arch::is_x86_feature_detected!("fma")
+            && std::arch::is_x86_feature_detected!("f16c")
     })
 }
 
 /// The AVX-512 bodies need `avx512f` for the 16-lane ops *and* the AVX2
-/// pair: the 4×8 GEMM tile is one 256-bit row (no 512-bit shape exists
+/// set: the 4×8 GEMM tile is one 256-bit row (no 512-bit shape exists
 /// for it), so its body and the row epilogues run AVX2 instructions.
 #[cfg(target_arch = "x86_64")]
 fn avx512_ready() -> bool {
@@ -300,28 +306,6 @@ pub fn axpy(dst: &mut [f32], a: f32, x: &[f32]) {
         return unsafe { neon::axpy(dst, a, &x[..n]) };
     }
     axpy_scalar(dst, a, &x[..n]);
-}
-
-/// `dst[i] += x[i]` over `dst.len()` elements (`x` at least as long).
-// BOUNDS(x): len
-#[inline]
-pub fn add_assign(dst: &mut [f32], x: &[f32]) {
-    let n = dst.len();
-    debug_assert!(x.len() >= n, "add_assign: x shorter than dst");
-    #[cfg(target_arch = "x86_64")]
-    match active_width() {
-        // SAFETY: avx512f+avx2+fma verified at runtime (`avx512_ready`).
-        SimdWidth::Avx512 => return unsafe { avx512::add_assign(dst, &x[..n]) },
-        // SAFETY: avx2+fma verified at runtime (`avx2_ready`).
-        SimdWidth::Avx2 => return unsafe { avx2::add_assign(dst, &x[..n]) },
-        _ => {}
-    }
-    #[cfg(target_arch = "aarch64")]
-    if active_width() == SimdWidth::Neon {
-        // SAFETY: neon verified at runtime (`neon_ready`).
-        return unsafe { neon::add_assign(dst, &x[..n]) };
-    }
-    add_assign_scalar(dst, &x[..n]);
 }
 
 /// Batched transform AXPY: `dst` is `k` consecutive chunks of width
@@ -436,13 +420,24 @@ fn gather_axpy_w<const W: usize>(dst: &mut [f32], coeffs: &[f32], src: &[f32], s
 /// `dst[d·dstride + j] += Σ_β coeffs[d·α + β] · src[β·sstride + j]` for
 /// `j < w`. Each row's sum starts at `+0.0` and adds the β terms in order
 /// with mul + add, so every element computes exactly what [`gather_axpy`]
-/// into a zeroed row followed by [`add_assign`] computes — the bodies
-/// just keep the sum in a register instead of storing it α times, and
-/// load each lane chunk of the α source planes once for all `n` rows.
+/// into a zeroed row followed by an element-wise add onto `dst` computes
+/// — the bodies just keep the sum in a register instead of storing it α
+/// times, and load each lane chunk of the α source planes once for all
+/// `n` rows.
 /// The explicit bodies cover the engine's α ∈ {2, 4, 8, 16}; any other α
 /// runs the portable loop at every width.
+///
+/// With `count` it returns how many of the `n·w` row sums were not
+/// finite (±∞ or NaN), taken on each sum before it is added onto `dst` —
+/// the engine's numeric-health count, so the output transform never
+/// rescans its rows. The explicit bodies count with a vector compare and
+/// a mask popcount, and the count is the same at every width. Without
+/// `count` it returns 0 and runs bodies compiled without the compare,
+/// which made the AVX-512 body 25–35 % slower at α = 8 on cache-resident
+/// rows.
 // BOUNDS(dst): len
 #[inline]
+#[allow(clippy::too_many_arguments)]
 pub fn gather_axpy_rows(
     dst: &mut [f32],
     dstride: usize,
@@ -451,9 +446,10 @@ pub fn gather_axpy_rows(
     src: &[f32],
     sstride: usize,
     w: usize,
-) {
+    count: bool,
+) -> u64 {
     if alpha == 0 || w == 0 || coeffs.len() < alpha {
-        return;
+        return 0;
     }
     let n = coeffs.len() / alpha;
     assert!(
@@ -467,22 +463,51 @@ pub fn gather_axpy_rows(
             // (`avx512_ready`); the extents the body touches are asserted
             // above.
             return unsafe {
-                avx512::gather_axpy_rows(dst, dstride, coeffs, alpha, src, sstride, w)
+                if count {
+                    avx512::gather_axpy_rows::<true>(dst, dstride, coeffs, alpha, src, sstride, w)
+                } else {
+                    avx512::gather_axpy_rows::<false>(dst, dstride, coeffs, alpha, src, sstride, w)
+                }
             };
         }
         SimdWidth::Avx2 if matches!(alpha, 2 | 4 | 8 | 16) => {
             // SAFETY: avx2+fma verified at runtime (`avx2_ready`); extents
             // asserted above.
-            return unsafe { avx2::gather_axpy_rows(dst, dstride, coeffs, alpha, src, sstride, w) };
+            return unsafe {
+                if count {
+                    avx2::gather_axpy_rows::<true>(dst, dstride, coeffs, alpha, src, sstride, w)
+                } else {
+                    avx2::gather_axpy_rows::<false>(dst, dstride, coeffs, alpha, src, sstride, w)
+                }
+            };
         }
         _ => {}
     }
+    if count {
+        gather_rows_any_alpha::<true>(dst, dstride, coeffs, alpha, src, sstride, w)
+    } else {
+        gather_rows_any_alpha::<false>(dst, dstride, coeffs, alpha, src, sstride, w)
+    }
+}
+
+/// The portable member of [`gather_axpy_rows`]: a compile-time-α body for
+/// the engine's four α, the element loop for any other.
+#[inline]
+fn gather_rows_any_alpha<const COUNT: bool>(
+    dst: &mut [f32],
+    dstride: usize,
+    coeffs: &[f32],
+    alpha: usize,
+    src: &[f32],
+    sstride: usize,
+    w: usize,
+) -> u64 {
     match alpha {
-        2 => gather_rows_portable::<2>(dst, dstride, coeffs, src, sstride, w),
-        4 => gather_rows_portable::<4>(dst, dstride, coeffs, src, sstride, w),
-        8 => gather_rows_portable::<8>(dst, dstride, coeffs, src, sstride, w),
-        16 => gather_rows_portable::<16>(dst, dstride, coeffs, src, sstride, w),
-        _ => gather_rows_scalar(dst, dstride, coeffs, alpha, src, sstride, 0..w),
+        2 => gather_rows_portable::<2, COUNT>(dst, dstride, coeffs, src, sstride, w),
+        4 => gather_rows_portable::<4, COUNT>(dst, dstride, coeffs, src, sstride, w),
+        8 => gather_rows_portable::<8, COUNT>(dst, dstride, coeffs, src, sstride, w),
+        16 => gather_rows_portable::<16, COUNT>(dst, dstride, coeffs, src, sstride, w),
+        _ => gather_rows_scalar::<COUNT>(dst, dstride, coeffs, alpha, src, sstride, 0..w),
     }
 }
 
@@ -491,15 +516,16 @@ pub fn gather_axpy_rows(
 /// planes is copied into a fixed array once and folded into every row;
 /// the lane tail runs element by element in the same β order.
 #[inline]
-fn gather_rows_portable<const A: usize>(
+fn gather_rows_portable<const A: usize, const COUNT: bool>(
     dst: &mut [f32],
     dstride: usize,
     coeffs: &[f32],
     src: &[f32],
     sstride: usize,
     w: usize,
-) {
+) -> u64 {
     let w_full = w - w % LANES;
+    let mut non_finite = 0u64;
     for j in (0..w_full).step_by(LANES) {
         let mut planes = [[0.0f32; LANES]; A];
         for (b, p) in planes.iter_mut().enumerate() {
@@ -514,17 +540,20 @@ fn gather_rows_portable<const A: usize>(
             }
             let out = &mut dst[d * dstride + j..d * dstride + j + LANES];
             for (o, v) in out.iter_mut().zip(y) {
+                if COUNT {
+                    non_finite += u64::from(!v.is_finite());
+                }
                 *o += v;
             }
         }
     }
-    gather_rows_scalar(dst, dstride, coeffs, A, src, sstride, w_full..w);
+    non_finite + gather_rows_scalar::<COUNT>(dst, dstride, coeffs, A, src, sstride, w_full..w)
 }
 
 /// [`gather_axpy_rows`] element by element over `lanes`: the portable
 /// body's lane tail, and every lane for an α off the engine's set.
 #[inline]
-fn gather_rows_scalar(
+fn gather_rows_scalar<const COUNT: bool>(
     dst: &mut [f32],
     dstride: usize,
     coeffs: &[f32],
@@ -532,16 +561,21 @@ fn gather_rows_scalar(
     src: &[f32],
     sstride: usize,
     lanes: std::ops::Range<usize>,
-) {
+) -> u64 {
+    let mut non_finite = 0u64;
     for j in lanes {
         for (d, c) in coeffs.chunks_exact(alpha).enumerate() {
             let mut y = 0.0f32;
             for (b, &cb) in c.iter().enumerate() {
                 y += cb * src[b * sstride + j];
             }
+            if COUNT {
+                non_finite += u64::from(!y.is_finite());
+            }
             dst[d * dstride + j] += y;
         }
     }
+    non_finite
 }
 
 /// Staged α-batched EWMM: `k` successive outer-product steps folded into
@@ -646,6 +680,52 @@ fn rank_k_portable(
     }
 }
 
+/// Re-round every element of `buf` through IEEE-754 binary16 in place —
+/// `v ← f16::from_f32(v).to_f32()`, round to nearest even, gradual
+/// underflow, overflow to ±∞, NaNs quieted — and return the saturations:
+/// the elements that were finite before and are not after. This is the
+/// FP16 engine's per-tile re-rounding (the paper's `cvt.rn.f16.f32`
+/// before the Tensor-Core `mma`).
+///
+/// The portable body is that scalar loop (the scalar and NEON members run
+/// it). The AVX2 body runs F16C's `vcvtps2ph`/`vcvtph2ps` pair and the
+/// AVX-512 body their 16-lane forms, both with round to nearest even in
+/// the instruction's immediate, never MXCSR's mode. `vcvtps2ph` equals
+/// `f16::from_f32` on every f32, and `vcvtph2ps` equals `f16::to_f32` on
+/// every half `from_f32` can produce: the two differ only on signalling
+/// NaN halves (the hardware sets the quiet bit), and `from_f32` always
+/// emits a quiet NaN. So every member gives the same bits and the same
+/// count on all 2³² inputs (`tests/f16_rounding.rs`); the instruction
+/// pair must not be used to widen *stored* halves.
+// BOUNDS(buf): len
+#[inline]
+pub fn round_f16(buf: &mut [f32]) -> u64 {
+    #[cfg(target_arch = "x86_64")]
+    match active_width() {
+        // SAFETY: avx512f+avx2+fma+f16c verified at runtime
+        // (`avx512_ready`); the body reads and writes only `buf`'s
+        // elements, its lane tail under a mask.
+        SimdWidth::Avx512 => return unsafe { avx512::round_f16(buf) },
+        // SAFETY: avx2+fma+f16c verified at runtime (`avx2_ready`); the
+        // body touches only `buf`'s elements, its tail masked.
+        SimdWidth::Avx2 => return unsafe { avx2::round_f16(buf) },
+        _ => {}
+    }
+    round_f16_portable(buf)
+}
+
+/// Portable body of [`round_f16`]: the scalar reference loop.
+#[inline]
+fn round_f16_portable(buf: &mut [f32]) -> u64 {
+    let mut saturated = 0u64;
+    for v in buf.iter_mut() {
+        let r = f16::from_f32(*v).to_f32();
+        saturated += u64::from(v.is_finite() && !r.is_finite());
+        *v = r;
+    }
+    saturated
+}
+
 // The scalar bodies carry `#[inline]` too: the public wrappers are
 // cross-crate inlined into the engine's hot loop, and without MIR for the
 // bodies every 4–8 element AXPY would stay an outlined call.
@@ -659,13 +739,6 @@ fn rank_k_portable(
 fn axpy_scalar(dst: &mut [f32], a: f32, x: &[f32]) {
     for (d, s) in dst.iter_mut().zip(x) {
         *d += a * *s;
-    }
-}
-
-#[inline]
-fn add_assign_scalar(dst: &mut [f32], x: &[f32]) {
-    for (d, s) in dst.iter_mut().zip(x) {
-        *d += *s;
     }
 }
 
@@ -824,26 +897,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn add_assign_matches_plain_loop_every_width() {
-        let _g = DISPATCH_LOCK.lock().unwrap();
-        for n in [3usize, 8, 16, 17, 33, 64] {
-            let x = pseudo(n as u32 + 9, n);
-            let base = pseudo(n as u32 + 10, n);
-            let mut want = base.clone();
-            for i in 0..n {
-                want[i] += x[i];
-            }
-            for w in available() {
-                force_width(Some(w)).unwrap();
-                let mut dst = base.clone();
-                add_assign(&mut dst, &x);
-                assert_eq!(dst, want, "n={n} width={w}");
-            }
-            force_width(None).unwrap();
-        }
-    }
-
     /// The EWMM reference every width is held to: step by step, plane by
     /// plane, `acc += g·d` one element at a time (`g` is `k × α × bn`,
     /// `d` is `k × α × bm`).
@@ -975,12 +1028,17 @@ mod tests {
     }
 
     /// The OT kernel against its definition: `gather_axpy` into a zeroed
-    /// row, then `add_assign` onto the output row — every α (the engine's
-    /// four plus odd ones off the compile-time bodies), n = 1..9 rows,
-    /// lane tails around 8 and 16, every width. Gaps between output rows
-    /// and past the last one hold sentinels that must survive.
-    #[test]
-    fn gather_axpy_rows_matches_gather_axpy_into_zeroed_rows_every_width() {
+    /// row, then an element-wise add onto the output row, and the count of
+    /// non-finite row sums — every α (the engine's four plus odd ones off
+    /// the compile-time bodies), n = 1..9 rows, lane tails around 8 and
+    /// 16, every width. Gaps between output rows and past the last one
+    /// hold sentinels that must survive. With `plant`, source planes carry
+    /// NaN, +∞ and −∞ at a few lanes (lane 0 takes ∞s of both signs from
+    /// two planes, which can cancel to NaN), and the output sentinels
+    /// carry non-finite values the count must not see; NaN outputs then
+    /// only have to be NaN, since IEEE-754 leaves the payload of a two-NaN
+    /// add open.
+    fn check_gather_axpy_rows(plant: bool) {
         let _g = DISPATCH_LOCK.lock().unwrap();
         for alpha in [1usize, 2, 3, 4, 8, 16] {
             for n in 1..=9usize {
@@ -988,29 +1046,57 @@ mod tests {
                     let (dstride, sstride) = (w + 3, 2 * w + 1);
                     let seed = (alpha * 1000 + n * 100 + w) as u32;
                     let coeffs = pseudo(seed, n * alpha);
-                    let src = pseudo(seed + 1, (alpha - 1) * sstride + w);
-                    let base = pseudo(seed + 2, n * dstride + 16);
+                    let mut src = pseudo(seed + 1, (alpha - 1) * sstride + w);
+                    let mut base = pseudo(seed + 2, n * dstride + 16);
+                    if plant {
+                        src[w - 1] = f32::NAN;
+                        src[(alpha - 1) * sstride + w / 2] = f32::INFINITY;
+                        src[(alpha - 1) * sstride] = f32::NEG_INFINITY;
+                        src[0] = f32::INFINITY;
+                        base[w] = f32::NAN; // a gap lane, never a row sum
+                        base[n * dstride + 1] = f32::INFINITY;
+                    }
                     force_width(Some(SimdWidth::Scalar)).unwrap();
                     let mut want = base.clone();
+                    let mut want_count = 0u64;
                     for d in 0..n {
                         let mut row = vec![0.0f32; w];
                         gather_axpy(&mut row, &coeffs[d * alpha..(d + 1) * alpha], &src, sstride);
-                        add_assign(&mut want[d * dstride..d * dstride + w], &row);
+                        want_count += row.iter().filter(|y| !y.is_finite()).count() as u64;
+                        for (o, y) in want[d * dstride..].iter_mut().zip(&row) {
+                            *o += y;
+                        }
                     }
+                    assert_eq!(want_count > 0, plant, "alpha={alpha} n={n} w={w}");
                     for width in available() {
                         force_width(Some(width)).unwrap();
-                        let mut got = base.clone();
-                        gather_axpy_rows(&mut got, dstride, &coeffs, alpha, &src, sstride, w);
-                        assert_eq!(
-                            bits(&got),
-                            bits(&want),
-                            "alpha={alpha} n={n} w={w} width={width}"
-                        );
+                        for count in [true, false] {
+                            let mut got = base.clone();
+                            let non_finite = gather_axpy_rows(
+                                &mut got, dstride, &coeffs, alpha, &src, sstride, w, count,
+                            );
+                            let same = got.iter().zip(&want).all(|(a, b)| {
+                                a.to_bits() == b.to_bits() || (plant && a.is_nan() && b.is_nan())
+                            });
+                            let case = format!("alpha={alpha} n={n} w={w} {width} count={count}");
+                            assert!(same, "{case}");
+                            assert_eq!(non_finite, if count { want_count } else { 0 }, "{case}");
+                        }
                     }
                     force_width(None).unwrap();
                 }
             }
         }
+    }
+
+    #[test]
+    fn gather_axpy_rows_matches_gather_axpy_into_zeroed_rows_every_width() {
+        check_gather_axpy_rows(false);
+    }
+
+    #[test]
+    fn gather_axpy_rows_counts_planted_non_finite_sums_every_width() {
+        check_gather_axpy_rows(true);
     }
 
     #[test]

@@ -32,25 +32,6 @@ pub unsafe fn axpy(dst: &mut [f32], a: f32, x: &[f32]) {
     }
 }
 
-/// # Safety
-/// Caller must have verified `neon` at runtime.
-#[target_feature(enable = "neon")]
-pub unsafe fn add_assign(dst: &mut [f32], x: &[f32]) {
-    let n = dst.len();
-    let dp = dst.as_mut_ptr();
-    let xp = x.as_ptr();
-    let mut i = 0;
-    while i + LANES4 <= n {
-        let sum = vaddq_f32(vld1q_f32(dp.add(i)), vld1q_f32(xp.add(i)));
-        vst1q_f32(dp.add(i), sum);
-        i += LANES4;
-    }
-    while i < n {
-        *dp.add(i) += *xp.add(i);
-        i += 1;
-    }
-}
-
 /// Batched transform AXPY (see the safe wrapper): the β loop runs inside
 /// the `target_feature` body so the per-chunk `axpy` calls inline here.
 ///

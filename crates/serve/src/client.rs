@@ -27,6 +27,25 @@ impl Reply {
     }
 }
 
+/// Serialise one `Connection: close` request with a JSON body and send
+/// it in a single `write_all`: a head written apart from its body would
+/// wait under Nagle's algorithm for the server's delayed ACK.
+fn write_request<W: Write>(
+    stream: &mut W,
+    method: &str,
+    path: &str,
+    host: &str,
+    body: &str,
+) -> std::io::Result<()> {
+    let message = format!(
+        "{method} {path} HTTP/1.1\r\nHost: {host}\r\nContent-Type: application/json\r\n\
+         Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
+        body.len()
+    );
+    stream.write_all(message.as_bytes())?;
+    stream.flush()
+}
+
 /// Blocking client bound to one server address.
 #[derive(Clone, Debug)]
 pub struct Client {
@@ -71,18 +90,14 @@ impl Client {
             .try_clone()
             .map_err(|e| format!("clone stream: {e}"))?;
 
-        let payload = body.unwrap_or("");
-        let head = format!(
-            "{method} {path} HTTP/1.1\r\nHost: {}\r\nContent-Type: application/json\r\n\
-             Content-Length: {}\r\nConnection: close\r\n\r\n",
-            self.addr,
-            payload.len()
-        );
-        write_half
-            .write_all(head.as_bytes())
-            .and_then(|()| write_half.write_all(payload.as_bytes()))
-            .and_then(|()| write_half.flush())
-            .map_err(|e| format!("send request: {e}"))?;
+        write_request(
+            &mut write_half,
+            method,
+            path,
+            &self.addr,
+            body.unwrap_or(""),
+        )
+        .map_err(|e| format!("send request: {e}"))?;
 
         let mut reader = BufReader::new(stream);
         let mut status_line = String::new();
@@ -128,5 +143,25 @@ impl Client {
             retry_after,
             body,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::http::tests::CountingWriter;
+
+    #[test]
+    fn request_is_written_in_one_write() {
+        let mut w = CountingWriter::default();
+        write_request(&mut w, "POST", "/v1/bfc", "127.0.0.1:9", "{\"n\":1}").unwrap();
+        assert_eq!(w.writes, 1, "head and body must leave in one write");
+        let text = String::from_utf8(w.bytes).unwrap();
+        assert!(
+            text.starts_with("POST /v1/bfc HTTP/1.1\r\nHost: 127.0.0.1:9\r\n"),
+            "{text}"
+        );
+        let tail = "Content-Length: 7\r\nConnection: close\r\n\r\n{\"n\":1}";
+        assert!(text.ends_with(tail), "{text}");
     }
 }

@@ -9,8 +9,9 @@
 #      scheduler bit-identity suites run at every width the host has), the
 #      no-default-feature leg (core and gemm without `faults`), a
 #      WINRS_FORCE_WIDTH matrix replay over every width available on the
-#      host, and a compile-only aarch64 (NEON) cross-check when that
-#      stdlib is installed
+#      host, the exhaustive binary16 round-trip proof (all 2^32 f32
+#      inputs, release) under the same per-width loop, and a compile-only
+#      aarch64 (NEON) cross-check when that stdlib is installed
 #   3. clippy with warnings promoted to errors — including the
 #      `unwrap_used = "deny"` fail-safe lint on library crates — then the
 #      benchmark package (`perfbench/`, its own Cargo workspace) built and
@@ -111,6 +112,20 @@ step_04() {
   fi
 }
 run_step "forced-width matrix (WINRS_FORCE_WIDTH over every available width)" step_04
+
+step_04b() {
+  # Exhaustive proof of the FP16 re-rounding kernel: all 2^32 f32 bit
+  # patterns through `micro::round_f16` at each width `winrs simd` reports,
+  # against the scalar body, on value bits and saturation count. The test
+  # is ignored under plain `cargo test` (35-60 s per width in release on
+  # a 2-vCPU AVX-512 VM, far longer in debug).
+  AVAILABLE_WIDTHS=$(cargo run -q -p winrs-cli -- simd | awk '$3 == "yes" { print $1 }')
+  for W in $AVAILABLE_WIDTHS; do
+    echo "    width: $W"
+    WINRS_FORCE_WIDTH=$W cargo test -q --release --test f16_rounding -- --ignored
+  done
+}
+run_step "exhaustive binary16 round trip (all 2^32 f32 inputs, release, every available width)" step_04b
 
 step_05() {
   # The offline image may ship only the host stdlib; skip gracefully then.

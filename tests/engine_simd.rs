@@ -10,8 +10,8 @@
 //!    contract (mul+add, never fmadd; fixed accumulation order) made
 //!    observable.
 //! 3. The saturation / non-finite health counters must not depend on the
-//!    dispatch flavour either, pinned with the deterministic fault
-//!    injector.
+//!    dispatch width either: pinned totals, with the deterministic fault
+//!    injector and with a natural FP16 overflow.
 //!
 //! The width pin (`winrs::gemm::micro::force_width`) is process-global, so
 //! every test that toggles it serialises on a local mutex (and restores
@@ -270,53 +270,95 @@ fn engine_gradients_bit_identical_across_every_width() {
     micro::force_width(None).expect("auto always pins");
 }
 
-/// Saturation / non-finite counting must be dispatch-invariant: the
-/// vectorised OT reduction and the scalar loop see the same values, so the
-/// injected fault must produce the *same* counter totals either way.
-#[test]
-fn fault_injection_counts_identical_scalar_vs_auto_dispatch() {
-    let _fg = faults::serial_guard();
-    let _dg = dispatch_guard();
-    let conv = ConvShape::square(1, 12, 2, 2, 3);
-    let (partition, src) = setup(&conv, 2, Precision::Fp16);
-    let x = Tensor4::<f32>::random_uniform([conv.n, conv.ih, conv.iw, conv.ic], 7, 1.0);
-    let dy = Tensor4::<f32>::random_uniform([conv.n, conv.oh(), conv.ow(), conv.oc], 8, 0.01);
-
-    let run = |force: bool| {
-        micro::force_scalar(force);
+/// Run `conv` once at FP16 with a health sink under `width` and `workers`
+/// and return the sink's `(saturated, non_finite)` totals. With `inject`,
+/// every segment's first filter tile gets the fault injector's 1e30
+/// before re-rounding.
+fn fp16_health_totals(
+    conv: &ConvShape,
+    x: &Tensor4<f32>,
+    dy: &Tensor4<f32>,
+    width: Option<micro::SimdWidth>,
+    workers: usize,
+    inject: bool,
+) -> (u64, u64) {
+    let (partition, src) = setup(conv, 2, Precision::Fp16);
+    micro::force_width(width).expect("available width");
+    if inject {
         faults::arm(0..partition.segments.len());
-        let mut buckets = vec![0.0f32; partition.z() * conv.dw_elems()];
-        let sink = HealthSink::new(partition.segments.len());
-        execute_segments_with(
-            &conv,
-            &partition,
-            &src,
-            &x,
-            &dy,
-            TileMode::Fp16,
-            &mut buckets,
-            ExecOptions {
-                health: Some(&sink),
-                ..Default::default()
-            },
-        )
-        .expect("valid arguments");
+    }
+    let mut buckets = vec![0.0f32; partition.z() * conv.dw_elems()];
+    let sink = HealthSink::new(partition.segments.len());
+    execute_segments_with(
+        conv,
+        &partition,
+        &src,
+        x,
+        dy,
+        TileMode::Fp16,
+        &mut buckets,
+        ExecOptions {
+            health: Some(&sink),
+            workers: Some(workers),
+            ..Default::default()
+        },
+    )
+    .expect("valid arguments");
+    if inject {
         let fired = faults::disarm();
-        micro::force_scalar(false);
         assert_eq!(
             fired.len(),
             partition.segments.len(),
             "every armed segment must fire"
         );
-        sink.totals()
-    };
+    }
+    micro::force_width(None).expect("auto always pins");
+    sink.totals()
+}
 
-    let (sat_scalar, nonfin_scalar) = run(true);
-    let (sat_auto, nonfin_auto) = run(false);
-    assert!(sat_scalar > 0, "injected fault must saturate");
-    assert!(nonfin_scalar > 0, "saturation must reach the output transform");
-    assert_eq!(sat_scalar, sat_auto, "saturation counts diverge");
-    assert_eq!(nonfin_scalar, nonfin_auto, "non-finite counts diverge");
+/// Saturation / non-finite counting must not depend on the dispatch
+/// width: the re-rounding kernel and the output transform count in
+/// registers at every width, the scalar bodies element by element. The
+/// totals are pinned to the values recorded before either count moved
+/// into a SIMD kernel, at every pinnable width (plus auto) and at one and
+/// two workers, so a count that drifts the same way at every width fails
+/// too.
+#[test]
+fn fault_injection_counts_identical_scalar_vs_auto_dispatch() {
+    let _fg = faults::serial_guard();
+    let _dg = dispatch_guard();
+    let conv = ConvShape::square(1, 12, 2, 2, 3);
+    let x = Tensor4::<f32>::random_uniform([conv.n, conv.ih, conv.iw, conv.ic], 7, 1.0);
+    let dy = Tensor4::<f32>::random_uniform([conv.n, conv.oh(), conv.ow(), conv.oc], 8, 0.01);
+    for width in pinnable_widths() {
+        for workers in [1, 2] {
+            assert_eq!(
+                fp16_health_totals(&conv, &x, &dy, width, workers, true),
+                (2, 24),
+                "(saturated, non_finite) at width {width:?}, {workers} worker(s)"
+            );
+        }
+    }
+}
+
+/// Natural FP16 overflow, no injector: ∇Y = 6e4 passes binary16's 65504
+/// as soon as a G row sums two of them, so the re-rounding saturates and
+/// the ∞ reaches the output transform. Totals pinned as above.
+#[test]
+fn natural_fp16_overflow_counts_pinned_at_every_width() {
+    let _dg = dispatch_guard();
+    let conv = ConvShape::new(1, 12, 12, 2, 2, 3, 3, 1, 1);
+    let x = Tensor4::<f32>::from_fn([1, 12, 12, 2], |_, _, _, _| 1.0);
+    let dy = Tensor4::<f32>::from_fn([1, 12, 12, 2], |_, _, _, _| 6.0e4);
+    for width in pinnable_widths() {
+        for workers in [1, 2] {
+            assert_eq!(
+                fp16_health_totals(&conv, &x, &dy, width, workers, false),
+                (192, 72),
+                "(saturated, non_finite) at width {width:?}, {workers} worker(s)"
+            );
+        }
+    }
 }
 
 /// Every build compiles the explicit bodies of its architecture, so a
@@ -328,13 +370,18 @@ fn default_build_carries_every_width_the_cpu_supports() {
     #[cfg(target_arch = "x86_64")]
     {
         let avx2 = std::arch::is_x86_feature_detected!("avx2")
-            && std::arch::is_x86_feature_detected!("fma");
+            && std::arch::is_x86_feature_detected!("fma")
+            && std::arch::is_x86_feature_detected!("f16c");
         let avx512 = avx2 && std::arch::is_x86_feature_detected!("avx512f");
-        assert_eq!(SimdWidth::Avx2.is_available(), avx2, "avx2 + fma detected");
+        assert_eq!(
+            SimdWidth::Avx2.is_available(),
+            avx2,
+            "avx2 + fma + f16c detected"
+        );
         assert_eq!(
             SimdWidth::Avx512.is_available(),
             avx512,
-            "avx512f + avx2 + fma detected"
+            "avx512f + avx2 + fma + f16c detected"
         );
         assert!(!SimdWidth::Neon.is_available());
     }
