@@ -107,7 +107,7 @@ const ATOMIC_ORDERINGS: &[&str] = &["Relaxed", "Acquire", "Release", "AcqRel", "
 
 /// Paths (suffix match) under the scalar/SIMD bit-identity contract.
 /// `micro` is a directory now: the prefix covers `mod.rs` plus every
-/// per-width body (`avx2.rs`, `avx512.rs`, `neon.rs`).
+/// per-width body (`avx2.rs`, `avx512.rs`).
 const BIT_IDENTITY_SCOPES: &[&str] = &["crates/gemm/src/micro", "crates/core/src/engine/"];
 
 /// Fallback library/binary split for callers without a discovered

@@ -13,9 +13,7 @@
 use winrs_conv::{direct, fft_bfc, gemm_bfc, winnf, ConvShape};
 use winrs_core::{Precision, WinRsPlan};
 use winrs_fp16::f16;
-use winrs_gpu_sim::{
-    estimate_pipeline_time, DeviceSpec, KernelProfile, Precision as SimPrecision,
-};
+use winrs_gpu_sim::{estimate_pipeline_time, DeviceSpec, KernelProfile};
 use winrs_tensor::Tensor4;
 
 /// The algorithms compared throughout §6.
@@ -105,14 +103,8 @@ impl Algo {
         device: &DeviceSpec,
         precision: Precision,
     ) -> Vec<KernelProfile> {
-        let prec = match precision {
-            Precision::Fp32 => SimPrecision::Fp32,
-            Precision::Fp16 | Precision::Bf16 => SimPrecision::Fp16,
-        };
-        let eb = match precision {
-            Precision::Fp32 => 4u64,
-            Precision::Fp16 | Precision::Bf16 => 2u64,
-        };
+        let prec = precision.sim_precision();
+        let eb = precision.elem_bytes() as u64;
         let io = (shape.x_elems() + shape.dy_elems() + shape.dw_elems()) as u64 * eb;
         let o_total = shape.oh() * shape.ow();
         let f_total = shape.fh * shape.fw * shape.ic;

@@ -2,7 +2,7 @@
 //! `String` so the logic is unit-testable without capturing stdout.
 
 use crate::args::Flags;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 use std::sync::Arc;
 use std::time::Duration;
 use winrs_bench::json::{Json, SCHEMA};
@@ -12,6 +12,7 @@ use winrs_core::fallback::{Algorithm, FallbackPolicy, NumericGuard};
 use winrs_core::pool::{ExecHandle, PoolConfig, WorkspacePool};
 use winrs_core::tuner::{TuneDb, Tuner, TunerConfig, TunerDecision};
 use winrs_core::{Precision, WinRsPlan, TUNE_DB_SCHEMA};
+use winrs_gemm::micro::FORCE_WIDTH_ENV;
 use winrs_gpu_sim::{DeviceSpec, A5000, L40S, RTX_3090, RTX_4090};
 use winrs_tensor::{mare, Tensor4};
 use winrs_winograd::kernels::WINRS_KERNELS;
@@ -85,9 +86,10 @@ commands:
            [--deadline-ms MS] [--out PATH]  (also write the report to PATH)
 
 devices: 4090 (default), 3090, l40s, a5000
-global : --force-width scalar|avx2|avx512|neon  pin the micro-kernel SIMD
-         width for this invocation (same contract as WINRS_FORCE_WIDTH;
-         unavailable widths are a hard error, never a silent fallback)";
+global : --force-width scalar|avx2|avx512  pin the micro-kernel SIMD
+         width for this invocation (same contract as WINRS_FORCE_WIDTH,
+         which must be unset or equal; unavailable widths are a hard
+         error, never a silent fallback)";
 
 /// Dispatch `argv` (without the program name) to a subcommand.
 pub fn dispatch(argv: &[String]) -> Result<String, String> {
@@ -95,11 +97,13 @@ pub fn dispatch(argv: &[String]) -> Result<String, String> {
         return Err("no command given".into());
     };
     let flags = Flags::parse(rest)?;
-    // Global width pin: `--force-width` mirrors the WINRS_FORCE_WIDTH
-    // environment override so `winrs profile`/`verify` can measure a
-    // specific kernel family member. Unavailable widths are a hard error
-    // here (never a silent fallback).
-    if let Some(token) = flags.opt_str("force-width") {
+    // Global width pin, so `winrs profile`/`verify` can measure a specific
+    // kernel family member. Unavailable widths are a hard error here
+    // (never a silent fallback).
+    let env = std::env::var(FORCE_WIDTH_ENV).ok();
+    if let Some(token) = width_pin(flags.opt_str("force-width"), env.as_deref())
+        .map_err(|e| e.to_string())?
+    {
         let w = winrs_core::engine::request_width(token).map_err(|v| v.to_string())?;
         eprintln!("winrs: pinned SIMD width to {w}");
     }
@@ -117,6 +121,40 @@ pub fn dispatch(argv: &[String]) -> Result<String, String> {
         "loadgen" => cmd_loadgen(&flags),
         "help" | "--help" | "-h" => Ok(format!("{USAGE}\n")),
         other => Err(format!("unknown command '{other}'")),
+    }
+}
+
+/// `--force-width` and `WINRS_FORCE_WIDTH` name different widths.
+#[derive(Debug, PartialEq)]
+struct WidthPinConflict<'a> {
+    flag: &'a str,
+    env: &'a str,
+}
+
+impl fmt::Display for WidthPinConflict<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "--force-width {} conflicts with {FORCE_WIDTH_ENV}={} (the engine \
+             re-applies the environment pin on every dispatch); unset one or \
+             make them equal",
+            self.flag, self.env
+        )
+    }
+}
+
+/// The one width token this invocation pins, from the `--force-width`
+/// flag and the `WINRS_FORCE_WIDTH` value (empty means unset, as in the
+/// engine): either alone pins, equal tokens pin, and different tokens are
+/// refused, since the engine would re-apply the environment's on every
+/// dispatch and silently override the flag.
+fn width_pin<'a>(
+    flag: Option<&'a str>,
+    env: Option<&'a str>,
+) -> Result<Option<&'a str>, WidthPinConflict<'a>> {
+    match (flag, env.filter(|e| !e.is_empty())) {
+        (Some(flag), Some(env)) if flag != env => Err(WidthPinConflict { flag, env }),
+        (flag, env) => Ok(flag.or(env)),
     }
 }
 
@@ -196,7 +234,7 @@ fn cmd_plan(flags: &Flags) -> Result<String, String> {
         out,
         "workspace    : {} bytes ({:.3}x data size)",
         plan.workspace_bytes(),
-        plan.workspace_bytes() as f64 / shape.data_bytes(plan.elem_bytes()) as f64
+        plan.workspace_bytes() as f64 / shape.data_bytes(precision.elem_bytes()) as f64
     );
     let _ = writeln!(
         out,
@@ -487,13 +525,10 @@ fn cmd_profile(flags: &Flags) -> Result<String, String> {
 
     // Effective throughput against *direct-convolution* work — the paper's
     // convention, so speedups are comparable across algorithms.
-    let direct_flops =
-        2.0 * (shape.n * shape.oh() * shape.ow() * shape.oc * shape.fh * shape.fw * shape.ic)
-            as f64;
     let _ = writeln!(
         out,
         "\nthroughput   : {:.2} GFLOP/s effective (direct-conv FLOPs / total)",
-        direct_flops / total / 1e9
+        shape.bfc_flops() as f64 / total / 1e9
     );
 
     if let Some(path) = flags.opt_str("compare") {
@@ -1015,6 +1050,31 @@ mod tests {
     fn run(args: &[&str]) -> Result<String, String> {
         let argv: Vec<String> = args.iter().map(|s| s.to_string()).collect();
         dispatch(&argv)
+    }
+
+    #[test]
+    fn width_pin_takes_either_source_or_equal_ones_and_refuses_a_conflict() {
+        for (flag, env, want) in [
+            (None, None, None),
+            (Some("avx2"), None, Some("avx2")),
+            (None, Some("scalar"), Some("scalar")),
+            (None, Some(""), None),
+            (Some("avx2"), Some(""), Some("avx2")),
+            (Some("avx512"), Some("avx512"), Some("avx512")),
+            (Some("avx1024"), None, Some("avx1024")),
+        ] {
+            assert_eq!(width_pin(flag, env), Ok(want), "{flag:?} / {env:?}");
+        }
+        let err = width_pin(Some("avx512"), Some("scalar")).unwrap_err();
+        assert_eq!(
+            err,
+            WidthPinConflict {
+                flag: "avx512",
+                env: "scalar"
+            }
+        );
+        let msg = err.to_string();
+        assert!(msg.contains("--force-width avx512") && msg.contains("WINRS_FORCE_WIDTH=scalar"));
     }
 
     #[test]

@@ -5,6 +5,9 @@ pub mod pair;
 pub mod segment_count;
 pub mod segment_shape;
 
+use crate::engine::TileMode;
+use winrs_gpu_sim::Precision as SimPrecision;
+
 /// Arithmetic precision of a WinRS execution. Declaration order is the
 /// order of the persisted tuning database's entries.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -37,5 +40,32 @@ impl Precision {
     /// Inverse of [`Precision::name`].
     pub fn parse(s: &str) -> Option<Precision> {
         Precision::ALL.into_iter().find(|p| p.name() == s)
+    }
+
+    /// Bytes per stored element.
+    pub fn elem_bytes(self) -> usize {
+        match self {
+            Precision::Fp32 => 4,
+            Precision::Fp16 | Precision::Bf16 => 2,
+        }
+    }
+
+    /// The engine tile mode that executes this precision; its cache
+    /// blocks come from [`crate::engine::cache_block`].
+    pub fn tile_mode(self) -> TileMode {
+        match self {
+            Precision::Fp32 => TileMode::Fp32,
+            Precision::Fp16 => TileMode::Fp16,
+            Precision::Bf16 => TileMode::Bf16,
+        }
+    }
+
+    /// The GPU model's precision for this one: its Tensor-Core peak covers
+    /// both 16-bit formats.
+    pub fn sim_precision(self) -> SimPrecision {
+        match self {
+            Precision::Fp32 => SimPrecision::Fp32,
+            Precision::Fp16 | Precision::Bf16 => SimPrecision::Fp16,
+        }
     }
 }

@@ -24,9 +24,9 @@
 
 use crate::config::pair::KernelPair;
 use crate::config::Precision;
+use crate::engine::cache_block;
 use winrs_conv::ConvShape;
 use winrs_gpu_sim::{bfc_block_count, fc_block_count, BlockGeometry, DeviceSpec};
-use winrs_winograd::kernels::{fp16_cache_block, fp32_cache_block};
 
 /// All quantities Algorithm 1 derives, kept for inspection/reporting.
 #[derive(Clone, Copy, Debug)]
@@ -52,10 +52,7 @@ pub struct SegmentCountPlan {
 
 /// Cache-block geometry the bulk kernel runs with at a given precision.
 fn geometry(pair: &KernelPair, precision: Precision) -> BlockGeometry {
-    let (bn, bm) = match precision {
-        Precision::Fp32 => fp32_cache_block(pair.bulk.alpha()),
-        Precision::Fp16 | Precision::Bf16 => fp16_cache_block(pair.bulk.alpha()),
-    };
+    let (bn, bm) = cache_block(precision.tile_mode(), pair.bulk.alpha());
     BlockGeometry { bn, bm }
 }
 

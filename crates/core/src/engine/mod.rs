@@ -251,39 +251,6 @@ pub fn scratch_slots_for(conv: &ConvShape, partition: &Partition, mode: TileMode
     sched::workers().min(max_tasks).max(1)
 }
 
-/// Execute all segments, accumulating each segment's result into its
-/// bucket.
-///
-/// `buckets` must hold `partition.z() · dw_elems` elements; bucket `z`
-/// occupies `buckets[z·dw .. (z+1)·dw]` in `(O_C, F_H, F_W, I_C)` layout
-/// and is zeroed before execution. Execution runs in two sequential passes
-/// (bulk kernel launch, then residual kernel launch); within a pass every
-/// segment owns a distinct bucket, so segments parallelise freely.
-///
-/// Returns a typed [`WinrsError::ExecutionRejected`] listing *every*
-/// argument inconsistency (bucket length, `x` dims, `dy` dims) instead of
-/// panicking.
-pub fn execute_segments<T: Scalar, S: TransformSource>(
-    conv: &ConvShape,
-    partition: &Partition,
-    transforms: &S,
-    x: &Tensor4<T>,
-    dy: &Tensor4<T>,
-    mode: TileMode,
-    buckets: &mut [T],
-) -> Result<(), WinrsError> {
-    execute_segments_with(
-        conv,
-        partition,
-        transforms,
-        x,
-        dy,
-        mode,
-        buckets,
-        ExecOptions::default(),
-    )
-}
-
 /// One [`Violation::TensorDimsMismatch`] per operand whose dims disagree
 /// with `conv` (`x` first, then `dy`); empty when both fit. The engine and
 /// `ExecHandle`'s per-job routine both check operands here, so every
@@ -307,8 +274,19 @@ pub(crate) fn operand_violations<T: Scalar>(
     .collect()
 }
 
-/// [`execute_segments`] with explicit [`ExecOptions`] (bucket filtering
-/// for partial re-execution, numeric-health accounting).
+/// Execute all segments, accumulating each segment's result into its
+/// bucket, with the optional behaviours of [`ExecOptions`] (bucket
+/// filtering for partial re-execution, numeric-health accounting).
+///
+/// `buckets` must hold `partition.z() · dw_elems` elements; bucket `z`
+/// occupies `buckets[z·dw .. (z+1)·dw]` in `(O_C, F_H, F_W, I_C)` layout
+/// and is zeroed before execution. Execution runs in two sequential passes
+/// (bulk kernel launch, then residual kernel launch); within a pass every
+/// segment owns a distinct bucket, so segments parallelise freely.
+///
+/// Returns a typed [`WinrsError::ExecutionRejected`] listing *every*
+/// argument inconsistency (bucket length, `x` dims, `dy` dims, an
+/// unavailable `WINRS_FORCE_WIDTH` pin) instead of panicking.
 #[allow(clippy::too_many_arguments)]
 pub fn execute_segments_with<T: Scalar, S: TransformSource>(
     conv: &ConvShape,
@@ -362,13 +340,13 @@ pub fn execute_segments_with<T: Scalar, S: TransformSource>(
     Ok(())
 }
 
-/// Apply the `WINRS_FORCE_WIDTH` environment override (satellite of the
-/// width-dispatch family): parse the token, pin the kernel family to that
-/// member, and convert any failure — junk token or an unavailable width —
-/// into a typed [`Violation::SimdWidthUnavailable`] instead of a silent
-/// fallback. Absent/empty leaves the current dispatch state (detected or
-/// programmatically pinned) untouched. Returns the width that was pinned,
-/// if any.
+/// Apply the `WINRS_FORCE_WIDTH` environment override, read at the top of
+/// every `ExecHandle` job and every engine entry: parse the token, pin the
+/// kernel family to that member, and convert any failure — junk token or
+/// an unavailable width — into a typed [`Violation::SimdWidthUnavailable`]
+/// instead of a silent fallback. Absent/empty leaves the current dispatch
+/// state (detected or programmatically pinned) untouched. Returns the
+/// width that was pinned, if any.
 pub fn apply_forced_width() -> Result<Option<SimdWidth>, Violation> {
     let Ok(raw) = std::env::var(micro::FORCE_WIDTH_ENV) else {
         return Ok(None);
@@ -524,7 +502,7 @@ mod tests {
         let dy = dy64.cast::<f32>();
 
         let mut buckets = vec![0.0f32; partition.z() * conv.dw_elems()];
-        execute_segments(
+        execute_segments_with(
             conv,
             &partition,
             &src,
@@ -532,6 +510,7 @@ mod tests {
             &dy,
             TileMode::Fp32,
             &mut buckets,
+            ExecOptions::default(),
         )
         .expect("valid arguments");
         let mut dw = Tensor4::<f32>::zeros([conv.oc, conv.fh, conv.fw, conv.ic]);
@@ -599,7 +578,7 @@ mod tests {
         let x = Tensor4::<f32>::zeros([1, 12, 12, 2]); // ic 2, plan wants 3
         let dy = Tensor4::<f32>::zeros([1, 11, 12, 3]); // oh 11, plan wants 12
         let mut buckets = vec![0.0f32; crate::NUMERIC_HEALTH_BUCKETS];
-        let err = execute_segments(
+        let err = execute_segments_with(
             &conv,
             &partition,
             &src,
@@ -607,11 +586,29 @@ mod tests {
             &dy,
             TileMode::Fp32,
             &mut buckets,
+            ExecOptions::default(),
         )
         .unwrap_err();
         assert!(matches!(err, WinrsError::ExecutionRejected(_)));
         assert_eq!(err.violations().len(), 3, "{err}");
         assert!(!err.recoverable_by_fallback());
+    }
+
+    /// `neon` names no member of the family: like any unknown token it is
+    /// refused typed, naming the width this host detected, and pins
+    /// nothing.
+    #[test]
+    fn neon_is_an_unknown_width_token() {
+        for token in ["neon", "avx1024"] {
+            assert_eq!(
+                request_width(token),
+                Err(Violation::SimdWidthUnavailable {
+                    requested: token.to_string(),
+                    detected: micro::detected_width().name(),
+                }),
+                "{token}"
+            );
+        }
     }
 
     #[test]
@@ -880,8 +877,17 @@ mod tests {
 
         // Full run for reference.
         let mut full = vec![0.0f32; partition.z() * dw];
-        execute_segments(&conv, &partition, &src, &x, &dy, TileMode::Fp32, &mut full)
-            .expect("valid arguments");
+        execute_segments_with(
+            &conv,
+            &partition,
+            &src,
+            &x,
+            &dy,
+            TileMode::Fp32,
+            &mut full,
+            ExecOptions::default(),
+        )
+        .expect("valid arguments");
 
         // Filtered run: poison all buckets with sentinels, enable only
         // bucket 0; it must be recomputed, the rest must keep sentinels.

@@ -43,47 +43,21 @@ fn forward_kernel(fw: usize) -> TransformReal {
     }
 }
 
-/// Scratch layout for [`fc_winograd_with`] on `shape`: one slot per worker
-/// thread holding the per-row IT tile (`α`) and output accumulator
-/// (`O_C · α`).
-pub fn fc_scratch_layout(shape: &ConvShape) -> WorkspaceLayout {
-    let t = forward_kernel(shape.fw);
-    WorkspaceLayout::scratch_only(t.alpha * (1 + shape.oc), sched::workers())
-}
-
-/// Scratch layout for [`bdc_winograd_with`] on `shape`: the adjoint FC has
-/// `I_C` output channels, so its accumulator is `I_C · α`.
-pub fn bdc_scratch_layout(shape: &ConvShape) -> WorkspaceLayout {
-    let t = forward_kernel(shape.fw);
-    WorkspaceLayout::scratch_only(t.alpha * (1 + shape.ic), sched::workers())
-}
-
 /// Forward convolution `Y = X ⊛ W` with fused 1D Winograd along rows.
 ///
-/// Allocates a transient scratch arena sized by [`fc_scratch_layout`];
-/// callers that run many forward passes should carve one arena themselves
-/// and call [`fc_winograd_with`].
+/// Each worker's per-row IT tile (`α`) and output accumulator (`O_C · α`)
+/// live in one slot of a scratch arena carved once per call, so the row
+/// loop never allocates.
 pub fn fc_winograd(shape: &ConvShape, x: &Tensor4<f32>, w: &Tensor4<f32>) -> Tensor4<f32> {
-    let layout = fc_scratch_layout(shape);
-    let mut arena = vec![0.0f32; layout.arena_elems()];
-    let pool = ScratchPool::new(&mut arena, layout.slot_elems());
-    fc_winograd_with(shape, x, w, &pool)
-}
-
-/// [`fc_winograd`] with caller-provided scratch: the per-row IT tile and
-/// accumulator come from `scratch` slots (layout via [`fc_scratch_layout`])
-/// instead of per-row heap allocations.
-pub fn fc_winograd_with(
-    shape: &ConvShape,
-    x: &Tensor4<f32>,
-    w: &Tensor4<f32>,
-    scratch: &ScratchPool<'_>,
-) -> Tensor4<f32> {
     assert_eq!(x.dims(), [shape.n, shape.ih, shape.iw, shape.ic]);
     assert_eq!(w.dims(), [shape.oc, shape.fh, shape.fw, shape.ic]);
     let (oh, ow) = (shape.oh(), shape.ow());
     let t = forward_kernel(shape.fw);
     let (alpha, n_t) = (t.alpha, t.n);
+    let slot = alpha * (1 + shape.oc);
+    let layout = WorkspaceLayout::scratch_only(slot, sched::workers());
+    let mut arena = vec![0.0f32; layout.arena_elems()];
+    let scratch = ScratchPool::new(&mut arena, layout.slot_elems());
 
     // FT once: ghat[oc][fh][ic][α].
     let ghat: Vec<f32> = {
@@ -110,7 +84,7 @@ pub fn fc_winograd_with(
     let chunks = y.as_mut_slice().chunks_mut(row_elems).enumerate().collect();
     sched::run_tasks(chunks, sched::workers(), |worker, (row_idx, yrow)| {
         let (b, i) = (row_idx / oh, row_idx % oh);
-        scratch.with_slot_at(worker, alpha * (1 + shape.oc), |buf| {
+        scratch.with_slot_at(worker, slot, |buf| {
             let (dhat, acc) = buf.split_at_mut(alpha);
             let full_tiles = ow / n_t;
             for tile in 0..full_tiles {
@@ -179,20 +153,6 @@ pub fn fc_winograd_with(
 /// with the rotated, channel-transposed filter under complementary
 /// padding `(F−1−p)`.
 pub fn bdc_winograd(shape: &ConvShape, dy: &Tensor4<f32>, w: &Tensor4<f32>) -> Tensor4<f32> {
-    let layout = bdc_scratch_layout(shape);
-    let mut arena = vec![0.0f32; layout.arena_elems()];
-    let pool = ScratchPool::new(&mut arena, layout.slot_elems());
-    bdc_winograd_with(shape, dy, w, &pool)
-}
-
-/// [`bdc_winograd`] with caller-provided scratch (layout via
-/// [`bdc_scratch_layout`]).
-pub fn bdc_winograd_with(
-    shape: &ConvShape,
-    dy: &Tensor4<f32>,
-    w: &Tensor4<f32>,
-    scratch: &ScratchPool<'_>,
-) -> Tensor4<f32> {
     let (oh, ow) = (shape.oh(), shape.ow());
     assert_eq!(dy.dims(), [shape.n, oh, ow, shape.oc]);
     assert_eq!(w.dims(), [shape.oc, shape.fh, shape.fw, shape.ic]);
@@ -215,7 +175,7 @@ pub fn bdc_winograd_with(
     );
     debug_assert_eq!(adj.oh(), shape.ih);
     debug_assert_eq!(adj.ow(), shape.iw);
-    fc_winograd_with(&adj, dy, &wrot, scratch)
+    fc_winograd(&adj, dy, &wrot)
 }
 
 #[cfg(test)]
@@ -281,21 +241,6 @@ mod tests {
         let got = bdc_winograd(&shape, &dy.cast(), &w.cast());
         let want = direct::bdc_direct(&shape, &dy, &w);
         assert!(mare(&got, &want) < 1e-4);
-    }
-
-    #[test]
-    fn fc_with_reused_scratch_matches_and_stays_in_pool() {
-        let shape = ConvShape::square(2, 12, 3, 4, 3);
-        let (x, w, _) = setup(&shape);
-        let layout = fc_scratch_layout(&shape);
-        let mut arena = vec![0.0f32; layout.arena_elems()];
-        let pool = ScratchPool::new(&mut arena, layout.slot_elems());
-        let baseline = fc_winograd(&shape, &x.cast(), &w.cast());
-        for _ in 0..3 {
-            let got = fc_winograd_with(&shape, &x.cast(), &w.cast(), &pool);
-            assert_eq!(got.as_slice(), baseline.as_slice());
-        }
-        assert_eq!(pool.hot_loop_allocs(), 0);
     }
 
     #[test]

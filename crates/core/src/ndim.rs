@@ -23,43 +23,15 @@ use winrs_gemm::sched;
 use winrs_tensor::TensorN;
 use winrs_winograd::cook_toom::{Transform, TransformReal};
 
-/// Scratch layout for [`bfc3d_winrs_with`] on `shape`: one slot per worker
-/// holding the FT/IT/accumulator triple at the widest kernel's `α`.
-pub fn bfc3d_scratch_layout(shape: &Conv3dShape) -> WorkspaceLayout {
-    let pair = select_pair(shape.fw, shape.ow(), Precision::Fp32);
-    let max_alpha = [Some(pair.bulk), pair.residual]
-        .into_iter()
-        .flatten()
-        .map(|k| k.alpha())
-        .max()
-        .unwrap_or(0);
-    WorkspaceLayout::scratch_only(3 * max_alpha, sched::workers())
-}
-
 /// 3D WinRS BFC in FP32. Segmentation is left at Z = 1 (the extension
 /// demonstrates dimension reduction + filter split; 3D workloads have
 /// `O_D·O_H` rows of parallelism, which this implementation exploits over
 /// output channels and filter tiles instead of buckets).
 ///
-/// Allocates a transient scratch arena sized by [`bfc3d_scratch_layout`];
-/// callers running many steps should carve one and use
-/// [`bfc3d_winrs_with`].
+/// Each worker's FT/IT/accumulator triple (`3·α` at the widest kernel's
+/// `α`) lives in one slot of a scratch arena carved once per call, so the
+/// output-channel loop never allocates.
 pub fn bfc3d_winrs(shape: &Conv3dShape, x: &TensorN<f32>, dy: &TensorN<f32>) -> TensorN<f32> {
-    let layout = bfc3d_scratch_layout(shape);
-    let mut arena = vec![0.0f32; layout.arena_elems()];
-    let pool = ScratchPool::new(&mut arena, layout.slot_elems());
-    bfc3d_winrs_with(shape, x, dy, &pool)
-}
-
-/// [`bfc3d_winrs`] with caller-provided scratch: per-slice FT/IT/
-/// accumulator tiles come from `scratch` slots instead of heap
-/// allocations inside the output-channel loop.
-pub fn bfc3d_winrs_with(
-    shape: &Conv3dShape,
-    x: &TensorN<f32>,
-    dy: &TensorN<f32>,
-    scratch: &ScratchPool<'_>,
-) -> TensorN<f32> {
     assert_eq!(x.dims(), &shape.x_dims()[..]);
     assert_eq!(dy.dims(), &shape.dy_dims()[..]);
     let (od, oh, ow) = (shape.od(), shape.oh(), shape.ow());
@@ -86,12 +58,16 @@ pub fn bfc3d_winrs_with(
         .filter(|(_, mine)| !mine.is_empty())
         .collect();
     let max_alpha = transforms.values().map(|t| t.alpha).max().unwrap_or(0);
+    let slot = 3 * max_alpha;
+    let layout = WorkspaceLayout::scratch_only(slot, sched::workers());
+    let mut arena = vec![0.0f32; layout.arena_elems()];
+    let scratch = ScratchPool::new(&mut arena, layout.slot_elems());
 
     let mut dw = TensorN::<f32>::zeros(&shape.dw_dims());
     let per_oc = shape.fd * shape.fh * shape.fw * shape.ic;
     let chunks = dw.as_mut_slice().chunks_mut(per_oc).enumerate().collect();
     sched::run_tasks(chunks, sched::workers(), |worker, (c_out, dwo)| {
-        scratch.with_slot_at(worker, 3 * max_alpha, |buf| {
+        scratch.with_slot_at(worker, slot, |buf| {
             compute_oc_slice(
                 shape,
                 x,

@@ -5,7 +5,7 @@ use crate::config::segment_count::{estimate, SegmentCountPlan};
 use crate::config::segment_shape::calculate;
 use crate::config::Precision;
 use crate::engine::{
-    clip_rows, execute_segments, execute_segments_with, ExecOptions, TileMode, TransformSource,
+    cache_block, clip_rows, execute_segments_with, ExecOptions, TileMode, TransformSource,
 };
 use crate::error::{Violation, WinrsError};
 use crate::partition::Partition;
@@ -14,9 +14,9 @@ use crate::workspace::WorkspaceLayout;
 use std::collections::HashMap;
 use std::sync::OnceLock;
 use winrs_conv::ConvShape;
-use winrs_fp16::f16;
-use winrs_gpu_sim::{estimate_pipeline_time, DeviceSpec, KernelProfile, Precision as SimPrecision};
-use winrs_tensor::Tensor4;
+use winrs_fp16::{bf16, f16};
+use winrs_gpu_sim::{estimate_pipeline_time, DeviceSpec, KernelProfile};
+use winrs_tensor::{Scalar, Tensor4};
 use winrs_winograd::cook_toom::TransformReal;
 use winrs_winograd::kernels::KernelId;
 
@@ -209,18 +209,10 @@ impl WinRsPlan {
         &self.partition
     }
 
-    /// Element size of the execution precision in bytes.
-    pub fn elem_bytes(&self) -> usize {
-        match self.precision {
-            Precision::Fp32 => 4,
-            Precision::Fp16 | Precision::Bf16 => 2,
-        }
-    }
-
     /// Workspace in bytes: `(Z − 1) × |∇W|` (paper §3 phase 1). Zero when a
     /// single segment suffices.
     pub fn workspace_bytes(&self) -> usize {
-        (self.z() - 1) * self.conv.dw_elems() * self.elem_bytes()
+        (self.z() - 1) * self.conv.dw_elems() * self.precision.elem_bytes()
     }
 
     /// The precision this plan was built for.
@@ -230,11 +222,7 @@ impl WinRsPlan {
 
     /// The engine tile mode matching the plan's precision.
     pub fn tile_mode(&self) -> TileMode {
-        match self.precision {
-            Precision::Fp32 => TileMode::Fp32,
-            Precision::Fp16 => TileMode::Fp16,
-            Precision::Bf16 => TileMode::Bf16,
-        }
+        self.precision.tile_mode()
     }
 
     /// Bucket-buffer length (`Z · |∇W|` elements) for caller-allocated
@@ -280,18 +268,40 @@ impl WinRsPlan {
         })
     }
 
-    fn reject_precision(&self, entry: &'static str, required: Precision) -> Result<(), WinrsError> {
-        if self.precision == required {
-            Ok(())
-        } else {
-            Err(WinrsError::ExecutionRejected(vec![
+    /// The four typed `execute_*` entries: refuse a plan built for another
+    /// precision than `required`, run the engine at `mode` into fresh
+    /// buckets of the I/O type and Kahan-reduce them into `∇W`.
+    fn run_buckets<T: Scalar>(
+        &self,
+        entry: &'static str,
+        required: Precision,
+        mode: TileMode,
+        x: &Tensor4<T>,
+        dy: &Tensor4<T>,
+    ) -> Result<Tensor4<T>, WinrsError> {
+        if self.precision != required {
+            return Err(WinrsError::ExecutionRejected(vec![
                 Violation::PrecisionMismatch {
                     plan: self.precision,
                     entry,
                     required,
                 },
-            ]))
+            ]));
         }
+        let mut buckets = vec![T::ZERO; self.bucket_elems()];
+        execute_segments_with(
+            &self.conv,
+            &self.partition,
+            &self.transforms,
+            x,
+            dy,
+            mode,
+            &mut buckets,
+            ExecOptions::default(),
+        )?;
+        let mut dw = Tensor4::<T>::zeros([self.conv.oc, self.conv.fh, self.conv.fw, self.conv.ic]);
+        reduce_buckets(&buckets, self.z(), &mut dw);
+        Ok(dw)
     }
 
     /// Execute in FP32.
@@ -300,18 +310,7 @@ impl WinRsPlan {
         x: &Tensor4<f32>,
         dy: &Tensor4<f32>,
     ) -> Result<Tensor4<f32>, WinrsError> {
-        self.reject_precision("execute_f32", Precision::Fp32)?;
-        let mut buckets = vec![0.0f32; self.bucket_elems()];
-        execute_segments(
-            &self.conv,
-            &self.partition,
-            &self.transforms,
-            x,
-            dy,
-            TileMode::Fp32,
-            &mut buckets,
-        )?;
-        Ok(self.reduce(&buckets))
+        self.run_buckets("execute_f32", Precision::Fp32, TileMode::Fp32, x, dy)
     }
 
     /// Execute in FP16 (mixed-precision transforms, FP32 accumulation,
@@ -321,21 +320,7 @@ impl WinRsPlan {
         x: &Tensor4<f16>,
         dy: &Tensor4<f16>,
     ) -> Result<Tensor4<f16>, WinrsError> {
-        self.reject_precision("execute_f16", Precision::Fp16)?;
-        let mut buckets = vec![f16::ZERO; self.bucket_elems()];
-        execute_segments(
-            &self.conv,
-            &self.partition,
-            &self.transforms,
-            x,
-            dy,
-            TileMode::Fp16,
-            &mut buckets,
-        )?;
-        let mut dw =
-            Tensor4::<f16>::zeros([self.conv.oc, self.conv.fh, self.conv.fw, self.conv.ic]);
-        reduce_buckets(&buckets, self.z(), &mut dw);
-        Ok(dw)
+        self.run_buckets("execute_f16", Precision::Fp16, TileMode::Fp16, x, dy)
     }
 
     /// Execute in BF16 (the conclusion's porting target): bfloat16 tiles,
@@ -343,28 +328,10 @@ impl WinRsPlan {
     /// bfloat16 exponent range matches f32.
     pub fn execute_bf16(
         &self,
-        x: &Tensor4<winrs_fp16::bf16>,
-        dy: &Tensor4<winrs_fp16::bf16>,
-    ) -> Result<Tensor4<winrs_fp16::bf16>, WinrsError> {
-        self.reject_precision("execute_bf16", Precision::Bf16)?;
-        let mut buckets = vec![winrs_fp16::bf16::ZERO; self.bucket_elems()];
-        execute_segments(
-            &self.conv,
-            &self.partition,
-            &self.transforms,
-            x,
-            dy,
-            TileMode::Bf16,
-            &mut buckets,
-        )?;
-        let mut dw = Tensor4::<winrs_fp16::bf16>::zeros([
-            self.conv.oc,
-            self.conv.fh,
-            self.conv.fw,
-            self.conv.ic,
-        ]);
-        reduce_buckets(&buckets, self.z(), &mut dw);
-        Ok(dw)
+        x: &Tensor4<bf16>,
+        dy: &Tensor4<bf16>,
+    ) -> Result<Tensor4<bf16>, WinrsError> {
+        self.run_buckets("execute_bf16", Precision::Bf16, TileMode::Bf16, x, dy)
     }
 
     /// Execute with FP8 (E4M3) tile quantisation — the conclusion's final
@@ -379,18 +346,7 @@ impl WinRsPlan {
         x: &Tensor4<f32>,
         dy: &Tensor4<f32>,
     ) -> Result<Tensor4<f32>, WinrsError> {
-        self.reject_precision("execute_fp8", Precision::Fp16)?;
-        let mut buckets = vec![0.0f32; self.bucket_elems()];
-        execute_segments(
-            &self.conv,
-            &self.partition,
-            &self.transforms,
-            x,
-            dy,
-            TileMode::Fp8,
-            &mut buckets,
-        )?;
-        Ok(self.reduce(&buckets))
+        self.run_buckets("execute_fp8", Precision::Fp16, TileMode::Fp8, x, dy)
     }
 
     /// Low-level execution into caller-provided buckets: FP32 I/O at an
@@ -494,24 +450,15 @@ impl WinRsPlan {
     /// Per-launch cost profiles for the GPU model: one fused launch per
     /// kernel type plus the reduction kernel.
     pub fn kernel_profiles(&self) -> Vec<KernelProfile> {
-        let sim_prec = match self.precision {
-            Precision::Fp32 => SimPrecision::Fp32,
-            // The GPU model's Tensor-Core peak covers both 16-bit formats.
-            Precision::Fp16 | Precision::Bf16 => SimPrecision::Fp16,
-        };
-        let eb = self.elem_bytes() as u64;
+        let sim_prec = self.precision.sim_precision();
+        let eb = self.precision.elem_bytes() as u64;
         let dw_bytes = self.conv.dw_elems() as u64 * eb;
 
         // Group segments by kernel.
         let mut groups: HashMap<(usize, usize), (u64, usize)> = HashMap::new();
         for seg in &self.partition.segments {
             let k = seg.kernel;
-            let (bn, bm) = match self.precision {
-                Precision::Fp32 => winrs_winograd::kernels::fp32_cache_block(k.alpha()),
-                Precision::Fp16 | Precision::Bf16 => {
-                    winrs_winograd::kernels::fp16_cache_block(k.alpha())
-                }
-            };
+            let (bn, bm) = cache_block(self.tile_mode(), k.alpha());
             let blocks = self.conv.oc.div_ceil(bn)
                 * self.conv.ic.div_ceil(bm)
                 * self.conv.fh

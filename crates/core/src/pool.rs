@@ -50,7 +50,7 @@
 //! models in `tests/pool_models.rs`.
 
 use crate::config::Precision;
-use crate::engine::operand_violations;
+use crate::engine::{apply_forced_width, operand_violations};
 use crate::error::{Violation, WinrsError};
 use crate::fallback::{self, Algorithm, ExecutionReport, FallbackPolicy, NumericGuard};
 use crate::metrics::PoolStats;
@@ -730,10 +730,12 @@ impl ExecHandle {
         Ok((decision, shared))
     }
 
-    /// One job: the operand check, the Force branch, the tuner's choice,
-    /// the WinRS rung and the degrade rung. `decision` is present exactly
-    /// under `Auto`. Mis-shaped operands are refused before any rung runs,
-    /// so no policy leases, degrades or computes on them.
+    /// One job: the operand and width-pin check, the Force branch, the
+    /// tuner's choice, the WinRS rung and the degrade rung. `decision` is
+    /// present exactly under `Auto`. Mis-shaped operands and an
+    /// unavailable `WINRS_FORCE_WIDTH` pin are refused before any rung
+    /// runs, so no policy leases, degrades or computes on them, and a
+    /// valid pin reaches the substitutes' GEMM tiles too.
     fn run_job(
         &self,
         conv: &ConvShape,
@@ -743,7 +745,8 @@ impl ExecHandle {
         decision: Option<&TunerDecision>,
         shared: &mut Shared,
     ) -> Result<(Tensor4<f32>, ExecutionReport), WinrsError> {
-        let violations = operand_violations(conv, x, dy);
+        let mut violations = operand_violations(conv, x, dy);
+        violations.extend(apply_forced_width().err());
         if !violations.is_empty() {
             return Err(WinrsError::ExecutionRejected(violations));
         }

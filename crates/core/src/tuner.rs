@@ -89,21 +89,6 @@ pub struct RankedCandidate {
     pub predicted_s: f64,
 }
 
-fn sim_precision(precision: Precision) -> SimPrecision {
-    match precision {
-        Precision::Fp32 => SimPrecision::Fp32,
-        // The GPU model's Tensor-Core peak covers both 16-bit formats.
-        Precision::Fp16 | Precision::Bf16 => SimPrecision::Fp16,
-    }
-}
-
-fn elem_bytes(precision: Precision) -> u64 {
-    match precision {
-        Precision::Fp32 => 4,
-        Precision::Fp16 | Precision::Bf16 => 2,
-    }
-}
-
 /// Launch profiles for one substitute candidate, mirroring the calibration
 /// the bench harness uses for the paper's figures (`winrs-bench::algos`):
 /// FLOP counts and intermediate traffic come from the real planners in
@@ -115,8 +100,8 @@ fn substitute_profiles(
     conv: &ConvShape,
     precision: Precision,
 ) -> Option<Vec<KernelProfile>> {
-    let prec = sim_precision(precision);
-    let eb = elem_bytes(precision);
+    let prec = precision.sim_precision();
+    let eb = precision.elem_bytes() as u64;
     let io = (conv.x_elems() + conv.dy_elems() + conv.dw_elems()) as u64 * eb;
     match algo {
         Algorithm::WinRs => None, // ranked through the real plan, not here

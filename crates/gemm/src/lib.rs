@@ -7,13 +7,11 @@
 //!
 //! Substrate for the `Cu-GEMM` baseline family (`winrs-conv::gemm_bfc`) and
 //! for the batched element-wise-multiplication stage of the non-fused
-//! Winograd baseline. Three entry points:
+//! Winograd baseline. Two entry points:
 //!
 //! * [`gemm_f32`] — single-precision, register-blocked micro-kernel with
 //!   L2-sized macro tiles, parallelised over row panels on [`sched`] (the
 //!   CUDA-core analogue).
-//! * [`gemm_mixed_f16`] — binary16 inputs, f32 accumulation, binary16
-//!   store: the Tensor-Core `mma` contract.
 //! * [`gemm_generic`] — straightforward triple loop over any [`Scalar`],
 //!   used as the ground-truth oracle in tests and for f64.
 //!
@@ -25,7 +23,6 @@ pub mod micro;
 pub mod sched;
 
 use micro::{micro_kernel_4x8, micro_kernel_4xn, MR, NR};
-use winrs_fp16::f16;
 use winrs_tensor::Scalar;
 
 /// Cache-block sizes for the f32 kernel: `MC × KC` panels of A, full rows
@@ -177,35 +174,6 @@ fn panel_kernel(
     }
 }
 
-/// Mixed-precision GEMM with Tensor-Core semantics: binary16 operands,
-/// f32 accumulation, one binary16 rounding on store.
-/// `C = f16(alpha · Σ_p f32(A)·f32(B) + beta · f32(C))`.
-#[allow(clippy::too_many_arguments)] // the BLAS gemm signature
-pub fn gemm_mixed_f16(
-    m: usize,
-    n: usize,
-    k: usize,
-    alpha: f32,
-    a: &[f16],
-    b: &[f16],
-    beta: f32,
-    c: &mut [f16],
-) {
-    assert_eq!(a.len(), m * k, "A size");
-    assert_eq!(b.len(), k * n, "B size");
-    assert_eq!(c.len(), m * n, "C size");
-    let rows = c.chunks_mut(n).enumerate().collect();
-    sched::run_tasks(rows, sched::workers(), |_, (i, crow)| {
-        for (j, cj) in crow.iter_mut().enumerate() {
-            let mut acc = 0.0f32;
-            for p in 0..k {
-                acc += a[i * k + p].to_f32() * b[p * n + j].to_f32();
-            }
-            *cj = f16::from_f32(alpha * acc + beta * cj.to_f32());
-        }
-    });
-}
-
 /// FLOP count of one GEMM (`2·m·n·k`), used by the cost models.
 pub fn gemm_flops(m: usize, n: usize, k: usize) -> u64 {
     2 * m as u64 * n as u64 * k as u64
@@ -271,44 +239,6 @@ mod tests {
         let mut c = vec![0.0f32; n * n];
         gemm_f32(n, n, n, 1.0, &id, &x, 0.0, &mut c);
         assert_close(&c, &x, 1e-6);
-    }
-
-    #[test]
-    fn mixed_f16_accumulates_in_f32() {
-        // Sum of 4096 × (1/2048)·1: exact in f32 accumulation (= 2.0), but
-        // pure-f16 accumulation would stall long before 2.0.
-        let k = 4096;
-        let a: Vec<f16> = (0..k).map(|_| f16::from_f32(1.0 / 2048.0)).collect();
-        let b: Vec<f16> = (0..k).map(|_| f16::ONE).collect();
-        let mut c = vec![f16::ZERO; 1];
-        gemm_mixed_f16(1, 1, k, 1.0, &a, &b, 0.0, &mut c);
-        assert_eq!(c[0].to_f32(), 2.0);
-    }
-
-    #[test]
-    fn mixed_f16_matches_f32_reference_closely() {
-        let mut rng = StdRng::seed_from_u64(9);
-        let (m, n, k) = (9usize, 13usize, 31usize);
-        let a32 = random_matrix(&mut rng, m * k);
-        let b32 = random_matrix(&mut rng, k * n);
-        let a: Vec<f16> = a32.iter().map(|&x| f16::from_f32(x)).collect();
-        let b: Vec<f16> = b32.iter().map(|&x| f16::from_f32(x)).collect();
-        // Reference computed from the rounded f16 inputs in f32.
-        let a_r: Vec<f32> = a.iter().map(|x| x.to_f32()).collect();
-        let b_r: Vec<f32> = b.iter().map(|x| x.to_f32()).collect();
-        let mut want = vec![0.0f32; m * n];
-        gemm_generic(m, n, k, 1.0f32, &a_r, &b_r, 0.0, &mut want);
-        let mut c = vec![f16::ZERO; m * n];
-        gemm_mixed_f16(m, n, k, 1.0, &a, &b, 0.0, &mut c);
-        for i in 0..m * n {
-            // One f16 rounding at the end: within an ulp of the f32 ref.
-            let got = c[i].to_f32();
-            assert!(
-                (got - want[i]).abs() <= want[i].abs() * 2.0f32.powi(-10) + 1e-6,
-                "elem {i}: {got} vs {}",
-                want[i]
-            );
-        }
     }
 
     #[test]

@@ -7,28 +7,26 @@
 //! * a scalar body written as fixed-width unrolled loops, which LLVM
 //!   auto-vectorises to SSE/AVX on any target;
 //! * an explicit 8-lane AVX2 body ([`SimdWidth::Avx2`]);
-//! * an explicit 16-lane AVX-512 body ([`SimdWidth::Avx512`]);
-//! * an explicit 4-lane NEON body on aarch64 ([`SimdWidth::Neon`]).
+//! * an explicit 16-lane AVX-512 body ([`SimdWidth::Avx512`]).
 //!
-//! Every build compiles the explicit bodies of its target architecture;
-//! runtime feature detection, probed once and cached, selects among them
-//! (see [`active_width`]).
+//! Every x86-64 build compiles the explicit bodies; runtime feature
+//! detection, probed once and cached, selects among them (see
+//! [`active_width`]). Every other target, aarch64 included, runs the
+//! scalar bodies.
 //!
 //! Bit-identity is a hard contract, not an accident: every explicit body
 //! uses separate vector multiply + add instead of a fused multiply-add
-//! (`_mm256_fmadd_ps`, `vfmaq_f32`, …), because the fused op skips the
-//! intermediate rounding and would make the dispatch width change `∇W`
-//! bits. Each kernel's per-element operation sequence is independent of
+//! (`_mm256_fmadd_ps`), because the fused op skips the intermediate
+//! rounding and would make the dispatch width change `∇W` bits. Each kernel's per-element operation sequence is independent of
 //! the vector width — element `i` always computes `dst[i] + a·x[i]` with
 //! one IEEE-754 multiply and one add, whichever register it rides in —
-//! so scalar, 4-, 8- and 16-lane bodies produce identical bits and the
+//! so scalar, 8- and 16-lane bodies produce identical bits and the
 //! engine's equivalence tests assert exact equality across every
 //! compiled-in width.
 //!
 //! [`force_width`] pins the dispatch to one member (the test hook behind
 //! the cross-width equivalence suites) and rejects unavailable members
-//! with a typed [`UnsupportedWidth`]; [`force_scalar`] survives as the
-//! old boolean front-end for it. The `WINRS_FORCE_WIDTH` environment
+//! with a typed [`UnsupportedWidth`]. The `WINRS_FORCE_WIDTH` environment
 //! override ([`FORCE_WIDTH_ENV`]) is applied by the engine / CLI layer,
 //! which owns the typed rejection of unavailable widths at execute time.
 #![doc = "audit: no-alloc"]
@@ -41,12 +39,10 @@ use winrs_fp16::f16;
 mod avx2;
 #[cfg(target_arch = "x86_64")]
 mod avx512;
-#[cfg(target_arch = "aarch64")]
-mod neon;
 
 /// Vector width of the scalar bodies' unrolled loops: 8 f32 lanes = one
-/// 256-bit register. (The AVX-512 bodies run 16 lanes and the NEON bodies
-/// 4; see [`SimdWidth::lanes`].)
+/// 256-bit register. (The AVX-512 bodies run 16 lanes; see
+/// [`SimdWidth::lanes`].)
 pub const LANES: usize = 8;
 
 /// Register micro-tile rows of the GEMM kernel.
@@ -55,7 +51,7 @@ pub const MR: usize = 4;
 pub const NR: usize = 8;
 
 /// Environment variable the engine/CLI layer reads to pin the dispatch
-/// width (`scalar`, `avx2`, `avx512` or `neon`). Parsing and the typed
+/// width (`scalar`, `avx2` or `avx512`). Parsing and the typed
 /// rejection of unavailable widths live in `winrs-core::engine`; this
 /// module only exposes the knob ([`force_width`]).
 pub const FORCE_WIDTH_ENV: &str = "WINRS_FORCE_WIDTH";
@@ -73,18 +69,11 @@ pub enum SimdWidth {
     /// Explicit 16-lane AVX-512 bodies (x86-64, `avx512f` on top of the
     /// AVX2 pair — the 4×8 GEMM tile and row epilogues reuse 256-bit ops).
     Avx512 = 2,
-    /// Explicit 4-lane NEON bodies (aarch64).
-    Neon = 3,
 }
 
 impl SimdWidth {
     /// Every member. Iterated by tests and the CLI's width report.
-    pub const ALL: [SimdWidth; 4] = [
-        SimdWidth::Scalar,
-        SimdWidth::Avx2,
-        SimdWidth::Avx512,
-        SimdWidth::Neon,
-    ];
+    pub const ALL: [SimdWidth; 3] = [SimdWidth::Scalar, SimdWidth::Avx2, SimdWidth::Avx512];
 
     /// f32 lanes per vector register of this member's explicit bodies
     /// (1 for the scalar bodies).
@@ -93,7 +82,6 @@ impl SimdWidth {
             SimdWidth::Scalar => 1,
             SimdWidth::Avx2 => 8,
             SimdWidth::Avx512 => 16,
-            SimdWidth::Neon => 4,
         }
     }
 
@@ -104,7 +92,6 @@ impl SimdWidth {
             SimdWidth::Scalar => "scalar",
             SimdWidth::Avx2 => "avx2",
             SimdWidth::Avx512 => "avx512",
-            SimdWidth::Neon => "neon",
         }
     }
 
@@ -115,7 +102,6 @@ impl SimdWidth {
             "scalar" => Some(SimdWidth::Scalar),
             "avx2" => Some(SimdWidth::Avx2),
             "avx512" => Some(SimdWidth::Avx512),
-            "neon" => Some(SimdWidth::Neon),
             _ => None,
         }
     }
@@ -127,7 +113,6 @@ impl SimdWidth {
             SimdWidth::Scalar => true,
             SimdWidth::Avx2 => avx2_ready(),
             SimdWidth::Avx512 => avx512_ready(),
-            SimdWidth::Neon => neon_ready(),
         }
     }
 }
@@ -139,8 +124,8 @@ impl std::fmt::Display for SimdWidth {
 }
 
 /// A width that cannot be pinned on this host: either its bodies are not
-/// compiled in (another architecture's member) or the CPU lacks the
-/// features they need.
+/// compiled in (a non-x86-64 target) or the CPU lacks the features they
+/// need.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct UnsupportedWidth {
     /// The width the caller asked to pin.
@@ -164,7 +149,7 @@ impl std::error::Error for UnsupportedWidth {}
 
 /// Pinned dispatch width: 0 = auto (use [`detected_width`]), otherwise
 /// the [`SimdWidth`] discriminant + 1. Global; tests that pin must
-/// serialise among themselves, exactly as with the old `FORCE_SCALAR`.
+/// serialise among themselves.
 static FORCED: AtomicU8 = AtomicU8::new(0);
 
 /// Pin dispatch to one family member (`Some`) or restore auto detection
@@ -199,18 +184,8 @@ pub fn forced_width() -> Option<SimdWidth> {
         1 => Some(SimdWidth::Scalar),
         2 => Some(SimdWidth::Avx2),
         3 => Some(SimdWidth::Avx512),
-        4 => Some(SimdWidth::Neon),
         _ => None,
     }
-}
-
-/// Pin (or unpin) dispatch to the scalar bodies — the boolean front-end
-/// [`force_width`] generalises, kept for the existing equivalence suites.
-pub fn force_scalar(on: bool) {
-    let pin = if on { Some(SimdWidth::Scalar) } else { None };
-    // Scalar is always available and `None` always succeeds, so the old
-    // infallible signature still holds.
-    let _ = force_width(pin);
 }
 
 /// The width kernels dispatch on right now: the pinned width if any,
@@ -221,8 +196,7 @@ pub fn active_width() -> SimdWidth {
 }
 
 /// Best width this build + CPU supports, probed once and cached. The
-/// preference is widest-first per architecture: AVX-512 over AVX2 over
-/// scalar on x86-64, NEON over scalar on aarch64.
+/// preference is widest-first: AVX-512 over AVX2 over scalar.
 pub fn detected_width() -> SimdWidth {
     static DETECTED: OnceLock<SimdWidth> = OnceLock::new();
     *DETECTED.get_or_init(|| {
@@ -230,8 +204,6 @@ pub fn detected_width() -> SimdWidth {
             SimdWidth::Avx512
         } else if avx2_ready() {
             SimdWidth::Avx2
-        } else if neon_ready() {
-            SimdWidth::Neon
         } else {
             SimdWidth::Scalar
         }
@@ -259,12 +231,6 @@ fn avx512_ready() -> bool {
     *READY.get_or_init(|| std::arch::is_x86_feature_detected!("avx512f") && avx2_ready())
 }
 
-#[cfg(target_arch = "aarch64")]
-fn neon_ready() -> bool {
-    static READY: OnceLock<bool> = OnceLock::new();
-    *READY.get_or_init(|| std::arch::is_aarch64_feature_detected!("neon"))
-}
-
 #[cfg(not(target_arch = "x86_64"))]
 #[inline(always)]
 fn avx2_ready() -> bool {
@@ -274,12 +240,6 @@ fn avx2_ready() -> bool {
 #[cfg(not(target_arch = "x86_64"))]
 #[inline(always)]
 fn avx512_ready() -> bool {
-    false
-}
-
-#[cfg(not(target_arch = "aarch64"))]
-#[inline(always)]
-fn neon_ready() -> bool {
     false
 }
 
@@ -299,11 +259,6 @@ pub fn axpy(dst: &mut [f32], a: f32, x: &[f32]) {
         // SAFETY: avx2+fma verified at runtime (`avx2_ready`).
         SimdWidth::Avx2 => return unsafe { avx2::axpy(dst, a, &x[..n]) },
         _ => {}
-    }
-    #[cfg(target_arch = "aarch64")]
-    if active_width() == SimdWidth::Neon {
-        // SAFETY: neon verified at runtime (`neon_ready`).
-        return unsafe { neon::axpy(dst, a, &x[..n]) };
     }
     axpy_scalar(dst, a, &x[..n]);
 }
@@ -326,11 +281,6 @@ pub fn expand_axpy(dst: &mut [f32], coeffs: &[f32], cstride: usize, src: &[f32])
         // SAFETY: avx2+fma verified at runtime (`avx2_ready`).
         SimdWidth::Avx2 => return unsafe { avx2::expand_axpy(dst, coeffs, cstride, src) },
         _ => {}
-    }
-    #[cfg(target_arch = "aarch64")]
-    if active_width() == SimdWidth::Neon {
-        // SAFETY: neon verified at runtime (`neon_ready`).
-        return unsafe { neon::expand_axpy(dst, coeffs, cstride, src) };
     }
     // Channel blocks are small (4–32); a compile-time width turns each
     // chunk update into exact fixed-width vector code with no per-chunk
@@ -382,11 +332,6 @@ pub fn gather_axpy(dst: &mut [f32], coeffs: &[f32], src: &[f32], sstride: usize)
         // SAFETY: avx2+fma verified at runtime (`avx2_ready`).
         SimdWidth::Avx2 => return unsafe { avx2::gather_axpy(dst, coeffs, src, sstride) },
         _ => {}
-    }
-    #[cfg(target_arch = "aarch64")]
-    if active_width() == SimdWidth::Neon {
-        // SAFETY: neon verified at runtime (`neon_ready`).
-        return unsafe { neon::gather_axpy(dst, coeffs, src, sstride) };
     }
     match w {
         2 => gather_axpy_w::<2>(dst, coeffs, src, sstride),
@@ -512,9 +457,9 @@ fn gather_rows_any_alpha<const COUNT: bool>(
 }
 
 /// Portable body of [`gather_axpy_rows`] at a compile-time α — the scalar
-/// member, and the NEON member's too. Each `LANES`-wide chunk of the α
-/// planes is copied into a fixed array once and folded into every row;
-/// the lane tail runs element by element in the same β order.
+/// member. Each `LANES`-wide chunk of the α planes is copied into a fixed
+/// array once and folded into every row; the lane tail runs element by
+/// element in the same β order.
 #[inline]
 fn gather_rows_portable<const A: usize, const COUNT: bool>(
     dst: &mut [f32],
@@ -623,10 +568,10 @@ pub fn rank1_batch(acc: &mut [f32], g: &[f32], d: &[f32], alpha: usize) {
     rank_k_batch(acc, g, d, alpha, 1);
 }
 
-/// Portable body of [`rank_k_batch`] — the scalar member, and the NEON
-/// member's too. Full `MR × LANES` tiles run as fixed arrays LLVM keeps in
-/// vector registers; the row tail (`bn % MR`) and lane tail (`bm % LANES`)
-/// run element by element, each element still loaded and stored once.
+/// Portable body of [`rank_k_batch`] — the scalar member. Full
+/// `MR × LANES` tiles run as fixed arrays LLVM keeps in vector registers;
+/// the row tail (`bn % MR`) and lane tail (`bm % LANES`) run element by
+/// element, each element still loaded and stored once.
 #[inline]
 fn rank_k_portable(
     acc: &mut [f32],
@@ -687,8 +632,8 @@ fn rank_k_portable(
 /// FP16 engine's per-tile re-rounding (the paper's `cvt.rn.f16.f32`
 /// before the Tensor-Core `mma`).
 ///
-/// The portable body is that scalar loop (the scalar and NEON members run
-/// it). The AVX2 body runs F16C's `vcvtps2ph`/`vcvtph2ps` pair and the
+/// The portable body is that scalar loop (the scalar member runs it). The
+/// AVX2 body runs F16C's `vcvtps2ph`/`vcvtph2ps` pair and the
 /// AVX-512 body their 16-lane forms, both with round to nearest even in
 /// the instruction's immediate, never MXCSR's mode. `vcvtps2ph` equals
 /// `f16::from_f32` on every f32, and `vcvtph2ps` equals `f16::to_f32` on
@@ -770,11 +715,6 @@ pub fn micro_kernel_4x8(
         }
         _ => {}
     }
-    #[cfg(target_arch = "aarch64")]
-    if active_width() == SimdWidth::Neon {
-        // SAFETY: neon verified at runtime (`neon_ready`).
-        return unsafe { neon::micro_kernel_4x8(kc, alpha, a, lda, b, ldb, c, ldc) };
-    }
     let mut acc = [[0.0f32; NR]; MR];
     for p in 0..kc {
         let bp = &b[p * ldb..p * ldb + NR];
@@ -822,11 +762,6 @@ pub fn micro_kernel_4xn(
             return unsafe { avx2::micro_kernel_4xn(kc, alpha, a, lda, b, ldb, nr, c, ldc) };
         }
         _ => {}
-    }
-    #[cfg(target_arch = "aarch64")]
-    if active_width() == SimdWidth::Neon {
-        // SAFETY: neon verified at runtime (`neon_ready`).
-        return unsafe { neon::micro_kernel_4xn(kc, alpha, a, lda, b, ldb, nr, c, ldc) };
     }
     let mut acc = [[0.0f32; NR]; MR];
     for p in 0..kc {
@@ -1174,8 +1109,8 @@ mod tests {
         assert_eq!(SimdWidth::parse("avx-512"), None);
         assert_eq!(SimdWidth::parse("AVX2"), None, "names are case-sensitive");
         assert_eq!(SimdWidth::parse(""), None);
+        assert_eq!(SimdWidth::parse("neon"), None, "no NEON member");
         assert_eq!(SimdWidth::Scalar.lanes(), 1);
-        assert_eq!(SimdWidth::Neon.lanes(), 4);
         assert_eq!(SimdWidth::Avx2.lanes(), 8);
         assert_eq!(SimdWidth::Avx512.lanes(), 16);
     }
@@ -1198,24 +1133,11 @@ mod tests {
             assert!(err.to_string().contains(w.name()), "{err}");
             assert_eq!(forced_width(), Some(SimdWidth::Scalar), "pin must survive");
         }
-        // On x86-64 NEON is never available; elsewhere AVX-512 is not.
-        #[cfg(target_arch = "x86_64")]
-        assert!(force_width(Some(SimdWidth::Neon)).is_err());
-        #[cfg(target_arch = "aarch64")]
+        // Off x86-64 only the scalar bodies exist.
+        #[cfg(not(target_arch = "x86_64"))]
         assert!(force_width(Some(SimdWidth::Avx512)).is_err());
         force_width(None).unwrap();
         assert_eq!(forced_width(), None);
-    }
-
-    #[test]
-    fn force_scalar_front_end_still_pins() {
-        let _g = DISPATCH_LOCK.lock().unwrap();
-        force_scalar(true);
-        assert_eq!(forced_width(), Some(SimdWidth::Scalar));
-        assert_eq!(active_width(), SimdWidth::Scalar, "force_scalar must pin the scalar bodies");
-        force_scalar(false);
-        assert_eq!(forced_width(), None);
-        assert_eq!(active_width(), detected_width());
     }
 
     #[test]

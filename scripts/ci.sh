@@ -11,7 +11,8 @@
 #      WINRS_FORCE_WIDTH matrix replay over every width available on the
 #      host, the exhaustive binary16 round-trip proof (all 2^32 f32
 #      inputs, release) under the same per-width loop, and a compile-only
-#      aarch64 (NEON) cross-check when that stdlib is installed
+#      aarch64 cross-check of the portable bodies (the only ones that
+#      target runs) when that stdlib is installed
 #   3. clippy with warnings promoted to errors — including the
 #      `unwrap_used = "deny"` fail-safe lint on library crates — then the
 #      benchmark package (`perfbench/`, its own Cargo workspace) built and
@@ -105,10 +106,15 @@ step_04() {
     echo "    width: $W"
     WINRS_FORCE_WIDTH=$W cargo test -q --test engine_sched
   done
-  # An unknown token must be a typed hard error, never a silent fallback.
+  # An unknown token must be a typed hard error, never a silent fallback,
+  # on the WinRS rung and on a substitute's.
   if WINRS_FORCE_WIDTH=avx1024 cargo run -q -p winrs-cli -- \
        verify --n 1 --res 8 --ic 2 --oc 2 --f 3 >/dev/null 2>&1; then
     echo "forced-width matrix: junk WINRS_FORCE_WIDTH was silently accepted"; exit 1
+  fi
+  if WINRS_FORCE_WIDTH=avx1024 cargo run -q -p winrs-cli -- \
+       verify --n 1 --res 8 --ic 2 --oc 2 --f 3 --fallback-policy force-gemm >/dev/null 2>&1; then
+    echo "forced-width matrix: junk WINRS_FORCE_WIDTH was silently accepted by force-gemm"; exit 1
   fi
 }
 run_step "forced-width matrix (WINRS_FORCE_WIDTH over every available width)" step_04
@@ -137,7 +143,7 @@ step_05() {
     echo "    aarch64-unknown-linux-gnu stdlib not installed; skipping cross-check"
   fi
 }
-run_step "aarch64 cross-check (compile-only: NEON member of the width family)" step_05
+run_step "aarch64 cross-check (compile-only: the portable bodies, the only ones aarch64 runs)" step_05
 
 step_06() {
   cargo clippy --workspace --all-targets -- -D warnings

@@ -15,16 +15,20 @@
 //! phantom columns, odd channel tails, all four tile modes (FP32, FP16,
 //! BF16, FP8), the storage-precision f16/bf16 paths, and one shape whose
 //! transformed panels exceed the engine's scratch cap, so the windowed
-//! path runs.
+//! path runs. The forward-convolution, backward-data and 3-D BFC entries
+//! are pinned the same way on the shapes of their unit tests.
 
 use std::sync::{Mutex, MutexGuard, OnceLock};
+use winrs::conv::ndim::Conv3dShape;
 use winrs::conv::ConvShape;
 use winrs::core::engine::{ExecOptions, HealthSink, TileMode};
+use winrs::core::forward::{bdc_winograd, fc_winograd};
+use winrs::core::ndim::bfc3d_winrs;
 use winrs::core::{Precision, WinRsPlan};
 use winrs::fp16::{bf16, f16};
 use winrs::gemm::micro;
 use winrs::gpu::RTX_4090;
-use winrs::tensor::{Scalar, Tensor4};
+use winrs::tensor::{Scalar, Tensor4, TensorN};
 
 /// Serialises the tests of this file: the width pin is process-global.
 fn dispatch_guard() -> MutexGuard<'static, ()> {
@@ -323,6 +327,112 @@ fn golden_storage_precision_hashes_hold_at_every_width() {
     assert!(
         bad.is_empty(),
         "golden storage-precision mismatches:\n{}",
+        bad.join("\n")
+    );
+}
+
+/// Forward convolution, backward data and 3-D BFC (`core::forward`,
+/// `core::ndim`) on the shapes of their unit tests: the hashes of `Y`,
+/// `∇X` and the 3-D `∇W`, one per entry in [`forward_and_3d_hashes`]'s
+/// order.
+const FORWARD_GOLDEN: &[(&str, u64)] = &[
+    ("fc_f3_12sq_3to4", 0xa5f373dc0ce0e206),
+    ("fc_f2_14sq_2to3", 0x65de31c654cb7c67),
+    ("fc_f3_14sq_2to3", 0x71da698b69461284),
+    ("fc_f4_14sq_2to3", 0xba418e28b07b0070),
+    ("fc_f5_14sq_2to3", 0x28829324a5a64869),
+    ("fc_f6_14sq_2to3", 0x58c03a58053fe1cd),
+    ("fc_f3_9x13_residual", 0xd47e6cad935a90dc),
+    ("bdc_f3_10sq_3to4", 0x9c56082390488c44),
+    ("bdc_f4_10sq_even", 0x402bfa5cc34b6b53),
+    ("bfc3d_f3_8cube", 0xcde529aa493d8ff8),
+    ("bfc3d_f2_6cube", 0xd233999da22b86ef),
+    ("bfc3d_anisotropic", 0xe06314e515713d16),
+    ("bfc3d_nopad", 0x073bbe2ed3a02467),
+];
+
+/// `(name, hash)` of every forward, backward-data and 3-D BFC case.
+fn forward_and_3d_hashes() -> Vec<(&'static str, u64)> {
+    let sq = ConvShape::square;
+    let mut out = Vec::new();
+    let fc = [
+        ("fc_f3_12sq_3to4", sq(2, 12, 3, 4, 3)),
+        ("fc_f2_14sq_2to3", sq(1, 14, 2, 3, 2)),
+        ("fc_f3_14sq_2to3", sq(1, 14, 2, 3, 3)),
+        ("fc_f4_14sq_2to3", sq(1, 14, 2, 3, 4)),
+        ("fc_f5_14sq_2to3", sq(1, 14, 2, 3, 5)),
+        ("fc_f6_14sq_2to3", sq(1, 14, 2, 3, 6)),
+        (
+            "fc_f3_9x13_residual",
+            ConvShape::new(1, 9, 13, 2, 2, 3, 3, 1, 1),
+        ),
+    ];
+    for (name, s) in fc {
+        let x = Tensor4::<f32>::random_uniform([s.n, s.ih, s.iw, s.ic], 91, 1.0);
+        let w = Tensor4::<f32>::random_uniform([s.oc, s.fh, s.fw, s.ic], 92, 1.0);
+        out.push((name, fnv1a(fc_winograd(&s, &x, &w).as_slice())));
+    }
+    let bdc = [
+        ("bdc_f3_10sq_3to4", sq(2, 10, 3, 4, 3)),
+        (
+            "bdc_f4_10sq_even",
+            ConvShape::new(1, 10, 10, 2, 2, 4, 4, 2, 2),
+        ),
+    ];
+    for (name, s) in bdc {
+        let dy = Tensor4::<f32>::random_uniform([s.n, s.oh(), s.ow(), s.oc], 93, 1.0);
+        let w = Tensor4::<f32>::random_uniform([s.oc, s.fh, s.fw, s.ic], 92, 1.0);
+        out.push((name, fnv1a(bdc_winograd(&s, &dy, &w).as_slice())));
+    }
+    let cube = |n, id, ih, iw, ic, oc, [fd, fh, fw]: [usize; 3], p| Conv3dShape {
+        n,
+        id,
+        ih,
+        iw,
+        ic,
+        oc,
+        fd,
+        fh,
+        fw,
+        pd: p,
+        ph: p,
+        pw: p,
+    };
+    let conv3d = [
+        ("bfc3d_f3_8cube", Conv3dShape::cube(1, 8, 2, 2, 3)),
+        ("bfc3d_f2_6cube", Conv3dShape::cube(2, 6, 1, 2, 2)),
+        ("bfc3d_anisotropic", cube(1, 4, 9, 11, 2, 1, [2, 3, 3], 1)),
+        ("bfc3d_nopad", cube(2, 5, 7, 9, 1, 2, [2, 2, 3], 0)),
+    ];
+    for (name, s) in conv3d {
+        let x = TensorN::<f32>::random_uniform(&s.x_dims(), 31, 1.0);
+        let dy = TensorN::<f32>::random_uniform(&s.dy_dims(), 32, 1.0);
+        out.push((name, fnv1a(bfc3d_winrs(&s, &x, &dy).as_slice())));
+    }
+    out
+}
+
+/// Every forward, backward-data and 3-D BFC hash equals the committed
+/// one at every pinnable width.
+#[test]
+fn golden_forward_and_3d_hashes_hold_at_every_width() {
+    let _g = dispatch_guard();
+    let mut bad = Vec::new();
+    for width in pinnable_widths() {
+        micro::force_width(width).expect("available width");
+        let w = width.map_or("auto", |w| w.name());
+        for ((name, got), &(want_name, want)) in
+            forward_and_3d_hashes().into_iter().zip(FORWARD_GOLDEN)
+        {
+            if name != want_name || got != want {
+                bad.push(format!("    (\"{name}\", {got:#018x}), // {w}"));
+            }
+        }
+    }
+    micro::force_width(None).expect("auto always pins");
+    assert!(
+        bad.is_empty(),
+        "golden forward/3-D mismatches:\n{}",
         bad.join("\n")
     );
 }
