@@ -18,6 +18,7 @@ fn main() {
 
     // Collect (algo-row, fp32 mares, fp16 mares) keyed by display name.
     let mut rows: std::collections::BTreeMap<String, (Vec<f64>, Vec<f64>)> = Default::default();
+    let mut fp16_skipped = 0usize;
 
     for w in &sweep {
         let s = &w.shape;
@@ -28,26 +29,32 @@ fn main() {
         let dy64_16 = dy64.scale(0.01);
         let exact16 = direct::bfc_direct(s, &x64, &dy64_16);
 
-        // WinRS rows are keyed by the selected kernel's α.
+        // WinRS rows are keyed by the selected kernel's α, which can differ
+        // between the FP32 and the FP16 plan of one shape.
+        let winrs_key = |plan: &WinRsPlan| format!("WinRS Omega_{}(n,r)", plan.pair().bulk.alpha());
         let plan32 = WinRsPlan::new(s, &RTX_4090, Precision::Fp32).expect("benchmark shape is inside the WinRS envelope");
-        let alpha = plan32.pair().bulk.alpha();
-        let winrs_key = format!("WinRS Omega_{alpha}(n,r)");
         let m32 = mare(
             &plan32
                 .execute_f32(&x64.cast(), &dy64.cast())
                 .expect("FP32 plan accepts FP32 tensors"),
             &exact,
         );
-        rows.entry(winrs_key.clone()).or_default().0.push(m32);
+        rows.entry(winrs_key(&plan32)).or_default().0.push(m32);
 
-        let plan16 = WinRsPlan::new(s, &RTX_4090, Precision::Fp16).expect("benchmark shape is inside the WinRS envelope");
-        let m16 = mare(
-            &plan16
-                .execute_f16(&x64.cast(), &dy64_16.cast())
-                .expect("FP16 plan accepts FP16 tensors"),
-            &exact16,
-        );
-        rows.entry(winrs_key).or_default().1.push(m16);
+        // Only keys with an FP16 WinRS kernel have an FP16 plan.
+        if WinRsPlan::validate(s, Precision::Fp16).is_empty() {
+            let plan16 = WinRsPlan::new(s, &RTX_4090, Precision::Fp16)
+                .expect("validate accepted the FP16 key");
+            let m16 = mare(
+                &plan16
+                    .execute_f16(&x64.cast(), &dy64_16.cast())
+                    .expect("FP16 plan accepts FP16 tensors"),
+                &exact16,
+            );
+            rows.entry(winrs_key(&plan16)).or_default().1.push(m16);
+        } else {
+            fp16_skipped += 1;
+        }
 
         // Baselines.
         for algo in [Algo::CuFft, Algo::CuAlgo0, Algo::CuAlgo1, Algo::CuWinNF] {
@@ -90,6 +97,11 @@ fn main() {
         ]);
     }
     t.print();
+    println!(
+        "\nWinRS FP16 columns: {} of {} keys skipped (no FP16 WinRS kernel for their filter width)",
+        fp16_skipped,
+        sweep.len()
+    );
 
     println!(
         "\nExpected shape (paper Table 4): FP32 WinRS Omega_4/Omega_8 ~1e-7,\n\

@@ -4,13 +4,13 @@
 use crate::args::Flags;
 use std::fmt::{self, Write as _};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use winrs_bench::json::{Json, SCHEMA};
 use winrs_bench::{accuracy_sweep, throughput_dims};
 use winrs_conv::{direct, ConvShape};
 use winrs_core::fallback::{Algorithm, FallbackPolicy, NumericGuard};
 use winrs_core::pool::{ExecHandle, PoolConfig, WorkspacePool};
-use winrs_core::tuner::{TuneDb, Tuner, TunerConfig, TunerDecision};
+use winrs_core::tuner::{ChoiceSource, TuneDb, TunedEntry, TunerConfig, TunerDecision};
 use winrs_core::{Precision, WinRsPlan, TUNE_DB_SCHEMA};
 use winrs_gemm::micro::FORCE_WIDTH_ENV;
 use winrs_gpu_sim::{DeviceSpec, A5000, L40S, RTX_3090, RTX_4090};
@@ -58,9 +58,9 @@ commands:
            [--device NAME] [--fp16|--bf16]  (fig11 defaults to fp16)
            [--db PATH]      read + write the tuning database at PATH
            [--dry-run]      rank only, never write the database
-           [--measure K]    explore-then-commit: K measured trial runs per
-                            shape (CPU execution; oversized shapes are
-                            skipped and reported)
+           [--measure K]    time every ranked candidate K times after one
+                            warm-up and store the fastest (CPU execution;
+                            oversized shapes are skipped and reported)
            [--inspect]      print the entries of --db and exit
   serve    run the batched BFC HTTP/JSON service (POST /v1/bfc,
            GET /healthz, GET /v1/stats); same-shape jobs arriving within
@@ -761,9 +761,16 @@ fn tune_shapes(flags: &Flags) -> Result<Vec<(String, ConvShape)>, String> {
     }
 }
 
-/// One decision-table row: modelled time per candidate, winner, source.
-fn tune_row(out: &mut String, label: &str, d: &TunerDecision) {
-    let cell = |algo| match d.predicted_for(algo) {
+/// One decision-table row: seconds per candidate (modelled, or measured
+/// means), winner, source.
+fn tune_row(
+    out: &mut String,
+    label: &str,
+    seconds: impl Fn(Algorithm) -> Option<f64>,
+    chosen: Algorithm,
+    source: &str,
+) {
+    let cell = |algo| match seconds(algo) {
         Some(s) => format!("{:.4}", s * 1e3),
         None => "-".into(),
     };
@@ -775,9 +782,43 @@ fn tune_row(out: &mut String, label: &str, d: &TunerDecision) {
         cell(Algorithm::GemmBfc),
         cell(Algorithm::FftBfc),
         cell(Algorithm::Direct),
-        d.chosen.name(),
-        d.stats.source.name(),
+        chosen.name(),
+        source,
     );
+}
+
+/// Time every candidate of `d`'s ranking on `conv`: one untimed warm-up,
+/// then `k` runs through a handle pinned to the candidate with
+/// `FallbackPolicy::Force` (perfbench's regret probe times the same way).
+/// Returns each candidate's mean wall time, seconds, in ranking order.
+fn measure_candidates(
+    pool: &Arc<WorkspacePool>,
+    device: DeviceSpec,
+    precision: Precision,
+    conv: &ConvShape,
+    d: &TunerDecision,
+    k: u32,
+) -> Result<Vec<(Algorithm, f64)>, String> {
+    let x = Tensor4::<f32>::random_uniform([conv.n, conv.ih, conv.iw, conv.ic], 7, 1.0);
+    let scale = if precision == Precision::Fp32 {
+        1.0
+    } else {
+        0.01
+    };
+    let dy = Tensor4::<f32>::random_uniform([conv.n, conv.oh(), conv.ow(), conv.oc], 8, scale);
+    d.ranked
+        .iter()
+        .map(|c| {
+            let handle = ExecHandle::new(Arc::clone(pool), device, precision)
+                .with_policy(FallbackPolicy::Force(c.algo));
+            handle.run(conv, &x, &dy).map_err(|e| e.to_string())?;
+            let t = Instant::now();
+            for _ in 0..k {
+                handle.run(conv, &x, &dy).map_err(|e| e.to_string())?;
+            }
+            Ok((c.algo, t.elapsed().as_secs_f64() / f64::from(k)))
+        })
+        .collect()
 }
 
 fn inspect_tune_db(path: &std::path::Path) -> Result<String, String> {
@@ -826,7 +867,8 @@ fn cmd_tune(flags: &Flags) -> Result<String, String> {
         precision_from(flags)
     };
     let dry_run = flags.has("dry-run");
-    let measure = flags.opt_usize("measure", 0)?;
+    let measure = u32::try_from(flags.opt_usize("measure", 0)?)
+        .map_err(|_| "--measure must fit in 32 bits".to_string())?;
     let db_path = flags.opt_str("db").map(std::path::PathBuf::from);
 
     if flags.has("inspect") {
@@ -859,61 +901,12 @@ fn cmd_tune(flags: &Flags) -> Result<String, String> {
         "shape (N:OH:OW:OC)", "winrs ms", "gemm ms", "fft ms", "direct ms", "chosen", "source"
     );
 
-    if measure == 0 {
-        // Pure cost-model ranking: deterministic, any scale of shape.
-        let mut tuner = Tuner::new(TunerConfig {
-            capacity: shapes.len().max(1),
-            ..TunerConfig::default()
-        });
-        if let Some(path) = &db_path {
-            if let Some(w) = tuner.attach_db(path) {
-                let _ = writeln!(out, "warning     : {w}");
-            }
-        }
-        let _ = writeln!(out, "\n{header}");
-        // Key on the SIMD-qualified device key, not the raw fingerprint:
-        // `Tuner::decide` looks entries up under `device_key`, so rows
-        // written with the bare fingerprint would never be found again.
-        let fp = winrs_core::device_key(&device);
-        for (label, conv) in &shapes {
-            let d = tuner.decide(conv, &device, precision);
-            tune_row(&mut out, label, &d);
-            if !dry_run {
-                // Pure model decisions never auto-commit; pin the winner
-                // so the database captures the whole table.
-                tuner.db_mut().insert(
-                    &fp,
-                    conv,
-                    precision,
-                    winrs_core::TunedEntry {
-                        algo: d.chosen,
-                        predicted_s: d.stats.predicted_s,
-                        measured_s: d.stats.measured_s,
-                        trials: d.stats.trials,
-                    },
-                );
-            }
-        }
-        if let (false, Some(path)) = (dry_run, &db_path) {
-            tuner.save().map_err(|w| w.to_string())?;
-            let _ = writeln!(
-                out,
-                "\ndatabase    : wrote {} entries to {}",
-                tuner.db().len(),
-                path.display()
-            );
-        }
-        return Ok(out);
-    }
-
-    // Explore-then-commit: execute each shape on the CPU, letting the
-    // pool's tuner trial the model's runner-up `measure` times before it
-    // commits the measured winner.
+    // Measured shapes execute on the CPU; larger ones keep no entry.
     const EXEC_CAP: usize = 4_000_000;
     let pool = WorkspacePool::new(PoolConfig {
+        slots: 1,
         tuner: TunerConfig {
             capacity: shapes.len().max(1),
-            explore_trials: measure as u32,
         },
         ..PoolConfig::default()
     });
@@ -922,23 +915,54 @@ fn cmd_tune(flags: &Flags) -> Result<String, String> {
             let _ = writeln!(out, "warning     : {w}");
         }
     }
-    let handle = ExecHandle::new(Arc::clone(&pool), device, precision);
     let _ = writeln!(out, "\n{header}");
+    // Key on the SIMD-qualified device key, not the raw fingerprint:
+    // `Tuner::decide` looks entries up under `device_key`, so rows
+    // written with the bare fingerprint would never be found again.
+    let key = winrs_core::device_key(&device);
     let mut skipped: Vec<String> = Vec::new();
     for (label, conv) in &shapes {
-        if conv.x_elems() > EXEC_CAP {
+        let d = pool.with_tuner(|t| t.decide(conv, &device, precision));
+        let source = d.stats.source.name();
+        tune_row(&mut out, label, |a| d.predicted_for(a), d.chosen, source);
+        let entry = if measure == 0 {
+            // A key the database already holds keeps its entry; a model
+            // decision is stored so the database captures the whole table.
+            if d.stats.source == ChoiceSource::Database {
+                continue;
+            }
+            TunedEntry {
+                algo: d.chosen,
+                predicted_s: d.stats.predicted_s,
+                measured_s: None,
+                trials: 0,
+            }
+        } else if conv.x_elems() > EXEC_CAP {
             skipped.push(label.clone());
             continue;
-        }
-        let x = Tensor4::<f32>::random_uniform([conv.n, conv.ih, conv.iw, conv.ic], 7, 1.0);
-        let scale = if precision == Precision::Fp32 { 1.0 } else { 0.01 };
-        let dy =
-            Tensor4::<f32>::random_uniform([conv.n, conv.oh(), conv.ow(), conv.oc], 8, scale);
-        for _ in 0..measure + 2 {
-            handle.run(conv, &x, &dy).map_err(|e| e.to_string())?;
-        }
-        let d = pool.with_tuner(|t| t.decide(conv, &device, precision));
-        tune_row(&mut out, label, &d);
+        } else {
+            let means = measure_candidates(&pool, device, precision, conv, &d, measure)?;
+            let (algo, mean) = means
+                .iter()
+                .copied()
+                .min_by(|a, b| a.1.total_cmp(&b.1))
+                .ok_or("the ranking is never empty")?;
+            let mean_of = |a| means.iter().find(|m| m.0 == a).map(|m| m.1);
+            tune_row(&mut out, "  measured", mean_of, algo, "measured");
+            TunedEntry {
+                algo,
+                predicted_s: d.predicted_for(algo).unwrap_or(0.0),
+                measured_s: Some(mean),
+                trials: measure,
+            }
+        };
+        pool.with_tuner(|t| t.db_mut().insert(&key, conv, precision, entry));
+    }
+    if measure > 0 {
+        let _ = writeln!(
+            out,
+            "\nmeasured    : mean of {measure} runs per candidate after one warm-up"
+        );
     }
     if !skipped.is_empty() {
         // No silent caps: say exactly which shapes were not measured.
@@ -949,15 +973,14 @@ fn cmd_tune(flags: &Flags) -> Result<String, String> {
             skipped.join(", ")
         );
     }
-    let c = pool.tuner_counters();
-    let _ = writeln!(
-        out,
-        "trials      : {} measured runs, {} commits",
-        c.trials, c.commits
-    );
     if let (false, Some(path)) = (dry_run, &db_path) {
         pool.save_tune_db().map_err(|w| w.to_string())?;
-        let _ = writeln!(out, "database    : saved to {}", path.display());
+        let _ = writeln!(
+            out,
+            "\ndatabase    : wrote {} entries to {}",
+            pool.with_tuner(|t| t.db().len()),
+            path.display()
+        );
     }
     Ok(out)
 }
@@ -1511,15 +1534,49 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
+    /// `--measure K` prints a measured mean for every candidate the
+    /// model ranked, and the entry it writes is the argmin of those means,
+    /// with that mean and `trials = K`.
     #[test]
-    fn tune_measure_commits_a_winner() {
-        let out = run(&[
-            "tune", "--n", "2", "--res", "32", "--ic", "4", "--oc", "4", "--f", "2", "--measure",
-            "1", "--dry-run",
-        ])
-        .unwrap();
-        assert!(out.contains("committed"), "{out}");
-        assert!(out.contains("commits"), "{out}");
+    fn tune_measure_times_every_candidate_and_stores_the_fastest() {
+        let path = std::env::temp_dir().join(format!(
+            "winrs_cli_tune_measure_{}.json",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_file(&path);
+        let args = format!(
+            "tune --n 2 --res 16 --ic 8 --oc 8 --f 3 --measure 2 --db {}",
+            path.display()
+        );
+        let out = run(&args.split(' ').collect::<Vec<_>>()).unwrap();
+        // Cells after the 22-column label: winrs, gemm, fft and direct
+        // ms, then the winner and the source.
+        let cells = |prefix: &str| -> Vec<String> {
+            let line = out.lines().find(|l| l.starts_with(prefix));
+            let line = line.unwrap_or_else(|| panic!("no `{prefix}` row: {out}"));
+            line[22..].split_whitespace().map(str::to_string).collect()
+        };
+        let (model, measured) = (cells("2:16:16:8 f=3"), cells("  measured"));
+        assert_eq!(measured[5], "measured", "{out}");
+        let names = ["winrs", "gemm-bfc", "fft-bfc", "direct"];
+        let mut means = Vec::new();
+        for (algo, (m, t)) in names.iter().zip(model.iter().zip(&measured)) {
+            assert_eq!(m == "-", t == "-", "{algo}: ranked iff measured: {out}");
+            if t != "-" {
+                means.push((*algo, t.parse::<f64>().unwrap()));
+            }
+        }
+        assert_eq!(means.len(), 4, "an FP32 f=3 key ranks all four: {out}");
+        let fastest = means.iter().map(|m| m.1).fold(f64::INFINITY, f64::min);
+        let db = TuneDb::load(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(db.len(), 1);
+        let (_, _, _, e) = db.iter().next().unwrap();
+        let stored_ms = format!("{:.4}", e.measured_s.expect("measured") * 1e3);
+        assert_eq!(stored_ms.parse::<f64>().unwrap(), fastest, "{out}");
+        assert!(means.contains(&(e.algo.name(), fastest)), "{out}");
+        assert_eq!(measured[4], e.algo.name());
+        assert_eq!(e.trials, 2);
     }
 
     #[test]

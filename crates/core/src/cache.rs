@@ -5,7 +5,7 @@
 //! the same handful of layer shapes thousands of times. The one per-shape
 //! cache is the tuner's per-key store ([`crate::Tuner`]): an LRU keyed by
 //! `(shape, precision, device)` whose entries hold the algorithm ranking,
-//! the committed choice and the `Arc<WinRsPlan>`. A [`crate::WorkspacePool`]
+//! the choice and the `Arc<WinRsPlan>`. A [`crate::WorkspacePool`]
 //! owns one, sized by [`crate::TunerConfig::capacity`].
 
 /// Default capacity: comfortably above the distinct layer shapes of the

@@ -306,11 +306,7 @@ impl ExecutionReport {
             if let Some(m) = t.measured_s {
                 s.push_str(&format!(" meas={:.3}ms", m * 1e3));
             }
-            s.push_str(&format!(
-                " db={} trials={}]",
-                if t.db_hit { "hit" } else { "miss" },
-                t.trials
-            ));
+            s.push(']');
         }
         if let Some(reason) = &self.fallback_reason {
             s.push_str(&format!(" fallback=\"{reason}\""));

@@ -72,9 +72,8 @@ pub struct PoolConfig {
     /// How long a lease request may wait for a slot before failing with
     /// [`WinrsError::PoolExhausted`].
     pub max_wait: Duration,
-    /// Autotuner policy (the explore budget) and the capacity of the pool's
-    /// per-shape store, which holds each key's ranking, committed choice
-    /// and plan.
+    /// The capacity of the pool's per-shape store, which holds each key's
+    /// ranking, choice and plan.
     pub tuner: TunerConfig,
 }
 
@@ -131,7 +130,7 @@ pub struct WorkspacePool {
     cfg: PoolConfig,
     /// The dispatch authority and the one per-shape cache: ranks WinRS
     /// against its substitutes per shape/precision/device and keeps the
-    /// ranking, the committed choice and the plan. Never taken while
+    /// ranking, the choice and the plan. Never taken while
     /// holding `state`.
     tuner: Mutex<Tuner>,
 }
@@ -255,8 +254,7 @@ impl WorkspacePool {
         }
     }
 
-    /// Snapshot the tuner counters (decisions, db hits/misses, trials,
-    /// commits, evictions).
+    /// Snapshot the tuner counters (decisions, db hits/misses, evictions).
     pub fn tuner_counters(&self) -> TunerCounters {
         self.lock_tuner().counters()
     }
@@ -275,7 +273,7 @@ impl WorkspacePool {
         self.lock_tuner().attach_db(path)
     }
 
-    /// Persist committed decisions to the attached tuning database.
+    /// Persist the tuner's database to the attached tuning-database file.
     pub fn save_tune_db(&self) -> Result<(), TuneDbWarning> {
         self.lock_tuner().save()
     }
@@ -779,13 +777,6 @@ impl ExecHandle {
             Ok((dw, mut report)) => {
                 report.chosen = decision.chosen;
                 report.tuner = Some(decision.stats);
-                self.pool.lock_tuner().observe(
-                    conv,
-                    &self.device,
-                    self.precision,
-                    Algorithm::WinRs,
-                    report.timing.total_s,
-                );
                 Ok((dw, report))
             }
             Err(err) if err.recoverable_by_fallback() || err.recoverable_by_degradation() => {
@@ -814,13 +805,6 @@ impl ExecHandle {
             fallback::run_substitute(decision.chosen, conv, x, dy, self.precision, self.guard);
         report.tuner = Some(decision.stats);
         report.fallback_reason = decision.winrs_rejection.clone();
-        self.pool.lock_tuner().observe(
-            conv,
-            &self.device,
-            self.precision,
-            decision.chosen,
-            report.timing.total_s,
-        );
         (dw, report)
     }
 
@@ -1437,7 +1421,6 @@ mod tests {
         assert_eq!(report.pool.as_ref().unwrap().degradations, 0);
         let stats = report.tuner.unwrap();
         assert_eq!(stats.source, ChoiceSource::Model);
-        assert!(!stats.db_hit);
         assert!(
             report.summary_line().contains("tuner[chosen=direct"),
             "{}",
@@ -1454,10 +1437,7 @@ mod tests {
         // One LRU per pool: three distinct shapes through a 2-deep store
         // evict once, and the evicted key's plan misses again.
         let pool = WorkspacePool::new(PoolConfig {
-            tuner: TunerConfig {
-                capacity: 2,
-                ..TunerConfig::default()
-            },
+            tuner: TunerConfig { capacity: 2 },
             ..PoolConfig::default()
         });
         let handle = ExecHandle::new(Arc::clone(&pool), RTX_4090, Precision::Fp32);
@@ -1532,54 +1512,50 @@ mod tests {
         assert!(elapsed < Duration::from_millis(500), "waited {elapsed:?}");
     }
 
+    /// An entry like the one `winrs tune --measure 3` writes — the measured
+    /// argmin, its mean and `trials = 3` — on a key the model gives to
+    /// WinRS decides a fresh pool's dispatch: the stored algorithm runs,
+    /// with `source = db` and the entry's `measured_s`.
     #[test]
-    fn warm_pool_with_populated_db_never_measures() {
+    fn fresh_pool_dispatches_a_measured_database_entry() {
         let path = std::env::temp_dir().join(format!(
-            "winrs-pool-warm-db-{}.json",
+            "winrs-pool-measured-db-{}.json",
             std::process::id()
         ));
-        let _ = std::fs::remove_file(&path);
         let conv = ConvShape::square(1, 16, 2, 2, 3);
         let x = Tensor4::<f32>::random_uniform([1, conv.ih, conv.iw, conv.ic], 101, 1.0);
         let dy = Tensor4::<f32>::random_uniform([1, conv.oh(), conv.ow(), conv.oc], 102, 1.0);
-
-        // Cold process: explore, commit the measured winner, persist.
-        let exploring = PoolConfig {
-            slots: 1,
-            tuner: TunerConfig {
-                explore_trials: 1,
-                ..TunerConfig::default()
+        let model = crate::tuner::rank(&conv, &RTX_4090, Precision::Fp32);
+        assert_eq!(model[0].algo, Algorithm::WinRs, "the model's pick");
+        let mut db = crate::tuner::TuneDb::new();
+        db.insert(
+            &crate::tuner::device_key(&RTX_4090),
+            &conv,
+            Precision::Fp32,
+            crate::tuner::TunedEntry {
+                algo: Algorithm::GemmBfc,
+                predicted_s: 1.0e-4,
+                measured_s: Some(2.5e-4),
+                trials: 3,
             },
-            ..PoolConfig::default()
-        };
-        let pool = WorkspacePool::new(exploring);
+        );
+        db.save(&path).unwrap();
+
+        let pool = WorkspacePool::with_slots(1);
         assert!(pool.attach_tune_db(&path).is_none());
         let handle = ExecHandle::new(Arc::clone(&pool), RTX_4090, Precision::Fp32);
         for _ in 0..3 {
-            handle.run(&conv, &x, &dy).unwrap();
-        }
-        let cold = pool.tuner_counters();
-        assert_eq!(
-            cold.trials, 2,
-            "explore budget of one → model pick + one runner-up, both measured"
-        );
-        assert!(cold.commits >= 1, "exploration must commit a winner");
-        pool.save_tune_db().unwrap();
-
-        // Warm process: the decision comes from the database — zero trial
-        // measurements ever, even with the explore budget still set.
-        let pool2 = WorkspacePool::new(exploring);
-        assert!(pool2.attach_tune_db(&path).is_none());
-        let handle2 = ExecHandle::new(Arc::clone(&pool2), RTX_4090, Precision::Fp32);
-        for _ in 0..3 {
-            let (_, report) = handle2.run(&conv, &x, &dy).unwrap();
+            let (_, report) = handle.run(&conv, &x, &dy).unwrap();
+            assert_eq!(report.algorithm, Algorithm::GemmBfc);
+            assert!(report.fallback_reason.is_none(), "not a fallback");
             let stats = report.tuner.unwrap();
-            assert!(stats.db_hit);
             assert_eq!(stats.source, ChoiceSource::Database);
+            assert_eq!(stats.measured_s, Some(2.5e-4));
+            let line = report.summary_line();
+            assert!(line.contains("src=db pred=") && line.contains("meas=0.250ms]"), "{line}");
         }
-        let warm = pool2.tuner_counters();
-        assert_eq!(warm.trials, 0, "warm process must never re-measure");
-        assert_eq!(warm.db_hits, 1);
+        let c = pool.tuner_counters();
+        assert_eq!((c.decisions, c.db_hits, c.db_misses), (3, 1, 0));
         let _ = std::fs::remove_file(&path);
     }
 }

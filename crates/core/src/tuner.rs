@@ -9,25 +9,22 @@
 //!    the paper's figures, and WinRS participates only when
 //!    [`WinRsPlan::new`] actually succeeds (support is derived from the
 //!    planner's `Result`, never a static matrix);
-//! 2. **refines** the model's choice with measured wall times under an
-//!    explore-then-commit policy ([`Tuner::decide`] / [`Tuner::observe`]):
-//!    the first `explore_trials` warm runs per key may trial the model's
-//!    runner-up, after which the measured winner is committed. Exploration
-//!    is opt-in (`explore_trials = 0` by default) so plain dispatch stays
-//!    deterministic;
-//! 3. **persists** committed winners to an on-disk database ([`TuneDb`],
-//!    schema [`TUNE_DB_SCHEMA`]) keyed by [`device_key`] — the device
-//!    fingerprint ([`winrs_gpu_sim::DeviceSpec::fingerprint`]) extended
-//!    with the host's detected SIMD width — so a warm process never
-//!    re-measures: a database hit commits the stored choice immediately and
-//!    no trials run, and entries measured on an AVX2 host never apply on an
-//!    AVX-512 one (the widths' timings differ even though their ∇W bits
-//!    don't).
+//! 2. **decides** from the per-key store, the tuning database or the cost
+//!    model, in that order ([`Tuner::decide`]): a database entry for the
+//!    key wins, otherwise the model's argmin does. Dispatch never measures,
+//!    so it is deterministic for a given store, database and model;
+//! 3. **loads** winners from an on-disk database ([`TuneDb`], schema
+//!    [`TUNE_DB_SCHEMA`]) keyed by [`device_key`] — the device fingerprint
+//!    ([`winrs_gpu_sim::DeviceSpec::fingerprint`]) extended with the host's
+//!    detected SIMD width, so entries measured on an AVX2 host never apply
+//!    on an AVX-512 one (the widths' timings differ even though their ∇W
+//!    bits don't). `winrs tune --measure` is what writes measured entries:
+//!    it times every ranked candidate and stores the fastest.
 //!
 //! The tuner's per-key entries are also the pool's one per-shape cache:
 //! ranking a key builds its [`WinRsPlan`], and the entry keeps that plan
-//! next to the ranking and the committed choice, so a cold key is planned
-//! once and [`crate::WorkspacePool::cached_plan`] hands out the same `Arc`.
+//! next to the ranking and the choice, so a cold key is planned once and
+//! [`crate::WorkspacePool::cached_plan`] hands out the same `Arc`.
 //!
 //! The policy layer ([`crate::pool::ExecHandle`]) is deliberately *not* in
 //! this module: Strict/Auto/Force filter the ranked list but never reorder
@@ -63,7 +60,7 @@ pub const TUNE_DB_SCHEMA: &str = "winrs-tune-v1";
 /// fingerprint extended with the SIMD width the kernel family detected
 /// (`|host-simd:avx512`, `|host-simd:avx2`, …). Measured wall times depend
 /// on the dispatch width — the block loop's FT/IT/EWMM throughput roughly
-/// doubles from AVX2 to AVX-512 — so a [`TuneDb`] entry committed on one
+/// doubles from AVX2 to AVX-512 — so a [`TuneDb`] entry measured on one
 /// width must never be applied on another. Note this keys on the
 /// *detected* width, not any transient `WINRS_FORCE_WIDTH` pin: forced
 /// widths are a debugging/reproduction tool and must not pollute the
@@ -257,15 +254,15 @@ impl fmt::Display for TuneDbWarning {
     }
 }
 
-/// One committed tuning decision.
+/// One stored tuning decision.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TunedEntry {
     /// The winning algorithm.
     pub algo: Algorithm,
     /// Modelled time of the winner when the decision was made, seconds.
     pub predicted_s: f64,
-    /// Mean measured time that committed the winner (absent for decisions
-    /// persisted straight from the model, e.g. `winrs tune` sweeps).
+    /// Mean measured time of the winner (`winrs tune --measure`); absent
+    /// for decisions stored straight from the model.
     pub measured_s: Option<f64>,
     /// Number of measured executions behind `measured_s`.
     pub trials: u32,
@@ -304,7 +301,7 @@ impl TuneDb {
         self.entries.is_empty()
     }
 
-    /// Look up the committed decision for one key.
+    /// Look up the stored decision for one key.
     pub fn get(
         &self,
         fingerprint: &str,
@@ -386,6 +383,14 @@ impl TuneDb {
             path: path.to_string(),
             detail: detail.to_string(),
         };
+        // A time is finite and non-negative: an infinity would be saved
+        // as `null`, which the next load refuses, and no run takes
+        // negative time.
+        let seconds = |v: &Json, field: &str| {
+            v.as_f64()
+                .filter(|s| s.is_finite() && *s >= 0.0)
+                .ok_or_else(|| malformed(&format!("`{field}` is not a finite non-negative number")))
+        };
         let doc = Json::parse(text).map_err(|error| TuneDbWarning::Parse {
             path: path.to_string(),
             error,
@@ -422,8 +427,9 @@ impl TuneDb {
                 let mut shape = [0usize; 9];
                 for (slot, dim) in shape.iter_mut().zip(shape_arr) {
                     let v = dim.as_f64().ok_or_else(|| malformed("non-numeric dim"))?;
-                    if v < 0.0 || v.fract() != 0.0 {
-                        return Err(malformed("negative or fractional dim"));
+                    // Dims render as i64: a larger one would come back negative.
+                    if v < 0.0 || v.fract() != 0.0 || v >= i64::MAX as f64 {
+                        return Err(malformed("dim is not an integer in 0..2^63"));
                     }
                     *slot = v as usize;
                 }
@@ -437,18 +443,23 @@ impl TuneDb {
                     .and_then(Json::as_str)
                     .and_then(Algorithm::parse)
                     .ok_or_else(|| malformed("unknown `algo`"))?;
-                let predicted_s = e
-                    .get("predicted_s")
-                    .and_then(Json::as_f64)
-                    .ok_or_else(|| malformed("missing `predicted_s`"))?;
+                let predicted_s = seconds(
+                    e.get("predicted_s")
+                        .ok_or_else(|| malformed("missing `predicted_s`"))?,
+                    "predicted_s",
+                )?;
                 let measured_s = match e.get("measured_s") {
                     None | Some(Json::Null) => None,
-                    Some(v) => Some(
-                        v.as_f64()
-                            .ok_or_else(|| malformed("non-numeric `measured_s`"))?,
-                    ),
+                    Some(v) => Some(seconds(v, "measured_s")?),
                 };
-                let trials = e.get("trials").and_then(Json::as_f64).unwrap_or(0.0) as u32;
+                let trials = match e.get("trials") {
+                    None => 0,
+                    Some(v) => v
+                        .as_f64()
+                        .filter(|t| t.fract() == 0.0 && (0.0..=f64::from(u32::MAX)).contains(t))
+                        .ok_or_else(|| malformed("`trials` is not an integer in 0..=u32::MAX"))?
+                        as u32,
+                };
                 db.entries.insert(
                     (fp.to_string(), shape, prec),
                     TunedEntry {
@@ -516,28 +527,22 @@ impl TuneDb {
 }
 
 // ---------------------------------------------------------------------------
-// The tuner: per-key store + explore-then-commit + database
+// The tuner: per-key store + database + model
 // ---------------------------------------------------------------------------
 
-/// Tuner policy knobs.
+/// Tuner configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct TunerConfig {
     /// Capacity of the per-key store: how many keys keep their ranking,
-    /// committed choice and WinRS plan in memory before the least recently
-    /// used one is evicted.
+    /// choice and WinRS plan in memory before the least recently used one
+    /// is evicted.
     pub capacity: usize,
-    /// Explore budget: the first `explore_trials` *warm* runs of a key may
-    /// trial the model's runner-up before the measured winner is
-    /// committed. `0` (default) disables measurement — dispatch is pure
-    /// cost model (or database) and fully deterministic.
-    pub explore_trials: u32,
 }
 
 impl Default for TunerConfig {
     fn default() -> TunerConfig {
         TunerConfig {
             capacity: DEFAULT_PLAN_CACHE_CAPACITY,
-            explore_trials: 0,
         }
     }
 }
@@ -547,12 +552,8 @@ impl Default for TunerConfig {
 pub enum ChoiceSource {
     /// Cost model argmin, no measurements involved.
     Model,
-    /// Warm-start hit in the persistent tuning database.
+    /// An entry in the persistent tuning database.
     Database,
-    /// Mid-exploration measured trial (not yet committed).
-    Trial,
-    /// Committed in this process after exploration finished.
-    Committed,
 }
 
 impl ChoiceSource {
@@ -561,8 +562,6 @@ impl ChoiceSource {
         match self {
             ChoiceSource::Model => "model",
             ChoiceSource::Database => "db",
-            ChoiceSource::Trial => "trial",
-            ChoiceSource::Committed => "committed",
         }
     }
 }
@@ -581,12 +580,8 @@ pub struct TunerStats {
     pub source: ChoiceSource,
     /// Modelled time of the chosen algorithm, seconds.
     pub predicted_s: f64,
-    /// Committed mean measured time, when one exists.
+    /// The database entry's mean measured time, when it has one.
     pub measured_s: Option<f64>,
-    /// Whether the persistent database supplied the decision.
-    pub db_hit: bool,
-    /// Measured trial runs taken for this key so far (this process).
-    pub trials: u32,
 }
 
 /// Cumulative tuner counters (process-lifetime, monotone).
@@ -596,12 +591,8 @@ pub struct TunerCounters {
     pub decisions: u64,
     /// Keys whose decision came from the persistent database.
     pub db_hits: u64,
-    /// Keys the database did not know (decided by model/exploration).
+    /// Keys the database did not know (decided by the model).
     pub db_misses: u64,
-    /// Measured trial executions (pre-commit exploration runs).
-    pub trials: u64,
-    /// Explore phases concluded with a committed winner.
-    pub commits: u64,
     /// Per-key store LRU evictions.
     pub evictions: u64,
 }
@@ -668,15 +659,8 @@ struct DecisionState {
     /// Whether [`Tuner::plan`] has handed the plan out yet: the first
     /// fetch counts as the plan-cache miss, later ones as hits.
     plan_fetched: bool,
-    committed: Option<Algorithm>,
-    source: ChoiceSource,
-    committed_measured: Option<f64>,
-    /// Measurement accumulator: `(algo, sum of seconds, count)`.
-    sums: Vec<(Algorithm, f64, u32)>,
-    /// Decisions handed out for this key (run 0 is the cold run).
-    runs: u32,
-    /// Measured trial runs taken for this key.
-    trials: u32,
+    chosen: Algorithm,
+    stats: TunerStats,
     last_used: u64,
 }
 
@@ -713,7 +697,6 @@ impl Tuner {
         Tuner {
             cfg: TunerConfig {
                 capacity: cfg.capacity.max(1),
-                ..cfg
             },
             decisions: Vec::new(),
             tick: 0,
@@ -727,8 +710,8 @@ impl Tuner {
     }
 
     /// Attach a persistent database file: load it now (recording a
-    /// [`TuneDbWarning`] instead of failing on corruption) and write
-    /// committed decisions back to it. Returns the load warning, if any.
+    /// [`TuneDbWarning`] instead of failing on corruption) and make it the
+    /// target of [`Tuner::save`]. Returns the load warning, if any.
     /// In-memory decision state is cleared so database entries take effect
     /// immediately.
     pub fn attach_db(&mut self, path: &Path) -> Option<TuneDbWarning> {
@@ -781,7 +764,7 @@ impl Tuner {
         &self.db
     }
 
-    /// Mutable database access (the `winrs tune` sweep seeds model
+    /// Mutable database access (`winrs tune` stores its model and measured
     /// decisions through this).
     pub fn db_mut(&mut self) -> &mut TuneDb {
         &mut self.db
@@ -814,7 +797,8 @@ impl Tuner {
     }
 
     /// Decide which algorithm to run for one execution of
-    /// `(conv, precision)` on `device`.
+    /// `(conv, precision)` on `device`: the store entry's choice, which a
+    /// cold key takes from the database, else from the model's ranking.
     pub fn decide(
         &mut self,
         conv: &ConvShape,
@@ -822,65 +806,13 @@ impl Tuner {
         precision: Precision,
     ) -> TunerDecision {
         self.counters.decisions += 1;
-        let explore = self.cfg.explore_trials;
         let st = self.entry(conv, device, precision);
-
-        // Explore budget exhausted without enough observations (the caller
-        // never fed measurements back)? Commit from whatever we have.
-        let stale_exploration = st.committed.is_none() && explore > 0 && st.runs > explore;
-        if stale_exploration {
-            Self::commit_state(st);
-        }
-
-        let model_best = Self::model_choice(&st.ranked);
-        let mut counted_trial = false;
-        let (chosen, source) = match st.committed {
-            Some(c) => (c, st.source),
-            None if explore > 0 && st.ranked.len() > 1 => {
-                // Run 0 measures the model's pick; warm runs 1..=K measure
-                // the runner-up.
-                let c = if st.runs == 0 {
-                    model_best
-                } else {
-                    st.ranked
-                        .iter()
-                        .map(|r| r.algo)
-                        .find(|a| *a != model_best)
-                        .unwrap_or(model_best)
-                };
-                st.trials += 1;
-                counted_trial = true;
-                (c, ChoiceSource::Trial)
-            }
-            None => (model_best, ChoiceSource::Model),
-        };
-        st.runs += 1;
-        let predicted_s = st
-            .ranked
-            .iter()
-            .find(|c| c.algo == chosen)
-            .map(|c| c.predicted_s)
-            .unwrap_or(0.0);
-        let decision = TunerDecision {
-            chosen,
+        TunerDecision {
+            chosen: st.chosen,
             ranked: st.ranked.clone(),
             winrs_rejection: st.winrs.as_ref().err().cloned(),
-            stats: TunerStats {
-                source,
-                predicted_s,
-                measured_s: st.committed_measured,
-                db_hit: st.source == ChoiceSource::Database,
-                trials: st.trials,
-            },
-        };
-        if stale_exploration {
-            self.counters.commits += 1;
-            self.store_commit(conv, device, precision);
+            stats: st.stats,
         }
-        if counted_trial {
-            self.counters.trials += 1;
-        }
-        decision
     }
 
     /// Fetch the WinRS plan for `(conv, precision)` on `device` from the
@@ -943,30 +875,38 @@ impl Tuner {
                 let db_entry = self
                     .db
                     .get(&device_key(device), conv, precision)
-                    .copied()
                     // A stored winner the current ranking does not even list
                     // (e.g. a stale FFT entry for a now-FP16 key) is ignored.
                     .filter(|e| ranked.iter().any(|c| c.algo == e.algo));
-                match db_entry {
-                    Some(_) => self.counters.db_hits += 1,
-                    None => self.counters.db_misses += 1,
-                }
+                let (chosen, source, measured_s) = match db_entry {
+                    Some(e) => {
+                        self.counters.db_hits += 1;
+                        (e.algo, ChoiceSource::Database, e.measured_s)
+                    }
+                    None => {
+                        self.counters.db_misses += 1;
+                        // The model's argmin; direct convolution is always
+                        // ranked, so the list is never empty.
+                        let best = ranked.first().map_or(Algorithm::Direct, |c| c.algo);
+                        (best, ChoiceSource::Model, None)
+                    }
+                };
+                let predicted_s = ranked
+                    .iter()
+                    .find(|c| c.algo == chosen)
+                    .map_or(0.0, |c| c.predicted_s);
                 self.decisions.push((
                     key,
                     DecisionState {
                         ranked,
                         winrs,
                         plan_fetched: false,
-                        committed: db_entry.map(|e| e.algo),
-                        source: if db_entry.is_some() {
-                            ChoiceSource::Database
-                        } else {
-                            ChoiceSource::Model
+                        chosen,
+                        stats: TunerStats {
+                            source,
+                            predicted_s,
+                            measured_s,
                         },
-                        committed_measured: db_entry.and_then(|e| e.measured_s),
-                        sums: Vec::new(),
-                        runs: 0,
-                        trials: 0,
                         last_used: self.tick,
                     },
                 ));
@@ -976,103 +916,6 @@ impl Tuner {
         let st = &mut self.decisions[i].1;
         st.last_used = self.tick;
         st
-    }
-
-    /// The store entry for a key, if resident.
-    fn get_mut(&mut self, key: DecisionKey) -> Option<&mut DecisionState> {
-        self.decisions
-            .iter_mut()
-            .find(|(k, _)| *k == key)
-            .map(|(_, st)| st)
-    }
-
-    /// Feed a measured wall time back for the execution that
-    /// [`Tuner::decide`] chose. Ignored once the key is committed (a warm
-    /// process with a populated database performs zero trials).
-    pub fn observe(
-        &mut self,
-        conv: &ConvShape,
-        device: &DeviceSpec,
-        precision: Precision,
-        algo: Algorithm,
-        measured_s: f64,
-    ) {
-        if self.cfg.explore_trials == 0 || !measured_s.is_finite() || measured_s <= 0.0 {
-            return;
-        }
-        let explore = self.cfg.explore_trials;
-        let Some(st) = self.get_mut(decision_key(conv, device, precision)) else {
-            return;
-        };
-        if st.committed.is_some() {
-            return;
-        }
-        match st.sums.iter_mut().find(|(a, _, _)| *a == algo) {
-            Some(slot) => {
-                slot.1 += measured_s;
-                slot.2 += 1;
-            }
-            None => st.sums.push((algo, measured_s, 1)),
-        }
-        // Cold run + `explore` warm trials observed: decide the winner.
-        if st.runs > explore && st.sums.len() >= 2 {
-            Self::commit_state(st);
-            self.counters.commits += 1;
-            self.store_commit(conv, device, precision);
-        }
-    }
-
-    /// Model argmin: the head of the ranking, else direct convolution.
-    fn model_choice(ranked: &[RankedCandidate]) -> Algorithm {
-        ranked.first().map_or(Algorithm::Direct, |best| best.algo)
-    }
-
-    /// Commit the measured winner (or the model choice when measurements
-    /// are one-sided) into the state.
-    fn commit_state(st: &mut DecisionState) {
-        let measured_best = st
-            .sums
-            .iter()
-            .map(|(a, sum, n)| (*a, sum / f64::from((*n).max(1))))
-            .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
-        match measured_best {
-            Some((algo, mean)) => {
-                st.committed = Some(algo);
-                st.committed_measured = Some(mean);
-            }
-            None => {
-                st.committed = Some(Self::model_choice(&st.ranked));
-                st.committed_measured = None;
-            }
-        }
-        st.source = ChoiceSource::Committed;
-    }
-
-    /// Write the freshly committed state through to the database (and
-    /// disk, when a path is attached).
-    fn store_commit(&mut self, conv: &ConvShape, device: &DeviceSpec, precision: Precision) {
-        let Some(st) = self.get_mut(decision_key(conv, device, precision)) else {
-            return;
-        };
-        let Some(algo) = st.committed else { return };
-        let predicted_s = st
-            .ranked
-            .iter()
-            .find(|c| c.algo == algo)
-            .map(|c| c.predicted_s)
-            .unwrap_or(0.0);
-        let entry = TunedEntry {
-            algo,
-            predicted_s,
-            measured_s: st.committed_measured,
-            trials: st.trials,
-        };
-        self.db.insert(&device_key(device), conv, precision, entry);
-        if self.db_path.is_some() {
-            // A failed save is a standing warning, not an error: the
-            // in-memory decision is still committed and dispatch continues.
-            let _ = self.save();
-        }
     }
 }
 
@@ -1156,10 +999,7 @@ mod tests {
 
     #[test]
     fn decision_cache_respects_capacity() {
-        let mut t = Tuner::new(TunerConfig {
-            capacity: 2,
-            ..TunerConfig::default()
-        });
+        let mut t = Tuner::new(TunerConfig { capacity: 2 });
         for res in [12usize, 14, 16, 18] {
             let conv = ConvShape::square(1, res, 2, 2, 3);
             t.decide(&conv, &RTX_4090, Precision::Fp32);
@@ -1171,10 +1011,7 @@ mod tests {
     #[test]
     fn store_keys_plans_by_shape_device_precision_with_lru_eviction() {
         use winrs_gpu_sim::RTX_3090;
-        let t = Tuner::new(TunerConfig {
-            capacity: 0,
-            ..TunerConfig::default()
-        });
+        let t = Tuner::new(TunerConfig { capacity: 0 });
         assert_eq!(t.config().capacity, 1, "capacity is clamped to one");
 
         let mut t = Tuner::new(TunerConfig::default());
@@ -1186,10 +1023,7 @@ mod tests {
         t.plan(&a, &RTX_4090, Precision::Fp16).unwrap(); // other precision
         assert_eq!(t.plan_stats(), (1, 4));
 
-        let mut t = Tuner::new(TunerConfig {
-            capacity: 2,
-            ..TunerConfig::default()
-        });
+        let mut t = Tuner::new(TunerConfig { capacity: 2 });
         let c = ConvShape::square(1, 14, 1, 1, 2);
         let plan_a = t.plan(&a, &RTX_4090, Precision::Fp32).unwrap();
         t.plan(&b, &RTX_4090, Precision::Fp32).unwrap();
@@ -1206,59 +1040,6 @@ mod tests {
         let x = winrs_tensor::Tensor4::<f32>::random_uniform([2, 16, 16, 4], 3, 1.0);
         let dy = winrs_tensor::Tensor4::<f32>::random_uniform([2, 16, 16, 4], 4, 1.0);
         assert!(plan_a.execute_f32(&x, &dy).is_ok());
-    }
-
-    #[test]
-    fn explore_then_commit_prefers_the_measured_winner() {
-        let mut t = Tuner::new(TunerConfig {
-            explore_trials: 2,
-            ..TunerConfig::default()
-        });
-        let conv = small();
-        // Cold run: model pick (WinRS here).
-        let d0 = t.decide(&conv, &RTX_4090, Precision::Fp32);
-        assert_eq!(d0.chosen, Algorithm::WinRs);
-        assert_eq!(d0.stats.source, ChoiceSource::Trial);
-        // Feed measurements that contradict the model: WinRS slow, the
-        // runner-up fast.
-        t.observe(&conv, &RTX_4090, Precision::Fp32, d0.chosen, 5.0);
-        let d1 = t.decide(&conv, &RTX_4090, Precision::Fp32);
-        assert_ne!(d1.chosen, Algorithm::WinRs, "warm run trials runner-up");
-        t.observe(&conv, &RTX_4090, Precision::Fp32, d1.chosen, 1.0);
-        let d2 = t.decide(&conv, &RTX_4090, Precision::Fp32);
-        t.observe(&conv, &RTX_4090, Precision::Fp32, d2.chosen, 1.0);
-        // Exploration done: committed to the measured winner.
-        let d3 = t.decide(&conv, &RTX_4090, Precision::Fp32);
-        assert_eq!(d3.stats.source, ChoiceSource::Committed);
-        assert_eq!(d3.chosen, d1.chosen);
-        assert_eq!(d3.stats.measured_s, Some(1.0));
-        assert_eq!(t.counters().commits, 1);
-        // Database carries the commitment.
-        assert_eq!(
-            t.db()
-                .get(&device_key(&RTX_4090), &conv, Precision::Fp32)
-                .map(|e| e.algo),
-            Some(d1.chosen)
-        );
-        // Further observes are ignored.
-        t.observe(&conv, &RTX_4090, Precision::Fp32, Algorithm::Direct, 0.001);
-        let d4 = t.decide(&conv, &RTX_4090, Precision::Fp32);
-        assert_eq!(d4.chosen, d1.chosen);
-    }
-
-    #[test]
-    fn zero_explore_budget_is_pure_model_dispatch() {
-        let mut t = Tuner::new(TunerConfig::default());
-        let conv = small();
-        for _ in 0..5 {
-            let d = t.decide(&conv, &RTX_4090, Precision::Fp32);
-            assert_eq!(d.chosen, Algorithm::WinRs);
-            assert_eq!(d.stats.source, ChoiceSource::Model);
-            // Measurements are ignored without an explore budget.
-            t.observe(&conv, &RTX_4090, Precision::Fp32, Algorithm::Direct, 1e-9);
-        }
-        assert_eq!(t.counters().trials, 0);
-        assert_eq!(t.counters().commits, 0);
     }
 
     #[test]
@@ -1385,15 +1166,19 @@ mod tests {
     }
 
     #[test]
-    fn db_hit_commits_without_trials() {
-        let fp = device_key(&RTX_4090);
+    fn database_entry_overrides_the_model() {
         let conv = small();
-        let mut t = Tuner::new(TunerConfig {
-            explore_trials: 3,
-            ..TunerConfig::default()
-        });
+        let mut t = Tuner::new(TunerConfig::default());
+        let d = t.decide(&conv, &RTX_4090, Precision::Fp32);
+        assert_eq!(
+            (d.chosen, d.stats.source),
+            (Algorithm::WinRs, ChoiceSource::Model)
+        );
+        assert_eq!(d.stats.measured_s, None);
+
+        let mut t = Tuner::new(TunerConfig::default());
         t.db_mut().insert(
-            &fp,
+            &device_key(&RTX_4090),
             &conv,
             Precision::Fp32,
             TunedEntry {
@@ -1407,10 +1192,87 @@ mod tests {
             let d = t.decide(&conv, &RTX_4090, Precision::Fp32);
             assert_eq!(d.chosen, Algorithm::GemmBfc);
             assert_eq!(d.stats.source, ChoiceSource::Database);
-            assert!(d.stats.db_hit);
-            t.observe(&conv, &RTX_4090, Precision::Fp32, d.chosen, 1.0);
+            assert_eq!(d.stats.measured_s, Some(9.0e-5));
+            assert_eq!(
+                d.stats.predicted_s,
+                d.predicted_for(Algorithm::GemmBfc).unwrap()
+            );
         }
-        assert_eq!(t.counters().trials, 0, "warm db: zero trial measurements");
-        assert_eq!(t.counters().db_hits, 1);
+        assert_eq!((t.counters().db_hits, t.counters().db_misses), (1, 0));
+    }
+
+    /// Every number the loader accepts renders back as the same number:
+    /// a non-finite or negative time, a `trials` outside `u32` or a dim
+    /// past `i64` is refused as `Malformed` naming the field instead of
+    /// being read as something the next save cannot write back.
+    #[test]
+    fn unrenderable_numbers_are_refused_naming_the_field() {
+        let doc = |predicted: &str, measured: &str, trials: &str| {
+            format!(
+                r#"{{"schema":"{TUNE_DB_SCHEMA}","devices":[{{"fingerprint":"d","entries":[{{"shape":[2,16,16,4,4,3,3,1,1],"precision":"fp32","algo":"winrs","predicted_s":{predicted},"measured_s":{measured},"trials":{trials}}}]}}]}}"#
+            )
+        };
+        for (predicted, measured, trials, field) in [
+            ("1e999", "null", "0", "predicted_s"),
+            ("-1e999", "null", "0", "predicted_s"),
+            ("-0.5", "null", "0", "predicted_s"),
+            ("\"fast\"", "null", "0", "predicted_s"),
+            ("0.001", "1e999", "1", "measured_s"),
+            ("0.001", "-0.002", "1", "measured_s"),
+            ("0.001", "true", "1", "measured_s"),
+            ("0.001", "null", "-5", "trials"),
+            ("0.001", "null", "1.5", "trials"),
+            ("0.001", "null", "\"3\"", "trials"),
+            ("0.001", "null", "4294967296", "trials"),
+            ("0.001", "null", "1e999", "trials"),
+        ] {
+            let text = doc(predicted, measured, trials);
+            match TuneDb::parse(&text, "t") {
+                Err(TuneDbWarning::Malformed { detail, .. }) => {
+                    assert!(detail.contains(&format!("`{field}`")), "{text}: {detail}")
+                }
+                other => panic!("{text}: expected Malformed naming {field}, got {other:?}"),
+            }
+        }
+        let huge_dim = doc("0.001", "null", "0").replacen("[2,", "[1e30,", 1);
+        assert!(matches!(
+            TuneDb::parse(&huge_dim, "t"),
+            Err(TuneDbWarning::Malformed { detail, .. }) if detail.contains("dim")
+        ));
+        // The edges that do render back are kept.
+        let ok = TuneDb::parse(&doc("0", "0.00025", "4294967295"), "t").unwrap();
+        let (_, _, _, e) = ok.iter().next().unwrap();
+        assert_eq!(
+            (e.predicted_s, e.measured_s, e.trials),
+            (0.0, Some(2.5e-4), u32::MAX)
+        );
+    }
+
+    #[test]
+    fn load_save_load_gives_identical_bytes() {
+        let path =
+            std::env::temp_dir().join(format!("winrs-tune-roundtrip-{}.json", std::process::id()));
+        let mut db = TuneDb::new();
+        for (conv, measured_s, trials) in [(small(), Some(1.0e-300), 7), (gemm_leaning(), None, 0)]
+        {
+            db.insert(
+                &device_key(&RTX_4090),
+                &conv,
+                Precision::Fp32,
+                TunedEntry {
+                    algo: Algorithm::Direct,
+                    predicted_s: 1.0e300,
+                    measured_s,
+                    trials,
+                },
+            );
+        }
+        db.save(&path).unwrap();
+        let first = std::fs::read_to_string(&path).unwrap();
+        TuneDb::load(&path).unwrap().save(&path).unwrap();
+        let second = std::fs::read_to_string(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(first, second);
+        assert_eq!(TuneDb::parse(&second, "t").unwrap().len(), 2);
     }
 }

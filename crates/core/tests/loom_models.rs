@@ -126,10 +126,7 @@ fn scratch_pool_overflow_is_counted_exactly_once() {
 fn plan_store_counters_stay_consistent_under_interleaving() {
     loom::model(|| {
         let pool = WorkspacePool::new(PoolConfig {
-            tuner: TunerConfig {
-                capacity: 1,
-                ..TunerConfig::default()
-            },
+            tuner: TunerConfig { capacity: 1 },
             ..PoolConfig::default()
         });
         let shapes = [

@@ -44,10 +44,7 @@ fn model_pool() -> Arc<WorkspacePool> {
         // In-model waits never time out (wall time is not explorable);
         // the bound only has to be non-zero so the wait path is taken.
         max_wait: Duration::from_secs(3600),
-        tuner: TunerConfig {
-            capacity: 1,
-            ..TunerConfig::default()
-        },
+        tuner: TunerConfig { capacity: 1 },
         ..PoolConfig::default()
     })
 }

@@ -243,26 +243,6 @@ fn avx512_ready() -> bool {
     false
 }
 
-/// `dst[i] += a · x[i]` over `dst.len()` elements (`x` at least as long).
-///
-/// The engine's transform loops are built from this: one AXPY per
-/// transform coefficient, vectorised over the channel axis.
-#[inline]
-pub fn axpy(dst: &mut [f32], a: f32, x: &[f32]) {
-    let n = dst.len();
-    debug_assert!(x.len() >= n, "axpy: x shorter than dst");
-    #[cfg(target_arch = "x86_64")]
-    match active_width() {
-        // SAFETY: avx512f+avx2+fma verified at runtime (`avx512_ready`)
-        // before Avx512 can be detected or pinned.
-        SimdWidth::Avx512 => return unsafe { avx512::axpy(dst, a, &x[..n]) },
-        // SAFETY: avx2+fma verified at runtime (`avx2_ready`).
-        SimdWidth::Avx2 => return unsafe { avx2::axpy(dst, a, &x[..n]) },
-        _ => {}
-    }
-    axpy_scalar(dst, a, &x[..n]);
-}
-
 /// Batched transform AXPY: `dst` is `k` consecutive chunks of width
 /// `src.len()`, and chunk `j` accumulates `coeffs[j·cstride] · src`. One
 /// call covers a whole transform column — the β loop lives inside the
@@ -812,10 +792,12 @@ mod tests {
             .collect()
     }
 
+    /// One chunk of `expand_axpy` is one call of the width's AXPY body:
+    /// every lane tail around the 8- and 16-lane registers.
     #[test]
-    fn axpy_matches_plain_loop_all_lengths_every_width() {
+    fn one_chunk_expand_axpy_matches_plain_loop_all_lengths_every_width() {
         let _g = DISPATCH_LOCK.lock().unwrap();
-        for n in [0usize, 1, 7, 8, 9, 15, 16, 17, 31, 33, 100] {
+        for n in [1usize, 7, 8, 9, 15, 16, 17, 31, 33, 100] {
             let x = pseudo(n as u32 + 1, n);
             let base = pseudo(n as u32 + 2, n);
             let mut want = base.clone();
@@ -825,7 +807,7 @@ mod tests {
             for w in available() {
                 force_width(Some(w)).unwrap();
                 let mut dst = base.clone();
-                axpy(&mut dst, 1.25, &x);
+                expand_axpy(&mut dst, &[1.25], 1, &x);
                 assert_eq!(dst, want, "n={n} width={w}");
             }
             force_width(None).unwrap();
@@ -929,13 +911,14 @@ mod tests {
             for w in available() {
                 force_width(Some(w)).unwrap();
 
-                // expand_axpy == per-chunk axpy with strided coefficients.
+                // expand_axpy == per-chunk scalar axpy with strided
+                // coefficients.
                 let base = pseudo(25, alpha * bn);
                 let mut got = base.clone();
                 expand_axpy(&mut got, &coeffs, cstride, &src);
                 let mut want = base.clone();
                 for j in 0..alpha {
-                    axpy(&mut want[j * bn..(j + 1) * bn], coeffs[j * cstride], &src);
+                    axpy_scalar(&mut want[j * bn..(j + 1) * bn], coeffs[j * cstride], &src);
                 }
                 assert_eq!(got, want, "expand_axpy width={w}");
 
@@ -947,14 +930,14 @@ mod tests {
                 naive_rank_k(&mut want, &g, &d, alpha, 1, bn, bm);
                 assert_eq!(bits(&got), bits(&want), "rank1_batch width={w}");
 
-                // gather_axpy == per-plane axpy over a strided source.
+                // gather_axpy == per-plane scalar axpy over a strided source.
                 let src2 = pseudo(27, alpha * bn * bm);
                 let base = pseudo(28, bm);
                 let mut got = base.clone();
                 gather_axpy(&mut got, &coeffs[..alpha], &src2, bn * bm);
                 let mut want = base.clone();
                 for (j, &c) in coeffs[..alpha].iter().enumerate() {
-                    axpy(&mut want, c, &src2[j * bn * bm..j * bn * bm + bm]);
+                    axpy_scalar(&mut want, c, &src2[j * bn * bm..j * bn * bm + bm]);
                 }
                 assert_eq!(got, want, "gather_axpy width={w}");
             }

@@ -308,8 +308,6 @@ pub fn report_json(report: &ExecutionReport) -> Json {
                         None => Json::Null,
                     },
                 ),
-                ("db_hit", Json::Bool(t.db_hit)),
-                ("trials", Json::Int(t.trials as i64)),
             ]),
         ));
     }

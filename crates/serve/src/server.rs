@@ -540,8 +540,6 @@ fn stats_json(sh: &Shared) -> Json {
                 ("decisions", Json::Int(tc.decisions as i64)),
                 ("db_hits", Json::Int(tc.db_hits as i64)),
                 ("db_misses", Json::Int(tc.db_misses as i64)),
-                ("trials", Json::Int(tc.trials as i64)),
-                ("commits", Json::Int(tc.commits as i64)),
                 ("evictions", Json::Int(tc.evictions as i64)),
             ]),
         ),

@@ -23,11 +23,14 @@
 #      zero-allocation hot loop
 #   5. profiling smoke test: `winrs profile` must print the per-phase
 #      breakdown with a warm plan cache, and the bench harness's --json
-#      baseline must carry the winrs-bench-v1 schema and phase fields
+#      baseline must carry the winrs-bench-v1 schema and phase fields;
+#      then every paper artifact: each binary `scripts/run_experiments.sh`
+#      lists must exit 0 (outputs go to a scratch directory)
 #   6. autotuner smoke test: a cold `winrs tune --shapes fig10 --dry-run`
 #      must print the full 32-row decision table from the cost model alone,
-#      and a `--db` run must persist a winrs-tune-v1 database that
-#      round-trips through `--inspect`
+#      a `--db` run must persist a winrs-tune-v1 database that round-trips
+#      through `--inspect`, and `--measure 1` on one key must store one
+#      entry with a measured mean and `trials` 1
 #   7. serve smoke: `winrs serve` on an ephemeral port answers a raw
 #      `POST /v1/bfc` with 200 + a well-formed ExecutionReport, serves one
 #      `winrs loadgen` job with zero failures, and shuts itself down
@@ -207,6 +210,16 @@ step_09() {
 }
 run_step "profiling smoke (winrs profile + phase-baseline JSON schema)" step_09
 
+step_09b() {
+  # run_experiments.sh runs under `set -euo pipefail`, so any binary's
+  # non-zero exit fails the step.
+  ARTIFACT_DIR=$(mktemp -d -t winrs-ci-artifacts-XXXXXX)
+  trap 'rm -rf "$ARTIFACT_DIR"' EXIT
+  scripts/run_experiments.sh "$ARTIFACT_DIR" >"$ARTIFACT_DIR/run.log" \
+    || { tail -n 20 "$ARTIFACT_DIR/run.log"; exit 1; }
+}
+run_step "paper artifacts (every scripts/run_experiments.sh binary exits 0)" step_09b
+
 step_10() {
   # Cold run: no database on disk, so every row must resolve from the cost
   # model alone. fig10 is 8 dimension-series shapes x filter sizes {3,5,7,9}.
@@ -224,6 +237,20 @@ step_10() {
   grep -q '"schema":"winrs-tune-v1"' "$TUNE_DB"
   "$WINRS" tune --db "$TUNE_DB" --inspect | tee /dev/stderr \
     | grep -q "24 entries, schema winrs-tune-v1"
+  # Measured tuning: every candidate of one key timed once after a
+  # warm-up; the one stored entry carries a measured mean and trials 1.
+  rm -f "$TUNE_DB"
+  "$WINRS" tune --n 2 --res 16 --ic 8 --oc 8 --f 3 --measure 1 --db "$TUNE_DB" >&2
+  INSPECT=$("$WINRS" tune --db "$TUNE_DB" --inspect)
+  echo "$INSPECT" >&2
+  echo "$INSPECT" | grep -q "1 entries, schema winrs-tune-v1"
+  # Row fields: the 9 shape dims, precision, algo, predicted ms,
+  # measured ms, trials, device.
+  echo "$INSPECT" | awk '
+    $1 ~ /^\[[0-9]/ { rows++; if ($13 == "-" || $14 != 1) bad = 1 }
+    END {
+      if (rows != 1 || bad) { print "tuner smoke: expected one measured entry with trials 1"; exit 1 }
+    }'
   rm -f "$TUNE_DB"
 }
 run_step "autotuner smoke (winrs tune decision table + winrs-tune-v1 schema)" step_10

@@ -1,9 +1,12 @@
 #!/usr/bin/env bash
 # Regenerate every table and figure of the paper plus the extension
-# experiments, writing outputs under bench_results/.
+# experiments, writing outputs under bench_results/ (or the directory
+# given as the first argument). Any binary's non-zero exit stops the run
+# with that status.
 set -euo pipefail
 cd "$(dirname "$0")/.."
-mkdir -p bench_results
+OUT_DIR=${1:-bench_results}
+mkdir -p "$OUT_DIR"
 
 BINS=(
   fig01_shapes fig02_blocks fig03_workflow fig05_pairs fig06_kernels
@@ -16,7 +19,7 @@ BINS=(
 cargo build --release -p winrs-bench --bins
 for bin in "${BINS[@]}"; do
   echo "== $bin =="
-  ./target/release/"$bin" | tee "bench_results/$bin.txt"
+  ./target/release/"$bin" | tee "$OUT_DIR/$bin.txt"
   echo
 done
-echo "All outputs in bench_results/"
+echo "All outputs in $OUT_DIR/"

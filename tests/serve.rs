@@ -38,9 +38,9 @@ fn job(shape: ConvShape, i: u64) -> JobRequest {
 }
 
 /// Reference gradient for `req` via direct library dispatch on an
-/// unrelated private pool. The default tuner is pure cost model
-/// (`explore_trials = 0`), so a fresh pool reaches the same decision as
-/// the server's and the numerics are bitwise reproducible.
+/// unrelated private pool. Without a tuning database the tuner decides
+/// from the cost model alone, so a fresh pool reaches the same decision
+/// as the server's and the numerics are bitwise reproducible.
 fn reference_gradient(req: &JobRequest) -> winrs::tensor::Tensor4<f32> {
     let pool = WorkspacePool::new(PoolConfig {
         slots: 1,
@@ -262,6 +262,18 @@ fn health_and_stats_endpoints_expose_pool_and_tuner_counters() {
         Some("winrs")
     );
     assert!(report.get("pool").is_some(), "report must embed pool stats");
+    let keys = |obj: Option<&winrs::json::Json>| -> Vec<String> {
+        match obj {
+            Some(winrs::json::Json::Obj(pairs)) => pairs.iter().map(|(k, _)| k.clone()).collect(),
+            _ => panic!("expected a `tuner` object"),
+        }
+    };
+    // The tuner block: where the choice came from, its predicted seconds
+    // and a database entry's measured seconds.
+    let tuner = report.get("tuner");
+    assert_eq!(keys(tuner), ["source", "predicted_s", "measured_s"]);
+    let source = tuner.and_then(|t| t.get("source"));
+    assert_eq!(source.and_then(|s| s.as_str()), Some("model"));
 
     let stats = client.get("/v1/stats").expect("transport");
     assert_eq!(stats.status, 200);
@@ -286,6 +298,8 @@ fn health_and_stats_endpoints_expose_pool_and_tuner_counters() {
     );
     // The plan cache's counters live inside the pool object.
     assert_eq!(pool_counter("plan_misses"), 1.0, "one key, planned once");
+    let counters = keys(stats.body.get("tuner"));
+    assert_eq!(counters, ["decisions", "db_hits", "db_misses", "evictions"]);
 
     let method = client.get("/v1/bfc").expect("transport");
     assert_eq!(method.status, 405);

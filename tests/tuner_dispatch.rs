@@ -90,10 +90,7 @@ fn cost_model_is_monotone_under_dimension_doubling() {
 
 #[test]
 fn tuner_dispatch_never_loses_to_always_winrs_on_fig10() {
-    let mut t = Tuner::new(TunerConfig {
-        capacity: 64,
-        ..TunerConfig::default()
-    });
+    let mut t = Tuner::new(TunerConfig { capacity: 64 });
     for shape in paper_shapes() {
         let d = t.decide(&shape, &RTX_4090, Precision::Fp32);
         let chosen_s = d.predicted_for(d.chosen).expect("chosen is ranked");
