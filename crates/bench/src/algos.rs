@@ -8,10 +8,17 @@
 //! for atomic accumulation). Block counts follow each algorithm's natural
 //! launch geometry. FLOP counts and intermediate-traffic volumes come from
 //! the real planners in `winrs-conv` — nothing in this module invents
-//! work; it only assigns launch shape and quality to it.
+//! work; it only assigns launch shape and quality to it. Cu-Algo0,
+//! Cu-Algo1 and Cu-FFT are the substitutes the tuner ranks (direct,
+//! GEMM-BFC, FFT-BFC): their profiles and workspace come from
+//! [`winrs_core::tuner::substitute_profiles`] and
+//! [`winrs_core::fallback::substitute_layout`], so the figures and the
+//! dispatcher share one calibration.
 
 use winrs_conv::{direct, fft_bfc, gemm_bfc, winnf, ConvShape};
-use winrs_core::{Precision, WinRsPlan};
+use winrs_core::fallback::substitute_layout;
+use winrs_core::tuner::substitute_profiles;
+use winrs_core::{Algorithm, Precision, WinRsPlan};
 use winrs_fp16::f16;
 use winrs_gpu_sim::{estimate_pipeline_time, DeviceSpec, KernelProfile};
 use winrs_tensor::Tensor4;
@@ -69,10 +76,13 @@ impl Algo {
 
     /// Availability under the paper's support matrix: Cu-WinNF is 3×3/5×5
     /// only (3×3 only in FP16); only Cu-Algo1 and Cu-WinNF have FP16
-    /// Tensor-Core paths among the baselines.
+    /// Tensor-Core paths among the baselines. WinRS runs exactly the keys
+    /// its planner accepts ([`WinRsPlan::validate`]): FP16 has no kernel
+    /// for F = 2, 4 and 8. [`Algo::costs`] and the `execute_*` entries
+    /// answer every key this admits.
     pub fn supports(&self, shape: &ConvShape, precision: Precision) -> bool {
         match self {
-            Algo::WinRs => true,
+            Algo::WinRs => WinRsPlan::validate(shape, precision).is_empty(),
             Algo::CuAlgo0 | Algo::CuAlgo3 | Algo::CuFft => precision == Precision::Fp32,
             Algo::CuAlgo1 => true,
             Algo::CuWinNF => {
@@ -88,15 +98,15 @@ impl Algo {
             Algo::WinRs => WinRsPlan::new(shape, device, Precision::Fp32)
                 .expect("benchmark shape is inside the WinRS envelope")
                 .workspace_bytes(),
-            Algo::CuAlgo0 => 0,
-            Algo::CuAlgo1 => gemm_bfc::workspace_bytes(gemm_bfc::GemmAlgo::Algo1, shape),
+            Algo::CuAlgo0 => substitute_layout(Algorithm::Direct, shape).workspace_bytes(),
+            Algo::CuAlgo1 => substitute_layout(Algorithm::GemmBfc, shape).workspace_bytes(),
             Algo::CuAlgo3 => gemm_bfc::workspace_bytes(gemm_bfc::GemmAlgo::Algo3, shape),
-            Algo::CuFft => fft_bfc::workspace_bytes(shape),
+            Algo::CuFft => substitute_layout(Algorithm::FftBfc, shape).workspace_bytes(),
             Algo::CuWinNF => winnf::workspace_bytes(shape),
         }
     }
 
-    /// GPU-model launch profiles.
+    /// GPU-model launch profiles of a key [`Algo::supports`] admits.
     pub fn profiles(
         &self,
         shape: &ConvShape,
@@ -108,22 +118,16 @@ impl Algo {
         let io = (shape.x_elems() + shape.dy_elems() + shape.dw_elems()) as u64 * eb;
         let o_total = shape.oh() * shape.ow();
         let f_total = shape.fh * shape.fw * shape.ic;
+        let substitute = |algo| {
+            substitute_profiles(algo, shape, precision)
+                .expect("the substitute has a kernel at every precision `supports` admits")
+        };
 
         match self {
             Algo::WinRs => WinRsPlan::new(shape, device, precision)
                 .expect("benchmark shape is inside the WinRS envelope")
                 .kernel_profiles(),
-            Algo::CuAlgo0 => vec![KernelProfile {
-                flops: shape.bfc_flops(),
-                io_bytes: io,
-                intermediate_bytes: 0,
-                // Parallelises over output positions with atomic ∇W
-                // accumulation: blocks are plentiful but the kernel quality
-                // is poor.
-                blocks: (shape.n * o_total).div_ceil(256).max(1),
-                pipe_efficiency: 0.45,
-                precision: prec,
-            }],
+            Algo::CuAlgo0 => substitute(Algorithm::Direct),
             // The GEMM algorithms are *implicit*-im2col kernels (paper
             // §6.2 classifies Cu-GEMM among the fused algorithms): the
             // lowering panel lives in SMEM/L2, so no intermediate DRAM
@@ -131,15 +135,7 @@ impl Algo {
             // the im2col duplication. (The CPU implementation in
             // `winrs-conv::gemm_bfc` does materialise panels; its traffic
             // accounting is used by the ablation binary, not here.)
-            Algo::CuAlgo1 => vec![KernelProfile {
-                flops: shape.bfc_flops(),
-                io_bytes: io + shape.x_elems() as u64 * eb,
-                intermediate_bytes: 0,
-                // One GEMM per batch item over the im2col panel.
-                blocks: shape.n * f_total.div_ceil(128) * shape.oc.div_ceil(64),
-                pipe_efficiency: 0.90,
-                precision: prec,
-            }],
+            Algo::CuAlgo1 => substitute(Algorithm::GemmBfc),
             Algo::CuAlgo3 => vec![KernelProfile {
                 flops: shape.bfc_flops(),
                 io_bytes: io + shape.x_elems() as u64 * eb,
@@ -151,14 +147,7 @@ impl Algo {
                 pipe_efficiency: 0.80,
                 precision: prec,
             }],
-            Algo::CuFft => vec![KernelProfile {
-                flops: fft_bfc::flops(shape),
-                io_bytes: io,
-                intermediate_bytes: fft_bfc::intermediate_traffic_bytes(shape) * eb / 4,
-                blocks: (shape.n * (shape.ic + shape.oc) + shape.ic * shape.oc).max(1),
-                pipe_efficiency: 0.70,
-                precision: prec,
-            }],
+            Algo::CuFft => substitute(Algorithm::FftBfc),
             Algo::CuWinNF => {
                 let nt = shape.n
                     * shape.oh().div_ceil(winnf::WINNF_TILE)

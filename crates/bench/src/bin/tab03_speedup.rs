@@ -5,7 +5,7 @@
 //! table) fed with each algorithm's real FLOP/traffic/launch geometry.
 
 use winrs_bench::{cu_gemm_best, paper_sweep, Algo, Table};
-use winrs_core::{Precision, WinRsPlan};
+use winrs_core::Precision;
 use winrs_gpu_sim::{DeviceSpec, A5000, L40S, RTX_3090, RTX_4090};
 
 fn cell(speedups: &[f64]) -> String {
@@ -69,7 +69,7 @@ fn main() {
     let mut ratios = Vec::new();
     for w in sweep
         .iter()
-        .filter(|w| WinRsPlan::validate(&w.shape, Precision::Fp16).is_empty())
+        .filter(|w| Algo::WinRs.supports(&w.shape, Precision::Fp16))
     {
         let t32 = Algo::WinRs.costs(&w.shape, &RTX_4090, Precision::Fp32).time;
         let t16 = Algo::WinRs.costs(&w.shape, &RTX_4090, Precision::Fp16).time;

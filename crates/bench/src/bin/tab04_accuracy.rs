@@ -42,9 +42,9 @@ fn main() {
         rows.entry(winrs_key(&plan32)).or_default().0.push(m32);
 
         // Only keys with an FP16 WinRS kernel have an FP16 plan.
-        if WinRsPlan::validate(s, Precision::Fp16).is_empty() {
+        if Algo::WinRs.supports(s, Precision::Fp16) {
             let plan16 = WinRsPlan::new(s, &RTX_4090, Precision::Fp16)
-                .expect("validate accepted the FP16 key");
+                .expect("supports admitted the FP16 key");
             let m16 = mare(
                 &plan16
                     .execute_f16(&x64.cast(), &dy64_16.cast())

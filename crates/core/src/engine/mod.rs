@@ -31,6 +31,11 @@
 //!   (Tensor-Core `mma` semantics) and written back in binary16 after the
 //!   FP32 output transform.
 //!
+//! The engine has no public entry point: a [`WinRsPlan`] enters it (its
+//! typed `execute_*` entries and [`WinRsPlan::execute_into_buckets`])
+//! with the partition and transforms the plan built, so every run
+//! executes the planner's configuration.
+//!
 //! # Numeric health
 //!
 //! The re-rounding step is where reduced precision can *overflow*: binary16
@@ -52,20 +57,14 @@ pub use winrs_gemm::sched;
 use crate::error::{Violation, WinrsError};
 use crate::metrics::TimingSink;
 use crate::partition::{Partition, Segment};
+use crate::plan::WinRsPlan;
 use crate::workspace::ScratchPool;
 use hot::{run_group, BlockGroup, BucketWriter};
 use std::sync::atomic::{AtomicU64, Ordering};
 use winrs_gemm::micro::{self, SimdWidth};
 use winrs_conv::ConvShape;
 use winrs_tensor::{Scalar, Tensor4};
-use winrs_winograd::cook_toom::TransformReal;
-use winrs_winograd::kernels::{fp16_cache_block, fp32_cache_block, KernelId};
-
-/// Resolve the (possibly scaled) transform for a segment's kernel.
-pub trait TransformSource: Sync {
-    /// Return the materialised transform for `kernel`.
-    fn transform(&self, kernel: KernelId) -> &TransformReal;
-}
+use winrs_winograd::kernels::{fp16_cache_block, fp32_cache_block};
 
 /// Numeric mode of the engine.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -186,15 +185,15 @@ impl Default for HealthSink {
     }
 }
 
-/// Optional behaviours of [`execute_segments_with`].
+/// Optional behaviours of [`WinRsPlan::execute_into_buckets`].
 #[derive(Clone, Copy, Default)]
 pub struct ExecOptions<'a, 'p> {
-    /// When set (length `partition.z()`), only buckets with a `true` entry
-    /// are zeroed and executed — used by the numeric guard to re-run just
-    /// the poisoned buckets at FP32.
+    /// When set (length `plan.z()`), only buckets with a `true` entry are
+    /// zeroed and executed — used by the numeric guard to re-run just the
+    /// poisoned buckets at FP32.
     pub bucket_filter: Option<&'a [bool]>,
     /// When set, the engine flushes per-segment saturation / non-finite
-    /// counts into the sink (sized `partition.segments.len()`).
+    /// counts into the sink (sized `plan.partition().segments.len()`).
     pub health: Option<&'a HealthSink>,
     /// When set, block tasks draw their panels and accumulator from
     /// this pool (carved from a [`crate::Workspace`] arena) instead of
@@ -260,25 +259,19 @@ pub(crate) fn operand_violations<T: Scalar>(
     x: &Tensor4<T>,
     dy: &Tensor4<T>,
 ) -> Vec<Violation> {
-    [
+    Violation::dims_mismatches([
         ("x", [conv.n, conv.ih, conv.iw, conv.ic], x.dims()),
         ("dy", [conv.n, conv.oh(), conv.ow(), conv.oc], dy.dims()),
-    ]
-    .into_iter()
-    .filter(|(_, expected, got)| expected != got)
-    .map(|(tensor, expected, got)| Violation::TensorDimsMismatch {
-        tensor,
-        expected,
-        got,
-    })
-    .collect()
+    ])
 }
 
-/// Execute all segments, accumulating each segment's result into its
-/// bucket, with the optional behaviours of [`ExecOptions`] (bucket
-/// filtering for partial re-execution, numeric-health accounting).
+/// Execute all segments of `plan`, accumulating each segment's result
+/// into its bucket with the plan's own transforms, under the optional
+/// behaviours of [`ExecOptions`] (bucket filtering for partial
+/// re-execution, numeric-health accounting). The engine's one entry:
+/// [`WinRsPlan::execute_into_buckets`] and the typed `execute_*` reach it.
 ///
-/// `buckets` must hold `partition.z() · dw_elems` elements; bucket `z`
+/// `buckets` must hold `plan.bucket_elems()` elements; bucket `z`
 /// occupies `buckets[z·dw .. (z+1)·dw]` in `(O_C, F_H, F_W, I_C)` layout
 /// and is zeroed before execution. Execution runs in two sequential passes
 /// (bulk kernel launch, then residual kernel launch); within a pass every
@@ -287,22 +280,20 @@ pub(crate) fn operand_violations<T: Scalar>(
 /// Returns a typed [`WinrsError::ExecutionRejected`] listing *every*
 /// argument inconsistency (bucket length, `x` dims, `dy` dims, an
 /// unavailable `WINRS_FORCE_WIDTH` pin) instead of panicking.
-#[allow(clippy::too_many_arguments)]
-pub fn execute_segments_with<T: Scalar, S: TransformSource>(
-    conv: &ConvShape,
-    partition: &Partition,
-    transforms: &S,
+pub(crate) fn execute_segments_with<T: Scalar>(
+    plan: &WinRsPlan,
     x: &Tensor4<T>,
     dy: &Tensor4<T>,
     mode: TileMode,
     buckets: &mut [T],
     opts: ExecOptions<'_, '_>,
 ) -> Result<(), WinrsError> {
+    let (conv, partition) = (plan.shape(), plan.partition());
     let dw_elems = conv.dw_elems();
     let mut violations = Vec::new();
-    if buckets.len() != partition.z() * dw_elems {
+    if buckets.len() != plan.bucket_elems() {
         violations.push(Violation::BucketSizeMismatch {
-            expected: partition.z() * dw_elems,
+            expected: plan.bucket_elems(),
             got: buckets.len(),
         });
     }
@@ -324,17 +315,13 @@ pub fn execute_segments_with<T: Scalar, S: TransformSource>(
     // and a locally-built one cannot share a binding — both branches call
     // into the pass loop directly instead.
     match opts.scratch {
-        Some(pool) => run_passes(
-            conv, partition, transforms, x, dy, mode, buckets, opts, pool,
-        ),
+        Some(pool) => run_passes(plan, x, dy, mode, buckets, opts, pool),
         None => {
             let slot_elems = scratch_slot_elems_for(conv, partition, mode);
             let slots = scratch_slots_for(conv, partition, mode);
             let mut arena = vec![0.0f32; ScratchPool::region_elems(slot_elems, slots)];
             let pool = ScratchPool::new(&mut arena, slot_elems);
-            run_passes(
-                conv, partition, transforms, x, dy, mode, buckets, opts, &pool,
-            );
+            run_passes(plan, x, dy, mode, buckets, opts, &pool);
         }
     }
     Ok(())
@@ -423,11 +410,8 @@ fn block_groups(
 /// (`with_slot_at(worker, ..)`), and every group writes its own disjoint
 /// bucket region, so `∇W` is bitwise identical for every worker count and
 /// steal order.
-#[allow(clippy::too_many_arguments)]
-fn run_passes<T: Scalar, S: TransformSource>(
-    conv: &ConvShape,
-    partition: &Partition,
-    transforms: &S,
+fn run_passes<T: Scalar>(
+    plan: &WinRsPlan,
     x: &Tensor4<T>,
     dy: &Tensor4<T>,
     mode: TileMode,
@@ -435,6 +419,7 @@ fn run_passes<T: Scalar, S: TransformSource>(
     opts: ExecOptions<'_, '_>,
     scratch: &ScratchPool<'_>,
 ) {
+    let (conv, partition) = (plan.shape(), plan.partition());
     let enabled = |bucket: usize| opts.bucket_filter.is_none_or(|f| f[bucket]);
     let workers = opts.workers.unwrap_or_else(sched::workers).max(1);
     for pass in 0..=1u8 {
@@ -442,11 +427,10 @@ fn run_passes<T: Scalar, S: TransformSource>(
         let writer = BucketWriter::new(buckets);
         sched::run_tasks(groups, workers, |worker, grp: BlockGroup| {
             let segment = &partition.segments[grp.seg_idx];
-            let t = transforms.transform(segment.kernel);
             run_group(
                 conv,
                 segment,
-                t,
+                plan.transform(segment.kernel),
                 x,
                 dy,
                 mode,
@@ -464,36 +448,18 @@ fn run_passes<T: Scalar, S: TransformSource>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::pair::select_pair;
-    use crate::config::segment_shape::calculate;
     use crate::config::Precision;
-    use crate::reduce::reduce_buckets;
-    use std::collections::HashMap;
     use winrs_conv::direct::bfc_direct;
+    use winrs_gpu_sim::RTX_4090;
     use winrs_tensor::mare;
-    use winrs_winograd::cook_toom::Transform;
 
-    struct Plain(HashMap<(usize, usize), TransformReal>);
-    impl TransformSource for Plain {
-        fn transform(&self, k: KernelId) -> &TransformReal {
-            &self.0[&(k.n, k.r)]
-        }
-    }
-
-    fn setup(conv: &ConvShape, z_hat: usize) -> (Partition, Plain) {
-        let pair = select_pair(conv.fw, conv.ow(), Precision::Fp32);
-        let seg_shape = calculate(z_hat, conv.oh(), conv.ow(), pair.bulk.r, conv.ph);
-        let partition = Partition::build(conv, &pair, seg_shape).expect("valid partition");
-        let mut map = HashMap::new();
-        for k in [Some(pair.bulk), pair.residual].into_iter().flatten() {
-            map.entry((k.n, k.r))
-                .or_insert_with(|| Transform::generate(k.n, k.r).to_real());
-        }
-        (partition, Plain(map))
+    /// The FP32 plan for `conv` at a forced baseline segment count `Ẑ`.
+    fn plan(conv: &ConvShape, z_hat: usize) -> WinRsPlan {
+        WinRsPlan::with_z_hat(conv, &RTX_4090, Precision::Fp32, z_hat).expect("in-envelope shape")
     }
 
     fn run_f32(conv: &ConvShape, z_hat: usize) -> f64 {
-        let (partition, src) = setup(conv, z_hat);
+        let plan = plan(conv, z_hat);
 
         let x64 = Tensor4::<f64>::random_uniform([conv.n, conv.ih, conv.iw, conv.ic], 71, 1.0);
         let dy64 = Tensor4::<f64>::random_uniform([conv.n, conv.oh(), conv.ow(), conv.oc], 72, 1.0);
@@ -501,20 +467,7 @@ mod tests {
         let x = x64.cast::<f32>();
         let dy = dy64.cast::<f32>();
 
-        let mut buckets = vec![0.0f32; partition.z() * conv.dw_elems()];
-        execute_segments_with(
-            conv,
-            &partition,
-            &src,
-            &x,
-            &dy,
-            TileMode::Fp32,
-            &mut buckets,
-            ExecOptions::default(),
-        )
-        .expect("valid arguments");
-        let mut dw = Tensor4::<f32>::zeros([conv.oc, conv.fh, conv.fw, conv.ic]);
-        reduce_buckets(&buckets, partition.z(), &mut dw);
+        let dw = plan.execute_f32(&x, &dy).expect("valid arguments");
         mare(&dw, &exact)
     }
 
@@ -573,22 +526,20 @@ mod tests {
     #[test]
     fn bad_arguments_are_rejected_with_all_violations() {
         let conv = ConvShape::new(1, 12, 12, 3, 3, 3, 3, 1, 1);
-        let (partition, src) = setup(&conv, 2);
+        let plan = plan(&conv, 2);
         // Wrong bucket length AND wrong x dims AND wrong dy dims, at once.
         let x = Tensor4::<f32>::zeros([1, 12, 12, 2]); // ic 2, plan wants 3
         let dy = Tensor4::<f32>::zeros([1, 11, 12, 3]); // oh 11, plan wants 12
         let mut buckets = vec![0.0f32; crate::NUMERIC_HEALTH_BUCKETS];
-        let err = execute_segments_with(
-            &conv,
-            &partition,
-            &src,
-            &x,
-            &dy,
-            TileMode::Fp32,
-            &mut buckets,
-            ExecOptions::default(),
-        )
-        .unwrap_err();
+        let err = plan
+            .execute_into_buckets(
+                &x,
+                &dy,
+                TileMode::Fp32,
+                &mut buckets,
+                ExecOptions::default(),
+            )
+            .unwrap_err();
         assert!(matches!(err, WinrsError::ExecutionRejected(_)));
         assert_eq!(err.violations().len(), 3, "{err}");
         assert!(!err.recoverable_by_fallback());
@@ -614,15 +565,12 @@ mod tests {
     #[test]
     fn health_sink_is_clean_on_benign_data() {
         let conv = ConvShape::new(1, 12, 12, 2, 2, 3, 3, 1, 1);
-        let (partition, src) = setup(&conv, 2);
+        let plan = plan(&conv, 2);
         let x = Tensor4::<f32>::random_uniform([1, 12, 12, 2], 5, 1.0);
         let dy = Tensor4::<f32>::random_uniform([1, 12, 12, 2], 6, 1.0);
-        let mut buckets = vec![0.0f32; partition.z() * conv.dw_elems()];
-        let sink = HealthSink::new(partition.segments.len());
-        execute_segments_with(
-            &conv,
-            &partition,
-            &src,
+        let mut buckets = vec![0.0f32; plan.bucket_elems()];
+        let sink = HealthSink::new(plan.partition().segments.len());
+        plan.execute_into_buckets(
             &x,
             &dy,
             TileMode::Fp16,
@@ -643,15 +591,12 @@ mod tests {
         // sums two of them, so the re-rounding step must saturate and the
         // resulting Inf must reach the output transform as non-finite.
         let conv = ConvShape::new(1, 12, 12, 2, 2, 3, 3, 1, 1);
-        let (partition, src) = setup(&conv, 2);
+        let plan = plan(&conv, 2);
         let x = Tensor4::<f32>::from_fn([1, 12, 12, 2], |_, _, _, _| 1.0);
         let dy = Tensor4::<f32>::from_fn([1, 12, 12, 2], |_, _, _, _| 6.0e4);
-        let mut buckets = vec![0.0f32; partition.z() * conv.dw_elems()];
-        let sink = HealthSink::new(partition.segments.len());
-        execute_segments_with(
-            &conv,
-            &partition,
-            &src,
+        let mut buckets = vec![0.0f32; plan.bucket_elems()];
+        let sink = HealthSink::new(plan.partition().segments.len());
+        plan.execute_into_buckets(
             &x,
             &dy,
             TileMode::Fp16,
@@ -671,15 +616,12 @@ mod tests {
     #[test]
     fn timing_sink_counts_every_block_task() {
         let conv = ConvShape::new(2, 16, 16, 4, 6, 3, 3, 1, 1);
-        let (partition, src) = setup(&conv, 4);
+        let plan = plan(&conv, 4);
         let x = Tensor4::<f32>::random_uniform([2, 16, 16, 4], 11, 1.0);
         let dy = Tensor4::<f32>::random_uniform([2, 16, 16, 6], 12, 1.0);
-        let mut buckets = vec![0.0f32; partition.z() * conv.dw_elems()];
+        let mut buckets = vec![0.0f32; plan.bucket_elems()];
         let sink = crate::metrics::TimingSink::new();
-        execute_segments_with(
-            &conv,
-            &partition,
-            &src,
+        plan.execute_into_buckets(
             &x,
             &dy,
             TileMode::Fp32,
@@ -692,7 +634,8 @@ mod tests {
         .expect("valid arguments");
         // One timed block per scheduler task: a group covers every filter
         // row of one oc-tile of one segment.
-        let expected: usize = partition
+        let expected: usize = plan
+            .partition()
             .segments
             .iter()
             .map(|s| {
@@ -719,9 +662,8 @@ mod tests {
     #[test]
     fn plan_runs_never_overflow_their_scratch_slot() {
         use crate::fallback::{run_planned_into, NumericGuard};
-        use crate::{WinRsPlan, Workspace};
+        use crate::Workspace;
         use std::collections::BTreeSet;
-        use winrs_gpu_sim::RTX_4090;
 
         // (filter size, map size) picks the kernel pair; see the α sets
         // asserted below.
@@ -771,15 +713,13 @@ mod tests {
     fn panels_transform_each_tile_once_per_task() {
         use std::collections::BTreeSet;
         let conv = ConvShape::new(2, 14, 14, 37, 70, 9, 9, 4, 4);
-        let (partition, src) = setup(&conv, 2);
+        let plan = plan(&conv, 2);
+        let partition = plan.partition();
         let x = Tensor4::<f32>::random_uniform([2, 14, 14, 37], 3, 1.0);
         let dy = Tensor4::<f32>::random_uniform([2, conv.oh(), conv.ow(), 70], 4, 1.0);
-        let mut buckets = vec![0.0f32; partition.z() * conv.dw_elems()];
+        let mut buckets = vec![0.0f32; plan.bucket_elems()];
         hot::TRANSFORMED.with(|c| c.set((0, 0)));
-        execute_segments_with(
-            &conv,
-            &partition,
-            &src,
+        plan.execute_into_buckets(
             &x,
             &dy,
             TileMode::Fp32,
@@ -814,18 +754,20 @@ mod tests {
     #[test]
     fn groups_window_only_past_the_panel_cap() {
         let small = ConvShape::new(2, 16, 16, 4, 6, 3, 3, 1, 1);
-        let (partition, _) = setup(&small, 4);
+        let small_plan = plan(&small, 4);
+        let partition = small_plan.partition();
         for pass in 0..=1u8 {
             assert!(
-                block_groups(&small, &partition, TileMode::Fp32, pass, |_| true)
+                block_groups(&small, partition, TileMode::Fp32, pass, |_| true)
                     .iter()
                     .all(|g| g.panels)
             );
         }
         // One 64-row segment of 10 images: 3 MiB of panels at α = 8.
         let big = ConvShape::new(10, 64, 64, 8, 8, 3, 3, 1, 1);
-        let (partition, _) = setup(&big, 1);
-        let bulk = block_groups(&big, &partition, TileMode::Fp32, 0, |_| true);
+        let big_plan = plan(&big, 1);
+        let partition = big_plan.partition();
+        let bulk = block_groups(&big, partition, TileMode::Fp32, 0, |_| true);
         assert!(!bulk.is_empty() && bulk.iter().all(|g| !g.panels));
         for g in &bulk {
             let slot = g.scratch_elems(&big, &partition.segments[g.seg_idx]);
@@ -838,8 +780,6 @@ mod tests {
     /// the largest accumulator and output rows plus the panel cap.
     #[test]
     fn paper_sweep_slot_stays_within_the_panel_cap() {
-        use crate::WinRsPlan;
-        use winrs_gpu_sim::RTX_4090;
         let fixed_max = [TileMode::Fp32, TileMode::Fp16]
             .iter()
             .flat_map(|&m| [2usize, 4, 8, 16].map(|a| (m, a)))
@@ -869,35 +809,23 @@ mod tests {
     #[test]
     fn bucket_filter_executes_only_selected_buckets() {
         let conv = ConvShape::new(1, 16, 16, 2, 2, 3, 3, 1, 1);
-        let (partition, src) = setup(&conv, 4);
-        assert!(partition.z() >= 2, "test needs multiple buckets");
+        let plan = plan(&conv, 4);
+        assert!(plan.z() >= 2, "test needs multiple buckets");
         let x = Tensor4::<f32>::random_uniform([1, 16, 16, 2], 9, 1.0);
         let dy = Tensor4::<f32>::random_uniform([1, 16, 16, 2], 10, 1.0);
         let dw = conv.dw_elems();
 
         // Full run for reference.
-        let mut full = vec![0.0f32; partition.z() * dw];
-        execute_segments_with(
-            &conv,
-            &partition,
-            &src,
-            &x,
-            &dy,
-            TileMode::Fp32,
-            &mut full,
-            ExecOptions::default(),
-        )
-        .expect("valid arguments");
+        let mut full = vec![0.0f32; plan.bucket_elems()];
+        plan.execute_into_buckets(&x, &dy, TileMode::Fp32, &mut full, ExecOptions::default())
+            .expect("valid arguments");
 
         // Filtered run: poison all buckets with sentinels, enable only
         // bucket 0; it must be recomputed, the rest must keep sentinels.
-        let mut filtered = vec![7.25f32; partition.z() * dw];
-        let mut filter = vec![false; partition.z()];
+        let mut filtered = vec![7.25f32; plan.bucket_elems()];
+        let mut filter = vec![false; plan.z()];
         filter[0] = true;
-        execute_segments_with(
-            &conv,
-            &partition,
-            &src,
+        plan.execute_into_buckets(
             &x,
             &dy,
             TileMode::Fp32,

@@ -18,7 +18,7 @@
 
 use crate::config::Precision;
 use std::fmt;
-use winrs_conv::{ShapeError, ShapeViolation};
+use winrs_conv::{ConvShape, ShapeError, ShapeViolation};
 
 /// One violated invariant, anywhere in the plan-build-execute pipeline.
 #[derive(Clone, Debug, PartialEq)]
@@ -60,9 +60,9 @@ pub enum Violation {
         /// Provided length.
         got: usize,
     },
-    /// An input tensor's dimensions disagree with the plan's shape.
+    /// An operand's dimensions disagree with the plan's shape.
     TensorDimsMismatch {
-        /// `"x"` or `"dy"`.
+        /// `"x"`, `"dy"`, `"w"` or `"dw"`.
         tensor: &'static str,
         /// Dimensions the plan requires.
         expected: [usize; 4],
@@ -99,6 +99,25 @@ pub enum Violation {
         /// The best width the host actually supports.
         detected: &'static str,
     },
+}
+
+impl Violation {
+    /// One [`Violation::TensorDimsMismatch`] per `(tensor, expected, got)`
+    /// operand whose dims disagree, in the order given; empty when every
+    /// operand fits.
+    pub(crate) fn dims_mismatches<const K: usize>(
+        operands: [(&'static str, [usize; 4], [usize; 4]); K],
+    ) -> Vec<Violation> {
+        operands
+            .into_iter()
+            .filter(|(_, expected, got)| expected != got)
+            .map(|(tensor, expected, got)| Violation::TensorDimsMismatch {
+                tensor,
+                expected,
+                got,
+            })
+            .collect()
+    }
 }
 
 impl fmt::Display for Violation {
@@ -312,6 +331,18 @@ impl std::error::Error for WinrsError {}
 impl From<ShapeError> for WinrsError {
     fn from(e: ShapeError) -> Self {
         WinrsError::InvalidShape(e.violations.into_iter().map(Violation::Shape).collect())
+    }
+}
+
+impl WinrsError {
+    /// Refuse an ill-formed `conv` as [`WinrsError::InvalidShape`], listing
+    /// every violated invariant: its output dims, and so every operand's
+    /// expected dims, are undefined.
+    pub(crate) fn check_shape(conv: &ConvShape) -> Result<(), WinrsError> {
+        match conv.violations() {
+            v if v.is_empty() => Ok(()),
+            violations => Err(ShapeError { violations }.into()),
+        }
     }
 }
 

@@ -477,7 +477,6 @@ pub fn run_planned_into(
         })
         .count()
         * dw_bytes;
-    ws.note_run(peak, hot_loop_allocs);
     report.mem = MemoryFootprint {
         workspace_bytes_planned: planned,
         workspace_bytes_peak: peak,

@@ -18,17 +18,21 @@
 //! BDC is expressed as an FC with the 180°-rotated, channel-transposed
 //! filter and complementary padding — the standard adjoint identity.
 
+use crate::error::{Violation, WinrsError};
 use crate::workspace::{ScratchPool, WorkspaceLayout};
+use std::sync::Arc;
 use winrs_conv::ConvShape;
 use winrs_gemm::sched;
 use winrs_tensor::Tensor4;
-use winrs_winograd::cook_toom::{Transform, TransformReal};
+use winrs_winograd::cook_toom::TransformReal;
 use winrs_winograd::kernels::WINRS_KERNELS;
+use winrs_winograd::registry;
 
 /// Pick the fastest inventory kernel with `r = fw` (here `r` is the true
-/// filter width, not a split unit); fall back to a freshly generated
-/// `F(4, fw)` when the inventory has no matching unit width.
-fn forward_kernel(fw: usize) -> TransformReal {
+/// filter width, not a split unit); fall back to `F(4, fw)` when the
+/// inventory has no matching unit width. Both come from the process-wide
+/// transform registry, as the plan's do.
+fn forward_kernel(fw: usize) -> Arc<TransformReal> {
     let best = WINRS_KERNELS
         .iter()
         .copied()
@@ -38,19 +42,37 @@ fn forward_kernel(fw: usize) -> TransformReal {
                 .total_cmp(&b.throughput_coefficient())
         });
     match best {
-        Some(k) => Transform::generate(k.n, k.r).to_real(),
-        None => Transform::generate(4, fw).to_real(),
+        Some(k) => registry::transform(k.n, k.r),
+        None => registry::transform(4, fw),
     }
+}
+
+/// Refuse mis-shaped operands: one [`Violation::TensorDimsMismatch`] per
+/// `(tensor, expected, got)` that disagrees, all at once.
+fn check_dims(operands: [(&'static str, [usize; 4], [usize; 4]); 2]) -> Result<(), WinrsError> {
+    let violations = Violation::dims_mismatches(operands);
+    if violations.is_empty() {
+        return Ok(());
+    }
+    Err(WinrsError::ExecutionRejected(violations))
 }
 
 /// Forward convolution `Y = X ⊛ W` with fused 1D Winograd along rows.
 ///
 /// Each worker's per-row IT tile (`α`) and output accumulator (`O_C · α`)
 /// live in one slot of a scratch arena carved once per call, so the row
-/// loop never allocates.
-pub fn fc_winograd(shape: &ConvShape, x: &Tensor4<f32>, w: &Tensor4<f32>) -> Tensor4<f32> {
-    assert_eq!(x.dims(), [shape.n, shape.ih, shape.iw, shape.ic]);
-    assert_eq!(w.dims(), [shape.oc, shape.fh, shape.fw, shape.ic]);
+/// loop never allocates. An ill-formed shape or a mis-shaped `x` or `w`
+/// is a typed error listing every violation.
+pub fn fc_winograd(
+    shape: &ConvShape,
+    x: &Tensor4<f32>,
+    w: &Tensor4<f32>,
+) -> Result<Tensor4<f32>, WinrsError> {
+    WinrsError::check_shape(shape)?;
+    check_dims([
+        ("x", [shape.n, shape.ih, shape.iw, shape.ic], x.dims()),
+        ("w", [shape.oc, shape.fh, shape.fw, shape.ic], w.dims()),
+    ])?;
     let (oh, ow) = (shape.oh(), shape.ow());
     let t = forward_kernel(shape.fw);
     let (alpha, n_t) = (t.alpha, t.n);
@@ -146,16 +168,24 @@ pub fn fc_winograd(shape: &ConvShape, x: &Tensor4<f32>, w: &Tensor4<f32>) -> Ten
             }
         });
     });
-    y
+    Ok(y)
 }
 
 /// Backward-data convolution `∇X` via the adjoint identity: FC of `∇Y`
 /// with the rotated, channel-transposed filter under complementary
-/// padding `(F−1−p)`.
-pub fn bdc_winograd(shape: &ConvShape, dy: &Tensor4<f32>, w: &Tensor4<f32>) -> Tensor4<f32> {
+/// padding `(F−1−p)`. An ill-formed shape or a mis-shaped `dy` or `w` is
+/// a typed error listing every violation.
+pub fn bdc_winograd(
+    shape: &ConvShape,
+    dy: &Tensor4<f32>,
+    w: &Tensor4<f32>,
+) -> Result<Tensor4<f32>, WinrsError> {
+    WinrsError::check_shape(shape)?;
     let (oh, ow) = (shape.oh(), shape.ow());
-    assert_eq!(dy.dims(), [shape.n, oh, ow, shape.oc]);
-    assert_eq!(w.dims(), [shape.oc, shape.fh, shape.fw, shape.ic]);
+    check_dims([
+        ("dy", [shape.n, oh, ow, shape.oc], dy.dims()),
+        ("w", [shape.oc, shape.fh, shape.fw, shape.ic], w.dims()),
+    ])?;
 
     // W'[ic, a, b, oc] = W[oc, F_H−1−a, F_W−1−b, ic].
     let wrot =
@@ -196,7 +226,7 @@ mod tests {
     fn fc_matches_direct_3x3() {
         let shape = ConvShape::square(2, 12, 3, 4, 3);
         let (x, w, _) = setup(&shape);
-        let got = fc_winograd(&shape, &x.cast(), &w.cast());
+        let got = fc_winograd(&shape, &x.cast(), &w.cast()).unwrap();
         let want = direct::fc_direct(&shape, &x, &w);
         let m = mare(&got, &want);
         assert!(m < 1e-5, "MARE {m}");
@@ -207,7 +237,7 @@ mod tests {
         for &f in &[2usize, 3, 4, 5, 6] {
             let shape = ConvShape::square(1, 14, 2, 3, f);
             let (x, w, _) = setup(&shape);
-            let got = fc_winograd(&shape, &x.cast(), &w.cast());
+            let got = fc_winograd(&shape, &x.cast(), &w.cast()).unwrap();
             let want = direct::fc_direct(&shape, &x, &w);
             let m = mare(&got, &want);
             assert!(m < 1e-4, "f={f}: MARE {m}");
@@ -219,7 +249,7 @@ mod tests {
         // O_W not a multiple of the tile size n.
         let shape = ConvShape::new(1, 9, 13, 2, 2, 3, 3, 1, 1);
         let (x, w, _) = setup(&shape);
-        let got = fc_winograd(&shape, &x.cast(), &w.cast());
+        let got = fc_winograd(&shape, &x.cast(), &w.cast()).unwrap();
         let want = direct::fc_direct(&shape, &x, &w);
         assert!(mare(&got, &want) < 1e-5);
     }
@@ -228,7 +258,7 @@ mod tests {
     fn bdc_matches_direct() {
         let shape = ConvShape::square(2, 10, 3, 4, 3);
         let (_, w, dy) = setup(&shape);
-        let got = bdc_winograd(&shape, &dy.cast(), &w.cast());
+        let got = bdc_winograd(&shape, &dy.cast(), &w.cast()).unwrap();
         let want = direct::bdc_direct(&shape, &dy, &w);
         let m = mare(&got, &want);
         assert!(m < 1e-5, "MARE {m}");
@@ -238,9 +268,51 @@ mod tests {
     fn bdc_even_filter() {
         let shape = ConvShape::new(1, 10, 10, 2, 2, 4, 4, 2, 2);
         let (_, w, dy) = setup(&shape);
-        let got = bdc_winograd(&shape, &dy.cast(), &w.cast());
+        let got = bdc_winograd(&shape, &dy.cast(), &w.cast()).unwrap();
         let want = direct::bdc_direct(&shape, &dy, &w);
         assert!(mare(&got, &want) < 1e-4);
+    }
+
+    /// Mis-shaped operands come back as one typed refusal listing every
+    /// mismatched operand, on both entries, instead of a panic; an
+    /// ill-formed shape is refused before any operand is read.
+    #[test]
+    fn mis_shaped_operands_are_typed_errors_listing_every_violation() {
+        let shape = ConvShape::square(2, 10, 3, 4, 3);
+        let x = Tensor4::<f32>::zeros([2, 10, 10, 2]); // ic 2, shape wants 3
+        let dy = Tensor4::<f32>::zeros([2, 9, 10, 4]); // oh 9, shape wants 10
+        let w = Tensor4::<f32>::zeros([4, 3, 3, 2]); // ic 2, shape wants 3
+        let mismatch = |tensor, expected, got| Violation::TensorDimsMismatch {
+            tensor,
+            expected,
+            got,
+        };
+        let w_bad = mismatch("w", [4, 3, 3, 3], [4, 3, 3, 2]);
+        let fc = fc_winograd(&shape, &x, &w).unwrap_err();
+        assert!(matches!(fc, WinrsError::ExecutionRejected(_)), "{fc}");
+        assert_eq!(
+            fc.violations(),
+            [mismatch("x", [2, 10, 10, 3], [2, 10, 10, 2]), w_bad.clone()]
+        );
+        let bdc = bdc_winograd(&shape, &dy, &w).unwrap_err();
+        assert!(matches!(bdc, WinrsError::ExecutionRejected(_)), "{bdc}");
+        assert_eq!(
+            bdc.violations(),
+            [mismatch("dy", [2, 10, 10, 4], [2, 9, 10, 4]), w_bad]
+        );
+        // One operand off: exactly that one is named.
+        let w_ok = Tensor4::<f32>::zeros([4, 3, 3, 3]);
+        let one = fc_winograd(&shape, &x, &w_ok).unwrap_err();
+        assert_eq!(one.violations().len(), 1, "{one}");
+        // A filter taller than the padded map: no operand dims exist.
+        let tall = ConvShape {
+            ih: 2,
+            ph: 0,
+            fh: 5,
+            ..shape
+        };
+        let err = bdc_winograd(&tall, &dy, &w).unwrap_err();
+        assert!(matches!(err, WinrsError::InvalidShape(_)), "{err}");
     }
 
     #[test]

@@ -73,7 +73,7 @@ pub mod ndim;
 pub mod partition;
 pub mod plan;
 pub mod pool;
-pub mod reduce;
+pub(crate) mod reduce;
 pub(crate) mod sync;
 pub mod tuner;
 pub mod workspace;

@@ -18,10 +18,12 @@ use crate::config::Precision;
 use crate::engine::clip_rows;
 use crate::workspace::{ScratchPool, WorkspaceLayout};
 use std::collections::HashMap;
+use std::sync::Arc;
 use winrs_conv::ndim::Conv3dShape;
 use winrs_gemm::sched;
 use winrs_tensor::TensorN;
-use winrs_winograd::cook_toom::{Transform, TransformReal};
+use winrs_winograd::cook_toom::TransformReal;
+use winrs_winograd::registry;
 
 /// 3D WinRS BFC in FP32. Segmentation is left at Z = 1 (the extension
 /// demonstrates dimension reduction + filter split; 3D workloads have
@@ -37,10 +39,10 @@ pub fn bfc3d_winrs(shape: &Conv3dShape, x: &TensorN<f32>, dy: &TensorN<f32>) -> 
     let (od, oh, ow) = (shape.od(), shape.oh(), shape.ow());
 
     let pair = select_pair(shape.fw, ow, Precision::Fp32);
-    let transforms: HashMap<(usize, usize), TransformReal> = [Some(pair.bulk), pair.residual]
+    let transforms: HashMap<(usize, usize), Arc<TransformReal>> = [Some(pair.bulk), pair.residual]
         .into_iter()
         .flatten()
-        .map(|k| ((k.n, k.r), Transform::generate(k.n, k.r).to_real()))
+        .map(|k| ((k.n, k.r), registry::transform(k.n, k.r)))
         .collect();
     // Hoisted out of the parallel loop: the unit decomposition of a ∇Y
     // row, grouped per kernel, and the widest α (sizes the scratch slot).
@@ -108,7 +110,7 @@ fn compute_oc_slice(
     shape: &Conv3dShape,
     x: &TensorN<f32>,
     dy: &TensorN<f32>,
-    transforms: &HashMap<(usize, usize), TransformReal>,
+    transforms: &HashMap<(usize, usize), Arc<TransformReal>>,
     kernel_units: &[((usize, usize), Vec<usize>)],
     c_out: usize,
     od: usize,

@@ -4,34 +4,19 @@ use crate::config::pair::{candidates, try_select_pair, KernelPair};
 use crate::config::segment_count::{estimate, SegmentCountPlan};
 use crate::config::segment_shape::calculate;
 use crate::config::Precision;
-use crate::engine::{
-    cache_block, clip_rows, execute_segments_with, ExecOptions, TileMode, TransformSource,
-};
+use crate::engine::{cache_block, clip_rows, execute_segments_with, ExecOptions, TileMode};
 use crate::error::{Violation, WinrsError};
 use crate::partition::Partition;
 use crate::reduce::reduce_buckets;
 use crate::workspace::WorkspaceLayout;
 use std::collections::HashMap;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use winrs_conv::ConvShape;
 use winrs_fp16::{bf16, f16};
 use winrs_gpu_sim::{estimate_pipeline_time, DeviceSpec, KernelProfile};
 use winrs_tensor::{Scalar, Tensor4};
 use winrs_winograd::cook_toom::TransformReal;
 use winrs_winograd::kernels::KernelId;
-
-/// Materialised transforms for the plan's kernels (shared through the
-/// process-wide registry, so repeated plan construction re-derives
-/// nothing).
-struct TransformSet {
-    map: HashMap<(usize, usize), std::sync::Arc<TransformReal>>,
-}
-
-impl TransformSource for TransformSet {
-    fn transform(&self, k: KernelId) -> &TransformReal {
-        &self.map[&(k.n, k.r)]
-    }
-}
 
 /// A fully configured WinRS execution plan for one BFC problem.
 ///
@@ -40,6 +25,10 @@ impl TransformSource for TransformSet {
 /// then materialises the partition and transform matrices. The plan is
 /// immutable and reusable across executions of the same shape — exactly how
 /// a cuDNN-style `plan / execute` API would be used inside a training loop.
+///
+/// The plan is the only way into the fused engine: the typed `execute_*`
+/// entries and [`WinRsPlan::execute_into_buckets`] run it with the
+/// partition and transforms built here.
 pub struct WinRsPlan {
     conv: ConvShape,
     precision: Precision,
@@ -47,7 +36,10 @@ pub struct WinRsPlan {
     pair: KernelPair,
     count: SegmentCountPlan,
     partition: Partition,
-    transforms: TransformSet,
+    /// The materialised transform of each kernel of the pair, keyed by
+    /// `(n, r)` and shared through the process-wide registry, so repeated
+    /// plan construction re-derives nothing.
+    transforms: HashMap<(usize, usize), Arc<TransformReal>>,
     layout: OnceLock<WorkspaceLayout>,
 }
 
@@ -142,14 +134,7 @@ impl WinRsPlan {
         precision: Precision,
         force_z: Option<usize>,
     ) -> Result<WinRsPlan, WinrsError> {
-        let shape_violations: Vec<Violation> = conv
-            .violations()
-            .into_iter()
-            .map(Violation::Shape)
-            .collect();
-        if !shape_violations.is_empty() {
-            return Err(WinrsError::InvalidShape(shape_violations));
-        }
+        WinrsError::check_shape(conv)?;
         let pair = try_select_pair(conv.fw, conv.ow(), precision)?;
         let mut count = estimate(conv, &pair, device, precision);
         if let Some(z) = force_z {
@@ -158,9 +143,9 @@ impl WinRsPlan {
         let seg_shape = calculate(count.z_hat, conv.oh(), conv.ow(), pair.bulk.r, conv.ph);
         let partition = Partition::build(conv, &pair, seg_shape)?;
 
-        let mut map = HashMap::new();
+        let mut transforms = HashMap::new();
         for k in [Some(pair.bulk), pair.residual].into_iter().flatten() {
-            map.entry((k.n, k.r)).or_insert_with(|| {
+            transforms.entry((k.n, k.r)).or_insert_with(|| {
                 // FP16 α = 16 kernels need the scaling matrices (§5.2
                 // Eq. 7) to fit binary16's dynamic range; everywhere else
                 // the plain transform is used.
@@ -179,9 +164,15 @@ impl WinRsPlan {
             pair,
             count,
             partition,
-            transforms: TransformSet { map },
+            transforms,
             layout: OnceLock::new(),
         })
+    }
+
+    /// The materialised (for FP16 α = 16, row-scaled) transform the engine
+    /// runs `kernel`'s segments with.
+    pub(crate) fn transform(&self, kernel: KernelId) -> &TransformReal {
+        &self.transforms[&(kernel.n, kernel.r)]
     }
 
     /// The problem shape this plan was built for.
@@ -289,16 +280,7 @@ impl WinRsPlan {
             ]));
         }
         let mut buckets = vec![T::ZERO; self.bucket_elems()];
-        execute_segments_with(
-            &self.conv,
-            &self.partition,
-            &self.transforms,
-            x,
-            dy,
-            mode,
-            &mut buckets,
-            ExecOptions::default(),
-        )?;
+        execute_segments_with(self, x, dy, mode, &mut buckets, ExecOptions::default())?;
         let mut dw = Tensor4::<T>::zeros([self.conv.oc, self.conv.fh, self.conv.fw, self.conv.ic]);
         reduce_buckets(&buckets, self.z(), &mut dw);
         Ok(dw)
@@ -351,10 +333,12 @@ impl WinRsPlan {
 
     /// Low-level execution into caller-provided buckets: FP32 I/O at an
     /// explicit engine tile mode, honouring [`ExecOptions`] (health
-    /// accounting, partial bucket re-execution). This is the building
-    /// block the fallback dispatcher's numeric guard uses to re-run only
-    /// the poisoned buckets at FP32; most callers want `execute_f32` /
-    /// `execute_f16` instead.
+    /// accounting, partial bucket re-execution, caller scratch, worker
+    /// count). `buckets` holds [`WinRsPlan::bucket_elems`] elements, and
+    /// [`WinRsPlan::reduce_into`] sums them into `∇W`. This is the
+    /// building block the fallback dispatcher's numeric guard uses to
+    /// re-run only the poisoned buckets at FP32; most callers want
+    /// `execute_f32` / `execute_f16` instead.
     pub fn execute_into_buckets(
         &self,
         x: &Tensor4<f32>,
@@ -363,30 +347,12 @@ impl WinRsPlan {
         buckets: &mut [f32],
         opts: ExecOptions<'_, '_>,
     ) -> Result<(), WinrsError> {
-        execute_segments_with(
-            &self.conv,
-            &self.partition,
-            &self.transforms,
-            x,
-            dy,
-            mode,
-            buckets,
-            opts,
-        )
+        execute_segments_with(self, x, dy, mode, buckets, opts)
     }
 
     /// Kahan-reduce FP32 buckets (from
-    /// [`WinRsPlan::execute_into_buckets`]) into `∇W`.
-    pub fn reduce(&self, buckets: &[f32]) -> Tensor4<f32> {
-        let mut dw =
-            Tensor4::<f32>::zeros([self.conv.oc, self.conv.fh, self.conv.fw, self.conv.ic]);
-        reduce_buckets(buckets, self.z(), &mut dw);
-        dw
-    }
-
-    /// Allocation-free counterpart of [`WinRsPlan::reduce`]: Kahan-reduce
-    /// FP32 buckets into a caller-owned `∇W` tensor of the plan's filter
-    /// dims.
+    /// [`WinRsPlan::execute_into_buckets`]) into a caller-owned `∇W`
+    /// tensor of the plan's filter dims.
     pub fn reduce_into(&self, buckets: &[f32], dw: &mut Tensor4<f32>) {
         reduce_buckets(buckets, self.z(), dw);
     }

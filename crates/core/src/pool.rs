@@ -51,7 +51,7 @@
 
 use crate::config::Precision;
 use crate::engine::{apply_forced_width, operand_violations};
-use crate::error::{Violation, WinrsError};
+use crate::error::WinrsError;
 use crate::fallback::{self, Algorithm, ExecutionReport, FallbackPolicy, NumericGuard};
 use crate::metrics::PoolStats;
 use crate::plan::WinRsPlan;
@@ -298,7 +298,7 @@ impl WorkspacePool {
     /// * [`WinrsError::PoolExhausted`] — every slot stayed leased for the
     ///   whole wait (admission-control backpressure).
     /// * [`WinrsError::ExecutionRejected`] with
-    ///   [`Violation::WorkspaceTooSmall`] — the chaos harness's
+    ///   [`crate::Violation::WorkspaceTooSmall`] — the chaos harness's
     ///   allocation-budget site refused the arena growth; the untouched
     ///   slot is returned to the pool.
     pub fn lease_for(
@@ -336,7 +336,7 @@ impl WorkspacePool {
                         // The refusal fires before any growth, so the
                         // budget's view is "nothing was granted".
                         return Err(WinrsError::ExecutionRejected(vec![
-                            Violation::WorkspaceTooSmall {
+                            crate::Violation::WorkspaceTooSmall {
                                 needed_elems: layout.arena_elems(),
                                 got_elems: 0,
                             },
@@ -707,14 +707,7 @@ impl ExecHandle {
     /// call keeps their dispatch free of decision and trial churn.
     fn setup(&self, conv: &ConvShape) -> Result<(Option<TunerDecision>, Shared), WinrsError> {
         let t_setup = Instant::now();
-        let shape_violations: Vec<Violation> = conv
-            .violations()
-            .into_iter()
-            .map(Violation::Shape)
-            .collect();
-        if !shape_violations.is_empty() {
-            return Err(WinrsError::InvalidShape(shape_violations));
-        }
+        WinrsError::check_shape(conv)?;
         let decision = (self.policy == FallbackPolicy::Auto).then(|| {
             self.pool
                 .lock_tuner()

@@ -25,7 +25,7 @@ const LANES: usize = 64;
 /// is `x` for every other value. Otherwise the sum runs across elements,
 /// reading each bucket's contiguous run of outputs; every element keeps
 /// its own bucket-order Kahan sequence.
-pub fn reduce_buckets<T: Scalar>(buckets: &[T], z: usize, out: &mut Tensor4<T>) {
+pub(crate) fn reduce_buckets<T: Scalar>(buckets: &[T], z: usize, out: &mut Tensor4<T>) {
     let dw = out.len();
     assert_eq!(buckets.len(), z * dw, "bucket count mismatch");
     if z == 1 {

@@ -86,13 +86,14 @@ pub struct RankedCandidate {
     pub predicted_s: f64,
 }
 
-/// Launch profiles for one substitute candidate, mirroring the calibration
-/// the bench harness uses for the paper's figures (`winrs-bench::algos`):
-/// FLOP counts and intermediate traffic come from the real planners in
-/// `winrs-conv`; this function only assigns launch geometry and kernel
-/// quality. Returns `None` when the candidate has no kernel for the
-/// requested precision (FFT is FP32-only).
-fn substitute_profiles(
+/// Launch profiles for one substitute candidate — the one calibration of
+/// the substitutes' launch geometry and kernel quality, which the bench
+/// harness also uses for the paper's Cu-Algo0, Cu-Algo1 and Cu-FFT
+/// columns (`winrs-bench::algos`). FLOP counts and intermediate traffic
+/// come from the real planners in `winrs-conv`. Returns `None` for WinRS
+/// (ranked through its real plan) and when the candidate has no kernel
+/// for the requested precision (FFT is FP32-only).
+pub fn substitute_profiles(
     algo: Algorithm,
     conv: &ConvShape,
     precision: Precision,
@@ -108,6 +109,7 @@ fn substitute_profiles(
             // read once more for the duplication.
             io_bytes: io + conv.x_elems() as u64 * eb,
             intermediate_bytes: 0,
+            // One GEMM per batch item over the im2col panel.
             blocks: conv.n
                 * (conv.fh * conv.fw * conv.ic).div_ceil(128)
                 * conv.oc.div_ceil(64),
@@ -129,7 +131,9 @@ fn substitute_profiles(
         }
         // Direct accumulation has no reduced-precision kernel: it is the
         // guaranteed-delivery substitute and always runs (and is modelled)
-        // on the FP32 CUDA-core path, whatever precision was requested.
+        // on the FP32 CUDA-core path, whatever precision was requested. It
+        // parallelises over output positions with atomic ∇W accumulation:
+        // blocks are plentiful but the kernel quality is poor.
         Algorithm::Direct => Some(vec![KernelProfile {
             flops: conv.bfc_flops(),
             io_bytes: io,

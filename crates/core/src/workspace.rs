@@ -365,8 +365,6 @@ pub struct ExecCtx<'w> {
 pub struct Workspace {
     arena: Vec<f32>,
     health: HealthSink,
-    peak_workspace_bytes: usize,
-    hot_loop_allocs: u64,
     grows: usize,
 }
 
@@ -423,23 +421,6 @@ impl Workspace {
             scratch,
             health,
         })
-    }
-
-    /// Record one run's measured footprint (called by the dispatcher).
-    pub(crate) fn note_run(&mut self, peak_workspace_bytes: usize, hot_loop_allocs: u64) {
-        self.peak_workspace_bytes = self.peak_workspace_bytes.max(peak_workspace_bytes);
-        self.hot_loop_allocs += hot_loop_allocs;
-    }
-
-    /// High-water mark of measured workspace bytes across all runs.
-    pub fn peak_workspace_bytes(&self) -> usize {
-        self.peak_workspace_bytes
-    }
-
-    /// Total hot-loop heap allocations across all runs (0 = every run
-    /// stayed inside the arena).
-    pub fn hot_loop_allocs(&self) -> u64 {
-        self.hot_loop_allocs
     }
 
     /// Current arena capacity in bytes.

@@ -160,10 +160,12 @@ run_step "benchmark package builds and passes its tests (perfbench/)" step_07
 
 step_08() {
   REF_SHAPE=(--n 32 --res 56 --ic 16 --oc 16 --f 3)
-  "$WINRS" workspace "${REF_SHAPE[@]}" | tee /dev/stderr \
-    | grep -q "overflow check : matches"
-  "$WINRS" verify "${REF_SHAPE[@]}" | tee /dev/stderr \
-    | grep -q "hot_loop_allocs=0"
+  WORKSPACE_OUT=$("$WINRS" workspace "${REF_SHAPE[@]}")
+  printf '%s\n' "$WORKSPACE_OUT" >&2
+  grep -q "overflow check : matches" <<<"$WORKSPACE_OUT"
+  VERIFY_OUT=$("$WINRS" verify "${REF_SHAPE[@]}")
+  printf '%s\n' "$VERIFY_OUT" >&2
+  grep -q "hot_loop_allocs=0" <<<"$VERIFY_OUT"
 }
 run_step "workspace accounting smoke (reference shape 32x56x56, 16->16, f=3)" step_08
 
@@ -235,8 +237,9 @@ step_10() {
   trap 'rm -f "$TUNE_DB"' EXIT
   "$WINRS" tune --shapes small --db "$TUNE_DB" | grep -q "wrote 24 entries"
   grep -q '"schema":"winrs-tune-v1"' "$TUNE_DB"
-  "$WINRS" tune --db "$TUNE_DB" --inspect | tee /dev/stderr \
-    | grep -q "24 entries, schema winrs-tune-v1"
+  INSPECT=$("$WINRS" tune --db "$TUNE_DB" --inspect)
+  printf '%s\n' "$INSPECT" >&2
+  grep -q "24 entries, schema winrs-tune-v1" <<<"$INSPECT"
   # Measured tuning: every candidate of one key timed once after a
   # warm-up; the one stored entry carries a measured mean and trials 1.
   rm -f "$TUNE_DB"
@@ -330,10 +333,12 @@ step_15() {
   WINRS_FORCE_WIDTH=scalar cargo test -q -p winrs-core --features faults --test chaos
   # CLI replay smoke: campaign seed 6 injects a hot-loop panic; the verify
   # must contain it (typed degradation, poison+rebuild) and stay green.
-  "$WINRS" verify --n 1 --res 16 --ic 4 --oc 4 --f 3 --fault-seed 6 2>/dev/null \
-    | tee /dev/stderr | grep -q "fired     : \[hot-loop-panic\]"
-  "$WINRS" verify --n 1 --res 16 --ic 4 --oc 4 --f 3 --fault-seed 6 2>/dev/null \
-    | tee /dev/stderr | grep -q "poisonings=1 rebuilds=1"
+  CHAOS_OUT=$("$WINRS" verify --n 1 --res 16 --ic 4 --oc 4 --f 3 --fault-seed 6 2>/dev/null)
+  printf '%s\n' "$CHAOS_OUT" >&2
+  grep -q "fired     : \[hot-loop-panic\]" <<<"$CHAOS_OUT"
+  CHAOS_OUT=$("$WINRS" verify --n 1 --res 16 --ic 4 --oc 4 --f 3 --fault-seed 6 2>/dev/null)
+  printf '%s\n' "$CHAOS_OUT" >&2
+  grep -q "poisonings=1 rebuilds=1" <<<"$CHAOS_OUT"
 }
 run_step "seeded chaos campaigns (panic / exhaustion / alloc-budget / deadline)" step_15
 

@@ -18,44 +18,24 @@
 
 use proptest::prelude::*;
 use winrs::conv::ConvShape;
-use winrs::core::config::pair::select_pair;
-use winrs::core::config::segment_shape::calculate;
-use winrs::core::engine::{execute_segments_with, ExecOptions, TileMode, TransformSource};
-use winrs::core::{Partition, Precision};
+use winrs::core::engine::{ExecOptions, TileMode};
+use winrs::core::{Precision, WinRsPlan};
+use winrs::gpu::RTX_4090;
 use winrs::tensor::Tensor4;
-use winrs::winograd::cook_toom::{Transform, TransformReal};
-use winrs::winograd::kernels::KernelId;
 
-struct Plain(std::collections::HashMap<(usize, usize), TransformReal>);
-impl TransformSource for Plain {
-    fn transform(&self, k: KernelId) -> &TransformReal {
-        &self.0[&(k.n, k.r)]
-    }
-}
-
-fn setup(conv: &ConvShape, z_hat: usize) -> (Partition, Plain) {
-    let pair = select_pair(conv.fw, conv.ow(), Precision::Fp32);
-    let seg_shape = calculate(z_hat, conv.oh(), conv.ow(), pair.bulk.r, conv.ph);
-    let partition = Partition::build(conv, &pair, seg_shape).expect("valid partition");
-    let mut map = std::collections::HashMap::new();
-    for k in [Some(pair.bulk), pair.residual].into_iter().flatten() {
-        map.entry((k.n, k.r))
-            .or_insert_with(|| Transform::generate(k.n, k.r).to_real());
-    }
-    (partition, Plain(map))
+/// The FP32 plan for `conv` with a forced baseline segment count `Ẑ`.
+fn plan(conv: &ConvShape, z_hat: usize) -> WinRsPlan {
+    WinRsPlan::with_z_hat(conv, &RTX_4090, Precision::Fp32, z_hat).expect("in-envelope shape")
 }
 
 /// Execute the fused engine with an explicit worker count; return the raw
 /// bucket buffer (pre-reduction, so per-bucket placement is visible too).
 fn run_with_workers(conv: &ConvShape, z_hat: usize, seed: u64, workers: usize) -> Vec<f32> {
-    let (partition, src) = setup(conv, z_hat);
+    let plan = plan(conv, z_hat);
     let x = Tensor4::<f32>::random_uniform([conv.n, conv.ih, conv.iw, conv.ic], seed, 1.0);
     let dy = Tensor4::<f32>::random_uniform([conv.n, conv.oh(), conv.ow(), conv.oc], seed + 1, 1.0);
-    let mut buckets = vec![0.0f32; partition.z() * conv.dw_elems()];
-    execute_segments_with(
-        conv,
-        &partition,
-        &src,
+    let mut buckets = vec![0.0f32; plan.bucket_elems()];
+    plan.execute_into_buckets(
         &x,
         &dy,
         TileMode::Fp32,
@@ -134,14 +114,11 @@ fn dense_steal_pressure_is_bit_invisible() {
 #[test]
 fn default_worker_count_matches_explicit() {
     let conv = ConvShape::new(2, 12, 12, 2, 4, 3, 3, 1, 1);
-    let (partition, src) = setup(&conv, 2);
+    let plan = plan(&conv, 2);
     let x = Tensor4::<f32>::random_uniform([conv.n, conv.ih, conv.iw, conv.ic], 5, 1.0);
     let dy = Tensor4::<f32>::random_uniform([conv.n, conv.oh(), conv.ow(), conv.oc], 6, 1.0);
-    let mut buckets = vec![0.0f32; partition.z() * conv.dw_elems()];
-    execute_segments_with(
-        &conv,
-        &partition,
-        &src,
+    let mut buckets = vec![0.0f32; plan.bucket_elems()];
+    plan.execute_into_buckets(
         &x,
         &dy,
         TileMode::Fp32,

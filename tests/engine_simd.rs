@@ -23,18 +23,13 @@
 use proptest::prelude::*;
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use winrs::conv::ConvShape;
-use winrs::core::config::pair::select_pair;
-use winrs::core::config::segment_shape::calculate;
-use winrs::core::engine::{
-    execute_segments_with, load_filter_tile, load_input_tile, ExecOptions, HealthSink, TileMode,
-    TransformSource,
-};
-use winrs::core::{faults, Partition, Precision};
+use winrs::core::engine::{load_filter_tile, load_input_tile, ExecOptions, HealthSink, TileMode};
+use winrs::core::{faults, Precision, WinRsPlan};
 use winrs::fp16::{bf16, f16};
 use winrs::gemm::micro;
+use winrs::gpu::RTX_4090;
 use winrs::tensor::{Scalar, Tensor4};
 use winrs::winograd::cook_toom::{Transform, TransformReal};
-use winrs::winograd::kernels::KernelId;
 
 /// Serialises tests that flip the global scalar/SIMD dispatch switch.
 fn dispatch_guard() -> MutexGuard<'static, ()> {
@@ -183,23 +178,10 @@ proptest! {
     }
 }
 
-struct Plain(std::collections::HashMap<(usize, usize), TransformReal>);
-impl TransformSource for Plain {
-    fn transform(&self, k: KernelId) -> &TransformReal {
-        &self.0[&(k.n, k.r)]
-    }
-}
-
-fn setup(conv: &ConvShape, z_hat: usize, precision: Precision) -> (Partition, Plain) {
-    let pair = select_pair(conv.fw, conv.ow(), precision);
-    let seg_shape = calculate(z_hat, conv.oh(), conv.ow(), pair.bulk.r, conv.ph);
-    let partition = Partition::build(conv, &pair, seg_shape).expect("valid partition");
-    let mut map = std::collections::HashMap::new();
-    for k in [Some(pair.bulk), pair.residual].into_iter().flatten() {
-        map.entry((k.n, k.r))
-            .or_insert_with(|| Transform::generate(k.n, k.r).to_real());
-    }
-    (partition, Plain(map))
+/// The plan for `conv` at `precision` with a forced baseline segment
+/// count `Ẑ`.
+fn plan(conv: &ConvShape, z_hat: usize, precision: Precision) -> WinRsPlan {
+    WinRsPlan::with_z_hat(conv, &RTX_4090, precision, z_hat).expect("in-envelope shape")
 }
 
 /// Run the fused engine once and return the raw bucket buffer.
@@ -208,21 +190,12 @@ fn run_buckets(conv: &ConvShape, z_hat: usize, mode: TileMode, seed: u64) -> Vec
         TileMode::Fp16 => Precision::Fp16,
         _ => Precision::Fp32,
     };
-    let (partition, src) = setup(conv, z_hat, precision);
+    let plan = plan(conv, z_hat, precision);
     let x = Tensor4::<f32>::random_uniform([conv.n, conv.ih, conv.iw, conv.ic], seed, 1.0);
     let dy = Tensor4::<f32>::random_uniform([conv.n, conv.oh(), conv.ow(), conv.oc], seed + 1, 1.0);
-    let mut buckets = vec![0.0f32; partition.z() * conv.dw_elems()];
-    execute_segments_with(
-        conv,
-        &partition,
-        &src,
-        &x,
-        &dy,
-        mode,
-        &mut buckets,
-        ExecOptions::default(),
-    )
-    .expect("valid arguments");
+    let mut buckets = vec![0.0f32; plan.bucket_elems()];
+    plan.execute_into_buckets(&x, &dy, mode, &mut buckets, ExecOptions::default())
+        .expect("valid arguments");
     buckets
 }
 
@@ -282,17 +255,15 @@ fn fp16_health_totals(
     workers: usize,
     inject: bool,
 ) -> (u64, u64) {
-    let (partition, src) = setup(conv, 2, Precision::Fp16);
+    let plan = plan(conv, 2, Precision::Fp16);
+    let segments = plan.partition().segments.len();
     micro::force_width(width).expect("available width");
     if inject {
-        faults::arm(0..partition.segments.len());
+        faults::arm(0..segments);
     }
-    let mut buckets = vec![0.0f32; partition.z() * conv.dw_elems()];
-    let sink = HealthSink::new(partition.segments.len());
-    execute_segments_with(
-        conv,
-        &partition,
-        &src,
+    let mut buckets = vec![0.0f32; plan.bucket_elems()];
+    let sink = HealthSink::new(segments);
+    plan.execute_into_buckets(
         x,
         dy,
         TileMode::Fp16,
@@ -306,11 +277,7 @@ fn fp16_health_totals(
     .expect("valid arguments");
     if inject {
         let fired = faults::disarm();
-        assert_eq!(
-            fired.len(),
-            partition.segments.len(),
-            "every armed segment must fire"
-        );
+        assert_eq!(fired.len(), segments, "every armed segment must fire");
     }
     micro::force_width(None).expect("auto always pins");
     sink.totals()

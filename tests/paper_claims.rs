@@ -158,3 +158,34 @@ fn winnf_only_supports_3x3_and_5x5_like_cudnn() {
         assert_eq!(supported, f == 3 || f == 5, "f = {f}");
     }
 }
+
+#[test]
+fn winrs_support_is_the_planners_answer() {
+    // One answer to "can WinRS run this key": the bench harness admits
+    // exactly the keys the planner accepts, and models a cost for each.
+    // FP16 has no kernel for F = 2, 4 and 8: 30 of the sweep's 80 keys.
+    let mut refused = 0;
+    for w in paper_sweep() {
+        for precision in [Precision::Fp32, Precision::Fp16] {
+            let valid = WinRsPlan::validate(&w.shape, precision).is_empty();
+            assert_eq!(
+                Algo::WinRs.supports(&w.shape, precision),
+                valid,
+                "{} {precision:?}",
+                w.label
+            );
+            if !valid {
+                refused += 1;
+                continue;
+            }
+            let cost = Algo::WinRs.costs(&w.shape, &RTX_4090, precision);
+            assert!(
+                cost.time > 0.0,
+                "{} {precision:?}: time {}",
+                w.label,
+                cost.time
+            );
+        }
+    }
+    assert_eq!(refused, 30);
+}
