@@ -1,5 +1,7 @@
 //! Phase-timing baseline: execute BFC on a fixed shape set and record the
-//! measured per-phase cost breakdown (the data behind `winrs profile`).
+//! measured per-phase cost breakdown (the data behind `winrs profile`):
+//! the last trip's wall phases, and the FT/IT/EWMM/OT busy split of one
+//! timed pass after it when WinRS ran.
 //!
 //! ```sh
 //! cargo run --release -p winrs-bench --bin phase_baseline          # table
@@ -14,7 +16,11 @@
 
 use winrs_bench::json::{Json, SCHEMA};
 use winrs_conv::ConvShape;
-use winrs_core::{ExecHandle, Precision, WorkspacePool};
+use winrs_core::engine::sched;
+use winrs_core::metrics::time_block_loop;
+use winrs_core::{
+    Algorithm, ExecHandle, NumericGuard, Precision, TimingSink, WinrsError, WorkspacePool,
+};
 use winrs_gpu_sim::RTX_4090;
 use winrs_tensor::Tensor4;
 
@@ -86,6 +92,26 @@ fn main() {
         let Some(report) = last else { continue };
         let t = &report.timing;
         let pool = report.pool.unwrap_or_default();
+        // The busy split: one timed pass of the pool's cached plan over a
+        // lease from the same pool, as `winrs profile` takes it. A
+        // substitute leaves the sink empty and the workers 0.
+        let timed_pass = || -> Result<(TimingSink, f64), WinrsError> {
+            let plan = handle.pool().cached_plan(&s, &device, case.precision)?;
+            let mut lease = handle.pool().lease(plan.workspace_layout())?;
+            time_block_loop(&plan, &x, &dy, NumericGuard::default(), lease.workspace())
+        };
+        let (sink, wall_s) = match report.algorithm {
+            Algorithm::WinRs => match timed_pass() {
+                Ok(split) => split,
+                Err(err) => {
+                    eprintln!("{}: timed pass failed: {err}", case.name);
+                    continue;
+                }
+            },
+            _ => Default::default(),
+        };
+        let workers = if sink.blocks() > 0 { sched::workers() } else { 0 };
+        let ms = |ns: u64| ns as f64 * 1e-6;
         println!(
             "{:<22} {:<9} {:>9.3} {:>9.3} {:>9.3} {:>9.3} {:>9.3} {:>4}h/{}m",
             case.name,
@@ -93,7 +119,7 @@ fn main() {
             t.total_s * 1e3,
             t.plan_s * 1e3,
             t.block_loop_s * 1e3,
-            t.ewmm_s * 1e3,
+            ms(sink.ewmm_ns()),
             t.reduce_s * 1e3,
             pool.plan_hits,
             pool.plan_misses
@@ -119,14 +145,14 @@ fn main() {
             ("block_loop_ms", Json::Num(t.block_loop_s * 1e3)),
             ("promote_ms", Json::Num(t.promote_s * 1e3)),
             ("reduce_ms", Json::Num(t.reduce_s * 1e3)),
-            ("ft_ms", Json::Num(t.ft_s * 1e3)),
-            ("it_ms", Json::Num(t.it_s * 1e3)),
-            ("ewmm_ms", Json::Num(t.ewmm_s * 1e3)),
-            ("ot_ms", Json::Num(t.ot_s * 1e3)),
-            ("busy_ms", Json::Num(t.busy_s * 1e3)),
-            ("blocks", Json::Int(t.blocks as i64)),
-            ("workers", Json::Int(t.workers as i64)),
-            ("utilisation", Json::Num(t.utilisation)),
+            ("ft_ms", Json::Num(ms(sink.ft_ns()))),
+            ("it_ms", Json::Num(ms(sink.it_ns()))),
+            ("ewmm_ms", Json::Num(ms(sink.ewmm_ns()))),
+            ("ot_ms", Json::Num(ms(sink.ot_ns()))),
+            ("busy_ms", Json::Num(ms(sink.busy_ns()))),
+            ("blocks", Json::Int(sink.blocks() as i64)),
+            ("workers", Json::Int(workers as i64)),
+            ("utilisation", Json::Num(sink.utilisation(wall_s, workers))),
             ("cache_hits", Json::Int(pool.plan_hits as i64)),
             ("cache_misses", Json::Int(pool.plan_misses as i64)),
         ]));

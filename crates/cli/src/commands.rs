@@ -8,10 +8,12 @@ use std::time::{Duration, Instant};
 use winrs_bench::json::{Json, SCHEMA};
 use winrs_bench::{accuracy_sweep, throughput_dims};
 use winrs_conv::{direct, ConvShape};
+use winrs_core::engine::sched;
 use winrs_core::fallback::{Algorithm, FallbackPolicy, NumericGuard};
+use winrs_core::metrics::time_block_loop;
 use winrs_core::pool::{ExecHandle, PoolConfig, WorkspacePool};
 use winrs_core::tuner::{ChoiceSource, TuneDb, TunedEntry, TunerConfig, TunerDecision};
-use winrs_core::{Precision, WinRsPlan, TUNE_DB_SCHEMA};
+use winrs_core::{Precision, TimingSink, WinRsPlan, WinrsError, TUNE_DB_SCHEMA};
 use winrs_gemm::micro::FORCE_WIDTH_ENV;
 use winrs_gpu_sim::{DeviceSpec, A5000, L40S, RTX_3090, RTX_4090};
 use winrs_tensor::{mare, Tensor4};
@@ -36,7 +38,7 @@ commands:
   cost     modelled time / throughput / workspace on a device
            --n N --res R --ic C --oc C --f F [--pad P] [--device NAME] [--fp16]
   profile  execute BFC and print the measured per-phase cost breakdown
-           (Figure 6 style: FT / IT / EWMM / OT plus plan and reduce)
+           (wall phases plus the FT/IT/EWMM/OT busy split)
            --n N --res R --ic C --oc C --f F [--pad P] [--device NAME]
            [--fp16|--bf16] [--trips T] [--seed S]
            [--compare BASELINE.json]  (diff vs a winrs-bench-v1 phase file)
@@ -436,6 +438,19 @@ fn cmd_profile(flags: &Flags) -> Result<String, String> {
         return Err("no trips executed".into());
     };
     let t = &report.timing;
+    // The busy split is one more pass, timed on request: the last trip's
+    // cached plan over a lease from the same pool.
+    let timed_pass = || -> Result<(TimingSink, f64), WinrsError> {
+        let pool = handle.pool();
+        let plan = pool.cached_plan(&shape, &device, precision)?;
+        let mut lease = pool.lease(plan.workspace_layout())?;
+        time_block_loop(&plan, &x, &dy, guard, lease.workspace())
+    };
+    // A substitute leaves the sink empty: no block task ran.
+    let (sink, wall_s) = match report.algorithm {
+        Algorithm::WinRs => timed_pass().map_err(|e| e.to_string())?,
+        _ => Default::default(),
+    };
 
     let mut out = String::new();
     let _ = writeln!(out, "shape        : {shape:?}");
@@ -480,40 +495,41 @@ fn cmd_profile(flags: &Flags) -> Result<String, String> {
     wall_row("other", t.other_s());
     wall_row("total", t.total_s);
 
-    if t.blocks > 0 {
-        let _ = writeln!(out, "\nbusy time by kernel phase (Figure 6 decomposition)");
+    if sink.blocks() > 0 {
+        let _ = writeln!(out, "\nFT/IT/EWMM/OT busy split (one timed pass after the last trip)");
         let _ = writeln!(out, "  phase         time ms   % of busy");
-        let busy = t.busy_s.max(1e-12);
-        let named = t.ft_s + t.it_s + t.ewmm_s + t.ot_s;
-        for (name, secs) in [
-            ("FT", t.ft_s),
-            ("IT", t.it_s),
-            ("EWMM", t.ewmm_s),
-            ("OT", t.ot_s),
-            ("overhead", (t.busy_s - named).max(0.0)),
-            ("busy", t.busy_s),
+        let busy = sink.busy_ns();
+        let named = sink.ft_ns() + sink.it_ns() + sink.ewmm_ns() + sink.ot_ns();
+        for (name, ns) in [
+            ("FT", sink.ft_ns()),
+            ("IT", sink.it_ns()),
+            ("EWMM", sink.ewmm_ns()),
+            ("OT", sink.ot_ns()),
+            ("overhead", busy.saturating_sub(named)),
+            ("busy", busy),
         ] {
             let _ = writeln!(
                 out,
                 "  {:<12} {:>9.3} {:>11.1}%",
                 name,
-                secs * 1e3,
-                100.0 * secs / busy
+                ns as f64 * 1e-6,
+                100.0 * ns as f64 / busy.max(1) as f64
             );
         }
+        let workers = sched::workers();
         let _ = writeln!(
             out,
             "  {} block tasks (one per segment and oc-tile) on {} workers, utilisation {:.0}%",
-            t.blocks,
-            t.workers,
-            100.0 * t.utilisation
+            sink.blocks(),
+            workers,
+            100.0 * sink.utilisation(wall_s, workers)
         );
         let _ = writeln!(
             out,
             "  per-task wall min/mean/max: {:.1} / {:.1} / {:.1} us",
-            t.block_min_s * 1e6,
-            t.block_mean_s * 1e6,
-            t.block_max_s * 1e6
+            sink.min_ns() as f64 * 1e-3,
+            sink.mean_ns() as f64 * 1e-3,
+            sink.max_ns() as f64 * 1e-3
         );
     } else {
         let _ = writeln!(
@@ -533,20 +549,22 @@ fn cmd_profile(flags: &Flags) -> Result<String, String> {
 
     if let Some(path) = flags.opt_str("compare") {
         out.push('\n');
-        write_comparison(&mut out, path, &shape, precision, t)?;
+        write_comparison(&mut out, path, &shape, precision, t, &sink)?;
     }
     Ok(out)
 }
 
 /// Append the `--compare` section: per-phase wall and busy deltas of the
-/// just-measured run against the matching case of a committed
-/// `winrs-bench-v1` phase-baseline file.
+/// just-measured run (its last trip's wall phases and the timed pass's
+/// busy split, empty when a substitute ran) against the matching case of
+/// a committed `winrs-bench-v1` phase-baseline file.
 fn write_comparison(
     out: &mut String,
     path: &str,
     shape: &ConvShape,
     precision: Precision,
     t: &winrs_core::PhaseTimings,
+    sink: &TimingSink,
 ) -> Result<(), String> {
     let text =
         std::fs::read_to_string(path).map_err(|e| format!("cannot read baseline {path}: {e}"))?;
@@ -606,16 +624,17 @@ fn write_comparison(
     row("block-loop", "block_loop_ms", t.block_loop_s);
     row("promote", "promote_ms", t.promote_s);
     row("reduce", "reduce_ms", t.reduce_s);
-    row("FT", "ft_ms", t.ft_s);
-    row("IT", "it_ms", t.it_s);
-    row("EWMM", "ewmm_ms", t.ewmm_s);
-    row("OT", "ot_ms", t.ot_s);
-    row("busy", "busy_ms", t.busy_s);
+    let secs = |ns: u64| ns as f64 * 1e-9;
+    row("FT", "ft_ms", secs(sink.ft_ns()));
+    row("IT", "it_ms", secs(sink.it_ns()));
+    row("EWMM", "ewmm_ms", secs(sink.ewmm_ns()));
+    row("OT", "ot_ms", secs(sink.ot_ns()));
+    row("busy", "busy_ms", secs(sink.busy_ns()));
     let base_hot = ["ft_ms", "it_ms", "ewmm_ms"]
         .iter()
         .filter_map(|k| field(base, k))
         .sum::<f64>();
-    let now_hot = (t.ft_s + t.it_s + t.ewmm_s) * 1e3;
+    let now_hot = secs(sink.ft_ns() + sink.it_ns() + sink.ewmm_ns()) * 1e3;
     if now_hot > 0.0 && base_hot > 0.0 {
         let _ = writeln!(
             out,
@@ -1393,7 +1412,7 @@ mod tests {
             (sum - total).abs() <= 0.1 * total + 0.01,
             "phases {sum} ms vs total {total} ms\n{out}"
         );
-        assert!(out.contains("Figure 6 decomposition"), "{out}");
+        assert!(out.contains("FT/IT/EWMM/OT busy split"), "{out}");
         assert!(phase_ms(&out, "EWMM") >= 0.0);
         assert!(out.contains("block tasks"), "{out}");
     }

@@ -15,8 +15,8 @@
 //! WinRS on random tensors and reports the MARE against f64 direct
 //! convolution, `cost` prints the modelled time/throughput/workspace,
 //! `profile` executes BFC and prints the *measured* per-phase cost
-//! breakdown (Figure 6 style), and `kernels`/`devices` list the inventory
-//! and the modelled GPUs.
+//! breakdown (wall phases plus the FT/IT/EWMM/OT busy split), and
+//! `kernels`/`devices` list the inventory and the modelled GPUs.
 
 mod args;
 mod commands;

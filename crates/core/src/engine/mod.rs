@@ -193,7 +193,8 @@ pub struct ExecOptions<'a, 'p> {
     /// poisoned buckets at FP32.
     pub bucket_filter: Option<&'a [bool]>,
     /// When set, the engine flushes per-segment saturation / non-finite
-    /// counts into the sink (sized `plan.partition().segments.len()`).
+    /// counts into the sink (at least `plan.partition().segments.len()`
+    /// counter pairs; a workspace's sink only grows).
     pub health: Option<&'a HealthSink>,
     /// When set, block tasks draw their panels and accumulator from
     /// this pool (carved from a [`crate::Workspace`] arena) instead of
@@ -202,7 +203,8 @@ pub struct ExecOptions<'a, 'p> {
     pub scratch: Option<&'a ScratchPool<'p>>,
     /// When set, block tasks time their FT/IT/EWMM/OT phases with local
     /// counters and flush them into the sink once per task — same
-    /// discipline as `health`. `None` turns per-task timing off.
+    /// discipline as `health`. `None` reads no per-block clock; no
+    /// dispatch sets it, [`crate::metrics::time_block_loop`] does.
     pub timing: Option<&'a TimingSink>,
     /// Worker threads for the block-group scheduler (see [`sched`]). When
     /// `None`, one worker per hardware thread ([`sched::workers`]).
@@ -278,8 +280,9 @@ pub(crate) fn operand_violations<T: Scalar>(
 /// segment owns a distinct bucket, so segments parallelise freely.
 ///
 /// Returns a typed [`WinrsError::ExecutionRejected`] listing *every*
-/// argument inconsistency (bucket length, `x` dims, `dy` dims, an
-/// unavailable `WINRS_FORCE_WIDTH` pin) instead of panicking.
+/// argument inconsistency (bucket length, a mis-sized `bucket_filter` or
+/// `health` sink, `x` dims, `dy` dims, an unavailable `WINRS_FORCE_WIDTH`
+/// pin) instead of panicking.
 pub(crate) fn execute_segments_with<T: Scalar>(
     plan: &WinRsPlan,
     x: &Tensor4<T>,
@@ -295,6 +298,21 @@ pub(crate) fn execute_segments_with<T: Scalar>(
         violations.push(Violation::BucketSizeMismatch {
             expected: plan.bucket_elems(),
             got: buckets.len(),
+        });
+    }
+    if let Some(filter) = opts.bucket_filter.filter(|f| f.len() != plan.z()) {
+        violations.push(Violation::OptionSizeMismatch {
+            option: "bucket_filter",
+            expected: plan.z(),
+            got: filter.len(),
+        });
+    }
+    let segments = partition.segments.len();
+    if let Some(health) = opts.health.filter(|h| h.len() < segments) {
+        violations.push(Violation::OptionSizeMismatch {
+            option: "health",
+            expected: segments,
+            got: health.len(),
         });
     }
     violations.extend(operand_violations(conv, x, dy));
@@ -543,6 +561,80 @@ mod tests {
         assert!(matches!(err, WinrsError::ExecutionRejected(_)));
         assert_eq!(err.violations().len(), 3, "{err}");
         assert!(!err.recoverable_by_fallback());
+    }
+
+    /// A bucket filter or health sink sized for another plan is refused
+    /// typed, one violation per option, listed with the bucket and operand
+    /// violations: a short filter, a long filter and a short sink on an
+    /// FP16 run whose ∇Y overflows all used to index out of bounds or pass.
+    #[test]
+    fn mis_sized_options_are_refused_with_every_violation() {
+        let conv = ConvShape::new(1, 12, 12, 2, 2, 3, 3, 1, 1);
+        let plan = plan(&conv, 4);
+        let (z, segments) = (plan.z(), plan.partition().segments.len());
+        assert!(z >= 2 && segments >= 2, "test needs several buckets");
+        let x = Tensor4::<f32>::from_fn([1, 12, 12, 2], |_, _, _, _| 1.0);
+        let dy = Tensor4::<f32>::from_fn([1, 12, 12, 2], |_, _, _, _| 6.0e4);
+        let mismatch = |option, expected, got| Violation::OptionSizeMismatch {
+            option,
+            expected,
+            got,
+        };
+        let short_sink = HealthSink::new(1);
+        let (short, long) = (vec![true; 1], vec![true; z + 1]);
+        let refuse = |filter: Option<&[bool]>, health: Option<&HealthSink>, buckets: usize| {
+            let mut buckets = vec![0.0f32; buckets];
+            let opts = ExecOptions {
+                bucket_filter: filter,
+                health,
+                ..Default::default()
+            };
+            plan.execute_into_buckets(&x, &dy, TileMode::Fp16, &mut buckets, opts)
+                .expect_err("mis-sized option accepted")
+                .violations()
+                .to_vec()
+        };
+        let full = plan.bucket_elems();
+        assert_eq!(
+            refuse(Some(&short), None, full),
+            [mismatch("bucket_filter", z, 1)]
+        );
+        assert_eq!(
+            refuse(Some(&long), None, full),
+            [mismatch("bucket_filter", z, z + 1)]
+        );
+        assert_eq!(
+            refuse(None, Some(&short_sink), full),
+            [mismatch("health", segments, 1)]
+        );
+        // Both options and the bucket length at once, in argument order.
+        assert_eq!(
+            refuse(Some(&short), Some(&short_sink), 7),
+            [
+                Violation::BucketSizeMismatch {
+                    expected: full,
+                    got: 7
+                },
+                mismatch("bucket_filter", z, 1),
+                mismatch("health", segments, 1),
+            ]
+        );
+        // A sink longer than the segment count (a workspace's grow-only
+        // sink) is accepted.
+        let long_sink = HealthSink::new(segments + 3);
+        let mut buckets = vec![0.0f32; full];
+        plan.execute_into_buckets(
+            &x,
+            &dy,
+            TileMode::Fp16,
+            &mut buckets,
+            ExecOptions {
+                health: Some(&long_sink),
+                ..Default::default()
+            },
+        )
+        .expect("a longer sink fits");
+        assert!(long_sink.totals().0 > 0, "overflow counted");
     }
 
     /// `neon` names no member of the family: like any unknown token it is

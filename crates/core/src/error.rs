@@ -60,6 +60,17 @@ pub enum Violation {
         /// Provided length.
         got: usize,
     },
+    /// An execution option is sized for a different plan: a
+    /// `bucket_filter` needs exactly one entry per bucket, a `health` sink
+    /// at least one counter pair per segment.
+    OptionSizeMismatch {
+        /// `"bucket_filter"` or `"health"`.
+        option: &'static str,
+        /// Entries the plan requires.
+        expected: usize,
+        /// Entries provided.
+        got: usize,
+    },
     /// An operand's dimensions disagree with the plan's shape.
     TensorDimsMismatch {
         /// `"x"`, `"dy"`, `"w"` or `"dw"`.
@@ -139,6 +150,14 @@ impl fmt::Display for Violation {
             Violation::BucketSizeMismatch { expected, got } => {
                 write!(f, "bucket buffer holds {got} elements, plan needs {expected}")
             }
+            Violation::OptionSizeMismatch {
+                option,
+                expected,
+                got,
+            } => write!(
+                f,
+                "option `{option}` holds {got} entries, plan needs {expected}"
+            ),
             Violation::TensorDimsMismatch {
                 tensor,
                 expected,

@@ -34,11 +34,11 @@
 //! CLI prints.
 
 use crate::config::Precision;
-use crate::engine::{ExecOptions, TileMode};
+use crate::engine::{ExecOptions, HealthSink, TileMode};
 use crate::error::{Violation, WinrsError};
-use crate::metrics::{PhaseTimings, TimingSink};
+use crate::metrics::PhaseTimings;
 use crate::plan::WinRsPlan;
-use crate::workspace::{ExecCtx, Workspace, WorkspaceLayout};
+use crate::workspace::{ScratchPool, Workspace, WorkspaceLayout};
 use std::fmt;
 use std::str::FromStr;
 use std::time::Instant;
@@ -219,8 +219,7 @@ pub struct ExecutionReport {
     pub promoted_segments: Vec<usize>,
     /// Buckets re-executed at FP32.
     pub promoted_buckets: usize,
-    /// Phase-level timing breakdown: the wall phases, plus the FT/IT/EWMM/OT
-    /// busy decomposition when the WinRS engine ran.
+    /// The dispatch's wall-clock phases.
     pub timing: PhaseTimings,
     /// Snapshot of the [`crate::pool::WorkspacePool`] counters, plan-cache
     /// hits and misses included, at the end of the dispatch (populated by
@@ -367,6 +366,22 @@ pub fn substitute_layout(alg: Algorithm, conv: &ConvShape) -> WorkspaceLayout {
     }
 }
 
+/// The options of a run's first block-loop pass: the workspace's scratch,
+/// and its health counters unless FP32 tiles (which cannot saturate) or
+/// `Ignore` (which asked for no accounting) make the counter traffic moot.
+pub(crate) fn first_pass_options<'a, 'p>(
+    scratch: &'a ScratchPool<'p>,
+    health: &'a HealthSink,
+    guard: NumericGuard,
+    mode: TileMode,
+) -> ExecOptions<'a, 'p> {
+    ExecOptions {
+        scratch: Some(scratch),
+        health: (guard != NumericGuard::Ignore && mode != TileMode::Fp32).then_some(health),
+        ..Default::default()
+    }
+}
+
 /// Execute an already-built plan with health accounting and (optionally)
 /// bucket-granular FP32 promotion. `∇W` is written into `dw` and every
 /// scratch byte comes from `ws` (grown to the plan's layout on first use).
@@ -393,7 +408,6 @@ pub fn run_planned_into(
             },
         ]));
     }
-    let mode = plan.tile_mode();
     let mut report = ExecutionReport::new(Algorithm::WinRs, plan.precision(), guard);
     report.z = Some(plan.z());
 
@@ -402,68 +416,50 @@ pub fn run_planned_into(
     let planned = layout.workspace_bytes();
     let hot_loop_allocs;
     {
-        let ExecCtx {
-            buckets,
-            scratch,
-            health,
-        } = ws.ctx(layout)?;
-        let sink = TimingSink::new();
-        let opts = ExecOptions {
-            scratch: Some(&scratch),
-            // FP32 can't saturate and `Ignore` asked for no accounting, so
-            // skip the counter traffic on those paths.
-            health: (guard != NumericGuard::Ignore && mode != TileMode::Fp32).then_some(health),
-            timing: Some(&sink),
-            ..Default::default()
-        };
+        let ctx = ws.ctx(layout)?;
+        let mode = plan.tile_mode();
+        let opts = first_pass_options(&ctx.scratch, ctx.health, guard, mode);
         let t_block = Instant::now();
-        plan.execute_into_buckets(x, dy, mode, buckets, opts)?;
+        plan.execute_into_buckets(x, dy, mode, ctx.buckets, opts)?;
         report.timing.block_loop_s = t_block.elapsed().as_secs_f64();
-        if opts.health.is_some() {
-            let (saturated, non_finite) = health.totals();
-            report.saturated = saturated;
-            report.non_finite = non_finite;
-            let poisoned = health.poisoned_segments();
-            if guard == NumericGuard::PromoteAndRetry && !poisoned.is_empty() {
-                // Promotion is bucket-granular: a band's residual segment
-                // shares its first bulk segment's bucket, so both must
-                // re-run together for the bucket's FP32 contents to be
-                // complete. (The filter Vecs are per-promotion, outside
-                // the block loop.)
-                let segments = &plan.partition().segments;
-                let mut filter = vec![false; plan.z()];
-                for &s in &poisoned {
-                    filter[segments[s].bucket] = true;
-                }
-                let t_promote = Instant::now();
-                plan.execute_into_buckets(
-                    x,
-                    dy,
-                    TileMode::Fp32,
-                    buckets,
-                    ExecOptions {
-                        bucket_filter: Some(&filter),
-                        scratch: Some(&scratch),
-                        ..Default::default()
-                    },
-                )?;
-                report.timing.promote_s = t_promote.elapsed().as_secs_f64();
-                report.promoted_buckets = filter.iter().filter(|&&f| f).count();
-                report.promoted_segments = segments
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, seg)| filter[seg.bucket])
-                    .map(|(i, _)| i)
-                    .collect();
+        // A sink the pass did not count into reads zero: `ctx` reset it.
+        (report.saturated, report.non_finite) = ctx.health.totals();
+        let poisoned = ctx.health.poisoned_segments();
+        if guard == NumericGuard::PromoteAndRetry && !poisoned.is_empty() {
+            // Promotion is bucket-granular: a band's residual segment
+            // shares its first bulk segment's bucket, so both must re-run
+            // together for the bucket's FP32 contents to be complete. (The
+            // filter Vecs are per-promotion, outside the block loop.)
+            let segments = &plan.partition().segments;
+            let mut filter = vec![false; plan.z()];
+            for &s in &poisoned {
+                filter[segments[s].bucket] = true;
             }
+            let t_promote = Instant::now();
+            plan.execute_into_buckets(
+                x,
+                dy,
+                TileMode::Fp32,
+                ctx.buckets,
+                ExecOptions {
+                    bucket_filter: Some(&filter),
+                    scratch: Some(&ctx.scratch),
+                    ..Default::default()
+                },
+            )?;
+            report.timing.promote_s = t_promote.elapsed().as_secs_f64();
+            report.promoted_buckets = filter.iter().filter(|&&f| f).count();
+            report.promoted_segments = segments
+                .iter()
+                .enumerate()
+                .filter(|(_, seg)| filter[seg.bucket])
+                .map(|(i, _)| i)
+                .collect();
         }
         let t_reduce = Instant::now();
-        plan.reduce_into(buckets, dw);
+        plan.reduce_into(ctx.buckets, dw);
         report.timing.reduce_s = t_reduce.elapsed().as_secs_f64();
-        report
-            .timing
-            .absorb_sink(&sink, crate::engine::sched::workers());
-        hot_loop_allocs = scratch.hot_loop_allocs();
+        hot_loop_allocs = ctx.scratch.hot_loop_allocs();
     }
     // Measured high-water mark: every overflow bucket with an owner is
     // zeroed and written by the first full pass (the promote subset never

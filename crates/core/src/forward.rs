@@ -173,8 +173,10 @@ pub fn fc_winograd(
 
 /// Backward-data convolution `∇X` via the adjoint identity: FC of `∇Y`
 /// with the rotated, channel-transposed filter under complementary
-/// padding `(F−1−p)`. An ill-formed shape or a mis-shaped `dy` or `w` is
-/// a typed error listing every violation.
+/// padding `(F−1−p)`. On an axis padded past `F − 1` that padding would be
+/// negative, so `p − (F − 1)` rows (columns) are cropped from both sides
+/// of `∇Y` instead and the axis is not padded. An ill-formed shape or a
+/// mis-shaped `dy` or `w` is a typed error listing every violation.
 pub fn bdc_winograd(
     shape: &ConvShape,
     dy: &Tensor4<f32>,
@@ -192,20 +194,30 @@ pub fn bdc_winograd(
         Tensor4::<f32>::from_fn([shape.ic, shape.fh, shape.fw, shape.oc], |ic, a, bb, oc| {
             w[(oc, shape.fh - 1 - a, shape.fw - 1 - bb, ic)]
         });
+    let (crop_h, crop_w) = (
+        shape.ph.saturating_sub(shape.fh - 1),
+        shape.pw.saturating_sub(shape.fw - 1),
+    );
     let adj = ConvShape::new(
         shape.n,
-        oh,
-        ow,
+        oh - 2 * crop_h,
+        ow - 2 * crop_w,
         shape.oc,
         shape.ic,
         shape.fh,
         shape.fw,
-        shape.fh - 1 - shape.ph,
-        shape.fw - 1 - shape.pw,
+        (shape.fh - 1).saturating_sub(shape.ph),
+        (shape.fw - 1).saturating_sub(shape.pw),
     );
     debug_assert_eq!(adj.oh(), shape.ih);
     debug_assert_eq!(adj.ow(), shape.iw);
-    fc_winograd(&adj, dy, &wrot)
+    if crop_h == 0 && crop_w == 0 {
+        return fc_winograd(&adj, dy, &wrot);
+    }
+    let cropped = Tensor4::<f32>::from_fn([adj.n, adj.ih, adj.iw, adj.ic], |b, i, j, oc| {
+        dy[(b, i + crop_h, j + crop_w, oc)]
+    });
+    fc_winograd(&adj, &cropped, &wrot)
 }
 
 #[cfg(test)]
@@ -271,6 +283,25 @@ mod tests {
         let got = bdc_winograd(&shape, &dy.cast(), &w.cast()).unwrap();
         let want = direct::bdc_direct(&shape, &dy, &w);
         assert!(mare(&got, &want) < 1e-4);
+    }
+
+    /// Padding at or past the filter size has no complementary padding:
+    /// F ∈ {1, 2, 3} at p ∈ {F − 1, F, F + 1}, plus a map padded past the
+    /// filter on one axis only, all match direct BDC.
+    #[test]
+    fn bdc_matches_direct_when_padding_reaches_the_filter() {
+        let mut shapes: Vec<ConvShape> = (1..=3usize)
+            .flat_map(|f| (f - 1..=f + 1).map(move |p| ConvShape::new(2, 6, 7, 3, 4, f, f, p, p)))
+            .collect();
+        shapes.push(ConvShape::new(1, 5, 8, 2, 3, 2, 3, 3, 1));
+        for shape in shapes {
+            assert!(shape.violations().is_empty(), "{shape:?}");
+            let (_, w, dy) = setup(&shape);
+            let got = bdc_winograd(&shape, &dy.cast(), &w.cast()).unwrap();
+            let want = direct::bdc_direct(&shape, &dy, &w);
+            let m = mare(&got, &want);
+            assert!(m < 1e-5, "{shape:?}: MARE {m}");
+        }
     }
 
     /// Mis-shaped operands come back as one typed refusal listing every

@@ -1,12 +1,14 @@
-//! Phase-level timing observability (the paper's Fig. 6 decomposition).
+//! Phase-level timing observability: the dispatch's wall clock, and the
+//! FT/IT/EWMM/OT busy split measured on request.
 //!
-//! The paper's evaluation attributes every speedup through per-kernel
-//! timing breakdowns: the fused `Ω_α(n, r)` kernel's cost splits into the
-//! filter transform (FT), input transform (IT), α-batched element-wise
-//! multiply–accumulate (EWMM) and output transform (OT), plus the bucket
-//! reduction that follows. This module provides the two pieces the
-//! dispatcher uses to reproduce that accounting on the CPU substrate:
+//! Algorithm 3 fuses the filter transform (FT), input transform (IT),
+//! α-batched element-wise multiply–accumulate (EWMM) and output transform
+//! (OT) into one kernel with no timers in it, and the bucket reduction
+//! follows. Two clocks account for that on the CPU substrate:
 //!
+//! * [`PhaseTimings`] — the wall phases attached to every
+//!   [`crate::ExecutionReport`]: plan, block loop, promote-retry and
+//!   reduce, a handful of clock reads per dispatch and none per block.
 //! * [`TimingSink`] — an atomic accumulator the engine flushes once per
 //!   block task — one scheduler task, every filter row of one oc-tile of
 //!   one segment — (mirroring [`crate::engine::HealthSink`]'s flush
@@ -14,24 +16,25 @@
 //!   worker threads plus per-task min/max/total wall time. It performs no
 //!   heap allocation, so the zero-`hot_loop_allocs` contract holds while
 //!   profiling.
-//! * [`PhaseTimings`] — the plain-data summary attached to every
-//!   [`crate::ExecutionReport`]: wall-clock phase times measured by the
-//!   dispatcher (plan, block loop, promote-retry, reduce), the sink's busy
-//!   decomposition, and derived figures (per-block mean, worker
-//!   utilisation).
 //!
-//! The fine-grained per-block instrumentation runs only when the caller
-//! passes a sink (`ExecOptions::timing`); with `None` the engine reads no
-//! per-block clocks and only the dispatcher's handful of per-call clock
-//! reads remain.
+//! The engine reads per-block clocks only when its caller passes a sink
+//! (`ExecOptions::timing`), and no dispatch does: [`time_block_loop`] runs
+//! one timed pass of a plan on request (`winrs profile`, `phase_baseline`).
 //!
 //! Wall time and busy time answer different questions: the wall phases sum
 //! to the report's total (that invariant is what `winrs profile` checks),
 //! while the FT/IT/EWMM/OT busy times sum across threads and therefore can
-//! exceed the block-loop wall time on a multi-core run — their *ratio* is
-//! the Fig. 6 shape.
+//! exceed the pass's wall time on a multi-core run — their *ratio* is the
+//! busy split.
 
+use crate::engine::ExecOptions;
+use crate::fallback::{first_pass_options, NumericGuard};
+use crate::plan::WinRsPlan;
 use crate::sync::atomic::{AtomicU64, Ordering};
+use crate::workspace::Workspace;
+use crate::WinrsError;
+use std::time::Instant;
+use winrs_tensor::Tensor4;
 
 /// Atomic per-phase accumulator filled in by the engine while it runs.
 ///
@@ -136,18 +139,33 @@ impl TimingSink {
     pub fn max_ns(&self) -> u64 {
         self.max_ns.load(Ordering::Relaxed) // ORDERING: post-join read
     }
+
+    /// Mean block task in nanoseconds (0 when no task ran).
+    pub fn mean_ns(&self) -> u64 {
+        self.busy_ns().checked_div(self.blocks()).unwrap_or(0)
+    }
+
+    /// Fraction of `workers × wall_s` the block tasks spent busy, in
+    /// `[0, 1]` (0 on zero wall time). Low utilisation means the launch
+    /// passes had too few block tasks to fill the machine — the CPU
+    /// analogue of the paper's SM-occupancy argument for segmentation.
+    pub fn utilisation(&self, wall_s: f64, workers: usize) -> f64 {
+        let capacity = wall_s * workers.max(1) as f64;
+        if capacity > 0.0 {
+            (self.busy_ns() as f64 * 1e-9 / capacity).min(1.0)
+        } else {
+            0.0
+        }
+    }
 }
 
-const NS: f64 = 1e-9;
-
-/// The timing summary attached to every [`crate::ExecutionReport`].
+/// The wall-clock timing attached to every [`crate::ExecutionReport`].
 ///
-/// The wall-phase fields partition the dispatcher's total:
+/// The fields partition the dispatcher's total:
 /// `total_s = plan_s + block_loop_s + promote_s + reduce_s + other_s()`,
 /// where [`PhaseTimings::other_s`] is the (small) dispatcher overhead not
-/// attributed to a named phase. The busy fields come from the engine's
-/// [`TimingSink`] and decompose the block loop the way the paper's Fig. 6
-/// decomposes the fused kernel.
+/// attributed to a named phase. The FT/IT/EWMM/OT busy split is not part
+/// of a dispatch: [`time_block_loop`] measures it on request.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct PhaseTimings {
     /// Wall time of the whole dispatch (plan lookup/build through reduce).
@@ -161,31 +179,6 @@ pub struct PhaseTimings {
     pub promote_s: f64,
     /// Wall time of the Kahan bucket reduction.
     pub reduce_s: f64,
-    /// Filter-transform busy time summed across worker threads.
-    pub ft_s: f64,
-    /// Input-transform busy time summed across worker threads.
-    pub it_s: f64,
-    /// α-batched EWMM busy time summed across worker threads.
-    pub ewmm_s: f64,
-    /// Output-transform busy time summed across worker threads.
-    pub ot_s: f64,
-    /// Total block-task busy time summed across worker threads.
-    pub busy_s: f64,
-    /// Block tasks executed (one per segment and oc-tile).
-    pub blocks: u64,
-    /// Fastest block task (wall seconds).
-    pub block_min_s: f64,
-    /// Mean block task (wall seconds).
-    pub block_mean_s: f64,
-    /// Slowest block task (wall seconds).
-    pub block_max_s: f64,
-    /// Worker threads available to the block loop.
-    pub workers: usize,
-    /// Fraction of `workers × block_loop_s` actually spent busy, in
-    /// `[0, 1]`. Low utilisation means the launch passes had too few block
-    /// tasks to fill the machine — the CPU analogue of the paper's
-    /// SM-occupancy argument for segmentation.
-    pub utilisation: f64,
 }
 
 impl PhaseTimings {
@@ -199,32 +192,33 @@ impl PhaseTimings {
     pub fn is_populated(&self) -> bool {
         self.total_s > 0.0
     }
+}
 
-    /// Copy the busy-time decomposition out of an engine sink and derive
-    /// the per-block statistics. Call after the wall phases are set — the
-    /// utilisation figure divides busy time by `workers × block_loop_s`.
-    pub fn absorb_sink(&mut self, sink: &TimingSink, workers: usize) {
-        self.ft_s = sink.ft_ns() as f64 * NS;
-        self.it_s = sink.it_ns() as f64 * NS;
-        self.ewmm_s = sink.ewmm_ns() as f64 * NS;
-        self.ot_s = sink.ot_ns() as f64 * NS;
-        self.busy_s = sink.busy_ns() as f64 * NS;
-        self.blocks = sink.blocks();
-        self.block_min_s = sink.min_ns() as f64 * NS;
-        self.block_max_s = sink.max_ns() as f64 * NS;
-        self.block_mean_s = if self.blocks > 0 {
-            self.busy_s / self.blocks as f64
-        } else {
-            0.0
-        };
-        self.workers = workers.max(1);
-        let capacity = self.block_loop_s * self.workers as f64;
-        self.utilisation = if capacity > 0.0 {
-            (self.busy_s / capacity).min(1.0)
-        } else {
-            0.0
-        };
-    }
+/// Run one timed pass of `plan`'s block loop (both launch passes) into
+/// `ws`, grown to the plan's layout if needed, and return the filled
+/// [`TimingSink`] with the pass's wall seconds. The pass runs with the
+/// scratch and health options of
+/// [`crate::fallback::run_planned_into`]'s first pass plus the sink; it
+/// leaves the buckets unreduced, so no `∇W` is written.
+pub fn time_block_loop(
+    plan: &WinRsPlan,
+    x: &Tensor4<f32>,
+    dy: &Tensor4<f32>,
+    guard: NumericGuard,
+    ws: &mut Workspace,
+) -> Result<(TimingSink, f64), WinrsError> {
+    let layout = plan.workspace_layout();
+    ws.ensure(layout);
+    let ctx = ws.ctx(layout)?;
+    let mode = plan.tile_mode();
+    let sink = TimingSink::new();
+    let opts = ExecOptions {
+        timing: Some(&sink),
+        ..first_pass_options(&ctx.scratch, ctx.health, guard, mode)
+    };
+    let t0 = Instant::now();
+    plan.execute_into_buckets(x, dy, mode, ctx.buckets, opts)?;
+    Ok((sink, t0.elapsed().as_secs_f64()))
 }
 
 /// Snapshot of [`crate::pool::WorkspacePool`] counters, stamped into every
@@ -340,7 +334,6 @@ mod tests {
             block_loop_s: 0.6,
             promote_s: 0.05,
             reduce_s: 0.15,
-            ..PhaseTimings::default()
         };
         let sum = t.plan_s + t.block_loop_s + t.promote_s + t.reduce_s + t.other_s();
         assert!((sum - t.total_s).abs() < 1e-12);
@@ -350,36 +343,65 @@ mod tests {
     }
 
     #[test]
-    fn absorb_sink_derives_mean_and_utilisation() {
+    fn sink_derives_mean_and_utilisation() {
         let sink = TimingSink::new();
         // 4 blocks × 250 µs busy = 1 ms busy.
         for _ in 0..4 {
             sink.record_block(50_000, 50_000, 100_000, 50_000, 250_000);
         }
-        let mut t = PhaseTimings {
-            total_s: 6e-4,
-            block_loop_s: 5e-4,
-            ..PhaseTimings::default()
-        };
-        t.absorb_sink(&sink, 4);
-        assert_eq!(t.blocks, 4);
-        assert!((t.busy_s - 1e-3).abs() < 1e-12);
-        assert!((t.block_mean_s - 2.5e-4).abs() < 1e-12);
+        assert_eq!(sink.blocks(), 4);
+        assert_eq!(sink.busy_ns(), 1_000_000);
+        assert_eq!(sink.mean_ns(), 250_000);
         // busy 1 ms over 4 workers × 0.5 ms wall = 50% utilisation.
-        assert!((t.utilisation - 0.5).abs() < 1e-9);
-        // Busy decomposition keeps the Fig. 6 proportions.
-        assert!((t.ewmm_s - 2.0 * t.ft_s).abs() < 1e-12);
+        assert!((sink.utilisation(5e-4, 4) - 0.5).abs() < 1e-9);
+        assert_eq!(TimingSink::new().mean_ns(), 0, "no task, no mean");
     }
 
     #[test]
     fn utilisation_is_clamped_and_safe_on_zero_wall() {
         let sink = TimingSink::new();
         sink.record_block(0, 0, 0, 0, 1_000_000);
-        let mut t = PhaseTimings::default();
-        t.absorb_sink(&sink, 1);
-        assert_eq!(t.utilisation, 0.0, "zero wall time must not divide");
-        t.block_loop_s = 1e-9; // busy far exceeds capacity -> clamp to 1
-        t.absorb_sink(&sink, 1);
-        assert_eq!(t.utilisation, 1.0);
+        assert_eq!(
+            sink.utilisation(0.0, 1),
+            0.0,
+            "zero wall time must not divide"
+        );
+        // busy far exceeds capacity -> clamp to 1
+        assert_eq!(sink.utilisation(1e-9, 1), 1.0);
+    }
+
+    /// One timed pass on a multi-segment WinRS plan: one flush per block
+    /// task (a segment's oc-tile), every phase timed, and the derived
+    /// figures in range.
+    #[test]
+    fn time_block_loop_times_every_block_task() {
+        use crate::engine::cache_block;
+        use crate::Precision;
+        use winrs_conv::ConvShape;
+        use winrs_gpu_sim::RTX_4090;
+
+        let conv = ConvShape::new(2, 16, 16, 4, 6, 3, 3, 1, 1);
+        let plan =
+            WinRsPlan::with_z_hat(&conv, &RTX_4090, Precision::Fp32, 4).expect("in-envelope shape");
+        let x = Tensor4::<f32>::random_uniform([2, 16, 16, 4], 11, 1.0);
+        let dy = Tensor4::<f32>::random_uniform([2, 16, 16, 6], 12, 1.0);
+        let mut ws = Workspace::new();
+        let (sink, wall_s) =
+            time_block_loop(&plan, &x, &dy, NumericGuard::Warn, &mut ws).expect("valid arguments");
+        let segments = &plan.partition().segments;
+        assert!(segments.len() >= 2, "test needs several segments");
+        let tasks: usize = segments
+            .iter()
+            .map(|s| {
+                conv.oc
+                    .div_ceil(cache_block(plan.tile_mode(), s.kernel.alpha()).0)
+            })
+            .sum();
+        assert_eq!(sink.blocks() as usize, tasks);
+        assert!(sink.ft_ns() > 0 && sink.it_ns() > 0, "transforms untimed");
+        assert!(sink.ewmm_ns() > 0 && sink.ot_ns() > 0, "EWMM or OT untimed");
+        assert!(sink.min_ns() <= sink.mean_ns() && sink.mean_ns() <= sink.max_ns());
+        let u = sink.utilisation(wall_s, crate::engine::sched::workers());
+        assert!(u > 0.0 && u <= 1.0, "utilisation {u}");
     }
 }

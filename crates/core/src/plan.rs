@@ -6,7 +6,7 @@ use crate::config::segment_shape::calculate;
 use crate::config::Precision;
 use crate::engine::{cache_block, clip_rows, execute_segments_with, ExecOptions, TileMode};
 use crate::error::{Violation, WinrsError};
-use crate::partition::Partition;
+use crate::partition::{Partition, Segment};
 use crate::reduce::reduce_buckets;
 use crate::workspace::WorkspaceLayout;
 use std::collections::HashMap;
@@ -357,27 +357,31 @@ impl WinRsPlan {
         reduce_buckets(buckets, self.z(), dw);
     }
 
+    /// One segment's executed work: its tile positions (clipped filter
+    /// rows × units × images × filter-width tiles) and its EWM
+    /// multiply–accumulates (positions × α × O_C × I_C).
+    fn segment_counts(&self, seg: &Segment) -> (u64, u64) {
+        let row_iters: u64 = (0..self.conv.fh)
+            .map(|fh| {
+                let (lo, hi) = clip_rows(seg.h0, seg.h1, fh, self.conv.ph, self.conv.ih);
+                (hi - lo) as u64
+            })
+            .sum();
+        let fw_tiles = (self.conv.fw / seg.kernel.n) as u64;
+        let positions = row_iters * seg.units as u64 * self.conv.n as u64 * fw_tiles;
+        let macs =
+            positions * seg.kernel.alpha() as u64 * self.conv.oc as u64 * self.conv.ic as u64;
+        (positions, macs)
+    }
+
     /// EWM multiply–accumulate count actually executed (after Winograd
     /// reduction, height clipping, and boundary/phantom redundancy).
     pub fn ewm_macs(&self) -> u64 {
-        let mut macs = 0u64;
-        for seg in &self.partition.segments {
-            let alpha = seg.kernel.alpha() as u64;
-            let fw_tiles = (self.conv.fw / seg.kernel.n) as u64;
-            let mut row_iters = 0u64;
-            for fh in 0..self.conv.fh {
-                let (lo, hi) = clip_rows(seg.h0, seg.h1, fh, self.conv.ph, self.conv.ih);
-                row_iters += (hi - lo) as u64;
-            }
-            macs += row_iters
-                * seg.units as u64
-                * self.conv.n as u64
-                * alpha
-                * fw_tiles
-                * self.conv.oc as u64
-                * self.conv.ic as u64;
-        }
-        macs
+        self.partition
+            .segments
+            .iter()
+            .map(|seg| self.segment_counts(seg).1)
+            .sum()
     }
 
     /// Total executed FLOPs: EWM plus on-the-fly transforms plus the
@@ -387,13 +391,7 @@ impl WinRsPlan {
         for seg in &self.partition.segments {
             let k = seg.kernel;
             let (alpha, r) = (k.alpha() as u64, k.r as u64);
-            let fw_tiles = (self.conv.fw / k.n) as u64;
-            let mut row_iters = 0u64;
-            for fh in 0..self.conv.fh {
-                let (lo, hi) = clip_rows(seg.h0, seg.h1, fh, self.conv.ph, self.conv.ih);
-                row_iters += (hi - lo) as u64;
-            }
-            let positions = row_iters * seg.units as u64 * self.conv.n as u64 * fw_tiles;
+            let positions = self.segment_counts(seg).0;
             // FT: α·r per output channel; IT: α·α per input channel; both
             // per position and per channel tile revisit — the fused kernel
             // re-transforms per (oc-tile × ic-tile) pass like the GPU
@@ -429,20 +427,7 @@ impl WinRsPlan {
                 * self.conv.ic.div_ceil(bm)
                 * self.conv.fh
                 * (self.conv.fw / k.n);
-            let alpha = k.alpha() as u64;
-            let fw_tiles = (self.conv.fw / k.n) as u64;
-            let mut row_iters = 0u64;
-            for fh in 0..self.conv.fh {
-                let (lo, hi) = clip_rows(seg.h0, seg.h1, fh, self.conv.ph, self.conv.ih);
-                row_iters += (hi - lo) as u64;
-            }
-            let macs = row_iters
-                * seg.units as u64
-                * self.conv.n as u64
-                * alpha
-                * fw_tiles
-                * self.conv.oc as u64
-                * self.conv.ic as u64;
+            let macs = self.segment_counts(seg).1;
             let e = groups.entry((k.n, k.r)).or_insert((0, 0));
             e.0 += 2 * macs;
             e.1 += blocks;

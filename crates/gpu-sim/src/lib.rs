@@ -32,7 +32,6 @@
 mod blocks;
 mod cost;
 mod device;
-pub mod trace;
 
 pub use blocks::{bfc_block_count, fc_block_count, BlockGeometry};
 pub use cost::{estimate_pipeline_time, estimate_time, KernelProfile, Precision};

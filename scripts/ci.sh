@@ -181,14 +181,16 @@ step_09() {
     jq -e '.schema == "winrs-bench-v1"
            and (.results | length >= 1)
            and (.results[0] | has("total_ms") and has("ewmm_ms")
-                and has("cache_hits"))' "$BASELINE" >/dev/null
+                and has("cache_hits") and has("ft_ms") and has("it_ms")
+                and has("ot_ms") and has("busy_ms") and has("blocks")
+                and has("utilisation"))' "$BASELINE" >/dev/null
   else
     # jq-free schema check: the emitter writes compact single-line JSON, so
     # fixed-string greps on the key tokens are reliable.
     grep -q '"schema":"winrs-bench-v1"' "$BASELINE"
-    grep -q '"total_ms":' "$BASELINE"
-    grep -q '"ewmm_ms":' "$BASELINE"
-    grep -q '"cache_hits":' "$BASELINE"
+    for key in total_ms ewmm_ms cache_hits ft_ms it_ms ot_ms busy_ms blocks utilisation; do
+      grep -q "\"$key\":" "$BASELINE"
+    done
   fi
   rm -rf "$BASELINE_DIR"
   PROFILE_OUT=$("$WINRS" profile --n 1 --res 16 --ic 4 --oc 8 --f 3 --trips 3)
@@ -196,6 +198,11 @@ step_09() {
   echo "$PROFILE_OUT" | grep -q "wall-clock phases"
   echo "$PROFILE_OUT" | grep -Eq "plan-cache   : 2 hits / 1 misses"
   echo "$PROFILE_OUT" | grep -q "total"
+  # The FT/IT/EWMM/OT busy split is one timed pass after the last trip.
+  echo "$PROFILE_OUT" | grep -q "FT/IT/EWMM/OT busy split"
+  for phase in FT IT EWMM OT; do
+    echo "$PROFILE_OUT" | grep -Eq "^  $phase +[0-9]"
+  done
   # The named wall phases must account for the total (`other` closes the gap
   # by construction; 10% slack absorbs the 3-decimal print rounding).
   echo "$PROFILE_OUT" | awk '

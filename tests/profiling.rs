@@ -1,9 +1,12 @@
 //! Cross-crate observability contract: `ExecutionReport.timing` must be
 //! populated on every dispatch path (WinRS, GEMM fallback, the tuner's
 //! choice of a substitute, forced direct, warm plan cache), and the
-//! wall-clock phases must account for the total.
+//! wall-clock phases must account for the total. The FT/IT/EWMM/OT busy
+//! split is one timed pass on request (`metrics::time_block_loop`).
 
-use winrs::core::fallback::{ExecutionReport, FallbackPolicy};
+use winrs::core::engine::sched;
+use winrs::core::fallback::{ExecutionReport, FallbackPolicy, NumericGuard};
+use winrs::core::metrics::time_block_loop;
 use winrs::core::{Algorithm, ExecHandle, Precision, WorkspacePool};
 use winrs::gpu::RTX_4090;
 use winrs::tensor::Tensor4;
@@ -43,18 +46,26 @@ fn assert_wall_phases_account_for_total(report: &ExecutionReport) {
 fn winrs_path_reports_full_phase_breakdown() {
     let shape = ConvShape::square(2, 16, 4, 8, 3);
     let (x, dy) = tensors(&shape, 1.0);
-    let (_dw, report) = handle(Precision::Fp32, FallbackPolicy::default())
-        .run(&shape, &x, &dy)
-        .expect("dispatch");
+    let handle = handle(Precision::Fp32, FallbackPolicy::default());
+    let (_dw, report) = handle.run(&shape, &x, &dy).expect("dispatch");
     assert_eq!(report.algorithm, Algorithm::WinRs);
     assert_wall_phases_account_for_total(&report);
-    let t = &report.timing;
-    // The WinRS rung always passes a timing sink: per-block phase data.
-    assert!(t.blocks > 0, "engine should count block tasks");
-    assert!(t.ewmm_s > 0.0 && t.ft_s > 0.0 && t.it_s > 0.0 && t.ot_s > 0.0);
-    assert!(t.busy_s >= t.ft_s + t.it_s + t.ewmm_s + t.ot_s);
-    assert!(t.utilisation > 0.0 && t.utilisation <= 1.0);
-    assert!(t.block_min_s <= t.block_mean_s && t.block_mean_s <= t.block_max_s);
+    // Per-block phase data comes from one timed pass of the cached plan
+    // over a lease from the same pool.
+    let plan = handle
+        .pool()
+        .cached_plan(&shape, &RTX_4090, Precision::Fp32)
+        .expect("cached plan");
+    let mut lease = handle.pool().lease(plan.workspace_layout()).expect("lease");
+    let (sink, wall_s) =
+        time_block_loop(&plan, &x, &dy, NumericGuard::default(), lease.workspace())
+            .expect("timed pass");
+    assert!(sink.blocks() > 0, "engine should count block tasks");
+    assert!(sink.ewmm_ns() > 0 && sink.ft_ns() > 0 && sink.it_ns() > 0 && sink.ot_ns() > 0);
+    assert!(sink.busy_ns() >= sink.ft_ns() + sink.it_ns() + sink.ewmm_ns() + sink.ot_ns());
+    let utilisation = sink.utilisation(wall_s, sched::workers());
+    assert!(utilisation > 0.0 && utilisation <= 1.0);
+    assert!(sink.min_ns() <= sink.mean_ns() && sink.mean_ns() <= sink.max_ns());
     assert!(report.summary_line().contains(" total="), "{}", report.summary_line());
 }
 
