@@ -12,11 +12,11 @@
 //! Cu-Algo1 and Cu-FFT are the substitutes the tuner ranks (direct,
 //! GEMM-BFC, FFT-BFC): their profiles and workspace come from
 //! [`winrs_core::tuner::substitute_profiles`] and
-//! [`winrs_core::fallback::substitute_layout`], so the figures and the
-//! dispatcher share one calibration.
+//! [`winrs_core::fallback::substitute_workspace_bytes`], so the figures
+//! and the dispatcher share one calibration.
 
 use winrs_conv::{direct, fft_bfc, gemm_bfc, winnf, ConvShape};
-use winrs_core::fallback::substitute_layout;
+use winrs_core::fallback::substitute_workspace_bytes;
 use winrs_core::tuner::substitute_profiles;
 use winrs_core::{Algorithm, Precision, WinRsPlan};
 use winrs_fp16::f16;
@@ -98,10 +98,10 @@ impl Algo {
             Algo::WinRs => WinRsPlan::new(shape, device, Precision::Fp32)
                 .expect("benchmark shape is inside the WinRS envelope")
                 .workspace_bytes(),
-            Algo::CuAlgo0 => substitute_layout(Algorithm::Direct, shape).workspace_bytes(),
-            Algo::CuAlgo1 => substitute_layout(Algorithm::GemmBfc, shape).workspace_bytes(),
+            Algo::CuAlgo0 => substitute_workspace_bytes(Algorithm::Direct, shape),
+            Algo::CuAlgo1 => substitute_workspace_bytes(Algorithm::GemmBfc, shape),
             Algo::CuAlgo3 => gemm_bfc::workspace_bytes(gemm_bfc::GemmAlgo::Algo3, shape),
-            Algo::CuFft => substitute_layout(Algorithm::FftBfc, shape).workspace_bytes(),
+            Algo::CuFft => substitute_workspace_bytes(Algorithm::FftBfc, shape),
             Algo::CuWinNF => winnf::workspace_bytes(shape),
         }
     }

@@ -5,8 +5,7 @@
 //! sizes grow, and the workspace stays small throughout — reaching 0 when
 //! a single segment already fills the GPU.
 
-use winrs_bench::Table;
-use winrs_conv::ConvShape;
+use winrs_bench::{workspace_dims, Table};
 use winrs_core::{Precision, WinRsPlan};
 use winrs_gpu_sim::RTX_4090;
 
@@ -19,30 +18,17 @@ fn main() {
         "dW size",
         "x data size",
     ]);
-    // The figure's x-axis: constant-complexity dimension walks at several
-    // channel sizes.
-    let series = [
-        (32usize, 112usize, 64usize),
-        (32, 112, 128),
-        (32, 56, 128),
-        (32, 56, 256),
-        (32, 28, 256),
-        (32, 28, 512),
-        (32, 14, 512),
-        (32, 28, 1024),
-        (32, 14, 1024),
-    ];
-    for (n, res, c) in series {
-        let shape = ConvShape::square(n, res, c, c, 3);
-        let plan = WinRsPlan::new(&shape, &RTX_4090, Precision::Fp32).expect("benchmark shape is inside the WinRS envelope");
+    for w in workspace_dims() {
+        let plan = WinRsPlan::new(&w.shape, &RTX_4090, Precision::Fp32)
+            .expect("benchmark shape is inside the WinRS envelope");
         t.row(vec![
-            format!("{}:{}:{}:{}", n, shape.oh(), shape.ow(), c),
+            w.label,
             plan.z().to_string(),
             format!("{:.1} MB", plan.workspace_bytes() as f64 / 1e6),
-            format!("{:.2} MB", shape.dw_elems() as f64 * 4.0 / 1e6),
+            format!("{:.2} MB", w.shape.dw_elems() as f64 * 4.0 / 1e6),
             format!(
                 "{:.3}x",
-                plan.workspace_bytes() as f64 / shape.data_bytes(4) as f64
+                plan.workspace_bytes() as f64 / w.shape.data_bytes(4) as f64
             ),
         ]);
     }

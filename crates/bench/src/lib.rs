@@ -16,4 +16,4 @@ pub mod workloads;
 pub use algos::{cu_gemm_best, Algo, AlgoCosts, ALL_ALGOS};
 pub use json::Json;
 pub use table::{mb, print_series, ratio, Table};
-pub use workloads::{accuracy_sweep, paper_sweep, throughput_dims, Workload};
+pub use workloads::{accuracy_sweep, paper_sweep, throughput_dims, workspace_dims, Workload};

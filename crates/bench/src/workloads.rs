@@ -55,6 +55,27 @@ pub fn throughput_dims(f: usize) -> Vec<Workload> {
         .collect()
 }
 
+/// Figure 9's x-axis: 3×3 `∇W` from the early-layer regime (a small `∇W`
+/// split into many segments) to 1024 channels (one segment, no
+/// workspace).
+pub fn workspace_dims() -> Vec<Workload> {
+    let series = [
+        (32usize, 112usize, 64usize),
+        (32, 112, 128),
+        (32, 56, 128),
+        (32, 56, 256),
+        (32, 28, 256),
+        (32, 28, 512),
+        (32, 14, 512),
+        (32, 28, 1024),
+        (32, 14, 1024),
+    ];
+    series
+        .iter()
+        .map(|&(n, res, c)| Workload::new(ConvShape::square(n, res, c, c, 3)))
+        .collect()
+}
+
 /// The full model-only sweep (workspace and throughput experiments —
 /// nothing here allocates tensors, so paper-scale shapes are fine).
 pub fn paper_sweep() -> Vec<Workload> {

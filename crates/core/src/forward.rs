@@ -19,7 +19,7 @@
 //! filter and complementary padding — the standard adjoint identity.
 
 use crate::error::{Violation, WinrsError};
-use crate::workspace::{ScratchPool, WorkspaceLayout};
+use crate::workspace::ScratchPool;
 use std::sync::Arc;
 use winrs_conv::ConvShape;
 use winrs_gemm::sched;
@@ -77,9 +77,8 @@ pub fn fc_winograd(
     let t = forward_kernel(shape.fw);
     let (alpha, n_t) = (t.alpha, t.n);
     let slot = alpha * (1 + shape.oc);
-    let layout = WorkspaceLayout::scratch_only(slot, sched::workers());
-    let mut arena = vec![0.0f32; layout.arena_elems()];
-    let scratch = ScratchPool::new(&mut arena, layout.slot_elems());
+    let mut arena = vec![0.0f32; ScratchPool::region_elems(slot, sched::workers())];
+    let scratch = ScratchPool::new(&mut arena, slot);
 
     // FT once: ghat[oc][fh][ic][α].
     let ghat: Vec<f32> = {

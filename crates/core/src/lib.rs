@@ -95,7 +95,7 @@ pub use tuner::{
 /// vocabulary was a separate enum. Held only so `perfbench` keeps
 /// compiling; no workspace crate uses it.
 pub type AlgoChoice = Algorithm;
-pub use workspace::{ExecCtx, Region, RegionKind, ScratchPool, Workspace, WorkspaceLayout};
+pub use workspace::{ExecCtx, ScratchPool, Workspace, WorkspaceLayout};
 
 /// Deliberately-undersized bucket-buffer length shared by the numeric
 /// health / argument-rejection tests in [`engine`] and [`reduce`]: 7 is

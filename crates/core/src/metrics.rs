@@ -42,7 +42,7 @@ use winrs_tensor::Tensor4;
 /// engine times the four kernel phases inside each block task with local
 /// counters and flushes them here once per task, so the atomic traffic is
 /// negligible next to the task's arithmetic.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct TimingSink {
     ft_ns: AtomicU64,
     it_ns: AtomicU64,
@@ -54,12 +54,25 @@ pub struct TimingSink {
     max_ns: AtomicU64,
 }
 
+impl Default for TimingSink {
+    fn default() -> TimingSink {
+        TimingSink::new()
+    }
+}
+
 impl TimingSink {
-    /// A zeroed sink.
+    /// A zeroed sink. The fastest-block counter starts at `u64::MAX`, so
+    /// the first recorded block sets it.
     pub fn new() -> TimingSink {
         TimingSink {
+            ft_ns: AtomicU64::new(0),
+            it_ns: AtomicU64::new(0),
+            ewmm_ns: AtomicU64::new(0),
+            ot_ns: AtomicU64::new(0),
+            busy_ns: AtomicU64::new(0),
+            blocks: AtomicU64::new(0),
             min_ns: AtomicU64::new(u64::MAX),
-            ..TimingSink::default()
+            max_ns: AtomicU64::new(0),
         }
     }
 
@@ -324,6 +337,13 @@ mod tests {
         assert_eq!(sink.blocks(), 0);
         assert_eq!(sink.min_ns(), 0);
         assert_eq!(sink.max_ns(), 0);
+    }
+
+    #[test]
+    fn default_sink_tracks_the_fastest_block_like_new() {
+        let sink = TimingSink::default();
+        sink.record_block(1, 1, 1, 1, 500);
+        assert_eq!(sink.min_ns(), 500);
     }
 
     #[test]

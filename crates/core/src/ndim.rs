@@ -16,7 +16,7 @@
 use crate::config::pair::{select_pair, KernelPair};
 use crate::config::Precision;
 use crate::engine::clip_rows;
-use crate::workspace::{ScratchPool, WorkspaceLayout};
+use crate::workspace::ScratchPool;
 use std::collections::HashMap;
 use std::sync::Arc;
 use winrs_conv::ndim::Conv3dShape;
@@ -61,9 +61,8 @@ pub fn bfc3d_winrs(shape: &Conv3dShape, x: &TensorN<f32>, dy: &TensorN<f32>) -> 
         .collect();
     let max_alpha = transforms.values().map(|t| t.alpha).max().unwrap_or(0);
     let slot = 3 * max_alpha;
-    let layout = WorkspaceLayout::scratch_only(slot, sched::workers());
-    let mut arena = vec![0.0f32; layout.arena_elems()];
-    let scratch = ScratchPool::new(&mut arena, layout.slot_elems());
+    let mut arena = vec![0.0f32; ScratchPool::region_elems(slot, sched::workers())];
+    let scratch = ScratchPool::new(&mut arena, slot);
 
     let mut dw = TensorN::<f32>::zeros(&shape.dw_dims());
     let per_oc = shape.fd * shape.fh * shape.fw * shape.ic;

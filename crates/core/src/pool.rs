@@ -938,7 +938,7 @@ mod tests {
     use winrs_tensor::mare;
 
     fn small_layout() -> WorkspaceLayout {
-        WorkspaceLayout::scratch_only(16, 1)
+        WorkspaceLayout::winrs(0, 1, 16, 1, 0)
     }
 
     #[test]
@@ -1053,7 +1053,7 @@ mod tests {
         let lease = pool.lease(&layout).unwrap();
         let p2 = Arc::clone(&pool);
         let waiter = std::thread::spawn(move || {
-            let layout = WorkspaceLayout::scratch_only(16, 1);
+            let layout = WorkspaceLayout::winrs(0, 1, 16, 1, 0);
             p2.lease(&layout).map(|_| ()).is_ok()
         });
         // Give the waiter time to park, then release.
@@ -1089,7 +1089,7 @@ mod tests {
         let layout = small_layout();
         let p2 = Arc::clone(&pool);
         let result = std::thread::spawn(move || {
-            let layout = WorkspaceLayout::scratch_only(16, 1);
+            let layout = WorkspaceLayout::winrs(0, 1, 16, 1, 0);
             let _lease = p2.lease(&layout).unwrap();
             // winrs-audit: allow(error-hygiene) — deliberate test panic.
             panic!("holder dies with the lease live");
@@ -1193,10 +1193,9 @@ mod tests {
             assert_eq!(report.algorithm, want, "policy {policy}");
             assert_eq!(report.guard, NumericGuard::PromoteAndRetry);
         }
-        assert_eq!(
-            "promote".parse::<NumericGuard>(),
-            Ok(NumericGuard::PromoteAndRetry)
-        );
+        // One spelling per guard: the short form is refused.
+        let err = "promote".parse::<NumericGuard>().unwrap_err();
+        assert!(err.contains("ignore | warn | promote-retry"), "{err}");
         assert!("gibberish".parse::<FallbackPolicy>().is_err());
         assert!("gibberish".parse::<NumericGuard>().is_err());
     }
@@ -1363,7 +1362,7 @@ mod tests {
         let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
         let stop2 = Arc::clone(&stop);
         let churner = std::thread::spawn(move || {
-            let layout = WorkspaceLayout::scratch_only(16, 1);
+            let layout = WorkspaceLayout::winrs(0, 1, 16, 1, 0);
             while !stop2.load(std::sync::atomic::Ordering::Relaxed) {
                 if let Ok(l) = p2.lease_for(&layout, Duration::ZERO) {
                     drop(l);

@@ -5,13 +5,15 @@
 //! — exactly `(Z−1)·|∇W|` — and both Lavin & Gray's Winograd kernels and
 //! cuDNN's `get_workspace_size` treat workspace as a caller-visible,
 //! pre-negotiated quantity. This module makes the repo match that
-//! contract: a plan describes every scratch region it will ever need in a
+//! contract: a plan describes every scratch byte it will ever need in a
 //! [`WorkspaceLayout`], a caller-owned [`Workspace`] arena is checked (or
 //! grown) against that layout once, and the hot block loop then runs with
 //! **zero** heap allocations, carving per-task tiles out of the arena
 //! through a [`ScratchPool`] instead of `vec!`-ing them per block.
 //!
-//! Arena layout (f32 elements, in order):
+//! The layout holds five counts — `|∇W|`, `Z`, slot size, slot count and
+//! segment count — and derives every size below from them. Arena layout
+//! (f32 elements, in order):
 //!
 //! ```text
 //! ┌─────────────┬──────────────────────────┬───────────────────────────┐
@@ -27,8 +29,8 @@
 //! thread-scratch region is the CPU substrate's stand-in for on-chip
 //! SMEM/registers: per-block `ĝ`/`d̂`/`v` tiles that a GPU kernel would
 //! never allocate from DRAM. Numeric-guard counters ([`HealthSink`]) live
-//! beside the arena (they are atomics, not f32s) and appear in the layout
-//! for accounting only.
+//! beside the arena (they are atomics, not f32s); the layout reports
+//! their bytes for accounting only.
 
 use crate::engine::HealthSink;
 use crate::error::{Violation, WinrsError};
@@ -47,64 +49,26 @@ fn slot_stride(slot_elems: usize) -> usize {
     slot_elems.next_multiple_of(SLOT_ALIGN_ELEMS)
 }
 
-/// What a [`Region`] of the layout is for.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RegionKind {
-    /// `∇W` bucket 0 — aliases the output, free in the paper's accounting.
-    Output,
-    /// The `(Z−1)·|∇W|` overflow buckets — the paper's DRAM workspace.
-    Workspace,
-    /// Per-task FT/IT/accumulator tiles — the on-chip (SMEM) analogue.
-    Scratch,
-    /// Numeric-guard counters (atomics beside the arena).
-    Guard,
-}
-
-impl RegionKind {
-    /// Short stable name for reports.
-    pub fn name(&self) -> &'static str {
-        match self {
-            RegionKind::Output => "output",
-            RegionKind::Workspace => "workspace",
-            RegionKind::Scratch => "scratch",
-            RegionKind::Guard => "guard",
-        }
-    }
-}
-
-/// One named region of a [`WorkspaceLayout`].
-#[derive(Clone, Copy, Debug)]
-pub struct Region {
-    /// Stable region name (`"overflow-buckets"`, `"thread-scratch"`, …).
-    pub name: &'static str,
-    /// What the region is for.
-    pub kind: RegionKind,
-    /// Size in f32 elements when the region is arena-resident, 0 otherwise.
-    pub elems: usize,
-    /// Size in bytes (arena regions: `4 · elems`; accounting-only regions
-    /// such as guard counters or fallback-owned buffers: their real size).
-    pub bytes: usize,
-}
-
-/// A complete description of every scratch byte one execution path needs.
+/// A complete description of every scratch byte one WinRS execution
+/// needs, held as the five counts it is derived from: `|∇W|`, `Z`, the
+/// scratch slot size, the slot count and the segment count.
 ///
-/// Produced by [`crate::WinRsPlan::workspace_layout`] (and by the fallback
-/// dispatcher for its substitute algorithms); consumed by [`Workspace`] to
-/// size the arena and by reports to account for memory.
+/// Produced by [`crate::WinRsPlan::workspace_layout`]; consumed by
+/// [`Workspace`] to size the arena and by reports to account for memory.
 #[derive(Clone, Debug)]
 pub struct WorkspaceLayout {
-    regions: Vec<Region>,
-    bucket_elems: usize,
+    dw_elems: usize,
+    z: usize,
     slot_elems: usize,
     slots: usize,
     segments: usize,
 }
 
 impl WorkspaceLayout {
-    /// Layout for a WinRS plan: `z` buckets of `dw_elems` f32s (bucket 0
-    /// is the output alias, buckets `1..z` the paper workspace), `slots`
-    /// scratch slots of `slot_elems` f32s, and guard counters for
-    /// `segments` segments.
+    /// Layout for a WinRS plan: `z ≥ 1` buckets of `dw_elems` f32s
+    /// (bucket 0 is the output alias, buckets `1..z` the paper
+    /// workspace), `slots` scratch slots of `slot_elems` f32s, and guard
+    /// counters for `segments` segments.
     pub fn winrs(
         dw_elems: usize,
         z: usize,
@@ -112,88 +76,19 @@ impl WorkspaceLayout {
         slots: usize,
         segments: usize,
     ) -> WorkspaceLayout {
-        let scratch_elems = ScratchPool::region_elems(slot_elems, slots);
-        let regions = vec![
-            Region {
-                name: "dw-bucket",
-                kind: RegionKind::Output,
-                elems: dw_elems,
-                bytes: dw_elems * 4,
-            },
-            Region {
-                name: "overflow-buckets",
-                kind: RegionKind::Workspace,
-                elems: (z - 1) * dw_elems,
-                bytes: (z - 1) * dw_elems * 4,
-            },
-            Region {
-                name: "thread-scratch",
-                kind: RegionKind::Scratch,
-                elems: scratch_elems,
-                bytes: scratch_elems * 4,
-            },
-            Region {
-                name: "guard-counters",
-                kind: RegionKind::Guard,
-                elems: 0,
-                bytes: segments * std::mem::size_of::<[AtomicU64; 2]>(),
-            },
-        ];
         WorkspaceLayout {
-            regions,
-            bucket_elems: z * dw_elems,
+            dw_elems,
+            z,
             slot_elems,
             slots,
             segments,
         }
     }
 
-    /// Layout with only a thread-scratch region — used by the forward/BDC
-    /// and N-D paths, which have no buckets (Z = 1 folds into the output).
-    pub fn scratch_only(slot_elems: usize, slots: usize) -> WorkspaceLayout {
-        let scratch_elems = ScratchPool::region_elems(slot_elems, slots);
-        WorkspaceLayout {
-            regions: vec![Region {
-                name: "thread-scratch",
-                kind: RegionKind::Scratch,
-                elems: scratch_elems,
-                bytes: scratch_elems * 4,
-            }],
-            bucket_elems: 0,
-            slot_elems,
-            slots,
-            segments: 0,
-        }
-    }
-
-    /// Accounting-only layout for a fallback algorithm that owns its
-    /// buffers internally (GEMM panel buffers, direct convolution's
-    /// nothing). Not arena-resident; exists so fallback workspace is
-    /// reported through the same machinery as WinRS workspace.
-    pub fn accounting(name: &'static str, bytes: usize) -> WorkspaceLayout {
-        WorkspaceLayout {
-            regions: vec![Region {
-                name,
-                kind: RegionKind::Workspace,
-                elems: 0,
-                bytes,
-            }],
-            bucket_elems: 0,
-            slot_elems: 0,
-            slots: 0,
-            segments: 0,
-        }
-    }
-
-    /// All regions, in arena order.
-    pub fn regions(&self) -> &[Region] {
-        &self.regions
-    }
-
-    /// Total f32 elements the arena must hold (bucket + scratch regions,
-    /// the latter including slot-alignment padding).
+    /// Total f32 elements the arena must hold (buckets plus scratch, the
+    /// latter including slot-alignment padding).
     pub fn arena_elems(&self) -> usize {
-        self.bucket_elems + self.scratch_elems()
+        self.bucket_elems() + self.scratch_elems()
     }
 
     /// Scratch region length in f32 elements: aligned slot strides plus
@@ -204,7 +99,7 @@ impl WorkspaceLayout {
 
     /// Bucket region length in f32 elements (`Z · |∇W|`).
     pub fn bucket_elems(&self) -> usize {
-        self.bucket_elems
+        self.z * self.dw_elems
     }
 
     /// Scratch slot size in f32 elements.
@@ -212,29 +107,21 @@ impl WorkspaceLayout {
         self.slot_elems
     }
 
-    /// Number of scratch slots.
-    pub fn slots(&self) -> usize {
-        self.slots
-    }
-
     /// Number of segments the guard counters cover.
     pub fn segments(&self) -> usize {
         self.segments
     }
 
-    /// Bytes of `Workspace`-kind regions — for WinRS exactly the paper's
-    /// `(Z−1)·|∇W|`.
+    /// The paper's workspace: the `(Z−1)·|∇W|` overflow buckets, in bytes
+    /// of f32 staging.
     pub fn workspace_bytes(&self) -> usize {
-        self.regions
-            .iter()
-            .filter(|r| r.kind == RegionKind::Workspace)
-            .map(|r| r.bytes)
-            .sum()
+        (self.z - 1) * self.dw_elems * 4
     }
 
-    /// Total bytes across every region (arena + accounting-only).
-    pub fn total_bytes(&self) -> usize {
-        self.regions.iter().map(|r| r.bytes).sum()
+    /// Bytes of the per-segment guard counters, which live beside the
+    /// arena, not in it.
+    pub fn guard_bytes(&self) -> usize {
+        self.segments * std::mem::size_of::<[AtomicU64; 2]>()
     }
 }
 
@@ -451,21 +338,8 @@ mod tests {
         // 16-elem alignment quantum) plus one quantum of lead padding.
         assert_eq!(layout.scratch_elems(), 112 * 4 + 16);
         assert_eq!(layout.arena_elems(), z * dw + 464);
-        let overflow = layout
-            .regions()
-            .iter()
-            .find(|r| r.name == "overflow-buckets")
-            .unwrap();
-        assert_eq!(overflow.kind, RegionKind::Workspace);
-        assert_eq!(overflow.bytes, (z - 1) * dw * 4);
         // Guard counters are accounted but not arena-resident.
-        let guard = layout
-            .regions()
-            .iter()
-            .find(|r| r.kind == RegionKind::Guard)
-            .unwrap();
-        assert_eq!(guard.elems, 0);
-        assert_eq!(guard.bytes, 6 * 16);
+        assert_eq!(layout.guard_bytes(), 6 * 16);
     }
 
     #[test]
@@ -570,13 +444,5 @@ mod tests {
             }
         });
         assert_eq!(pool.hot_loop_allocs(), 0);
-    }
-
-    #[test]
-    fn accounting_layout_reports_fallback_bytes() {
-        let layout = WorkspaceLayout::accounting("gemm-panels", 12345);
-        assert_eq!(layout.workspace_bytes(), 12345);
-        assert_eq!(layout.arena_elems(), 0);
-        assert_eq!(layout.total_bytes(), 12345);
     }
 }

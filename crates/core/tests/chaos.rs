@@ -55,7 +55,7 @@ fn assert_pool_clean(pool: &Arc<WorkspacePool>) {
         st.poisonings, st.rebuilds,
         "poisoned slot without a rebuild: {st}"
     );
-    let layout = winrs_core::WorkspaceLayout::accounting("clean-check", 0);
+    let layout = winrs_core::WorkspaceLayout::winrs(0, 1, 0, 0, 0);
     let leases: Vec<_> = (0..pool.config().slots)
         .map(|i| {
             pool.lease_for(&layout, Duration::ZERO)
@@ -135,7 +135,7 @@ fn slot_exhaustion_backpressure_degrades_or_surfaces() {
 
     // Raw lease: the typed error names the pressure.
     faults::arm_sites([Site::PoolSlotExhausted]);
-    let layout = winrs_core::WorkspaceLayout::accounting("exhausted", 0);
+    let layout = winrs_core::WorkspaceLayout::winrs(0, 1, 0, 0, 0);
     let err = pool
         .lease_for(&layout, Duration::from_millis(5))
         .map(|_| ())

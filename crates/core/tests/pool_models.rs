@@ -50,7 +50,7 @@ fn model_pool() -> Arc<WorkspacePool> {
 }
 
 fn layout() -> WorkspaceLayout {
-    WorkspaceLayout::accounting("pool-model", 0)
+    WorkspaceLayout::winrs(0, 1, 0, 0, 0)
 }
 
 /// Properties 1 and 3: the sole slot is exclusive in every interleaving,

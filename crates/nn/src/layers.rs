@@ -409,11 +409,11 @@ mod tests {
         assert!(a.last_report.is_none(), "Direct engine records no report");
     }
 
-    /// Probe the (sole) pooled arena without disturbing it: an accounting
+    /// Probe the (sole) pooled arena without disturbing it: an empty
     /// layout has no arena elems, so the lease's `ensure` grows nothing.
     fn probe_arena(pool: &Arc<WorkspacePool>) -> (usize, usize) {
         let mut lease = pool
-            .lease(&winrs_core::WorkspaceLayout::accounting("probe", 0))
+            .lease(&winrs_core::WorkspaceLayout::winrs(0, 1, 0, 0, 0))
             .unwrap();
         let ws = lease.workspace();
         (ws.arena_bytes(), ws.grows())

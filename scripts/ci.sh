@@ -19,8 +19,9 @@
 #      tested against the library crates it calls, so an API change that
 #      breaks it fails here instead of at benchmark time
 #   4. workspace-accounting smoke test: the CLI's layout breakdown must
-#      match the paper formula and a guarded execution must report a
-#      zero-allocation hot loop
+#      print all four rows and match the paper formula, and a strict
+#      (WinRS-pinned) execution must report that formula's bytes as its
+#      planned and peak workspace and a zero-allocation hot loop
 #   5. profiling smoke test: `winrs profile` must print the per-phase
 #      breakdown with a warm plan cache, and the bench harness's --json
 #      baseline must carry the winrs-bench-v1 schema and phase fields;
@@ -162,10 +163,18 @@ step_08() {
   REF_SHAPE=(--n 32 --res 56 --ic 16 --oc 16 --f 3)
   WORKSPACE_OUT=$("$WINRS" workspace "${REF_SHAPE[@]}")
   printf '%s\n' "$WORKSPACE_OUT" >&2
+  for row in dw-bucket overflow-buckets thread-scratch guard-counters; do
+    grep -q "^$row " <<<"$WORKSPACE_OUT"
+  done
   grep -q "overflow check : matches" <<<"$WORKSPACE_OUT"
-  VERIFY_OUT=$("$WINRS" verify "${REF_SHAPE[@]}")
+  FORMULA_B=$(sed -n 's/^paper formula  : .* = \([0-9]*\) B$/\1/p' <<<"$WORKSPACE_OUT")
+  [ -n "$FORMULA_B" ]
+  # Strict pins WinRS; under auto the tuner may send this shape to a
+  # substitute, whose run has no block loop to check.
+  VERIFY_OUT=$("$WINRS" verify "${REF_SHAPE[@]}" --fallback-policy strict)
   printf '%s\n' "$VERIFY_OUT" >&2
-  grep -q "hot_loop_allocs=0" <<<"$VERIFY_OUT"
+  grep -q "algorithm=winrs " <<<"$VERIFY_OUT"
+  grep -q " workspace=${FORMULA_B}B peak=${FORMULA_B}B hot_loop_allocs=0 " <<<"$VERIFY_OUT"
 }
 run_step "workspace accounting smoke (reference shape 32x56x56, 16->16, f=3)" step_08
 

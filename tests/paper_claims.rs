@@ -4,7 +4,7 @@
 use winrs::conv::ConvShape;
 use winrs::core::{Precision, WinRsPlan};
 use winrs::gpu::{bfc_block_count, fc_block_count, BlockGeometry, RTX_4090};
-use winrs_bench::{cu_gemm_best, paper_sweep, Algo};
+use winrs_bench::{cu_gemm_best, paper_sweep, workspace_dims, Algo};
 
 #[test]
 fn abstract_claim_workspace_below_4_percent_of_fft_and_winnf() {
@@ -148,6 +148,37 @@ fn measured_workspace_peak_is_exactly_z_minus_1_gradw() {
             plan.workspace_layout().workspace_bytes()
         );
     }
+}
+
+#[test]
+fn figure9_segments_fall_and_workspace_stays_small() {
+    // E8 (Figure 9): along the series the segment count never rises from
+    // tens of segments, the workspace stays at most 11 MB, and at 512 and
+    // 1024 channels one segment suffices, so the workspace is exactly 0.
+    let mut prev_z = usize::MAX;
+    let mut single_segment = 0;
+    for (i, w) in workspace_dims().iter().enumerate() {
+        let plan = WinRsPlan::new(&w.shape, &RTX_4090, Precision::Fp32).unwrap();
+        let z = plan.z();
+        if i == 0 {
+            assert!(z >= 40, "{}: first point has Z = {z}", w.label);
+        }
+        assert!(z <= prev_z, "{}: Z rose from {prev_z} to {z}", w.label);
+        prev_z = z;
+        let bytes = plan.workspace_bytes();
+        assert!(bytes <= 11_000_000, "{}: workspace {bytes} B", w.label);
+        assert_eq!(
+            plan.workspace_layout().workspace_bytes(),
+            (z - 1) * w.shape.dw_elems() * 4,
+            "{}",
+            w.label
+        );
+        if w.shape.oc >= 512 {
+            assert_eq!((z, bytes), (1, 0), "{}", w.label);
+            single_segment += 1;
+        }
+    }
+    assert_eq!(single_segment, 4);
 }
 
 #[test]
