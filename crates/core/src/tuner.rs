@@ -680,7 +680,10 @@ pub struct Tuner {
     /// first: freed in a hash map's random order, the newest plans' small
     /// chunks stayed cached at the top of the allocator's heap and kept a
     /// dropped pool's memory resident (up to 19 MiB on the benchmark's
-    /// `fig10_fp32` workload).
+    /// `fig10_fp32` workload). It is allocated at its capacity up front:
+    /// growing it while keys arrive reallocated it into whatever free
+    /// chunk fit, which could be the hole a large `∇W` had just left, and
+    /// the next `∇W` of that size then grew the heap (the same 19 MiB).
     decisions: Vec<(DecisionKey, DecisionState)>,
     tick: u64,
     /// Plan fetches through [`Tuner::plan`]: (hits, misses).
@@ -698,11 +701,10 @@ pub struct Tuner {
 impl Tuner {
     /// A tuner with an empty (memory-only) database.
     pub fn new(cfg: TunerConfig) -> Tuner {
+        let capacity = cfg.capacity.max(1);
         Tuner {
-            cfg: TunerConfig {
-                capacity: cfg.capacity.max(1),
-            },
-            decisions: Vec::new(),
+            cfg: TunerConfig { capacity },
+            decisions: Vec::with_capacity(capacity),
             tick: 0,
             plan_stats: (0, 0),
             db: TuneDb::new(),
