@@ -9,18 +9,18 @@
 //! launch geometry. FLOP counts and intermediate-traffic volumes come from
 //! the real planners in `winrs-conv` — nothing in this module invents
 //! work; it only assigns launch shape and quality to it. Cu-Algo0,
-//! Cu-Algo1 and Cu-FFT are the substitutes the tuner ranks (direct,
-//! GEMM-BFC, FFT-BFC): their profiles and workspace come from
-//! [`winrs_core::tuner::substitute_profiles`] and
-//! [`winrs_core::fallback::substitute_workspace_bytes`], so the figures
-//! and the dispatcher share one calibration.
+//! Cu-Algo1 and Cu-FFT are the substitutes the dispatcher can run (direct,
+//! GEMM-BFC, FFT-BFC): their workspace comes from
+//! [`winrs_core::fallback::substitute_workspace_bytes`], the buffers the
+//! dispatcher's substitutes allocate. Dispatch ranks them with its own
+//! host model (`winrs_core::tuner`); these profiles only price the
+//! paper's figures.
 
 use winrs_conv::{direct, fft_bfc, gemm_bfc, winnf, ConvShape};
 use winrs_core::fallback::substitute_workspace_bytes;
-use winrs_core::tuner::substitute_profiles;
 use winrs_core::{Algorithm, Precision, WinRsPlan};
 use winrs_fp16::f16;
-use winrs_gpu_sim::{estimate_pipeline_time, DeviceSpec, KernelProfile};
+use winrs_gpu_sim::{estimate_pipeline_time, DeviceSpec, KernelProfile, Precision as SimPrecision};
 use winrs_tensor::Tensor4;
 
 /// The algorithms compared throughout §6.
@@ -118,24 +118,38 @@ impl Algo {
         let io = (shape.x_elems() + shape.dy_elems() + shape.dw_elems()) as u64 * eb;
         let o_total = shape.oh() * shape.ow();
         let f_total = shape.fh * shape.fw * shape.ic;
-        let substitute = |algo| {
-            substitute_profiles(algo, shape, precision)
-                .expect("the substitute has a kernel at every precision `supports` admits")
-        };
-
         match self {
             Algo::WinRs => WinRsPlan::new(shape, device, precision)
                 .expect("benchmark shape is inside the WinRS envelope")
                 .kernel_profiles(),
-            Algo::CuAlgo0 => substitute(Algorithm::Direct),
+            // Direct accumulation has no reduced-precision kernel: it runs
+            // on the FP32 CUDA-core path whatever precision was requested,
+            // parallel over output positions with atomic ∇W accumulation —
+            // plentiful blocks, poor kernel quality.
+            Algo::CuAlgo0 => vec![KernelProfile {
+                flops: shape.bfc_flops(),
+                io_bytes: io,
+                intermediate_bytes: 0,
+                blocks: (shape.n * o_total).div_ceil(256).max(1),
+                pipe_efficiency: 0.45,
+                precision: SimPrecision::Fp32,
+            }],
             // The GEMM algorithms are *implicit*-im2col kernels (paper
             // §6.2 classifies Cu-GEMM among the fused algorithms): the
             // lowering panel lives in SMEM/L2, so no intermediate DRAM
             // traffic is charged — only an extra overlappable X read for
             // the im2col duplication. (The CPU implementation in
             // `winrs-conv::gemm_bfc` does materialise panels; its traffic
-            // accounting is used by the ablation binary, not here.)
-            Algo::CuAlgo1 => substitute(Algorithm::GemmBfc),
+            // accounting is used by the ablation binary, not here.) One
+            // GEMM per batch item over the im2col panel.
+            Algo::CuAlgo1 => vec![KernelProfile {
+                flops: shape.bfc_flops(),
+                io_bytes: io + shape.x_elems() as u64 * eb,
+                intermediate_bytes: 0,
+                blocks: shape.n * f_total.div_ceil(128) * shape.oc.div_ceil(64),
+                pipe_efficiency: 0.90,
+                precision: prec,
+            }],
             Algo::CuAlgo3 => vec![KernelProfile {
                 flops: shape.bfc_flops(),
                 io_bytes: io + shape.x_elems() as u64 * eb,
@@ -147,7 +161,14 @@ impl Algo {
                 pipe_efficiency: 0.80,
                 precision: prec,
             }],
-            Algo::CuFft => substitute(Algorithm::FftBfc),
+            Algo::CuFft => vec![KernelProfile {
+                flops: fft_bfc::flops(shape),
+                io_bytes: io,
+                intermediate_bytes: fft_bfc::intermediate_traffic_bytes(shape) * eb / 4,
+                blocks: (shape.n * (shape.ic + shape.oc) + shape.ic * shape.oc).max(1),
+                pipe_efficiency: 0.70,
+                precision: prec,
+            }],
             Algo::CuWinNF => {
                 let nt = shape.n
                     * shape.oh().div_ceil(winnf::WINNF_TILE)

@@ -53,16 +53,20 @@ commands:
            this host (avx2 needs the avx2, fma and f16c CPU features;
            avx512 needs avx512f on top), the detected (widest) width, and
            any active pin
-  tune     rank WinRS against GEMM-BFC / FFT-BFC / direct with the cost
-           model, print the decision table, and persist winners to a
-           winrs-tune-v1 tuning database
+  tune     rank WinRS against GEMM-BFC / FFT-BFC / direct with the host
+           cost model (Eq. 8 with this host's constants at the detected
+           SIMD width), print the decision table, and persist winners to
+           a winrs-tune-v1 tuning database (--device builds the plan and
+           keys the database; it prices nothing)
            --shapes fig10|fig11|small  (or one explicit --n/--res/--ic/--oc/--f shape)
            [--device NAME] [--fp16|--bf16]  (fig11 defaults to fp16)
            [--db PATH]      read + write the tuning database at PATH
            [--dry-run]      rank only, never write the database
            [--measure K]    time every ranked candidate K times after one
                             warm-up and store the fastest (CPU execution;
-                            oversized shapes are skipped and reported)
+                            oversized shapes are skipped and reported); a
+                            closing line gives choice = fastest (h of n),
+                            the regret and the median |ln(pred/meas)|
            [--inspect]      print the entries of --db and exit
   serve    run the batched BFC HTTP/JSON service (POST /v1/bfc,
            GET /healthz, GET /v1/stats); same-shape jobs arriving within
@@ -852,6 +856,52 @@ fn measure_candidates(
         .collect()
 }
 
+/// How well the tuner's choices and predictions matched `--measure`: the
+/// three numbers perfbench's regret probe reports.
+#[derive(Default)]
+struct Accuracy {
+    keys: usize,
+    hits: usize,
+    chosen_s: f64,
+    fastest_s: f64,
+    log_err: Vec<f64>,
+}
+
+impl Accuracy {
+    /// Count one measured key: was the choice the fastest, what it cost
+    /// against the fastest, and each candidate's |ln(predicted/measured)|.
+    fn add(&mut self, d: &TunerDecision, means: &[(Algorithm, f64)]) {
+        let fastest = means.iter().map(|m| m.1).fold(f64::INFINITY, f64::min);
+        let Some(chosen) = means.iter().find(|m| m.0 == d.chosen).map(|m| m.1) else {
+            return;
+        };
+        self.keys += 1;
+        self.hits += usize::from(chosen == fastest);
+        self.chosen_s += chosen;
+        self.fastest_s += fastest;
+        self.log_err.extend(
+            means
+                .iter()
+                .filter_map(|&(a, s)| Some((d.predicted_for(a)? / s).ln().abs())),
+        );
+    }
+
+    fn summary(&self) -> String {
+        let mut err = self.log_err.clone();
+        err.sort_by(f64::total_cmp);
+        format!(
+            "accuracy    : choice = fastest on {} of {} keys, regret {:.3} \
+             (Σchosen {:.4} ms / Σfastest {:.4} ms), median |ln(pred/meas)| {:.3}",
+            self.hits,
+            self.keys,
+            self.chosen_s / self.fastest_s,
+            self.chosen_s * 1e3,
+            self.fastest_s * 1e3,
+            err.get(err.len() / 2).copied().unwrap_or(f64::NAN)
+        )
+    }
+}
+
 fn inspect_tune_db(path: &std::path::Path) -> Result<String, String> {
     let db = TuneDb::load(path).map_err(|w| w.to_string())?;
     let mut out = String::new();
@@ -926,6 +976,7 @@ fn cmd_tune(flags: &Flags) -> Result<String, String> {
         winrs_core::device_key(&device)
     );
     let _ = writeln!(out, "precision   : {}", precision.name());
+    let _ = writeln!(out, "cost model  : {}", winrs_core::tuner::model_name());
     let _ = writeln!(out, "schema      : {TUNE_DB_SCHEMA}");
     let header = format!(
         "{:<22} {:>10} {:>10} {:>10} {:>10}  {:<8} {}",
@@ -952,6 +1003,7 @@ fn cmd_tune(flags: &Flags) -> Result<String, String> {
     // written with the bare fingerprint would never be found again.
     let key = winrs_core::device_key(&device);
     let mut skipped: Vec<String> = Vec::new();
+    let mut accuracy = Accuracy::default();
     for (label, conv) in &shapes {
         let d = pool.with_tuner(|t| t.decide(conv, &device, precision));
         let source = d.stats.source.name();
@@ -980,6 +1032,7 @@ fn cmd_tune(flags: &Flags) -> Result<String, String> {
                 .ok_or("the ranking is never empty")?;
             let mean_of = |a| means.iter().find(|m| m.0 == a).map(|m| m.1);
             tune_row(&mut out, "  measured", mean_of, algo, "measured");
+            accuracy.add(&d, &means);
             TunedEntry {
                 algo,
                 predicted_s: d.predicted_for(algo).unwrap_or(0.0),
@@ -994,6 +1047,7 @@ fn cmd_tune(flags: &Flags) -> Result<String, String> {
             out,
             "\nmeasured    : mean of {measure} runs per candidate after one warm-up"
         );
+        let _ = writeln!(out, "{}", accuracy.summary());
     }
     if !skipped.is_empty() {
         // No silent caps: say exactly which shapes were not measured.
@@ -1281,21 +1335,27 @@ mod tests {
     }
 
     #[test]
-    fn verify_falls_back_for_unported_fp16_width() {
-        // F_W = 4 has no FP16-ported kernel; the default auto policy must
-        // deliver via GEMM-BFC and say so in the report line.
+    fn verify_runs_unported_fp16_width_on_fp32_tiles() {
+        // F_W = 4 has no FP16-ported kernel; the default auto policy runs
+        // WinRS on FP32 tiles and says so in the report line, with no
+        // fallback.
         let out = run(&[
-            "verify", "--n", "1", "--res", "12", "--ic", "2", "--oc", "2", "--f", "4", "--fp16",
+            "verify", "--n", "1", "--res", "16", "--ic", "3", "--oc", "3", "--f", "4", "--fp16",
         ])
         .unwrap();
-        assert!(out.contains("algorithm=gemm-bfc"), "{out}");
-        assert!(out.contains("fallback="), "{out}");
+        assert!(
+            out.contains("algorithm=winrs precision=Fp16 tiles=fp32 "),
+            "{out}"
+        );
+        assert!(!out.contains("fallback="), "{out}");
         assert!(out.contains("verdict   : OK"), "{out}");
     }
 
     #[test]
-    fn verify_strict_policy_reports_rejection() {
-        let e = run(&[
+    fn verify_strict_policy_admits_fp32_tiles() {
+        // Strict is "WinRS or a typed error": FP32 tiles are WinRS, so the
+        // unported FP16 width runs them rather than failing.
+        let out = run(&[
             "verify",
             "--n",
             "1",
@@ -1311,8 +1371,12 @@ mod tests {
             "--fallback-policy",
             "strict",
         ])
-        .unwrap_err();
-        assert!(e.contains("filter width 4"), "{e}");
+        .unwrap();
+        assert!(
+            out.contains("algorithm=winrs precision=Fp16 tiles=fp32 "),
+            "{out}"
+        );
+        assert!(out.contains("verdict   : OK"), "{out}");
     }
 
     #[test]
@@ -1414,7 +1478,7 @@ mod tests {
     #[test]
     fn profile_phase_times_sum_to_total() {
         let out = run(&[
-            "profile", "--n", "1", "--res", "16", "--ic", "2", "--oc", "4", "--f", "3",
+            "profile", "--n", "1", "--res", "16", "--ic", "4", "--oc", "8", "--f", "3",
         ])
         .unwrap();
         assert!(out.contains("wall-clock phases"), "{out}");
@@ -1440,11 +1504,10 @@ mod tests {
 
     #[test]
     fn profile_and_verify_dispatch_the_same_algorithm() {
-        // One dispatch path: on this wide, shallow f=2 shape the tuner
-        // prefers direct convolution, and `profile` must run what
-        // `verify` runs.
+        // One dispatch path: on this micro shape the tuner prefers direct
+        // convolution, and `profile` must run what `verify` runs.
         let shape = [
-            "--n", "2", "--res", "32", "--ic", "4", "--oc", "4", "--f", "2",
+            "--n", "1", "--res", "8", "--ic", "2", "--oc", "2", "--f", "3",
         ];
         let profile = run(&[&["profile"][..], &shape].concat()).unwrap();
         assert!(profile.contains("algorithm    : direct"), "{profile}");
@@ -1453,16 +1516,18 @@ mod tests {
     }
 
     #[test]
-    fn profile_covers_fallback_path_too() {
-        // FP16 F_W = 4 degrades to GEMM-BFC: timing must still be populated
-        // (whole runtime charged to block-loop) and the table printed.
+    fn profile_covers_substitute_path_too() {
+        // On this FP16 f=2 micro shape the tuner runs GEMM-BFC: timing must
+        // still be populated (whole runtime charged to block-loop) and the
+        // table printed, with no per-block split and no fallback reason.
         let out = run(&[
-            "profile", "--n", "1", "--res", "12", "--ic", "2", "--oc", "2", "--f", "4", "--fp16",
+            "profile", "--n", "1", "--res", "8", "--ic", "4", "--oc", "4", "--f", "2", "--fp16",
             "--trips", "1",
         ])
         .unwrap();
         assert!(out.contains("algorithm    : gemm-bfc"), "{out}");
-        assert!(out.contains("fallback     :"), "{out}");
+        assert!(out.contains("no per-block phase data"), "{out}");
+        assert!(!out.contains("fallback     :"), "{out}");
         let total = phase_ms(&out, "total");
         assert!(total > 0.0, "{out}");
         assert!(phase_ms(&out, "block-loop") > 0.0, "{out}");
@@ -1474,7 +1539,7 @@ mod tests {
         // with inflated phase times so every speedup is well-defined.
         let baseline = "{\"schema\":\"winrs-bench-v1\",\"benchmark\":\"phase_baseline\",\
             \"results\":[{\"case\":\"unit-case\",\
-            \"shape\":{\"n\":1,\"res\":16,\"ic\":2,\"oc\":4,\"f\":3},\
+            \"shape\":{\"n\":1,\"res\":16,\"ic\":4,\"oc\":8,\"f\":3},\
             \"precision\":\"Fp32\",\"total_ms\":100.0,\"plan_ms\":1.0,\
             \"block_loop_ms\":90.0,\"promote_ms\":0,\"reduce_ms\":2.0,\
             \"ft_ms\":20.0,\"it_ms\":20.0,\"ewmm_ms\":30.0,\"ot_ms\":5.0,\
@@ -1483,7 +1548,7 @@ mod tests {
         std::fs::write(&path, baseline).unwrap();
         let path_s = path.to_str().unwrap();
         let out = run(&[
-            "profile", "--n", "1", "--res", "16", "--ic", "2", "--oc", "4", "--f", "3",
+            "profile", "--n", "1", "--res", "16", "--ic", "4", "--oc", "8", "--f", "3",
             "--compare", path_s,
         ])
         .unwrap();
@@ -1541,6 +1606,8 @@ mod tests {
     fn tune_dry_run_prints_decision_table() {
         let out = run(&["tune", "--shapes", "fig10", "--dry-run"]).unwrap();
         assert!(out.contains("winrs-tune-v1"), "{out}");
+        let width = winrs_gemm::micro::detected_width().name();
+        assert!(out.contains(&format!("cost model  : host ({width})\n")), "{out}");
         assert!(out.contains("chosen"), "{out}");
         assert!(out.contains("32:112:112:64 f=3"), "{out}");
         // Every fig10 fp32 shape resolves in WinRS's favour under the
@@ -1568,9 +1635,16 @@ mod tests {
         assert_eq!(db.len(), 24);
         let insp = run(&["tune", "--db", &path_s, "--inspect"]).unwrap();
         assert!(insp.contains("24 entries"), "{insp}");
-        // The wide-shallow f=2 shape is a pure performance choice for a
-        // substitute — the decision table is not all-WinRS.
-        assert!(insp.contains("direct"), "{insp}");
+        // A micro shape is a pure performance choice for a substitute, and
+        // the database records it next to the sweep's WinRS rows.
+        let out = run(&[
+            "tune", "--n", "1", "--res", "8", "--ic", "2", "--oc", "2", "--f", "3", "--db",
+            &path_s,
+        ])
+        .unwrap();
+        assert!(out.contains("wrote 25 entries"), "{out}");
+        let insp = run(&["tune", "--db", &path_s, "--inspect"]).unwrap();
+        assert!(insp.contains("direct") && insp.contains("winrs"), "{insp}");
         let _ = std::fs::remove_file(&path);
     }
 
@@ -1617,6 +1691,22 @@ mod tests {
         assert!(means.contains(&(e.algo.name(), fastest)), "{out}");
         assert_eq!(measured[4], e.algo.name());
         assert_eq!(e.trials, 2);
+        // The closing line scores the model against the measurement: one
+        // key, a hit iff the model's pick is the measured fastest, and the
+        // regret Σchosen/Σfastest.
+        let hit = usize::from(model[4] == measured[4]);
+        let line = out
+            .lines()
+            .find(|l| l.starts_with("accuracy    : "))
+            .unwrap_or_else(|| panic!("no accuracy line: {out}"));
+        assert!(
+            line.contains(&format!("choice = fastest on {hit} of 1 keys, regret ")),
+            "{line}"
+        );
+        assert!(line.contains("median |ln(pred/meas)| "), "{line}");
+        if hit == 1 {
+            assert!(line.contains("regret 1.000 "), "{line}");
+        }
     }
 
     #[test]

@@ -83,6 +83,18 @@ pub enum TileMode {
     Fp8,
 }
 
+impl TileMode {
+    /// Stable lowercase name (reports, the serve protocol).
+    pub fn name(self) -> &'static str {
+        match self {
+            TileMode::Fp32 => "fp32",
+            TileMode::Fp16 => "fp16",
+            TileMode::Bf16 => "bf16",
+            TileMode::Fp8 => "fp8",
+        }
+    }
+}
+
 /// Per-segment numeric-health counters, filled in by the engine while it
 /// runs. Index 0 counts *saturations* (a finite FP32 value that became
 /// non-finite when re-rounded to the reduced format); index 1 counts

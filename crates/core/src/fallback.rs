@@ -8,11 +8,12 @@
 //! it applies and the guarded plan executor it runs:
 //!
 //! * **Algorithm fallback** ([`FallbackPolicy`]): when WinRS rejects a
-//!   plan with a recoverable [`WinrsError::PlanRejected`] (no ported
-//!   kernel for the filter width at the requested precision, partition
+//!   plan with a recoverable [`WinrsError::PlanRejected`] (a partition
 //!   invariant failure), the dispatcher transparently reruns the problem
 //!   through the best-ranked substitute — and records which algorithm
-//!   actually produced `∇W`.
+//!   actually produced `∇W`. A filter width with no kernel at the
+//!   requested FP16/BF16 precision is not a rejection: that key's WinRS
+//!   plan runs FP32 tiles, and the report names them.
 //!
 //!   The policy is a thin *filter*: which substitute is "best" (and the
 //!   whole candidate ordering) is decided by the cost-model autotuner in
@@ -100,9 +101,13 @@ impl fmt::Display for Algorithm {
 /// What to do when WinRS rejects a plan.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum FallbackPolicy {
-    /// Propagate the rejection as an error; never substitute algorithms.
+    /// Run WinRS or return the typed error; never substitute another
+    /// algorithm. A key the tuner runs on FP32 tiles (an FP16/BF16 request
+    /// whose filter width has no reduced-precision kernel) runs them here
+    /// too: they are WinRS, and at least as precise as the tiles asked for.
     Strict,
-    /// Fall back to GEMM-BFC on any recoverable rejection (default).
+    /// Run the tuner's choice, and walk its degradation ladder on any
+    /// recoverable failure (default).
     #[default]
     Auto,
     /// Run the named algorithm without consulting the tuner (debugging /
@@ -203,8 +208,12 @@ impl FromStr for NumericGuard {
 pub struct ExecutionReport {
     /// The algorithm that produced the returned `∇W`.
     pub algorithm: Algorithm,
-    /// The precision the caller asked for.
+    /// The precision the caller asked for, on every rung.
     pub requested_precision: Precision,
+    /// The engine tile mode WinRS ran (absent when a substitute ran): the
+    /// requested precision's own, or FP32 tiles for an FP16/BF16 request
+    /// whose filter width has no reduced-precision kernel.
+    pub tiles: Option<TileMode>,
     /// The numeric guard that was in force.
     pub guard: NumericGuard,
     /// Why WinRS did not run (populated when `algorithm` ≠ `WinRs`).
@@ -251,6 +260,7 @@ impl ExecutionReport {
         ExecutionReport {
             algorithm,
             requested_precision: precision,
+            tiles: None,
             guard,
             fallback_reason: None,
             z: None,
@@ -272,16 +282,19 @@ impl ExecutionReport {
     }
 
     /// The structured one-line form the CLI prints after each run:
-    /// `algorithm=… precision=… guard=… [z=…] workspace=…B peak=…B
-    /// hot_loop_allocs=… saturated=… non-finite=… [promoted=…/… buckets]
-    /// [fallback="…"]`.
+    /// `algorithm=… precision=… [tiles=…] guard=… [z=…] workspace=…B
+    /// peak=…B hot_loop_allocs=… saturated=… non-finite=…
+    /// [promoted=…/… buckets] [fallback="…"]`.
     pub fn summary_line(&self) -> String {
         let mut s = format!(
-            "algorithm={} precision={:?} guard={}",
+            "algorithm={} precision={:?}",
             self.algorithm.name(),
             self.requested_precision,
-            self.guard.name(),
         );
+        if let Some(tiles) = self.tiles {
+            s.push_str(&format!(" tiles={}", tiles.name()));
+        }
+        s.push_str(&format!(" guard={}", self.guard.name()));
         if let Some(z) = self.z {
             s.push_str(&format!(" z={z}"));
         }
@@ -384,7 +397,9 @@ pub(crate) fn first_pass_options<'a, 'p>(
 }
 
 /// Execute an already-built plan with health accounting and (optionally)
-/// bucket-granular FP32 promotion. `∇W` is written into `dw` and every
+/// bucket-granular FP32 promotion. The report's requested precision is
+/// the plan's; the dispatcher restamps the caller's when it runs a key on
+/// FP32 tiles. `∇W` is written into `dw` and every
 /// scratch byte comes from `ws` (grown to the plan's layout on first use).
 /// After the first call with a given `(plan, ws)` pair no heap allocation
 /// happens inside the block loop, and the report's
@@ -411,6 +426,7 @@ pub fn run_planned_into(
     }
     let mut report = ExecutionReport::new(Algorithm::WinRs, plan.precision(), guard);
     report.z = Some(plan.z());
+    report.tiles = Some(plan.tile_mode());
 
     let layout = plan.workspace_layout();
     ws.ensure(layout);

@@ -241,14 +241,20 @@ impl WinRsPlan {
             // The numeric guard's promote path re-runs poisoned buckets at
             // FP32, whose cache blocks differ from the reduced-precision
             // ones — provision slots large enough for either mode so the
-            // retry never overflows its slot.
-            let mode = self.tile_mode();
-            let slot_elems = scratch_slot_elems_for(&self.conv, &self.partition, mode).max(
-                scratch_slot_elems_for(&self.conv, &self.partition, TileMode::Fp32),
-            );
-            let slots = scratch_slots_for(&self.conv, &self.partition, mode).max(
-                scratch_slots_for(&self.conv, &self.partition, TileMode::Fp32),
-            );
+            // retry never overflows its slot. An FP32 plan sizes once:
+            // each sizing reads the worker count, which costs a dozen µs.
+            let sized = |mode| {
+                (
+                    scratch_slot_elems_for(&self.conv, &self.partition, mode),
+                    scratch_slots_for(&self.conv, &self.partition, mode),
+                )
+            };
+            let (mut slot_elems, mut slots) = sized(self.tile_mode());
+            if self.tile_mode() != TileMode::Fp32 {
+                let (elems, n) = sized(TileMode::Fp32);
+                slot_elems = slot_elems.max(elems);
+                slots = slots.max(n);
+            }
             WorkspaceLayout::winrs(
                 self.conv.dw_elems(),
                 self.z(),

@@ -225,8 +225,10 @@ impl WorkspacePool {
     }
 
     /// Fetch a plan from the per-shape store. A cold key is ranked first,
-    /// which builds its plan once; a key outside the WinRS envelope
-    /// returns its rejection.
+    /// which builds its plan once. An FP16/BF16 key whose filter width has
+    /// no reduced-precision kernel gets its FP32-tile plan (check
+    /// [`WinRsPlan::tile_mode`]); a key outside the WinRS envelope returns
+    /// its rejection.
     pub fn cached_plan(
         &self,
         shape: &ConvShape,
@@ -635,11 +637,13 @@ impl ExecHandle {
     ///
     /// Which algorithm runs is decided by the pool's shared [`Tuner`]:
     /// under `Auto` the full ranked candidate list is in play (the tuner
-    /// may pick a substitute outright when the cost model, the tuning
+    /// may pick a substitute outright when the host cost model, the tuning
     /// database or a committed measurement says WinRS is slower); `Strict`
     /// filters the list down to WinRS alone; `Force` replaces it with one
     /// pinned entry (`Force(WinRs)` runs exactly like `Strict`). The policy
-    /// layer never reorders candidates.
+    /// layer never reorders candidates. All three run the key's one WinRS
+    /// plan — FP32 tiles for an FP16/BF16 key with no reduced-precision
+    /// kernel.
     pub fn run(
         &self,
         conv: &ConvShape,
@@ -847,6 +851,10 @@ impl ExecHandle {
         }));
         match outcome {
             Ok(Ok((dw, mut report))) => {
+                // The plan may run FP32 tiles for an FP16/BF16 request; the
+                // report names the caller's precision and, in `tiles`, the
+                // mode that ran.
+                report.requested_precision = self.precision;
                 report.timing.plan_s = plan_s;
                 report.timing.total_s += plan_s;
                 Ok((dw, report))
@@ -955,12 +963,12 @@ mod tests {
         // Three same-shape jobs through one batched dispatch: one tuner
         // decision, one plan miss, ONE lease for the whole batch — and
         // every job's ∇W bit-identical to its own single-job dispatch.
-        let conv = ConvShape::square(1, 16, 2, 2, 3);
+        let conv = ConvShape::square(1, 16, 8, 8, 3);
         let jobs: Vec<BfcJob> = (0..3)
             .map(|i| {
                 BfcJob::new(
-                    Tensor4::<f32>::random_uniform([1, 16, 16, 2], 200 + i, 1.0),
-                    Tensor4::<f32>::random_uniform([1, 16, 16, 2], 300 + i, 1.0),
+                    Tensor4::<f32>::random_uniform([1, 16, 16, 8], 200 + i, 1.0),
+                    Tensor4::<f32>::random_uniform([1, 16, 16, 8], 300 + i, 1.0),
                 )
             })
             .collect();
@@ -992,9 +1000,9 @@ mod tests {
 
     #[test]
     fn run_batch_refuses_expired_jobs_and_delivers_the_rest() {
-        let conv = ConvShape::square(1, 16, 2, 2, 3);
-        let x = Tensor4::<f32>::random_uniform([1, 16, 16, 2], 210, 1.0);
-        let dy = Tensor4::<f32>::random_uniform([1, 16, 16, 2], 211, 1.0);
+        let conv = ConvShape::square(1, 16, 8, 8, 3);
+        let x = Tensor4::<f32>::random_uniform([1, 16, 16, 8], 210, 1.0);
+        let dy = Tensor4::<f32>::random_uniform([1, 16, 16, 8], 211, 1.0);
         let expired = BfcJob::new(x.clone(), dy.clone())
             .with_deadline(Some(Duration::ZERO));
         let healthy = BfcJob::new(x, dy).with_deadline(Some(Duration::from_secs(30)));
@@ -1175,9 +1183,9 @@ mod tests {
 
     #[test]
     fn parsed_policies_and_guards_drive_the_handle() {
-        let conv = ConvShape::square(1, 12, 2, 2, 3);
-        let x = Tensor4::<f32>::random_uniform([1, 12, 12, 2], 75, 1.0);
-        let dy = Tensor4::<f32>::random_uniform([1, 12, 12, 2], 76, 1.0);
+        let conv = ConvShape::square(1, 12, 8, 8, 3);
+        let x = Tensor4::<f32>::random_uniform([1, 12, 12, 8], 75, 1.0);
+        let dy = Tensor4::<f32>::random_uniform([1, 12, 12, 8], 76, 1.0);
         for (policy, want) in [
             ("strict", Algorithm::WinRs),
             ("auto", Algorithm::WinRs),
@@ -1212,7 +1220,10 @@ mod tests {
     #[test]
     fn warn_guard_counts_natural_fp16_overflow() {
         let (conv, x64, dy64) = overflowing_fp16_problem();
-        let handle = ExecHandle::new(WorkspacePool::with_slots(1), RTX_4090, Precision::Fp16);
+        // Strict pins WinRS: on this micro shape the host model prefers a
+        // substitute, which has no FP16 tiles to overflow.
+        let handle = ExecHandle::new(WorkspacePool::with_slots(1), RTX_4090, Precision::Fp16)
+            .with_policy(FallbackPolicy::Strict);
         let (dw, report) = handle.run(&conv, &x64.cast(), &dy64.cast()).unwrap();
         assert_eq!(report.algorithm, Algorithm::WinRs);
         assert!(report.saturated > 0);
@@ -1226,6 +1237,7 @@ mod tests {
         let (conv, x64, dy64) = overflowing_fp16_problem();
         let exact = direct::bfc_direct(&conv, &x64, &dy64);
         let handle = ExecHandle::new(WorkspacePool::with_slots(1), RTX_4090, Precision::Fp16)
+            .with_policy(FallbackPolicy::Strict)
             .with_guard(NumericGuard::PromoteAndRetry);
         let (dw, report) = handle.run(&conv, &x64.cast(), &dy64.cast()).unwrap();
         assert_eq!(report.algorithm, Algorithm::WinRs);
@@ -1251,7 +1263,9 @@ mod tests {
         let conv = ConvShape::square(1, 16, 2, 2, 3);
         let x = Tensor4::<f32>::random_uniform([1, 16, 16, 2], 81, 1.0);
         let dy = Tensor4::<f32>::random_uniform([1, 16, 16, 2], 82, 1.0);
-        let handle = ExecHandle::new(WorkspacePool::with_slots(1), RTX_4090, Precision::Fp32);
+        // Strict pins WinRS, which the host model does not pick this small.
+        let handle = ExecHandle::new(WorkspacePool::with_slots(1), RTX_4090, Precision::Fp32)
+            .with_policy(FallbackPolicy::Strict);
         let (_, r1) = handle.run(&conv, &x, &dy).unwrap();
         assert_eq!(r1.mem.hot_loop_allocs, 0);
         let mut lease = handle.pool().lease(&small_layout()).unwrap();
@@ -1269,27 +1283,55 @@ mod tests {
         assert_eq!((pool.plan_hits, pool.plan_misses), (1, 1));
     }
 
+    /// An FP16 request whose filter width has no FP16 kernel runs WinRS on
+    /// FP32 tiles under every WinRS-running policy: the store's one plan
+    /// for the key, handed out by `cached_plan` too, with no degradation.
     #[test]
-    fn exec_handle_unported_fp16_width_degrades_to_gemm() {
+    fn exec_handle_unported_fp16_width_runs_fp32_tiles() {
+        use crate::engine::TileMode;
         let conv = ConvShape::square(1, 16, 3, 3, 4); // no FP16 kernel
         let x = Tensor4::<f32>::random_uniform([1, conv.ih, conv.iw, conv.ic], 91, 1.0);
         let dy = Tensor4::<f32>::random_uniform([1, conv.oh(), conv.ow(), conv.oc], 92, 0.01);
-        let handle = ExecHandle::new(WorkspacePool::with_slots(1), RTX_4090, Precision::Fp16);
-        let (_, report) = handle.run(&conv, &x, &dy).unwrap();
-        assert_eq!(report.algorithm, Algorithm::GemmBfc);
-        assert!(report.fallback_reason.is_some());
-        assert_eq!(report.pool.unwrap().degradations, 1);
+        let pool = WorkspacePool::with_slots(1);
+        for policy in [
+            FallbackPolicy::Auto,
+            FallbackPolicy::Strict,
+            FallbackPolicy::Force(Algorithm::WinRs),
+        ] {
+            let handle =
+                ExecHandle::new(Arc::clone(&pool), RTX_4090, Precision::Fp16).with_policy(policy);
+            let (_, report) = handle.run(&conv, &x, &dy).unwrap();
+            assert_eq!(report.algorithm, Algorithm::WinRs, "{policy:?}");
+            assert_eq!(report.requested_precision, Precision::Fp16);
+            assert_eq!(report.tiles, Some(TileMode::Fp32));
+            assert!(report.fallback_reason.is_none());
+            assert_eq!(report.pool.unwrap().degradations, 0);
+        }
+        let plan = pool.cached_plan(&conv, &RTX_4090, Precision::Fp16).unwrap();
+        assert_eq!(plan.tile_mode(), TileMode::Fp32);
+        assert_eq!(pool.plan_stats(), (3, 1), "one plan for the key");
     }
 
+    /// Strict surfaces a runtime failure as its typed error: with the
+    /// pool's only slot held, the WinRS rung's lease is refused and nothing
+    /// is substituted.
     #[test]
     fn strict_policy_propagates_runtime_errors() {
         let conv = ConvShape::square(1, 16, 3, 3, 4);
         let x = Tensor4::<f32>::random_uniform([1, conv.ih, conv.iw, conv.ic], 93, 1.0);
         let dy = Tensor4::<f32>::random_uniform([1, conv.oh(), conv.ow(), conv.oc], 94, 0.01);
-        let handle = ExecHandle::new(WorkspacePool::with_slots(1), RTX_4090, Precision::Fp16)
+        let pool = WorkspacePool::new(PoolConfig {
+            slots: 1,
+            max_wait: Duration::from_millis(5),
+            ..PoolConfig::default()
+        });
+        let _held = pool.lease(&small_layout()).unwrap();
+        let handle = ExecHandle::new(Arc::clone(&pool), RTX_4090, Precision::Fp16)
             .with_policy(FallbackPolicy::Strict);
         let err = handle.run(&conv, &x, &dy).unwrap_err();
-        assert!(err.recoverable_by_fallback(), "{err}");
+        assert!(matches!(err, WinrsError::PoolExhausted { .. }), "{err}");
+        assert!(err.recoverable_by_degradation(), "{err}");
+        assert_eq!(pool.stats().degradations, 0, "Strict substitutes nothing");
     }
 
     #[test]
@@ -1299,9 +1341,9 @@ mod tests {
         // after burning rungs× the budget. With one shared budget the
         // expired window refuses degradation outright, naming the rung
         // that could not start.
-        let conv = ConvShape::square(1, 12, 2, 2, 3);
-        let x = Tensor4::<f32>::random_uniform([1, 12, 12, 2], 95, 1.0);
-        let dy = Tensor4::<f32>::random_uniform([1, 12, 12, 2], 96, 1.0);
+        let conv = ConvShape::square(1, 12, 8, 8, 3);
+        let x = Tensor4::<f32>::random_uniform([1, 12, 12, 8], 95, 1.0);
+        let dy = Tensor4::<f32>::random_uniform([1, 12, 12, 8], 96, 1.0);
         let pool = WorkspacePool::with_slots(1);
         let handle = ExecHandle::new(Arc::clone(&pool), RTX_4090, Precision::Fp32)
             .with_deadline(Some(Duration::ZERO));
@@ -1398,13 +1440,13 @@ mod tests {
 
     #[test]
     fn exec_handle_honours_pure_tuner_choice() {
-        // On this wide-but-shallow shape the cost model prefers direct
-        // convolution even though WinRS is perfectly viable: dispatch must
-        // follow the tuner as a pure performance choice — the substitute
-        // runs, nothing "degrades".
-        let conv = ConvShape::square(2, 32, 4, 4, 2);
-        let x = Tensor4::<f32>::random_uniform([2, conv.ih, conv.iw, conv.ic], 97, 1.0);
-        let dy = Tensor4::<f32>::random_uniform([2, conv.oh(), conv.ow(), conv.oc], 98, 0.1);
+        // On this micro shape the host model prefers direct convolution
+        // (the smallest fixed cost per call) even though WinRS is
+        // perfectly viable: dispatch must follow the tuner as a pure
+        // performance choice — the substitute runs, nothing "degrades".
+        let conv = ConvShape::square(1, 8, 2, 2, 3);
+        let x = Tensor4::<f32>::random_uniform([1, conv.ih, conv.iw, conv.ic], 97, 1.0);
+        let dy = Tensor4::<f32>::random_uniform([1, conv.oh(), conv.ow(), conv.oc], 98, 0.1);
         let handle = ExecHandle::new(WorkspacePool::with_slots(1), RTX_4090, Precision::Fp32);
         let (dw, report) = handle.run(&conv, &x, &dy).unwrap();
         assert_eq!(report.algorithm, Algorithm::Direct);
@@ -1433,11 +1475,11 @@ mod tests {
             ..PoolConfig::default()
         });
         let handle = ExecHandle::new(Arc::clone(&pool), RTX_4090, Precision::Fp32);
-        let shape = |res| ConvShape::square(1, res, 2, 2, 3);
+        let shape = |res| ConvShape::square(1, res, 8, 8, 3);
         for res in [12usize, 14, 16] {
             let conv = shape(res);
-            let x = Tensor4::<f32>::random_uniform([1, res, res, 2], 99, 1.0);
-            let dy = Tensor4::<f32>::random_uniform([1, conv.oh(), conv.ow(), 2], 100, 1.0);
+            let x = Tensor4::<f32>::random_uniform([1, res, res, 8], 99, 1.0);
+            let dy = Tensor4::<f32>::random_uniform([1, conv.oh(), conv.ow(), 8], 100, 1.0);
             let (_, report) = handle.run(&conv, &x, &dy).unwrap();
             assert_eq!(report.algorithm, Algorithm::WinRs);
         }
@@ -1486,10 +1528,10 @@ mod tests {
             ..PoolConfig::default()
         });
         let _held = pool.lease(&small_layout()).unwrap();
-        let conv = ConvShape::square(1, 16, 2, 2, 3);
+        let conv = ConvShape::square(1, 16, 8, 8, 3);
         let job = BfcJob::new(
-            Tensor4::<f32>::random_uniform([1, 16, 16, 2], 212, 1.0),
-            Tensor4::<f32>::random_uniform([1, 16, 16, 2], 213, 1.0),
+            Tensor4::<f32>::random_uniform([1, 16, 16, 8], 212, 1.0),
+            Tensor4::<f32>::random_uniform([1, 16, 16, 8], 213, 1.0),
         )
         .with_deadline(Some(Duration::from_millis(20)));
         let handle = ExecHandle::new(Arc::clone(&pool), RTX_4090, Precision::Fp32);
@@ -1514,7 +1556,7 @@ mod tests {
             "winrs-pool-measured-db-{}.json",
             std::process::id()
         ));
-        let conv = ConvShape::square(1, 16, 2, 2, 3);
+        let conv = ConvShape::square(1, 16, 8, 8, 3);
         let x = Tensor4::<f32>::random_uniform([1, conv.ih, conv.iw, conv.ic], 101, 1.0);
         let dy = Tensor4::<f32>::random_uniform([1, conv.oh(), conv.ow(), conv.oc], 102, 1.0);
         let model = crate::tuner::rank(&conv, &RTX_4090, Precision::Fp32);

@@ -4,11 +4,16 @@
 //! `(shape, device, precision)` key the tuner
 //!
 //! 1. **ranks** the candidate algorithms — WinRS, GEMM-BFC, FFT-BFC and
-//!    direct — by the [`winrs_gpu_sim`] cost model ([`rank`]): each
-//!    candidate gets the same launch profiles the bench harness uses for
-//!    the paper's figures, and WinRS participates only when
-//!    [`WinRsPlan::new`] actually succeeds (support is derived from the
-//!    planner's `Result`, never a static matrix);
+//!    direct — by what each costs on *this host* ([`rank`]): the paper's
+//!    Eq. 8 form, `t = t₀ + C_time / V + C_data / V_band`, with constants
+//!    fitted on this machine's CPU (one table row per SIMD width, selected
+//!    by the detected width). WinRS participates only when
+//!    [`WinRsPlan::new`] succeeds — or, for an FP16/BF16 request whose
+//!    filter width has no reduced-precision kernel, when the same key's
+//!    FP32-tile plan does (support is derived from the planner's `Result`,
+//!    never a static matrix). The `device` argument builds the plan
+//!    (Algorithm 1 takes Z from its SM count) and keys the store and the
+//!    database; it prices nothing;
 //! 2. **decides** from the per-key store, the tuning database or the cost
 //!    model, in that order ([`Tuner::decide`]): a database entry for the
 //!    key wins, otherwise the model's argmin does. Dispatch never measures,
@@ -24,7 +29,8 @@
 //! The tuner's per-key entries are also the pool's one per-shape cache:
 //! ranking a key builds its [`WinRsPlan`], and the entry keeps that plan
 //! next to the ranking and the choice, so a cold key is planned once and
-//! [`crate::WorkspacePool::cached_plan`] hands out the same `Arc`.
+//! [`crate::WorkspacePool::cached_plan`] hands out the same `Arc` — the
+//! FP32-tile plan, for a key that runs on FP32 tiles.
 //!
 //! The policy layer ([`crate::pool::ExecHandle`]) is deliberately *not* in
 //! this module: Strict/Auto/Force filter the ranked list but never reorder
@@ -38,17 +44,17 @@
 
 use crate::cache::DEFAULT_PLAN_CACHE_CAPACITY;
 use crate::config::Precision;
-use crate::error::WinrsError;
-use crate::fallback::Algorithm;
+use crate::engine::TileMode;
+use crate::error::{Violation, WinrsError};
+use crate::fallback::{substitute_workspace_bytes, Algorithm};
 use crate::plan::WinRsPlan;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use winrs_conv::{fft_bfc, ConvShape};
-use winrs_gpu_sim::{
-    estimate_pipeline_time, DeviceSpec, KernelProfile, Precision as SimPrecision,
-};
+use winrs_gemm::micro::{detected_width, SimdWidth};
+use winrs_gpu_sim::DeviceSpec;
 use winrs_json::Json;
 
 /// Schema tag stamped into every tuning-database document. Bump on any
@@ -69,12 +75,12 @@ pub fn device_key(device: &DeviceSpec) -> String {
     format!(
         "{}|host-simd:{}",
         device.fingerprint(),
-        winrs_gemm::micro::detected_width().name()
+        detected_width().name()
     )
 }
 
 // ---------------------------------------------------------------------------
-// Candidate algorithms and cost-model ranking
+// Candidate algorithms and the host cost model
 // ---------------------------------------------------------------------------
 
 /// One candidate with its modelled execution time, as produced by [`rank`].
@@ -82,104 +88,170 @@ pub fn device_key(device: &DeviceSpec) -> String {
 pub struct RankedCandidate {
     /// The algorithm.
     pub algo: Algorithm,
-    /// Modelled execution time on the ranking device, seconds.
+    /// Modelled execution time on this host, seconds.
     pub predicted_s: f64,
 }
 
-/// Launch profiles for one substitute candidate — the one calibration of
-/// the substitutes' launch geometry and kernel quality, which the bench
-/// harness also uses for the paper's Cu-Algo0, Cu-Algo1 and Cu-FFT
-/// columns (`winrs-bench::algos`). FLOP counts and intermediate traffic
-/// come from the real planners in `winrs-conv`. Returns `None` for WinRS
-/// (ranked through its real plan) and when the candidate has no kernel
-/// for the requested precision (FFT is FP32-only).
-pub fn substitute_profiles(
-    algo: Algorithm,
-    conv: &ConvShape,
-    precision: Precision,
-) -> Option<Vec<KernelProfile>> {
-    let prec = precision.sim_precision();
-    let eb = precision.elem_bytes() as u64;
-    let io = (conv.x_elems() + conv.dy_elems() + conv.dw_elems()) as u64 * eb;
-    match algo {
-        Algorithm::WinRs => None, // ranked through the real plan, not here
-        Algorithm::GemmBfc => Some(vec![KernelProfile {
-            flops: conv.bfc_flops(),
-            // Implicit im2col: the lowering panel lives on-chip, but X is
-            // read once more for the duplication.
-            io_bytes: io + conv.x_elems() as u64 * eb,
-            intermediate_bytes: 0,
-            // One GEMM per batch item over the im2col panel.
-            blocks: conv.n
-                * (conv.fh * conv.fw * conv.ic).div_ceil(128)
-                * conv.oc.div_ceil(64),
-            pipe_efficiency: 0.90,
-            precision: prec,
-        }]),
-        Algorithm::FftBfc => {
-            if precision != Precision::Fp32 {
-                return None;
-            }
-            Some(vec![KernelProfile {
-                flops: fft_bfc::flops(conv),
-                io_bytes: io,
-                intermediate_bytes: fft_bfc::intermediate_traffic_bytes(conv) * eb / 4,
-                blocks: (conv.n * (conv.ic + conv.oc) + conv.ic * conv.oc).max(1),
-                pipe_efficiency: 0.70,
-                precision: prec,
-            }])
-        }
-        // Direct accumulation has no reduced-precision kernel: it is the
-        // guaranteed-delivery substitute and always runs (and is modelled)
-        // on the FP32 CUDA-core path, whatever precision was requested. It
-        // parallelises over output positions with atomic ∇W accumulation:
-        // blocks are plentiful but the kernel quality is poor.
-        Algorithm::Direct => Some(vec![KernelProfile {
-            flops: conv.bfc_flops(),
-            io_bytes: io,
-            intermediate_bytes: 0,
-            blocks: (conv.n * conv.oh() * conv.ow()).div_ceil(256).max(1),
-            pipe_efficiency: 0.45,
-            precision: SimPrecision::Fp32,
-        }]),
+/// Eq. 8's constants for one SIMD width of this host: what one dispatch
+/// costs before any work (t₀), how fast each algorithm computes (V) and
+/// how fast the bytes it moves beyond its operands stream (V_band).
+#[derive(Clone, Copy, Debug)]
+struct HostConstants {
+    /// The detected width these constants were fitted at.
+    width: SimdWidth,
+    /// t₀ per algorithm, seconds, in [`Algorithm::ALL`] order.
+    call_s: [f64; 4],
+    /// V per algorithm, FLOP/s, in [`Algorithm::ALL`] order. WinRS's entry
+    /// is its rate on FP32 tiles.
+    flop_rate: [f64; 4],
+    /// WinRS's V on binary16 tiles, FLOP/s.
+    winrs_fp16_rate: f64,
+    /// WinRS's V on bfloat16 tiles, FLOP/s.
+    winrs_bf16_rate: f64,
+    /// V_band, bytes per second.
+    byte_rate: f64,
+}
+
+/// The host model's constants, one row per SIMD width. Each row was fitted
+/// once on this repository's reference host (a 2-core Sapphire Rapids-class
+/// VM, one vCPU pinned) by weighted least squares on the relative error of
+/// `winrs tune --measure`-style timings — the benchmark's keys, the nn
+/// probe's two shapes, the serve keys and micro shapes — with the width
+/// pinned through `WINRS_FORCE_WIDTH`. DESIGN.md §12.1 holds the fit.
+static HOST_CONSTANTS: [HostConstants; 3] = [
+    HostConstants {
+        width: SimdWidth::Avx512,
+        call_s: [22.3e-6, 16.5e-6, 44.0e-6, 12.5e-6],
+        flop_rate: [66.1e9, 26.4e9, 1.20e9, 1.20e9],
+        winrs_fp16_rate: 66.9e9,
+        winrs_bf16_rate: 29.5e9,
+        byte_rate: 4.43e9,
+    },
+    HostConstants {
+        width: SimdWidth::Avx2,
+        call_s: [22.5e-6, 19.2e-6, 63.2e-6, 14.1e-6],
+        flop_rate: [44.5e9, 24.9e9, 1.11e9, 1.11e9],
+        winrs_fp16_rate: 41.6e9,
+        winrs_bf16_rate: 24.6e9,
+        byte_rate: 4.38e9,
+    },
+    HostConstants {
+        width: SimdWidth::Scalar,
+        call_s: [19.9e-6, 17.6e-6, 46.4e-6, 13.6e-6],
+        flop_rate: [23.2e9, 14.0e9, 1.23e9, 1.20e9],
+        winrs_fp16_rate: 8.84e9,
+        winrs_bf16_rate: 15.2e9,
+        byte_rate: 4.11e9,
+    },
+];
+
+impl HostConstants {
+    /// The row for the width this host detected — the width
+    /// [`device_key`] names. A `WINRS_FORCE_WIDTH` pin does not move it.
+    fn detected() -> &'static HostConstants {
+        let width = detected_width();
+        HOST_CONSTANTS
+            .iter()
+            .find(|c| c.width == width)
+            .unwrap_or(&HOST_CONSTANTS[HOST_CONSTANTS.len() - 1])
+    }
+
+    /// Eq. 8 on this host: `t = t₀ + C_time / V + C_data / V_band`, with
+    /// `c_time` in FLOPs and `c_data` in bytes.
+    fn seconds(&self, algo: Algorithm, tiles: TileMode, c_time: u64, c_data: usize) -> f64 {
+        let i = Algorithm::ALL.iter().position(|a| *a == algo).unwrap_or(0);
+        let rate = match (algo, tiles) {
+            (Algorithm::WinRs, TileMode::Fp16) => self.winrs_fp16_rate,
+            (Algorithm::WinRs, TileMode::Bf16) => self.winrs_bf16_rate,
+            _ => self.flop_rate[i],
+        };
+        self.call_s[i] + c_time as f64 / rate + c_data as f64 / self.byte_rate
     }
 }
 
-/// Rank every supported candidate for `(conv, precision)` on `device` by
-/// modelled execution time, ascending. WinRS appears iff [`WinRsPlan::new`]
-/// succeeds; the second element is that plan, or its rejection. The list
-/// is never empty: direct convolution is always supported.
+/// The name of the model [`rank`] predicts with: the host model at the
+/// detected SIMD width (`host (avx512)`).
+pub fn model_name() -> String {
+    format!("host ({})", HostConstants::detected().width.name())
+}
+
+/// The WinRS plan a key runs: the requested precision's own, or — when an
+/// FP16/BF16 request is refused only because its filter width has no
+/// reduced-precision kernel — the same key's FP32-tile plan, which is at
+/// least as precise. Any other refusal, and an FP32 plan that fails too,
+/// returns the original rejection.
+fn winrs_plan(
+    conv: &ConvShape,
+    device: &DeviceSpec,
+    precision: Precision,
+) -> Result<WinRsPlan, WinrsError> {
+    WinRsPlan::new(conv, device, precision).or_else(|err| {
+        let only_tiles = matches!(&err, WinrsError::PlanRejected(v)
+            if v.iter().all(|v| matches!(v, Violation::NoReducedPrecisionKernel { .. })));
+        if precision != Precision::Fp32 && only_tiles {
+            WinRsPlan::new(conv, device, Precision::Fp32).map_err(|_| err)
+        } else {
+            Err(err)
+        }
+    })
+}
+
+/// Rank every supported candidate for `(conv, precision)` by its modelled
+/// time on this host, ascending. WinRS appears iff [`winrs_plan`] succeeds;
+/// the second element is that plan, or its rejection. The list is never
+/// empty: direct convolution is always supported.
+///
+/// The work terms: WinRS runs its plan's FLOPs ([`WinRsPlan::flops`]) and
+/// streams `(Z+1)·|∇W|` f32 through the bucket reduce; GEMM-BFC and direct
+/// run the direct FLOP count, FFT-BFC its transform-domain count, and a
+/// substitute streams the workspace it allocates (GEMM's lowering panel,
+/// the FFT stages). Substitutes compute in f32 whatever was requested.
 fn rank_with_plan(
     conv: &ConvShape,
     device: &DeviceSpec,
     precision: Precision,
 ) -> (Vec<RankedCandidate>, Result<Arc<WinRsPlan>, WinrsError>) {
+    let host = HostConstants::detected();
     let mut out = Vec::with_capacity(Algorithm::ALL.len());
-    let winrs = WinRsPlan::new(conv, device, precision).map(Arc::new);
+    let winrs = winrs_plan(conv, device, precision).map(Arc::new);
     if let Ok(plan) = &winrs {
+        // Size the stored plan's workspace now, with the rest of its
+        // planning, so its first dispatch pays only for running it.
+        plan.workspace_layout();
+        let reduce_bytes = (plan.z() + 1) * conv.dw_elems() * 4;
         out.push(RankedCandidate {
             algo: Algorithm::WinRs,
-            predicted_s: estimate_pipeline_time(&plan.kernel_profiles(), device),
+            predicted_s: host.seconds(
+                Algorithm::WinRs,
+                plan.tile_mode(),
+                plan.flops(),
+                reduce_bytes,
+            ),
         });
     }
     for algo in [Algorithm::GemmBfc, Algorithm::FftBfc, Algorithm::Direct] {
-        if let Some(profiles) = substitute_profiles(algo, conv, precision) {
-            out.push(RankedCandidate {
+        let c_time = match algo {
+            // FFT-BFC is FP32-only.
+            Algorithm::FftBfc if precision != Precision::Fp32 => continue,
+            Algorithm::FftBfc => fft_bfc::flops(conv),
+            _ => conv.bfc_flops(),
+        };
+        out.push(RankedCandidate {
+            algo,
+            predicted_s: host.seconds(
                 algo,
-                predicted_s: estimate_pipeline_time(&profiles, device),
-            });
-        }
+                TileMode::Fp32,
+                c_time,
+                substitute_workspace_bytes(algo, conv),
+            ),
+        });
     }
-    out.sort_by(|a, b| {
-        a.predicted_s
-            .partial_cmp(&b.predicted_s)
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
+    out.sort_by(|a, b| a.predicted_s.total_cmp(&b.predicted_s));
     (out, winrs)
 }
 
 /// Every supported candidate for `(conv, precision)` on `device`, ranked by
-/// modelled execution time, ascending (see [`Tuner::decide`]).
+/// modelled time on this host, ascending (see [`Tuner::decide`]).
 pub fn rank(conv: &ConvShape, device: &DeviceSpec, precision: Precision) -> Vec<RankedCandidate> {
     rank_with_plan(conv, device, precision).0
 }
@@ -945,9 +1017,7 @@ mod tests {
         assert!(key.ends_with(&expect), "{key}");
     }
 
-    /// A shape the model hands to GEMM: tiny filter, tiny channels, large
-    /// spatial extent (WinRS's reduction is weakest at f=2 and the fused
-    /// launch is starved).
+    /// A second key: tiny filter, tiny channels, large spatial extent.
     fn gemm_leaning() -> ConvShape {
         ConvShape::square(2, 32, 4, 4, 2)
     }
@@ -975,14 +1045,57 @@ mod tests {
 
     #[test]
     fn winrs_support_comes_from_the_planner() {
-        // f=2 has no FP16 kernel: WinRS must be absent with the rejection
-        // attached, and the list still non-empty.
-        let (ranked, winrs) = rank_with_plan(&gemm_leaning(), &RTX_4090, Precision::Fp16);
+        // f=2 has no FP16 kernel: the planner still refuses FP16, and the
+        // ranking lists WinRS with the key's FP32-tile plan, the same Z as
+        // an FP32 request's.
+        let conv = gemm_leaning();
+        let refusal = WinRsPlan::new(&conv, &RTX_4090, Precision::Fp16)
+            .err()
+            .expect("no FP16 kernel for f=2");
+        assert!(matches!(
+            refusal.violations(),
+            [Violation::NoReducedPrecisionKernel { fw: 2, .. }]
+        ));
+        let (ranked, winrs) = rank_with_plan(&conv, &RTX_4090, Precision::Fp16);
+        assert!(ranked.iter().any(|c| c.algo == Algorithm::WinRs));
+        let plan = winrs.expect("FP32-tile plan");
+        assert_eq!(plan.tile_mode(), TileMode::Fp32);
+        let fp32 = WinRsPlan::new(&conv, &RTX_4090, Precision::Fp32).unwrap();
+        assert_eq!(plan.z(), fp32.z());
+        // f=3 has one: the plan is the planner's own FP16 plan.
+        let (_, own) = rank_with_plan(&small(), &RTX_4090, Precision::Fp16);
+        assert_eq!(own.expect("FP16 plan").tile_mode(), TileMode::Fp16);
+        // An ill-formed shape: WinRS is absent with the rejection attached,
+        // and the list still non-empty.
+        let bad = ConvShape { n: 0, ..small() };
+        let (ranked, winrs) = rank_with_plan(&bad, &RTX_4090, Precision::Fp16);
         assert!(ranked.iter().all(|c| c.algo != Algorithm::WinRs));
-        assert!(winrs.is_err());
+        assert!(matches!(winrs, Err(WinrsError::InvalidShape(_))));
         assert!(!ranked.is_empty());
         // FFT is FP32-only.
         assert!(ranked.iter().all(|c| c.algo != Algorithm::FftBfc));
+    }
+
+    /// Every width's row is complete and positive, the detected row is the
+    /// width `device_key` names, and the model's name says so.
+    #[test]
+    fn host_constants_cover_every_width() {
+        for width in SimdWidth::ALL {
+            let c = HOST_CONSTANTS
+                .iter()
+                .find(|c| c.width == width)
+                .expect("a row per width");
+            let all = c.call_s.iter().chain(&c.flop_rate).chain([
+                &c.winrs_fp16_rate,
+                &c.winrs_bf16_rate,
+                &c.byte_rate,
+            ]);
+            for v in all {
+                assert!(v.is_finite() && *v > 0.0, "{width:?}: {v}");
+            }
+        }
+        assert_eq!(HostConstants::detected().width, detected_width());
+        assert_eq!(model_name(), format!("host ({})", detected_width().name()));
     }
 
     #[test]

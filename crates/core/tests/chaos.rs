@@ -368,7 +368,10 @@ fn concurrent_promote_and_retry_shares_the_pool_coherently() {
     let dy: Tensor4<f32> = dy64.cast();
 
     let pool = WorkspacePool::with_slots(2);
+    // Strict pins WinRS: on this micro shape the host model would run a
+    // substitute, which has no FP16 tiles to promote.
     let shared = ExecHandle::new(Arc::clone(&pool), RTX_4090, Precision::Fp16)
+        .with_policy(FallbackPolicy::Strict)
         .with_guard(NumericGuard::PromoteAndRetry);
 
     let results: Vec<_> = std::thread::scope(|s| {

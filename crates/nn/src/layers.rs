@@ -55,7 +55,8 @@ pub struct Conv2d {
     pub grad_weights: Tensor4<f32>,
     engine: GradEngine,
     cached_input: Option<Tensor4<f32>>,
-    /// What to do if WinRS rejects the plan (default: fall back to GEMM).
+    /// The dispatch policy (default `Auto`: the tuner's choice, degrading
+    /// to a substitute when WinRS cannot deliver).
     pub fallback_policy: FallbackPolicy,
     /// What to do about reduced-precision overflow (default: count it).
     pub numeric_guard: NumericGuard,
@@ -389,6 +390,9 @@ mod tests {
     fn conv_backward_winrs_matches_direct() {
         let mut a = Conv2d::new(8, 2, 3, 3, GradEngine::Direct, 1);
         let mut b = Conv2d::new(8, 2, 3, 3, GradEngine::WinRsFp32 { device: RTX_4090 }, 1);
+        // Strict pins WinRS: on this micro shape the host model would run
+        // direct convolution.
+        b.fallback_policy = FallbackPolicy::Strict;
         assert_eq!(a.weights, b.weights); // same seed
         let x = Tensor4::<f32>::random_uniform([2, 8, 8, 2], 5, 1.0);
         let ya = a.forward(&x);
@@ -426,6 +430,7 @@ mod tests {
         let pool = WorkspacePool::with_slots(1);
         let mut c = Conv2d::new(16, 2, 3, 3, GradEngine::WinRsFp32 { device: RTX_4090 }, 2)
             .with_pool(Arc::clone(&pool));
+        c.fallback_policy = FallbackPolicy::Strict; // WinRS's arena, not a substitute's
         let x = Tensor4::<f32>::random_uniform([1, 16, 16, 2], 7, 1.0);
         let y = c.forward(&x);
         let dy = Tensor4::<f32>::random_uniform(y.dims(), 8, 1.0);
@@ -475,6 +480,7 @@ mod tests {
         let pool = WorkspacePool::with_slots(2);
         let mut c = Conv2d::new(12, 2, 3, 3, GradEngine::WinRsFp32 { device: RTX_4090 }, 4)
             .with_pool(Arc::clone(&pool));
+        c.fallback_policy = FallbackPolicy::Strict; // WinRS's plan cache
         let x = Tensor4::<f32>::random_uniform([2, 12, 12, 2], 10, 1.0);
         let y = c.forward(&x);
         let dy = Tensor4::<f32>::random_uniform(y.dims(), 11, 1.0);

@@ -2,6 +2,7 @@
 
 use crate::error::NnError;
 use crate::layers::{softmax_cross_entropy, Conv2d, GradEngine, Linear, MaxPool2, Relu};
+use winrs_core::fallback::FallbackPolicy;
 use winrs_gpu_sim::DeviceSpec;
 use winrs_tensor::Tensor4;
 
@@ -47,8 +48,15 @@ impl SmallCnn {
                 scale: 1024.0,
             },
         };
-        let conv1 = Conv2d::new(res, channels, filters, 3, engine(), seed + 1);
-        let conv2 = Conv2d::new(res / 2, filters, 2 * filters, 3, engine(), seed + 2);
+        let mut conv1 = Conv2d::new(res, channels, filters, 3, engine(), seed + 1);
+        let mut conv2 = Conv2d::new(res / 2, filters, 2 * filters, 3, engine(), seed + 2);
+        // A WinRS backend computes its filter gradients with WinRS: on this
+        // model's small maps the host cost model would pick a substitute,
+        // and the backends exist to compare WinRS gradients with direct ones.
+        if backend != Backend::Direct {
+            conv1.fallback_policy = FallbackPolicy::Strict;
+            conv2.fallback_policy = FallbackPolicy::Strict;
+        }
         let feat = (res / 4) * (res / 4) * 2 * filters;
         SmallCnn {
             conv1,
@@ -67,7 +75,7 @@ impl SmallCnn {
     /// # Errors
     ///
     /// Propagates [`NnError`] from the convolution backward passes (e.g. a
-    /// dispatch failure under `FallbackPolicy::ErrorOut`).
+    /// dispatch failure under `FallbackPolicy::Strict`).
     pub fn train_step(
         &mut self,
         x: &Tensor4<f32>,

@@ -260,6 +260,13 @@ pub fn report_json(report: &ExecutionReport) -> Json {
         ("algorithm", Json::str(report.algorithm.name())),
         ("chosen", Json::str(report.chosen.name())),
         ("precision", Json::str(report.requested_precision.name())),
+        (
+            "tiles",
+            match report.tiles {
+                Some(t) => Json::str(t.name()),
+                None => Json::Null,
+            },
+        ),
         ("guard", Json::str(report.guard.name())),
         (
             "fallback_reason",

@@ -19,9 +19,10 @@
 #      tested against the library crates it calls, so an API change that
 #      breaks it fails here instead of at benchmark time
 #   4. workspace-accounting smoke test: the CLI's layout breakdown must
-#      print all four rows and match the paper formula, and a strict
-#      (WinRS-pinned) execution must report that formula's bytes as its
-#      planned and peak workspace and a zero-allocation hot loop
+#      print all four rows and match the paper formula, and an execution
+#      under the default (auto) policy and under strict must each run
+#      WinRS and report that formula's bytes as its planned and peak
+#      workspace and a zero-allocation hot loop
 #   5. profiling smoke test: `winrs profile` must print the per-phase
 #      breakdown with a warm plan cache, and the bench harness's --json
 #      baseline must carry the winrs-bench-v1 schema and phase fields;
@@ -169,12 +170,14 @@ step_08() {
   grep -q "overflow check : matches" <<<"$WORKSPACE_OUT"
   FORMULA_B=$(sed -n 's/^paper formula  : .* = \([0-9]*\) B$/\1/p' <<<"$WORKSPACE_OUT")
   [ -n "$FORMULA_B" ]
-  # Strict pins WinRS; under auto the tuner may send this shape to a
-  # substitute, whose run has no block loop to check.
-  VERIFY_OUT=$("$WINRS" verify "${REF_SHAPE[@]}" --fallback-policy strict)
-  printf '%s\n' "$VERIFY_OUT" >&2
-  grep -q "algorithm=winrs " <<<"$VERIFY_OUT"
-  grep -q " workspace=${FORMULA_B}B peak=${FORMULA_B}B hot_loop_allocs=0 " <<<"$VERIFY_OUT"
+  # The default policy (auto: the tuner's choice) and strict (WinRS pinned)
+  # must both run WinRS here, at exactly the formula's workspace.
+  for POLICY in auto strict; do
+    VERIFY_OUT=$("$WINRS" verify "${REF_SHAPE[@]}" --fallback-policy "$POLICY")
+    printf '%s\n' "$VERIFY_OUT" >&2
+    grep -q "algorithm=winrs " <<<"$VERIFY_OUT"
+    grep -q " workspace=${FORMULA_B}B peak=${FORMULA_B}B hot_loop_allocs=0 " <<<"$VERIFY_OUT"
+  done
 }
 run_step "workspace accounting smoke (reference shape 32x56x56, 16->16, f=3)" step_08
 

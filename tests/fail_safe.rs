@@ -1,8 +1,10 @@
 //! Fail-safe acceptance tests (the robustness contract of the dispatcher,
 //! `ExecHandle`, and of the guarded plan executor it runs):
 //!
-//! 1. A problem outside the WinRS envelope completes through the GEMM-BFC
-//!    fallback, with a report naming exactly why WinRS did not run.
+//! 1. A problem WinRS cannot run completes through the GEMM-BFC
+//!    fallback, with a report naming exactly why WinRS did not run; an
+//!    FP16 request whose filter width has no FP16 kernel runs WinRS on
+//!    FP32 tiles instead, and says so.
 //! 2. A deterministically injected FP16 overflow under `PromoteAndRetry`
 //!    is repaired to full FP32 accuracy, re-running *only* the poisoned
 //!    buckets.
@@ -15,11 +17,14 @@
 //! test that arms it holds `faults::serial_guard()`.
 
 use std::sync::Arc;
+use std::time::Duration;
 use winrs::conv::{direct, ConvShape};
+use winrs::core::engine::TileMode;
 use winrs::core::fallback::{run_planned_into, Algorithm, FallbackPolicy, NumericGuard};
 use winrs::core::faults;
 use winrs::core::{
-    BfcJob, ExecHandle, Precision, Violation, WinRsPlan, WinrsError, Workspace, WorkspacePool,
+    BfcJob, ExecHandle, PoolConfig, Precision, Violation, WinRsPlan, WinrsError, Workspace,
+    WorkspacePool,
 };
 use winrs::gpu::RTX_4090;
 use winrs::tensor::{mare, Tensor4};
@@ -27,6 +32,13 @@ use winrs::tensor::{mare, Tensor4};
 /// A private single-slot pool under the default `Auto` policy.
 fn handle(precision: Precision, guard: NumericGuard) -> ExecHandle {
     ExecHandle::new(WorkspacePool::with_slots(1), RTX_4090, precision).with_guard(guard)
+}
+
+/// The same under `Strict`, which pins WinRS: the fault-injection tests
+/// below inject into WinRS's FP16 tiles, and on their micro shape the
+/// host model would run a substitute.
+fn strict(precision: Precision, guard: NumericGuard) -> ExecHandle {
+    handle(precision, guard).with_policy(FallbackPolicy::Strict)
 }
 
 /// Benign random problem: FP32 inputs plus the f64 direct-convolution
@@ -42,23 +54,81 @@ fn problem(conv: &ConvShape, seed: u64) -> (Tensor4<f32>, Tensor4<f32>, Tensor4<
 
 #[test]
 fn unsupported_shape_completes_via_gemm_fallback() {
-    // F_W = 4 has no FP16-ported kernel, so the plan is rejected — the
+    // F_W = 4 has no FP16-ported kernel: the planner rejects the FP16
+    // plan, and the tuner runs the key's FP32-tile plan instead. When that
+    // WinRS run cannot start either (the pool's only slot is held), the
     // dispatcher must still deliver ∇W, via GEMM-BFC, and say why.
     let conv = ConvShape::square(1, 16, 3, 3, 4);
     let (x, dy, exact) = problem(&conv, 11);
-    assert!(WinRsPlan::new(&conv, &RTX_4090, Precision::Fp16).is_err());
+    let refusal = WinRsPlan::new(&conv, &RTX_4090, Precision::Fp16)
+        .err()
+        .expect("no FP16 kernel for F_W = 4");
+    assert!(matches!(
+        refusal.violations()[0],
+        Violation::NoReducedPrecisionKernel { fw: 4, .. }
+    ));
+    assert!(refusal.to_string().contains("filter width 4"), "{refusal}");
 
-    let (dw, report) = handle(Precision::Fp16, NumericGuard::Warn)
+    let pool = WorkspacePool::new(PoolConfig {
+        slots: 1,
+        max_wait: Duration::from_millis(5),
+        ..PoolConfig::default()
+    });
+    let plan = pool
+        .cached_plan(&conv, &RTX_4090, Precision::Fp16)
+        .expect("FP32 tiles");
+    let _held = pool.lease(plan.workspace_layout()).expect("the only slot");
+    let (dw, report) = ExecHandle::new(Arc::clone(&pool), RTX_4090, Precision::Fp16)
         .run(&conv, &x, &dy)
         .expect("auto fallback must deliver");
     assert_eq!(report.algorithm, Algorithm::GemmBfc);
+    assert_eq!(report.chosen, Algorithm::WinRs);
     let reason = report.fallback_reason.as_ref().expect("reason recorded");
-    assert!(matches!(
-        reason.violations()[0],
-        Violation::NoReducedPrecisionKernel { fw: 4, .. }
-    ));
-    assert!(report.summary_line().contains("filter width 4"));
+    assert!(
+        matches!(reason, WinrsError::PoolExhausted { slots: 1, .. }),
+        "{reason}"
+    );
+    assert!(report
+        .summary_line()
+        .contains(&format!("fallback=\"{reason}\"")));
+    assert_eq!(report.pool.expect("pool snapshot").degradations, 1);
     assert!(mare(&dw, &exact) < 1e-5);
+}
+
+/// An FP16 request whose filter width has no FP16 kernel runs WinRS on
+/// FP32 tiles under `Auto`: the report names the caller's precision and
+/// the tiles that ran, records no fallback, and the ∇W is an FP32
+/// dispatch's, bit for bit.
+#[test]
+fn unported_fp16_width_runs_winrs_on_fp32_tiles() {
+    let conv = ConvShape::square(1, 16, 3, 3, 4);
+    let (x, dy, exact) = problem(&conv, 12);
+    let (dw16, report) = handle(Precision::Fp16, NumericGuard::Warn)
+        .run(&conv, &x, &dy)
+        .expect("FP32-tile WinRS");
+    assert_eq!(report.algorithm, Algorithm::WinRs);
+    assert_eq!(report.requested_precision, Precision::Fp16);
+    assert_eq!(report.tiles, Some(TileMode::Fp32));
+    assert!(report.fallback_reason.is_none());
+    assert_eq!(report.pool.expect("pool snapshot").degradations, 0);
+    let line = report.summary_line();
+    assert!(
+        line.starts_with("algorithm=winrs precision=Fp16 tiles=fp32 "),
+        "{line}"
+    );
+    let (dw32, fp32) = handle(Precision::Fp32, NumericGuard::Warn)
+        .run(&conv, &x, &dy)
+        .expect("FP32 WinRS");
+    assert_eq!(fp32.algorithm, Algorithm::WinRs);
+    assert!(
+        dw16.as_slice()
+            .iter()
+            .zip(dw32.as_slice())
+            .all(|(a, b)| a.to_bits() == b.to_bits()),
+        "FP32 tiles must give the FP32 dispatch's ∇W bit for bit"
+    );
+    let m = mare(&dw16, &exact);
+    assert!(m < 1e-5, "MARE {m}");
 }
 
 #[test]
@@ -72,7 +142,7 @@ fn injected_overflow_everywhere_promote_retry_restores_fp32_accuracy() {
     // Poison every segment: PromoteAndRetry must re-run every bucket at
     // FP32, so the result carries no FP16 rounding at all.
     faults::arm(0..num_segments);
-    let (dw, report) = handle(Precision::Fp16, NumericGuard::PromoteAndRetry)
+    let (dw, report) = strict(Precision::Fp16, NumericGuard::PromoteAndRetry)
         .run(&conv, &x, &dy)
         .expect("guarded WinRS run");
     let fired = faults::disarm();
@@ -147,7 +217,7 @@ fn warn_guard_reports_injected_fault_without_repair() {
     let (x, dy, _) = problem(&conv, 41);
 
     faults::arm([0usize]);
-    let (dw, report) = handle(Precision::Fp16, NumericGuard::Warn)
+    let (dw, report) = strict(Precision::Fp16, NumericGuard::Warn)
         .run(&conv, &x, &dy)
         .expect("guarded WinRS run");
     faults::disarm();
@@ -210,8 +280,11 @@ fn mismatched_tensors_are_typed_errors_not_panics() {
 fn mis_shaped_operands_are_refused_on_every_rung() {
     use Algorithm::{Direct, FftBfc, GemmBfc, WinRs};
     use FallbackPolicy::{Auto, Force, Strict};
-    let to_direct = ConvShape::square(2, 32, 4, 4, 2);
-    let to_gemm = ConvShape::square(1, 16, 3, 3, 4);
+    // Micro shapes where a substitute's smaller fixed cost per call wins
+    // under the host model (the FP16 f=2 key runs GEMM-BFC although its
+    // FP32-tile WinRS plan is viable).
+    let to_direct = ConvShape::square(1, 8, 2, 2, 3);
+    let to_gemm = ConvShape::square(1, 8, 4, 4, 2);
     let (fp32, fp16) = (Precision::Fp32, Precision::Fp16);
     // (label, shape, precision, policy, where Auto routes well-shaped
     // operands — checked first so the case keeps covering that rung).

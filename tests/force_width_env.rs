@@ -27,8 +27,9 @@ fn operands(conv: &ConvShape) -> (Tensor4<f32>, Tensor4<f32>) {
 fn width_pin_holds_on_every_rung() {
     use Algorithm::{Direct, FftBfc, GemmBfc, WinRs};
     use FallbackPolicy::{Auto, Force, Strict};
-    let to_direct = ConvShape::square(2, 32, 4, 4, 2);
-    let to_gemm = ConvShape::square(1, 16, 3, 3, 4);
+    // Micro shapes where the host model picks a substitute.
+    let to_direct = ConvShape::square(1, 8, 2, 2, 3);
+    let to_gemm = ConvShape::square(1, 8, 4, 4, 2);
     let (fp32, fp16) = (Precision::Fp32, Precision::Fp16);
     let handle = |pool: &Arc<WorkspacePool>, precision, policy| {
         ExecHandle::new(Arc::clone(pool), RTX_4090, precision).with_policy(policy)

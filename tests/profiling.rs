@@ -7,7 +7,11 @@
 use winrs::core::engine::sched;
 use winrs::core::fallback::{ExecutionReport, FallbackPolicy, NumericGuard};
 use winrs::core::metrics::time_block_loop;
-use winrs::core::{Algorithm, ExecHandle, Precision, WorkspacePool};
+use std::sync::Arc;
+use std::time::Duration;
+use winrs::core::{
+    Algorithm, ExecHandle, PoolConfig, Precision, WorkspaceLayout, WorkspacePool,
+};
 use winrs::gpu::RTX_4090;
 use winrs::tensor::Tensor4;
 use winrs_conv::ConvShape;
@@ -71,11 +75,20 @@ fn winrs_path_reports_full_phase_breakdown() {
 
 #[test]
 fn gemm_fallback_path_reports_timing() {
-    // FP16 with F_W = 4 has no ported kernel: the auto policy degrades to
-    // GEMM-BFC, whose runtime is charged to the block-loop phase.
-    let shape = ConvShape::square(1, 12, 2, 2, 4);
+    // The pool's only slot is held, so the WinRS rung cannot lease: the
+    // auto policy degrades to GEMM-BFC, whose runtime is charged to the
+    // block-loop phase.
+    let shape = ConvShape::square(1, 16, 3, 3, 4);
     let (x, dy) = tensors(&shape, 0.01);
-    let (_dw, report) = handle(Precision::Fp16, FallbackPolicy::Auto)
+    let pool = WorkspacePool::new(PoolConfig {
+        slots: 1,
+        max_wait: Duration::from_millis(5),
+        ..PoolConfig::default()
+    });
+    let _held = pool
+        .lease(&WorkspaceLayout::winrs(0, 1, 16, 1, 0))
+        .expect("the only slot");
+    let (_dw, report) = ExecHandle::new(Arc::clone(&pool), RTX_4090, Precision::Fp16)
         .run(&shape, &x, &dy)
         .expect("dispatch");
     assert_eq!(report.algorithm, Algorithm::GemmBfc);
@@ -86,9 +99,9 @@ fn gemm_fallback_path_reports_timing() {
 
 #[test]
 fn tuner_choice_path_reports_timing() {
-    // On this wide, shallow f=2 shape the tuner picks direct convolution
-    // although WinRS is viable: a choice, not a fallback.
-    let shape = ConvShape::square(2, 32, 4, 4, 2);
+    // On this micro shape the tuner picks direct convolution although
+    // WinRS is viable: a choice, not a fallback.
+    let shape = ConvShape::square(1, 8, 2, 2, 3);
     let (x, dy) = tensors(&shape, 1.0);
     let (_dw, report) = handle(Precision::Fp32, FallbackPolicy::Auto)
         .run(&shape, &x, &dy)
@@ -112,7 +125,7 @@ fn forced_direct_path_reports_timing() {
 
 #[test]
 fn cached_dispatch_reports_timing_and_counters_each_call() {
-    let shape = ConvShape::square(1, 16, 2, 4, 3);
+    let shape = ConvShape::square(1, 16, 8, 8, 3);
     let (x, dy) = tensors(&shape, 1.0);
     let handle = handle(Precision::Fp32, FallbackPolicy::default());
     for call in 0..3u64 {

@@ -1,12 +1,14 @@
 //! Acceptance tests for the cost-model autotuner that owns algorithm
 //! dispatch:
 //!
-//! 1. The cost model is strictly positive on the paper's fig10/fig11
+//! 1. The host cost model is strictly positive on the paper's fig10/fig11
 //!    sweep shapes and monotone under dimension doubling — the sanity
 //!    floor for trusting it with dispatch decisions.
 //! 2. On fig10 FP32 the tuner-dispatched algorithm is never modelled
 //!    more than 2% slower than always-WinRS, and is strictly faster on
-//!    at least one shape where the model prefers an alternative.
+//!    at least one shape where the model prefers an alternative. The
+//!    host model picks WinRS on every benchmark key, both nn shapes and
+//!    serve's hot key, FP16 widths without an FP16 kernel on FP32 tiles.
 //! 3. A torn (half-written) tuning database — injected by the chaos
 //!    harness's `tune-db-torn` site — surfaces as a typed warning and
 //!    dispatch continues from the cost model alone; it never panics.
@@ -103,9 +105,10 @@ fn tuner_dispatch_never_loses_to_always_winrs_on_fig10() {
             d.chosen
         );
     }
-    // And strictly faster somewhere the model prefers an alternative: the
-    // wide-but-shallow f=2 shape from the accuracy sweep.
-    let anchor = ConvShape::square(2, 32, 4, 4, 2);
+    // And strictly faster somewhere the model prefers an alternative: a
+    // micro shape, where direct convolution's smaller fixed cost per call
+    // wins.
+    let anchor = ConvShape::square(1, 8, 2, 2, 3);
     let d = t.decide(&anchor, &RTX_4090, Precision::Fp32);
     assert_ne!(d.chosen, Algorithm::WinRs, "model must prefer a substitute");
     assert!(d.winrs_rejection.is_none(), "WinRS stays viable — pure choice");
@@ -262,11 +265,12 @@ fn empty_tune_db_warns_once_and_is_repaired_by_next_save() {
 #[test]
 fn run_and_run_batch_choose_the_same_algorithm() {
     for (conv, precision) in [
-        // The tuner prefers direct convolution on this wide, shallow f=2
-        // shape although WinRS is viable.
-        (ConvShape::square(2, 32, 4, 4, 2), Precision::Fp32),
-        // F_W = 4 has no FP16 kernel: WinRS is rejected.
-        (ConvShape::square(1, 16, 3, 3, 4), Precision::Fp16),
+        // The tuner prefers direct convolution on this micro shape
+        // although WinRS is viable.
+        (ConvShape::square(1, 8, 2, 2, 3), Precision::Fp32),
+        // F_W = 2 has no FP16 kernel: WinRS is viable on FP32 tiles, and
+        // the tuner prefers GEMM-BFC.
+        (ConvShape::square(1, 8, 4, 4, 2), Precision::Fp16),
     ] {
         let chosen = Tuner::new(TunerConfig::default())
             .decide(&conv, &RTX_4090, precision)
@@ -304,5 +308,43 @@ fn run_and_run_batch_choose_the_same_algorithm() {
         );
         assert_eq!(batched.chosen, single.chosen);
         assert_eq!(dw_batch, dw, "same algorithm, same bits");
+    }
+}
+
+/// The host model's choice on the keys the benchmark and the nn probe
+/// run: WinRS everywhere, and for FP16 widths without an FP16 kernel
+/// (f = 2, 4, 8) on FP32 tiles.
+#[test]
+fn host_model_picks_winrs_on_benchmark_nn_and_serve_keys() {
+    use winrs::core::engine::TileMode;
+    let pool = WorkspacePool::with_slots(1);
+    let mut keys: Vec<(ConvShape, Precision)> = Vec::new();
+    // `fsweep_mixed`: f = 2..9 at FP16, and FP32 f = 2 on a large map.
+    keys.extend((2..=9).map(|f| (ConvShape::square(2, 28, 64, 64, f), Precision::Fp16)));
+    keys.push((ConvShape::square(1, 56, 64, 64, 2), Precision::Fp32));
+    // The nn probe's two convolutions at the training batch.
+    keys.push((ConvShape::square(8, 32, 3, 16, 3), Precision::Fp32));
+    keys.push((ConvShape::square(8, 16, 16, 32, 3), Precision::Fp32));
+    // `serve_open`'s hot key.
+    keys.push((ConvShape::square(2, 16, 16, 16, 3), Precision::Fp32));
+    // Every fig10 FP32 sweep shape, at the paper's batch and at the
+    // benchmark's (batch / 32).
+    for s in paper_shapes() {
+        keys.push((s, Precision::Fp32));
+        let n = (s.n / 32).max(1);
+        let scaled = ConvShape::new(n, s.ih, s.iw, s.ic, s.oc, s.fh, s.fw, s.ph, s.pw);
+        keys.push((scaled, Precision::Fp32));
+    }
+    for (conv, precision) in keys {
+        let d = pool.with_tuner(|t| t.decide(&conv, &RTX_4090, precision));
+        assert_eq!(d.chosen, Algorithm::WinRs, "{conv:?} {precision:?}: {:?}", d.ranked);
+        let plan = pool
+            .cached_plan(&conv, &RTX_4090, precision)
+            .expect("the chosen plan");
+        let tiles = match (precision, conv.fw) {
+            (Precision::Fp16, 2 | 4 | 8) => TileMode::Fp32,
+            (p, _) => p.tile_mode(),
+        };
+        assert_eq!(plan.tile_mode(), tiles, "{conv:?} {precision:?}");
     }
 }
