@@ -658,7 +658,7 @@ fn cmd_workspace(flags: &Flags) -> Result<String, String> {
     let z = plan.z();
     let dw_elems = shape.dw_elems();
     let dw_bytes = dw_elems * 4;
-    let overflow_elems = layout.bucket_elems() - dw_elems;
+    let overflow_elems = layout.overflow_elems();
     let scratch_elems = layout.scratch_elems();
 
     let mut out = String::new();
@@ -688,11 +688,16 @@ fn cmd_workspace(flags: &Flags) -> Result<String, String> {
     ] {
         let _ = writeln!(out, "{name:<19} {kind:<10} {elems:>9} {bytes:>11}");
     }
+    // Bucket 0 is the caller's ∇W, so the arena holds the other rows.
     let _ = writeln!(
         out,
         "total arena    : {} bytes ({} f32 elems + guard counters)",
         layout.arena_elems() * 4 + layout.guard_bytes(),
         layout.arena_elems()
+    );
+    let _ = writeln!(
+        out,
+        "bucket 0       : the caller's gradW (the dw-bucket row), outside the arena"
     );
     let _ = writeln!(
         out,
@@ -1253,13 +1258,14 @@ mod tests {
         ])
         .unwrap();
         // Z = 1 and one scratch slot (a single task per pass), so every
-        // row is fixed by the shape: |∇W| = 4·3·3·4 = 144 elems.
+        // row is fixed by the shape: |∇W| = 4·3·3·4 = 144 elems. Bucket 0
+        // is the caller's ∇W, so the arena is the scratch alone.
         for row in [
             "dw-bucket           output           144         576",
             "overflow-buckets    workspace          0           0",
             "thread-scratch      scratch        10400       41600",
             "guard-counters      guard              0          32",
-            "total arena    : 42208 bytes (10544 f32 elems + guard counters)",
+            "total arena    : 41632 bytes (10400 f32 elems + guard counters)",
             "paper formula  : (Z-1)*|gradW| = 0 * 576 B = 0 B",
             "overflow check : matches (0 B accounted as 'workspace')",
         ] {

@@ -11,7 +11,8 @@
 //! counting-allocator contract in
 //! `tests/workspace.rs::warm_run_planned_block_loop_allocates_nothing`.
 //! All scratch comes in from the [`ScratchPool`]; all output goes out
-//! through rows of a caller-provided bucket.
+//! through rows of a caller-provided bucket: the caller's `∇W` for bucket
+//! 0, its overflow region for the rest.
 //!
 //! A task transforms each ĝ tile once and each d̂ tile once per
 //! `(ic-tile, fw-tile)`: the transformed tiles live in panels in the
@@ -43,6 +44,10 @@ pub(super) const MAX_BLOCK: usize = 128;
 /// are 8·16·(64 + 32)·4 B = 48 KiB, one L1d.
 pub(super) const STAGE: usize = 8;
 
+/// Output channels the output transform fetches its bucket rows ahead of
+/// the channel it sums (see `output_tile`).
+const OT_PREFETCH_AHEAD: usize = 4;
+
 /// Largest ĝ + d̂ panel pair one task keeps in its scratch slot (2 MiB).
 /// A task re-reads its panels for every `(ic-tile, fw-tile, filter row)`,
 /// so they should stay in the core's L2 next to the accumulator. On a
@@ -71,14 +76,18 @@ pub(super) fn group_scratch_elems(
 }
 
 /// One scheduler task: every filter row of one oc-tile of one segment.
-/// `(base, oc0)` is the deterministic owner coordinate: the task owns the
-/// contiguous bucket region of its oc-tile (every `(oc, f_h, f_w, ic)`
+/// `(bucket, oc0)` is the deterministic owner coordinate: the task owns
+/// the contiguous bucket region of its oc-tile (every `(oc, f_h, f_w, ic)`
 /// with `oc ∈ oc0..oc0 + bn_cur`), which keeps [`BucketWriter`] rows
 /// disjoint across tasks no matter which worker runs the group.
 pub(super) struct BlockGroup {
     pub(super) seg_idx: usize,
-    /// Element offset of the owning bucket in the bucket region.
-    pub(super) base: usize,
+    /// The owning bucket: 0 is `∇W`, `z ≥ 1` the overflow bucket `z`.
+    pub(super) bucket: usize,
+    /// Whether this task is its bucket's first writer, which stores its
+    /// sums instead of adding them onto the bucket (fixed by the
+    /// partition: see `engine::block_groups`).
+    pub(super) store: bool,
     pub(super) oc0: usize,
     pub(super) bn_cur: usize,
     /// The kernel's input-channel block `B_M`.
@@ -98,14 +107,14 @@ pub(super) struct BlockGroup {
 }
 
 impl BlockGroup {
-    /// The group of oc-tile `oc0` of `seg`, with its row hulls and panel
-    /// decision.
+    /// The group of oc-tile `oc0` of `seg` writing into `bucket` (storing
+    /// when `store`), with its row hulls and panel decision.
     pub(super) fn new(
         conv: &ConvShape,
         seg: &Segment,
         seg_idx: usize,
         mode: TileMode,
-        base: usize,
+        (bucket, store): (usize, bool),
         oc0: usize,
     ) -> BlockGroup {
         let alpha = seg.kernel.alpha();
@@ -130,7 +139,8 @@ impl BlockGroup {
         let panel_elems = alpha * per_row * (g_rows * bn_cur + x_rows * bm.min(conv.ic));
         BlockGroup {
             seg_idx,
-            base,
+            bucket,
+            store,
             oc0,
             bn_cur,
             bm,
@@ -160,41 +170,86 @@ impl BlockGroup {
     }
 }
 
-/// Raw-pointer view of the bucket region for a pass's block groups. Each
-/// task owns the bucket region of its `(bucket, oc-tile)` — distinct
-/// buckets occupy disjoint `base` ranges and tasks within a bucket differ
-/// in oc-tile — so the row ranges handed out by [`BucketWriter::row_mut`]
+/// Raw-pointer view of the buckets for a pass's block groups: bucket 0
+/// is the caller's `∇W`, bucket `z ≥ 1` sits at `(z−1)·|∇W|` in the
+/// overflow region. Each task owns the region of its `(bucket, oc-tile)`
+/// — distinct buckets are disjoint and tasks within a bucket differ in
+/// oc-tile — so the row ranges handed out by [`BucketWriter::row_mut`]
 /// are disjoint across concurrently running tasks *regardless of which
 /// worker the steal scheduler hands a task to*. That disjointness is the
 /// safety argument for the `Sync` impl.
 pub(super) struct BucketWriter<T> {
-    ptr: *mut T,
-    len: usize,
+    dw: *mut T,
+    overflow: *mut T,
+    /// `|∇W|`, the length of every bucket.
+    dw_len: usize,
+    overflow_len: usize,
 }
 
-// SAFETY: tasks only touch disjoint index ranges (see type docs); the
-// pointer itself is valid for the whole `run_passes` borrow of the bucket.
+// SAFETY: tasks only touch disjoint index ranges (see type docs); both
+// pointers are valid for the whole `run_passes` borrow of the buckets.
 unsafe impl<T: Send> Send for BucketWriter<T> {}
 unsafe impl<T: Send> Sync for BucketWriter<T> {}
 
 impl<T> BucketWriter<T> {
-    pub(super) fn new(bucket: &mut [T]) -> BucketWriter<T> {
+    pub(super) fn new(dw: &mut [T], overflow: &mut [T]) -> BucketWriter<T> {
         BucketWriter {
-            ptr: bucket.as_mut_ptr(),
-            len: bucket.len(),
+            dw: dw.as_mut_ptr(),
+            overflow: overflow.as_mut_ptr(),
+            dw_len: dw.len(),
+            overflow_len: overflow.len(),
         }
     }
 
-    /// Mutable view of `start..start + len`.
+    /// Mutable view of elements `start..start + len` of bucket `bucket`.
     ///
     /// # Safety
-    /// The range must be in-bounds and disjoint from every range any
-    /// concurrent caller obtains.
+    /// The range must be in-bounds of the bucket and disjoint from every
+    /// range any concurrent caller obtains.
     #[inline]
     #[allow(clippy::mut_from_ref)] // disjointness contract documented above
-    unsafe fn row_mut(&self, start: usize, len: usize) -> &mut [T] {
-        debug_assert!(start + len <= self.len, "BucketWriter row out of bounds");
-        std::slice::from_raw_parts_mut(self.ptr.add(start), len)
+    unsafe fn row_mut(&self, bucket: usize, start: usize, len: usize) -> &mut [T] {
+        debug_assert!(start + len <= self.dw_len, "BucketWriter row out of bounds");
+        debug_assert!(
+            bucket * self.dw_len <= self.overflow_len,
+            "no bucket {bucket}"
+        );
+        std::slice::from_raw_parts_mut(self.bucket_ptr(bucket).add(start), len)
+    }
+
+    /// First element of bucket `bucket`: `∇W` for 0, else its place in
+    /// the overflow region.
+    #[inline]
+    fn bucket_ptr(&self, bucket: usize) -> *mut T {
+        match bucket {
+            0 => self.dw,
+            z => self.overflow.wrapping_add((z - 1) * self.dw_len),
+        }
+    }
+
+    /// Ask the cache for the lines of elements `start..start + len` of
+    /// bucket `bucket` ahead of their write. Only a hint: nothing is read
+    /// or written, and no address is dereferenced.
+    #[inline]
+    fn prefetch(&self, bucket: usize, start: usize, len: usize) {
+        #[cfg(target_arch = "x86_64")]
+        {
+            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+            let first = self
+                .bucket_ptr(bucket)
+                .wrapping_add(start)
+                .cast::<i8>()
+                .cast_const();
+            let bytes = len * std::mem::size_of::<T>();
+            let lines = (0..bytes).step_by(64).chain(bytes.checked_sub(1));
+            for offset in lines {
+                // SAFETY: a prefetch is a hint that neither faults nor
+                // touches memory, whatever the address.
+                unsafe { _mm_prefetch::<_MM_HINT_T0>(first.wrapping_add(offset)) };
+            }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = (bucket, start, len);
     }
 }
 
@@ -251,7 +306,7 @@ impl Lap {
 }
 
 /// The operands every step of one task reads: the tensors, the segment
-/// and its transform, the tile mode and the task's oc-tile.
+/// and its transform, the tile mode, the task's oc-tile and its bucket.
 struct Operands<'a, T> {
     conv: &'a ConvShape,
     seg: &'a Segment,
@@ -263,6 +318,8 @@ struct Operands<'a, T> {
     mode: TileMode,
     oc0: usize,
     bn_cur: usize,
+    bucket: usize,
+    store: bool,
 }
 
 #[cfg(test)]
@@ -343,14 +400,16 @@ fn fill_input<T: Scalar>(
 }
 
 /// Output transform `Aᵀ` of one filter row's accumulator into the bucket
-/// rows `(oc0 + oi, f_h, fw0 + d, ic0..ic0 + bm_cur)`, added onto them
-/// (the residual pass adds onto the bulk pass's bucket). `dst0` is the
-/// bucket index of `(oc0, f_h, fw0, ic0)`. Each output element is summed
-/// in registers by [`micro::gather_axpy_rows`], straight into an f32
-/// bucket; a reduced-precision bucket takes the rows through `orows` and
-/// rounds each onto the bucket. With `count` (a health sink is attached)
-/// the kernel also counts the non-finite sums in registers; returns that
-/// count (0 without `count`).
+/// rows `(oc0 + oi, f_h, fw0 + d, ic0..ic0 + bm_cur)`: stored by the
+/// bucket's first writer, added onto them otherwise (the residual pass
+/// adds onto the bulk pass's bucket). `dst0` is the bucket index of
+/// `(oc0, f_h, fw0, ic0)`. Each output element is summed in registers by
+/// [`micro::gather_axpy_rows`], straight into an f32 bucket; a
+/// reduced-precision bucket takes the rows through `orows` and rounds each
+/// onto the bucket — a first writer stores `ZERO + y`, because there a
+/// tiny negative `y` rounds to `−0.0`, which the add turns into `+0.0`.
+/// With `count` (a health sink is attached) the kernel also counts the
+/// non-finite sums in registers; returns that count (0 without `count`).
 // BOUNDS(acc): len
 // BOUNDS(orows): ops.t.n * bm_cur
 fn output_tile<T: Scalar>(
@@ -368,23 +427,43 @@ fn output_tile<T: Scalar>(
     let rows = &mut orows[..n * bm_cur];
     let mut non_finite = 0u64;
     for oi in 0..bn_cur {
+        // The n rows of each output channel lie F_H·F_W·I_C apart and
+        // miss the cache on a large ∇W: fetch those of channel
+        // `oi + OT_PREFETCH_AHEAD` while this one sums.
+        if oi + OT_PREFETCH_AHEAD < bn_cur {
+            let ahead = dst0 + (oi + OT_PREFETCH_AHEAD) * oc_stride;
+            for d in 0..n {
+                out.prefetch(ops.bucket, ahead + d * conv.ic, bm_cur);
+            }
+        }
         // Accumulator plane β of output channel oi sits at
         // `β·bn·bm + oi·bm`.
         let src = &acc[oi * bm_cur..];
-        // SAFETY: this task owns its oc-tile's whole bucket region
-        // (offset `base`); the n rows `ic` apart stay inside the
+        // SAFETY: this task owns its oc-tile's whole region of bucket
+        // `ops.bucket`; the n rows `ic` apart stay inside the
         // `(oc0 + oi, f_h)` row of F_W·I_C elements.
-        let span = unsafe { out.row_mut(dst0 + oi * oc_stride, (n - 1) * conv.ic + bm_cur) };
+        let span = unsafe {
+            out.row_mut(
+                ops.bucket,
+                dst0 + oi * oc_stride,
+                (n - 1) * conv.ic + bm_cur,
+            )
+        };
+        let store = ops.store;
         if let Some(o) = T::as_f32s_mut(&mut *span) {
             non_finite +=
-                micro::gather_axpy_rows(o, conv.ic, at, alpha, src, sstride, bm_cur, count);
+                micro::gather_axpy_rows(o, conv.ic, at, alpha, src, sstride, bm_cur, count, store);
             continue;
         }
-        rows.fill(0.0);
-        non_finite += micro::gather_axpy_rows(rows, bm_cur, at, alpha, src, sstride, bm_cur, count);
+        non_finite +=
+            micro::gather_axpy_rows(rows, bm_cur, at, alpha, src, sstride, bm_cur, count, true);
         for (d, row) in rows.chunks_exact(bm_cur).enumerate() {
             for (o, &y) in span[d * conv.ic..].iter_mut().zip(row) {
-                *o += T::from_f32(y);
+                if store {
+                    *o = T::ZERO + T::from_f32(y);
+                } else {
+                    *o += T::from_f32(y);
+                }
             }
         }
     }
@@ -429,6 +508,8 @@ pub(super) fn run_group<T: Scalar>(
         mode,
         oc0: grp.oc0,
         bn_cur: grp.bn_cur,
+        bucket: grp.bucket,
+        store: grp.store,
     };
     // Sizes spelled through `ops`, the names the fills' and the output
     // transform's bounds contracts use.
@@ -446,9 +527,9 @@ pub(super) fn run_group<T: Scalar>(
     // Main-loop steps per ∇Y row: (unit u, batch b), b fastest.
     let per_row = seg.units * conv.n;
     let (g_lo, x_lo) = (grp.g_lo, grp.x_lo);
-    // Bucket index of (oc0, f_h, fw0, ic0).
+    // Index of (oc0, f_h, fw0, ic0) in the bucket.
     let bucket_index = |fh: usize, fw0: usize, ic0: usize| {
-        grp.base + ((grp.oc0 * conv.fh + fh) * conv.fw + fw0) * conv.ic + ic0
+        ((grp.oc0 * conv.fh + fh) * conv.fw + fw0) * conv.ic + ic0
     };
 
     // The task's "SMEM", carved from the pool slot this worker is pinned
@@ -486,11 +567,12 @@ pub(super) fn run_group<T: Scalar>(
                 }
                 for fh in 0..conv.fh {
                     let (lo, hi) = clip_rows(seg.h0, seg.h1, fh, conv.ph, conv.ih);
-                    if lo >= hi {
+                    if lo >= hi && !grp.store {
                         continue; // fully clipped row: adds nothing
                     }
                     // This row's steps read ∇Y rows from `lo` and X rows
-                    // from `x0`.
+                    // from `x0`. A fully clipped row has none, and its
+                    // first writer stores the empty sums, +0.0.
                     let k = (hi - lo) * per_row;
                     let x0 = fh + lo - conv.ph;
                     acc.fill(0.0);

@@ -8,7 +8,8 @@
 //! `G` and input transform `Dᵀ` on the fly, and accumulate the α-batched
 //! outer products into `v[α][B_N][B_M]` — the only state that survives the
 //! loop. The output transform `Aᵀ` runs once per block at the end, and the
-//! result is written to the segment's `∇Ŵ` bucket.
+//! result is written to the segment's `∇Ŵ` bucket: bucket 0 is the
+//! caller's `∇W` itself, the others the `(Z−1)·|∇W|` overflow region.
 //!
 //! On this CPU substrate one scheduler task (see [`sched`]) runs every
 //! block of one `(segment, oc-tile)` pair — all its ic-tiles, filter-width
@@ -201,8 +202,8 @@ impl Default for HealthSink {
 #[derive(Clone, Copy, Default)]
 pub struct ExecOptions<'a, 'p> {
     /// When set (length `plan.z()`), only buckets with a `true` entry are
-    /// zeroed and executed — used by the numeric guard to re-run just the
-    /// poisoned buckets at FP32.
+    /// executed (and rewritten) — used by the numeric guard to re-run just
+    /// the poisoned buckets at FP32.
     pub bucket_filter: Option<&'a [bool]>,
     /// When set, the engine flushes per-segment saturation / non-finite
     /// counts into the sink (at least `plan.partition().segments.len()`
@@ -279,20 +280,25 @@ pub(crate) fn operand_violations<T: Scalar>(
     ])
 }
 
-/// Execute all segments of `plan`, accumulating each segment's result
-/// into its bucket with the plan's own transforms, under the optional
+/// Execute all segments of `plan`, writing each segment's result into
+/// its bucket with the plan's own transforms, under the optional
 /// behaviours of [`ExecOptions`] (bucket filtering for partial
 /// re-execution, numeric-health accounting). The engine's one entry:
-/// [`WinRsPlan::execute_into_buckets`] and the typed `execute_*` reach it.
+/// [`WinRsPlan::execute_into_buckets`], the typed `execute_*` and the
+/// guarded executor reach it.
 ///
-/// `buckets` must hold `plan.bucket_elems()` elements; bucket `z`
-/// occupies `buckets[z·dw .. (z+1)·dw]` in `(O_C, F_H, F_W, I_C)` layout
-/// and is zeroed before execution. Execution runs in two sequential passes
-/// (bulk kernel launch, then residual kernel launch); within a pass every
-/// segment owns a distinct bucket, so segments parallelise freely.
+/// Bucket 0 is `dw` itself (`|∇W|` elements) and bucket `z ≥ 1` is
+/// `overflow[(z−1)·|∇W| .. z·|∇W|]` (`(Z−1)·|∇W|` elements in all), each in
+/// `(O_C, F_H, F_W, I_C)` layout — the paper's workspace "logically
+/// concatenated with `∇W` into `Z` buckets". Nothing is zeroed first: the
+/// first writer of every bucket row stores its sum (see `block_groups`),
+/// so whatever the buckets held is never read. Execution runs in two
+/// sequential passes (bulk kernel launch, then residual kernel launch);
+/// within a pass every segment owns a distinct bucket, so segments
+/// parallelise freely.
 ///
 /// Returns a typed [`WinrsError::ExecutionRejected`] listing *every*
-/// argument inconsistency (bucket length, a mis-sized `bucket_filter` or
+/// argument inconsistency (bucket lengths, a mis-sized `bucket_filter` or
 /// `health` sink, `x` dims, `dy` dims, an unavailable `WINRS_FORCE_WIDTH`
 /// pin) instead of panicking.
 pub(crate) fn execute_segments_with<T: Scalar>(
@@ -300,16 +306,19 @@ pub(crate) fn execute_segments_with<T: Scalar>(
     x: &Tensor4<T>,
     dy: &Tensor4<T>,
     mode: TileMode,
-    buckets: &mut [T],
+    dw: &mut [T],
+    overflow: &mut [T],
     opts: ExecOptions<'_, '_>,
 ) -> Result<(), WinrsError> {
     let (conv, partition) = (plan.shape(), plan.partition());
     let dw_elems = conv.dw_elems();
     let mut violations = Vec::new();
-    if buckets.len() != plan.bucket_elems() {
+    // `∇W` and the overflow are the Z buckets, refused as one buffer.
+    let held = dw.len() + overflow.len();
+    if dw.len() != dw_elems || held != plan.bucket_elems() {
         violations.push(Violation::BucketSizeMismatch {
             expected: plan.bucket_elems(),
-            got: buckets.len(),
+            got: held,
         });
     }
     if let Some(filter) = opts.bucket_filter.filter(|f| f.len() != plan.z()) {
@@ -334,24 +343,30 @@ pub(crate) fn execute_segments_with<T: Scalar>(
     if !violations.is_empty() {
         return Err(WinrsError::ExecutionRejected(violations));
     }
+    // A bucket no segment writes has no first writer to store into it:
+    // zero it. The partition builder makes no such bucket.
+    let (bulk, residual) = (partition.bucket_owners(0), partition.bucket_owners(1));
     let enabled = |bucket: usize| opts.bucket_filter.is_none_or(|f| f[bucket]);
-    for (z, chunk) in buckets.chunks_mut(dw_elems).enumerate() {
-        if enabled(z) {
-            chunk.iter_mut().for_each(|b| *b = T::ZERO);
-        }
+    for z in (0..plan.z()).filter(|&z| enabled(z) && bulk[z].is_none() && residual[z].is_none()) {
+        let bucket = match z {
+            0 => &mut *dw,
+            _ => &mut overflow[(z - 1) * dw_elems..z * dw_elems],
+        };
+        bucket.fill(T::ZERO);
     }
+    let buckets = BucketWriter::new(dw, overflow);
 
     // ScratchPool is invariant in its region lifetime, so a caller pool
     // and a locally-built one cannot share a binding — both branches call
     // into the pass loop directly instead.
     match opts.scratch {
-        Some(pool) => run_passes(plan, x, dy, mode, buckets, opts, pool),
+        Some(pool) => run_passes(plan, x, dy, mode, &buckets, opts, pool),
         None => {
             let slot_elems = scratch_slot_elems_for(conv, partition, mode);
             let slots = scratch_slots_for(conv, partition, mode);
             let mut arena = vec![0.0f32; ScratchPool::region_elems(slot_elems, slots)];
             let pool = ScratchPool::new(&mut arena, slot_elems);
-            run_passes(plan, x, dy, mode, buckets, opts, &pool);
+            run_passes(plan, x, dy, mode, &buckets, opts, &pool);
         }
     }
     Ok(())
@@ -399,6 +414,13 @@ pub fn request_width(token: &str) -> Result<SimdWidth, Violation> {
 /// bucket-major, then oc-tile: one [`BlockGroup`] per oc-tile of every
 /// segment of `pass` whose bucket `enabled` keeps. A group runs every
 /// filter row, so each ĝ tile is transformed once per (segment, oc-tile).
+///
+/// A segment writes every element of its bucket exactly once, so the
+/// partition fixes each bucket's first writer: every bulk-pass owner, and
+/// a residual-pass owner whose bucket has no bulk owner. Those groups
+/// store their sums; a residual group adds onto what the bulk pass stored.
+/// A bucket filter keeps or drops both passes of a bucket together, so
+/// the rule holds for a partial re-run too.
 fn block_groups(
     conv: &ConvShape,
     partition: &Partition,
@@ -406,7 +428,6 @@ fn block_groups(
     pass: u8,
     enabled: impl Fn(usize) -> bool,
 ) -> Vec<BlockGroup> {
-    let dw_elems = conv.dw_elems();
     let mut groups = Vec::new();
     // Bucket -> owning segment for this pass, precomputed at partition
     // build.
@@ -416,6 +437,7 @@ fn block_groups(
         if !enabled(segment.bucket) {
             continue;
         }
+        let store = pass == 0 || partition.bucket_owners(0)[z].is_none();
         let bn = cache_block(mode, segment.kernel.alpha()).0;
         for oc0 in (0..conv.oc).step_by(bn) {
             groups.push(BlockGroup::new(
@@ -423,7 +445,7 @@ fn block_groups(
                 segment,
                 seg_idx,
                 mode,
-                z * dw_elems,
+                (z, store),
                 oc0,
             ));
         }
@@ -431,8 +453,8 @@ fn block_groups(
     groups
 }
 
-/// The two sequential launch passes over an argument-validated, zeroed
-/// bucket buffer, drawing all block scratch from `scratch`.
+/// The two sequential launch passes over argument-validated buckets,
+/// drawing all block scratch from `scratch`.
 ///
 /// Each pass builds its deterministic list of [`BlockGroup`]s and hands it
 /// to the work-stealing scheduler ([`sched::run_tasks`]). Workers keep
@@ -445,7 +467,7 @@ fn run_passes<T: Scalar>(
     x: &Tensor4<T>,
     dy: &Tensor4<T>,
     mode: TileMode,
-    buckets: &mut [T],
+    buckets: &BucketWriter<T>,
     opts: ExecOptions<'_, '_>,
     scratch: &ScratchPool<'_>,
 ) {
@@ -454,7 +476,6 @@ fn run_passes<T: Scalar>(
     let workers = opts.workers.unwrap_or_else(sched::workers).max(1);
     for pass in 0..=1u8 {
         let groups = block_groups(conv, partition, mode, pass, enabled);
-        let writer = BucketWriter::new(buckets);
         sched::run_tasks(groups, workers, |worker, grp: BlockGroup| {
             let segment = &partition.segments[grp.seg_idx];
             run_group(
@@ -466,7 +487,7 @@ fn run_passes<T: Scalar>(
                 mode,
                 &grp,
                 worker,
-                &writer,
+                buckets,
                 opts.health,
                 opts.timing,
                 scratch,

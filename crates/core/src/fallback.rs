@@ -35,10 +35,11 @@
 //! CLI prints.
 
 use crate::config::Precision;
-use crate::engine::{ExecOptions, HealthSink, TileMode};
+use crate::engine::{execute_segments_with, sched, ExecOptions, HealthSink, TileMode};
 use crate::error::{Violation, WinrsError};
 use crate::metrics::PhaseTimings;
 use crate::plan::WinRsPlan;
+use crate::reduce::reduce_in_place;
 use crate::workspace::{ScratchPool, Workspace};
 use std::fmt;
 use std::str::FromStr;
@@ -381,17 +382,20 @@ pub fn substitute_workspace_bytes(alg: Algorithm, conv: &ConvShape) -> usize {
 }
 
 /// The options of a run's first block-loop pass: the workspace's scratch,
-/// and its health counters unless FP32 tiles (which cannot saturate) or
-/// `Ignore` (which asked for no accounting) make the counter traffic moot.
+/// `workers` scheduler workers, and the health counters unless FP32 tiles
+/// (which cannot saturate) or `Ignore` (which asked for no accounting)
+/// make the counter traffic moot.
 pub(crate) fn first_pass_options<'a, 'p>(
     scratch: &'a ScratchPool<'p>,
     health: &'a HealthSink,
     guard: NumericGuard,
     mode: TileMode,
+    workers: usize,
 ) -> ExecOptions<'a, 'p> {
     ExecOptions {
         scratch: Some(scratch),
         health: (guard != NumericGuard::Ignore && mode != TileMode::Fp32).then_some(health),
+        workers: Some(workers),
         ..Default::default()
     }
 }
@@ -399,11 +403,13 @@ pub(crate) fn first_pass_options<'a, 'p>(
 /// Execute an already-built plan with health accounting and (optionally)
 /// bucket-granular FP32 promotion. The report's requested precision is
 /// the plan's; the dispatcher restamps the caller's when it runs a key on
-/// FP32 tiles. `∇W` is written into `dw` and every
-/// scratch byte comes from `ws` (grown to the plan's layout on first use).
-/// After the first call with a given `(plan, ws)` pair no heap allocation
-/// happens inside the block loop, and the report's
-/// [`MemoryFootprint::hot_loop_allocs`] proves it.
+/// FP32 tiles. `∇W` is written into `dw`, which is bucket 0 (its contents
+/// are never read), and every other byte comes from `ws` (grown to the
+/// plan's layout on first use): the `(Z−1)·|∇W|` overflow buckets and the
+/// scratch. After the first call with a given `(plan, ws)` pair no heap
+/// allocation happens inside the block loop, and the report's
+/// [`MemoryFootprint::hot_loop_allocs`] proves it. The worker count is
+/// read once, for every pass and the reduce.
 pub fn run_planned_into(
     plan: &WinRsPlan,
     x: &Tensor4<f32>,
@@ -431,13 +437,15 @@ pub fn run_planned_into(
     let layout = plan.workspace_layout();
     ws.ensure(layout);
     let planned = layout.workspace_bytes();
+    let workers = sched::workers();
     let hot_loop_allocs;
     {
-        let ctx = ws.ctx(layout)?;
+        let ctx = ws.overflow_ctx(layout)?;
+        let overflow = ctx.buckets;
         let mode = plan.tile_mode();
-        let opts = first_pass_options(&ctx.scratch, ctx.health, guard, mode);
+        let opts = first_pass_options(&ctx.scratch, ctx.health, guard, mode, workers);
         let t_block = Instant::now();
-        plan.execute_into_buckets(x, dy, mode, ctx.buckets, opts)?;
+        execute_segments_with(plan, x, dy, mode, dw.as_mut_slice(), overflow, opts)?;
         report.timing.block_loop_s = t_block.elapsed().as_secs_f64();
         // A sink the pass did not count into reads zero: `ctx` reset it.
         (report.saturated, report.non_finite) = ctx.health.totals();
@@ -445,22 +453,26 @@ pub fn run_planned_into(
         if guard == NumericGuard::PromoteAndRetry && !poisoned.is_empty() {
             // Promotion is bucket-granular: a band's residual segment
             // shares its first bulk segment's bucket, so both must re-run
-            // together for the bucket's FP32 contents to be complete. (The
-            // filter Vecs are per-promotion, outside the block loop.)
+            // together for the bucket's FP32 contents to be complete; a
+            // poisoned bucket 0 re-runs straight into `dw`. (The filter
+            // Vecs are per-promotion, outside the block loop.)
             let segments = &plan.partition().segments;
             let mut filter = vec![false; plan.z()];
             for &s in &poisoned {
                 filter[segments[s].bucket] = true;
             }
             let t_promote = Instant::now();
-            plan.execute_into_buckets(
+            execute_segments_with(
+                plan,
                 x,
                 dy,
                 TileMode::Fp32,
-                ctx.buckets,
+                dw.as_mut_slice(),
+                overflow,
                 ExecOptions {
                     bucket_filter: Some(&filter),
                     scratch: Some(&ctx.scratch),
+                    workers: Some(workers),
                     ..Default::default()
                 },
             )?;
@@ -474,13 +486,13 @@ pub fn run_planned_into(
                 .collect();
         }
         let t_reduce = Instant::now();
-        plan.reduce_into(ctx.buckets, dw);
+        reduce_in_place(dw.as_mut_slice(), overflow, plan.z(), workers);
         report.timing.reduce_s = t_reduce.elapsed().as_secs_f64();
         hot_loop_allocs = ctx.scratch.hot_loop_allocs();
     }
     // Measured high-water mark: every overflow bucket with an owner is
-    // zeroed and written by the first full pass (the promote subset never
-    // touches more), so the peak is the owned overflow region — which the
+    // written by the first full pass (the promote subset never touches
+    // more), so the peak is the owned overflow region — which the
     // partition builder makes exactly the planned `(Z−1)·|∇W|`.
     let dw_bytes = conv.dw_elems() * 4;
     let peak = (1..plan.z())

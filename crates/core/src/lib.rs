@@ -21,7 +21,9 @@
 //!    accumulation of all unit contributions into the segment's bucket —
 //!    entirely in on-chip memory, with only the output transform after the
 //!    main loop.
-//! 3. **Reduction** — the `Z` buckets are summed (FP32 Kahan) into `∇W`.
+//! 3. **Reduction** — the `Z` buckets are summed (FP32 Kahan) into `∇W`,
+//!    which is bucket 0: the `Z−1` workspace buckets are added to it in
+//!    place.
 //!
 //! # Configuration adaptation (paper §4)
 //!

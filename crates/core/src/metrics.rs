@@ -27,7 +27,7 @@
 //! exceed the pass's wall time on a multi-core run — their *ratio* is the
 //! busy split.
 
-use crate::engine::ExecOptions;
+use crate::engine::{execute_segments_with, sched, ExecOptions};
 use crate::fallback::{first_pass_options, NumericGuard};
 use crate::plan::WinRsPlan;
 use crate::sync::atomic::{AtomicU64, Ordering};
@@ -210,9 +210,10 @@ impl PhaseTimings {
 /// Run one timed pass of `plan`'s block loop (both launch passes) into
 /// `ws`, grown to the plan's layout if needed, and return the filled
 /// [`TimingSink`] with the pass's wall seconds. The pass runs with the
-/// scratch and health options of
-/// [`crate::fallback::run_planned_into`]'s first pass plus the sink; it
-/// leaves the buckets unreduced, so no `∇W` is written.
+/// scratch, health and worker options of
+/// [`crate::fallback::run_planned_into`]'s first pass plus the sink. Its
+/// bucket 0 is a `∇W` allocated before the clock starts, and the buckets
+/// stay unreduced: the caller's gradient is never written.
 pub fn time_block_loop(
     plan: &WinRsPlan,
     x: &Tensor4<f32>,
@@ -222,15 +223,17 @@ pub fn time_block_loop(
 ) -> Result<(TimingSink, f64), WinrsError> {
     let layout = plan.workspace_layout();
     ws.ensure(layout);
-    let ctx = ws.ctx(layout)?;
+    let mut dw = vec![0.0f32; plan.shape().dw_elems()];
+    let workers = sched::workers();
+    let ctx = ws.overflow_ctx(layout)?;
     let mode = plan.tile_mode();
     let sink = TimingSink::new();
     let opts = ExecOptions {
         timing: Some(&sink),
-        ..first_pass_options(&ctx.scratch, ctx.health, guard, mode)
+        ..first_pass_options(&ctx.scratch, ctx.health, guard, mode, workers)
     };
     let t0 = Instant::now();
-    plan.execute_into_buckets(x, dy, mode, ctx.buckets, opts)?;
+    execute_segments_with(plan, x, dy, mode, &mut dw, ctx.buckets, opts)?;
     Ok((sink, t0.elapsed().as_secs_f64()))
 }
 

@@ -4,10 +4,10 @@ use crate::config::pair::{candidates, try_select_pair, KernelPair};
 use crate::config::segment_count::{estimate, SegmentCountPlan};
 use crate::config::segment_shape::calculate;
 use crate::config::Precision;
-use crate::engine::{cache_block, clip_rows, execute_segments_with, ExecOptions, TileMode};
+use crate::engine::{cache_block, clip_rows, execute_segments_with, sched, ExecOptions, TileMode};
 use crate::error::{Violation, WinrsError};
 use crate::partition::{Partition, Segment};
-use crate::reduce::reduce_buckets;
+use crate::reduce::{reduce_in_place, reduce_staged};
 use crate::workspace::WorkspaceLayout;
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
@@ -216,16 +216,18 @@ impl WinRsPlan {
         self.precision.tile_mode()
     }
 
-    /// Bucket-buffer length (`Z · |∇W|` elements) for caller-allocated
-    /// buffers used with [`WinRsPlan::execute_into_buckets`].
+    /// Bucket-buffer length (`Z · |∇W|` elements, bucket 0 first) for the
+    /// staged buffers of [`WinRsPlan::execute_into_buckets`]. Every other
+    /// entry writes bucket 0 straight into `∇W` and holds only the
+    /// `(Z−1)·|∇W|` overflow ([`WorkspaceLayout::overflow_elems`]).
     pub fn bucket_elems(&self) -> usize {
         self.z() * self.conv.dw_elems()
     }
 
     /// The complete scratch-region description for executing this plan
     /// through the FP32-staged dispatcher path ([`crate::fallback`]): the
-    /// `∇W`-aliasing bucket 0, the `(Z−1)·|∇W|` overflow buckets (the
-    /// paper's workspace), per-thread FT/IT/accumulator tiles sized for
+    /// `(Z−1)·|∇W|` overflow buckets (the paper's workspace; bucket 0 is
+    /// the caller's `∇W`), per-thread FT/IT/accumulator tiles sized for
     /// the largest block task, and the per-segment numeric-guard
     /// counters. Computed once and cached; a caller-owned
     /// [`crate::Workspace`] `ensure`d against this layout makes every
@@ -266,8 +268,9 @@ impl WinRsPlan {
     }
 
     /// The four typed `execute_*` entries: refuse a plan built for another
-    /// precision than `required`, run the engine at `mode` into fresh
-    /// buckets of the I/O type and Kahan-reduce them into `∇W`.
+    /// precision than `required`, run the engine at `mode` into a fresh
+    /// `∇W` (bucket 0) and overflow buckets of the I/O type, and
+    /// Kahan-reduce the overflow into `∇W`.
     fn run_buckets<T: Scalar>(
         &self,
         entry: &'static str,
@@ -285,10 +288,15 @@ impl WinRsPlan {
                 },
             ]));
         }
-        let mut buckets = vec![T::ZERO; self.bucket_elems()];
-        execute_segments_with(self, x, dy, mode, &mut buckets, ExecOptions::default())?;
         let mut dw = Tensor4::<T>::zeros([self.conv.oc, self.conv.fh, self.conv.fw, self.conv.ic]);
-        reduce_buckets(&buckets, self.z(), &mut dw);
+        let mut overflow = vec![T::ZERO; self.bucket_elems() - dw.len()];
+        let workers = sched::workers();
+        let opts = ExecOptions {
+            workers: Some(workers),
+            ..Default::default()
+        };
+        execute_segments_with(self, x, dy, mode, dw.as_mut_slice(), &mut overflow, opts)?;
+        reduce_in_place(dw.as_mut_slice(), &overflow, self.z(), workers);
         Ok(dw)
     }
 
@@ -337,14 +345,18 @@ impl WinRsPlan {
         self.run_buckets("execute_fp8", Precision::Fp16, TileMode::Fp8, x, dy)
     }
 
-    /// Low-level execution into caller-provided buckets: FP32 I/O at an
-    /// explicit engine tile mode, honouring [`ExecOptions`] (health
-    /// accounting, partial bucket re-execution, caller scratch, worker
-    /// count). `buckets` holds [`WinRsPlan::bucket_elems`] elements, and
-    /// [`WinRsPlan::reduce_into`] sums them into `∇W`. This is the
-    /// building block the fallback dispatcher's numeric guard uses to
-    /// re-run only the poisoned buckets at FP32; most callers want
-    /// `execute_f32` / `execute_f16` instead.
+    /// The staged view, for callers that run the engine and reduce
+    /// themselves: FP32 I/O at an explicit engine tile mode into all `Z`
+    /// buckets of a caller buffer, bucket 0 staged in front of the
+    /// overflow, honouring [`ExecOptions`] (health accounting, partial
+    /// bucket re-execution, caller scratch, worker count). `buckets` holds
+    /// [`WinRsPlan::bucket_elems`] elements; bucket 0 is split off and the
+    /// same engine runs as for a `∇W` (each bucket's first writer stores,
+    /// so the buffer's contents are never read), and
+    /// [`WinRsPlan::reduce_into`] sums the buckets into `∇W`. The guarded
+    /// executor writes bucket 0 straight into `∇W` instead, with no
+    /// staging copy; most callers want it or `execute_f32` /
+    /// `execute_f16`.
     pub fn execute_into_buckets(
         &self,
         x: &Tensor4<f32>,
@@ -353,14 +365,17 @@ impl WinRsPlan {
         buckets: &mut [f32],
         opts: ExecOptions<'_, '_>,
     ) -> Result<(), WinrsError> {
-        execute_segments_with(self, x, dy, mode, buckets, opts)
+        let (dw, overflow) = buckets.split_at_mut(self.conv.dw_elems().min(buckets.len()));
+        execute_segments_with(self, x, dy, mode, dw, overflow, opts)
     }
 
-    /// Kahan-reduce FP32 buckets (from
+    /// Kahan-reduce staged FP32 buckets (from
     /// [`WinRsPlan::execute_into_buckets`]) into a caller-owned `∇W`
-    /// tensor of the plan's filter dims.
+    /// tensor of the plan's filter dims: bucket 0 is copied into `∇W`,
+    /// then the overflow is summed into it in place, as every other entry
+    /// does.
     pub fn reduce_into(&self, buckets: &[f32], dw: &mut Tensor4<f32>) {
-        reduce_buckets(buckets, self.z(), dw);
+        reduce_staged(buckets, self.z(), dw);
     }
 
     /// One segment's executed work: its tile positions (clipped filter
@@ -556,6 +571,24 @@ mod tests {
         let plan = WinRsPlan::with_workspace_limit(&conv, &RTX_4090, Precision::Fp32, 600).unwrap();
         let dw = plan.execute_f32(&x.cast(), &dy.cast()).unwrap();
         assert!(mare(&dw, &exact) < 1e-5);
+    }
+
+    /// An f16 bucket's first writer stores `ZERO + from_f32(y)`: a tiny
+    /// negative sum rounds to binary16 `−0.0`, which the add turns into
+    /// `+0.0` as the old add onto a zeroed bucket did. At `Z = 1` nothing
+    /// reduces after it, so a plain store would leave `−0.0` in `∇W`.
+    #[test]
+    fn fp16_first_write_never_leaves_negative_zero() {
+        let conv = ConvShape::square(1, 12, 3, 3, 3);
+        let plan = WinRsPlan::with_z_hat(&conv, &RTX_4090, Precision::Fp16, 1).unwrap();
+        assert_eq!(plan.z(), 1);
+        // Every product is −2⁻⁴⁰ or so: far below binary16's smallest
+        // subnormal (2⁻²⁴), and negative.
+        let tiny = f16::from_f32(2.0f32.powi(-20));
+        let x = Tensor4::from_fn([1, 12, 12, 3], |_, _, _, _| tiny);
+        let dy = Tensor4::from_fn([1, 12, 12, 3], |_, _, _, _| -tiny);
+        let dw = plan.execute_f16(&x, &dy).unwrap();
+        assert!(dw.as_slice().iter().all(|v| v.to_bits() == f16::ZERO.to_bits()));
     }
 
     #[test]

@@ -860,8 +860,8 @@ impl ExecHandle {
                 Ok((dw, report))
             }
             // Typed rejections leave the arena no dirtier than a normal
-            // run (each execution re-zeroes the buckets it owns), so the
-            // lease stays clean and shared.
+            // run (each execution stores into the buckets it owns before
+            // anything reads them), so the lease stays clean and shared.
             Ok(Err(err)) => Err(err),
             Err(payload) => {
                 if let Some(mut poisoned) = shared.lease.take() {

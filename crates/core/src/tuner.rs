@@ -202,7 +202,8 @@ fn winrs_plan(
 /// empty: direct convolution is always supported.
 ///
 /// The work terms: WinRS runs its plan's FLOPs ([`WinRsPlan::flops`]) and
-/// streams `(Z+1)·|∇W|` f32 through the bucket reduce; GEMM-BFC and direct
+/// streams `(Z+1)·|∇W|` f32 through the bucket reduce when `Z > 1` (none
+/// at `Z = 1`, where bucket 0 is `∇W`); GEMM-BFC and direct
 /// run the direct FLOP count, FFT-BFC its transform-domain count, and a
 /// substitute streams the workspace it allocates (GEMM's lowering panel,
 /// the FFT stages). Substitutes compute in f32 whatever was requested.
@@ -218,7 +219,12 @@ fn rank_with_plan(
         // Size the stored plan's workspace now, with the rest of its
         // planning, so its first dispatch pays only for running it.
         plan.workspace_layout();
-        let reduce_bytes = (plan.z() + 1) * conv.dw_elems() * 4;
+        // Z−1 overflow reads plus ∇W read and written; at Z = 1 bucket 0
+        // is ∇W and there is no reduce.
+        let reduce_bytes = match plan.z() {
+            1 => 0,
+            z => (z + 1) * conv.dw_elems() * 4,
+        };
         out.push(RankedCandidate {
             algo: Algorithm::WinRs,
             predicted_s: host.seconds(

@@ -12,25 +12,34 @@
 //! through a [`ScratchPool`] instead of `vec!`-ing them per block.
 //!
 //! The layout holds five counts — `|∇W|`, `Z`, slot size, slot count and
-//! segment count — and derives every size below from them. Arena layout
-//! (f32 elements, in order):
+//! segment count — and derives every size below from them. Bucket 0 is
+//! the caller's `∇W` itself (paper §3 phase 1: the workspace is
+//! "logically concatenated with `∇W` into `Z` buckets"), so the arena
+//! holds only the paper's workspace and the scratch (f32 elements, in
+//! order):
 //!
 //! ```text
-//! ┌─────────────┬──────────────────────────┬───────────────────────────┐
-//! │  dw-bucket  │     overflow-buckets     │      thread-scratch       │
-//! │   |∇W|      │      (Z−1) · |∇W|        │   slots × slot_elems      │
-//! │  (output)   │  the paper's workspace   │  FT/IT/accumulator tiles  │
-//! └─────────────┴──────────────────────────┴───────────────────────────┘
+//!   caller's ∇W        arena
+//! ┌─────────────┐   ┌──────────────────────────┬───────────────────────────┐
+//! │  dw-bucket  │   │     overflow-buckets     │      thread-scratch       │
+//! │   |∇W|      │   │      (Z−1) · |∇W|        │   slots × slot_elems      │
+//! │  bucket 0   │   │  the paper's workspace   │  FT/IT/accumulator tiles  │
+//! └─────────────┘   └──────────────────────────┴───────────────────────────┘
 //! ```
 //!
-//! Bucket 0 logically aliases `∇W` (paper §3 phase 1: the workspace is
-//! "logically concatenated with `∇W` into `Z` buckets"), so only the
-//! overflow region counts as workspace in the paper's accounting. The
-//! thread-scratch region is the CPU substrate's stand-in for on-chip
-//! SMEM/registers: per-block `ĝ`/`d̂`/`v` tiles that a GPU kernel would
-//! never allocate from DRAM. Numeric-guard counters ([`HealthSink`]) live
-//! beside the arena (they are atomics, not f32s); the layout reports
-//! their bytes for accounting only.
+//! The engine's first writer of each bucket row stores its sum, so
+//! neither `∇W` nor the overflow needs zeroing, and the reduce sums the
+//! overflow into `∇W` in place (nothing at `Z = 1`). The thread-scratch
+//! region is the CPU substrate's stand-in for on-chip SMEM/registers:
+//! per-block `ĝ`/`d̂`/`v` tiles that a GPU kernel would never allocate
+//! from DRAM. Numeric-guard counters ([`HealthSink`]) live beside the
+//! arena (they are atomics, not f32s); the layout reports their bytes for
+//! accounting only.
+//!
+//! [`Workspace::ctx`] is the staged view for callers that run
+//! [`crate::WinRsPlan::execute_into_buckets`] and reduce themselves: it
+//! stages bucket 0 in front of the overflow, growing the arena by `|∇W|`
+//! the first time it is asked to.
 
 use crate::engine::HealthSink;
 use crate::error::{Violation, WinrsError};
@@ -66,7 +75,7 @@ pub struct WorkspaceLayout {
 
 impl WorkspaceLayout {
     /// Layout for a WinRS plan: `z ≥ 1` buckets of `dw_elems` f32s
-    /// (bucket 0 is the output alias, buckets `1..z` the paper
+    /// (bucket 0 is the caller's `∇W`, buckets `1..z` the paper
     /// workspace), `slots` scratch slots of `slot_elems` f32s, and guard
     /// counters for `segments` segments.
     pub fn winrs(
@@ -85,10 +94,10 @@ impl WorkspaceLayout {
         }
     }
 
-    /// Total f32 elements the arena must hold (buckets plus scratch, the
-    /// latter including slot-alignment padding).
+    /// Total f32 elements the arena must hold (the overflow buckets plus
+    /// scratch, the latter including slot-alignment padding).
     pub fn arena_elems(&self) -> usize {
-        self.bucket_elems() + self.scratch_elems()
+        self.overflow_elems() + self.scratch_elems()
     }
 
     /// Scratch region length in f32 elements: aligned slot strides plus
@@ -97,9 +106,15 @@ impl WorkspaceLayout {
         ScratchPool::region_elems(self.slot_elems, self.slots)
     }
 
-    /// Bucket region length in f32 elements (`Z · |∇W|`).
-    pub fn bucket_elems(&self) -> usize {
-        self.z * self.dw_elems
+    /// Overflow-bucket region length in f32 elements (`(Z−1) · |∇W|`):
+    /// buckets `1..Z`, since bucket 0 is the caller's `∇W`.
+    pub fn overflow_elems(&self) -> usize {
+        (self.z - 1) * self.dw_elems
+    }
+
+    /// `|∇W|` in f32 elements: the length of every bucket.
+    pub fn dw_elems(&self) -> usize {
+        self.dw_elems
     }
 
     /// Scratch slot size in f32 elements.
@@ -231,7 +246,9 @@ impl<'a> ScratchPool<'a> {
 /// Everything one execution borrows from a [`Workspace`]: the bucket
 /// region, the scratch pool, and the health counters.
 pub struct ExecCtx<'w> {
-    /// The `Z · |∇W|` bucket region (bucket 0 first).
+    /// The bucket region: all `Z · |∇W|` buckets, bucket 0 staged first,
+    /// from [`Workspace::ctx`]; only the `(Z−1)·|∇W|` overflow buckets for
+    /// a run that writes bucket 0 straight into `∇W`.
     pub buckets: &'w mut [f32],
     /// Per-task scratch slots.
     pub scratch: ScratchPool<'w>,
@@ -284,12 +301,42 @@ impl Workspace {
         }
     }
 
-    /// Borrow the workspace for one execution, checked against `layout`.
+    /// Borrow the workspace for one execution, checked against `layout`,
+    /// as the staged view: `buckets` holds all `Z` buckets, bucket 0 in
+    /// front of the overflow, for callers that run
+    /// [`crate::WinRsPlan::execute_into_buckets`] and then
+    /// [`crate::WinRsPlan::reduce_into`]. The first such call on an arena
+    /// [`Workspace::ensure`] sized grows it by `|∇W|` to hold bucket 0.
     ///
     /// Fails with [`Violation::WorkspaceTooSmall`] when the arena was not
     /// [`Workspace::ensure`]d for this layout — the strict cuDNN-style
     /// contract for callers that manage sizing themselves.
     pub fn ctx<'w>(&'w mut self, layout: &WorkspaceLayout) -> Result<ExecCtx<'w>, WinrsError> {
+        let staged = layout.arena_elems() + layout.dw_elems();
+        if self.fits(layout) && self.arena.len() < staged {
+            self.arena.resize(staged, 0.0);
+            self.grows += 1;
+        }
+        self.borrow(layout, layout.overflow_elems() + layout.dw_elems())
+    }
+
+    /// Borrow the workspace for one execution that writes bucket 0 into
+    /// the caller's `∇W`: `buckets` is the `(Z−1)·|∇W|` overflow region.
+    /// Refused as [`Workspace::ctx`] refuses.
+    pub(crate) fn overflow_ctx<'w>(
+        &'w mut self,
+        layout: &WorkspaceLayout,
+    ) -> Result<ExecCtx<'w>, WinrsError> {
+        self.borrow(layout, layout.overflow_elems())
+    }
+
+    /// Carve `bucket_elems` bucket elements and the scratch slots from an
+    /// arena checked against `layout`, and reset the health counters.
+    fn borrow<'w>(
+        &'w mut self,
+        layout: &WorkspaceLayout,
+        bucket_elems: usize,
+    ) -> Result<ExecCtx<'w>, WinrsError> {
         if !self.fits(layout) {
             return Err(WinrsError::ExecutionRejected(vec![
                 Violation::WorkspaceTooSmall {
@@ -300,7 +347,7 @@ impl Workspace {
         }
         let Workspace { arena, health, .. } = self;
         health.reset();
-        let (buckets, rest) = arena.split_at_mut(layout.bucket_elems());
+        let (buckets, rest) = arena.split_at_mut(bucket_elems);
         let scratch_len = layout.scratch_elems();
         let scratch = ScratchPool::new(&mut rest[..scratch_len], layout.slot_elems());
         Ok(ExecCtx {
@@ -333,11 +380,13 @@ mod tests {
         let (dw, z) = (144, 5);
         let layout = WorkspaceLayout::winrs(dw, z, 100, 4, 6);
         assert_eq!(layout.workspace_bytes(), (z - 1) * dw * 4);
-        assert_eq!(layout.bucket_elems(), z * dw);
+        // Bucket 0 is the caller's ∇W: the arena holds the other Z − 1.
+        assert_eq!(layout.overflow_elems(), (z - 1) * dw);
+        assert_eq!(layout.overflow_elems() * 4, layout.workspace_bytes());
         // Scratch: 4 slots of 100 elems, strides rounded to 112 (the
         // 16-elem alignment quantum) plus one quantum of lead padding.
         assert_eq!(layout.scratch_elems(), 112 * 4 + 16);
-        assert_eq!(layout.arena_elems(), z * dw + 464);
+        assert_eq!(layout.arena_elems(), (z - 1) * dw + 464);
         // Guard counters are accounted but not arena-resident.
         assert_eq!(layout.guard_bytes(), 6 * 16);
     }
@@ -346,7 +395,9 @@ mod tests {
     fn z1_layout_has_zero_workspace() {
         let layout = WorkspaceLayout::winrs(100, 1, 50, 2, 1);
         assert_eq!(layout.workspace_bytes(), 0);
-        assert_eq!(layout.bucket_elems(), 100);
+        // Scratch only: 2 slots of 50 → stride 64, plus 16 lead padding.
+        assert_eq!(layout.overflow_elems(), 0);
+        assert_eq!(layout.arena_elems(), 2 * 64 + 16);
     }
 
     #[test]
@@ -373,20 +424,35 @@ mod tests {
             Err(e) => e,
             Ok(_) => panic!("empty workspace must be rejected"),
         };
-        // 20 bucket elems + 2 aligned slots (8 → stride 16) + 16 lead pad.
+        // 10 overflow elems + 2 aligned slots (8 → stride 16) + 16 lead
+        // pad.
         assert!(matches!(
             err.violations()[0],
             Violation::WorkspaceTooSmall {
-                needed_elems: 68,
+                needed_elems: 58,
                 got_elems: 0
             }
         ));
         ws.ensure(&layout);
-        let Ok(ctx) = ws.ctx(&layout) else {
+        assert_eq!(ws.arena_bytes(), 58 * 4);
+        let Ok(ctx) = ws.overflow_ctx(&layout) else {
             panic!("sized workspace must be accepted");
         };
-        assert_eq!(ctx.buckets.len(), 20);
+        assert_eq!(ctx.buckets.len(), 10);
         assert_eq!(ctx.scratch.slots(), 2);
+        drop(ctx);
+        // The staged view puts bucket 0 in front of the overflow: the
+        // first call grows the arena by |∇W|, later ones reuse it.
+        for _ in 0..2 {
+            let Ok(ctx) = ws.ctx(&layout) else {
+                panic!("sized workspace must be accepted");
+            };
+            assert_eq!(ctx.buckets.len(), 20);
+            assert_eq!(ctx.scratch.slots(), 2);
+            drop(ctx);
+            assert_eq!(ws.arena_bytes(), 68 * 4);
+        }
+        assert_eq!(ws.grows(), 2);
     }
 
     #[test]

@@ -60,14 +60,15 @@ pub unsafe fn gather_axpy(dst: &mut [f32], coeffs: &[f32], src: &[f32], sstride:
 /// 8-lane vectors (one for α = 16, whose 16 source vectors fill the
 /// register file), a ragged column under `maskload`/`maskstore`; a
 /// column's α source vectors are loaded once for every row. With `COUNT`
-/// it returns the non-finite row sums, otherwise 0.
+/// it returns the non-finite row sums, otherwise 0; with `STORE` it stores
+/// each row sum instead of adding it onto `dst`.
 ///
 /// # Safety
 /// Caller must have verified `avx2` and `fma` at runtime, and
 /// `dst ≥ (n−1)·dstride + w`, `src ≥ (α−1)·sstride + w` elements with
 /// `n = coeffs.len() / α`.
 #[target_feature(enable = "avx2", enable = "fma")]
-pub unsafe fn gather_axpy_rows<const COUNT: bool>(
+pub unsafe fn gather_axpy_rows<const COUNT: bool, const STORE: bool>(
     dst: &mut [f32],
     dstride: usize,
     coeffs: &[f32],
@@ -92,22 +93,22 @@ pub unsafe fn gather_axpy_rows<const COUNT: bool>(
             let masks = [lane_mask(left)];
             j += left.min(LANES);
             match (alpha, left < LANES) {
-                (2, false) => rows_chunk::<2, 1, false, COUNT>(at, geom, masks),
-                (4, false) => rows_chunk::<4, 1, false, COUNT>(at, geom, masks),
-                (8, false) => rows_chunk::<8, 1, false, COUNT>(at, geom, masks),
-                (16, false) => rows_chunk::<16, 1, false, COUNT>(at, geom, masks),
-                (2, true) => rows_chunk::<2, 1, true, COUNT>(at, geom, masks),
-                (4, true) => rows_chunk::<4, 1, true, COUNT>(at, geom, masks),
-                (8, true) => rows_chunk::<8, 1, true, COUNT>(at, geom, masks),
-                (16, true) => rows_chunk::<16, 1, true, COUNT>(at, geom, masks),
+                (2, false) => rows_chunk::<2, 1, false, COUNT, STORE>(at, geom, masks),
+                (4, false) => rows_chunk::<4, 1, false, COUNT, STORE>(at, geom, masks),
+                (8, false) => rows_chunk::<8, 1, false, COUNT, STORE>(at, geom, masks),
+                (16, false) => rows_chunk::<16, 1, false, COUNT, STORE>(at, geom, masks),
+                (2, true) => rows_chunk::<2, 1, true, COUNT, STORE>(at, geom, masks),
+                (4, true) => rows_chunk::<4, 1, true, COUNT, STORE>(at, geom, masks),
+                (8, true) => rows_chunk::<8, 1, true, COUNT, STORE>(at, geom, masks),
+                (16, true) => rows_chunk::<16, 1, true, COUNT, STORE>(at, geom, masks),
                 _ => 0, // unreachable: the wrapper sends other α to the portable body
             }
         } else {
             j += 2 * LANES;
             match alpha {
-                2 => rows_chunk::<2, 2, false, COUNT>(at, geom, [full; 2]),
-                4 => rows_chunk::<4, 2, false, COUNT>(at, geom, [full; 2]),
-                8 => rows_chunk::<8, 2, false, COUNT>(at, geom, [full; 2]),
+                2 => rows_chunk::<2, 2, false, COUNT, STORE>(at, geom, [full; 2]),
+                4 => rows_chunk::<4, 2, false, COUNT, STORE>(at, geom, [full; 2]),
+                8 => rows_chunk::<8, 2, false, COUNT, STORE>(at, geom, [full; 2]),
                 _ => 0, // unreachable: as above
             }
         };
@@ -139,19 +140,23 @@ unsafe fn load8<const MASKED: bool>(p: *const f32, mask: __m256i) -> __m256 {
     }
 }
 
-/// `dst[l] += y[l]` for the 8 lanes at `p` (only those in `mask` when
-/// `MASKED`).
+/// `dst[l] = y[l]` with `STORE`, else `dst[l] += y[l]`, for the 8 lanes
+/// at `p` (only those in `mask` when `MASKED`).
 ///
 /// # Safety
 /// `avx2` verified at runtime; every live lane at `p` is in bounds.
 #[inline]
 #[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn add_store8<const MASKED: bool>(p: *mut f32, mask: __m256i, y: __m256) {
-    let sum = _mm256_add_ps(load8::<MASKED>(p, mask), y);
-    if MASKED {
-        _mm256_maskstore_ps(p, mask, sum);
+unsafe fn store8<const MASKED: bool, const STORE: bool>(p: *mut f32, mask: __m256i, y: __m256) {
+    let out = if STORE {
+        y
     } else {
-        _mm256_storeu_ps(p, sum);
+        _mm256_add_ps(load8::<MASKED>(p, mask), y)
+    };
+    if MASKED {
+        _mm256_maskstore_ps(p, mask, out);
+    } else {
+        _mm256_storeu_ps(p, out);
     }
 }
 
@@ -159,7 +164,7 @@ unsafe fn add_store8<const MASKED: bool>(p: *mut f32, mask: __m256i, y: __m256) 
 /// load the α source vectors once, then fold them into every row with
 /// mul + add in β order, each sum starting at +0.0; with `COUNT`, count
 /// the live lanes whose sum is not finite (`|y| < ∞` fails for ±∞ and
-/// NaN) before adding them on.
+/// NaN) before storing (`STORE`) or adding them on.
 ///
 /// # Safety
 /// `avx2` verified at runtime; `at = (dst, coeffs, src)` points at the
@@ -168,7 +173,13 @@ unsafe fn add_store8<const MASKED: bool>(p: *mut f32, mask: __m256i, y: __m256) 
 /// output rows and `A` planes is in bounds.
 #[inline]
 #[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn rows_chunk<const A: usize, const V: usize, const MASKED: bool, const COUNT: bool>(
+unsafe fn rows_chunk<
+    const A: usize,
+    const V: usize,
+    const MASKED: bool,
+    const COUNT: bool,
+    const STORE: bool,
+>(
     at: (*mut f32, *const f32, *const f32),
     geom: RowGeom,
     masks: [__m256i; V],
@@ -197,7 +208,7 @@ unsafe fn rows_chunk<const A: usize, const V: usize, const MASKED: bool, const C
                 let live = _mm256_movemask_ps(_mm256_castsi256_ps(masks[v]));
                 non_finite += (live & !finite_lanes(yl, inf)).count_ones();
             }
-            add_store8::<MASKED>(o.add(v * LANES), masks[v], yl);
+            store8::<MASKED, STORE>(o.add(v * LANES), masks[v], yl);
         }
     }
     u64::from(non_finite)

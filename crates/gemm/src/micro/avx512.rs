@@ -77,14 +77,15 @@ pub unsafe fn gather_axpy(dst: &mut [f32], coeffs: &[f32], src: &[f32], sstride:
 /// `super::gather_axpy_rows`) for α ∈ {2, 4, 8, 16}: columns of two
 /// 16-lane vectors, a lane tail under a load/store mask; a column's α
 /// source vectors are loaded once for every row. With `COUNT` it returns
-/// the non-finite row sums, otherwise 0.
+/// the non-finite row sums, otherwise 0; with `STORE` it stores each row
+/// sum instead of adding it onto `dst`.
 ///
 /// # Safety
 /// Caller must have verified `avx512f`, `avx2` and `fma` at runtime, and
 /// `dst ≥ (n−1)·dstride + w`, `src ≥ (α−1)·sstride + w` elements with
 /// `n = coeffs.len() / α`.
 #[target_feature(enable = "avx512f", enable = "avx2", enable = "fma")]
-pub unsafe fn gather_axpy_rows<const COUNT: bool>(
+pub unsafe fn gather_axpy_rows<const COUNT: bool, const STORE: bool>(
     dst: &mut [f32],
     dstride: usize,
     coeffs: &[f32],
@@ -107,19 +108,19 @@ pub unsafe fn gather_axpy_rows<const COUNT: bool>(
         non_finite += if left > LANES16 {
             let masks = [lane_mask(LANES16), lane_mask(left - LANES16)];
             match alpha {
-                2 => rows_chunk::<2, 2, COUNT>(at, geom, masks),
-                4 => rows_chunk::<4, 2, COUNT>(at, geom, masks),
-                8 => rows_chunk::<8, 2, COUNT>(at, geom, masks),
-                16 => rows_chunk::<16, 2, COUNT>(at, geom, masks),
+                2 => rows_chunk::<2, 2, COUNT, STORE>(at, geom, masks),
+                4 => rows_chunk::<4, 2, COUNT, STORE>(at, geom, masks),
+                8 => rows_chunk::<8, 2, COUNT, STORE>(at, geom, masks),
+                16 => rows_chunk::<16, 2, COUNT, STORE>(at, geom, masks),
                 _ => 0, // unreachable: the wrapper sends other α to the portable body
             }
         } else {
             let masks = [lane_mask(left)];
             match alpha {
-                2 => rows_chunk::<2, 1, COUNT>(at, geom, masks),
-                4 => rows_chunk::<4, 1, COUNT>(at, geom, masks),
-                8 => rows_chunk::<8, 1, COUNT>(at, geom, masks),
-                16 => rows_chunk::<16, 1, COUNT>(at, geom, masks),
+                2 => rows_chunk::<2, 1, COUNT, STORE>(at, geom, masks),
+                4 => rows_chunk::<4, 1, COUNT, STORE>(at, geom, masks),
+                8 => rows_chunk::<8, 1, COUNT, STORE>(at, geom, masks),
+                16 => rows_chunk::<16, 1, COUNT, STORE>(at, geom, masks),
                 _ => 0, // unreachable: as above
             }
         };
@@ -132,8 +133,8 @@ pub unsafe fn gather_axpy_rows<const COUNT: bool>(
 /// load the α source vectors once, then fold them into every row with
 /// mul + add in β order, each sum starting at +0.0; with `COUNT`, count
 /// the sums that are not finite (`|y| < ∞` fails for ±∞ and NaN) before
-/// adding them on. Lanes outside `masks` are neither read, written nor
-/// counted.
+/// storing (`STORE`) or adding them on. Lanes outside `masks` are neither
+/// read, written nor counted.
 ///
 /// # Safety
 /// `avx512f` verified at runtime; `at = (dst, coeffs, src)` points at the
@@ -142,7 +143,7 @@ pub unsafe fn gather_axpy_rows<const COUNT: bool>(
 /// output rows and `A` planes is in bounds.
 #[inline]
 #[target_feature(enable = "avx512f", enable = "avx2", enable = "fma")]
-unsafe fn rows_chunk<const A: usize, const V: usize, const COUNT: bool>(
+unsafe fn rows_chunk<const A: usize, const V: usize, const COUNT: bool, const STORE: bool>(
     at: (*mut f32, *const f32, *const f32),
     geom: RowGeom,
     masks: [__mmask16; V],
@@ -172,8 +173,12 @@ unsafe fn rows_chunk<const A: usize, const V: usize, const COUNT: bool>(
                 non_finite += (masks[v] & !finite).count_ones();
             }
             let ov = o.add(v * LANES16);
-            let sum = _mm512_add_ps(_mm512_maskz_loadu_ps(masks[v], ov), yl);
-            _mm512_mask_storeu_ps(ov, masks[v], sum);
+            let out = if STORE {
+                yl
+            } else {
+                _mm512_add_ps(_mm512_maskz_loadu_ps(masks[v], ov), yl)
+            };
+            _mm512_mask_storeu_ps(ov, masks[v], out);
         }
     }
     u64::from(non_finite)

@@ -352,6 +352,13 @@ fn gather_axpy_w<const W: usize>(dst: &mut [f32], coeffs: &[f32], src: &[f32], s
 /// The explicit bodies cover the engine's α ∈ {2, 4, 8, 16}; any other α
 /// runs the portable loop at every width.
 ///
+/// With `store` each row sum `y` is stored instead (`dst = y`), and `dst`
+/// is never read: a row's first writer needs no zeroed row. That is
+/// `+0.0 + y` bit for bit, what adding onto a zeroed row gives: a sum
+/// that starts at `+0.0` is never `−0.0` (round-to-nearest gives `+0.0`
+/// for `x + (−x)` and for `+0.0 + (−0.0)`), `+0.0 + y` is `y` for every
+/// other finite or infinite `y`, and a NaN keeps its payload.
+///
 /// With `count` it returns how many of the `n·w` row sums were not
 /// finite (±∞ or NaN), taken on each sum before it is added onto `dst` —
 /// the engine's numeric-health count, so the output transform never
@@ -372,6 +379,7 @@ pub fn gather_axpy_rows(
     sstride: usize,
     w: usize,
     count: bool,
+    store: bool,
 ) -> u64 {
     if alpha == 0 || w == 0 || coeffs.len() < alpha {
         return 0;
@@ -381,44 +389,48 @@ pub fn gather_axpy_rows(
         dst.len() >= (n - 1) * dstride + w && src.len() >= (alpha - 1) * sstride + w,
         "gather_axpy_rows: dst or src too short"
     );
+    // One monomorph of `$body` per (COUNT, STORE) pair, so neither flag is
+    // tested inside the lane loop.
+    macro_rules! by_flags {
+        ($($body:ident)::+) => {
+            match (count, store) {
+                (false, false) => {
+                    $($body)::+::<false, false>(dst, dstride, coeffs, alpha, src, sstride, w)
+                }
+                (false, true) => {
+                    $($body)::+::<false, true>(dst, dstride, coeffs, alpha, src, sstride, w)
+                }
+                (true, false) => {
+                    $($body)::+::<true, false>(dst, dstride, coeffs, alpha, src, sstride, w)
+                }
+                (true, true) => {
+                    $($body)::+::<true, true>(dst, dstride, coeffs, alpha, src, sstride, w)
+                }
+            }
+        };
+    }
     #[cfg(target_arch = "x86_64")]
     match active_width() {
         SimdWidth::Avx512 if matches!(alpha, 2 | 4 | 8 | 16) => {
             // SAFETY: avx512f+avx2+fma verified at runtime
             // (`avx512_ready`); the extents the body touches are asserted
             // above.
-            return unsafe {
-                if count {
-                    avx512::gather_axpy_rows::<true>(dst, dstride, coeffs, alpha, src, sstride, w)
-                } else {
-                    avx512::gather_axpy_rows::<false>(dst, dstride, coeffs, alpha, src, sstride, w)
-                }
-            };
+            return unsafe { by_flags!(avx512::gather_axpy_rows) };
         }
         SimdWidth::Avx2 if matches!(alpha, 2 | 4 | 8 | 16) => {
             // SAFETY: avx2+fma verified at runtime (`avx2_ready`); extents
             // asserted above.
-            return unsafe {
-                if count {
-                    avx2::gather_axpy_rows::<true>(dst, dstride, coeffs, alpha, src, sstride, w)
-                } else {
-                    avx2::gather_axpy_rows::<false>(dst, dstride, coeffs, alpha, src, sstride, w)
-                }
-            };
+            return unsafe { by_flags!(avx2::gather_axpy_rows) };
         }
         _ => {}
     }
-    if count {
-        gather_rows_any_alpha::<true>(dst, dstride, coeffs, alpha, src, sstride, w)
-    } else {
-        gather_rows_any_alpha::<false>(dst, dstride, coeffs, alpha, src, sstride, w)
-    }
+    by_flags!(gather_rows_any_alpha)
 }
 
 /// The portable member of [`gather_axpy_rows`]: a compile-time-α body for
 /// the engine's four α, the element loop for any other.
 #[inline]
-fn gather_rows_any_alpha<const COUNT: bool>(
+fn gather_rows_any_alpha<const COUNT: bool, const STORE: bool>(
     dst: &mut [f32],
     dstride: usize,
     coeffs: &[f32],
@@ -428,11 +440,11 @@ fn gather_rows_any_alpha<const COUNT: bool>(
     w: usize,
 ) -> u64 {
     match alpha {
-        2 => gather_rows_portable::<2, COUNT>(dst, dstride, coeffs, src, sstride, w),
-        4 => gather_rows_portable::<4, COUNT>(dst, dstride, coeffs, src, sstride, w),
-        8 => gather_rows_portable::<8, COUNT>(dst, dstride, coeffs, src, sstride, w),
-        16 => gather_rows_portable::<16, COUNT>(dst, dstride, coeffs, src, sstride, w),
-        _ => gather_rows_scalar::<COUNT>(dst, dstride, coeffs, alpha, src, sstride, 0..w),
+        2 => gather_rows_portable::<2, COUNT, STORE>(dst, dstride, coeffs, src, sstride, w),
+        4 => gather_rows_portable::<4, COUNT, STORE>(dst, dstride, coeffs, src, sstride, w),
+        8 => gather_rows_portable::<8, COUNT, STORE>(dst, dstride, coeffs, src, sstride, w),
+        16 => gather_rows_portable::<16, COUNT, STORE>(dst, dstride, coeffs, src, sstride, w),
+        _ => gather_rows_scalar::<COUNT, STORE>(dst, dstride, coeffs, alpha, src, sstride, 0..w),
     }
 }
 
@@ -441,7 +453,7 @@ fn gather_rows_any_alpha<const COUNT: bool>(
 /// array once and folded into every row; the lane tail runs element by
 /// element in the same β order.
 #[inline]
-fn gather_rows_portable<const A: usize, const COUNT: bool>(
+fn gather_rows_portable<const A: usize, const COUNT: bool, const STORE: bool>(
     dst: &mut [f32],
     dstride: usize,
     coeffs: &[f32],
@@ -468,17 +480,29 @@ fn gather_rows_portable<const A: usize, const COUNT: bool>(
                 if COUNT {
                     non_finite += u64::from(!v.is_finite());
                 }
-                *o += v;
+                put::<STORE>(o, v);
             }
         }
     }
-    non_finite + gather_rows_scalar::<COUNT>(dst, dstride, coeffs, A, src, sstride, w_full..w)
+    non_finite
+        + gather_rows_scalar::<COUNT, STORE>(dst, dstride, coeffs, A, src, sstride, w_full..w)
+}
+
+/// `*o = y` with `STORE`, else `*o += y`: how the portable bodies write
+/// one row sum.
+#[inline(always)]
+fn put<const STORE: bool>(o: &mut f32, y: f32) {
+    if STORE {
+        *o = y;
+    } else {
+        *o += y;
+    }
 }
 
 /// [`gather_axpy_rows`] element by element over `lanes`: the portable
 /// body's lane tail, and every lane for an α off the engine's set.
 #[inline]
-fn gather_rows_scalar<const COUNT: bool>(
+fn gather_rows_scalar<const COUNT: bool, const STORE: bool>(
     dst: &mut [f32],
     dstride: usize,
     coeffs: &[f32],
@@ -497,7 +521,7 @@ fn gather_rows_scalar<const COUNT: bool>(
             if COUNT {
                 non_finite += u64::from(!y.is_finite());
             }
-            dst[d * dstride + j] += y;
+            put::<STORE>(&mut dst[d * dstride + j], y);
         }
     }
     non_finite
@@ -949,14 +973,16 @@ mod tests {
     /// row, then an element-wise add onto the output row, and the count of
     /// non-finite row sums — every α (the engine's four plus odd ones off
     /// the compile-time bodies), n = 1..9 rows, lane tails around 8 and
-    /// 16, every width. Gaps between output rows and past the last one
-    /// hold sentinels that must survive. With `plant`, source planes carry
-    /// NaN, +∞ and −∞ at a few lanes (lane 0 takes ∞s of both signs from
-    /// two planes, which can cancel to NaN), and the output sentinels
-    /// carry non-finite values the count must not see; NaN outputs then
-    /// only have to be NaN, since IEEE-754 leaves the payload of a two-NaN
-    /// add open.
-    fn check_gather_axpy_rows(plant: bool) {
+    /// 16, every width, with and without `count`. Gaps between output rows
+    /// and past the last one hold sentinels that must survive. With
+    /// `plant`, source planes carry NaN, +∞ and −∞ at a few lanes (lane 0
+    /// takes ∞s of both signs from two planes, which can cancel to NaN),
+    /// and the output sentinels carry non-finite values the count must not
+    /// see; NaN outputs then only have to be NaN, since IEEE-754 leaves the
+    /// payload of a two-NaN add open. With `store`, the rows the kernel
+    /// stores into start as NaN and must come out as adding onto zeroed
+    /// rows gives.
+    fn check_gather_axpy_rows(plant: bool, store: bool) {
         let _g = DISPATCH_LOCK.lock().unwrap();
         for alpha in [1usize, 2, 3, 4, 8, 16] {
             for n in 1..=9usize {
@@ -974,8 +1000,17 @@ mod tests {
                         base[w] = f32::NAN; // a gap lane, never a row sum
                         base[n * dstride + 1] = f32::INFINITY;
                     }
+                    // What the stored rows must hold: the sums added onto
+                    // zeroed rows. The kernel itself sees NaN there.
+                    let (mut onto, mut input) = (base.clone(), base.clone());
+                    if store {
+                        for d in 0..n {
+                            onto[d * dstride..d * dstride + w].fill(0.0);
+                            input[d * dstride..d * dstride + w].fill(f32::NAN);
+                        }
+                    }
                     force_width(Some(SimdWidth::Scalar)).unwrap();
-                    let mut want = base.clone();
+                    let mut want = onto;
                     let mut want_count = 0u64;
                     for d in 0..n {
                         let mut row = vec![0.0f32; w];
@@ -989,14 +1024,16 @@ mod tests {
                     for width in available() {
                         force_width(Some(width)).unwrap();
                         for count in [true, false] {
-                            let mut got = base.clone();
+                            let mut got = input.clone();
                             let non_finite = gather_axpy_rows(
-                                &mut got, dstride, &coeffs, alpha, &src, sstride, w, count,
+                                &mut got, dstride, &coeffs, alpha, &src, sstride, w, count, store,
                             );
                             let same = got.iter().zip(&want).all(|(a, b)| {
                                 a.to_bits() == b.to_bits() || (plant && a.is_nan() && b.is_nan())
                             });
-                            let case = format!("alpha={alpha} n={n} w={w} {width} count={count}");
+                            let case = format!(
+                                "alpha={alpha} n={n} w={w} {width} count={count} store={store}"
+                            );
                             assert!(same, "{case}");
                             assert_eq!(non_finite, if count { want_count } else { 0 }, "{case}");
                         }
@@ -1009,12 +1046,20 @@ mod tests {
 
     #[test]
     fn gather_axpy_rows_matches_gather_axpy_into_zeroed_rows_every_width() {
-        check_gather_axpy_rows(false);
+        check_gather_axpy_rows(false, false);
     }
 
     #[test]
     fn gather_axpy_rows_counts_planted_non_finite_sums_every_width() {
-        check_gather_axpy_rows(true);
+        check_gather_axpy_rows(true, false);
+    }
+
+    /// The store member equals adding onto zeroed rows, bit for bit, on
+    /// finite sums and with planted non-finite ones.
+    #[test]
+    fn gather_axpy_rows_store_equals_adding_onto_zeroed_rows_every_width() {
+        check_gather_axpy_rows(false, true);
+        check_gather_axpy_rows(true, true);
     }
 
     #[test]

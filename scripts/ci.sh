@@ -19,7 +19,9 @@
 #      tested against the library crates it calls, so an API change that
 #      breaks it fails here instead of at benchmark time
 #   4. workspace-accounting smoke test: the CLI's layout breakdown must
-#      print all four rows and match the paper formula, and an execution
+#      print all four rows and match the paper formula, its total arena
+#      must be the overflow, scratch and guard rows alone (bucket 0 is the
+#      caller's gradient; also on fig10's largest, Z = 1 key), and an execution
 #      under the default (auto) policy and under strict must each run
 #      WinRS and report that formula's bytes as its planned and peak
 #      workspace and a zero-allocation hot loop
@@ -160,6 +162,15 @@ step_07() {
 }
 run_step "benchmark package builds and passes its tests (perfbench/)" step_07
 
+# `total arena` is the overflow-buckets, thread-scratch and guard rows'
+# bytes: bucket 0 (the dw-bucket row) is the caller's gradient, not arena.
+arena_is_the_other_rows() {
+  local out=$1 rows total
+  rows=$(awk '$1 == "overflow-buckets" || $1 == "thread-scratch" || $1 == "guard-counters" { s += $4 } END { print s }' <<<"$out")
+  total=$(sed -n 's/^total arena    : \([0-9]*\) bytes .*/\1/p' <<<"$out")
+  [ -n "$total" ] && [ "$total" = "$rows" ]
+}
+
 step_08() {
   REF_SHAPE=(--n 32 --res 56 --ic 16 --oc 16 --f 3)
   WORKSPACE_OUT=$("$WINRS" workspace "${REF_SHAPE[@]}")
@@ -168,8 +179,15 @@ step_08() {
     grep -q "^$row " <<<"$WORKSPACE_OUT"
   done
   grep -q "overflow check : matches" <<<"$WORKSPACE_OUT"
+  arena_is_the_other_rows "$WORKSPACE_OUT"
   FORMULA_B=$(sed -n 's/^paper formula  : .* = \([0-9]*\) B$/\1/p' <<<"$WORKSPACE_OUT")
   [ -n "$FORMULA_B" ]
+  # fig10's largest gradient (Z = 1, |gradW| = 25 MiB): the arena is the
+  # scratch and the guard counters alone.
+  BIG_OUT=$("$WINRS" workspace --n 1 --res 14 --ic 512 --oc 512 --f 5)
+  printf '%s\n' "$BIG_OUT" >&2
+  grep -q "^segments       : Z = 1$" <<<"$BIG_OUT"
+  arena_is_the_other_rows "$BIG_OUT"
   # The default policy (auto: the tuner's choice) and strict (WinRS pinned)
   # must both run WinRS here, at exactly the formula's workspace.
   for POLICY in auto strict; do

@@ -19,7 +19,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 use winrs::conv::{direct, ConvShape};
-use winrs::core::engine::TileMode;
+use winrs::core::engine::{clip_rows, TileMode};
 use winrs::core::fallback::{run_planned_into, Algorithm, FallbackPolicy, NumericGuard};
 use winrs::core::faults;
 use winrs::core::{
@@ -208,6 +208,83 @@ fn single_injected_fault_promotes_only_the_poisoned_bucket() {
     // The repaired result stays inside the plain FP16 accuracy band.
     let m = mare(&dw, &exact);
     assert!(m < 5e-3, "MARE {m}");
+}
+
+/// `run_planned_into` never reads what `dw` held: `dw` is bucket 0, and
+/// each bucket row's first writer stores its sum. So a NaN-filled `dw`
+/// gives the bits of a zeroed one — FP32 on the golden shapes whose top
+/// and bottom segments have fully clipped filter rows (their first writer
+/// stores +0.0 there), and at Z > 1 with residual segments; and FP16 under
+/// `PromoteAndRetry` whose ∇Y overflows binary16 in the first row band
+/// only, so the promote pass re-runs the poisoned bucket 0 straight into
+/// `dw` while the other buckets keep their FP16 sums.
+#[test]
+fn nan_filled_dw_gives_the_bits_of_a_zeroed_one() {
+    let _g = faults::serial_guard();
+    let run = |plan: &WinRsPlan, x: &Tensor4<f32>, dy: &Tensor4<f32>, guard, fill: f32| {
+        let s = plan.shape();
+        let mut dw = Tensor4::<f32>::from_fn([s.oc, s.fh, s.fw, s.ic], |_, _, _, _| fill);
+        let report = run_planned_into(plan, x, dy, guard, &mut Workspace::new(), &mut dw)
+            .expect("guarded WinRS run");
+        let bits: Vec<u32> = dw.as_slice().iter().map(|v| v.to_bits()).collect();
+        (bits, report)
+    };
+    // The two clipped golden shapes, then f = 2..9 on 13×17 at Ẑ = 3.
+    let mut cases = vec![
+        (ConvShape::new(1, 8, 8, 3, 5, 5, 5, 2, 2), 8),
+        (ConvShape::new(1, 10, 10, 3, 4, 9, 9, 4, 4), 10),
+    ];
+    cases.extend((2..=9).map(|f| (ConvShape::new(2, 13, 17, 5, 7, f, f, f / 2, f / 2), 3)));
+    let (mut clipped, mut residual) = (false, false);
+    for (conv, z_hat) in cases {
+        let plan = WinRsPlan::with_z_hat(&conv, &RTX_4090, Precision::Fp32, z_hat).unwrap();
+        assert!(plan.z() > 1, "{conv:?}: want a segmented plan");
+        let segments = &plan.partition().segments;
+        clipped |= segments.iter().any(|s| {
+            (0..conv.fh).any(|fh| {
+                let (lo, hi) = clip_rows(s.h0, s.h1, fh, conv.ph, conv.ih);
+                lo == hi
+            })
+        });
+        residual |= segments.iter().any(|s| s.pass == 1);
+        let (x, dy, _) = problem(&conv, 61);
+        let (zeroed, _) = run(&plan, &x, &dy, NumericGuard::Ignore, 0.0);
+        let (nan, _) = run(&plan, &x, &dy, NumericGuard::Ignore, f32::NAN);
+        assert!(zeroed == nan, "{conv:?}: a NaN-filled dw changed the bits");
+    }
+    assert!(
+        clipped && residual,
+        "want fully clipped rows and residual segments"
+    );
+
+    let conv = ConvShape::square(2, 16, 4, 4, 3);
+    let plan = WinRsPlan::with_z_hat(&conv, &RTX_4090, Precision::Fp16, 6).unwrap();
+    let first_band = plan.partition().segments[0].h1;
+    let (x, mut dy, _) = problem(&conv, 71);
+    for b in 0..conv.n {
+        for i in 0..first_band {
+            for j in 0..conv.ow() {
+                for c in 0..conv.oc {
+                    dy[(b, i, j, c)] = 6.0e4;
+                }
+            }
+        }
+    }
+    let (zeroed, report) = run(&plan, &x, &dy, NumericGuard::PromoteAndRetry, 0.0);
+    let (nan, _) = run(&plan, &x, &dy, NumericGuard::PromoteAndRetry, f32::NAN);
+    assert!(report.saturated > 0, "∇Y of 6e4 must overflow binary16");
+    let promoted: Vec<usize> = report
+        .promoted_segments
+        .iter()
+        .map(|&s| plan.partition().segments[s].bucket)
+        .collect();
+    assert!(promoted.contains(&0), "bucket 0 must be promoted");
+    assert!(
+        report.promoted_buckets < plan.z(),
+        "healthy buckets stay FP16"
+    );
+    assert!(zeroed.iter().all(|&b| f32::from_bits(b).is_finite()));
+    assert!(zeroed == nan, "a NaN-filled dw changed the promoted bits");
 }
 
 #[test]

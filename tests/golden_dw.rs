@@ -217,11 +217,13 @@ fn operands(shape: &ConvShape, seed: u64) -> (Tensor4<f32>, Tensor4<f32>) {
 }
 
 /// `∇W` of one case at an explicit worker count, optionally with a
-/// health sink attached (reduced-precision modes only).
-fn run_case(c: &Case, seed: u64, workers: usize, health: bool) -> u64 {
+/// health sink attached (reduced-precision modes only). The buckets and
+/// `∇W` start filled with `fill`: the engine must never read what they
+/// held, so a NaN fill hashes as a zero fill does.
+fn run_case(c: &Case, seed: u64, workers: usize, health: bool, fill: f32) -> u64 {
     let plan = plan_for(&c.shape, c.precision, c.z_hat);
     let (x, dy) = operands(&c.shape, seed);
-    let mut buckets = vec![0.0f32; plan.bucket_elems()];
+    let mut buckets = vec![fill; plan.bucket_elems()];
     let sink = HealthSink::new(plan.partition().segments.len());
     plan.execute_into_buckets(
         &x,
@@ -241,14 +243,15 @@ fn run_case(c: &Case, seed: u64, workers: usize, health: bool) -> u64 {
         c.name
     );
     let s = &c.shape;
-    let mut dw = Tensor4::<f32>::zeros([s.oc, s.fh, s.fw, s.ic]);
+    let mut dw = Tensor4::<f32>::from_fn([s.oc, s.fh, s.fw, s.ic], |_, _, _, _| fill);
     plan.reduce_into(&buckets, &mut dw);
     fnv1a(dw.as_slice())
 }
 
 /// Every case's hash at every pinnable width and at one and two workers
-/// equals the committed one. All mismatches are listed at once, in the
-/// table's own syntax.
+/// equals the committed one, from zeroed and from NaN-filled buffers: a
+/// bucket element no writer stored would keep its NaN. All mismatches are
+/// listed at once, in the table's own syntax.
 #[test]
 fn golden_dw_hashes_hold_at_every_width_and_worker_count() {
     let _g = dispatch_guard();
@@ -262,20 +265,22 @@ fn golden_dw_hashes_hold_at_every_width_and_worker_count() {
         for width in pinnable_widths() {
             micro::force_width(width).expect("available width");
             for workers in [1, 2] {
-                let got = run_case(c, seed, workers, false);
-                if want.get(c.name) != Some(&got) {
-                    let w = width.map_or("auto", |w| w.name());
-                    bad.push(format!(
-                        "    (\"{}\", {got:#018x}), // {w} x{workers}",
-                        c.name
-                    ));
+                for fill in [0.0, f32::NAN] {
+                    let got = run_case(c, seed, workers, false, fill);
+                    if want.get(c.name) != Some(&got) {
+                        let w = width.map_or("auto", |w| w.name());
+                        bad.push(format!(
+                            "    (\"{}\", {got:#018x}), // {w} x{workers} fill {fill}",
+                            c.name
+                        ));
+                    }
                 }
             }
         }
         if c.mode != TileMode::Fp32 {
             // The health-sink OT branch must produce the same bits.
             micro::force_width(None).expect("auto always pins");
-            let got = run_case(c, seed, 1, true);
+            let got = run_case(c, seed, 1, true, f32::NAN);
             if want.get(c.name) != Some(&got) {
                 bad.push(format!("    (\"{}\", {got:#018x}), // health sink", c.name));
             }

@@ -115,27 +115,28 @@ fn average_workspace_fraction_is_small() {
 fn measured_workspace_peak_is_exactly_z_minus_1_gradw() {
     // §4: "the workspace of WinRS is (Z−1)·|∇W|". Not just the planned
     // figure — the *measured* peak of a real execution must land on the
-    // formula exactly, and on the layout the plan publishes.
+    // formula exactly, and on the layout the plan publishes. Bucket 0 is
+    // the caller's ∇W, so the arena the run grew holds exactly that
+    // workspace plus the scratch: at Z = 1 (the last case) only scratch.
     use winrs::core::fallback::{run_planned_into, NumericGuard};
     use winrs::core::Workspace;
     use winrs::tensor::Tensor4;
-    for &(res, f, z_hat) in &[(16usize, 3usize, 4usize), (20, 2, 3), (18, 5, 2)] {
+    for &(res, f, z_hat) in &[
+        (16usize, 3usize, 4usize),
+        (20, 2, 3),
+        (18, 5, 2),
+        (16, 3, 1),
+    ] {
         let conv = ConvShape::square(1, res, 2, 2, f);
         let plan = WinRsPlan::with_z_hat(&conv, &RTX_4090, Precision::Fp32, z_hat)
             .expect("in-envelope shape");
-        assert!(plan.z() > 1, "res={res} f={f}: want a segmented plan");
+        assert_eq!(plan.z() > 1, z_hat > 1, "res={res} f={f}: Z = {}", plan.z());
         let x = Tensor4::<f32>::random_uniform([conv.n, conv.ih, conv.iw, conv.ic], 51, 1.0);
         let dy = Tensor4::<f32>::random_uniform([conv.n, conv.oh(), conv.ow(), conv.oc], 52, 1.0);
         let mut dw = Tensor4::<f32>::zeros([conv.oc, conv.fh, conv.fw, conv.ic]);
-        let report = run_planned_into(
-            &plan,
-            &x,
-            &dy,
-            NumericGuard::Ignore,
-            &mut Workspace::new(),
-            &mut dw,
-        )
-        .unwrap();
+        let mut ws = Workspace::new();
+        let report =
+            run_planned_into(&plan, &x, &dy, NumericGuard::Ignore, &mut ws, &mut dw).unwrap();
         let dw_bytes = conv.dw_elems() * 4;
         assert_eq!(
             report.mem.workspace_bytes_peak,
@@ -146,6 +147,13 @@ fn measured_workspace_peak_is_exactly_z_minus_1_gradw() {
         assert_eq!(
             report.mem.workspace_bytes_peak,
             plan.workspace_layout().workspace_bytes()
+        );
+        let scratch_elems = plan.workspace_layout().scratch_elems();
+        assert_eq!(
+            ws.arena_bytes(),
+            ((plan.z() - 1) * conv.dw_elems() + scratch_elems) * 4,
+            "res={res} f={f} z={}: arena",
+            plan.z()
         );
     }
 }

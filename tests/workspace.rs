@@ -85,8 +85,8 @@ fn warm_call(
 fn warm_run_planned_block_loop_allocates_nothing() {
     // Small single-tile shapes: every `run_tasks` call in the engine and the
     // reduce sees one task and takes the scheduler's inline path, so no
-    // worker threads (and their stacks) muddy the counts. Ẑ = 1 keeps the
-    // bucket region at |∇W| and the whole arena under a page.
+    // worker threads (and their stacks) muddy the counts. Ẑ = 1 leaves no
+    // overflow bucket (bucket 0 is ∇W), so the arena is the scratch alone.
     let setup = |n: usize| {
         let conv = ConvShape::new(n, 12, 12, 4, 4, 3, 3, 1, 1);
         let plan =
