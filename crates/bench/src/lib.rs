@@ -8,12 +8,10 @@
 //! GPU-model cost profiles, and plain-text table/series printers.
 
 pub mod algos;
-pub mod json;
 pub mod models;
 pub mod table;
 pub mod workloads;
 
 pub use algos::{cu_gemm_best, Algo, AlgoCosts, ALL_ALGOS};
-pub use json::Json;
 pub use table::{mb, print_series, ratio, Table};
 pub use workloads::{accuracy_sweep, paper_sweep, throughput_dims, workspace_dims, Workload};

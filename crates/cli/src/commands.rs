@@ -5,7 +5,6 @@ use crate::args::Flags;
 use std::fmt::{self, Write as _};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use winrs_bench::json::{Json, SCHEMA};
 use winrs_bench::{accuracy_sweep, throughput_dims};
 use winrs_conv::{direct, ConvShape};
 use winrs_core::engine::sched;
@@ -41,7 +40,6 @@ commands:
            (wall phases plus the FT/IT/EWMM/OT busy split)
            --n N --res R --ic C --oc C --f F [--pad P] [--device NAME]
            [--fp16|--bf16] [--trips T] [--seed S]
-           [--compare BASELINE.json]  (diff vs a winrs-bench-v1 phase file)
            [--fallback-policy strict|auto|force-winrs|force-gemm|force-fft|force-direct]
            [--numeric-guard ignore|warn|promote-retry]
   workspace  print the execution arena layout next to the paper's
@@ -551,102 +549,7 @@ fn cmd_profile(flags: &Flags) -> Result<String, String> {
         shape.bfc_flops() as f64 / total / 1e9
     );
 
-    if let Some(path) = flags.opt_str("compare") {
-        out.push('\n');
-        write_comparison(&mut out, path, &shape, precision, t, &sink)?;
-    }
     Ok(out)
-}
-
-/// Append the `--compare` section: per-phase wall and busy deltas of the
-/// just-measured run (its last trip's wall phases and the timed pass's
-/// busy split, empty when a substitute ran) against the matching case of
-/// a committed `winrs-bench-v1` phase-baseline file.
-fn write_comparison(
-    out: &mut String,
-    path: &str,
-    shape: &ConvShape,
-    precision: Precision,
-    t: &winrs_core::PhaseTimings,
-    sink: &TimingSink,
-) -> Result<(), String> {
-    let text =
-        std::fs::read_to_string(path).map_err(|e| format!("cannot read baseline {path}: {e}"))?;
-    let doc = Json::parse(&text).map_err(|e| format!("bad JSON in baseline {path}: {e}"))?;
-    match doc.get("schema").and_then(Json::as_str) {
-        Some(SCHEMA) => {}
-        other => {
-            return Err(format!(
-                "baseline {path} has schema {other:?}, expected \"{SCHEMA}\""
-            ))
-        }
-    }
-    let precision_key = format!("{precision:?}");
-    let field = |r: &Json, key: &str| r.get(key).and_then(Json::as_f64);
-    let dim = |r: &Json, key: &str| {
-        r.get("shape")
-            .and_then(|s| s.get(key))
-            .and_then(Json::as_f64)
-    };
-    let results = doc.get("results").and_then(Json::items).unwrap_or(&[]);
-    let base = results.iter().find(|r| {
-        dim(r, "n") == Some(shape.n as f64)
-            && dim(r, "res") == Some(shape.ih as f64)
-            && dim(r, "ic") == Some(shape.ic as f64)
-            && dim(r, "oc") == Some(shape.oc as f64)
-            && dim(r, "f") == Some(shape.fh as f64)
-            && r.get("precision").and_then(Json::as_str) == Some(&precision_key)
-    });
-    let Some(base) = base else {
-        let _ = writeln!(
-            out,
-            "baseline     : {path} has no case matching this shape/precision"
-        );
-        return Ok(());
-    };
-    let case = base.get("case").and_then(Json::as_str).unwrap_or("?");
-    let _ = writeln!(out, "baseline     : {path} (case {case})");
-    let _ = writeln!(out, "  phase         base ms    now ms     delta   speedup");
-    let mut row = |name: &str, key: &str, now_s: f64| {
-        let Some(base_ms) = field(base, key) else {
-            return;
-        };
-        let now_ms = now_s * 1e3;
-        let speedup = if now_ms > 0.0 { base_ms / now_ms } else { f64::INFINITY };
-        let _ = writeln!(
-            out,
-            "  {:<12} {:>9.3} {:>9.3} {:>+9.3} {:>8.2}x",
-            name,
-            base_ms,
-            now_ms,
-            now_ms - base_ms,
-            speedup
-        );
-    };
-    row("total", "total_ms", t.total_s);
-    row("plan", "plan_ms", t.plan_s);
-    row("block-loop", "block_loop_ms", t.block_loop_s);
-    row("promote", "promote_ms", t.promote_s);
-    row("reduce", "reduce_ms", t.reduce_s);
-    let secs = |ns: u64| ns as f64 * 1e-9;
-    row("FT", "ft_ms", secs(sink.ft_ns()));
-    row("IT", "it_ms", secs(sink.it_ns()));
-    row("EWMM", "ewmm_ms", secs(sink.ewmm_ns()));
-    row("OT", "ot_ms", secs(sink.ot_ns()));
-    row("busy", "busy_ms", secs(sink.busy_ns()));
-    let base_hot = ["ft_ms", "it_ms", "ewmm_ms"]
-        .iter()
-        .filter_map(|k| field(base, k))
-        .sum::<f64>();
-    let now_hot = secs(sink.ft_ns() + sink.it_ns() + sink.ewmm_ns()) * 1e3;
-    if now_hot > 0.0 && base_hot > 0.0 {
-        let _ = writeln!(
-            out,
-            "  FT+IT+EWMM busy: {base_hot:.3} -> {now_hot:.3} ms ({:.2}x speedup)",
-            base_hot / now_hot
-        );
-    }
-    Ok(())
 }
 
 fn cmd_workspace(flags: &Flags) -> Result<String, String> {
@@ -1537,65 +1440,6 @@ mod tests {
         let total = phase_ms(&out, "total");
         assert!(total > 0.0, "{out}");
         assert!(phase_ms(&out, "block-loop") > 0.0, "{out}");
-    }
-
-    #[test]
-    fn profile_compare_prints_deltas_against_baseline() {
-        // Fabricate a baseline file whose case matches the profiled shape,
-        // with inflated phase times so every speedup is well-defined.
-        let baseline = "{\"schema\":\"winrs-bench-v1\",\"benchmark\":\"phase_baseline\",\
-            \"results\":[{\"case\":\"unit-case\",\
-            \"shape\":{\"n\":1,\"res\":16,\"ic\":4,\"oc\":8,\"f\":3},\
-            \"precision\":\"Fp32\",\"total_ms\":100.0,\"plan_ms\":1.0,\
-            \"block_loop_ms\":90.0,\"promote_ms\":0,\"reduce_ms\":2.0,\
-            \"ft_ms\":20.0,\"it_ms\":20.0,\"ewmm_ms\":30.0,\"ot_ms\":5.0,\
-            \"busy_ms\":80.0}]}";
-        let path = std::env::temp_dir().join("winrs_cli_compare_test.json");
-        std::fs::write(&path, baseline).unwrap();
-        let path_s = path.to_str().unwrap();
-        let out = run(&[
-            "profile", "--n", "1", "--res", "16", "--ic", "4", "--oc", "8", "--f", "3",
-            "--compare", path_s,
-        ])
-        .unwrap();
-        let _ = std::fs::remove_file(&path);
-        assert!(out.contains("(case unit-case)"), "{out}");
-        assert!(out.contains("speedup"), "{out}");
-        assert!(out.contains("block-loop"), "{out}");
-        assert!(out.contains("FT+IT+EWMM busy:"), "{out}");
-    }
-
-    #[test]
-    fn profile_compare_reports_missing_case_and_bad_files() {
-        // Valid schema but no matching shape: noted, not an error.
-        let baseline = "{\"schema\":\"winrs-bench-v1\",\"results\":[]}";
-        let path = std::env::temp_dir().join("winrs_cli_compare_empty.json");
-        std::fs::write(&path, baseline).unwrap();
-        let path_s = path.to_str().unwrap().to_string();
-        let out = run(&[
-            "profile", "--n", "1", "--res", "16", "--ic", "2", "--oc", "4", "--f", "3",
-            "--compare", &path_s,
-        ])
-        .unwrap();
-        assert!(out.contains("no case matching"), "{out}");
-
-        // Wrong schema: hard error naming the expectation.
-        std::fs::write(&path, "{\"schema\":\"other-v9\",\"results\":[]}").unwrap();
-        let e = run(&[
-            "profile", "--n", "1", "--res", "16", "--ic", "2", "--oc", "4", "--f", "3",
-            "--compare", &path_s,
-        ])
-        .unwrap_err();
-        assert!(e.contains("winrs-bench-v1"), "{e}");
-        let _ = std::fs::remove_file(&path);
-
-        // Unreadable path: hard error.
-        let e = run(&[
-            "profile", "--n", "1", "--res", "16", "--ic", "2", "--oc", "4", "--f", "3",
-            "--compare", "/nonexistent/really-not-here.json",
-        ])
-        .unwrap_err();
-        assert!(e.contains("cannot read baseline"), "{e}");
     }
 
     #[test]

@@ -30,6 +30,13 @@ pub enum ShapeViolation {
         /// Zero padding along the axis.
         pad: usize,
     },
+    /// The element count of one operand (or of its padded extent) does
+    /// not fit a `usize`, so no buffer can hold it and the shape
+    /// arithmetic would wrap.
+    ElementCountOverflow {
+        /// `"x"`, `"dy"` or `"dw"`.
+        tensor: &'static str,
+    },
     /// A stride or dilation that must be ≥ 1 was zero.
     ZeroStrideOrDilation {
         /// Parameter name (`stride_h`, `dilation_w`, …).
@@ -53,6 +60,9 @@ impl fmt::Display for ShapeViolation {
                 "filter {axis} {filter} exceeds padded input {axis} \
                  {input} + 2×{pad} (output would be empty)"
             ),
+            ShapeViolation::ElementCountOverflow { tensor } => {
+                write!(f, "element count of `{tensor}` does not fit a usize")
+            }
             ShapeViolation::ZeroStrideOrDilation { name } => {
                 write!(f, "`{name}` must be at least 1")
             }

@@ -110,23 +110,51 @@ impl ConvShape {
                 v.push(ShapeViolation::ZeroDim { name });
             }
         }
-        // Only meaningful when the participating dims are non-zero; with
-        // fh = 0 the subtraction in oh() is ill-defined anyway.
-        if self.fh > 0 && self.ih + 2 * self.ph < self.fh {
-            v.push(ShapeViolation::FilterExceedsPaddedInput {
-                axis: "height",
-                filter: self.fh,
-                input: self.ih,
-                pad: self.ph,
-            });
-        }
-        if self.fw > 0 && self.iw + 2 * self.pw < self.fw {
-            v.push(ShapeViolation::FilterExceedsPaddedInput {
-                axis: "width",
-                filter: self.fw,
-                input: self.iw,
-                pad: self.pw,
-            });
+        // Output extent `I + 2p + 1 − F` along one axis, `None` when it
+        // does not fit a `usize` (then neither does ∇Y's element count).
+        // The filter check is only meaningful for a non-zero filter; with
+        // F = 0 the extent is ill-defined anyway.
+        let mut out_extent = |axis, input: usize, pad: usize, filter: usize| {
+            let plus_one = pad
+                .checked_mul(2)
+                .and_then(|p| p.checked_add(input))
+                .and_then(|p| p.checked_add(1));
+            match plus_one {
+                Some(p) if filter > 0 && p <= filter => {
+                    v.push(ShapeViolation::FilterExceedsPaddedInput {
+                        axis,
+                        filter,
+                        input,
+                        pad,
+                    });
+                    Some(0)
+                }
+                p => p.map(|p| p.saturating_sub(filter)),
+            }
+        };
+        let oh = out_extent("height", self.ih, self.ph, self.fh);
+        let ow = out_extent("width", self.iw, self.pw, self.fw);
+        let product = |dims: [Option<usize>; 4]| {
+            if dims.contains(&Some(0)) {
+                return Some(0);
+            }
+            dims.into_iter()
+                .try_fold(1usize, |acc, d| acc.checked_mul(d?))
+        };
+        for (tensor, dims) in [
+            (
+                "x",
+                [Some(self.n), Some(self.ih), Some(self.iw), Some(self.ic)],
+            ),
+            ("dy", [Some(self.n), oh, ow, Some(self.oc)]),
+            (
+                "dw",
+                [Some(self.oc), Some(self.fh), Some(self.fw), Some(self.ic)],
+            ),
+        ] {
+            if product(dims).is_none() {
+                v.push(ShapeViolation::ElementCountOverflow { tensor });
+            }
         }
         v
     }
@@ -286,6 +314,23 @@ mod tests {
                 pad: 1,
             }
         ));
+    }
+
+    #[test]
+    fn try_new_refuses_shapes_whose_arithmetic_overflows() {
+        // `ih + 2·ph` wraps: ∇Y's extent, so its element count, has no value.
+        let err = ConvShape::try_new(1, 8, 8, 4, 4, 3, 3, usize::MAX, 1).unwrap_err();
+        assert_eq!(
+            err.violations,
+            vec![ShapeViolation::ElementCountOverflow { tensor: "dy" }]
+        );
+        // X alone would hold 2^64 elements.
+        let err =
+            ConvShape::try_new(1 << 20, 1 << 16, 1 << 16, 1 << 12, 4, 3, 3, 1, 1).unwrap_err();
+        assert_eq!(
+            err.violations,
+            vec![ShapeViolation::ElementCountOverflow { tensor: "x" }]
+        );
     }
 
     #[test]

@@ -19,7 +19,8 @@
 //!
 //! The engine reads per-block clocks only when its caller passes a sink
 //! (`ExecOptions::timing`), and no dispatch does: [`time_block_loop`] runs
-//! one timed pass of a plan on request (`winrs profile`, `phase_baseline`).
+//! one timed pass of a plan on request (`winrs profile`); perfbench's
+//! traced replay attaches a [`TimingSink`] of its own.
 //!
 //! Wall time and busy time answer different questions: the wall phases sum
 //! to the report's total (that invariant is what `winrs profile` checks),

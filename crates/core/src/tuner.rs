@@ -1273,8 +1273,8 @@ mod tests {
         ));
         // Wrong schema.
         assert!(matches!(
-            TuneDb::parse("{\"schema\":\"winrs-bench-v1\",\"devices\":[]}", "t"),
-            Err(TuneDbWarning::SchemaMismatch { found, .. }) if found == "winrs-bench-v1"
+            TuneDb::parse("{\"schema\":\"winrs-other-v1\",\"devices\":[]}", "t"),
+            Err(TuneDbWarning::SchemaMismatch { found, .. }) if found == "winrs-other-v1"
         ));
         // Right schema, broken body.
         let bad = format!("{{\"schema\":\"{TUNE_DB_SCHEMA}\",\"devices\":[{{}}]}}");

@@ -2,7 +2,7 @@
 //! checked with the vendored `loom` model checker.
 //!
 //! Compiled and run only under `RUSTFLAGS="--cfg loom"` (scripts/ci.sh
-//! step 7 runs them next to `loom_models.rs`, sharing the separate
+//! step 14 runs them next to `loom_models.rs`, sharing the separate
 //! `target/loom` build cache):
 //!
 //! ```text

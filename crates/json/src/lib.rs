@@ -4,15 +4,25 @@
 //! Minimal hand-rolled JSON value tree.
 //!
 //! This build is offline and dependency-free, so instead of `serde` the
-//! workspace renders its machine-readable artifacts — bench baselines and
-//! the on-disk tuning database — through this tiny value tree. Emitted
-//! documents carry a `schema` tag (e.g. `winrs-bench-v1`,
-//! `winrs-tune-v1`) so downstream tooling (`scripts/ci.sh`, regression
-//! diffing, warm-start loading) can reject files it does not understand.
-//! The schema constants themselves live with their writers; this crate is
-//! only the value tree.
+//! workspace reads and writes its JSON — the on-disk tuning database and
+//! the BFC service's request and response bodies — through this tiny
+//! value tree. The tuning database carries a `schema` tag
+//! (`winrs-tune-v1`) so a loader can reject files it does not
+//! understand; the schema constant lives with its writer, and this crate
+//! is only the value tree.
+//!
+//! [`Json::parse`] reads untrusted input (request bodies from the
+//! network, hand-edited files), so it refuses nesting deeper than
+//! [`MAX_DEPTH`] instead of recursing without bound.
 
 use std::fmt::Write as _;
+
+/// Deepest nesting of arrays and objects [`Json::parse`] accepts. The
+/// parser recurses once per level, so this bounds its stack use whatever
+/// the input: a body of 16 MiB of `[` is refused at byte 64 instead of
+/// overflowing the thread's stack. The deepest document the workspace
+/// reads, a `winrs-tune-v1` database, nests 6 levels.
+pub const MAX_DEPTH: usize = 64;
 
 /// A JSON value. Construct with the enum variants or the helper ctors,
 /// then [`Json::render`] it.
@@ -97,12 +107,14 @@ impl Json {
 
     /// Parse a JSON document (the inverse of [`Json::render`], accepting
     /// arbitrary inter-token whitespace). Returns a description of the
-    /// first syntax error instead of panicking — baseline and tuning-db
-    /// files come from disk and may be stale, torn, or hand-edited.
+    /// first syntax error instead of panicking — tuning-db files come from
+    /// disk and may be stale, torn, or hand-edited, and request bodies
+    /// from anyone. Nesting deeper than [`MAX_DEPTH`] is an error naming
+    /// the byte offset of the first bracket past the limit.
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing garbage at byte {pos}"));
@@ -159,8 +171,15 @@ fn expect(bytes: &[u8], pos: &mut usize, lit: &str) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parse one value whose enclosing arrays and objects number `depth`.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
+    if matches!(bytes.get(*pos), Some(b'[' | b'{')) && depth == MAX_DEPTH {
+        return Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {pos}",
+            pos = *pos
+        ));
+    }
     match bytes.get(*pos) {
         None => Err("unexpected end of input".to_string()),
         Some(b'n') => expect(bytes, pos, "null").map(|()| Json::Null),
@@ -176,7 +195,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -201,7 +220,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 let key = parse_string(bytes, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, ":")?;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(bytes, pos, depth + 1)?;
                 pairs.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -308,6 +327,25 @@ mod tests {
         let mut out = String::new();
         escape_into("a\"b\\c\nd\u{1}", &mut out);
         assert_eq!(out, "\"a\\\"b\\\\c\\nd\\u0001\"");
+    }
+
+    #[test]
+    fn nesting_past_max_depth_is_refused_at_its_byte() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        let refusal = |text: &str| Json::parse(text).err().expect("refused");
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        assert_eq!(
+            refusal(&nested(MAX_DEPTH + 1)),
+            format!("nesting deeper than {MAX_DEPTH} levels at byte {MAX_DEPTH}")
+        );
+        // Objects count as levels too.
+        let deep = MAX_DEPTH + 1;
+        let objects = format!("{}1{}", "{\"k\":".repeat(deep), "}".repeat(deep));
+        let err = refusal(&objects);
+        assert!(err.starts_with("nesting deeper than"), "{err}");
+        // A body far deeper than any stack could recurse through.
+        let err = refusal(&"[".repeat(1_000_000));
+        assert!(err.ends_with(&format!("at byte {MAX_DEPTH}")), "{err}");
     }
 
     #[test]

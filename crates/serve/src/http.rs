@@ -13,7 +13,9 @@ use std::time::Duration;
 
 /// Upper bound on an accepted request body. A full-gradient fig.10 job is
 /// well under 1 MiB of JSON; 16 MiB leaves generous headroom while keeping
-/// a hostile `Content-Length` from ballooning the process.
+/// a hostile `Content-Length` from ballooning the process. The same bound
+/// caps a job's operands: `JobRequest::from_json` refuses a shape whose
+/// X + ∇Y + ∇W at f32 exceed it.
 pub const MAX_BODY_BYTES: usize = 16 * 1024 * 1024;
 
 /// How long a connection may sit idle mid-request before the worker gives

@@ -16,7 +16,10 @@
 //! both the HTTP layer ([`http`]) and the JSON wire format ([`protocol`],
 //! on top of `winrs-json`) are hand-rolled minimal implementations —
 //! small enough to audit, complete enough for the e2e suite, the CI
-//! smoke test and the committed latency benchmarks.
+//! smoke test and perfbench's open-loop serve workload. A body is at most
+//! [`http::MAX_BODY_BYTES`], a job's X + ∇Y + ∇W at f32 no more than
+//! that, and its JSON nests at most [`winrs_json::MAX_DEPTH`] levels;
+//! anything beyond is a 400 before the job's operands are allocated.
 //!
 //! # Endpoints
 //!

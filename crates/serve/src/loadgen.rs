@@ -4,8 +4,9 @@
 //! repeatedly claims the next job index, submits it, and records the
 //! end-to-end latency (including any 429 backoff-and-retry rounds). The
 //! report carries the latency percentiles, an ASCII histogram and the
-//! server's own coalescing counters — the numbers the acceptance run
-//! commits under `bench_results/`.
+//! server's own coalescing counters. It is a smoke and demo driver; the
+//! serve numbers the repo records come from perfbench's `serve_open`
+//! workload, in `BENCH_*.json`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};

@@ -17,6 +17,7 @@
 use std::str::FromStr;
 use std::time::Duration;
 
+use crate::http::MAX_BODY_BYTES;
 use winrs_conv::ConvShape;
 use winrs_core::{ExecutionReport, FallbackPolicy, NumericGuard, PoolStats, Precision, WinrsError};
 use winrs_json::Json;
@@ -90,6 +91,20 @@ impl JobRequest {
             get_usize_or(shape_obj, "pw", fw / 2)?,
         )
         .map_err(|e| format!("invalid shape: {e}"))?;
+        // A job's memory is bounded like its body: X + ∇Y + ∇W at f32 must
+        // fit the body cap, checked before `operands` allocates anything.
+        // Each count fits a `usize` (`try_new` checked), so their sum in
+        // u128 cannot wrap.
+        let job_bytes = [shape.x_elems(), shape.dy_elems(), shape.dw_elems()]
+            .iter()
+            .map(|&elems| elems as u128 * 4)
+            .sum::<u128>();
+        if job_bytes > MAX_BODY_BYTES as u128 {
+            return Err(format!(
+                "job too large: X + ∇Y + ∇W at f32 take {job_bytes} bytes, \
+                 over the {MAX_BODY_BYTES}-byte job cap"
+            ));
+        }
 
         let precision = match doc.get("precision").and_then(Json::as_str) {
             None => Precision::Fp32,
@@ -433,6 +448,27 @@ mod tests {
 
         let err = JobRequest::from_json(&Json::obj(vec![])).unwrap_err();
         assert!(err.contains("shape"), "{err}");
+    }
+
+    #[test]
+    fn jobs_over_the_body_cap_are_refused_before_allocating() {
+        let batch = |n: usize| {
+            JobRequest::from_json(
+                &Json::parse(&format!(
+                    r#"{{"shape": {{"n":{n}, "ih":128, "iw":128, "ic":64, "oc":64, "fh":3, "fw":3}}}}"#
+                ))
+                .unwrap(),
+            )
+        };
+        // 2·(2·128²·64)·4 + 64²·9·4 bytes = 16,924,672, just over 16 MiB.
+        let err = batch(2).unwrap_err();
+        assert!(err.contains("16924672 bytes"), "{err}");
+        assert!(
+            err.contains(&format!("{MAX_BODY_BYTES}-byte job cap")),
+            "{err}"
+        );
+        // Half the batch fits: 8,536,064 bytes.
+        assert!(batch(1).is_ok());
     }
 
     #[test]

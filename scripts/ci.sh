@@ -3,66 +3,73 @@
 # path dependency (see [workspace.dependencies] in Cargo.toml), so no step
 # touches the network or a registry.
 #
-#   1. release build of every workspace target
-#   2. full test suite (unit + integration + property + doc tests; every
-#      build compiles the whole SIMD width family, so the width and
-#      scheduler bit-identity suites run at every width the host has), the
-#      no-default-feature leg (core and gemm without `faults`), a
-#      WINRS_FORCE_WIDTH matrix replay over every width available on the
-#      host, the exhaustive binary16 round-trip proof (all 2^32 f32
-#      inputs, release) under the same per-width loop, and a compile-only
-#      aarch64 cross-check of the portable bodies (the only ones that
-#      target runs) when that stdlib is installed
-#   3. clippy with warnings promoted to errors — including the
-#      `unwrap_used = "deny"` fail-safe lint on library crates — then the
-#      benchmark package (`perfbench/`, its own Cargo workspace) built and
-#      tested against the library crates it calls, so an API change that
-#      breaks it fails here instead of at benchmark time
-#   4. workspace-accounting smoke test: the CLI's layout breakdown must
-#      print all four rows and match the paper formula, its total arena
-#      must be the overflow, scratch and guard rows alone (bucket 0 is the
-#      caller's gradient; also on fig10's largest, Z = 1 key), and an execution
-#      under the default (auto) policy and under strict must each run
-#      WinRS and report that formula's bytes as its planned and peak
-#      workspace and a zero-allocation hot loop
-#   5. profiling smoke test: `winrs profile` must print the per-phase
-#      breakdown with a warm plan cache, and the bench harness's --json
-#      baseline must carry the winrs-bench-v1 schema and phase fields;
-#      then every paper artifact: each binary `scripts/run_experiments.sh`
-#      lists must exit 0 (outputs go to a scratch directory)
-#   6. autotuner smoke test: a cold `winrs tune --shapes fig10 --dry-run`
-#      must print the full 32-row decision table from the cost model alone,
-#      a `--db` run must persist a winrs-tune-v1 database that round-trips
-#      through `--inspect`, and `--measure 1` on one key must store one
-#      entry with a measured mean and `trials` 1
-#   7. serve smoke: `winrs serve` on an ephemeral port answers a raw
-#      `POST /v1/bfc` with 200 + a well-formed ExecutionReport, serves one
-#      `winrs loadgen` job with zero failures, and shuts itself down
-#      cleanly (exit 0) once its `--max-jobs` budget drains — DESIGN.md §13
-#   8. `cargo xtask audit`: the workspace's own invariant lints (hot-loop
-#      allocation ban, unsafe registry + SAFETY comments, atomic-ordering
-#      justifications, bit-identity FMA ban, error hygiene) plus the
-#      cross-crate analyses (lock-order against the DESIGN.md §10.2
-#      hierarchy, panic-reachability from the ExecHandle surface,
-#      workspace-bounds dataflow over the hot loop) and both inventory
-#      drift checks, with clickable file:line:col diagnostics; the same
-#      findings are archived as SARIF for review tooling — DESIGN.md §10
-#   9. loom concurrency models: exhaustive interleaving checks of
-#      TimingSink / ScratchPool / the per-shape plan store / the leasing WorkspacePool
-#      and the serve dispatcher's coalescing queue under `--cfg loom`,
-#      built in a separate target dir so the cfg flag doesn't thrash the
-#      cache
-#  10. seeded chaos campaigns: deterministic fault injection (hot-loop
-#      panic, slot exhaustion, allocation-budget refusal, deadline-blowing
-#      slowness) against the resilient pool layer, on two chaos legs
-#      (`faults` at the detected width and at WINRS_FORCE_WIDTH=scalar),
-#      plus a `winrs verify --fault-seed` replay smoke — DESIGN.md §11
-#      (the torn tuning-db site is exercised by tests/tuner_dispatch.rs
-#      in step 2)
-#  11. sanitizer jobs (gated): Miri smoke on the pure-arithmetic crates
-#      and a ThreadSanitizer pass over the loom-modelled types, each
-#      skipped with a notice when the toolchain component is unavailable
-#      (this offline image ships neither)
+# Steps, numbered by their functions below:
+#
+#   01  release build of every workspace target
+#   02  full test suite (unit + integration + property + doc tests; every
+#       build compiles the whole SIMD width family, so the width and
+#       scheduler bit-identity suites run at every width the host has)
+#   03  the no-default-feature leg (core and gemm without `faults`)
+#   04  a WINRS_FORCE_WIDTH matrix replay of the scheduler suite over
+#       every width available on the host; a junk width must be a typed
+#       error on the WinRS rung and on a substitute's
+#   04b the exhaustive binary16 round-trip proof (all 2^32 f32 inputs,
+#       release) under the same per-width loop
+#   05  a compile-only aarch64 cross-check of the portable bodies (the
+#       only ones that target runs) when that stdlib is installed
+#   06  clippy with warnings promoted to errors, including the
+#       `unwrap_used = "deny"` fail-safe lint on library crates
+#   07  the benchmark package (`perfbench/`, its own Cargo workspace)
+#       built and tested against the library crates it calls, so an API
+#       change that breaks it fails here instead of at benchmark time
+#   08  workspace-accounting smoke test: the CLI's layout breakdown must
+#       print all four rows and match the paper formula, its total arena
+#       must be the overflow, scratch and guard rows alone (bucket 0 is the
+#       caller's gradient; also on fig10's largest, Z = 1 key), and an execution
+#       under the default (auto) policy and under strict must each run
+#       WinRS and report that formula's bytes as its planned and peak
+#       workspace and a zero-allocation hot loop
+#   09  profiling smoke test: `winrs profile` must print the wall phases
+#       with a warm plan cache, the FT/IT/EWMM/OT busy split, the block
+#       tasks, workers and utilisation, and the per-task min/mean/max
+#   09b every paper artifact: each binary `scripts/run_experiments.sh`
+#       lists must exit 0 (outputs go to a scratch directory)
+#   10  autotuner smoke test: a cold `winrs tune --shapes fig10 --dry-run`
+#       must print the full 32-row decision table from the cost model alone,
+#       a `--db` run must persist a winrs-tune-v1 database that round-trips
+#       through `--inspect`, and `--measure 1` on one key must store one
+#       entry with a measured mean and `trials` 1
+#   11  serve smoke: `winrs serve` on an ephemeral port answers an
+#       oversized job and a 200,000-deep JSON body with 400 each, then a
+#       raw `POST /v1/bfc` with 200 + a well-formed ExecutionReport,
+#       serves one `winrs loadgen` job with zero failures, and shuts
+#       itself down cleanly (exit 0) once its `--max-jobs` budget drains —
+#       DESIGN.md §13
+#   12  `cargo xtask audit`: the workspace's own invariant lints (hot-loop
+#       allocation ban, unsafe registry + SAFETY comments, atomic-ordering
+#       justifications, bit-identity FMA ban, error hygiene) plus the
+#       cross-crate analyses (lock-order against the DESIGN.md §10.2
+#       hierarchy, panic-reachability from the ExecHandle surface,
+#       workspace-bounds dataflow over the hot loop) and both inventory
+#       drift checks, with clickable file:line:col diagnostics — DESIGN.md §10
+#   13  the same findings archived as SARIF for review tooling
+#   14  loom concurrency models: exhaustive interleaving checks of
+#       TimingSink / ScratchPool / the per-shape plan store / the leasing WorkspacePool
+#       and the serve dispatcher's coalescing queue under `--cfg loom`,
+#       built in a separate target dir so the cfg flag doesn't thrash the
+#       cache
+#   15  seeded chaos campaigns: deterministic fault injection (hot-loop
+#       panic, slot exhaustion, allocation-budget refusal, deadline-blowing
+#       slowness) against the resilient pool layer, on two chaos legs
+#       (`faults` at the detected width and at WINRS_FORCE_WIDTH=scalar),
+#       plus a `winrs verify --fault-seed` replay smoke — DESIGN.md §11
+#       (the torn tuning-db site is exercised by tests/tuner_dispatch.rs
+#       in step 02)
+#   16  Miri smoke on the pure-arithmetic crates (gated)
+#   17  ThreadSanitizer pass over the loom-modelled types (gated)
+#
+#   Steps 16 and 17 skip themselves with a notice when their toolchain
+#   component is not installed.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -200,39 +207,19 @@ step_08() {
 run_step "workspace accounting smoke (reference shape 32x56x56, 16->16, f=3)" step_08
 
 step_09() {
-  # phase_baseline writes bench_results/phase_baseline.json under its working
-  # directory; run it in a scratch directory so the committed file keeps its
-  # recorded numbers, and check the schema of the copy written there.
-  BASELINE_DIR=$(mktemp -d -t winrs-ci-baseline-XXXXXX)
-  PHASE_BASELINE=$PWD/target/release/phase_baseline
-  (cd "$BASELINE_DIR" && "$PHASE_BASELINE" --json >/dev/null)
-  BASELINE=$BASELINE_DIR/bench_results/phase_baseline.json
-  if command -v jq >/dev/null 2>&1; then
-    jq -e '.schema == "winrs-bench-v1"
-           and (.results | length >= 1)
-           and (.results[0] | has("total_ms") and has("ewmm_ms")
-                and has("cache_hits") and has("ft_ms") and has("it_ms")
-                and has("ot_ms") and has("busy_ms") and has("blocks")
-                and has("utilisation"))' "$BASELINE" >/dev/null
-  else
-    # jq-free schema check: the emitter writes compact single-line JSON, so
-    # fixed-string greps on the key tokens are reliable.
-    grep -q '"schema":"winrs-bench-v1"' "$BASELINE"
-    for key in total_ms ewmm_ms cache_hits ft_ms it_ms ot_ms busy_ms blocks utilisation; do
-      grep -q "\"$key\":" "$BASELINE"
-    done
-  fi
-  rm -rf "$BASELINE_DIR"
   PROFILE_OUT=$("$WINRS" profile --n 1 --res 16 --ic 4 --oc 8 --f 3 --trips 3)
   echo "$PROFILE_OUT" >&2
-  echo "$PROFILE_OUT" | grep -q "wall-clock phases"
-  echo "$PROFILE_OUT" | grep -Eq "plan-cache   : 2 hits / 1 misses"
-  echo "$PROFILE_OUT" | grep -q "total"
+  grep -q "wall-clock phases" <<<"$PROFILE_OUT"
+  grep -Eq "plan-cache   : 2 hits / 1 misses" <<<"$PROFILE_OUT"
+  grep -q "total" <<<"$PROFILE_OUT"
   # The FT/IT/EWMM/OT busy split is one timed pass after the last trip.
-  echo "$PROFILE_OUT" | grep -q "FT/IT/EWMM/OT busy split"
+  grep -q "FT/IT/EWMM/OT busy split" <<<"$PROFILE_OUT"
   for phase in FT IT EWMM OT; do
-    echo "$PROFILE_OUT" | grep -Eq "^  $phase +[0-9]"
+    grep -Eq "^  $phase +[0-9]" <<<"$PROFILE_OUT"
   done
+  # The block tasks, workers and utilisation, and the per-task spread.
+  grep -Eq "^  [0-9]+ block tasks .* on [0-9]+ workers, utilisation [0-9]+%$" <<<"$PROFILE_OUT"
+  grep -Eq "^  per-task wall min/mean/max: [0-9.]+ / [0-9.]+ / [0-9.]+ us$" <<<"$PROFILE_OUT"
   # The named wall phases must account for the total (`other` closes the gap
   # by construction; 10% slack absorbs the 3-decimal print rounding).
   echo "$PROFILE_OUT" | awk '
@@ -247,7 +234,7 @@ step_09() {
       }
     }'
 }
-run_step "profiling smoke (winrs profile + phase-baseline JSON schema)" step_09
+run_step "profiling smoke (winrs profile: wall phases, busy split, block tasks, per-task spread)" step_09
 
 step_09b() {
   # run_experiments.sh runs under `set -euo pipefail`, so any binary's
@@ -264,9 +251,9 @@ step_10() {
   # model alone. fig10 is 8 dimension-series shapes x filter sizes {3,5,7,9}.
   TUNE_OUT=$("$WINRS" tune --shapes fig10 --dry-run)
   echo "$TUNE_OUT" >&2
-  echo "$TUNE_OUT" | grep -q "schema      : winrs-tune-v1"
-  echo "$TUNE_OUT" | grep -q "chosen"
-  [ "$(echo "$TUNE_OUT" | grep -c " model$")" -eq 32 ] \
+  grep -q "schema      : winrs-tune-v1" <<<"$TUNE_OUT"
+  grep -q "chosen" <<<"$TUNE_OUT"
+  [ "$(grep -c " model$" <<<"$TUNE_OUT")" -eq 32 ] \
     || { echo "tuner smoke: expected 32 model-resolved fig10 rows"; exit 1; }
   # Persistence round-trip: write the small sweep's decisions, check the
   # on-disk schema token, and read the file back through --inspect.
@@ -283,7 +270,7 @@ step_10() {
   "$WINRS" tune --n 2 --res 16 --ic 8 --oc 8 --f 3 --measure 1 --db "$TUNE_DB" >&2
   INSPECT=$("$WINRS" tune --db "$TUNE_DB" --inspect)
   echo "$INSPECT" >&2
-  echo "$INSPECT" | grep -q "1 entries, schema winrs-tune-v1"
+  grep -q "1 entries, schema winrs-tune-v1" <<<"$INSPECT"
   # Row fields: the 9 shape dims, precision, algo, predicted ms,
   # measured ms, trials, device.
   echo "$INSPECT" | awk '
@@ -300,6 +287,8 @@ step_11() {
   # HTTP POST (bash /dev/tcp — the image ships no curl) plus one job from
   # the official load generator drain the budget, after which the server
   # must shut itself down cleanly (exit 0) — the leak-free teardown check.
+  # Two hostile posts go first; a refused job is never admitted, so they
+  # spend none of the budget.
   SERVE_ADDR_FILE=$(mktemp -t winrs-ci-serve-XXXXXX.addr)
   : > "$SERVE_ADDR_FILE"
   "$WINRS" serve --port 0 --addr-file "$SERVE_ADDR_FILE" --max-jobs 2 --window-ms 1 &
@@ -310,22 +299,35 @@ step_11() {
   [ -s "$SERVE_ADDR_FILE" ] || { echo "serve smoke: server never bound"; exit 1; }
   SERVE_HOST=$(cut -d: -f1 "$SERVE_ADDR_FILE")
   SERVE_PORT=$(cut -d: -f2 "$SERVE_ADDR_FILE")
+  # post BODY: one raw `POST /v1/bfc`; prints the whole response.
+  post() {
+    exec 3<>"/dev/tcp/$SERVE_HOST/$SERVE_PORT"
+    printf 'POST /v1/bfc HTTP/1.1\r\nHost: %s\r\nContent-Type: application/json\r\nContent-Length: %s\r\nConnection: close\r\n\r\n%s' \
+      "$SERVE_HOST" "${#1}" "$1" >&3
+    cat <&3
+    exec 3<&- 3>&-
+  }
+  # A shape whose operands would take 4e14 bytes, and a body of 200,000
+  # `[`: each must be a 400 naming the problem, and the server must live.
+  HOSTILE_OUT=$(post '{"shape": {"n":1000, "ih":10000, "iw":10000, "ic":1000, "oc":4, "fh":3, "fw":3}}')
+  head -1 <<<"$HOSTILE_OUT" >&2
+  grep -q "HTTP/1.1 400 Bad Request" <<<"$HOSTILE_OUT"
+  grep -q "job too large" <<<"$HOSTILE_OUT"
+  HOSTILE_OUT=$(post "$(head -c 200000 /dev/zero | tr '\0' '[')")
+  head -1 <<<"$HOSTILE_OUT" >&2
+  grep -q "HTTP/1.1 400 Bad Request" <<<"$HOSTILE_OUT"
+  grep -q "nesting deeper than 64 levels" <<<"$HOSTILE_OUT"
   # One fig10 job over raw HTTP: must answer 200 with a well-formed
   # ExecutionReport (algorithm, timing, pool counters, summary line).
-  SERVE_BODY='{"shape": {"n":2, "ih":16, "iw":16, "ic":8, "oc":8, "fh":3, "fw":3}}'
-  exec 3<>"/dev/tcp/$SERVE_HOST/$SERVE_PORT"
-  printf 'POST /v1/bfc HTTP/1.1\r\nHost: %s\r\nContent-Type: application/json\r\nContent-Length: %s\r\nConnection: close\r\n\r\n%s' \
-    "$SERVE_HOST" "${#SERVE_BODY}" "$SERVE_BODY" >&3
-  SERVE_OUT=$(cat <&3)
-  exec 3<&- 3>&-
-  echo "$SERVE_OUT" | head -1 >&2
-  echo "$SERVE_OUT" | grep -q "HTTP/1.1 200 OK"
-  echo "$SERVE_OUT" | grep -q '"ok":true'
-  echo "$SERVE_OUT" | grep -q '"algorithm":"winrs"'
-  echo "$SERVE_OUT" | grep -q '"total_s":'
-  echo "$SERVE_OUT" | grep -q '"pool":'
-  echo "$SERVE_OUT" | grep -q '"summary":'
-  echo "$SERVE_OUT" | grep -q '"fnv1a64":'
+  SERVE_OUT=$(post '{"shape": {"n":2, "ih":16, "iw":16, "ic":8, "oc":8, "fh":3, "fw":3}}')
+  head -1 <<<"$SERVE_OUT" >&2
+  grep -q "HTTP/1.1 200 OK" <<<"$SERVE_OUT"
+  grep -q '"ok":true' <<<"$SERVE_OUT"
+  grep -q '"algorithm":"winrs"' <<<"$SERVE_OUT"
+  grep -q '"total_s":' <<<"$SERVE_OUT"
+  grep -q '"pool":' <<<"$SERVE_OUT"
+  grep -q '"summary":' <<<"$SERVE_OUT"
+  grep -q '"fnv1a64":' <<<"$SERVE_OUT"
   # Second job through the official client; its exit code asserts zero
   # failed jobs, which also drains the server's budget.
   "$WINRS" loadgen --addr "$SERVE_HOST:$SERVE_PORT" --jobs 1 --concurrency 1 >&2

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Regenerate every table and figure of the paper plus the extension
-# experiments, writing outputs under bench_results/ (or the directory
-# given as the first argument). Any binary's non-zero exit stops the run
-# with that status.
+# experiments, writing outputs under bench_results/ (which git ignores)
+# or the directory given as the first argument. BINS lists every
+# winrs-bench binary. Any binary's non-zero exit stops the run with that
+# status.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 OUT_DIR=${1:-bench_results}

@@ -81,6 +81,67 @@ fn figure5_exact_pair_for_fw3_ow16() {
 }
 
 #[test]
+fn figure3_workflow_layout_and_figure4_check() {
+    // E3 (Figures 3–4), as `fig03_workflow` prints it: F_W = 3 and
+    // O_H = O_W = 16. Rows are (rows, first column, width, kernel, bucket,
+    // pass).
+    use winrs::conv::direct;
+    use winrs::tensor::{mare, Tensor4};
+    type Row = ((usize, usize), usize, usize, String, usize, u8);
+    let layout = |plan: &WinRsPlan| -> Vec<Row> {
+        let segments = &plan.partition().segments;
+        segments
+            .iter()
+            .map(|s| {
+                (
+                    (s.h0, s.h1),
+                    s.w0,
+                    s.width(),
+                    s.kernel.to_string(),
+                    s.bucket,
+                    s.pass,
+                )
+            })
+            .collect()
+    };
+    let (bulk, residual) = ("Ω8(3,6)".to_string(), "Ω4(3,2)".to_string());
+    let shape = ConvShape::new(2, 16, 16, 8, 8, 3, 3, 1, 1);
+
+    // Unforced: one two-unit bulk segment and the residual, Z = 1.
+    let plan = WinRsPlan::new(&shape, &RTX_4090, Precision::Fp32).unwrap();
+    assert_eq!(plan.z(), 1);
+    assert_eq!(
+        layout(&plan),
+        vec![
+            ((0, 16), 0, 12, bulk.clone(), 0, 0),
+            ((0, 16), 12, 4, residual.clone(), 0, 1),
+        ]
+    );
+
+    // The figure's Ẑ = 9, on the binary's FP16 plan: Z = 6 buckets over 9
+    // segments in three row bands. Each band has two one-unit bulk
+    // segments in buckets of their own (pass 0) and a residual in the
+    // band's first bucket (pass 1).
+    let plan9 = WinRsPlan::with_z_hat(&shape, &RTX_4090, Precision::Fp16, 9).unwrap();
+    assert_eq!(plan9.z(), 6);
+    let mut expected = Vec::new();
+    for (band, rows) in [(0, 5), (5, 10), (10, 16)].into_iter().enumerate() {
+        expected.push((rows, 0, 6, bulk.clone(), 2 * band, 0));
+        expected.push((rows, 6, 6, bulk.clone(), 2 * band + 1, 0));
+        expected.push((rows, 12, 4, residual.clone(), 2 * band, 1));
+    }
+    assert_eq!(layout(&plan9), expected);
+
+    // Figure 4: the unforced plan's fused execution against direct
+    // convolution (the binary prints MARE = 8.989e-8).
+    let x = Tensor4::<f64>::random_uniform([shape.n, shape.ih, shape.iw, shape.ic], 1, 1.0);
+    let dy = Tensor4::<f64>::random_uniform([shape.n, shape.oh(), shape.ow(), shape.oc], 2, 1.0);
+    let dw = plan.execute_f32(&x.cast(), &dy.cast()).unwrap();
+    let err = mare(&dw, &direct::bfc_direct(&shape, &x, &dy));
+    assert!((5e-8..2e-7).contains(&err), "MARE {err:.3e}");
+}
+
+#[test]
 fn fp16_speedup_near_3x() {
     // "WinRS achieves 3.27× the throughput of its FP32 CUDA-Core version".
     let mut total = 0.0;

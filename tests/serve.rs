@@ -226,21 +226,50 @@ fn expired_deadline_maps_to_http_504_with_the_typed_kind() {
     );
 }
 
+/// One request cannot take the server down: each hostile body, posted
+/// raw, is a 400 naming its problem, and a normal job posted afterwards
+/// is served.
 #[test]
 fn invalid_shape_maps_to_http_400_naming_the_field() {
     let server = spawn_server(5, 16, 1);
-    let addr = server.addr().to_string();
+    let post = |body: &str| {
+        let mut s = TcpStream::connect(server.addr()).expect("connect");
+        write!(
+            s,
+            "POST /v1/bfc HTTP/1.1\r\nHost: test\r\nContent-Type: application/json\r\n\
+             Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
+            body.len()
+        )
+        .expect("send request");
+        let mut resp = String::new();
+        s.read_to_string(&mut resp).expect("read response");
+        resp
+    };
+    let shape = |dims: &str| format!(r#"{{"shape": {{{dims}, "oc":4, "fh":3, "fw":3}}}}"#);
+    for (body, problem) in [
+        (shape(r#""n":1, "ih":8, "iw":8, "ic":0"#), "dimension `ic`"),
+        // 4e14 bytes of operands.
+        (
+            shape(r#""n":1000, "ih":10000, "iw":10000, "ic":1000"#),
+            "job too large",
+        ),
+        // Saturates to usize::MAX; `ih + 2·ph` wraps.
+        (
+            shape(r#""n":1, "ih":8, "iw":8, "ic":4, "ph":1e30"#),
+            "element count of `dy`",
+        ),
+        ("[".repeat(200_000), "nesting deeper than 64 levels"),
+    ] {
+        let resp = post(&body);
+        assert!(resp.starts_with("HTTP/1.1 400"), "{problem}: {resp:?}");
+        assert!(resp.contains(problem), "{problem}: {resp:?}");
+    }
+    let resp = post(&job(fig10_shape(), 90).to_json().to_document());
+    assert!(resp.starts_with("HTTP/1.1 200"), "{resp:?}");
 
-    // Hand-written body with a zero channel count: rejected at parse
-    // time with the shape violation in the message.
-    let client = Client::new(&addr);
-    let body = r#"{"shape": {"n":1, "ih":8, "iw":8, "ic":0, "oc":4, "fh":3, "fw":3}}"#;
-    let parsed = winrs::json::Json::parse(body).expect("literal JSON");
-    let err = JobRequest::from_json(&parsed).expect_err("zero ic must be refused");
-    assert!(err.contains("ic"), "{err}");
-
-    // And the HTTP layer reports schema violations as 400 bad-request.
-    let reply = client.get("/nope").expect("transport");
+    let reply = Client::new(&server.addr().to_string())
+        .get("/nope")
+        .expect("transport");
     assert_eq!(reply.status, 404);
 }
 
