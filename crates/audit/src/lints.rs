@@ -18,10 +18,13 @@
 //!   AcqRel,SeqCst}` use needs an adjacent `// ORDERING:` justification,
 //!   and `SeqCst` is denied outright unless whitelisted here: the repo's
 //!   atomics are all counters/flags where `SeqCst` is pure fence overhead.
-//! * **bit-identity** — `mul_add`/fused-multiply-add tokens are banned in
-//!   the micro-kernel and engine paths: a fused op skips the intermediate
-//!   rounding and would silently break DESIGN §9's scalar/SIMD bit-identity
-//!   contract.
+//! * **bit-identity** — `mul_add`/fused-multiply-add tokens are denied in
+//!   the micro-kernel and engine paths unless the site carries a
+//!   `// winrs-audit: allow(bit-identity)` saying why. DESIGN §9's
+//!   contract is one arithmetic form per kernel at every width: the EWMM
+//!   fuses at every width, every other kernel rounds its multiply and add
+//!   apart, and one fused op on a kernel's one width would skip a rounding
+//!   its other widths take and change ∇W bits with the dispatch width.
 //! * **error-hygiene** — `unwrap`/`expect`/`panic!` family calls are
 //!   denied in library crates outside test regions (precise, test-aware
 //!   version of the clippy `unwrap_used` config, extended to `expect` and
@@ -340,7 +343,8 @@ pub fn atomic_ordering(file: &SourceFile) -> Vec<Finding> {
 }
 
 /// **bit-identity**: no fused multiply-add on the scalar/SIMD-identical
-/// paths.
+/// paths except at annotated sites — a kernel fuses at every width or at
+/// none.
 pub fn bit_identity(file: &SourceFile) -> Vec<Finding> {
     let mut out = Vec::new();
     if !BIT_IDENTITY_SCOPES.iter().any(|s| {
@@ -359,7 +363,7 @@ pub fn bit_identity(file: &SourceFile) -> Vec<Finding> {
                     i,
                     col,
                     "bit-identity",
-                    format!("`{tok}` on a bit-identity path — fused multiply-add skips the intermediate rounding and changes ∇W bits between scalar and SIMD dispatch (DESIGN §9)"),
+                    format!("`{tok}` on a bit-identity path — each kernel keeps one arithmetic form at every width; a fused multiply-add one width takes alone skips a rounding the others take and changes ∇W bits with the dispatch width (annotate only a kernel every width fuses, DESIGN §9.3)"),
                 );
             }
         }
@@ -525,6 +529,17 @@ mod tests {
             "fn k(a: f64, b: f64, c: f64) -> f64 { a.mul_add(b, c) }\n",
         );
         assert!(bit_identity(&off).is_empty());
+        // A kernel every width fuses carries the directive at each site.
+        let fused = parse(
+            "crates/gemm/src/micro/avx512.rs",
+            "// winrs-audit: allow(bit-identity) — every width fuses this kernel
+let v = _mm512_fmadd_ps(g, d, v);
+let w = _mm512_fmadd_ps(g, d, w);
+",
+        );
+        let got = bit_identity(&fused);
+        assert_eq!(got.len(), 1, "only the unannotated site: {got:?}");
+        assert_eq!(got[0].line, 3);
     }
 
     #[test]

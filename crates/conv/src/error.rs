@@ -37,6 +37,13 @@ pub enum ShapeViolation {
         /// `"x"`, `"dy"` or `"dw"`.
         tensor: &'static str,
     },
+    /// Every operand fits, but a count derived from the shape does not:
+    /// the direct-convolution FLOPs (`u64`) or the operands' total bytes
+    /// (`usize`, at up to 8 bytes an element), which would wrap.
+    CountOverflow {
+        /// `"bfc_flops"` or `"data_bytes"`.
+        count: &'static str,
+    },
     /// A stride or dilation that must be ≥ 1 was zero.
     ZeroStrideOrDilation {
         /// Parameter name (`stride_h`, `dilation_w`, …).
@@ -62,6 +69,9 @@ impl fmt::Display for ShapeViolation {
             ),
             ShapeViolation::ElementCountOverflow { tensor } => {
                 write!(f, "element count of `{tensor}` does not fit a usize")
+            }
+            ShapeViolation::CountOverflow { count } => {
+                write!(f, "`{count}` of the shape does not fit its integer type")
             }
             ShapeViolation::ZeroStrideOrDilation { name } => {
                 write!(f, "`{name}` must be at least 1")

@@ -2,6 +2,11 @@
 
 use crate::error::{ShapeError, ShapeViolation};
 
+/// The widest element any path sizes operands at (an f64 reference):
+/// [`ConvShape::try_new`] refuses a shape whose [`ConvShape::data_bytes`]
+/// would wrap at it.
+const MAX_ELEM_BYTES: usize = 8;
+
 /// Shape of one convolutional layer, stride 1.
 ///
 /// All three gradient computations (FC, BDC, BFC) of the layer share these
@@ -156,6 +161,18 @@ impl ConvShape {
                 v.push(ShapeViolation::ElementCountOverflow { tensor });
             }
         }
+        // Each operand fits; the counts the cost model and the reports
+        // derive from them must not wrap either.
+        if v.is_empty() {
+            if self.checked_bfc_flops().is_none() {
+                v.push(ShapeViolation::CountOverflow { count: "bfc_flops" });
+            }
+            if self.checked_data_bytes(MAX_ELEM_BYTES).is_none() {
+                v.push(ShapeViolation::CountOverflow {
+                    count: "data_bytes",
+                });
+            }
+        }
         v
     }
 
@@ -193,21 +210,42 @@ impl ConvShape {
 
     /// Total data size (X + ∇Y + ∇W) in bytes at `elem_bytes` per element —
     /// the denominator of the paper's "workspace / data size" ratios.
+    /// [`ConvShape::try_new`] refuses a shape whose size wraps at up to 8
+    /// bytes an element; past that the count saturates at `usize::MAX`.
     pub fn data_bytes(&self, elem_bytes: usize) -> usize {
-        (self.x_elems() + self.dy_elems() + self.dw_elems()) * elem_bytes
+        self.checked_data_bytes(elem_bytes).unwrap_or(usize::MAX)
+    }
+
+    /// [`ConvShape::data_bytes`], `None` when it does not fit a `usize`.
+    fn checked_data_bytes(&self, elem_bytes: usize) -> Option<usize> {
+        self.x_elems()
+            .checked_add(self.dy_elems())?
+            .checked_add(self.dw_elems())?
+            .checked_mul(elem_bytes)
     }
 
     /// Direct-convolution FLOPs of the BFC (`2·O_C·F_H·F_W·I_C·O_H·O_W·N`,
     /// the paper's §6.2 throughput numerator). FC and BDC have the same
-    /// count at stride 1.
+    /// count at stride 1. [`ConvShape::try_new`] refuses a shape whose
+    /// count does not fit a `u64`; a shape built past it saturates at
+    /// `u64::MAX`.
     pub fn bfc_flops(&self) -> u64 {
-        2 * self.oc as u64
-            * self.fh as u64
-            * self.fw as u64
-            * self.ic as u64
-            * self.oh() as u64
-            * self.ow() as u64
-            * self.n as u64
+        self.checked_bfc_flops().unwrap_or(u64::MAX)
+    }
+
+    /// [`ConvShape::bfc_flops`], `None` when it does not fit a `u64`.
+    fn checked_bfc_flops(&self) -> Option<u64> {
+        [
+            self.oc,
+            self.fh,
+            self.fw,
+            self.ic,
+            self.oh(),
+            self.ow(),
+            self.n,
+        ]
+        .into_iter()
+        .try_fold(2u64, |acc, d| acc.checked_mul(d as u64))
     }
 
     /// Accumulation length `N·O_H·O_W` per `∇W` element (x-axis of paper
@@ -331,6 +369,38 @@ mod tests {
             err.violations,
             vec![ShapeViolation::ElementCountOverflow { tensor: "x" }]
         );
+    }
+
+    #[test]
+    fn try_new_refuses_shapes_whose_flop_count_wraps() {
+        // Every operand fits a usize (X is 2^62 elements), but the BFC's
+        // 9·2^65 FLOPs do not fit a u64, nor X's bytes a usize.
+        let err =
+            ConvShape::try_new(1 << 20, 1 << 15, 1 << 15, 1 << 12, 4, 3, 3, 1, 1).unwrap_err();
+        assert_eq!(
+            err.violations,
+            vec![
+                ShapeViolation::CountOverflow { count: "bfc_flops" },
+                ShapeViolation::CountOverflow {
+                    count: "data_bytes"
+                },
+            ]
+        );
+        assert!(err.to_string().contains("bfc_flops"), "{err}");
+        // Built past the check, the counts saturate instead of wrapping.
+        let s = ConvShape {
+            n: 1 << 20,
+            ih: 1 << 15,
+            iw: 1 << 15,
+            ic: 1 << 12,
+            oc: 4,
+            fh: 3,
+            fw: 3,
+            ph: 1,
+            pw: 1,
+        };
+        assert_eq!(s.bfc_flops(), u64::MAX);
+        assert_eq!(s.data_bytes(4), usize::MAX);
     }
 
     #[test]

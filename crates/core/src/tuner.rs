@@ -117,22 +117,24 @@ struct HostConstants {
 /// VM, one vCPU pinned) by weighted least squares on the relative error of
 /// `winrs tune --measure`-style timings — the benchmark's keys, the nn
 /// probe's two shapes, the serve keys and micro shapes — with the width
-/// pinned through `WINRS_FORCE_WIDTH`. DESIGN.md §12.1 holds the fit.
+/// pinned through `WINRS_FORCE_WIDTH`; the AVX-512 and AVX2 rows' WinRS
+/// rates were refitted, t₀ held, when the EWMM became a fused
+/// multiply-add. DESIGN.md §12.1 holds the fit.
 static HOST_CONSTANTS: [HostConstants; 3] = [
     HostConstants {
         width: SimdWidth::Avx512,
         call_s: [22.3e-6, 16.5e-6, 44.0e-6, 12.5e-6],
-        flop_rate: [66.1e9, 26.4e9, 1.20e9, 1.20e9],
-        winrs_fp16_rate: 66.9e9,
-        winrs_bf16_rate: 29.5e9,
+        flop_rate: [81.8e9, 26.4e9, 1.20e9, 1.20e9],
+        winrs_fp16_rate: 94.3e9,
+        winrs_bf16_rate: 28.3e9,
         byte_rate: 4.43e9,
     },
     HostConstants {
         width: SimdWidth::Avx2,
         call_s: [22.5e-6, 19.2e-6, 63.2e-6, 14.1e-6],
-        flop_rate: [44.5e9, 24.9e9, 1.11e9, 1.11e9],
-        winrs_fp16_rate: 41.6e9,
-        winrs_bf16_rate: 24.6e9,
+        flop_rate: [57.4e9, 24.9e9, 1.11e9, 1.11e9],
+        winrs_fp16_rate: 62.5e9,
+        winrs_bf16_rate: 22.7e9,
         byte_rate: 4.38e9,
     },
     HostConstants {

@@ -1,9 +1,11 @@
 //! 8-lane AVX2 bodies of the micro-kernel family (dispatched by the
 //! parent module when [`super::SimdWidth::Avx2`] is active).
 //!
-//! All bodies use mul+add, never fmadd: the fused op skips the
-//! intermediate rounding and would break the cross-width bit-identity
-//! contract stated at the family top (`super`).
+//! Each body keeps the arithmetic form its kernel has at every width
+//! (`super`'s bit-identity contract): the EWMM ([`rank_k_batch`]) is one
+//! fused multiply-add per step, every other body separate mul + add —
+//! fusing one of those here alone would skip a rounding the other widths
+//! take.
 #![doc = "audit: no-alloc"]
 
 use super::{LANES, MR, NR};
@@ -258,10 +260,14 @@ pub unsafe fn round_f16(buf: &mut [f32]) -> u64 {
     saturated
 }
 
+/// Rows of the EWMM register tile: 4 rows × two ymm hold 8 accumulators
+/// beside the two d̂ vectors and the ĝ broadcast.
+const EWMM_ROWS: usize = 4;
+
 /// Staged α-batched EWMM (see the safe wrapper `super::rank_k_batch`):
-/// each β plane is walked in `R × 16`-lane register tiles (`R ≤ MR`, two
-/// 256-bit vectors per row); a column whose lanes do not fill whole
-/// vectors runs under `maskload`/`maskstore` masks.
+/// each β plane is walked in `R × 16`-lane register tiles
+/// (`R ≤ EWMM_ROWS`, two 256-bit vectors per row); a column whose lanes
+/// do not fill whole vectors runs under `maskload`/`maskstore` masks.
 ///
 /// # Safety
 /// Caller must have verified `avx2` and `fma` at runtime, and
@@ -324,8 +330,8 @@ fn lane_mask(n: usize) -> __m256i {
     _mm256_cmpgt_epi32(live, _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7))
 }
 
-/// Every row of one `8·V`-lane column of a plane: full `MR`-row tiles,
-/// then the 1–3 row tail.
+/// Every row of one `8·V`-lane column of a plane: full
+/// [`EWMM_ROWS`]-row tiles, then the 1–3 row tail.
 ///
 /// # Safety
 /// As [`tile`], for `rows` rows from `at`.
@@ -339,9 +345,9 @@ unsafe fn column<const V: usize, const MASKED: bool>(
 ) {
     let (c, g, d) = at;
     let mut oi = 0;
-    while oi + MR <= rows {
-        tile::<MR, V, MASKED>((c.add(oi * steps.ldc), g.add(oi), d), steps, masks);
-        oi += MR;
+    while oi + EWMM_ROWS <= rows {
+        tile::<EWMM_ROWS, V, MASKED>((c.add(oi * steps.ldc), g.add(oi), d), steps, masks);
+        oi += EWMM_ROWS;
     }
     let tail = (c.add(oi * steps.ldc), g.add(oi), d);
     match rows - oi {
@@ -353,7 +359,8 @@ unsafe fn column<const V: usize, const MASKED: bool>(
 }
 
 /// One `R × 8·V` tile: load the accumulator rows once, fold every step's
-/// `ĝ` broadcast × `d̂` vector in with mul + add in step order, store once.
+/// `ĝ` broadcast × `d̂` vector in with one fused multiply-add in step
+/// order, store once.
 /// With `MASKED`, lanes outside `masks` are neither read nor written;
 /// without it every lane is live and plain loads/stores run.
 ///
@@ -397,7 +404,8 @@ unsafe fn tile<const R: usize, const V: usize, const MASKED: bool>(
         for (r, row) in t.iter_mut().enumerate() {
             let gv = _mm256_set1_ps(*gs.add(r));
             for (lane, &dl) in row.iter_mut().zip(&dv) {
-                *lane = _mm256_add_ps(*lane, _mm256_mul_ps(gv, dl));
+                // winrs-audit: allow(bit-identity) — every width fuses this kernel
+                *lane = _mm256_fmadd_ps(gv, dl, *lane);
             }
         }
     }

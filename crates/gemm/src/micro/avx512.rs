@@ -1,16 +1,17 @@
 //! 16-lane AVX-512 bodies of the micro-kernel family (dispatched by the
 //! parent module when [`super::SimdWidth::Avx512`] is active).
 //!
-//! All bodies use mul+add, never fmadd — same cross-width bit-identity
-//! contract as the family top (`super`). Every `target_feature` set here
-//! enables `avx2`+`fma` alongside `avx512f` because tails and the GEMM
-//! tiles (whose natural shape is one 256-bit row; no 512-bit form of the
-//! 4×8 tile exists) run AVX2 instructions — `avx512_ready` verifies the
-//! full set.
+//! Each body keeps the arithmetic form its kernel has at every width
+//! (`super`'s bit-identity contract): the EWMM ([`rank_k_batch`]) is one
+//! fused multiply-add per step, every other body separate mul + add.
+//! Every `target_feature` set here enables `avx2`+`fma` alongside
+//! `avx512f` because tails and the GEMM tiles (whose natural shape is one
+//! 256-bit row; no 512-bit form of the 4×8 tile exists) run AVX2
+//! instructions — `avx512_ready` verifies the full set.
 #![doc = "audit: no-alloc"]
 
 use super::avx2::{RowGeom, Steps};
-use super::{MR, NR};
+use super::NR;
 use std::arch::x86_64::*;
 
 /// f32 lanes per 512-bit register.
@@ -21,6 +22,13 @@ const LANES16: usize = 16;
 /// 8-lane step keeps them vectorised. Bit-identity is unaffected: the ops
 /// are element-independent mul+add at any lane count.
 const LANES8: usize = 8;
+
+/// Rows of the EWMM register tile: 8 rows × two zmm hold 16
+/// accumulators, and each step's two d̂ vectors serve 16 fused
+/// multiply-adds, half the d̂ loads per multiply-add of 4 rows. On the 22
+/// fig10 keys (one vCPU, three alternating runs, geometric mean) 8 rows
+/// ran 112–119 GFLOP/s, 4 rows 113–116 and 12 rows 106–112.
+const EWMM_ROWS: usize = 8;
 
 /// # Safety
 /// Caller must have verified `avx512f`, `avx2` and `fma` at runtime.
@@ -212,10 +220,10 @@ pub unsafe fn round_f16(buf: &mut [f32]) -> u64 {
 }
 
 /// Staged α-batched EWMM (see the safe wrapper `super::rank_k_batch`):
-/// each β plane is walked in `R × 32`-lane register tiles (`R ≤ MR`, two
-/// 512-bit vectors per row); a lane tail narrower than a vector runs the
-/// same tile under a load/store mask, so no element leaves the vector
-/// path.
+/// each β plane is walked in `R × 32`-lane register tiles
+/// (`R ≤ EWMM_ROWS`, two 512-bit vectors per row); a lane tail narrower
+/// than a vector runs the same tile under a load/store mask, so no
+/// element leaves the vector path.
 ///
 /// # Safety
 /// Caller must have verified `avx512f`, `avx2` and `fma` at runtime, and
@@ -264,8 +272,8 @@ fn lane_mask(n: usize) -> __mmask16 {
     }
 }
 
-/// Every row of one `16·V`-lane column of a plane: full `MR`-row tiles,
-/// then the 1–3 row tail.
+/// Every row of one `16·V`-lane column of a plane: full
+/// [`EWMM_ROWS`]-row tiles, then the 1–7 row tail.
 ///
 /// # Safety
 /// As [`tile`], for `rows` rows from `at`.
@@ -279,12 +287,16 @@ unsafe fn column<const V: usize>(
 ) {
     let (c, g, d) = at;
     let mut oi = 0;
-    while oi + MR <= rows {
-        tile::<MR, V>((c.add(oi * steps.ldc), g.add(oi), d), steps, masks);
-        oi += MR;
+    while oi + EWMM_ROWS <= rows {
+        tile::<EWMM_ROWS, V>((c.add(oi * steps.ldc), g.add(oi), d), steps, masks);
+        oi += EWMM_ROWS;
     }
     let tail = (c.add(oi * steps.ldc), g.add(oi), d);
     match rows - oi {
+        7 => tile::<7, V>(tail, steps, masks),
+        6 => tile::<6, V>(tail, steps, masks),
+        5 => tile::<5, V>(tail, steps, masks),
+        4 => tile::<4, V>(tail, steps, masks),
         3 => tile::<3, V>(tail, steps, masks),
         2 => tile::<2, V>(tail, steps, masks),
         1 => tile::<1, V>(tail, steps, masks),
@@ -293,8 +305,8 @@ unsafe fn column<const V: usize>(
 }
 
 /// One `R × 16·V` tile: load the accumulator rows once, fold every step's
-/// `ĝ` broadcast × `d̂` vector in with mul + add in step order, store once.
-/// Lanes outside `masks` are neither read nor written.
+/// `ĝ` broadcast × `d̂` vector in with one fused multiply-add in step
+/// order, store once. Lanes outside `masks` are neither read nor written.
 ///
 /// # Safety
 /// `avx512f` verified at runtime; `at = (c, g, d)` points at the tile's
@@ -326,7 +338,8 @@ unsafe fn tile<const R: usize, const V: usize>(
         for (r, row) in t.iter_mut().enumerate() {
             let gv = _mm512_set1_ps(*gs.add(r));
             for (lane, &dl) in row.iter_mut().zip(&dv) {
-                *lane = _mm512_add_ps(*lane, _mm512_mul_ps(gv, dl));
+                // winrs-audit: allow(bit-identity) — every width fuses this kernel
+                *lane = _mm512_fmadd_ps(gv, dl, *lane);
             }
         }
     }

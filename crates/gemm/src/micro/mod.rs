@@ -14,15 +14,21 @@
 //! [`active_width`]). Every other target, aarch64 included, runs the
 //! scalar bodies.
 //!
-//! Bit-identity is a hard contract, not an accident: every explicit body
-//! uses separate vector multiply + add instead of a fused multiply-add
-//! (`_mm256_fmadd_ps`), because the fused op skips the intermediate
-//! rounding and would make the dispatch width change `∇W` bits. Each kernel's per-element operation sequence is independent of
-//! the vector width — element `i` always computes `dst[i] + a·x[i]` with
-//! one IEEE-754 multiply and one add, whichever register it rides in —
-//! so scalar, 8- and 16-lane bodies produce identical bits and the
-//! engine's equivalence tests assert exact equality across every
-//! compiled-in width.
+//! Bit-identity is a hard contract, not an accident: each kernel has one
+//! arithmetic form, and every member computes it. The EWMM
+//! ([`rank_k_batch`]) takes each step as one fused multiply-add —
+//! `_mm512_fmadd_ps`, `_mm256_fmadd_ps` and `f32::mul_add` — and every
+//! other kernel as a separate IEEE-754 multiply and add. A fused
+//! multiply-add is correctly rounded wherever it runs, so either form
+//! gives the same bits in a 1-, 8- or 16-lane register; what would make
+//! the dispatch width change `∇W` bits is one member fusing a kernel that
+//! another member rounds twice. Each kernel's per-element operation
+//! sequence is independent of the vector width — element `i` of an AXPY
+//! always computes `dst[i] + a·x[i]` with one multiply and one add, and
+//! an EWMM element `fma(ĝ[s], d̂[s], v)` for each step `s` in order,
+//! whichever register it rides in — so scalar, 8- and 16-lane bodies
+//! produce identical bits and the engine's equivalence tests assert exact
+//! equality across every compiled-in width.
 //!
 //! [`force_width`] pins the dispatch to one member (the test hook behind
 //! the cross-width equivalence suites) and rejects unavailable members
@@ -229,6 +235,15 @@ fn avx2_ready() -> bool {
 fn avx512_ready() -> bool {
     static READY: OnceLock<bool> = OnceLock::new();
     *READY.get_or_init(|| std::arch::is_x86_feature_detected!("avx512f") && avx2_ready())
+}
+
+/// The portable EWMM body runs compiled with `fma` when the CPU has it
+/// ([`rank_k_portable_fma`]); without it `f32::mul_add` is a libm call
+/// per element.
+#[cfg(target_arch = "x86_64")]
+fn fma_ready() -> bool {
+    static READY: OnceLock<bool> = OnceLock::new();
+    *READY.get_or_init(|| std::arch::is_x86_feature_detected!("fma"))
 }
 
 #[cfg(not(target_arch = "x86_64"))]
@@ -533,12 +548,15 @@ fn gather_rows_scalar<const COUNT: bool, const STORE: bool>(
 /// layout the engine's tile loaders write), and for every β and step `s`
 /// in order, `acc[β] += ĝ[s][β] ⊗ d̂[s][β]`.
 ///
-/// Every body walks each plane in register tiles (4 rows × 32 lanes on
-/// AVX-512, 4 × 16 on AVX2, 4 × [`LANES`] in the portable body): a tile
-/// is loaded once, takes all `k` steps as mul + add in step order, and is
-/// stored once. Each element therefore sees exactly the operation
-/// sequence of `k` separate `k = 1` calls — same bits, at `1/k` of the
-/// accumulator traffic.
+/// Each step is one fused multiply-add per element,
+/// `v ← fma(ĝ[s][β][o], d̂[s][β][c], v)`, at every width: `_mm512_fmadd_ps`,
+/// `_mm256_fmadd_ps` and `f32::mul_add` round once, correctly, so every
+/// width gives the same bits. Every body walks each plane in register
+/// tiles (8 rows × 32 lanes on AVX-512, 4 × 16 on AVX2, 4 × [`LANES`] in
+/// the portable body): a tile is loaded once, takes all `k` steps in step
+/// order, and is stored once. Each element therefore sees exactly the
+/// operation sequence of `k` separate `k = 1` calls — same bits, at `1/k`
+/// of the accumulator traffic.
 // BOUNDS(acc): len
 // BOUNDS(g): len
 // BOUNDS(d): len
@@ -560,6 +578,9 @@ pub fn rank_k_batch(acc: &mut [f32], g: &[f32], d: &[f32], alpha: usize, k: usiz
         // SAFETY: avx2+fma verified at runtime (`avx2_ready`); slice
         // lengths checked above.
         SimdWidth::Avx2 => return unsafe { avx2::rank_k_batch(acc, g, d, alpha, k, bn, bm) },
+        // SAFETY: fma verified at runtime (`fma_ready`); the body is safe,
+        // bounds-checked code.
+        _ if fma_ready() => return unsafe { rank_k_portable_fma(acc, g, d, alpha, k, bn, bm) },
         _ => {}
     }
     rank_k_portable(acc, g, d, alpha, k, bn, bm);
@@ -572,11 +593,35 @@ pub fn rank1_batch(acc: &mut [f32], g: &[f32], d: &[f32], alpha: usize) {
     rank_k_batch(acc, g, d, alpha, 1);
 }
 
+/// [`rank_k_portable`] compiled with `fma` enabled, which the scalar
+/// member runs on an x86-64 CPU with FMA.
+///
+/// # Safety
+/// Caller must have verified `fma` at runtime.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "fma")]
+unsafe fn rank_k_portable_fma(
+    acc: &mut [f32],
+    g: &[f32],
+    d: &[f32],
+    alpha: usize,
+    k: usize,
+    bn: usize,
+    bm: usize,
+) {
+    rank_k_portable(acc, g, d, alpha, k, bn, bm);
+}
+
 /// Portable body of [`rank_k_batch`] — the scalar member. Full
 /// `MR × LANES` tiles run as fixed arrays LLVM keeps in vector registers;
 /// the row tail (`bn % MR`) and lane tail (`bm % LANES`) run element by
-/// element, each element still loaded and stored once.
-#[inline]
+/// element, each element still loaded and stored once. Always inlined,
+/// so it compiles with its caller's target features: through
+/// [`rank_k_portable_fma`] `f32::mul_add` is one `vfmadd` and LLVM
+/// vectorises the tiles; compiled for the x86-64 baseline (a CPU without
+/// FMA) each `mul_add` is the correctly rounded libm `fmaf`, slower but
+/// the same bits. aarch64 lowers `mul_add` to `fmadd`.
+#[inline(always)]
 fn rank_k_portable(
     acc: &mut [f32],
     g: &[f32],
@@ -606,7 +651,8 @@ fn rank_k_portable(
                     };
                     for (row, &gv) in tile.iter_mut().zip(gs) {
                         for l in 0..LANES {
-                            row[l] += gv * dv[l];
+                            // winrs-audit: allow(bit-identity) — every width fuses this kernel
+                            row[l] = gv.mul_add(dv[l], row[l]);
                         }
                     }
                 }
@@ -621,7 +667,8 @@ fn rank_k_portable(
             for j in j0..bm {
                 let mut v = plane[oi * bm + j];
                 for s in 0..k {
-                    v += g[s * gstep + g0 + oi] * d[s * dstep + d0 + j];
+                    // winrs-audit: allow(bit-identity) — every width fuses this kernel
+                    v = g[s * gstep + g0 + oi].mul_add(d[s * dstep + d0 + j], v);
                 }
                 plane[oi * bm + j] = v;
             }
@@ -839,8 +886,8 @@ mod tests {
     }
 
     /// The EWMM reference every width is held to: step by step, plane by
-    /// plane, `acc += g·d` one element at a time (`g` is `k × α × bn`,
-    /// `d` is `k × α × bm`).
+    /// plane, `acc ← fma(g, d, acc)` one element at a time (`g` is
+    /// `k × α × bn`, `d` is `k × α × bm`).
     fn naive_rank_k(
         acc: &mut [f32],
         g: &[f32],
@@ -855,7 +902,9 @@ mod tests {
                 for oi in 0..bn {
                     for j in 0..bm {
                         let (gi, di) = ((s * alpha + beta) * bn + oi, (s * alpha + beta) * bm + j);
-                        acc[(beta * bn + oi) * bm + j] += g[gi] * d[di];
+                        let a = &mut acc[(beta * bn + oi) * bm + j];
+                        // winrs-audit: allow(bit-identity) — the EWMM's one form at every width
+                        *a = g[gi].mul_add(d[di], *a);
                     }
                 }
             }
@@ -869,11 +918,12 @@ mod tests {
     #[test]
     fn rank_k_batch_matches_naive_steps_bitwise_every_width() {
         let _g = DISPATCH_LOCK.lock().unwrap();
-        // Row tails (bn % 4) and lane tails (bm around 8-, 16- and 32-lane
-        // tiles) at every step count the engine's stage can flush.
+        // Row tails (bn % 4 and bn % 8: the AVX-512 tile is 8 rows, the
+        // others 4) and lane tails (bm around 8-, 16- and 32-lane tiles)
+        // at every step count the engine's stage can flush.
         for k in [1usize, 2, 3, 8] {
             for alpha in [1usize, 4, 16] {
-                for bn in [1usize, 3, 4, 6, 64] {
+                for bn in [1usize, 3, 4, 6, 7, 13, 64] {
                     for bm in [1usize, 5, 8, 15, 16, 17, 32, 37] {
                         let seed = (k * 1000 + alpha * 100 + bn * 10 + bm) as u32;
                         let g = pseudo(seed, k * alpha * bn);
@@ -894,6 +944,16 @@ mod tests {
                             );
                         }
                         force_width(None).unwrap();
+                        // The portable loops compiled for the baseline
+                        // target: the libm `fmaf` path of a CPU without
+                        // FMA.
+                        let mut got = base.clone();
+                        rank_k_portable(&mut got, &g, &d, alpha, k, bn, bm);
+                        assert_eq!(
+                            bits(&got),
+                            bits(&want),
+                            "k={k} alpha={alpha} bn={bn} bm={bm} baseline body"
+                        );
                     }
                 }
             }

@@ -15,6 +15,9 @@
 #       error on the WinRS rung and on a substitute's
 #   04b the exhaustive binary16 round-trip proof (all 2^32 f32 inputs,
 #       release) under the same per-width loop
+#   04c the exhaustive proof that every product of two finite binary16
+#       values is exact in f32 (release), so the fused EWMM gives FP16 and
+#       FP8 tiles the bits of mul + add
 #   05  a compile-only aarch64 cross-check of the portable bodies (the
 #       only ones that target runs) when that stdlib is installed
 #   06  clippy with warnings promoted to errors, including the
@@ -146,6 +149,15 @@ step_04b() {
   done
 }
 run_step "exhaustive binary16 round trip (all 2^32 f32 inputs, release, every available width)" step_04b
+
+step_04c() {
+  # All 63,488^2 pairs of finite binary16 values: each product is exact in
+  # f32, so fma(a, b, c) == a*b + c on FP16 and FP8 tiles. Ignored under
+  # plain `cargo test` (about 2 s in release, far longer in debug); the
+  # arithmetic is scalar, so one run covers every width.
+  cargo test -q --release --test fma_exactness -- --ignored
+}
+run_step "exhaustive binary16 product exactness (all finite pairs, release)" step_04c
 
 step_05() {
   # The offline image may ship only the host stdlib; skip gracefully then.

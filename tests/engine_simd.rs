@@ -7,8 +7,9 @@
 //!    precision, and odd block-tail widths.
 //! 2. The full FP32 pipeline must produce bit-identical `∇W` with the
 //!    explicit-SIMD dispatch forced off and left on auto — the micro-kernel
-//!    contract (mul+add, never fmadd; fixed accumulation order) made
-//!    observable.
+//!    contract (one arithmetic form per kernel at every width: the EWMM a
+//!    fused multiply-add, every other kernel mul + add; fixed accumulation
+//!    order) made observable.
 //! 3. The saturation / non-finite health counters must not depend on the
 //!    dispatch width either: pinned totals, with the deterministic fault
 //!    injector and with a natural FP16 overflow.

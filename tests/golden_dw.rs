@@ -19,6 +19,7 @@
 //! are pinned the same way on the shapes of their unit tests.
 
 use std::sync::{Mutex, MutexGuard, OnceLock};
+use winrs::conv::direct::bfc_direct;
 use winrs::conv::ndim::Conv3dShape;
 use winrs::conv::ConvShape;
 use winrs::core::engine::{ExecOptions, HealthSink, TileMode};
@@ -28,7 +29,10 @@ use winrs::core::{Precision, WinRsPlan};
 use winrs::fp16::{bf16, f16};
 use winrs::gemm::micro;
 use winrs::gpu::RTX_4090;
+use winrs::rational::{RatMatrix, Rational};
 use winrs::tensor::{Scalar, Tensor4, TensorN};
+use winrs::winograd::error_analysis::amplification;
+use winrs::winograd::{KernelId, Transform};
 
 /// Serialises the tests of this file: the width pin is process-global.
 fn dispatch_guard() -> MutexGuard<'static, ()> {
@@ -172,24 +176,24 @@ const CASES: &[Case] = &[
 
 /// Committed hashes, one per case in [`CASES`] order.
 const GOLDEN: &[(&str, u64)] = &[
-    ("f2_13x17_5to7", 0x8b09164da070b4b1),
-    ("f3_13x17_5to7", 0x5b985727fa6a8495),
-    ("f4_13x17_5to7", 0xde40129184a9809a),
-    ("f5_13x17_5to7", 0x6b6883e6de82a31c),
-    ("f6_13x17_5to7", 0x009d66579337f135),
-    ("f7_13x17_5to7", 0x6796ab1fbf51063c),
-    ("f8_13x17_5to7", 0x79a9f3f93f33bf15),
-    ("f9_13x17_5to7", 0x6141cc8410b28921),
-    ("f2_nopad_13x17_3to2", 0x0c0045b4928d840b),
-    ("f9_14sq_37to70", 0x2feb263cd164f715),
-    ("f5_14sq_37to70", 0xde3eddb5c362f00c),
-    ("f3_14sq_37to70", 0x8ae31d7bc4b1ae7a),
-    ("f5_12sq_64to64", 0x35d30a68c3d713bf),
-    ("f5_11sq_phantom", 0x992f90b0205094db),
-    ("f5_8sq_clipped", 0x433c578709dd97d5),
-    ("f9_10sq_clipped", 0x7d96122d910a471f),
-    ("f3_28sq_16to16", 0xec6a9c97d47c3a56),
-    ("f3_64sq_window", 0x60764acbac98ce95),
+    ("f2_13x17_5to7", 0x70ea78f23abbdbf7),
+    ("f3_13x17_5to7", 0x23d831ae6bbdeb6d),
+    ("f4_13x17_5to7", 0xd59293c49a3e3b67),
+    ("f5_13x17_5to7", 0x16ceff32c7a640aa),
+    ("f6_13x17_5to7", 0xf6c6d59f3d0c15a4),
+    ("f7_13x17_5to7", 0x7f6e31c59797df26),
+    ("f8_13x17_5to7", 0xaf9d778b8f0338fe),
+    ("f9_13x17_5to7", 0x298274df074993ea),
+    ("f2_nopad_13x17_3to2", 0x417a750afe84a87f),
+    ("f9_14sq_37to70", 0x29abc549eab2511e),
+    ("f5_14sq_37to70", 0x9716f4506b06cff5),
+    ("f3_14sq_37to70", 0xd6640f03b0b4509d),
+    ("f5_12sq_64to64", 0xcff6409acd4a7e15),
+    ("f5_11sq_phantom", 0x9251fef3d3328ebf),
+    ("f5_8sq_clipped", 0x4ff2f4249ac892d1),
+    ("f9_10sq_clipped", 0x9bb561d8776afdc5),
+    ("f3_28sq_16to16", 0xc05a0c4deb9b7770),
+    ("f3_64sq_window", 0x4898ea7d9273e766),
     ("fp16_f3_12sq_19to13", 0xfc104484b5797593),
     ("fp16_f5_12sq_19to13", 0xb7ce762e67d2de86),
     ("fp16_f7_12sq_19to13", 0xff49ed592b67e9ea),
@@ -216,18 +220,30 @@ fn operands(shape: &ConvShape, seed: u64) -> (Tensor4<f32>, Tensor4<f32>) {
     (x, dy)
 }
 
+/// The hash of [`case_dw`].
+fn run_case(c: &Case, seed: u64, workers: usize, health: bool, fill: f32) -> u64 {
+    let (x, dy) = operands(&c.shape, seed);
+    fnv1a(case_dw(c, &x, &dy, workers, health, fill).as_slice())
+}
+
 /// `∇W` of one case at an explicit worker count, optionally with a
 /// health sink attached (reduced-precision modes only). The buckets and
 /// `∇W` start filled with `fill`: the engine must never read what they
 /// held, so a NaN fill hashes as a zero fill does.
-fn run_case(c: &Case, seed: u64, workers: usize, health: bool, fill: f32) -> u64 {
+fn case_dw(
+    c: &Case,
+    x: &Tensor4<f32>,
+    dy: &Tensor4<f32>,
+    workers: usize,
+    health: bool,
+    fill: f32,
+) -> Tensor4<f32> {
     let plan = plan_for(&c.shape, c.precision, c.z_hat);
-    let (x, dy) = operands(&c.shape, seed);
     let mut buckets = vec![fill; plan.bucket_elems()];
     let sink = HealthSink::new(plan.partition().segments.len());
     plan.execute_into_buckets(
-        &x,
-        &dy,
+        x,
+        dy,
         c.mode,
         &mut buckets,
         ExecOptions {
@@ -245,7 +261,7 @@ fn run_case(c: &Case, seed: u64, workers: usize, health: bool, fill: f32) -> u64
     let s = &c.shape;
     let mut dw = Tensor4::<f32>::from_fn([s.oc, s.fh, s.fw, s.ic], |_, _, _, _| fill);
     plan.reduce_into(&buckets, &mut dw);
-    fnv1a(dw.as_slice())
+    dw
 }
 
 /// Every case's hash at every pinnable width and at one and two workers
@@ -288,6 +304,153 @@ fn golden_dw_hashes_hold_at_every_width_and_worker_count() {
     }
     micro::force_width(None).expect("auto always pins");
     assert!(bad.is_empty(), "golden ∇W mismatches:\n{}", bad.join("\n"));
+}
+
+/// Unit roundoff of f32 (round to nearest).
+const U32: f64 = f32::EPSILON as f64 / 2.0;
+
+/// `γ_m = m·u / (1 − m·u)`: the relative error a chain of `m` roundings
+/// of unit `u` can build up.
+fn gamma(m: usize, u: f64) -> f64 {
+    let mu = m as f64 * u;
+    mu / (1.0 - mu)
+}
+
+/// Whether f32 holds a transform coefficient exactly: a dyadic rational
+/// whose odd numerator fits f32's 24-bit significand.
+fn exact_in_f32(q: &Rational) -> bool {
+    let (p, d) = (q.numer().unsigned_abs(), q.denom().unsigned_abs());
+    d.is_power_of_two() && (p == 0 || p >> p.trailing_zeros() < 1 << 24)
+}
+
+/// One kernel's terms of the bound: `amp(d)·r` per output `d`
+/// (`error_analysis::amplification` is normalised by `r`), and the
+/// roundings on any one product's path before the EWMM and after it
+/// apart from the reduce: FT `r`, IT `α`, OT `α`, plus one for each of
+/// `G`, `Dᵀ` and `Aᵀ` holding a coefficient f32 rounds (a product's path
+/// crosses one coefficient of each).
+fn kernel_terms(k: KernelId) -> (Vec<f64>, usize) {
+    let t = Transform::generate(k.n, k.r);
+    let amp_r = amplification(&t)
+        .per_output
+        .iter()
+        .map(|a| a * k.r as f64)
+        .collect();
+    let rounds = |m: &RatMatrix| (0..m.nrows()).any(|i| m.row(i).iter().any(|q| !exact_in_f32(q)));
+    let coeffs = [&t.g, &t.d, &t.a].into_iter().filter(|m| rounds(m)).count();
+    (amp_r, k.r + 2 * t.alpha + coeffs)
+}
+
+/// The derived bound on `|∇W_engine − ∇W_exact|` of every element of one
+/// plan's `∇W`, in its `(oc, f_h, f_w, ic)` order, for operands bounded
+/// by `max_x` and `max_dy`. An element `(f_h, f_w)` sums `K_k` steps from
+/// each kernel `k` that reaches it (every segment's images × units ×
+/// unclipped rows), each step at most `amp_k(f_w mod n_k)·r_k·max|X|·
+/// max|∇Y|` in magnitude summed along its paths, so the error is at most
+/// `γ_m · Σ_k amp_k·r_k·K_k · max|X|·max|∇Y|` with
+/// `m = max_k(r + 2α + coeffs) + 2·K_e + Z`: the EWMM charged two
+/// roundings a step (a separate multiply and add; a fused step takes
+/// one) over the element's `K_e = Σ_k K_k` steps, and the reduce `Z`.
+/// Nothing is fitted.
+fn element_bounds(plan: &WinRsPlan, max_x: f64, max_dy: f64) -> Vec<f64> {
+    let s = plan.shape();
+    let mut terms = std::collections::HashMap::new();
+    let per_position: Vec<f64> = (0..s.fh * s.fw)
+        .map(|p| {
+            let (fh, fw) = (p / s.fw, p % s.fw);
+            let (mut weight, mut k_e, mut m) = (0.0, 0usize, 0usize);
+            for seg in &plan.partition().segments {
+                let (amp_r, fixed) = terms
+                    .entry((seg.kernel.n, seg.kernel.r))
+                    .or_insert_with(|| kernel_terms(seg.kernel));
+                // ∇Y rows i with an X row: 0 ≤ f_h + i − p_H < I_H.
+                let lo = seg.h0.max(s.ph.saturating_sub(fh));
+                let hi = seg.h1.min((s.ih + s.ph).saturating_sub(fh));
+                let k = s.n * seg.units * hi.saturating_sub(lo);
+                if k > 0 {
+                    weight += amp_r[fw % seg.kernel.n] * k as f64;
+                    k_e += k;
+                    m = m.max(*fixed);
+                }
+            }
+            gamma(m + 2 * k_e + plan.z(), U32) * weight * max_x * max_dy
+        })
+        .collect();
+    (0..s.dw_elems())
+        .map(|e| per_position[(e / s.ic) % (s.fh * s.fw)])
+        .collect()
+}
+
+/// Largest `|v|` of a tensor, widened to f64.
+fn max_abs(t: &Tensor4<f32>) -> f64 {
+    t.as_slice()
+        .iter()
+        .map(|v| f64::from(v.abs()))
+        .fold(0.0, f64::max)
+}
+
+/// The largest `|got − want| / bound` over the elements (the fraction of
+/// its bound the worst element uses; above 1 breaks the bound). `want`
+/// is the f64 direct reference, whose own error, `γ_{K_e}` in f64, is
+/// below 10⁻¹¹ relative here and is charged to the bound as one more
+/// f32 rounding's worth of slack (`m` counts the EWMM's steps twice).
+fn worst_bound_use(got: &[f32], want: &[f64], bound: &[f64]) -> f64 {
+    got.iter()
+        .zip(want)
+        .zip(bound)
+        .map(|((&g, &w), &b)| {
+            let err = (f64::from(g) - w).abs();
+            if err == 0.0 {
+                0.0
+            } else {
+                err / b
+            }
+        })
+        .fold(0.0, f64::max)
+}
+
+/// Every FP32-tile case of [`CASES`], element by element against the
+/// f64 direct reference, within the bound [`element_bounds`] derives
+/// from the transforms' amplification, the accumulation length and f32's
+/// unit roundoff. The bound must also see a wrong answer: zeroing or
+/// negating the largest-magnitude element of a case breaks it.
+#[test]
+fn fp32_golden_cases_hold_the_derived_error_bound() {
+    let _g = dispatch_guard();
+    let mut bad = Vec::new();
+    for (ci, c) in CASES.iter().enumerate() {
+        if c.mode != TileMode::Fp32 {
+            continue;
+        }
+        let (x, dy) = operands(&c.shape, 1000 + 10 * ci as u64);
+        let got = case_dw(c, &x, &dy, 1, false, 0.0);
+        let want = bfc_direct(&c.shape, &x.cast::<f64>(), &dy.cast::<f64>());
+        let plan = plan_for(&c.shape, c.precision, c.z_hat);
+        let bound = element_bounds(&plan, max_abs(&x), max_abs(&dy));
+        let (got, want) = (got.as_slice(), want.as_slice());
+        let used = worst_bound_use(got, want, &bound);
+        let big = (0..want.len())
+            .max_by(|&a, &b| want[a].abs().total_cmp(&want[b].abs()))
+            .expect("non-empty ∇W");
+        println!(
+            "{:<20} worst element uses {used:.3e} of its bound; the largest, {:.3e}, has bound {:.3e}",
+            c.name, want[big], bound[big]
+        );
+        if used > 1.0 {
+            bad.push(format!(
+                "{}: an element uses {used:.3} of its bound",
+                c.name
+            ));
+        }
+        for wrong in [0.0, -got[big]] {
+            let mut mutated = got.to_vec();
+            mutated[big] = wrong;
+            if worst_bound_use(&mutated, want, &bound) <= 1.0 {
+                bad.push(format!("{}: ∇W[{big}] = {wrong} passes the bound", c.name));
+            }
+        }
+    }
+    assert!(bad.is_empty(), "error-bound failures:\n{}", bad.join("\n"));
 }
 
 /// Storage-precision paths: f16 and bf16 buckets (the engine's non-f32
